@@ -26,6 +26,7 @@ from .errors import (
     ChartMismatch,
     DegenerateStructure,
     GradeMismatch,
+    KindMismatch,
 )
 from .exterior import (
     Form,
@@ -36,6 +37,7 @@ from .exterior import (
     mv_from_form,
     pair,
     wedge,
+    wedge_all,
 )
 from .poly import (
     ExpPoly,
@@ -93,14 +95,14 @@ class BracketDef:
         return self.volume.chart
 
 
-def _differential_wedge(chart: Chart, functions) -> Form:
-    result = None
+def _differentials(chart: Chart, functions) -> list[Form]:
     for f in functions:
+        if not (isinstance(f, Polynomial) or f.is_zero()):
+            # a nonzero quotient, e.g. a bracket under a non-constant volume
+            raise KindMismatch("bracket arguments must be polynomials")
         if f.chart != chart:
             raise ChartMismatch("bracket argument lives on a different chart")
-        df = differential(f)
-        result = df if result is None else wedge(result, df)
-    return result
+    return [differential(f) for f in functions]
 
 
 def bracket(bdef: BracketDef, *functions: Polynomial):
@@ -108,7 +110,7 @@ def bracket(bdef: BracketDef, *functions: Polynomial):
     if len(functions) != bdef.arity:
         raise ArityMismatch(f"bracket takes {bdef.arity} arguments, got {len(functions)}")
     chart = bdef.chart
-    dfw = _differential_wedge(chart, functions)
+    dfw = wedge_all(_differentials(chart, functions))
     top = wedge(dfw, bdef.alpha)
     numerator = top.terms.get(bdef._top, Polynomial.zero(chart))
     if bdef.generator is None:
@@ -119,16 +121,20 @@ def bracket(bdef: BracketDef, *functions: Polynomial):
     return value
 
 
+def power_bracket_def(volume: Form, power: Form, k: int, with_factorial: bool) -> BracketDef:
+    """The bracket of ``alpha = [k!] * power/(n-k)!`` against ``volume``, for
+    ``power = omega^{n-k}`` and ``volume = omega^n/n!``; callers pass the
+    powers so that their own caches are reused."""
+    n = volume.chart.dim // 2
+    scale = Fraction(factorial(k) if with_factorial else 1, factorial(n - k))
+    return BracketDef(volume, power * scale)
+
+
 def _power_def(sym: SymplecticData, k: int, with_factorial: bool) -> BracketDef:
     if not 1 <= k <= sym.n:
         raise ArityMismatch(f"power index must lie in 1..{sym.n}")
-    key = ("bracket_def", k, with_factorial)
-
-    def build():
-        scale = Fraction(factorial(k) if with_factorial else 1, factorial(sym.n - k))
-        return BracketDef(sym.volume(), sym.power(sym.n - k) * scale)
-
-    return sym.cached(key, build)
+    return sym.cached(("bracket_def", k, with_factorial),
+                      lambda: power_bracket_def(sym.volume(), sym.power(sym.n - k), k, with_factorial))
 
 
 def omega_power_bracket(sym: SymplecticData, k: int, *functions: Polynomial) -> Polynomial:
@@ -167,7 +173,7 @@ def nambu_top_bracket(volume: Form, gamma: Polynomial, *functions: Polynomial) -
         raise ChartMismatch("gamma lives on a different chart")
     if len(functions) != m:
         raise ArityMismatch(f"top bracket takes {m} arguments, got {len(functions)}")
-    dfw = _differential_wedge(chart, functions)
+    dfw = wedge_all(_differentials(chart, functions))
     wedge_value = gamma * dfw.terms.get(top, Polynomial.zero(chart)) * (Fraction(1) / c)
     jacobian = [[f.diff(j) for j in range(m)] for f in functions]
     det_value = gamma * matrix_determinant(jacobian, chart) * (Fraction(1) / c)

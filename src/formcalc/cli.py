@@ -5,12 +5,14 @@ Usage::
     formcalc run <scenario-file> [--machine] [--only <task-name>]
     formcalc verify <suite-name> [--n <int>]
 
-``run`` executes a scenario's tasks in order and prints a report: the default
-format is human-readable; ``--machine`` emits one tab-separated line per task
-(name, command, arguments, status, result, expected).  Exit codes: 0 when
-every expectation matched and no task errored, 1 on a mismatch or failed
-verification, 2 on parse or usage errors.  Reports are deterministic:
-identical input files produce byte-identical output.
+``run`` executes a scenario's tasks in order, each through its entry in
+:data:`formcalc.manifest.COMMANDS`, and prints a report: the default format
+is human-readable; ``--machine`` emits one tab-separated line per task
+(name, command, arguments, status, result, expected).  ``run --help`` lists
+the task commands with their usage, read from the same table.  Exit codes:
+0 when every expectation matched and no task errored, 1 on a mismatch or
+failed verification, 2 on parse or usage errors.  Reports are
+deterministic: identical input files produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,25 +22,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brackets import (
-    BracketDef,
-    bracket,
-    derived_vf,
-    jacobiator,
-    nambu_top_bracket,
-    omega_power_bracket,
-)
-from .dirac import (
-    ConstraintSet,
-    calibrate_normalization,
-    dirac_bracket_form,
-    dirac_bracket_matrix,
-)
 from .errors import AlgebraError, ParseError
-from .exterior import Form, Multivector, SymplecticData, form_power, poisson_bivector
-from .manifest import Scenario, Task, parse_scenario
+from .exterior import Form, Multivector
+from .manifest import COMMANDS, Scenario, Structures, command_lines, parse_scenario
 from .poly import Polynomial, RationalExpr
-from .schouten import is_poisson, jacobi_pair_check
 from .suites import run_suite, suite_names
 
 
@@ -105,102 +92,11 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _factorials(n: int) -> list[int]:
-    out = [1]
-    for i in range(1, n + 1):
-        out.append(out[-1] * i)
-    return out
-
-
-class _Runner:
-    """Executes tasks against a scenario, caching derived structures."""
-
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self._sym_cache: dict[int, SymplecticData] = {}
-        self._binary_cache: dict[int, BracketDef] = {}
-        self._constraint_cache: dict[tuple[int, int], ConstraintSet] = {}
-
-    def _sym(self, omega: Form) -> SymplecticData:
-        key = id(omega)
-        if key not in self._sym_cache:
-            self._sym_cache[key] = SymplecticData(omega)
-        return self._sym_cache[key]
-
-    def _binary_def(self, omega: Form) -> BracketDef:
-        # form-route binary bracket; unlike SymplecticData this does not
-        # require closedness, so jacobiator witnesses stay reachable
-        key = id(omega)
-        if key not in self._binary_cache:
-            m = omega.chart.dim
-            if m % 2:
-                raise AlgebraError("check-jacobi needs an even-dimensional chart")
-            n = m // 2
-            fact = _factorials(n)
-            volume = form_power(omega, n) * Fraction(1, fact[n])
-            alpha = form_power(omega, n - 1) * Fraction(1, fact[n - 1])
-            self._binary_cache[key] = BracketDef(volume, alpha)
-        return self._binary_cache[key]
-
-    def _constraints(self, omega: Form, thetas) -> ConstraintSet:
-        key = (id(omega), id(thetas))
-        if key not in self._constraint_cache:
-            self._constraint_cache[key] = ConstraintSet(self._sym(omega), thetas)
-        return self._constraint_cache[key]
-
-    def run(self, task: Task):
-        command = task.command
-        args = task.resolved
-        if command == "bracket":
-            volume, alpha, functions = args
-            return bracket(BracketDef(volume, alpha), *functions)
-        if command == "power-bracket":
-            omega, k, functions = args
-            return omega_power_bracket(self._sym(omega), k, *functions)
-        if command == "derived-vf":
-            omega, k, functions = args
-            return derived_vf(self._sym(omega), k, *functions)
-        if command == "nambu":
-            volume, gamma, functions = args
-            return nambu_top_bracket(volume, gamma, *functions)
-        if command == "dirac-matrix":
-            omega, thetas, f, g = args
-            return dirac_bracket_matrix(self._constraints(omega, thetas), f, g)
-        if command == "dirac-form":
-            omega, thetas, f, g = args
-            sym = self._sym(omega)
-            return dirac_bracket_form(sym, self._constraints(omega, thetas), f, g)
-        if command == "calibrate-dirac":
-            omega, thetas = args
-            sym = self._sym(omega)
-            return calibrate_normalization(sym, self._constraints(omega, thetas)).constant
-        if command == "schouten":
-            from .schouten import schouten
-
-            return schouten(args[0], args[1])
-        if command == "check-poisson":
-            value = args[0]
-            bivector = value if isinstance(value, Multivector) else poisson_bivector(value)
-            return is_poisson(bivector)
-        if command == "check-jacobi":
-            omega, f, g, h = args
-            return jacobiator(self._binary_def(omega), f, g, h)
-        if command == "check-jacobi-pair":
-            return jacobi_pair_check(args[0], args[1])
-        if command == "verify-suite":
-            suite, n = args
-            ok, detail = run_suite(suite, n)
-            return ("pass" if ok else "fail", detail)
-        raise AlgebraError(f"unknown command {command!r}")
-
-
 def _render_value(value) -> tuple[str, str | None]:
     if isinstance(value, tuple):  # suite outcome
-        return value[0], value[1]
+        return value
     if isinstance(value, bool):
         return ("true" if value else "false"), None
-    if isinstance(value, Fraction):
-        return str(value), None
     return str(value), None
 
 
@@ -210,8 +106,8 @@ def _values_match(result, expected) -> bool:
     if isinstance(result, bool) or isinstance(expected, bool):
         return isinstance(result, bool) and isinstance(expected, bool) and result == expected
     if isinstance(result, RationalExpr) or isinstance(expected, RationalExpr):
-        left = result if isinstance(result, RationalExpr) else _as_rational(result, expected)
-        right = expected if isinstance(expected, RationalExpr) else _as_rational(expected, result)
+        left = result if isinstance(result, RationalExpr) else _as_rational(result)
+        right = expected if isinstance(expected, RationalExpr) else _as_rational(expected)
         if left is None or right is None:
             return False
         return left == right
@@ -227,43 +123,31 @@ def _values_match(result, expected) -> bool:
     return False
 
 
-def _as_rational(value, peer) -> RationalExpr | None:
-    if isinstance(value, Polynomial):
-        return RationalExpr.from_polynomial(value)
-    if isinstance(value, Fraction):
-        chart = peer.chart
-        return RationalExpr.from_polynomial(Polynomial.constant(chart, value))
-    return None
+def _as_rational(value) -> RationalExpr | None:
+    return RationalExpr.from_polynomial(value) if isinstance(value, Polynomial) else None
 
 
 def run_scenario(scenario: Scenario, only: str | None = None) -> Report:
-    runner = _Runner(scenario)
+    structures = Structures()
     tasks = scenario.tasks
     if only is not None:
         tasks = [t for t in tasks if t.name == only]
     outcomes = []
     for task in tasks:
-        args_text = " ".join(task.arg_tokens)
         try:
-            value = runner.run(task)
+            value = COMMANDS[task.command].run(structures, *task.resolved)
         except (AlgebraError, ZeroDivisionError, ValueError) as exc:
-            outcomes.append(
-                TaskOutcome(task.name, task.command, args_text, "error", "-",
-                            task.expect_text, str(exc))
-            )
-            continue
-        result_text, detail = _render_value(value)
-        if task.expected is None:
-            status = "done"
+            status, result_text, detail = "error", "-", str(exc)
         else:
-            expected = task.expected
-            if isinstance(value, Fraction):
-                value = Polynomial.constant(scenario.chart, value)
-            status = "ok" if _values_match(value, expected) else "mismatch"
-        outcomes.append(
-            TaskOutcome(task.name, task.command, args_text, status, result_text,
-                        task.expect_text, detail)
-        )
+            result_text, detail = _render_value(value)
+            if task.expected is None:
+                status = "done"
+            else:
+                if isinstance(value, Fraction):
+                    value = Polynomial.constant(scenario.chart, value)
+                status = "ok" if _values_match(value, task.expected) else "mismatch"
+        outcomes.append(TaskOutcome(task.name, task.command, " ".join(task.arg_tokens), status,
+                                    result_text, task.expect_text, detail))
     return Report(scenario.chart.names, outcomes)
 
 
@@ -273,7 +157,9 @@ def main(argv=None) -> int:
         description="exact bracket computations driven by scenario manifests",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    run_parser = sub.add_parser("run", help="run a scenario file")
+    run_parser = sub.add_parser(
+        "run", help="run a scenario file", formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="task commands:\n  " + "\n  ".join(command_lines()))
     run_parser.add_argument("scenario", help="path to the scenario file")
     run_parser.add_argument("--machine", action="store_true", help="tab-separated output")
     run_parser.add_argument("--only", metavar="TASK", help="run a single task by name")

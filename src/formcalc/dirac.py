@@ -29,7 +29,7 @@ from typing import Sequence
 from .brackets import omega_power_bracket
 from .chart import Chart
 from .errors import CalibrationFailure, ChartMismatch, DegenerateStructure, GradeMismatch
-from .exterior import SymplecticData, differential, wedge
+from .exterior import SymplecticData, differential, wedge, wedge_all
 from .poly import (
     Polynomial,
     RationalExpr,
@@ -68,10 +68,7 @@ class ConstraintSet:
         self.bracket_matrix = matrix
         self.determinant = matrix_determinant(matrix, chart)
         self.adjugate = matrix_adjugate(matrix, chart)
-        dwedge = differential(constraints[0])
-        for theta in constraints[1:]:
-            dwedge = wedge(dwedge, differential(theta))
-        self.differential_wedge = dwedge
+        self.differential_wedge = wedge_all([differential(theta) for theta in constraints])
 
     @property
     def chart(self) -> Chart:

@@ -1,4 +1,4 @@
-"""Line-oriented scenario manifests for the CLI.
+"""Line-oriented scenario manifests and the command table that runs them.
 
 A scenario file has three sections::
 
@@ -20,36 +20,176 @@ names to polynomials, forms, multivectors or constraint lists; polynomial
 names may be reused inside later expressions.  Task arguments are whitespace
 tokens: a defined name, an inline space-free expression, or ``k=<int>`` /
 ``n=<int>`` where a command takes one.  An optional trailing ``expect
-<value>`` records the expected result.  All names, arities and expected
-values are validated while parsing, before anything is computed.
+<value>`` records the expected result.
+
+Every task command is one entry of :data:`COMMANDS`: its usage line, the
+kinds of its arguments, an arity rule and an executor.  Parsing resolves the
+arguments by kind and applies the arity rule, so all names, arities and
+expected values are validated while parsing, before anything is computed;
+the CLI runs a task with ``COMMANDS[task.command].run(structures,
+*task.resolved)`` and prints the usage lines as its help.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
+from typing import Callable
 
+from .brackets import (
+    BracketDef,
+    bracket,
+    derived_vf,
+    jacobiator,
+    nambu_top_bracket,
+    omega_power_bracket,
+    power_bracket_def,
+)
 from .chart import Chart
+from .dirac import ConstraintSet, calibrate_normalization, dirac_bracket_form, dirac_bracket_matrix
 from .errors import ParseError
-from .exterior import Form, Multivector
+from .exterior import Form, Multivector, SymplecticData, form_power, poisson_bivector
 from .parsing import parse_expr, parse_tensor, parse_value
 from .poly import Polynomial
-from .suites import SUITES
+from .schouten import is_poisson, jacobi_pair_check, schouten
+from .suites import SUITES, run_suite
 
-COMMANDS = (
-    "bracket",
-    "power-bracket",
-    "nambu",
-    "dirac-matrix",
-    "dirac-form",
-    "derived-vf",
-    "schouten",
-    "check-jacobi",
-    "check-poisson",
-    "check-jacobi-pair",
-    "calibrate-dirac",
-    "verify-suite",
-)
+
+class Structures:
+    """Structures derived from a scenario's definitions, each built once per run.
+
+    Keys are the ``id`` of the defining values: a scenario binds every
+    definition to one object that outlives the run, so one key means one
+    definition.
+    """
+
+    def __init__(self):
+        self._built = {}
+
+    def _get(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def sym(self, omega: Form) -> SymplecticData:
+        return self._get(("sym", id(omega)), lambda: SymplecticData(omega))
+
+    def constraints(self, omega: Form, thetas) -> ConstraintSet:
+        return self._get(("constraints", id(omega), id(thetas)),
+                          lambda: ConstraintSet(self.sym(omega), thetas))
+
+    def binary(self, omega: Form) -> BracketDef:
+        # unlike sym() this does not require closedness, so that jacobiator
+        # witnesses stay reachable
+        def build():
+            n = omega.chart.dim // 2
+            volume = form_power(omega, n) * Fraction(1, factorial(n))
+            return power_bracket_def(volume, form_power(omega, n - 1), 1, with_factorial=True)
+
+        return self._get(("binary", id(omega)), build)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One task command.
+
+    ``kinds`` names the kind of each argument token; a last kind ending in
+    ``+`` takes one or more further tokens (resolved as one list), one
+    ending in ``?`` at most one (``None`` when absent).  ``arity`` sees the
+    chart and the resolved arguments and returns an error message or
+    ``None``; ``run`` computes the result from the run's :class:`Structures`
+    and the resolved arguments.
+    """
+
+    usage: str
+    kinds: tuple[str, ...]
+    run: Callable
+    arity: Callable[[Chart, list], str | None] | None = None
+
+
+_EVEN = "this command needs an even-dimensional chart"
+
+
+def _bracket_arity(chart: Chart, args) -> str | None:
+    wanted, got = chart.dim - args[1].grade, len(args[2])
+    return None if got == wanted else f"bracket takes {wanted} functions here, got {got}"
+
+
+def _power_arity(command: str, extra: int):
+    # power-bracket takes 2k functions, derived-vf 2k - 1
+    def rule(chart: Chart, args) -> str | None:
+        k, got = args[1], len(args[2])
+        if chart.dim % 2:
+            return _EVEN
+        if not 1 <= k <= chart.dim // 2:
+            return f"k must lie in 1..{chart.dim // 2}"
+        if got != 2 * k + extra:
+            return f"{command} with k={k} takes {2 * k + extra} functions, got {got}"
+        return None
+
+    return rule
+
+
+def _nambu_arity(chart: Chart, args) -> str | None:
+    got = len(args[2])
+    return None if got == chart.dim else f"nambu takes {chart.dim} functions, got {got}"
+
+
+def _suite_outcome(structures: Structures, suite: str, n: int | None):
+    ok, detail = run_suite(suite, n)
+    return ("pass" if ok else "fail", detail)
+
+
+COMMANDS: dict[str, Command] = {
+    "bracket": Command("volume alpha f1 ... fk", ("form", "form", "fn+"),
+                       lambda s, volume, alpha, fs: bracket(BracketDef(volume, alpha), *fs),
+                       _bracket_arity),
+    "power-bracket": Command("omega k=<int> f1 ... f2k", ("form", "k", "fn+"),
+                             lambda s, omega, k, fs: omega_power_bracket(s.sym(omega), k, *fs),
+                             _power_arity("power-bracket", 0)),
+    "nambu": Command("volume gamma f1 ... fm", ("form", "fn", "fn+"),
+                     lambda s, volume, gamma, fs: nambu_top_bracket(volume, gamma, *fs),
+                     _nambu_arity),
+    "dirac-matrix": Command("omega constraints f g", ("form", "constraints", "fn", "fn"),
+                            lambda s, omega, th, f, g:
+                            dirac_bracket_matrix(s.constraints(omega, th), f, g)),
+    "dirac-form": Command("omega constraints f g", ("form", "constraints", "fn", "fn"),
+                          lambda s, omega, th, f, g:
+                          dirac_bracket_form(s.sym(omega), s.constraints(omega, th), f, g)),
+    "derived-vf": Command("omega k=<int> f1 ... f2k-1", ("form", "k", "fn+"),
+                          lambda s, omega, k, fs: derived_vf(s.sym(omega), k, *fs),
+                          _power_arity("derived-vf", -1)),
+    "schouten": Command("multivector multivector", ("mv", "mv"),
+                        lambda s, a, b: schouten(a, b)),
+    "check-jacobi": Command("omega f g h", ("form", "fn", "fn", "fn"),
+                            lambda s, omega, f, g, h: jacobiator(s.binary(omega), f, g, h),
+                            lambda chart, args: _EVEN if chart.dim % 2 else None),
+    "check-poisson": Command("form-or-bivector", ("tensor",),
+                             lambda s, value: is_poisson(value if isinstance(value, Multivector)
+                                                         else poisson_bivector(value))),
+    "check-jacobi-pair": Command("bivector field", ("mv", "mv"),
+                                 lambda s, bivector, field: jacobi_pair_check(bivector, field)),
+    "calibrate-dirac": Command("omega constraints", ("form", "constraints"),
+                               lambda s, omega, th: calibrate_normalization(
+                                   s.sym(omega), s.constraints(omega, th)).constant),
+    "verify-suite": Command("suite-name [n=<int>]", ("suite", "n?"), _suite_outcome),
+}
+
+# kind -> (accepted type, label in error messages) for kinds that name a definition
+_DEFINED_KINDS = {
+    "fn": (Polynomial, "a function"),
+    "form": (Form, "a form"),
+    "mv": (Multivector, "a multivector"),
+    "tensor": ((Form, Multivector), "a form or multivector"),
+    "constraints": (list, "a constraint list"),
+}
+
+
+def command_lines() -> list[str]:
+    """``command usage`` for every command, in table order."""
+    return [f"{name} {command.usage}" for name, command in COMMANDS.items()]
 
 
 @dataclass
@@ -127,33 +267,6 @@ class _Builder:
 
     # -- task argument resolution -------------------------------------------
 
-    def _entity(self, token: str, wanted, label: str, line: int):
-        value = self.definitions.get(token)
-        if value is None:
-            _fail(f"undeclared name {token!r}", line)
-        if wanted in (Form, Multivector) and isinstance(value, Polynomial):
-            return wanted.from_polynomial(value)  # grade-0 embeds a function
-        if not isinstance(value, wanted):
-            _fail(f"{token!r} is not {label}", line)
-        return value
-
-    def _polynomial(self, token: str, line: int) -> Polynomial:
-        value = self.definitions.get(token)
-        if value is not None:
-            if not isinstance(value, Polynomial):
-                _fail(f"{token!r} is not a function", line)
-            return value
-        try:
-            return parse_expr(token, self._need_chart(line), self.poly_env)
-        except ParseError as exc:
-            _fail(exc.message, line)
-
-    def _integer_option(self, token: str, key: str, line: int) -> int:
-        prefix = key + "="
-        if not token.startswith(prefix) or not token[len(prefix):].isdigit():
-            _fail(f"expected '{key}=<integer>', got {token!r}", line)
-        return int(token[len(prefix):])
-
     def add_task(self, body: str, line: int):
         chart = self._need_chart(line)
         name, eq, rest = body.partition("=")
@@ -176,7 +289,7 @@ class _Builder:
                 _fail("'expect' needs a value", line)
             expect_text = " ".join(expect_tokens)
             args = args[:where]
-        resolved = self._resolve(command, args, line)
+        resolved = self._arguments(command, args, line)
         expected = None
         if expect_text is not None:
             try:
@@ -187,95 +300,50 @@ class _Builder:
         self.tasks.append(task)
         self.task_names.add(name)
 
-    def _resolve(self, command: str, args: list[str], line: int) -> list:
-        chart = self.chart
-        need = lambda count: len(args) >= count or _fail(
-            f"{command} needs at least {count} arguments", line
-        )
-        if command == "bracket":
-            need(3)
-            volume = self._entity(args[0], Form, "a form", line)
-            alpha = self._entity(args[1], Form, "a form", line)
-            functions = [self._polynomial(t, line) for t in args[2:]]
-            expected_arity = chart.dim - alpha.grade
-            if len(functions) != expected_arity:
-                _fail(f"bracket takes {expected_arity} functions here, got {len(functions)}", line)
-            return [volume, alpha, functions]
-        if command in ("power-bracket", "derived-vf"):
-            need(2)
-            omega = self._entity(args[0], Form, "a form", line)
-            k = self._integer_option(args[1], "k", line)
-            functions = [self._polynomial(t, line) for t in args[2:]]
-            wanted = 2 * k if command == "power-bracket" else 2 * k - 1
-            if chart.dim % 2:
-                _fail("this command needs an even-dimensional chart", line)
-            if not 1 <= k <= chart.dim // 2:
-                _fail(f"k must lie in 1..{chart.dim // 2}", line)
-            if len(functions) != wanted:
-                _fail(f"{command} with k={k} takes {wanted} functions, got {len(functions)}", line)
-            return [omega, k, functions]
-        if command == "nambu":
-            need(2)
-            volume = self._entity(args[0], Form, "a form", line)
-            gamma = self._polynomial(args[1], line)
-            functions = [self._polynomial(t, line) for t in args[2:]]
-            if len(functions) != chart.dim:
-                _fail(f"nambu takes {chart.dim} functions, got {len(functions)}", line)
-            return [volume, gamma, functions]
-        if command in ("dirac-matrix", "dirac-form"):
-            if len(args) != 4:
-                _fail(f"{command} takes: omega constraints f g", line)
-            omega = self._entity(args[0], Form, "a form", line)
-            thetas = self._entity(args[1], list, "a constraint list", line)
-            f = self._polynomial(args[2], line)
-            g = self._polynomial(args[3], line)
-            return [omega, thetas, f, g]
-        if command == "calibrate-dirac":
-            if len(args) != 2:
-                _fail("calibrate-dirac takes: omega constraints", line)
-            omega = self._entity(args[0], Form, "a form", line)
-            thetas = self._entity(args[1], list, "a constraint list", line)
-            return [omega, thetas]
-        if command == "schouten":
-            if len(args) != 2:
-                _fail("schouten takes two multivectors", line)
-            return [
-                self._entity(args[0], Multivector, "a multivector", line),
-                self._entity(args[1], Multivector, "a multivector", line),
-            ]
-        if command == "check-poisson":
-            if len(args) != 1:
-                _fail("check-poisson takes one form or multivector", line)
-            value = self.definitions.get(args[0])
-            if value is None:
-                _fail(f"undeclared name {args[0]!r}", line)
-            if not isinstance(value, (Form, Multivector)):
-                _fail(f"{args[0]!r} is not a form or multivector", line)
-            return [value]
-        if command == "check-jacobi":
-            if len(args) != 4:
-                _fail("check-jacobi takes: omega f g h", line)
-            omega = self._entity(args[0], Form, "a form", line)
-            return [omega] + [self._polynomial(t, line) for t in args[1:]]
-        if command == "check-jacobi-pair":
-            if len(args) != 2:
-                _fail("check-jacobi-pair takes: bivector field", line)
-            return [
-                self._entity(args[0], Multivector, "a multivector", line),
-                self._entity(args[1], Multivector, "a multivector", line),
-            ]
-        if command == "verify-suite":
-            need(1)
-            suite = args[0]
-            if suite not in SUITES:
-                _fail(f"unknown suite {suite!r}", line)
-            n = None
-            if len(args) == 2:
-                n = self._integer_option(args[1], "n", line)
-            elif len(args) > 2:
-                _fail("verify-suite takes: suite-name [n=<int>]", line)
-            return [suite, n]
-        _fail(f"unknown command {command!r}", line)
+    def _argument(self, kind: str, token: str, line: int):
+        if kind in ("k", "n"):
+            prefix = kind + "="
+            if not token.startswith(prefix) or not token[len(prefix):].isdigit():
+                _fail(f"expected '{prefix}<integer>', got {token!r}", line)
+            return int(token[len(prefix):])
+        if kind == "suite":
+            if token not in SUITES:
+                _fail(f"unknown suite {token!r}", line)
+            return token
+        value = self.definitions.get(token)
+        if value is None:
+            if kind != "fn":
+                _fail(f"undeclared name {token!r}", line)
+            try:  # a function may also be written inline
+                return parse_expr(token, self.chart, self.poly_env)
+            except ParseError as exc:
+                _fail(exc.message, line)
+        wanted, label = _DEFINED_KINDS[kind]
+        if wanted in (Form, Multivector) and isinstance(value, Polynomial):
+            return wanted.from_polynomial(value)  # grade-0 embeds a function
+        if not isinstance(value, wanted):
+            _fail(f"{token!r} is not {label}", line)
+        return value
+
+    def _arguments(self, name: str, tokens: list[str], line: int) -> list:
+        command = COMMANDS[name]
+        kinds = command.kinds
+        tail = kinds[-1][-1] if kinds[-1][-1] in "+?" else ""
+        fixed = kinds[:-1] if tail else kinds
+        least = len(fixed) + (tail == "+")
+        most = {"": len(fixed), "?": len(fixed) + 1, "+": len(tokens)}[tail]
+        if not least <= len(tokens) <= most:
+            _fail(f"{name} takes: {command.usage}", line)
+        values = [self._argument(kind, token, line) for kind, token in zip(fixed, tokens)]
+        extra = [self._argument(kinds[-1][:-1], token, line) for token in tokens[len(fixed):]]
+        if tail == "+":
+            values.append(extra)
+        elif tail == "?":
+            values.append(extra[0] if extra else None)
+        message = command.arity and command.arity(self.chart, values)
+        if message:
+            _fail(message, line)
+        return values
 
 
 def parse_scenario_text(text: str) -> Scenario:

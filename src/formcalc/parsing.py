@@ -4,15 +4,15 @@ Expression grammar (ASCII)::
 
     expr    :=  term (('+' | '-') term)*
     term    :=  unary ('*' unary)*
-    unary   :=  '-' unary | power
+    unary   :=  '-'* power
     power   :=  atom ('^' INT)?
     atom    :=  INT ('/' INT)? | IDENT | '(' expr ')'
 
 so ``^`` binds tighter than unary minus, which binds tighter than ``*``,
 which binds tighter than ``+``/``-``; ``/`` appears only inside rational
-literals like ``3/2``.  Whitespace is insignificant.  Identifiers resolve to
-chart coordinates first, then to an optional environment of named
-polynomials.
+literals like ``3/2``.  Whitespace is insignificant.  Parentheses nest at
+most :data:`MAX_NESTING` deep.  Identifiers resolve to chart coordinates
+first, then to an optional environment of named polynomials.
 
 Tensor syntax reuses the expression grammar for coefficients::
 
@@ -37,8 +37,11 @@ from typing import Mapping
 
 from .chart import Chart
 from .errors import ParseError
-from .exterior import Form, Multivector, _normalize_index_tuple
+from .exterior import Form, Multivector, _accumulate, _normalize_index_tuple
 from .poly import Polynomial, RationalExpr
+
+# Each nesting level costs the recursive-descent parser five stack frames.
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
@@ -91,6 +94,7 @@ class _ExprParser:
         self.env = env or {}
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -126,10 +130,12 @@ class _ExprParser:
         return value
 
     def unary(self) -> Polynomial:
-        if self.peek().text == "-":
+        negate = False
+        while self.peek().text == "-":
             self.advance()
-            return -self.unary()
-        return self.power()
+            negate = not negate
+        value = self.power()
+        return -value if negate else value
 
     def power(self) -> Polynomial:
         base = self.atom()
@@ -165,7 +171,11 @@ class _ExprParser:
                 return value
             self.fail(token, f"unknown identifier {token.text!r}")
         if token.text == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.fail(token, f"parentheses nested deeper than {MAX_NESTING}")
             value = self.expr()
+            self.depth -= 1
             closing = self.advance()
             if closing.text != ")":
                 self.fail(closing, "expected ')'")
@@ -299,13 +309,7 @@ def parse_tensor(
         key, parity = _normalize_index_tuple(atoms)
         if key is None or coefficient.is_zero():
             continue
-        signed = coefficient if parity == 1 else -coefficient
-        existing = table.get(key)
-        total = signed if existing is None else existing + signed
-        if total.is_zero():
-            table.pop(key, None)
-        else:
-            table[key] = total
+        _accumulate(table, key, coefficient if parity == 1 else -coefficient)
 
     cls = Form if kind == "d" else Multivector
     result = cls(chart, grade)

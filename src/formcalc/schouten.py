@@ -26,22 +26,12 @@ from .exterior import (
     Form,
     Multivector,
     _accumulate,
+    _contract_single,
     _merge_sign,
     contract,
     exterior_derivative,
     wedge,
 )
-
-def _delta_terms(field: Multivector, index: int) -> dict:
-    out: dict = {}
-    for key, coefficient in field.terms.items():
-        if index not in key:
-            continue
-        position = key.index(index)
-        rest = key[:position] + key[position + 1:]
-        _accumulate(out, rest, coefficient if position % 2 == 0 else -coefficient)
-    return out
-
 
 def _diff_terms(field: Multivector, index: int) -> dict:
     out: dict = {}
@@ -65,7 +55,7 @@ def schouten(a: Multivector, b: Multivector) -> Multivector:
     front = 1 if (a.grade - 1) % 2 == 0 else -1
     table: dict = {}
     for i in range(chart.dim):
-        delta_a = _delta_terms(a, i)
+        delta_a = _contract_single(a.terms, i)
         if delta_a:
             diff_b = _diff_terms(b, i)
             for ka, ca in delta_a.items():
@@ -77,7 +67,7 @@ def schouten(a: Multivector, b: Multivector) -> Multivector:
                     _accumulate(table, key, value if front * sign == 1 else -value)
         diff_a = _diff_terms(a, i)
         if diff_a:
-            delta_b = _delta_terms(b, i)
+            delta_b = _contract_single(b.terms, i)
             for ka, ca in diff_a.items():
                 for kb, cb in delta_b.items():
                     key, sign = _merge_sign(ka, kb)

@@ -13,12 +13,12 @@ from itertools import combinations
 from typing import Callable
 
 from .brackets import (
-    BracketDef,
     bracket,
     derived_vf,
     hamiltonian_vf,
     jacobiator,
     omega_power_bracket,
+    power_bracket_def,
 )
 from .chart import Chart
 from .errors import AlgebraError
@@ -33,6 +33,7 @@ from .exterior import (
     poisson_bivector,
     standard_form,
     wedge,
+    wedge_all,
 )
 from .poly import Polynomial, coordinates
 from .schouten import (
@@ -110,10 +111,7 @@ def suite_pairing_consistency(n: int | None) -> tuple[bool, str]:
             volume = Form(chart, 4, {(0, 1, 2, 3): _random_poly(rng, chart)})
             if volume.is_zero():
                 continue
-            dfw = None
-            for _ in range(k):
-                df = differential(_random_poly(rng, chart))
-                dfw = df if dfw is None else wedge(dfw, df)
+            dfw = wedge_all([differential(_random_poly(rng, chart)) for _ in range(k)])
             if pair(dfw, lam) * volume != wedge(dfw, contract(lam, volume)):
                 return False, f"failed at instance {checked}, k={k}"
             checked += 1
@@ -128,8 +126,7 @@ def suite_power_bracket(n: int | None) -> tuple[bool, str]:
         chart = darboux_chart(nn)
         sym = SymplecticData(standard_form(chart))
         for k in range(1, nn + 1):
-            alpha = sym.power(nn - k) * Fraction(_factorial(k), _factorial(nn - k))
-            bdef = BracketDef(sym.volume(), alpha)
+            bdef = power_bracket_def(sym.volume(), sym.power(nn - k), k, with_factorial=True)
             if bdef.generator != sym.bivector_power(k):
                 return False, f"generator mismatch at n={nn}, k={k}"
             if not schouten(sym.bivector_power(k), sym.bivector_power(k)).is_zero():
@@ -138,25 +135,10 @@ def suite_power_bracket(n: int | None) -> tuple[bool, str]:
                 fs = [_random_poly(rng, chart) for _ in range(2 * k)]
                 via_def = bracket(bdef, *fs)
                 via_power = omega_power_bracket(sym, k, *fs)
-                via_pairing = pair(_wedge_differentials(fs), sym.bivector_power(k))
+                via_pairing = pair(wedge_all([differential(f) for f in fs]), sym.bivector_power(k))
                 if not (via_def == via_power == via_pairing):
                     return False, f"route mismatch at n={nn}, k={k}"
     return True, f"checked n=1..{top}, all k, generators and routes"
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _wedge_differentials(fs):
-    result = None
-    for f in fs:
-        df = differential(f)
-        result = df if result is None else wedge(result, df)
-    return result
 
 
 def suite_volume_poisson(n: int | None) -> tuple[bool, str]:

@@ -1,13 +1,9 @@
-"""Shared chart builders and seeded random generators for the test suite."""
+"""Coordinate splitting and seeded random generators for the test suite."""
 
 from fractions import Fraction
 from itertools import combinations
 
 from formcalc import Chart, Form, Multivector, Polynomial
-
-
-def darboux(n: int) -> Chart:
-    return Chart([f"q{i}" for i in range(1, n + 1)] + [f"p{i}" for i in range(1, n + 1)])
 
 
 def qp(chart: Chart):

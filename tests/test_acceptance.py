@@ -25,6 +25,7 @@ from formcalc import (
     contract,
     coordinate_field,
     coordinates,
+    darboux_chart,
     derived_vf,
     differential,
     dirac_bracket_form,
@@ -49,7 +50,7 @@ from formcalc import (
 )
 from formcalc.cli import main as cli_main
 
-from tests.helpers import darboux, qp, rand_multivector, rand_poly
+from tests.helpers import qp, rand_multivector, rand_poly
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -62,7 +63,7 @@ def report(criterion: int, message: str):
 
 def test_criterion_01_power_contraction_identity():
     for n in (1, 2, 3):
-        chart = darboux(n)
+        chart = darboux_chart(n)
         omega = standard_form(chart)
         lam = poisson_bivector(omega)
         for k in range(1, n + 1):
@@ -91,7 +92,7 @@ def test_criterion_02_pairing_volume_consistency():
 def test_criterion_03_power_bracket_normalization():
     rng = random.Random(62)
     for n in (1, 2, 3):
-        chart = darboux(n)
+        chart = darboux_chart(n)
         sym = SymplecticData(standard_form(chart))
         for k in range(1, n + 1):
             power = sym.bivector_power(k)
@@ -117,7 +118,7 @@ def _magnetic_cases(chart):
 
 
 def test_criterion_04_magnetic_example():
-    chart = darboux(3)
+    chart = darboux_chart(3)
     qs, ps = qp(chart)
     omega0 = standard_form(chart)
     for label, b in _magnetic_cases(chart).items():
@@ -145,7 +146,7 @@ def test_criterion_04_magnetic_example():
 
 
 def test_criterion_05_jacobi_iff_divergence_free():
-    chart = darboux(3)
+    chart = darboux_chart(3)
     qs, ps = qp(chart)
     zero = Polynomial.zero(chart)
     closed = SymplecticData(magnetic_form(chart, qs[1], qs[2], qs[0]))
@@ -166,7 +167,7 @@ def test_criterion_05_jacobi_iff_divergence_free():
 def test_criterion_06_three_function_field_expansion():
     rng = random.Random(64)
     for n in (2, 3):
-        chart = darboux(n)
+        chart = darboux_chart(n)
         sym = SymplecticData(standard_form(chart))
         for _ in range(20):
             f1, f2, f3 = (rand_poly(rng, chart) for _ in range(3))
@@ -182,7 +183,7 @@ def test_criterion_06_three_function_field_expansion():
 
 
 def test_criterion_07_angular_momentum_casimir():
-    chart = darboux(3)
+    chart = darboux_chart(3)
     q1, q2, q3, p1, p2, p3 = coordinates(chart)
     sym = SymplecticData(standard_form(chart))
     j1 = q2 * p3 - q3 * p2
@@ -216,7 +217,7 @@ def test_criterion_08_dirac_pipelines():
     grid = [(2, 1), (3, 1), (3, 2)]
     constants = {}
     for n, k in grid:
-        chart = darboux(n)
+        chart = darboux_chart(n)
         sym = SymplecticData(standard_form(chart))
         qs, ps = qp(sym.chart)
         thetas = []
@@ -235,13 +236,13 @@ def test_criterion_08_dirac_pipelines():
                 assert dirac_bracket_form(sym, cs, theta, g, norm).is_zero()
     # canonical reduction agrees with the plain bracket on the reduced chart
     for n, keep in ((2, 1), (3, 1)):
-        sym = SymplecticData(standard_form(darboux(n)))
+        sym = SymplecticData(standard_form(darboux_chart(n)))
         qs, ps = qp(sym.chart)
         thetas = []
         for j in range(keep, n):
             thetas.extend([qs[j], ps[j]])
         cs = ConstraintSet(sym, thetas)
-        reduced = SymplecticData(standard_form(darboux(keep)))
+        reduced = SymplecticData(standard_form(darboux_chart(keep)))
         for left_text, right_text in (("p1", "q1"), ("q1^2 - p1", "q1*p1")):
             big = dirac_bracket_matrix(
                 cs, parse_expr(left_text, sym.chart), parse_expr(right_text, sym.chart)
@@ -251,7 +252,7 @@ def test_criterion_08_dirac_pipelines():
             )
             assert str(big) == str(small)
     # ordinary Jacobi identity when the constraint determinant is constant
-    sym = SymplecticData(standard_form(darboux(2)))
+    sym = SymplecticData(standard_form(darboux_chart(2)))
     qs, ps = qp(sym.chart)
     cs = ConstraintSet(sym, [qs[1], ps[1]])
     assert cs.determinant.is_constant()
@@ -296,7 +297,7 @@ def test_criterion_10_volume_criteria():
 
 
 def test_criterion_11_derived_field_not_a_derivation():
-    chart = darboux(3)
+    chart = darboux_chart(3)
     qs, ps = qp(chart)
     sym = SymplecticData(magnetic_form(chart, qs[1], qs[2], qs[0]))
     drift = derived_vf(sym, 2, ps[0], ps[1], ps[2])

@@ -8,8 +8,10 @@ from formcalc import (
     ArityMismatch,
     BracketDef,
     Chart,
+    ChartMismatch,
     Form,
     JacobiDef,
+    KindMismatch,
     Multivector,
     Polynomial,
     RationalExpr,
@@ -18,6 +20,7 @@ from formcalc import (
     contract,
     coordinate_field,
     coordinates,
+    darboux_chart,
     derived_vf,
     differential,
     form_power,
@@ -35,7 +38,7 @@ from formcalc import (
     wedge_all,
 )
 
-from tests.helpers import darboux, qp, rand_poly
+from tests.helpers import qp, rand_poly
 
 
 def permutation_parity(sigma) -> int:
@@ -50,14 +53,14 @@ def permutation_parity(sigma) -> int:
 
 class TestBracketDef:
     def test_minimal_binary(self):
-        chart = darboux(1)
+        chart = darboux_chart(1)
         q1, p1 = coordinates(chart)
         omega = standard_form(chart)
         bdef = BracketDef(omega, Form.from_polynomial(Polynomial.constant(chart, 1)))
         assert bracket(bdef, p1, q1) == Polynomial.constant(chart, 1)
 
     def test_repeated_argument_vanishes(self):
-        chart = darboux(2)
+        chart = darboux_chart(2)
         sym = SymplecticData(standard_form(chart))
         rng = random.Random(30)
         f = rand_poly(rng, chart)
@@ -65,20 +68,20 @@ class TestBracketDef:
         assert omega_power_bracket(sym, 2, f, f, g, g + 1).is_zero()
 
     def test_constant_argument_vanishes(self):
-        chart = darboux(1)
+        chart = darboux_chart(1)
         q1, _ = coordinates(chart)
         sym = SymplecticData(standard_form(chart))
         one = Polynomial.constant(chart, 1)
         assert omega_power_bracket(sym, 1, one, q1).is_zero()
 
     def test_arity_guard(self):
-        chart = darboux(1)
+        chart = darboux_chart(1)
         sym = SymplecticData(standard_form(chart))
         with pytest.raises(ArityMismatch):
             omega_power_bracket(sym, 1, Polynomial.constant(chart, 1))
 
     def test_power_index_out_of_range(self):
-        chart = darboux(1)
+        chart = darboux_chart(1)
         q1, p1 = coordinates(chart)
         sym = SymplecticData(standard_form(chart))
         with pytest.raises(ArityMismatch):
@@ -86,8 +89,28 @@ class TestBracketDef:
         with pytest.raises(ArityMismatch):
             derived_vf(sym, 0)
 
+    def test_argument_from_another_chart(self):
+        chart = darboux_chart(1)
+        q1, _ = coordinates(chart)
+        bdef = BracketDef(standard_form(chart), Form.from_polynomial(Polynomial.constant(chart, 1)))
+        foreign = coordinates(darboux_chart(2))[2]
+        with pytest.raises(ChartMismatch, match="bracket argument"):
+            bracket(bdef, q1, foreign)
+        with pytest.raises(ChartMismatch, match="bracket argument"):
+            nambu_top_bracket(standard_form(chart), q1, q1, foreign)
+
+    def test_quotient_argument_is_a_kind_error(self):
+        # with a non-constant volume brackets are quotients, which the
+        # jacobiator cannot feed back into the bracket
+        chart = darboux_chart(1)
+        q1, p1 = coordinates(chart)
+        bdef = BracketDef(Form(chart, 2, {(0, 1): q1 * q1 + 1}),
+                          Form.from_polynomial(Polynomial.constant(chart, 1)))
+        with pytest.raises(KindMismatch):
+            jacobiator(bdef, q1, p1, q1 * p1)
+
     def test_nonconstant_volume_falls_back_to_quotient(self):
-        chart = darboux(1)
+        chart = darboux_chart(1)
         q1, p1 = coordinates(chart)
         volume = Form(chart, 2, {(0, 1): q1 * q1 + 1})
         bdef = BracketDef(volume, Form.from_polynomial(Polynomial.constant(chart, 1)))
@@ -99,7 +122,7 @@ class TestBracketDef:
 class TestPowerBracket:
     def test_full_arity_value(self):
         # direct expansion oracle: { q1, p1, q2, p2 } with k = n = 2
-        chart = darboux(2)
+        chart = darboux_chart(2)
         q1, q2, p1, p2 = coordinates(chart)
         sym = SymplecticData(standard_form(chart))
         top = tuple(range(4))
@@ -111,7 +134,7 @@ class TestPowerBracket:
 
     def test_mixed_pairs_are_kronecker(self):
         for n in (1, 2, 3):
-            chart = darboux(n)
+            chart = darboux_chart(n)
             qs, ps = qp(chart)
             sym = SymplecticData(standard_form(chart))
             for i in range(n):
@@ -122,7 +145,7 @@ class TestPowerBracket:
                     assert omega_power_bracket(sym, 1, ps[i], ps[j]).is_zero()
 
     def test_magnetic_momentum_brackets(self):
-        chart = darboux(3)
+        chart = darboux_chart(3)
         qs, ps = qp(chart)
         sym = SymplecticData(magnetic_form(chart, qs[1], qs[2], qs[0]))
         assert omega_power_bracket(sym, 1, ps[0], ps[1]) == qs[0]
@@ -133,7 +156,7 @@ class TestPowerBracket:
         from math import factorial
 
         for n in (1, 2, 3):
-            chart = darboux(n)
+            chart = darboux_chart(n)
             sym = SymplecticData(standard_form(chart))
             for k in range(1, n + 1):
                 alpha = sym.power(n - k) * Fraction(factorial(k), factorial(n - k))
@@ -142,7 +165,7 @@ class TestPowerBracket:
                 assert contract(sym.bivector_power(k), sym.volume()) == alpha
 
     def test_total_antisymmetry(self):
-        chart = darboux(2)
+        chart = darboux_chart(2)
         sym = SymplecticData(standard_form(chart))
         rng = random.Random(31)
         fs = [rand_poly(rng, chart, degree=1) for _ in range(4)]
@@ -152,7 +175,7 @@ class TestPowerBracket:
             assert shuffled == base * permutation_parity(sigma)
 
     def test_leibniz_in_a_slot(self):
-        chart = darboux(2)
+        chart = darboux_chart(2)
         sym = SymplecticData(standard_form(chart))
         rng = random.Random(32)
         for _ in range(10):
@@ -164,7 +187,7 @@ class TestPowerBracket:
             assert left == right
 
     def test_jacobi_identity_binary(self):
-        chart = darboux(2)
+        chart = darboux_chart(2)
         sym = SymplecticData(standard_form(chart))
         rng = random.Random(33)
         for _ in range(10):
@@ -173,7 +196,7 @@ class TestPowerBracket:
 
     def test_generator_self_commutes(self):
         for n in (2, 3):
-            chart = darboux(n)
+            chart = darboux_chart(n)
             sym = SymplecticData(standard_form(chart))
             for k in range(1, n + 1):
                 power = sym.bivector_power(k)
@@ -211,7 +234,7 @@ class TestNambu:
 
 class TestHamiltonianField:
     def test_momentum_generates_translation(self):
-        chart = darboux(1)
+        chart = darboux_chart(1)
         q1, p1 = coordinates(chart)
         sym = SymplecticData(standard_form(chart))
         x = hamiltonian_vf(sym, p1)
@@ -219,12 +242,12 @@ class TestHamiltonianField:
         assert pair(differential(q1), x) == omega_power_bracket(sym, 1, p1, q1)
 
     def test_constant_gives_zero(self):
-        chart = darboux(2)
+        chart = darboux_chart(2)
         sym = SymplecticData(standard_form(chart))
         assert hamiltonian_vf(sym, Polynomial.constant(chart, 7)).is_zero()
 
     def test_contraction_convention(self):
-        chart = darboux(2)
+        chart = darboux_chart(2)
         sym = SymplecticData(standard_form(chart))
         rng = random.Random(34)
         for _ in range(10):
@@ -233,7 +256,7 @@ class TestHamiltonianField:
             assert contract(x, sym.omega) == -differential(f)
 
     def test_preserves_the_form(self):
-        chart = darboux(2)
+        chart = darboux_chart(2)
         sym = SymplecticData(standard_form(chart))
         rng = random.Random(35)
         for _ in range(10):
@@ -241,7 +264,7 @@ class TestHamiltonianField:
             assert lie_derivative(x, sym.omega).is_zero()
 
     def test_action_is_the_bracket(self):
-        chart = darboux(2)
+        chart = darboux_chart(2)
         sym = SymplecticData(standard_form(chart))
         rng = random.Random(36)
         for _ in range(10):
@@ -254,7 +277,7 @@ class TestHamiltonianField:
 
 class TestDerivedField:
     def test_magnetic_drift(self):
-        chart = darboux(3)
+        chart = darboux_chart(3)
         qs, ps = qp(chart)
         sym = SymplecticData(magnetic_form(chart, qs[1], qs[2], qs[0]))
         x = derived_vf(sym, 2, ps[0], ps[1], ps[2])
@@ -262,13 +285,13 @@ class TestDerivedField:
         assert x == expected
 
     def test_standard_form_gives_zero(self):
-        chart = darboux(3)
+        chart = darboux_chart(3)
         _, ps = qp(chart)
         sym = SymplecticData(standard_form(chart))
         assert derived_vf(sym, 2, ps[0], ps[1], ps[2]).is_zero()
 
     def test_reduces_to_hamiltonian_field(self):
-        chart = darboux(2)
+        chart = darboux_chart(2)
         sym = SymplecticData(standard_form(chart))
         rng = random.Random(37)
         for _ in range(6):
@@ -278,7 +301,7 @@ class TestDerivedField:
     def test_three_function_expansion(self):
         rng = random.Random(38)
         for n in (2, 3):
-            chart = darboux(n)
+            chart = darboux_chart(n)
             sym = SymplecticData(standard_form(chart))
             for _ in range(8):
                 f1, f2, f3 = (rand_poly(rng, chart) for _ in range(3))
@@ -293,7 +316,7 @@ class TestDerivedField:
 
     def test_not_a_derivation_witness(self):
         # on the linear-field chart the drift field fails the Leibniz rule
-        chart = darboux(3)
+        chart = darboux_chart(3)
         qs, ps = qp(chart)
         sym = SymplecticData(magnetic_form(chart, qs[1], qs[2], qs[0]))
         x = derived_vf(sym, 2, ps[0], ps[1], ps[2])
@@ -323,7 +346,7 @@ class TestJacobiBracket:
         assert not bad.is_jacobi
 
     def test_reduces_to_poisson_bracket(self):
-        chart = darboux(2)
+        chart = darboux_chart(2)
         sym = SymplecticData(standard_form(chart))
         jdef = JacobiDef(sym.bivector, Multivector.zero(chart, 1))
         rng = random.Random(39)
@@ -386,7 +409,7 @@ class TestHomogenization:
 
 class TestJacobiator:
     def test_magnetic_cases(self):
-        chart = darboux(3)
+        chart = darboux_chart(3)
         qs, ps = qp(chart)
         zero = Polynomial.zero(chart)
         closed = SymplecticData(magnetic_form(chart, qs[1], qs[2], qs[0]))

@@ -6,6 +6,7 @@ import pytest
 
 from formcalc import parse_scenario, parse_value
 from formcalc.cli import main, run_scenario
+from formcalc.manifest import command_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -86,9 +87,40 @@ class TestRun:
         assert code == 2
         assert "zz" in err
 
+    def test_deep_nesting_exit_two(self, tmp_path):
+        scn = tmp_path / "deep.scn"
+        scn.write_text("[chart]\nq1 p1\n\n[define]\nf = " + "(" * 3000 + "q1" + ")" * 3000 + "\n")
+        code, out, err = run_cli(["run", str(scn)])
+        assert code == 2
+        assert out == ""
+        assert "nested deeper" in err and "line 5" in err
+
+    def test_long_unary_minus_chain_runs(self, tmp_path):
+        scn = tmp_path / "minus.scn"
+        scn.write_text(
+            "[chart]\nq1 p1\n\n[define]\nomega = d(p1)^d(q1)\nf = " + "-" * 3000 + "p1\n\n"
+            "[tasks]\nt = power-bracket omega k=1 f q1 expect 1\n"
+        )
+        code, out, _ = run_cli(["run", str(scn)])
+        assert code == 0
+        assert "status: ok" in out
+
     def test_usage_error(self):
         code, _, _ = run_cli(["frobnicate"])
         assert code == 2
+
+
+class TestCommandHelp:
+    def test_readme_lists_the_command_table(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Commands", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+        assert block.splitlines() == command_lines()
+
+    def test_run_help_lists_the_command_table(self):
+        code, out, _ = run_cli(["run", "--help"])
+        assert code == 0
+        listed = out.split("task commands:\n", 1)[1].splitlines()
+        assert [line.strip() for line in listed] == command_lines()
 
 
 class TestDeterminism:

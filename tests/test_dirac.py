@@ -10,6 +10,7 @@ from formcalc import (
     RationalExpr,
     SymplecticData,
     calibrate_normalization,
+    darboux_chart,
     dirac_bracket_form,
     dirac_bracket_matrix,
     omega_power_bracket,
@@ -18,11 +19,11 @@ from formcalc import (
     standard_form,
 )
 
-from tests.helpers import darboux, qp, rand_poly
+from tests.helpers import qp, rand_poly
 
 
 def sym_n(n: int) -> SymplecticData:
-    return SymplecticData(standard_form(darboux(n)))
+    return SymplecticData(standard_form(darboux_chart(n)))
 
 
 def canonical_constraints(sym: SymplecticData, keep: int):

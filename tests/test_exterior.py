@@ -17,6 +17,7 @@ from formcalc import (
     coordinate_field,
     coordinate_form,
     coordinates,
+    darboux_chart,
     differential,
     exterior_derivative,
     form_power,
@@ -29,10 +30,10 @@ from formcalc import (
     wedge,
 )
 
-from tests.helpers import darboux, qp, rand_form, rand_multivector, rand_poly
+from tests.helpers import qp, rand_form, rand_multivector, rand_poly
 
-C2 = darboux(1)  # (q1, p1)
-C4 = darboux(2)
+C2 = darboux_chart(1)  # (q1, p1)
+C4 = darboux_chart(2)
 
 
 def d(name, chart=C2):
@@ -88,7 +89,7 @@ class TestExteriorDerivative:
             assert exterior_derivative(exterior_derivative(a)).is_zero()
 
     def test_magnetic_closedness_tracks_divergence(self):
-        chart = darboux(3)
+        chart = darboux_chart(3)
         qs, _ = qp(chart)
         solenoidal = magnetic_form(chart, qs[1], qs[2], qs[0])
         assert exterior_derivative(solenoidal).is_zero()
@@ -106,7 +107,7 @@ class TestFormPower:
         assert form_power(omega, 2) == block * 2
 
     def test_magnetic_cube_collapses(self):
-        chart = darboux(3)
+        chart = darboux_chart(3)
         qs, _ = qp(chart)
         omega_b = magnetic_form(chart, qs[1], qs[2], qs[0])
         assert form_power(omega_b, 3) == form_power(standard_form(chart), 3)
@@ -247,7 +248,7 @@ class TestPoissonBivector:
         assert lam == Multivector(C2, 2, {(0, 1): -1})  # e(p1)^e(q1)
 
     def test_magnetic_block(self):
-        chart = darboux(3)
+        chart = darboux_chart(3)
         qs, _ = qp(chart)
         omega_b = magnetic_form(chart, qs[1], qs[2], qs[0])
         lam = poisson_bivector(omega_b)
@@ -292,7 +293,7 @@ class TestLieDerivative:
 
 class TestSymplecticData:
     def test_rejects_open_form(self):
-        chart = darboux(3)
+        chart = darboux_chart(3)
         qs, _ = qp(chart)
         zero = Polynomial.zero(chart)
         with pytest.raises(DegenerateStructure):
@@ -300,7 +301,7 @@ class TestSymplecticData:
 
     def test_power_contraction_ladder(self):
         for n in (1, 2, 3):
-            chart = darboux(n)
+            chart = darboux_chart(n)
             omega = standard_form(chart)
             lam = poisson_bivector(omega)
             for k in range(1, n + 1):

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from formcalc import Form, Multivector, ParseError, Polynomial, parse_scenario_text
+from formcalc import Form, Multivector, ParseError, Polynomial, Scenario, parse_scenario_text
+from formcalc.cli import run_scenario
+from formcalc.manifest import COMMANDS
+from formcalc.suites import SUITES
 
 MINIMAL = """
 [chart]
@@ -145,3 +150,92 @@ t = verify-suite nonsense
         with pytest.raises(ParseError) as err:
             parse_scenario_text("[chart]\nq1 p1\n\n[define]\nf = q1 + zz\n")
         assert err.value.line == 5
+
+    def test_check_jacobi_needs_even_chart_when_parsed(self):
+        text = """
+[chart]
+x y z
+
+[define]
+w = d(x)^d(y)
+
+[tasks]
+t = check-jacobi w x y z
+"""
+        assert "even-dimensional" in self.error(text)
+
+    def test_bracket_needs_a_function(self):
+        text = FUZZ_HEADER + "t = bracket omega vol\n"
+        assert "bracket takes: volume alpha" in self.error(text)
+
+
+# A 4-dim chart with one definition of every kind a task argument can name.
+FUZZ_HEADER = """
+[chart]
+q1 q2 p1 p2
+
+[define]
+omega = d(p1)^d(q1) + d(p2)^d(q2)
+open = q2 * d(p1)^d(q1) + d(p2)^d(q2)
+vol = d(q1)^d(q2)^d(p1)^d(p2)
+lam = e(p1)^e(q1) + q1 * e(p2)^e(q2)
+vf = q1 * e(q1) - e(p2)
+th = constraints(q2, p2)
+odd = constraints(q1)
+f = q1*q1 - 3/2*p1
+g = q1*p2 + 1
+
+[tasks]
+"""
+
+# tokens of each argument kind, wrong-kind names included
+FUZZ_TOKENS = {
+    "form": ["omega", "open", "vol", "f", "lam"],
+    "mv": ["lam", "vf", "g", "omega"],
+    "tensor": ["omega", "open", "lam", "vf", "f"],
+    "constraints": ["th", "odd", "f"],
+    "fn": ["f", "g", "q1", "q2", "p1", "p2", "0", "-1/2*q1*p2", "q1+p2", "2*q2*q2", "vf", "zz"],
+    "k": [f"k={k}" for k in range(4)],
+    "n": ["n=1", "n=2"],
+    "suite": sorted(SUITES),
+}
+ANY_TOKEN = sorted({token for pool in FUZZ_TOKENS.values() for token in pool})
+FUZZ_EXPECT = ["0", "1", "-1", "q1", "true", "false", "pass", "fail", "(1) / (q2)"]
+
+
+@st.composite
+def task_body(draw):
+    """``command args [expect value]``: argument tokens follow the command's
+    kinds, with a token of any kind in about one slot in ten."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    kinds = list(COMMANDS[name].kinds)
+    if kinds[-1].endswith("+"):
+        kinds[-1:] = [kinds[-1][:-1]] * draw(st.integers(1, 5))
+    elif kinds[-1].endswith("?"):
+        kinds[-1:] = [kinds[-1][:-1]] * draw(st.integers(0, 1))
+    tokens = [
+        draw(st.sampled_from(ANY_TOKEN if draw(st.integers(0, 9)) == 0 else FUZZ_TOKENS[kind]))
+        for kind in kinds
+    ]
+    expect = draw(st.none() | st.sampled_from(FUZZ_EXPECT))
+    return " ".join([name] + tokens) + ("" if expect is None else f" expect {expect}")
+
+
+class TestCommandTableRobustness:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(task_body(), min_size=1, max_size=4))
+    def test_task_lines_parse_or_fail_cleanly_and_run_to_an_outcome(self, bodies):
+        accepted = []
+        for i, body in enumerate(bodies):
+            line = f"t{i} = {body}\n"
+            try:
+                parse_scenario_text(FUZZ_HEADER + line)
+            except ParseError:
+                continue
+            accepted.append(line)
+        # tasks are validated independently, so the accepted ones parse together
+        scenario = parse_scenario_text(FUZZ_HEADER + "".join(accepted))
+        assert isinstance(scenario, Scenario)
+        outcomes = run_scenario(scenario).outcomes
+        assert len(outcomes) == len(accepted)
+        assert {o.status for o in outcomes} <= {"ok", "done", "mismatch", "error"}

@@ -16,6 +16,7 @@ from formcalc import (
     parse_tensor,
     parse_value,
 )
+from formcalc.parsing import MAX_NESTING
 
 from tests.helpers import rand_form, rand_multivector, rand_nonzero_poly, rand_poly
 
@@ -58,6 +59,19 @@ class TestExpressions:
     def test_environment_names(self):
         env = {"f": parse_expr("q1 + 1", CHART)}
         assert parse_expr("f * f", CHART, env) == parse_expr("q1^2 + 2*q1 + 1", CHART)
+
+    def test_deep_nesting_is_a_parse_error(self):
+        text = "(" * 3000 + "q1" + ")" * 3000
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, CHART)
+        assert "nested deeper" in err.value.message
+        assert err.value.column == MAX_NESTING + 1
+        assert parse_expr("(" * MAX_NESTING + "q1" + ")" * MAX_NESTING, CHART) == parse_expr("q1", CHART)
+
+    def test_long_unary_minus_chain(self):
+        q1 = Polynomial.variable(CHART, "q1")
+        assert parse_expr("-" * 3000 + "q1", CHART) == q1
+        assert parse_expr("-" * 3001 + "q1^2", CHART) == -(q1 ** 2)
 
     def test_garbage(self):
         for bad in ("", "q1 +", "q1^p1", "(q1", "q1)"):

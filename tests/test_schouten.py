@@ -10,6 +10,7 @@ from formcalc import (
     Multivector,
     Polynomial,
     coordinate_field,
+    darboux_chart,
     form_power,
     is_n_poisson,
     is_poisson,
@@ -23,7 +24,7 @@ from formcalc import (
     wedge,
 )
 
-from tests.helpers import darboux, qp, rand_multivector, rand_poly
+from tests.helpers import qp, rand_multivector, rand_poly
 
 C4 = Chart(("x1", "x2", "x3", "x4"))
 VOL4 = Form(C4, 4, {(0, 1, 2, 3): Fraction(1)})
@@ -42,18 +43,18 @@ def lie_oracle(x: Multivector, y: Multivector) -> Multivector:
 
 class TestBasics:
     def test_constant_fields_commute(self):
-        chart = darboux(1)
+        chart = darboux_chart(1)
         assert schouten(coordinate_field(chart, "q1"), coordinate_field(chart, "p1")).is_zero()
 
     def test_lie_bracket_example(self):
-        chart = darboux(1)
+        chart = darboux_chart(1)
         q1 = Polynomial.variable(chart, "q1")
         y = Multivector(chart, 1, {(1,): q1})  # q1 * e(p1)
         assert schouten(coordinate_field(chart, "q1"), y) == coordinate_field(chart, "p1")
 
     def test_standard_bivector_self_commutes(self):
         for n in (1, 2, 3):
-            lam = poisson_bivector(standard_form(darboux(n)))
+            lam = poisson_bivector(standard_form(darboux_chart(n)))
             assert schouten(lam, lam).is_zero()
 
     def test_action_on_functions(self):
@@ -119,7 +120,7 @@ class TestGradedLaws:
 
     def test_compatible_wedge_products_commute(self):
         # two standard blocks on disjoint coordinate pairs stay compatible
-        chart = darboux(4)
+        chart = darboux_chart(4)
         block1 = Multivector(chart, 2, {(4, 0): 1, (5, 1): 1})
         block2 = Multivector(chart, 2, {(6, 2): 1, (7, 3): 1})
         assert schouten(block1, block2).is_zero()
@@ -128,10 +129,10 @@ class TestGradedLaws:
 
 class TestPoissonChecks:
     def test_standard_is_poisson(self):
-        assert is_poisson(poisson_bivector(standard_form(darboux(2))))
+        assert is_poisson(poisson_bivector(standard_form(darboux_chart(2))))
 
     def test_divergence_decides(self):
-        chart = darboux(3)
+        chart = darboux_chart(3)
         qs, _ = qp(chart)
         zero = Polynomial.zero(chart)
         cases = [
@@ -150,7 +151,7 @@ class TestPoissonChecks:
             is_poisson(rand_multivector(random.Random(1), C4, 1))
 
     def test_even_grade_powers(self):
-        sym_chart = darboux(2)
+        sym_chart = darboux_chart(2)
         lam = poisson_bivector(standard_form(sym_chart))
         assert is_n_poisson(wedge(lam, lam))
         rng = random.Random(26)
@@ -159,7 +160,7 @@ class TestPoissonChecks:
 
     def test_open_field_square_self_commutes_by_dimension(self):
         # [L^2, L^2] has grade 7 > 6, so it vanishes even when [L, L] != 0
-        chart = darboux(3)
+        chart = darboux_chart(3)
         qs, _ = qp(chart)
         zero = Polynomial.zero(chart)
         lam = poisson_bivector(magnetic_form(chart, qs[0], zero, zero))
@@ -174,14 +175,14 @@ class TestPoissonChecks:
 class TestVolumeCriteria:
     def test_standard_pair_passes(self):
         for n in (1, 2):
-            chart = darboux(n)
+            chart = darboux_chart(n)
             omega = standard_form(chart)
             lam = poisson_bivector(omega)
             volume = form_power(omega, n)
             assert volume_poisson_criterion(lam, volume)
 
     def test_magnetic_cases(self):
-        chart = darboux(3)
+        chart = darboux_chart(3)
         qs, _ = qp(chart)
         zero = Polynomial.zero(chart)
         volume = form_power(standard_form(chart), 3)
@@ -199,9 +200,9 @@ class TestVolumeCriteria:
     def test_bracket_contraction_identity(self):
         rng = random.Random(28)
         assert schouten_volume_identity_check(
-            poisson_bivector(standard_form(darboux(2))),
-            poisson_bivector(standard_form(darboux(2))),
-            form_power(standard_form(darboux(2)), 2),
+            poisson_bivector(standard_form(darboux_chart(2))),
+            poisson_bivector(standard_form(darboux_chart(2))),
+            form_power(standard_form(darboux_chart(2)), 2),
         )
         constant1 = Multivector(C4, 2, {(0, 1): 2})
         constant2 = Multivector(C4, 2, {(2, 3): -1})
