@@ -32,20 +32,14 @@ from .exterior import (
     Form,
     Multivector,
     SymplecticData,
-    contract,
+    coordinate_form,
     differential,
     mv_from_form,
     pair,
     wedge,
     wedge_all,
 )
-from .poly import (
-    ExpPoly,
-    Polynomial,
-    RationalExpr,
-    coordinates,
-    matrix_determinant,
-)
+from .poly import ExpPoly, Polynomial, RationalExpr
 from .schouten import jacobi_pair_check
 
 
@@ -54,13 +48,14 @@ class BracketDef:
 
     The bracket of ``k = dim - grade(alpha)`` functions is the scalar ``s``
     with ``s * volume == df_1 ^ ... ^ df_k ^ alpha``.  When the volume
-    coefficient is a rational constant the generating k-multivector is cached
-    at construction and evaluation doubles as a consistency check between the
-    pairing route and the form-division route; otherwise evaluation falls
-    back to a :class:`RationalExpr` quotient of top-form coefficients.
+    coefficient is a rational constant the generating k-multivector (the
+    ``L`` with ``i_L volume == alpha``) is built at construction and
+    evaluation is one pairing against it; otherwise evaluation is a
+    :class:`RationalExpr` quotient of top-form coefficients.  The tests check
+    that the two routes agree.
     """
 
-    __slots__ = ("volume", "alpha", "arity", "generator", "_top", "_vol_coeff", "_vol_const")
+    __slots__ = ("volume", "alpha", "arity", "generator", "_top", "_vol_coeff")
 
     def __init__(self, volume: Form, alpha: Form):
         if not isinstance(volume, Form) or not isinstance(alpha, Form):
@@ -79,16 +74,7 @@ class BracketDef:
         self.arity = arity
         self._top = tuple(range(m))
         self._vol_coeff = volume.terms[self._top]
-        try:
-            self._vol_const = self._vol_coeff.constant_value()
-        except ValueError:
-            self._vol_const = None
-        if self._vol_const is not None:
-            self.generator = mv_from_form(volume, alpha)
-            if contract(self.generator, volume) != alpha:
-                raise AlgebraError("internal: generator does not reproduce alpha")
-        else:
-            self.generator = None
+        self.generator = mv_from_form(volume, alpha) if self._vol_coeff.is_constant() else None
 
     @property
     def chart(self) -> Chart:
@@ -109,16 +95,10 @@ def bracket(bdef: BracketDef, *functions: Polynomial):
     """Evaluate a form-defined bracket on ``arity`` polynomial arguments."""
     if len(functions) != bdef.arity:
         raise ArityMismatch(f"bracket takes {bdef.arity} arguments, got {len(functions)}")
-    chart = bdef.chart
-    dfw = wedge_all(_differentials(chart, functions))
-    top = wedge(dfw, bdef.alpha)
-    numerator = top.terms.get(bdef._top, Polynomial.zero(chart))
-    if bdef.generator is None:
-        return RationalExpr(numerator, bdef._vol_coeff)
-    value = pair(dfw, bdef.generator)
-    if value * bdef._vol_const != numerator:
-        raise AlgebraError("internal: pairing and form-division routes disagree")
-    return value
+    dfw = wedge_all(_differentials(bdef.chart, functions))
+    if bdef.generator is not None:
+        return pair(dfw, bdef.generator)
+    return RationalExpr(wedge(dfw, bdef.alpha).coefficient(bdef._top), bdef._vol_coeff)
 
 
 def power_bracket_def(volume: Form, power: Form, k: int, with_factorial: bool) -> BracketDef:
@@ -157,8 +137,8 @@ def poisson_bracket(sym: SymplecticData, f: Polynomial, g: Polynomial) -> Polyno
 def nambu_top_bracket(volume: Form, gamma: Polynomial, *functions: Polynomial) -> Polynomial:
     """Top-arity bracket ``gamma * det(df_i/dx_j)`` scaled against the volume.
 
-    Computed both by wedging the differentials and by a cofactor determinant
-    of the Jacobian matrix; the two routes must agree.
+    The Jacobian determinant is read off the wedge of the differentials; the
+    tests compare it with a cofactor determinant of the Jacobian matrix.
     """
     chart = volume.chart
     m = chart.dim
@@ -174,12 +154,7 @@ def nambu_top_bracket(volume: Form, gamma: Polynomial, *functions: Polynomial) -
     if len(functions) != m:
         raise ArityMismatch(f"top bracket takes {m} arguments, got {len(functions)}")
     dfw = wedge_all(_differentials(chart, functions))
-    wedge_value = gamma * dfw.terms.get(top, Polynomial.zero(chart)) * (Fraction(1) / c)
-    jacobian = [[f.diff(j) for j in range(m)] for f in functions]
-    det_value = gamma * matrix_determinant(jacobian, chart) * (Fraction(1) / c)
-    if wedge_value != det_value:
-        raise AlgebraError("internal: wedge and determinant routes disagree")
-    return wedge_value
+    return gamma * dfw.coefficient(top) * (Fraction(1) / c)
 
 
 def hamiltonian_vf(sym: SymplecticData, f: Polynomial) -> Multivector:
@@ -200,17 +175,21 @@ def derived_vf(sym: SymplecticData, k: int, *functions: Polynomial) -> Multivect
 
     Equals ``1/k!`` times the corresponding slice of
     :func:`omega_power_bracket`; for ``k = 1`` it reduces to
-    :func:`hamiltonian_vf`.
+    :func:`hamiltonian_vf`.  Component ``i`` is the bracket with last
+    argument ``x_i``: the fixed differentials are wedged once, and each
+    component pairs ``fixed ^ d(x_i)`` with the generator.
     """
     bdef = _power_def(sym, k, with_factorial=False)
     if len(functions) != 2 * k - 1:
         raise ArityMismatch(f"derived field of index {k} takes {2 * k - 1} arguments")
+    chart = sym.chart
+    fixed = wedge_all(_differentials(chart, functions))
     components = {}
-    for i, w in enumerate(coordinates(sym.chart)):
-        value = bracket(bdef, *functions, w)
+    for i, name in enumerate(chart.names):
+        value = pair(wedge(fixed, coordinate_form(chart, name)), bdef.generator)
         if not value.is_zero():
             components[(i,)] = value
-    return Multivector(sym.chart, 1, components)
+    return Multivector(chart, 1, components)
 
 
 class JacobiDef:

@@ -183,8 +183,9 @@ def main(argv=None) -> int:
 
     try:
         scenario = parse_scenario(options.scenario)
-    except FileNotFoundError:
-        print(f"error: cannot read {options.scenario!r}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = "not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else exc.strerror or exc
+        print(f"error: cannot read {options.scenario!r}: {reason}", file=sys.stderr)
         return 2
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

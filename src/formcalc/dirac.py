@@ -6,30 +6,47 @@ The matrix route is the classical correction formula
 
 with ``(c_ij)`` the inverse of the constraint bracket matrix, carried exactly
 as adjugate over determinant.  The form route divides the coefficients of two
-top forms,
+top forms and rescales by a constant: with ``Theta = dtheta_1^...^dtheta_2k``
+and ``m = n - k``,
 
-    (df^dg) ^ dtheta_1^...^dtheta_2k ^ omega^{n-k-1}
-    ------------------------------------------------- ,
-        dtheta_1^...^dtheta_2k ^ omega^{n-k}
+    {f, g}_D = m * (df^dg ^ Theta ^ omega^{m-1}) / (Theta ^ omega^m).
 
-which reproduces the matrix bracket only up to a constant depending on
-``(n, k)``.  That constant is not chosen a priori: :func:`calibrate_normalization`
-measures it on a reference pair of functions (empirically it comes out as
-``1/(n-k)`` on the tested grid) and the test suite asserts it is stable
-across random function pairs.
+Derivation.  At a point, the differentials ``dtheta_i`` span a subspace ``W``
+of the cotangent space that is symplectic for the bivector (its Gram matrix
+is the constraint matrix), so the cotangent space splits as ``W`` plus its
+bivector-orthogonal complement ``W'``, of dimension ``2m``.  The form splits
+accordingly as ``omega = omega_W + omega'`` with ``omega_W`` in ``Lambda^2 W``
+and ``omega'`` in ``Lambda^2 W'``, and ``df = a + w`` with ``a`` in ``W'``
+and ``w`` in ``W``.  Every factor from ``W`` dies against ``Theta``, so
+
+    df^dg ^ Theta ^ omega^{m-1} = a^b ^ omega'^{m-1} ^ Theta,
+    Theta ^ omega^m             = omega'^m ^ Theta.
+
+On ``W'`` the binary bracket is normalized by
+``a^b ^ omega'^{m-1}/(m-1)! = {a, b} * omega'^m/m!`` (the ``k = 1`` case of
+:func:`~formcalc.brackets.omega_power_bracket`), and ``{a, b}`` is the
+bracket of the projections of ``df`` and ``dg``, which is ``{f, g}_D``.  So
+the quotient is ``{f, g}_D * (m-1)!/m! = {f, g}_D / m``.
+:func:`calibrate_normalization` measures the constant on a reference pair
+instead of assuming it, and the tests pin it to ``1/(n-k)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 from .brackets import omega_power_bracket
 from .chart import Chart
-from .errors import CalibrationFailure, ChartMismatch, DegenerateStructure, GradeMismatch
-from .exterior import SymplecticData, differential, wedge, wedge_all
+from .errors import (
+    AlgebraError,
+    CalibrationFailure,
+    ChartMismatch,
+    DegenerateStructure,
+    GradeMismatch,
+)
+from .exterior import Form, SymplecticData, differential, wedge, wedge_all
 from .poly import (
     Polynomial,
     RationalExpr,
@@ -44,11 +61,12 @@ class ConstraintSet:
 
     The pairwise bracket matrix, its determinant and adjugate, and the wedge
     of the constraint differentials are all computed at construction, so
-    bracket evaluation afterwards is read-only.
+    matrix-route evaluation afterwards is read-only.  The function-independent
+    factors of the form route are built on first use by :meth:`form_factors`.
     """
 
     __slots__ = ("sym", "constraints", "half_count", "bracket_matrix",
-                 "determinant", "adjugate", "differential_wedge")
+                 "determinant", "adjugate", "differential_wedge", "_form_factors")
 
     def __init__(self, sym: SymplecticData, constraints: Sequence[Polynomial]):
         constraints = tuple(constraints)
@@ -69,10 +87,26 @@ class ConstraintSet:
         self.determinant = matrix_determinant(matrix, chart)
         self.adjugate = matrix_adjugate(matrix, chart)
         self.differential_wedge = wedge_all([differential(theta) for theta in constraints])
+        self._form_factors = None
 
     @property
     def chart(self) -> Chart:
         return self.sym.chart
+
+    def form_factors(self) -> tuple[Form, Polynomial]:
+        """``(Theta ^ omega^{m-1}, top coefficient of Theta ^ omega^m)`` for
+        ``m = n - k``: the parts of the form route that do not depend on the
+        bracket arguments.  The route needs ``k < n``."""
+        if self._form_factors is None:
+            m = self.sym.n - self.half_count
+            if m < 1:
+                raise GradeMismatch("need strictly fewer constraint pairs than degrees of freedom")
+            reference = wedge(self.differential_wedge, self.sym.power(m))
+            if reference.is_zero():
+                raise DegenerateStructure("reference top form vanishes")
+            factor = wedge(self.differential_wedge, self.sym.power(m - 1))
+            self._form_factors = (factor, reference.coefficient(tuple(range(self.chart.dim))))
+        return self._form_factors
 
 
 def regularity_check(cs: ConstraintSet) -> bool:
@@ -106,27 +140,13 @@ def dirac_bracket_matrix(cs: ConstraintSet, f: Polynomial, g: Polynomial) -> Rat
 
 
 def _form_quotient(sym: SymplecticData, cs: ConstraintSet, f: Polynomial, g: Polynomial) -> RationalExpr:
-    k = cs.half_count
-    n = sym.n
-    if k >= n:
-        raise GradeMismatch("need strictly fewer constraint pairs than degrees of freedom")
-    top = tuple(range(sym.chart.dim))
-    reference = wedge(cs.differential_wedge, sym.power(n - k))
-    if reference.is_zero():
-        raise DegenerateStructure("reference top form vanishes")
-    numerator_form = wedge(
-        wedge(differential(f), differential(g)),
-        wedge(cs.differential_wedge, sym.power(n - k - 1)),
-    )
-    numerator = numerator_form.terms.get(top, Polynomial.zero(sym.chart))
-    return RationalExpr(numerator, reference.terms[top])
-
-
-@dataclass(frozen=True)
-class DiracNormalization:
-    """The measured constant relating the form quotient to the matrix bracket."""
-
-    constant: Fraction
+    """``(df^dg ^ Theta ^ omega^{m-1}) / (Theta ^ omega^m)``, unscaled."""
+    _require_regular(cs)
+    if sym is not cs.sym and sym.omega != cs.sym.omega:
+        raise DegenerateStructure("constraint set was built on another symplectic form")
+    factor, reference = cs.form_factors()
+    numerator = wedge(wedge(differential(f), differential(g)), factor)
+    return RationalExpr(numerator.coefficient(tuple(range(sym.chart.dim))), reference)
 
 
 def _low_degree_pairs(chart: Chart):
@@ -139,40 +159,25 @@ def _low_degree_pairs(chart: Chart):
             yield f, a * b
 
 
-def calibrate_normalization(sym: SymplecticData, cs: ConstraintSet) -> DiracNormalization:
+def calibrate_normalization(sym: SymplecticData, cs: ConstraintSet) -> Fraction:
     """Measure the constant ``c`` with form-quotient = c * matrix-bracket.
 
     Searches low-degree monomial pairs for a nonzero reference bracket; the
     ratio must come out as a rational constant or calibration fails loudly.
+    The derivation in the module docstring gives ``c = 1/(n-k)``.
     """
-    _require_regular(cs)
-    if cs.half_count >= sym.n:
-        raise GradeMismatch("need strictly fewer constraint pairs than degrees of freedom")
     for f, g in _low_degree_pairs(sym.chart):
+        q = _form_quotient(sym, cs, f, g)
         mb = dirac_bracket_matrix(cs, f, g)
         if mb.is_zero():
             continue
-        q = _form_quotient(sym, cs, f, g)
         try:
-            constant = (q / mb).as_constant()
-        except Exception as exc:
+            return (q / mb).as_constant()
+        except (AlgebraError, ValueError) as exc:
             raise CalibrationFailure(f"normalization ratio is not a constant: {exc}") from exc
-        return DiracNormalization(constant)
     raise CalibrationFailure("no reference pair with a nonzero bracket was found")
 
 
-def dirac_bracket_form(
-    sym: SymplecticData,
-    cs: ConstraintSet,
-    f: Polynomial,
-    g: Polynomial,
-    normalization: DiracNormalization | None = None,
-) -> RationalExpr:
-    """Dirac bracket from top-form division, rescaled to match the matrix route."""
-    _require_regular(cs)
-    if cs.half_count >= sym.n:
-        raise GradeMismatch("need strictly fewer constraint pairs than degrees of freedom")
-    if normalization is None:
-        normalization = calibrate_normalization(sym, cs)
-    quotient = _form_quotient(sym, cs, f, g)
-    return quotient * (Fraction(1) / normalization.constant)
+def dirac_bracket_form(sym: SymplecticData, cs: ConstraintSet, f: Polynomial, g: Polynomial) -> RationalExpr:
+    """Dirac bracket from top-form division, times the closed-form ``n - k``."""
+    return _form_quotient(sym, cs, f, g) * (sym.n - cs.half_count)

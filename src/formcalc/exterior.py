@@ -19,8 +19,8 @@ here:
 
       <df1^...^dfk, L> * V  ==  df1^...^dfk ^ (i_L V)
 
-  holds for every top form ``V``; a self-test at import time re-derives this
-  identity on a reference chart so the two conventions can never drift apart.
+  holds for every top form ``V``; ``tests/test_exterior.py`` re-derives this
+  identity on a reference chart so the two conventions cannot drift apart.
 """
 
 from __future__ import annotations
@@ -447,10 +447,10 @@ def standard_form(chart: Chart) -> Form:
 class SymplecticData:
     """A closed nondegenerate 2-form together with its inverse bivector.
 
-    Construction checks closedness, constant nonzero determinant, and that
-    contracting the bivector into the form yields the half-dimension ``n``.
-    Power forms and bivector powers are memoized; instances are otherwise
-    immutable.
+    Construction checks closedness and a constant nonzero determinant; the
+    bivector is then the exact inverse, so contracting it into the form
+    yields the half-dimension ``n`` (pinned by the tests).  Power forms and
+    bivector powers are memoized; instances are otherwise immutable.
     """
 
     __slots__ = ("chart", "omega", "bivector", "n", "_cache")
@@ -463,15 +463,10 @@ class SymplecticData:
             raise DegenerateStructure("chart dimension must be even")
         if not exterior_derivative(omega).is_zero():
             raise DegenerateStructure("symplectic form must be closed")
-        bivector = poisson_bivector(omega)
-        n = chart.dim // 2
-        trace = contract(bivector, omega)
-        if trace != Form.from_polynomial(Polynomial.constant(chart, n)):
-            raise DegenerateStructure("bivector does not invert the form")
         self.chart = chart
         self.omega = omega
-        self.bivector = bivector
-        self.n = n
+        self.bivector = poisson_bivector(omega)
+        self.n = chart.dim // 2
         self._cache = {}
 
     def cached(self, key, build):
@@ -504,27 +499,3 @@ class SymplecticData:
     def __repr__(self):
         return f"SymplecticData(n={self.n}, chart={self.chart!r})"
 
-
-def _convention_selftest():
-    # Re-derive the pairing/contraction compatibility on a reference chart so
-    # the two conventions cannot drift apart.
-    chart = Chart(("u", "v"))
-    u = Polynomial.variable(chart, "u")
-    v = Polynomial.variable(chart, "v")
-    field = Multivector(chart, 2, {(0, 1): u + 1})
-    volume = Form(chart, 2, {(0, 1): Fraction(5)})
-    f1 = u * u + 3 * v
-    f2 = u * v - 2
-    dd = wedge(differential(f1), differential(f2))
-    left = pair(dd, field) * volume
-    right = wedge(dd, contract(field, volume))
-    if left != right:
-        raise AssertionError("pairing/contraction conventions are inconsistent")
-    qp = Chart(("q", "p"))
-    omega0 = standard_form(qp)
-    lam0 = poisson_bivector(omega0)
-    if contract(lam0, omega0) != Form.from_polynomial(Polynomial.constant(qp, 1)):
-        raise AssertionError("bivector orientation convention is inconsistent")
-
-
-_convention_selftest()

@@ -173,7 +173,7 @@ COMMANDS: dict[str, Command] = {
                                  lambda s, bivector, field: jacobi_pair_check(bivector, field)),
     "calibrate-dirac": Command("omega constraints", ("form", "constraints"),
                                lambda s, omega, th: calibrate_normalization(
-                                   s.sym(omega), s.constraints(omega, th)).constant),
+                                   s.sym(omega), s.constraints(omega, th))),
     "verify-suite": Command("suite-name [n=<int>]", ("suite", "n?"), _suite_outcome),
 }
 

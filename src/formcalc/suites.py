@@ -86,7 +86,7 @@ def _random_multivector(rng: random.Random, chart: Chart, grade: int) -> Multive
 
 def suite_power_contraction(n: int | None) -> tuple[bool, str]:
     """``i_L omega^k == k(n-k+1) omega^{k-1}`` for the standard pair, k = 1..n."""
-    top = n or 3
+    top = 3 if n is None else n
     for nn in range(1, top + 1):
         chart = darboux_chart(nn)
         omega = standard_form(chart)
@@ -101,7 +101,7 @@ def suite_power_contraction(n: int | None) -> tuple[bool, str]:
 
 def suite_pairing_consistency(n: int | None) -> tuple[bool, str]:
     """``<df1^...^dfk, L> * V == df1^...^dfk ^ i_L V`` on random instances."""
-    count = n or 52
+    count = 52 if n is None else n
     rng = random.Random(90125)
     chart = Chart(("x1", "x2", "x3", "x4"))
     checked = 0
@@ -119,31 +119,36 @@ def suite_pairing_consistency(n: int | None) -> tuple[bool, str]:
 
 
 def suite_power_bracket(n: int | None) -> tuple[bool, str]:
-    """Wedge-power generators and both evaluation routes for the 2k-brackets."""
-    top = n or 3
+    """Wedge-power generators, and the pairing and form-division routes for
+    the 2k-brackets."""
+    top = 3 if n is None else n
     rng = random.Random(42424)
     for nn in range(1, top + 1):
         chart = darboux_chart(nn)
         sym = SymplecticData(standard_form(chart))
+        full = tuple(range(chart.dim))
         for k in range(1, nn + 1):
             bdef = power_bracket_def(sym.volume(), sym.power(nn - k), k, with_factorial=True)
             if bdef.generator != sym.bivector_power(k):
                 return False, f"generator mismatch at n={nn}, k={k}"
             if not schouten(sym.bivector_power(k), sym.bivector_power(k)).is_zero():
                 return False, f"wedge power does not self-commute at n={nn}, k={k}"
+            scale = Fraction(1) / bdef.volume.coefficient(full).constant_value()
             for _ in range(3):
                 fs = [_random_poly(rng, chart) for _ in range(2 * k)]
+                dfw = wedge_all([differential(f) for f in fs])
                 via_def = bracket(bdef, *fs)
                 via_power = omega_power_bracket(sym, k, *fs)
-                via_pairing = pair(wedge_all([differential(f) for f in fs]), sym.bivector_power(k))
-                if not (via_def == via_power == via_pairing):
+                via_pairing = pair(dfw, sym.bivector_power(k))
+                via_division = wedge(dfw, bdef.alpha).coefficient(full) * scale
+                if not (via_def == via_power == via_pairing == via_division):
                     return False, f"route mismatch at n={nn}, k={k}"
     return True, f"checked n=1..{top}, all k, generators and routes"
 
 
 def suite_volume_poisson(n: int | None) -> tuple[bool, str]:
     """Volume criterion agrees with bracket self-commutation on random bivectors."""
-    count = n or 30
+    count = 30 if n is None else n
     rng = random.Random(777)
     chart = Chart(("x1", "x2", "x3", "x4"))
     volume = Form(chart, 4, {(0, 1, 2, 3): Fraction(1)})
@@ -158,7 +163,7 @@ def suite_volume_poisson(n: int | None) -> tuple[bool, str]:
 
 def suite_schouten_volume(n: int | None) -> tuple[bool, str]:
     """Bracket-contraction identity on random bivector pairs."""
-    count = n or 30
+    count = 30 if n is None else n
     rng = random.Random(1618)
     chart = Chart(("x1", "x2", "x3", "x4"))
     volume = Form(chart, 4, {(0, 1, 2, 3): Fraction(1)})
@@ -262,4 +267,6 @@ def run_suite(name: str, n: int | None = None) -> tuple[bool, str]:
         raise AlgebraError(
             f"unknown suite {name!r}; available: {', '.join(suite_names())}"
         ) from None
+    if n is not None and n < 1:
+        raise AlgebraError(f"suite size must be at least 1, got {n}")
     return suite(n)

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formcalc import (
     ArityMismatch,
@@ -35,8 +37,10 @@ from formcalc import (
     pair,
     schouten,
     standard_form,
+    wedge,
     wedge_all,
 )
+from formcalc.poly import matrix_determinant
 
 from tests.helpers import qp, rand_poly
 
@@ -421,3 +425,37 @@ class TestJacobiator:
         bdef = BracketDef(volume, alpha)
         value = jacobiator(bdef, ps[0], ps[1], ps[2])
         assert value == Polynomial.constant(chart, 1)  # equals div B
+
+
+CHART4 = Chart(("x1", "x2", "x3", "x4"))
+TOP4 = (0, 1, 2, 3)
+
+small_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4), st.integers(-3, 3), max_size=3
+).map(lambda terms: Polynomial(CHART4, {e: Fraction(c) for e, c in terms.items() if c}))
+nonzero_constants = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 3))
+
+
+class TestRouteAgreement:
+    """The evaluation routes the library does not take, as oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 4), nonzero_constants)
+    def test_bracket_routes(self, data, k, c):
+        volume = Form(CHART4, 4, {TOP4: c})
+        keys = list(combinations(range(4), 4 - k))
+        alpha = Form(CHART4, 4 - k, {key: data.draw(small_polys) for key in keys})
+        fs = [data.draw(small_polys) for _ in range(k)]
+        bdef = BracketDef(volume, alpha)
+        dfw = wedge_all([differential(f) for f in fs])
+        assert bracket(bdef, *fs) * c == wedge(dfw, alpha).coefficient(TOP4)
+        assert contract(bdef.generator, volume) == alpha
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(small_polys, min_size=5, max_size=5), nonzero_constants)
+    def test_nambu_routes(self, polys, c):
+        gamma, fs = polys[0], polys[1:]
+        volume = Form(CHART4, 4, {TOP4: c})
+        jacobian = [[f.diff(j) for j in range(4)] for f in fs]
+        expected = gamma * matrix_determinant(jacobian, CHART4) * (Fraction(1) / c)
+        assert nambu_top_bracket(volume, gamma, *fs) == expected

@@ -76,6 +76,20 @@ class TestRun:
         assert code == 2
         assert "nowhere.scn" in err
 
+    def test_directory_exit_two(self, tmp_path):
+        code, out, err = run_cli(["run", str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert "cannot read" in err
+
+    def test_non_utf8_file_exit_two(self, tmp_path):
+        scn = tmp_path / "latin1.scn"
+        scn.write_bytes("[chart]\nq1 p1\n# caf\u00e9\n".encode("latin-1"))
+        code, out, err = run_cli(["run", str(scn)])
+        assert code == 2
+        assert out == ""
+        assert "cannot read" in err and "latin1.scn" in err
+
     def test_only_filter(self):
         code, out, _ = run_cli(["run", str(SCENARIOS / "dirac.scn"), "--only", "cal"])
         assert code == 0
@@ -161,6 +175,20 @@ class TestVerify:
         code, _, err = run_cli(["verify", "nonsense"])
         assert code == 2
         assert "nonsense" in err
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_size_below_one_rejected(self, size):
+        code, out, err = run_cli(["verify", "power-contraction", "--n", size])
+        assert code == 2
+        assert out == ""
+        assert "at least 1" in err
+
+    def test_suite_task_with_size_zero_is_an_error(self, tmp_path):
+        scn = tmp_path / "suite.scn"
+        scn.write_text("[chart]\nq1 p1\n\n[tasks]\nt = verify-suite power-contraction n=0\n")
+        code, out, _ = run_cli(["run", str(scn)])
+        assert code == 1
+        assert "status: error" in out and "at least 1" in out
 
 
 class TestSuites:

@@ -13,6 +13,7 @@ from formcalc import (
     darboux_chart,
     dirac_bracket_form,
     dirac_bracket_matrix,
+    magnetic_form,
     omega_power_bracket,
     parse_expr,
     regularity_check,
@@ -151,6 +152,24 @@ class TestMatrixBracket:
             dirac_bracket_matrix(cs, qs[0], qs[1])
 
 
+def perturbed_constraints(sym: SymplecticData, keep: int):
+    """``(q_j + q1*p1, p_j - q1^2 + q_j*p1)`` for every pair beyond the first
+    ``keep``: regular, with a non-constant determinant."""
+    qs, ps = qp(sym.chart)
+    thetas = []
+    for j in range(keep, sym.n):
+        thetas.extend([qs[j] + qs[0] * ps[0], ps[j] - qs[0] * qs[0] + qs[j] * ps[0]])
+    return ConstraintSet(sym, thetas)
+
+
+def magnetic_syms():
+    chart = darboux_chart(3)
+    qs, _ = qp(chart)
+    constant = [Polynomial.constant(chart, c) for c in (1, 2, 3)]
+    return [SymplecticData(magnetic_form(chart, qs[1], qs[2], qs[0])),
+            SymplecticData(magnetic_form(chart, *constant))]
+
+
 class TestFormBracket:
     GRID = [(2, 1), (3, 1), (3, 2)]
     EXPECTED_CONSTANTS = {(2, 1): Fraction(1), (3, 1): Fraction(1, 2), (3, 2): Fraction(1)}
@@ -159,21 +178,42 @@ class TestFormBracket:
         sym = sym_n(n)
         return sym, canonical_constraints(sym, n - k)
 
+    def wide_cases(self):
+        """Standard forms for n = 2..4 and the linear and constant magnetic
+        forms, with canonical and perturbed constraints, k = 1..n-1."""
+        syms = [sym_n(n) for n in (2, 3, 4)] + magnetic_syms()
+        for sym in syms:
+            for k in range(1, sym.n):
+                for build in (canonical_constraints, perturbed_constraints):
+                    cs = build(sym, sym.n - k)
+                    assert regularity_check(cs)
+                    yield sym, cs
+
     def test_calibration_grid(self):
         for n, k in self.GRID:
             sym, cs = self.grid_case(n, k)
-            constant = calibrate_normalization(sym, cs).constant
+            constant = calibrate_normalization(sym, cs)
             assert constant == self.EXPECTED_CONSTANTS[(n, k)]
             assert constant == Fraction(1, n - k)
+        rng = random.Random(57)
+        for sym, cs in self.wide_cases():
+            assert calibrate_normalization(sym, cs) == Fraction(1, sym.n - cs.half_count)
+            f, g = rand_poly(rng, sym.chart), rand_poly(rng, sym.chart)
+            assert dirac_bracket_form(sym, cs, f, g) == dirac_bracket_matrix(cs, f, g)
 
     def test_calibration_stability(self):
         rng = random.Random(54)
         for n, k in self.GRID:
             sym, cs = self.grid_case(n, k)
-            norm = calibrate_normalization(sym, cs)
+            assert calibrate_normalization(sym, cs) == Fraction(1, n - k)
             for _ in range(20):
                 f, g = rand_poly(rng, sym.chart), rand_poly(rng, sym.chart)
-                assert dirac_bracket_form(sym, cs, f, g, norm) == dirac_bracket_matrix(cs, f, g)
+                assert dirac_bracket_form(sym, cs, f, g) == dirac_bracket_matrix(cs, f, g)
+        for sym, cs in self.wide_cases():
+            assert calibrate_normalization(sym, cs) == Fraction(1, sym.n - cs.half_count)
+            for _ in range(5):
+                f, g = rand_poly(rng, sym.chart), rand_poly(rng, sym.chart)
+                assert dirac_bracket_form(sym, cs, f, g) == dirac_bracket_matrix(cs, f, g)
 
     def test_degenerate_arguments_vanish(self):
         sym, cs = self.grid_case(2, 1)
@@ -188,11 +228,29 @@ class TestFormBracket:
         cs = ConstraintSet(sym, [qs[1], qs[1] * ps[1]])
         assert regularity_check(cs)
         assert not cs.determinant.is_constant()
-        norm = calibrate_normalization(sym, cs)
+        assert calibrate_normalization(sym, cs) == Fraction(1)
         rng = random.Random(56)
         for _ in range(10):
             f, g = rand_poly(rng, sym.chart), rand_poly(rng, sym.chart)
-            assert dirac_bracket_form(sym, cs, f, g, norm) == dirac_bracket_matrix(cs, f, g)
+            assert dirac_bracket_form(sym, cs, f, g) == dirac_bracket_matrix(cs, f, g)
+
+    def test_calibration_needs_fewer_pairs_than_degrees_of_freedom(self):
+        from formcalc import GradeMismatch
+
+        sym = sym_n(2)
+        with pytest.raises(GradeMismatch):
+            calibrate_normalization(sym, canonical_constraints(sym, 0))
+
+    def test_form_factors_built_once(self):
+        sym, cs = self.grid_case(3, 1)
+        assert cs.form_factors() is cs.form_factors()
+
+    def test_other_symplectic_form_rejected(self):
+        sym, cs = self.grid_case(3, 1)
+        other = magnetic_syms()[1]
+        qs, ps = qp(sym.chart)
+        with pytest.raises(DegenerateStructure):
+            dirac_bracket_form(other, cs, qs[0], ps[0])
 
     def test_too_many_constraints_rejected(self):
         from formcalc import GradeMismatch

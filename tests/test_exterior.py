@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -323,3 +323,40 @@ class TestSymplecticData:
                     df = differential(rand_poly(rng, chart))
                     dfw = df if dfw is None else wedge(dfw, df)
                 assert pair(dfw, lam) * volume == wedge(dfw, contract(lam, volume))
+
+
+class TestConventions:
+    def test_pairing_matches_contraction_on_reference_chart(self):
+        chart = Chart(("u", "v"))
+        u = Polynomial.variable(chart, "u")
+        v = Polynomial.variable(chart, "v")
+        field = Multivector(chart, 2, {(0, 1): u + 1})
+        volume = Form(chart, 2, {(0, 1): Fraction(5)})
+        dd = wedge(differential(u * u + 3 * v), differential(u * v - 2))
+        assert pair(dd, field) * volume == wedge(dd, contract(field, volume))
+
+    def test_bivector_orientation(self):
+        chart = Chart(("q", "p"))
+        omega0 = standard_form(chart)
+        assert contract(poisson_bivector(omega0), omega0) == Form.from_polynomial(
+            Polynomial.constant(chart, 1))
+
+    def test_bivector_inverts_the_form(self):
+        # contracting the inverse bivector into the form gives n, for standard,
+        # magnetic and random dense constant forms
+        chart = darboux_chart(3)
+        qs, _ = qp(chart)
+        omegas = [standard_form(darboux_chart(n)) for n in (1, 2, 3)]
+        omegas.append(magnetic_form(chart, qs[1], qs[2], qs[0]))
+        rng = random.Random(21)
+        while len(omegas) < 10:
+            omega = Form(chart, 2, {key: rng.randint(-3, 3) for key in combinations(range(6), 2)})
+            try:
+                poisson_bivector(omega)
+            except DegenerateStructure:
+                continue
+            omegas.append(omega)
+        for omega in omegas:
+            sym = SymplecticData(omega)
+            assert contract(sym.bivector, sym.omega) == Form.from_polynomial(
+                Polynomial.constant(sym.chart, sym.n))
