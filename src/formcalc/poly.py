@@ -18,8 +18,15 @@ Besides :class:`Polynomial` this module provides
 * :class:`ExpPoly` -- a polynomial extended by integer powers of a formal
   exponential in one distinguished coordinate, used by the Jacobi-bracket
   homogenization check.
-* exact division and small determinant/adjugate helpers over the polynomial
-  ring.
+* exact division, and :func:`matrix_determinant` / :func:`matrix_adjugate`
+  over the polynomial ring.  They pick their algorithm from the entries: a
+  matrix of constants takes one exact ``Fraction`` Gauss-Jordan pass on
+  ``[M | I]``, which yields the determinant and ``adj = det * M^-1``; a
+  matrix with a non-constant entry, and the adjugate of a singular constant
+  matrix, take a Laplace expansion in which all minors share one memo.
+  Elimination wins on dense constant matrices (the inverse of a symplectic
+  form) and loses to expansion on sparse polynomial ones (Dirac constraint
+  matrices), where its intermediate entries swell.
 """
 
 from __future__ import annotations
@@ -522,50 +529,114 @@ class ExpPoly:
         return f"ExpPoly({self})"
 
 
-def matrix_determinant(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> Polynomial:
-    """Determinant of a square matrix of polynomials, by memoized expansion."""
+def _check_square(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> int:
     n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    one = Polynomial.constant(chart, 1)
-    memo: dict[tuple[int, tuple[int, ...]], Polynomial] = {}
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        for entry in row:
+            if entry.chart != chart:
+                raise ChartMismatch("matrix entry lives on a different chart")
+    return n
 
-    def expand(r: int, cols: tuple[int, ...]) -> Polynomial:
-        if not cols:
+
+def _constant_values(rows: Sequence[Sequence[Polynomial]]) -> list[list[Fraction]] | None:
+    """The entries as ``Fraction`` values, or ``None`` if one is not constant."""
+    if not all(entry.is_constant() for row in rows for entry in row):
+        return None
+    return [[entry.constant_value() for entry in row] for row in rows]
+
+
+def _eliminate(values: list[list[Fraction]]) -> tuple[Fraction, list[list[Fraction]] | None]:
+    """``(det, inverse)`` by one Gauss-Jordan pass on ``[M | I]`` with row
+    pivoting; the inverse is ``None`` when ``det`` is zero."""
+    m = len(values)
+    rows = [row + [Fraction(int(i == j)) for j in range(m)] for i, row in enumerate(values)]
+    det = Fraction(1)
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if rows[r][col]), None)
+        if pivot is None:
+            return Fraction(0), None
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        lead = rows[col][col]
+        det *= lead
+        pivot_row = [x / lead for x in rows[col]]
+        rows[col] = pivot_row
+        for r in range(m):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], pivot_row)]
+    return det, [row[m:] for row in rows]
+
+
+def _minor_table(rows: Sequence[Sequence[Polynomial]], chart: Chart):
+    """``minor(row_tuple, col_tuple)``: the determinant of that submatrix by
+    Laplace expansion along its first row, with one memo for every minor."""
+    one = Polynomial.constant(chart, 1)
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], Polynomial] = {}
+
+    def minor(rs: tuple[int, ...], cs: tuple[int, ...]) -> Polynomial:
+        if not rs:
             return one
-        key = (r, cols)
+        key = (rs, cs)
         cached = memo.get(key)
         if cached is not None:
             return cached
+        row, below = rows[rs[0]], rs[1:]
         total = Polynomial.zero(chart)
-        for j, col in enumerate(cols):
-            entry = rows[r][col]
+        for j, col in enumerate(cs):
+            entry = row[col]
             if entry.is_zero():
                 continue
-            sub = expand(r + 1, cols[:j] + cols[j + 1:])
-            term = entry * sub
+            term = entry * minor(below, cs[:j] + cs[j + 1:])
             total = total + term if j % 2 == 0 else total - term
         memo[key] = total
         return total
 
-    return expand(0, tuple(range(n)))
+    return minor
+
+
+def matrix_determinant(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> Polynomial:
+    """Determinant of a square matrix of polynomials on ``chart``.
+
+    A matrix of constants is reduced by exact ``Fraction`` elimination;
+    otherwise the determinant is a memoized Laplace expansion, which beats
+    elimination on sparse polynomial entries.  A singular constant matrix
+    needs no fallback here: elimination runs out of pivots and returns zero
+    (only :func:`matrix_adjugate` falls back to expansion for it).  Raises
+    ``ValueError`` for a non-square matrix and :class:`ChartMismatch` for an
+    entry on another chart.
+    """
+    n = _check_square(rows, chart)
+    values = _constant_values(rows)
+    if values is not None:
+        return Polynomial.constant(chart, _eliminate(values)[0])
+    everything = tuple(range(n))
+    return _minor_table(rows, chart)(everything, everything)
 
 
 def matrix_adjugate(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> list[list[Polynomial]]:
-    """Classical adjugate: ``adjugate(M) @ M == det(M) * I`` over the polynomial ring."""
-    n = len(rows)
-    if n == 1:
-        return [[Polynomial.constant(chart, 1)]]
-    adj = [[Polynomial.zero(chart) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cofactor = matrix_determinant(minor, chart)
-            if (i + j) % 2:
-                cofactor = -cofactor
-            adj[j][i] = cofactor
-    return adj
+    """Classical adjugate: ``adjugate(M) @ M == det(M) * I`` over the polynomial ring.
+
+    A nonsingular constant matrix gives ``det * inverse`` from one exact
+    ``Fraction`` elimination.  Every other matrix -- polynomial entries, or a
+    singular constant one, which has no inverse -- takes its ``m^2``
+    cofactors from one shared table of Laplace-expanded minors.  Raises as
+    :func:`matrix_determinant` does.
+    """
+    n = _check_square(rows, chart)
+    values = _constant_values(rows)
+    if values is not None:
+        det, inverse = _eliminate(values)
+        if inverse is not None:
+            return [[Polynomial.constant(chart, det * x) for x in row] for row in inverse]
+    minor = _minor_table(rows, chart)
+    everything = tuple(range(n))
+
+    def cofactor(i: int, j: int) -> Polynomial:
+        value = minor(everything[:i] + everything[i + 1:], everything[:j] + everything[j + 1:])
+        return -value if (i + j) % 2 else value
+
+    return [[cofactor(i, j) for i in range(n)] for j in range(n)]

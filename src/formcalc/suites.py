@@ -61,27 +61,33 @@ def magnetic_form(chart: Chart, b1: Polynomial, b2: Polynomial, b3: Polynomial) 
     return standard_form(chart) + beta
 
 
-def _random_poly(rng: random.Random, chart: Chart, degree: int = 2, nterms: int = 3) -> Polynomial:
+def _random_poly(rng: random.Random, chart: Chart, degree: int = 2, nterms: int = 3,
+                 span: int = 2) -> Polynomial:
+    """``nterms`` draws of a monomial of degree at most ``degree`` with an
+    integer coefficient in ``-span..span``; like terms are merged."""
     terms: dict = {}
     for _ in range(nterms):
         exponent = [0] * chart.dim
         for _ in range(rng.randint(0, degree)):
             exponent[rng.randrange(chart.dim)] += 1
-        c = rng.randint(-2, 2)
+        c = rng.randint(-span, span)
         if c:
             key = tuple(exponent)
             terms[key] = terms.get(key, 0) + c
     return Polynomial(chart, {k: Fraction(v) for k, v in terms.items() if v})
 
 
-def _random_multivector(rng: random.Random, chart: Chart, grade: int) -> Multivector:
+def _random_graded(cls, rng: random.Random, chart: Chart, grade: int, density: float = 0.6,
+                   span: int = 2):
+    """A ``Form`` or ``Multivector`` (``cls``) whose index tuples each get a
+    :func:`_random_poly` coefficient with probability ``density``."""
     table = {}
     for key in combinations(range(chart.dim), grade):
-        if rng.random() < 0.6:
-            p = _random_poly(rng, chart)
+        if rng.random() < density:
+            p = _random_poly(rng, chart, span=span)
             if not p.is_zero():
                 table[key] = p
-    return Multivector(chart, grade, table)
+    return cls(chart, grade, table)
 
 
 def suite_power_contraction(n: int | None) -> tuple[bool, str]:
@@ -107,7 +113,7 @@ def suite_pairing_consistency(n: int | None) -> tuple[bool, str]:
     checked = 0
     while checked < count:
         for k in range(1, 5):
-            lam = _random_multivector(rng, chart, k)
+            lam = _random_graded(Multivector, rng, chart, k)
             volume = Form(chart, 4, {(0, 1, 2, 3): _random_poly(rng, chart)})
             if volume.is_zero():
                 continue
@@ -154,7 +160,7 @@ def suite_volume_poisson(n: int | None) -> tuple[bool, str]:
     volume = Form(chart, 4, {(0, 1, 2, 3): Fraction(1)})
     agree = 0
     for _ in range(count):
-        lam = _random_multivector(rng, chart, 2)
+        lam = _random_graded(Multivector, rng, chart, 2)
         if volume_poisson_criterion(lam, volume) != is_poisson(lam):
             return False, "criterion disagreed with self-commutation"
         agree += 1
@@ -168,8 +174,8 @@ def suite_schouten_volume(n: int | None) -> tuple[bool, str]:
     chart = Chart(("x1", "x2", "x3", "x4"))
     volume = Form(chart, 4, {(0, 1, 2, 3): Fraction(1)})
     for i in range(count):
-        l1 = _random_multivector(rng, chart, 2)
-        l2 = _random_multivector(rng, chart, 2)
+        l1 = _random_graded(Multivector, rng, chart, 2)
+        l2 = _random_graded(Multivector, rng, chart, 2)
         if not schouten_volume_identity_check(l1, l2, volume):
             return False, f"identity failed at instance {i}"
     return True, f"checked {count} random bivector pairs"

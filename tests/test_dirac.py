@@ -20,7 +20,7 @@ from formcalc import (
     standard_form,
 )
 
-from tests.helpers import qp, rand_poly
+from tests.helpers import laplace_adjugate, laplace_determinant, qp, rand_poly
 
 
 def sym_n(n: int) -> SymplecticData:
@@ -121,6 +121,30 @@ class TestMatrixBracket:
             assert dirac_bracket_matrix(cs, f, g) == hand_oracle_two_constraints(
                 sym, theta1, theta2, f, g
             )
+
+    def test_linear_constraints_match_laplace_oracle(self):
+        # linear constraints have a constant bracket matrix
+        sym = sym_n(4)
+        chart = sym.chart
+        rng = random.Random(53)
+        xs = [Polynomial.variable(chart, name) for name in chart.names]
+        thetas = [sum((x * rng.randint(-3, 3) for x in xs), Polynomial.zero(chart)) for _ in range(6)]
+        cs = ConstraintSet(sym, thetas)
+        assert all(entry.is_constant() for row in cs.bracket_matrix for entry in row)
+        det = laplace_determinant(cs.bracket_matrix, chart)
+        adj = laplace_adjugate(cs.bracket_matrix, chart)
+        assert not det.is_zero()
+        assert cs.determinant == det
+        assert cs.adjugate == adj
+        for _ in range(4):
+            f, g = rand_poly(rng, chart), rand_poly(rng, chart)
+            left = [omega_power_bracket(sym, 1, f, theta) for theta in thetas]
+            right = [omega_power_bracket(sym, 1, theta, g) for theta in thetas]
+            correction = sum((left[i] * adj[i][j] * right[j] for i in range(6) for j in range(6)),
+                             Polynomial.zero(chart))
+            value = dirac_bracket_matrix(cs, f, g)
+            assert value.denominator == det
+            assert value.numerator == omega_power_bracket(sym, 1, f, g) * det - correction
 
     def test_antisymmetry_and_leibniz(self):
         sym = sym_n(2)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formcalc import (
@@ -18,7 +18,7 @@ from formcalc import (
     matrix_determinant,
 )
 
-from tests.helpers import rand_nonzero_poly, rand_poly
+from tests.helpers import laplace_adjugate, laplace_determinant, rand_nonzero_poly, rand_poly
 
 CHART = Chart(("q1", "p1"))
 Q1, P1 = coordinates(CHART)
@@ -195,3 +195,104 @@ class TestMatrixHelpers:
                         entry = entry + adj[i][k] * rows[k][j]
                     expected = det if i == j else Polynomial.zero(chart)
                     assert entry == expected
+
+    @pytest.mark.parametrize("function", [matrix_determinant, matrix_adjugate])
+    @pytest.mark.parametrize("shape", ["1x2", "ragged"])
+    def test_non_square_rejected(self, function, shape):
+        rows = [[Q1, P1]] if shape == "1x2" else [[Q1, P1], [Q1]]
+        with pytest.raises(ValueError, match="matrix must be square"):
+            function(rows, CHART)
+
+    @pytest.mark.parametrize("function", [matrix_determinant, matrix_adjugate])
+    @pytest.mark.parametrize("entry", ["constant", "polynomial"])
+    def test_foreign_chart_rejected(self, function, entry):
+        other = Chart(("a", "b"))
+        foreign = Polynomial.constant(other, 2) if entry == "constant" else Polynomial.variable(other, "a")
+        with pytest.raises(ChartMismatch):
+            function([[foreign]], CHART)
+        one, zero = Polynomial.constant(CHART, 1), Polynomial.zero(CHART)
+        with pytest.raises(ChartMismatch):
+            function([[one, zero], [zero, foreign]], CHART)
+
+
+def _constant_matrix(values):
+    return [[Polynomial.constant(CHART, x) for x in row] for row in values]
+
+
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def dense_matrices(draw):
+    m = draw(st.integers(1, 7))
+    return [[draw(rationals) for _ in range(m)] for _ in range(m)]
+
+
+@st.composite
+def skew_matrices(draw):
+    m = draw(st.integers(1, 7))
+    values = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            values[i][j] = draw(rationals)
+            values[j][i] = -values[i][j]
+    return values
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """``P L D U`` with ``L``/``U`` unit triangular, ``P`` a permutation and
+    ``D`` diagonal with exactly one zero: rank ``m-1``, so the adjugate is
+    nonzero."""
+    m = draw(st.integers(1, 7))
+    lower = [[draw(rationals) if j < i else Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    upper = [[draw(rationals) if j > i else Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    zero_at = draw(st.integers(0, m - 1))
+    diagonal = [Fraction(0) if k == zero_at else draw(nonzero_rationals) for k in range(m)]
+    product = [[sum(lower[i][k] * diagonal[k] * upper[k][j] for k in range(m)) for j in range(m)]
+               for i in range(m)]
+    return [product[i] for i in draw(st.permutations(range(m)))]
+
+
+@st.composite
+def polynomial_matrices(draw):
+    m = draw(st.integers(1, 4))
+    return [[draw(polynomials) for _ in range(m)] for _ in range(m)]
+
+
+class TestMatrixOracle:
+    """Elimination and the shared minor table against plain Laplace expansion."""
+
+    def check(self, rows):
+        det = matrix_determinant(rows, CHART)
+        adj = matrix_adjugate(rows, CHART)
+        assert det == laplace_determinant(rows, CHART)
+        assert adj == laplace_adjugate(rows, CHART)
+        m = len(rows)
+        for i in range(m):
+            for j in range(m):
+                entry = sum((adj[i][k] * rows[k][j] for k in range(m)), Polynomial.zero(CHART))
+                assert entry == (det if i == j else 0)
+        return det, adj
+
+    @settings(max_examples=80, deadline=None)
+    @given(dense_matrices() | skew_matrices())
+    def test_constant(self, values):
+        self.check(_constant_matrix(values))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rank_deficient_matrices())
+    def test_rank_deficient_constant(self, values):
+        det, adj = self.check(_constant_matrix(values))
+        assert det.is_zero()
+        assert any(not entry.is_zero() for row in adj for entry in row)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_zero(self, m):
+        self.check(_constant_matrix([[0] * m for _ in range(m)]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(polynomial_matrices())
+    def test_polynomial(self, rows):
+        self.check(rows)
