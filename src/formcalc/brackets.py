@@ -32,6 +32,7 @@ from .exterior import (
     Form,
     Multivector,
     SymplecticData,
+    _volume_constant,
     coordinate_form,
     differential,
     mv_from_form,
@@ -140,21 +141,15 @@ def nambu_top_bracket(volume: Form, gamma: Polynomial, *functions: Polynomial) -
     The Jacobian determinant is read off the wedge of the differentials; the
     tests compare it with a cofactor determinant of the Jacobian matrix.
     """
+    c = _volume_constant(volume)
     chart = volume.chart
     m = chart.dim
-    if volume.grade != m or volume.is_zero():
-        raise DegenerateStructure("volume must be a nonzero top form")
-    top = tuple(range(m))
-    try:
-        c = volume.terms[top].constant_value()
-    except ValueError:
-        raise DegenerateStructure("volume coefficient must be a rational constant") from None
     if gamma.chart != chart:
         raise ChartMismatch("gamma lives on a different chart")
     if len(functions) != m:
         raise ArityMismatch(f"top bracket takes {m} arguments, got {len(functions)}")
     dfw = wedge_all(_differentials(chart, functions))
-    return gamma * dfw.coefficient(top) * (Fraction(1) / c)
+    return gamma * dfw.coefficient(tuple(range(m))) * (Fraction(1) / c)
 
 
 def hamiltonian_vf(sym: SymplecticData, f: Polynomial) -> Multivector:

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 from .chart import Chart
 from .errors import ChartMismatch, DegenerateStructure, GradeMismatch, KindMismatch
-from .poly import Polynomial, matrix_adjugate, matrix_determinant
+from .poly import Polynomial, _accumulate, matrix_adjugate, matrix_determinant
 
 IndexTuple = tuple[int, ...]
 
@@ -63,15 +63,6 @@ def _merge_sign(left: IndexTuple, right: IndexTuple) -> tuple[IndexTuple | None,
                 inversions += 1
     merged = tuple(sorted(left + right))
     return merged, (-1 if inversions % 2 else 1)
-
-
-def _accumulate(table: dict, key, value: Polynomial):
-    acc = table.get(key)
-    total = value if acc is None else acc + value
-    if total.is_zero():
-        table.pop(key, None)
-    else:
-        table[key] = total
 
 
 class _Graded:
@@ -351,6 +342,16 @@ def pair(a: Form, field: Multivector) -> Polynomial:
     return total
 
 
+def _volume_constant(volume: Form) -> Fraction:
+    """The constant ``c`` of a top form ``c * dx_1^...^dx_m``."""
+    if volume.grade != volume.chart.dim or volume.is_zero():
+        raise DegenerateStructure("volume must be a nonzero top form")
+    try:
+        return volume.terms[tuple(range(volume.grade))].constant_value()
+    except ValueError:
+        raise DegenerateStructure("volume coefficient must be a rational constant") from None
+
+
 def mv_from_form(volume: Form, a: Form) -> Multivector:
     """The unique multivector ``L`` with ``contract(L, volume) == a``.
 
@@ -360,16 +361,10 @@ def mv_from_form(volume: Form, a: Form) -> Multivector:
     if not isinstance(volume, Form) or not isinstance(a, Form):
         raise KindMismatch("mv_from_form takes two forms")
     _require_same_chart(volume, a)
+    c = _volume_constant(volume)
     chart = volume.chart
-    m = chart.dim
-    if volume.grade != m or volume.is_zero():
-        raise DegenerateStructure("volume must be a nonzero top form")
-    top = tuple(range(m))
-    try:
-        c = volume.terms[top].constant_value()
-    except ValueError:
-        raise DegenerateStructure("volume coefficient must be a rational constant") from None
-    k = m - a.grade
+    top = tuple(range(chart.dim))
+    k = chart.dim - a.grade
     out: dict[IndexTuple, Polynomial] = {}
     for key, coefficient in a.terms.items():
         complement = tuple(i for i in top if i not in key)

@@ -53,6 +53,16 @@ def _grlex_key(exponent: Exponent):
     return (-sum(exponent), tuple(-e for e in exponent))
 
 
+def _accumulate(table: dict, key, value):
+    """Add ``value`` into ``table[key]``, dropping the key when the sum is zero."""
+    acc = table.get(key)
+    total = value if acc is None else acc + value
+    if total.is_zero():
+        table.pop(key, None)
+    else:
+        table[key] = total
+
+
 class Polynomial:
     """A sparse polynomial with rational coefficients on a fixed chart."""
 
@@ -453,12 +463,7 @@ class ExpPoly:
         self._check(other)
         out = dict(self.terms)
         for weight, coefficient in other.terms.items():
-            acc = out.get(weight)
-            total = coefficient if acc is None else acc + coefficient
-            if total.is_zero():
-                out.pop(weight, None)
-            else:
-                out[weight] = total
+            _accumulate(out, weight, coefficient)
         return ExpPoly(self.chart, self.s_index, out)
 
     def __sub__(self, other):
@@ -477,14 +482,7 @@ class ExpPoly:
         out: dict[int, Polynomial] = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
-                weight = wa + wb
-                product = ca * cb
-                acc = out.get(weight)
-                total = product if acc is None else acc + product
-                if total.is_zero():
-                    out.pop(weight, None)
-                else:
-                    out[weight] = total
+                _accumulate(out, wa + wb, ca * cb)
         return ExpPoly(self.chart, self.s_index, out)
 
     __rmul__ = __mul__
@@ -492,17 +490,10 @@ class ExpPoly:
     def diff(self, coordinate: int) -> "ExpPoly":
         out: dict[int, Polynomial] = {}
         for weight, coefficient in self.terms.items():
+            value = coefficient.diff(coordinate)
             if coordinate == self.s_index:
-                value = coefficient * weight + coefficient.diff(coordinate)
-            else:
-                value = coefficient.diff(coordinate)
-            if not value.is_zero():
-                acc = out.get(weight)
-                total = value if acc is None else acc + value
-                if total.is_zero():
-                    out.pop(weight, None)
-                else:
-                    out[weight] = total
+                value = coefficient * weight + value
+            _accumulate(out, weight, value)
         return ExpPoly(self.chart, self.s_index, out)
 
     def __eq__(self, other):

@@ -25,13 +25,13 @@ from .errors import ChartMismatch, DegenerateStructure, GradeMismatch, KindMisma
 from .exterior import (
     Form,
     Multivector,
-    _accumulate,
     _contract_single,
     _merge_sign,
     contract,
     exterior_derivative,
     wedge,
 )
+from .poly import _accumulate
 
 def _diff_terms(field: Multivector, index: int) -> dict:
     out: dict = {}

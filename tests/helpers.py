@@ -6,11 +6,16 @@ The generators are the built-in suites' own, drawing coefficients from
 ``laplace_adjugate`` are plain cofactor expansion, one independent
 determinant per cofactor: the reference that the property tests hold
 ``formcalc.poly.matrix_determinant`` and ``matrix_adjugate`` to.
+``legacy_parse_tensor`` and ``legacy_parse_value`` are the same kind of
+reference for ``formcalc.parsing``.
 """
 
 from typing import Sequence
 
-from formcalc import Chart, Form, Multivector, Polynomial
+from formcalc import Chart, Form, Multivector, Polynomial, RationalExpr, parse_expr
+from formcalc.exterior import _normalize_index_tuple
+from formcalc.parsing import _error, _tokenize
+from formcalc.poly import _accumulate
 from formcalc.suites import _random_graded, _random_poly
 
 
@@ -88,3 +93,167 @@ def laplace_adjugate(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> list
                 cofactor = -cofactor
             adj[j][i] = cofactor
     return adj
+
+
+# The token-slicing tensor parser and the ``(num) / (den)`` text scan that
+# ``formcalc.parsing`` used before it read every value with one
+# recursive-descent parser: the reference for the parser property tests.
+# Coefficient substrings still go through ``parse_expr``.
+
+
+def _end(token) -> int:
+    return token.start + len(token.text)
+
+
+def _atom_at(tokens, i: int) -> bool:
+    return (
+        tokens[i].kind == "name"
+        and tokens[i].text in ("d", "e")
+        and tokens[i + 1].text == "("
+    )
+
+
+def _split_terms(tokens):
+    """Split at top-level +/- into (sign, token-slice) pieces."""
+    pieces = []
+    depth = 0
+    sign = 1
+    start = 0
+    i = 0
+    body = tokens[:-1]  # drop end sentinel
+    while i < len(body):
+        token = body[i]
+        if token.text == "(":
+            depth += 1
+        elif token.text == ")":
+            depth -= 1
+        elif depth == 0 and token.text in ("+", "-") and i == start:
+            # leading sign of the current piece
+            if token.text == "-":
+                sign = -sign
+            start = i + 1
+        elif depth == 0 and token.text in ("+", "-"):
+            pieces.append((sign, body[start:i]))
+            sign = 1 if token.text == "+" else -1
+            start = i + 1
+        i += 1
+    pieces.append((sign, body[start:]))
+    return pieces
+
+
+def legacy_parse_tensor(text: str, chart: Chart, env=None):
+    tokens = _tokenize(text)
+    if tokens[0].kind == "end":
+        raise _error(text, 0, "empty expression")
+    has_atoms = any(_atom_at(tokens, i) for i in range(len(tokens) - 1))
+    if not has_atoms:
+        return parse_expr(text, chart, env)
+
+    kind = None
+    grade = None
+    table: dict[tuple[int, ...], Polynomial] = {}
+    for sign, piece in _split_terms(tokens):
+        if not piece:
+            raise _error(text, len(text), "empty term")
+        chain_start = None
+        for i in range(len(piece)):
+            if i + 1 < len(piece) and _atom_at(piece, i):
+                chain_start = i
+                break
+        if chain_start is None:
+            raise _error(text, piece[0].start, "every term must have the same grade")
+        # parse the trailing atom chain
+        i = chain_start
+        atoms = []
+        term_kind = piece[i].text
+        while i < len(piece):
+            token = piece[i]
+            if not (token.kind == "name" and token.text in ("d", "e")):
+                raise _error(text, token.start, "expected a d(...) or e(...) factor")
+            if token.text != term_kind:
+                raise _error(text, token.start, "cannot mix d(...) and e(...) factors")
+            if i + 3 >= len(piece) + 1 or piece[i + 1].text != "(":
+                raise _error(text, _end(token), "expected '('")
+            name_token = piece[i + 2] if i + 2 < len(piece) else None
+            if name_token is None or name_token.kind != "name":
+                raise _error(text, _end(piece[i + 1]), "expected a coordinate name")
+            if name_token.text not in chart:
+                raise _error(text, name_token.start, f"unknown coordinate {name_token.text!r}")
+            if i + 3 >= len(piece) or piece[i + 3].text != ")":
+                raise _error(text, _end(name_token), "expected ')'")
+            atoms.append(chart.index(name_token.text))
+            i += 4
+            if i < len(piece):
+                if piece[i].text != "^":
+                    raise _error(text, piece[i].start, "expected '^' between factors")
+                i += 1
+                if i >= len(piece):
+                    raise _error(text, len(text), "dangling '^'")
+        # parse the coefficient prefix
+        prefix = piece[:chain_start]
+        if prefix:
+            if prefix[-1].text != "*":
+                raise _error(
+                    text, prefix[-1].start, "coefficient must be joined to the factors by '*'"
+                )
+            prefix = prefix[:-1]
+        if prefix:
+            coeff_text = text[prefix[0].start:_end(prefix[-1])]
+            coefficient = parse_expr(coeff_text, chart, env)
+        else:
+            coefficient = Polynomial.constant(chart, 1)
+        if sign < 0:
+            coefficient = -coefficient
+
+        if kind is None:
+            kind = term_kind
+        elif kind != term_kind:
+            raise _error(text, piece[chain_start].start, "cannot mix d(...) and e(...) terms")
+        if grade is None:
+            grade = len(atoms)
+        elif grade != len(atoms):
+            raise _error(text, piece[chain_start].start, "every term must have the same grade")
+
+        key, parity = _normalize_index_tuple(atoms)
+        if key is None or coefficient.is_zero():
+            continue
+        _accumulate(table, key, coefficient if parity == 1 else -coefficient)
+
+    cls = Form if kind == "d" else Multivector
+    result = cls(chart, grade)
+    result.terms = table
+    return result
+
+
+def _matching_paren(text: str, start: int) -> int:
+    depth = 0
+    for i in range(start, len(text)):
+        if text[i] == "(":
+            depth += 1
+        elif text[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return i
+    raise _error(text, start, "unbalanced '('")
+
+
+def legacy_parse_value(text: str, chart: Chart, env=None):
+    stripped = text.strip()
+    lowered = stripped.lower()
+    if lowered in ("true", "false"):
+        return lowered == "true"
+    if lowered in ("pass", "fail"):
+        return lowered
+    if stripped.startswith("("):
+        close = _matching_paren(stripped, 0)
+        rest = stripped[close + 1:].lstrip()
+        if rest.startswith("/"):
+            denom_text = rest[1:].strip()
+            if not (denom_text.startswith("(") and _matching_paren(denom_text, 0) == len(denom_text) - 1):
+                raise _error(text, 0, "expected '(numerator) / (denominator)'")
+            numerator = parse_expr(stripped[1:close], chart, env)
+            denominator = parse_expr(denom_text[1:-1], chart, env)
+            if denominator.is_zero():
+                raise _error(text, 0, "zero denominator")
+            return RationalExpr(numerator, denominator)
+    return legacy_parse_tensor(stripped, chart, env)

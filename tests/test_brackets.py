@@ -11,6 +11,7 @@ from formcalc import (
     BracketDef,
     Chart,
     ChartMismatch,
+    DegenerateStructure,
     Form,
     JacobiDef,
     KindMismatch,
@@ -234,6 +235,19 @@ class TestNambu:
         volume = Form(chart, 2, {(0, 1): 1})
         with pytest.raises(ArityMismatch):
             nambu_top_bracket(volume, x, x)
+
+    @pytest.mark.parametrize("grade, terms", [(2, {}), (1, {(0,): 1}), (1, {})])
+    def test_volume_must_be_a_nonzero_top_form(self, grade, terms):
+        chart = Chart(("x", "y"))
+        x, y = coordinates(chart)
+        with pytest.raises(DegenerateStructure, match="nonzero top form"):
+            nambu_top_bracket(Form(chart, grade, terms), x, x, y)
+
+    def test_volume_coefficient_must_be_constant(self):
+        chart = Chart(("x", "y"))
+        x, y = coordinates(chart)
+        with pytest.raises(DegenerateStructure, match="rational constant"):
+            nambu_top_bracket(Form(chart, 2, {(0, 1): x + 1}), x, x, y)
 
 
 class TestHamiltonianField:

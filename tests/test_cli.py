@@ -1,4 +1,5 @@
 import io
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -108,6 +109,24 @@ class TestRun:
         assert code == 2
         assert out == ""
         assert "nested deeper" in err and "line 5" in err
+
+    def test_huge_exponent_exit_two(self, tmp_path):
+        scn = tmp_path / "power.scn"
+        scn.write_text("[chart]\nq1 p1\n\n[define]\nf = q1^99999999999\n")
+        started = time.perf_counter()
+        code, out, err = run_cli(["run", str(scn)])
+        assert time.perf_counter() - started < 5
+        assert code == 2
+        assert out == ""
+        assert "exponent larger than" in err and "line 5" in err
+
+    def test_chain_longer_than_the_chart_exit_two(self, tmp_path):
+        scn = tmp_path / "chain.scn"
+        scn.write_text("[chart]\nq1 p1\n\n[define]\nf = d(q1)^d(p1)^d(q1)\n")
+        code, out, err = run_cli(["run", str(scn)])
+        assert code == 2
+        assert out == ""
+        assert "more factors than chart coordinates" in err
 
     def test_long_unary_minus_chain_runs(self, tmp_path):
         scn = tmp_path / "minus.scn"
