@@ -221,10 +221,6 @@ def jacobi_bracket(jdef: JacobiDef, f: Polynomial, g: Polynomial) -> Polynomial:
     return lam_part + f * xg - g * xf
 
 
-def _extend_polynomial(p: Polynomial, extended: Chart) -> Polynomial:
-    return Polynomial(extended, {e + (0,): c for e, c in p.terms.items()})
-
-
 def homogenization_check(
     jdef: JacobiDef, f: Polynomial, g: Polynomial, s_name: str = "s"
 ) -> bool:
@@ -245,15 +241,15 @@ def homogenization_check(
 
     # entries of the extended bivector, as (i, j, coefficient) with i < j
     entries = [
-        (i, j, _extend_polynomial(c, extended))
+        (i, j, c.extended_to(extended))
         for (i, j), c in jdef.bivector.terms.items()
     ]
     for (i,), c in jdef.field.terms.items():
         # e(s)^e(x_i) = -e(x_i)^e(s)
-        entries.append((i, s_index, -_extend_polynomial(c, extended)))
+        entries.append((i, s_index, -c.extended_to(extended)))
 
     def lift(p: Polynomial, weight: int = 0) -> ExpPoly:
-        return ExpPoly.from_polynomial(_extend_polynomial(p, extended), s_index, weight)
+        return ExpPoly.from_polynomial(p.extended_to(extended), s_index, weight)
 
     u = lift(f, weight=1)
     v = lift(g, weight=1)

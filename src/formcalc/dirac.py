@@ -52,7 +52,6 @@ from .poly import (
     RationalExpr,
     coordinates,
     matrix_adjugate,
-    matrix_determinant,
 )
 
 
@@ -84,8 +83,10 @@ class ConstraintSet:
         self.constraints = constraints
         self.half_count = len(constraints) // 2
         self.bracket_matrix = matrix
-        self.determinant = matrix_determinant(matrix, chart)
         self.adjugate = matrix_adjugate(matrix, chart)
+        # Laplace expansion along the first row, from the cofactors at hand
+        self.determinant = sum((matrix[0][j] * self.adjugate[j][0] for j in range(len(matrix))),
+                               Polynomial.zero(chart))
         self.differential_wedge = wedge_all([differential(theta) for theta in constraints])
         self._form_factors = None
 

@@ -25,6 +25,11 @@ class NotDivisible(AlgebraError):
     """Exact polynomial division left a nonzero remainder."""
 
 
+class DegreeOverflow(AlgebraError):
+    """A polynomial product's total degree would reach 2**32, past the width
+    of one packed exponent field."""
+
+
 class DegenerateStructure(AlgebraError):
     """A volume, symplectic form or constraint set fails a regularity condition."""
 

@@ -178,10 +178,9 @@ class _Graded:
             sign = "-" if c < 0 else "+"
             magnitude = abs(c)
             return sign, ("" if magnitude == 1 else str(magnitude))
-        if len(p.terms) == 1:
-            exponent, c = next(iter(p.terms.items()))
-            mono = Polynomial(self.chart, {exponent: abs(c)})
-            return ("-" if c < 0 else "+"), str(mono)
+        if p.term_count() == 1:
+            (_, c), = p.items()
+            return ("-", str(-p)) if c < 0 else ("+", str(p))
         return "+", f"({p})"
 
     def __str__(self):

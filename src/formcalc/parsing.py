@@ -23,7 +23,9 @@ A term's polynomial coefficient comes first, joined to its factors by ``*``;
 a form or multivector cannot be followed by ``*``, sit inside parentheses or
 take a power, and all terms of an expression share one kind and grade.
 Parentheses nest at most :data:`MAX_NESTING` deep and exponents are at most
-:data:`MAX_EXPONENT`.  :func:`parse_expr` accepts polynomials only, and
+:data:`MAX_EXPONENT`; a product or power whose total degree would overflow
+the polynomial kernel's exponent field is an error at its last token.
+:func:`parse_expr` accepts polynomials only, and
 :func:`parse_value` also reads the printed ``(num) / (den)`` as a
 :class:`RationalExpr` and the literals ``true``, ``false``, ``pass``, ``fail``.
 """
@@ -36,7 +38,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .chart import Chart
-from .errors import ParseError
+from .errors import DegreeOverflow, ParseError
 from .exterior import coordinate_field, coordinate_form, wedge
 from .poly import Polynomial, RationalExpr
 
@@ -93,7 +95,11 @@ class _ExprParser:
         raise _error(self.text, token.start, message)
 
     def parse(self, rule):
-        value = rule(self)
+        try:
+            value = rule(self)
+        except DegreeOverflow as exc:
+            # raised by the product or power whose last token was just read
+            raise _error(self.text, self.tokens[self.pos - 1].start, str(exc)) from exc
         token = self.peek()
         if token.kind != "end":
             self.fail(token, f"unexpected token {token.text!r}")

@@ -237,8 +237,8 @@ def suite_angular_momentum(n: int | None) -> tuple[bool, str]:
         other = casimir_field.terms.get(key)
         if other is None:
             continue
-        for exponent, c in value.terms.items():
-            oc = other.terms.get(exponent)
+        for exponent, c in value.items():
+            oc = other.coefficient(exponent)
             if oc:
                 constant = c / oc
                 break

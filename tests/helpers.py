@@ -7,12 +7,15 @@ The generators are the built-in suites' own, drawing coefficients from
 determinant per cofactor: the reference that the property tests hold
 ``formcalc.poly.matrix_determinant`` and ``matrix_adjugate`` to.
 ``legacy_parse_tensor`` and ``legacy_parse_value`` are the same kind of
-reference for ``formcalc.parsing``.
+reference for ``formcalc.parsing``, and ``LegacyPolynomial`` with
+``legacy_exact_divide`` (exponent tuples as keys, every coefficient a
+``Fraction``) for the packed-key kernel of ``formcalc.poly``.
 """
 
-from typing import Sequence
+from fractions import Fraction
+from typing import Mapping, Sequence
 
-from formcalc import Chart, Form, Multivector, Polynomial, RationalExpr, parse_expr
+from formcalc import Chart, ChartMismatch, Form, Multivector, NotDivisible, Polynomial, RationalExpr, parse_expr
 from formcalc.exterior import _normalize_index_tuple
 from formcalc.parsing import _error, _tokenize
 from formcalc.poly import _accumulate
@@ -257,3 +260,235 @@ def legacy_parse_value(text: str, chart: Chart, env=None):
                 raise _error(text, 0, "zero denominator")
             return RationalExpr(numerator, denominator)
     return legacy_parse_tensor(stripped, chart, env)
+
+
+# The polynomial kernel ``formcalc.poly`` used before it packed exponent
+# vectors into int keys: tuple keys, ``Fraction`` coefficients, a ``min()``
+# scan per division step.  The reference for the kernel property tests.
+
+Exponent = tuple[int, ...]
+
+
+def _coerce(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"expected an int or Fraction coefficient, got {type(value).__name__}")
+
+
+def _grlex_key(exponent: Exponent):
+    # descending graded-lexicographic order, used for printing and division
+    return (-sum(exponent), tuple(-e for e in exponent))
+
+
+class LegacyPolynomial:
+    """A sparse polynomial with rational coefficients on a fixed chart."""
+
+    __slots__ = ("chart", "terms")
+
+    def __init__(self, chart: Chart, terms: Mapping[Exponent, Fraction] | None = None):
+        table: dict[Exponent, Fraction] = {}
+        if terms:
+            dim = chart.dim
+            for exponent, coefficient in terms.items():
+                exponent = tuple(exponent)
+                if len(exponent) != dim:
+                    raise ValueError("exponent vector length must equal the chart dimension")
+                if any(e < 0 for e in exponent):
+                    raise ValueError("exponents must be nonnegative")
+                c = _coerce(coefficient)
+                if c:
+                    table[exponent] = c
+        self.chart = chart
+        self.terms = table
+
+    @classmethod
+    def zero(cls, chart: Chart) -> "LegacyPolynomial":
+        return cls(chart)
+
+    @classmethod
+    def constant(cls, chart: Chart, value) -> "LegacyPolynomial":
+        c = _coerce(value)
+        if not c:
+            return cls(chart)
+        return cls(chart, {(0,) * chart.dim: c})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_constant(self) -> bool:
+        return not self.terms or self.terms.keys() == {(0,) * self.chart.dim}
+
+    def constant_value(self) -> Fraction:
+        if not self.terms:
+            return Fraction(0)
+        if not self.is_constant():
+            raise ValueError("polynomial is not a constant")
+        return next(iter(self.terms.values()))
+
+    def _as_operand(self, other) -> "LegacyPolynomial | None":
+        if isinstance(other, LegacyPolynomial):
+            if other.chart != self.chart:
+                raise ChartMismatch("operands live on different charts")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return LegacyPolynomial.constant(self.chart, other)
+        return None
+
+    def __add__(self, other):
+        other = self._as_operand(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for exponent, coefficient in other.terms.items():
+            acc = out.get(exponent)
+            total = coefficient if acc is None else acc + coefficient
+            if total:
+                out[exponent] = total
+            else:
+                out.pop(exponent, None)
+        result = LegacyPolynomial.__new__(LegacyPolynomial)
+        result.chart = self.chart
+        result.terms = out
+        return result
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._as_operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._as_operand(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __neg__(self):
+        result = LegacyPolynomial.__new__(LegacyPolynomial)
+        result.chart = self.chart
+        result.terms = {e: -c for e, c in self.terms.items()}
+        return result
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            factor = _coerce(other)
+            result = LegacyPolynomial.__new__(LegacyPolynomial)
+            result.chart = self.chart
+            result.terms = {e: c * factor for e, c in self.terms.items()} if factor else {}
+            return result
+        other = self._as_operand(other)
+        if other is None:
+            return NotImplemented
+        out: dict[Exponent, Fraction] = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                exponent = tuple(x + y for x, y in zip(ea, eb))
+                acc = out.get(exponent)
+                total = ca * cb if acc is None else acc + ca * cb
+                if total:
+                    out[exponent] = total
+                else:
+                    out.pop(exponent, None)
+        result = LegacyPolynomial.__new__(LegacyPolynomial)
+        result.chart = self.chart
+        result.terms = out
+        return result
+
+    __rmul__ = __mul__
+
+    def __pow__(self, power: int):
+        if not isinstance(power, int) or power < 0:
+            raise ValueError("polynomial powers must be nonnegative integers")
+        result = LegacyPolynomial.constant(self.chart, 1)
+        for _ in range(power):
+            result = result * self
+        return result
+
+    def diff(self, coordinate: int) -> "LegacyPolynomial":
+        if not 0 <= coordinate < self.chart.dim:
+            raise ValueError("coordinate index out of range")
+        out: dict[Exponent, Fraction] = {}
+        for exponent, coefficient in self.terms.items():
+            e = exponent[coordinate]
+            if e:
+                lowered = exponent[:coordinate] + (e - 1,) + exponent[coordinate + 1:]
+                acc = out.get(lowered)
+                total = coefficient * e if acc is None else acc + coefficient * e
+                if total:
+                    out[lowered] = total
+                else:
+                    out.pop(lowered, None)
+        result = LegacyPolynomial.__new__(LegacyPolynomial)
+        result.chart = self.chart
+        result.terms = out
+        return result
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = LegacyPolynomial.constant(self.chart, other)
+        if not isinstance(other, LegacyPolynomial):
+            return NotImplemented
+        return self.chart == other.chart and self.terms == other.terms
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        names = self.chart.names
+        pieces = []
+        for exponent in sorted(self.terms, key=_grlex_key):
+            coefficient = self.terms[exponent]
+            monomial = "*".join(
+                name if e == 1 else f"{name}^{e}"
+                for name, e in zip(names, exponent)
+                if e
+            )
+            magnitude = abs(coefficient)
+            if not monomial:
+                body = str(magnitude)
+            elif magnitude == 1:
+                body = monomial
+            else:
+                body = f"{magnitude}*{monomial}"
+            pieces.append(("-" if coefficient < 0 else "+", body))
+        sign, body = pieces[0]
+        text = ("-" if sign == "-" else "") + body
+        for sign, body in pieces[1:]:
+            text += f" {sign} {body}"
+        return text
+
+
+def legacy_exact_divide(a: LegacyPolynomial, b: LegacyPolynomial) -> LegacyPolynomial:
+    """Return ``q`` with ``q * b == a``; raise :class:`NotDivisible` otherwise."""
+    if a.chart != b.chart:
+        raise ChartMismatch("operands live on different charts")
+    if b.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if a.is_zero():
+        return LegacyPolynomial.zero(a.chart)
+
+    def lead(terms):
+        return min(terms, key=_grlex_key)
+
+    lead_b = lead(b.terms)
+    coeff_b = b.terms[lead_b]
+    remainder = dict(a.terms)
+    quotient: dict[Exponent, Fraction] = {}
+    while remainder:
+        lead_r = lead(remainder)
+        shift = tuple(x - y for x, y in zip(lead_r, lead_b))
+        if any(e < 0 for e in shift):
+            raise NotDivisible("polynomials do not divide exactly")
+        factor = remainder[lead_r] / coeff_b
+        quotient[shift] = factor
+        for eb, cb in b.terms.items():
+            exponent = tuple(x + y for x, y in zip(shift, eb))
+            acc = remainder.get(exponent, Fraction(0)) - factor * cb
+            if acc:
+                remainder[exponent] = acc
+            else:
+                remainder.pop(exponent, None)
+    return LegacyPolynomial(a.chart, quotient)

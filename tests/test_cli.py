@@ -120,6 +120,18 @@ class TestRun:
         assert out == ""
         assert "exponent larger than" in err and "line 5" in err
 
+    def test_degree_overflow_exit_two(self, tmp_path):
+        # every exponent is under the cap, but the total degree 10^12 does not
+        # fit a packed exponent field
+        scn = tmp_path / "degree.scn"
+        scn.write_text("[chart]\nq1 p1\n\n[define]\nf = (((q1^1000)^1000)^1000)^1000\n")
+        started = time.perf_counter()
+        code, out, err = run_cli(["run", str(scn)])
+        assert time.perf_counter() - started < 5
+        assert code == 2
+        assert out == ""
+        assert "total degree would reach 2^32" in err and "line 5, column 29" in err
+
     def test_chain_longer_than_the_chart_exit_two(self, tmp_path):
         scn = tmp_path / "chain.scn"
         scn.write_text("[chart]\nq1 p1\n\n[define]\nf = d(q1)^d(p1)^d(q1)\n")

@@ -1,5 +1,8 @@
 import random
+import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,18 +11,37 @@ from hypothesis import strategies as st
 from formcalc import (
     Chart,
     ChartMismatch,
+    DegreeOverflow,
     ExpPoly,
+    JacobiDef,
+    Multivector,
     NotDivisible,
+    ParseError,
     Polynomial,
     RationalExpr,
+    coordinate_field,
     coordinates,
     exact_divide,
+    homogenization_check,
     matrix_adjugate,
     matrix_determinant,
+    parse_expr,
+    parse_scenario,
+    run_suite,
+    suite_names,
+)
+from formcalc.cli import run_scenario
+
+from tests.helpers import (
+    LegacyPolynomial,
+    laplace_adjugate,
+    laplace_determinant,
+    legacy_exact_divide,
+    rand_nonzero_poly,
+    rand_poly,
 )
 
-from tests.helpers import laplace_adjugate, laplace_determinant, rand_nonzero_poly, rand_poly
-
+ROOT = Path(__file__).resolve().parent.parent
 CHART = Chart(("q1", "p1"))
 Q1, P1 = coordinates(CHART)
 
@@ -105,6 +127,129 @@ class TestExactDivide:
             a = rand_poly(rng, CHART)
             b = rand_nonzero_poly(rng, CHART)
             assert exact_divide(a * b, b) == a
+
+
+class TestReading:
+    P = Polynomial(CHART, {(2, 0): 1, (0, 1): Fraction(-3, 2)})
+
+    def test_terms_view(self):
+        assert self.P.terms == {(2, 0): Fraction(1), (0, 1): Fraction(-3, 2)}
+        assert len(self.P.terms) == 2
+        assert all(type(c) is Fraction for c in self.P.terms.values())
+        assert self.P.terms.get((0, 0)) is None and self.P.terms.get((1,)) is None
+        with pytest.raises(TypeError):
+            self.P.terms[(1, 1)] = Fraction(1)
+
+    def test_items_and_coefficient(self):
+        assert sorted(self.P.items()) == [((0, 1), Fraction(-3, 2)), ((2, 0), Fraction(1))]
+        assert all(type(c) is Fraction for _, c in self.P.items())
+        assert self.P.coefficient((2, 0)) == 1 and type(self.P.coefficient((2, 0))) is Fraction
+        assert self.P.coefficient((1, 1)) == 0
+        assert self.P.term_count() == 2 and Polynomial.zero(CHART).term_count() == 0
+
+    def test_extended_to(self):
+        wide = CHART.extended("s")
+        p = self.P * Q1 ** 3 + P1 ** 7
+        q = p.extended_to(wide)
+        assert q.chart == wide
+        assert q.terms == {e + (0,): c for e, c in p.terms.items()}
+        assert str(q) == str(p)
+        s = Polynomial.variable(wide, "s")
+        assert (q * s).diff(2) == q
+        with pytest.raises(ChartMismatch):
+            p.extended_to(Chart(("p1", "q1", "s")))
+
+
+class TestScaling:
+    def test_one_returns_the_operand(self):
+        p = Q1 * P1 + 2
+        assert p * 1 is p
+        assert 1 * p is p
+        assert p * Fraction(1) is p
+        assert p * Polynomial.constant(CHART, 1) is p
+        assert Polynomial.constant(CHART, 1) * p is p
+
+    def test_zero_and_monomial_factors(self):
+        p = Q1 * P1 + 2
+        assert (p * 0).is_zero() and (p * Polynomial.zero(CHART)).is_zero()
+        assert p * (3 * Q1 ** 2) == poly({(3, 1): 3, (2, 0): 6})
+        assert (p / 2) * 2 == p
+
+
+class TestDegreeCap:
+    def test_constructor_validates_exponents(self):
+        Polynomial(CHART, {(2 ** 32 - 1, 0): 1})
+        for exponent in ((2 ** 32, 0), (2 ** 31, 2 ** 31)):
+            with pytest.raises(DegreeOverflow):
+                Polynomial(CHART, {exponent: 1})
+        for exponent in ((1,), (1, 0, 0), (-1, 2), (1.0, 0)):
+            with pytest.raises(ValueError):
+                Polynomial(CHART, {exponent: 1})
+
+    def test_fields_do_not_carry(self):
+        top = Polynomial(CHART, {(2 ** 32 - 2, 0): 1})
+        p = top * (Q1 + P1)
+        assert p.terms == {(2 ** 32 - 1, 0): 1, (2 ** 32 - 2, 1): 1}
+        assert str(p) == "q1^4294967295 + q1^4294967294*p1"
+        assert p.diff(0).terms == {(2 ** 32 - 2, 0): 2 ** 32 - 1, (2 ** 32 - 3, 1): 2 ** 32 - 2}
+        assert exact_divide(p, top) == Q1 + P1
+        with pytest.raises(DegreeOverflow):
+            p * Q1
+        with pytest.raises(DegreeOverflow):
+            p * (Q1 + 1)
+
+    def test_power_checks_the_bound_before_multiplying(self):
+        base = (Q1 ** 1000) ** 1000  # degree 10^6
+        assert ((base ** 1000) * base).terms == {(10 ** 9 + 10 ** 6, 0): 1}
+        with pytest.raises(DegreeOverflow):
+            base ** 5000
+        with pytest.raises(DegreeOverflow):
+            (base ** 1000) ** 5
+
+    def test_nested_parser_powers(self):
+        assert parse_expr("((q1^1000)^1000)^1000", CHART).terms == {(10 ** 9, 0): 1}
+        for text in ("(((q1^1000)^1000)^1000)^1000", "x * x * x * x * x"):
+            with pytest.raises(ParseError, match="total degree would reach 2") as info:
+                parse_expr(text, CHART, {"x": ((Q1 ** 1000) ** 1000) ** 1000})
+            assert isinstance(info.value.__cause__, DegreeOverflow)
+
+
+class TestSealed:
+    """Only ``formcalc.poly`` knows how a polynomial stores its terms."""
+
+    def test_no_module_names_the_packed_layout(self):
+        private = re.compile(r"\._terms\b|\._degree\b|\b(_pack|_unpack|_key_of|_make|_BITS|_MASK)\b")
+        modules = sorted((ROOT / "src" / "formcalc").glob("*.py"))
+        assert len(modules) > 5
+        for path in modules:
+            if path.name != "poly.py":
+                assert not private.search(path.read_text()), path.name
+
+    def test_no_module_reads_polynomial_terms(self, monkeypatch):
+        readers = set()
+        view = Polynomial.terms
+
+        def spy(p):
+            caller = sys._getframe(1).f_globals.get("__name__", "")
+            if caller.startswith("formcalc") and caller != "formcalc.poly":
+                readers.add(caller)
+            return view.fget(p)
+
+        monkeypatch.setattr(Polynomial, "terms", property(spy))
+        exec("p.terms", {"__name__": "formcalc.probe", "p": Q1})
+        assert readers == {"formcalc.probe"}
+        readers.clear()
+        for path in sorted((ROOT / "scenarios").glob("*.scn")):
+            report = run_scenario(parse_scenario(path))
+            report.render(machine=False)
+            report.render(machine=True)
+        for name in suite_names():
+            assert run_suite(name, None)[0]
+        contact = Chart(("x", "y", "z"))
+        x, y, z = coordinates(contact)
+        jdef = JacobiDef(Multivector(contact, 2, {(0, 1): 1, (1, 2): -y}), coordinate_field(contact, "z"))
+        assert homogenization_check(jdef, x * y + z, y ** 2 - 3 * z)
+        assert readers == set()
 
 
 class TestRationalExpr:
@@ -296,3 +441,94 @@ class TestMatrixOracle:
     @given(polynomial_matrices())
     def test_polynomial(self, rows):
         self.check(rows)
+
+
+# Charts of 1-8 coordinates; monomials of total degree at most 6; integer
+# and fractional coefficients.
+
+
+@st.composite
+def oracle_pairs(draw, count):
+    """A chart and ``count`` term tables on it, each as a ``Polynomial`` and a
+    ``LegacyPolynomial``."""
+    dim = draw(st.integers(1, 8))
+    chart = Chart([f"x{i}" for i in range(dim)])
+    exponent = st.lists(st.integers(0, dim - 1), max_size=6).map(
+        lambda picks: tuple(picks.count(i) for i in range(dim)))
+    coefficient = st.integers(-6, 6) | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    tables = [draw(st.dictionaries(exponent, coefficient, max_size=6)) for _ in range(count)]
+    return chart, [(Polynomial(chart, t), LegacyPolynomial(chart, t)) for t in tables]
+
+
+scalars = st.integers(-3, 3) | st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def same(new, old):
+    assert new.terms == old.terms
+    assert new == Polynomial(new.chart, old.terms)
+    assert str(new) == str(old)
+    assert all(type(c) is int or c.denominator != 1 for c in new._terms.values())
+    assert new.is_zero() == old.is_zero() and new.is_constant() == old.is_constant()
+    if old.is_constant():
+        value = new.constant_value()
+        assert value == old.constant_value() and type(value) is Fraction
+    else:
+        with pytest.raises(ValueError):
+            new.constant_value()
+
+
+class TestLegacyKernelOracle:
+    """The packed-key kernel against the tuple-key kernel it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_pairs(2))
+    def test_ring_operations(self, drawn):
+        _, [(a, la), (b, lb)] = drawn
+        same(a, la)
+        same(a + b, la + lb)
+        same(a - b, la - lb)
+        same(-a, -la)
+        same(a * b, la * lb)
+        assert (a == b) == (la == lb)
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_pairs(2), scalars)
+    def test_scalars(self, drawn, s):
+        chart, [(a, la), (b, lb)] = drawn
+        same(a * s, la * s)
+        same(s * a, s * la)
+        same(a + s, la + s)
+        same(s - a, s - la)
+        same(a - s, la - s)
+        constant = Polynomial.constant(chart, s)
+        same(a * constant, la * LegacyPolynomial.constant(chart, s))
+        same(constant * b, LegacyPolynomial.constant(chart, s) * lb)
+        assert (a == s) == (la == s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(oracle_pairs(1), st.integers(0, 3))
+    def test_power(self, drawn, k):
+        _, [(a, la)] = drawn
+        same(a ** k, la ** k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_pairs(1))
+    def test_diff(self, drawn):
+        chart, [(a, la)] = drawn
+        for i in range(chart.dim):
+            same(a.diff(i), la.diff(i))
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_pairs(2))
+    def test_exact_divide(self, drawn):
+        _, [(a, la), (b, lb)] = drawn
+        if b.is_zero():
+            return
+        same(exact_divide(a * b, b), legacy_exact_divide(la * lb, lb))
+        try:
+            expected = legacy_exact_divide(la, lb)
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                exact_divide(a, b)
+        else:
+            same(exact_divide(a, b), expected)
