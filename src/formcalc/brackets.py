@@ -32,8 +32,10 @@ from .exterior import (
     Form,
     Multivector,
     SymplecticData,
+    _support_levels,
+    _support_pair,
+    _support_wedge,
     _volume_constant,
-    coordinate_form,
     differential,
     mv_from_form,
     pair,
@@ -51,12 +53,12 @@ class BracketDef:
     with ``s * volume == df_1 ^ ... ^ df_k ^ alpha``.  When the volume
     coefficient is a rational constant the generating k-multivector (the
     ``L`` with ``i_L volume == alpha``) is built at construction and
-    evaluation is one pairing against it; otherwise evaluation is a
+    evaluation pairs the differentials against it; otherwise evaluation is a
     :class:`RationalExpr` quotient of top-form coefficients.  The tests check
     that the two routes agree.
     """
 
-    __slots__ = ("volume", "alpha", "arity", "generator", "_top", "_vol_coeff")
+    __slots__ = ("volume", "alpha", "arity", "generator", "_top", "_vol_coeff", "_levels")
 
     def __init__(self, volume: Form, alpha: Form):
         if not isinstance(volume, Form) or not isinstance(alpha, Form):
@@ -76,10 +78,18 @@ class BracketDef:
         self._top = tuple(range(m))
         self._vol_coeff = volume.terms[self._top]
         self.generator = mv_from_form(volume, alpha) if self._vol_coeff.is_constant() else None
+        self._levels = None
 
     @property
     def chart(self) -> Chart:
         return self.volume.chart
+
+    def _generator_levels(self):
+        """The index subsets of the generator's terms, level by level (see
+        :func:`~formcalc.exterior._support_levels`), built on first use."""
+        if self._levels is None:
+            self._levels = _support_levels(self.generator)
+        return self._levels
 
 
 def _differentials(chart: Chart, functions) -> list[Form]:
@@ -93,13 +103,21 @@ def _differentials(chart: Chart, functions) -> list[Form]:
 
 
 def bracket(bdef: BracketDef, *functions: Polynomial):
-    """Evaluate a form-defined bracket on ``arity`` polynomial arguments."""
+    """Evaluate a form-defined bracket on ``arity`` polynomial arguments.
+
+    Under a constant volume the value is the pairing
+    ``<df_1 ^ ... ^ df_k, L>`` with the generator ``L``, and the
+    differentials are wedged only onto index tuples inside ``L``'s terms,
+    so a component the pairing would not read is never built.  Under a
+    non-constant volume it is the :class:`RationalExpr` quotient of the top
+    coefficients of ``df_1 ^ ... ^ df_k ^ alpha`` and of the volume.
+    """
     if len(functions) != bdef.arity:
         raise ArityMismatch(f"bracket takes {bdef.arity} arguments, got {len(functions)}")
-    dfw = wedge_all(_differentials(bdef.chart, functions))
+    dfs = _differentials(bdef.chart, functions)
     if bdef.generator is not None:
-        return pair(dfw, bdef.generator)
-    return RationalExpr(wedge(dfw, bdef.alpha).coefficient(bdef._top), bdef._vol_coeff)
+        return _support_pair(dfs, bdef.generator, bdef._generator_levels())
+    return RationalExpr(wedge(wedge_all(dfs), bdef.alpha).coefficient(bdef._top), bdef._vol_coeff)
 
 
 def power_bracket_def(volume: Form, power: Form, k: int, with_factorial: bool) -> BracketDef:
@@ -171,19 +189,29 @@ def derived_vf(sym: SymplecticData, k: int, *functions: Polynomial) -> Multivect
     Equals ``1/k!`` times the corresponding slice of
     :func:`omega_power_bracket`; for ``k = 1`` it reduces to
     :func:`hamiltonian_vf`.  Component ``i`` is the bracket with last
-    argument ``x_i``: the fixed differentials are wedged once, and each
-    component pairs ``fixed ^ d(x_i)`` with the generator.
+    argument ``x_i``, ``<W ^ d(x_i), L>`` for the wedge ``W`` of the fixed
+    differentials and the generator ``L``.  ``W`` is built only on the
+    generator's index tuples with one index removed, and component ``i`` is
+    the signed sum, over the generator tuples ``K`` that hold ``i``, of
+    ``L_K`` times the coefficient of ``W`` on ``K`` without ``i``.
     """
     bdef = _power_def(sym, k, with_factorial=False)
     if len(functions) != 2 * k - 1:
         raise ArityMismatch(f"derived field of index {k} takes {2 * k - 1} arguments")
     chart = sym.chart
-    fixed = wedge_all(_differentials(chart, functions))
-    components = {}
-    for i, name in enumerate(chart.names):
-        value = pair(wedge(fixed, coordinate_form(chart, name)), bdef.generator)
-        if not value.is_zero():
-            components[(i,)] = value
+    fixed = _support_wedge(_differentials(chart, functions), bdef._generator_levels())
+    components: dict[tuple[int], Polynomial] = {}
+    for key, coefficient in bdef.generator.terms.items():
+        for p, i in enumerate(key):
+            value = fixed.get(key[:p] + key[p + 1:])
+            if value is None:
+                continue
+            term = coefficient * value
+            # d(x_i) moves left past the len(key) - 1 - p larger indices
+            if (len(key) - 1 - p) % 2:
+                term = -term
+            acc = components.get((i,))
+            components[(i,)] = term if acc is None else acc + term
     return Multivector(chart, 1, components)
 
 
@@ -195,7 +223,7 @@ class JacobiDef:
     below satisfies the ordinary Jacobi identity.
     """
 
-    __slots__ = ("bivector", "field", "is_jacobi")
+    __slots__ = ("bivector", "field", "is_jacobi", "_levels")
 
     def __init__(self, bivector: Multivector, field: Multivector):
         if bivector.chart != field.chart:
@@ -205,6 +233,7 @@ class JacobiDef:
         self.bivector = bivector
         self.field = field
         self.is_jacobi = jacobi_pair_check(bivector, field)
+        self._levels = _support_levels(bivector)
 
     @property
     def chart(self) -> Chart:
@@ -215,7 +244,7 @@ def jacobi_bracket(jdef: JacobiDef, f: Polynomial, g: Polynomial) -> Polynomial:
     """``L(f,g) + f*X(g) - g*X(f)`` for the pair ``(L, X)``."""
     if f.chart != jdef.chart or g.chart != jdef.chart:
         raise ChartMismatch("arguments live on a different chart")
-    lam_part = pair(wedge(differential(f), differential(g)), jdef.bivector)
+    lam_part = _support_pair([differential(f), differential(g)], jdef.bivector, jdef._levels)
     xf = pair(differential(f), jdef.field)
     xg = pair(differential(g), jdef.field)
     return lam_part + f * xg - g * xf

@@ -25,13 +25,14 @@ here:
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from math import factorial
 from typing import Mapping, Sequence
 
 from .chart import Chart
 from .errors import ChartMismatch, DegenerateStructure, GradeMismatch, KindMismatch
-from .poly import Polynomial, _accumulate, matrix_adjugate, matrix_determinant
+from .poly import Polynomial, _accumulate, matrix_adjugate
 
 IndexTuple = tuple[int, ...]
 
@@ -341,6 +342,56 @@ def pair(a: Form, field: Multivector) -> Polynomial:
     return total
 
 
+def _support_levels(target: Multivector) -> tuple[frozenset[IndexTuple], ...]:
+    """``levels[j]``: the ``j``-element subsets of the index tuples of
+    ``target``, for ``j = 0 .. grade``."""
+    level = frozenset(target.terms)
+    levels = [level]
+    for _ in range(target.grade):
+        level = frozenset(key[:p] + key[p + 1:] for key in level for p in range(len(key)))
+        levels.append(level)
+    return tuple(reversed(levels))
+
+
+def _support_wedge(forms: Sequence[Form], levels) -> dict[IndexTuple, Polynomial]:
+    """The coefficients of ``forms[0] ^ ... ^ forms[-1]`` (1-forms) on the
+    index tuples of ``levels[len(forms)]`` (see :func:`_support_levels`).
+
+    The 1-forms are wedged on one at a time, and after ``j`` of them only
+    the ``j``-subsets in ``levels[j]`` are kept: a coefficient outside them
+    cannot reach a tuple of the last level.
+    """
+    current = {(): Polynomial.constant(forms[0].chart, 1)}
+    for allowed, form in zip(levels[1:], forms):
+        step: dict[IndexTuple, Polynomial] = {}
+        for key, value in current.items():
+            for (i,), c in form.terms.items():
+                p = bisect(key, i)
+                merged = key[:p] + (i,) + key[p:]
+                if merged not in allowed:
+                    continue
+                product = value * c
+                acc = step.get(merged)
+                # moving d(x_i) left past the len(key) - p larger indices
+                if (len(key) - p) % 2:
+                    step[merged] = -product if acc is None else acc - product
+                else:
+                    step[merged] = product if acc is None else acc + product
+        current = {key: value for key, value in step.items() if not value.is_zero()}
+        if not current:
+            break
+    return current
+
+
+def _support_pair(forms: Sequence[Form], target: Multivector, levels) -> Polynomial:
+    """``pair(wedge_all(forms), target)`` for 1-forms, wedging only onto the
+    support of ``target`` (``levels`` is :func:`_support_levels` of it)."""
+    total = Polynomial.zero(target.chart)
+    for key, value in _support_wedge(forms, levels).items():
+        total = total + value * target.terms[key]
+    return total
+
+
 def _volume_constant(volume: Form) -> Fraction:
     """The constant ``c`` of a top form ``c * dx_1^...^dx_m``."""
     if volume.grade != volume.chart.dim or volume.is_zero():
@@ -402,11 +453,12 @@ def poisson_bivector(omega: Form) -> Multivector:
     for (i, j), coefficient in omega.terms.items():
         matrix[i][j] = coefficient
         matrix[j][i] = -coefficient
-    det = matrix_determinant(matrix, chart)
+    adjugate = matrix_adjugate(matrix, chart)
+    # Laplace expansion along the first row, from the cofactors at hand
+    det = sum((matrix[0][j] * adjugate[j][0] for j in range(m)), zero)
     if det.is_zero() or not det.is_constant():
         raise DegenerateStructure("coefficient matrix needs a constant nonzero determinant")
     det_value = det.constant_value()
-    adjugate = matrix_adjugate(matrix, chart)
     terms: dict[IndexTuple, Polynomial] = {}
     for i in range(m):
         for j in range(i + 1, m):

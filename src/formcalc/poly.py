@@ -25,7 +25,8 @@ on its total degree (the sum of the factors' bounds for ``*``, their maximum
 for ``+``, unchanged by ``diff`` and negation).  A product whose bound reaches
 ``2**32`` would overflow a field, so it raises :class:`DegreeOverflow`
 instead; the bound is checked once per operation, never per term.  Powers
-multiply by the base one factor at a time (see :meth:`Polynomial.__pow__`).
+multiply by the base one factor at a time, except that a one-term base is
+raised in one step (see :meth:`Polynomial.__pow__`).
 
 The packed layout is private to this module.  Other code reads a polynomial
 through :meth:`Polynomial.items`, :meth:`~Polynomial.coefficient`,
@@ -42,14 +43,26 @@ Besides :class:`Polynomial` this module provides
   exponential in one distinguished coordinate, used by the Jacobi-bracket
   homogenization check.
 * exact division, and :func:`matrix_determinant` / :func:`matrix_adjugate`
-  over the polynomial ring.  They pick their algorithm from the entries: a
-  matrix of constants takes one exact ``Fraction`` Gauss-Jordan pass on
-  ``[M | I]``, which yields the determinant and ``adj = det * M^-1``; a
-  matrix with a non-constant entry, and the adjugate of a singular constant
-  matrix, take a Laplace expansion in which all minors share one memo.
+  over the polynomial ring.  They pick one of three routes from the entries,
+  in this order:
+
+  1. a matrix of constants (for the adjugate, a nonsingular one) takes one
+     exact ``Fraction`` Gauss-Jordan pass on ``[M | I]``, which yields the
+     determinant and ``adj = det * M^-1``;
+  2. a skew-symmetric matrix of even size -- the form matrix of a 2-form, a
+     Dirac constraint matrix, or a singular constant one -- takes one
+     memoized table of Pfaffians over index subsets (the classical
+     expansion; see Galbiati & Maffioli, "On the computation of
+     Pfaffians", 1994): ``det = Pf(M)^2`` and ``adj[i][j] =
+     (-1)^(i+j+[j<i]) * Pf(M) * Pf(M without rows and columns i, j)``;
+  3. every other matrix takes a Laplace expansion in which all minors share
+     one memo.
+
   Elimination wins on dense constant matrices (the inverse of a symplectic
-  form) and loses to expansion on sparse polynomial ones (Dirac constraint
-  matrices), where its intermediate entries swell.
+  form) and loses to expansion on sparse polynomial ones, where its
+  intermediate entries swell.  A Pfaffian has about the square root of the
+  determinant's terms and reads only even index subsets, so on skew
+  polynomial matrices it beats the Laplace table.
 """
 
 from __future__ import annotations
@@ -365,10 +378,19 @@ class Polynomial:
         powers of sparse polynomials", 1974).  For ``(q1+q2+p1+p2+1)^k`` on
         four coordinates, squaring took about 2x as long at ``k = 20`` and
         about 8x as long at ``k = 30`` (Python 3.11).
+
+        A base of at most one term is raised in one step: packing is linear,
+        so once the degree check has passed, ``power * key(e)`` is
+        ``key(power * e)``, and the coefficient is ``c ** power``.
         """
         if not isinstance(power, int) or power < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
         _check_degree(self._degree * power)
+        if len(self._terms) <= 1:
+            if not power:
+                return Polynomial.constant(self.chart, 1)
+            terms = {key * power: _coefficient(c ** power) for key, c in self._terms.items()}
+            return _make(self.chart, terms, self._degree * power)
         result = Polynomial.constant(self.chart, 1)
         for _ in range(power):
             result = result * self
@@ -768,21 +790,93 @@ def _minor_table(rows: Sequence[Sequence[Polynomial]], chart: Chart):
     return minor
 
 
+def _is_even_skew(rows: Sequence[Sequence[Polynomial]]) -> bool:
+    """Whether the matrix is skew-symmetric (zero diagonal) of even size."""
+    n = len(rows)
+    return n % 2 == 0 and all(
+        rows[j][i] == -rows[i][j] if i != j else rows[i][i].is_zero()
+        for i in range(n) for j in range(i, n)
+    )
+
+
+def _pfaffian_table(rows: Sequence[Sequence[Polynomial]], chart: Chart):
+    """``pfaffian(mask)``: the Pfaffian of the skew submatrix on the rows and
+    columns whose bits are set in ``mask`` (an even count), by expansion along
+    its first index, with one memo for every sub-Pfaffian."""
+    memo: dict[int, Polynomial] = {0: Polynomial.constant(chart, 1)}
+
+    def pfaffian(mask: int) -> Polynomial:
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        low = mask & -mask
+        row = rows[low.bit_length() - 1]
+        rest = bits = mask ^ low
+        total = Polynomial.zero(chart)
+        plus = True
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            entry = row[bit.bit_length() - 1]
+            if not entry.is_zero():
+                term = entry * pfaffian(rest ^ bit)
+                total = total + term if plus else total - term
+            plus = not plus
+        memo[mask] = total
+        return total
+
+    return pfaffian
+
+
+def _pfaffian_adjugate(rows: Sequence[Sequence[Polynomial]], chart: Chart,
+                       pf: Polynomial | None = None) -> list[list[Polynomial]]:
+    """The adjugate of an even skew matrix from its Pfaffian table:
+    ``adj[i][j] = (-1)^(i+j+[j<i]) * Pf(M) * Pf(M without rows/columns i, j)``
+    with zeros on the diagonal.  ``pf``, when given, is ``Pf(M)``.
+
+    A singular even skew matrix has rank at most ``m - 2``, so its adjugate is
+    zero; that is the ``Pf(M) = 0`` case, which reads no sub-Pfaffian.
+    """
+    n = len(rows)
+    pfaffian = _pfaffian_table(rows, chart)
+    full = (1 << n) - 1
+    if pf is None:
+        pf = pfaffian(full)
+    zero = Polynomial.zero(chart)
+    adj = [[zero] * n for _ in range(n)]
+    if pf.is_zero():
+        return adj
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = pf * pfaffian(full ^ (1 << i) ^ (1 << j))
+            if (i + j) % 2:
+                value = -value
+            adj[i][j] = value
+            adj[j][i] = -value
+    return adj
+
+
 def matrix_determinant(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> Polynomial:
     """Determinant of a square matrix of polynomials on ``chart``.
 
-    A matrix of constants is reduced by exact ``Fraction`` elimination;
-    otherwise the determinant is a memoized Laplace expansion, which beats
-    elimination on sparse polynomial entries.  A singular constant matrix
-    needs no fallback here: elimination runs out of pivots and returns zero
-    (only :func:`matrix_adjugate` falls back to expansion for it).  Raises
-    ``ValueError`` for a non-square matrix and :class:`ChartMismatch` for an
-    entry on another chart.
+    One of three routes, picked from the entries:
+
+    * a matrix of constants: exact ``Fraction`` elimination (a singular one
+      runs out of pivots and gives zero);
+    * a skew-symmetric matrix of even size: ``Pf(M)^2``, with the Pfaffian
+      expanded over one memo of index subsets;
+    * any other matrix: a Laplace expansion with one memo for every minor.
+
+    Raises ``ValueError`` for a non-square matrix and :class:`ChartMismatch`
+    for an entry on another chart.
     """
     n = _check_square(rows, chart)
     values = _constant_values(rows)
     if values is not None:
         return Polynomial.constant(chart, _eliminate(values)[0])
+    if _is_even_skew(rows):
+        pf = _pfaffian_table(rows, chart)((1 << n) - 1)
+        return pf * pf
     everything = tuple(range(n))
     return _minor_table(rows, chart)(everything, everything)
 
@@ -790,18 +884,30 @@ def matrix_determinant(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> Po
 def matrix_adjugate(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> list[list[Polynomial]]:
     """Classical adjugate: ``adjugate(M) @ M == det(M) * I`` over the polynomial ring.
 
-    A nonsingular constant matrix gives ``det * inverse`` from one exact
-    ``Fraction`` elimination.  Every other matrix -- polynomial entries, or a
-    singular constant one, which has no inverse -- takes its ``m^2``
-    cofactors from one shared table of Laplace-expanded minors.  Raises as
-    :func:`matrix_determinant` does.
+    One of three routes, picked from the entries:
+
+    * a nonsingular matrix of constants: ``det * inverse`` from one exact
+      ``Fraction`` elimination;
+    * a skew-symmetric matrix of even size, constant and singular ones
+      included: ``Pf(M)`` times the signed Pfaffians with two rows and
+      columns removed, all from one memo of index subsets, each unordered
+      pair of indices computed once (a singular one gives zero);
+    * any other matrix, a singular constant one that is not even skew
+      included: the ``m^2`` cofactors from one shared table of
+      Laplace-expanded minors.
+
+    Raises as :func:`matrix_determinant` does.
     """
     n = _check_square(rows, chart)
     values = _constant_values(rows)
+    singular = False
     if values is not None:
         det, inverse = _eliminate(values)
         if inverse is not None:
             return [[Polynomial.constant(chart, det * x) for x in row] for row in inverse]
+        singular = True
+    if _is_even_skew(rows):
+        return _pfaffian_adjugate(rows, chart, Polynomial.zero(chart) if singular else None)
     minor = _minor_table(rows, chart)
     everything = tuple(range(n))
 

@@ -6,6 +6,10 @@ The generators are the built-in suites' own, drawing coefficients from
 ``laplace_adjugate`` are plain cofactor expansion, one independent
 determinant per cofactor: the reference that the property tests hold
 ``formcalc.poly.matrix_determinant`` and ``matrix_adjugate`` to.
+``full_wedge_bracket``, ``full_wedge_derived_vf`` and
+``full_wedge_jacobi_bracket`` build the whole wedge of the differentials and
+pair it with the generator, the route the brackets took before they wedged
+only onto the generator's support.
 ``legacy_parse_tensor`` and ``legacy_parse_value`` are the same kind of
 reference for ``formcalc.parsing``, and ``LegacyPolynomial`` with
 ``legacy_exact_divide`` (exponent tuples as keys, every coefficient a
@@ -15,7 +19,22 @@ reference for ``formcalc.parsing``, and ``LegacyPolynomial`` with
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from formcalc import Chart, ChartMismatch, Form, Multivector, NotDivisible, Polynomial, RationalExpr, parse_expr
+from formcalc import (
+    Chart,
+    ChartMismatch,
+    Form,
+    Multivector,
+    NotDivisible,
+    Polynomial,
+    RationalExpr,
+    coordinate_form,
+    differential,
+    pair,
+    parse_expr,
+    wedge,
+    wedge_all,
+)
+from formcalc.brackets import _power_def
 from formcalc.exterior import _normalize_index_tuple
 from formcalc.parsing import _error, _tokenize
 from formcalc.poly import _accumulate
@@ -96,6 +115,28 @@ def laplace_adjugate(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> list
                 cofactor = -cofactor
             adj[j][i] = cofactor
     return adj
+
+
+def full_wedge_bracket(bdef, *functions) -> Polynomial:
+    """A constant-volume bracket as ``pair(wedge_all(dfs), generator)``."""
+    return pair(wedge_all([differential(f) for f in functions]), bdef.generator)
+
+
+def full_wedge_derived_vf(sym, k: int, *functions) -> Multivector:
+    """``derived_vf`` as one full-wedge pairing per coordinate."""
+    bdef = _power_def(sym, k, with_factorial=False)
+    chart = sym.chart
+    fixed = wedge_all([differential(f) for f in functions])
+    return Multivector(chart, 1, {
+        (i,): pair(wedge(fixed, coordinate_form(chart, name)), bdef.generator)
+        for i, name in enumerate(chart.names)
+    })
+
+
+def full_wedge_jacobi_bracket(jdef, f, g) -> Polynomial:
+    """``L(f,g) + f*X(g) - g*X(f)`` with ``L(f,g)`` paired against ``df ^ dg``."""
+    df, dg = differential(f), differential(g)
+    return pair(wedge(df, dg), jdef.bivector) + f * pair(dg, jdef.field) - g * pair(df, jdef.field)
 
 
 # The token-slicing tensor parser and the ``(num) / (den)`` text scan that

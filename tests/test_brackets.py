@@ -26,6 +26,7 @@ from formcalc import (
     darboux_chart,
     derived_vf,
     differential,
+    exterior_derivative,
     form_power,
     hamiltonian_vf,
     homogenization_check,
@@ -41,9 +42,18 @@ from formcalc import (
     wedge,
     wedge_all,
 )
+from formcalc.brackets import _power_def
 from formcalc.poly import matrix_determinant
 
-from tests.helpers import qp, rand_poly
+from tests.helpers import (
+    full_wedge_bracket,
+    full_wedge_derived_vf,
+    full_wedge_jacobi_bracket,
+    qp,
+    rand_form,
+    rand_multivector,
+    rand_poly,
+)
 
 
 def permutation_parity(sigma) -> int:
@@ -473,3 +483,110 @@ class TestRouteAgreement:
         jacobian = [[f.diff(j) for j in range(4)] for f in fs]
         expected = gamma * matrix_determinant(jacobian, CHART4) * (Fraction(1) / c)
         assert nambu_top_bracket(volume, gamma, *fs) == expected
+
+
+
+def _closed_form(chart: Chart, seed: int) -> Form:
+    """The standard form plus ``d`` of a seeded 1-form ``sum_i c_i(q) dq_i``:
+    closed, and with the standard form's constant determinant."""
+    rng = random.Random(seed)
+    n = chart.dim // 2
+    qs = coordinates(chart)[:n]
+    alpha = {}
+    for i in range(n):
+        c = Polynomial.zero(chart)
+        for _ in range(3):
+            term = Polynomial.constant(chart, rng.randint(-2, 2))
+            for _ in range(rng.randint(1, 2)):
+                term = term * rng.choice(qs)
+            c = c + term
+        alpha[(i,)] = c
+    return standard_form(chart) + exterior_derivative(Form(chart, 1, alpha))
+
+
+def _magnetic(chart: Chart) -> Form:
+    """A closed magnetic-type form: the standard form plus field-strength
+    terms on ``q1, q2, q3``."""
+    q1, q2, q3 = coordinates(chart)[:3]
+    if chart.dim == 6:
+        return magnetic_form(chart, q2, q3, q1)
+    return standard_form(chart) + Form(chart, 2, {(0, 1): -q1, (0, 2): q3, (1, 2): -q2})
+
+
+_STRUCTURES = {}
+
+
+def _structure(spec) -> SymplecticData:
+    """One memoized ``SymplecticData`` per ``(n, kind)``, so the draws share
+    their power forms and bracket definitions."""
+    if spec not in _STRUCTURES:
+        n, kind = spec
+        chart = darboux_chart(n)
+        omega = {"standard": standard_form, "magnetic": _magnetic}.get(kind)
+        _STRUCTURES[spec] = SymplecticData(
+            omega(chart) if omega else _closed_form(chart, int(kind[-1])))
+    return _STRUCTURES[spec]
+
+
+structure_specs = st.tuples(
+    st.sampled_from((3, 4)),
+    st.sampled_from(("standard", "magnetic", "closed0", "closed1")),
+)
+
+
+def chart_polys(chart: Chart):
+    """Polynomials of degree at most 2 on ``chart``: a linear part in which
+    most coordinates appear, so the differentials have most components, and
+    up to 3 monomials of degree 2."""
+    dim = chart.dim
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    linear = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).map(
+        lambda cs: dict(zip(units, cs)))
+    quadratic = st.dictionaries(
+        st.lists(st.integers(0, dim - 1), min_size=2, max_size=2).map(
+            lambda picks: tuple(picks.count(i) for i in range(dim))),
+        st.integers(-3, 3), max_size=3)
+    return st.builds(lambda a, b: Polynomial(chart, {e: Fraction(c) for e, c in {**a, **b}.items()}),
+                     linear, quadratic)
+
+
+class TestSupportPairing:
+    """Brackets that wedge only onto the generator's support, against the
+    pairing of the full wedge of the differentials."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), structure_specs, st.integers(1, 3))
+    def test_power_bracket(self, data, spec, k):
+        sym = _structure(spec)
+        fs = [data.draw(chart_polys(sym.chart)) for _ in range(2 * k)]
+        expected = full_wedge_bracket(_power_def(sym, k, with_factorial=True), *fs)
+        assert omega_power_bracket(sym, k, *fs) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), structure_specs, st.sampled_from((2, 3)))
+    def test_derived_vf(self, data, spec, k):
+        sym = _structure(spec)
+        fs = [data.draw(chart_polys(sym.chart)) for _ in range(2 * k - 1)]
+        assert derived_vf(sym, k, *fs) == full_wedge_derived_vf(sym, k, *fs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), structure_specs, st.booleans(), st.integers(0, 10**6))
+    def test_jacobi_bracket(self, data, spec, inverse, seed):
+        sym = _structure(spec)
+        chart = sym.chart
+        rng = random.Random(seed)
+        # the inverse bivector of the form, or a sparse random one
+        bivector = sym.bivector if inverse else rand_multivector(rng, chart, 2, density=0.2)
+        jdef = JacobiDef(bivector, rand_multivector(rng, chart, 1, density=0.3))
+        f, g = data.draw(chart_polys(chart)), data.draw(chart_polys(chart))
+        assert jacobi_bracket(jdef, f, g) == full_wedge_jacobi_bracket(jdef, f, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.sampled_from((0.15, 0.3, 0.6)))
+    def test_sparse_generator(self, data, k, density):
+        # a constant volume and a sparse alpha: a generator with few terms
+        volume = Form(CHART4, 4, {TOP4: 2})
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        bdef = BracketDef(volume, rand_form(rng, CHART4, 4 - k, density=density))
+        fs = [data.draw(small_polys) for _ in range(k)]
+        assert bracket(bdef, *fs) == full_wedge_bracket(bdef, *fs)

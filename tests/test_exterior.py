@@ -274,6 +274,23 @@ class TestPoissonBivector:
         with pytest.raises(DegenerateStructure):
             poisson_bivector(Form(C2, 2, {(0, 1): q1 * q1 + 1}))
 
+    DETERMINANT_MESSAGE = "coefficient matrix needs a constant nonzero determinant"
+
+    def test_singular_constant_form_message(self):
+        # Pfaffian 1*1 - 1*2 + 1*1 = 0 with no entry zero
+        omega = Form(C4, 2, {(0, 1): 1, (2, 3): 1, (0, 2): 1, (1, 3): 2, (0, 3): 1, (1, 2): 1})
+        with pytest.raises(DegenerateStructure, match=self.DETERMINANT_MESSAGE):
+            poisson_bivector(omega)
+
+    def test_nonconstant_determinant_message(self):
+        q1, _, p1, _ = coordinates(C4)
+        # Pfaffian q1 - p1, determinant (q1 - p1)^2
+        omega = Form(C4, 2, {(0, 1): q1, (2, 3): 1, (0, 2): p1, (1, 3): 1})
+        with pytest.raises(DegenerateStructure, match=self.DETERMINANT_MESSAGE):
+            poisson_bivector(omega)
+        with pytest.raises(DegenerateStructure, match=self.DETERMINANT_MESSAGE):
+            poisson_bivector(Form(C4, 2, {(0, 2): q1, (1, 3): q1}))
+
 
 class TestLieDerivative:
     def test_translation_direction(self):

@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from formcalc import (
     run_suite,
     suite_names,
 )
+from formcalc import poly as poly_module
 from formcalc.cli import run_scenario
 
 from tests.helpers import (
@@ -205,6 +207,18 @@ class TestDegreeCap:
             base ** 5000
         with pytest.raises(DegreeOverflow):
             (base ** 1000) ** 5
+
+    def test_power_of_one_term_is_one_step(self):
+        # a billion one-term products would take about 48 minutes
+        start = time.perf_counter()
+        assert (Q1 ** 10 ** 6).terms == {(10 ** 6, 0): 1}
+        assert (Fraction(-2, 3) * Q1 * P1 ** 2) ** 10 ** 6 == Polynomial(
+            CHART, {(10 ** 6, 2 * 10 ** 6): Fraction(2, 3) ** 10 ** 6})
+        assert time.perf_counter() - start < 1
+        assert Q1 ** 0 == 1 and Polynomial.zero(CHART) ** 0 == 1
+        assert (Polynomial.zero(CHART) ** 10 ** 9).is_zero()
+        with pytest.raises(DegreeOverflow):
+            Q1 ** 2 ** 32
 
     def test_nested_parser_powers(self):
         assert parse_expr("((q1^1000)^1000)^1000", CHART).terms == {(10 ** 9, 0): 1}
@@ -443,6 +457,110 @@ class TestMatrixOracle:
         self.check(rows)
 
 
+nonzero_polynomials = st.dictionaries(exponents, coefficients.filter(bool), min_size=1, max_size=2).map(poly)
+sparse_polynomials = st.just({}).map(poly) | nonzero_polynomials
+
+
+@st.composite
+def skew_polynomial_matrices(draw, sizes=st.integers(1, 7)):
+    """Skew matrices of polynomials.  The entries ``(0, 1), (2, 3), ...`` are
+    nonzero, so the Pfaffian usually is too; about half of the others are
+    zero."""
+    m = draw(sizes)
+    rows = [[Polynomial.zero(CHART)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            matched = i % 2 == 0 and j == i + 1
+            rows[i][j] = draw(nonzero_polynomials if matched else sparse_polynomials)
+            rows[j][i] = -rows[i][j]
+    return rows
+
+
+@st.composite
+def singular_constant_skew_matrices(draw):
+    """``X S X^T`` for a skew ``S`` of even size ``r <= m - 2`` and an
+    ``m x r`` matrix ``X``: skew of rank at most ``r``, so singular."""
+    m = draw(st.sampled_from((2, 4, 6)))
+    r = draw(st.sampled_from(range(0, m - 1, 2)))
+    s = [[Fraction(0)] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            s[i][j] = draw(rationals)
+            s[j][i] = -s[i][j]
+    x = [[draw(rationals) for _ in range(r)] for _ in range(m)]
+    return [[sum(x[i][a] * s[a][b] * x[j][b] for a in range(r) for b in range(r))
+             for j in range(m)] for i in range(m)]
+
+
+class TestSkewRoutes:
+    """The Pfaffian route against plain Laplace expansion, and the choice of
+    route: even skew matrices take the Pfaffian table, everything else not."""
+
+    def check_route(self, rows, monkeypatch):
+        # even skew matrices take the Pfaffian table unless they are constant
+        # and nonsingular (elimination); odd ones keep the Laplace table
+        constant = all(entry.is_constant() for row in rows for entry in row)
+        pfaffian = len(rows) % 2 == 0 and (not constant or laplace_determinant(rows, CHART).is_zero())
+        self.count_route(rows, pfaffian, monkeypatch)
+
+    def count_route(self, rows, pfaffian, monkeypatch):
+        calls = []
+        table = poly_module._pfaffian_table
+
+        def counted(*args):
+            calls.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(poly_module, "_pfaffian_table", counted)
+        TestMatrixOracle().check(rows)
+        assert bool(calls) == pfaffian
+
+    @settings(max_examples=60, deadline=None)
+    @given(skew_polynomial_matrices())
+    def test_polynomial(self, rows):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check_route(rows, monkeypatch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(singular_constant_skew_matrices())
+    def test_singular_constant(self, values):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            rows = _constant_matrix(values)
+            self.count_route(rows, True, monkeypatch)
+            assert all(entry.is_zero() for row in matrix_adjugate(rows, CHART) for entry in row)
+
+    @settings(max_examples=40, deadline=None)
+    @given(skew_polynomial_matrices(st.sampled_from((2, 4, 6))), st.data())
+    def test_zero_row(self, rows, data):
+        k = data.draw(st.integers(0, len(rows) - 1))
+        for i in range(len(rows)):
+            rows[k][i] = rows[i][k] = Polynomial.zero(CHART)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.count_route(rows, True, monkeypatch)
+
+    @settings(max_examples=60, deadline=None)
+    @given(skew_polynomial_matrices(st.sampled_from((2, 4, 6))), st.data(), st.booleans())
+    def test_near_miss(self, rows, data, diagonal):
+        # a nonzero diagonal entry, or one entry off the skew pattern
+        m = len(rows)
+        i = data.draw(st.integers(0, m - 1))
+        j = i if diagonal else data.draw(st.integers(0, m - 1).filter(lambda j: j != i))
+        rows[i][j] = rows[i][j] + data.draw(polynomials.filter(lambda p: not p.is_zero()))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.count_route(rows, False, monkeypatch)
+
+    def test_pfaffian_squares_to_the_determinant(self):
+        # a 4x4 skew matrix with Pf = a*f - b*e + c*d
+        a, b, c, d, e, f = Q1, P1 + 1, Q1 * P1, 2 * P1, Q1 - 3, Polynomial.constant(CHART, 5)
+        zero = Polynomial.zero(CHART)
+        rows = [[zero, a, b, c], [-a, zero, d, e], [-b, -d, zero, f], [-c, -e, -f, zero]]
+        pf = a * f - b * e + c * d
+        assert matrix_determinant(rows, CHART) == pf * pf
+        adj = matrix_adjugate(rows, CHART)
+        assert adj[0][1] == -pf * f and adj[1][0] == pf * f
+        assert adj[0][2] == pf * e and adj[2][0] == -pf * e
+
+
 # Charts of 1-8 coordinates; monomials of total degree at most 6; integer
 # and fractional coefficients.
 
@@ -509,6 +627,16 @@ class TestLegacyKernelOracle:
     @given(oracle_pairs(1), st.integers(0, 3))
     def test_power(self, drawn, k):
         _, [(a, la)] = drawn
+        same(a ** k, la ** k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(oracle_pairs(1), st.integers(0, 50))
+    def test_power_of_one_term(self, drawn, k):
+        # a base of at most one term is raised in one step
+        _, [(a, la)] = drawn
+        if a.term_count() > 1:
+            (key, c), = list(a.items())[:1]
+            a, la = Polynomial(a.chart, {key: c}), LegacyPolynomial(a.chart, {key: c})
         same(a ** k, la ** k)
 
     @settings(max_examples=150, deadline=None)
