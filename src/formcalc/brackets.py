@@ -92,14 +92,21 @@ class BracketDef:
         return self._levels
 
 
+def _argument(chart: Chart, f) -> Polynomial:
+    """``f`` as a polynomial on ``chart``.  A zero quotient (a vanishing
+    bracket under a non-constant volume) is the zero polynomial; a nonzero
+    one, or anything else that is not a polynomial, is a kind error."""
+    if isinstance(f, RationalExpr) and f.is_zero():
+        f = f.numerator
+    if not isinstance(f, Polynomial):
+        raise KindMismatch("bracket arguments must be polynomials")
+    if f.chart != chart:
+        raise ChartMismatch("bracket argument lives on a different chart")
+    return f
+
+
 def _differentials(chart: Chart, functions) -> list[Form]:
-    for f in functions:
-        if not (isinstance(f, Polynomial) or f.is_zero()):
-            # a nonzero quotient, e.g. a bracket under a non-constant volume
-            raise KindMismatch("bracket arguments must be polynomials")
-        if f.chart != chart:
-            raise ChartMismatch("bracket argument lives on a different chart")
-    return [differential(f) for f in functions]
+    return [differential(_argument(chart, f)) for f in functions]
 
 
 def bracket(bdef: BracketDef, *functions: Polynomial):
@@ -172,8 +179,7 @@ def nambu_top_bracket(volume: Form, gamma: Polynomial, *functions: Polynomial) -
 
 def hamiltonian_vf(sym: SymplecticData, f: Polynomial) -> Multivector:
     """The vector field ``X_f`` with ``i_{X_f} omega = -df`` and ``X_f(g) = {f,g}``."""
-    if f.chart != sym.chart:
-        raise ChartMismatch("function lives on a different chart")
+    f = _argument(sym.chart, f)
     m = sym.chart.dim
     components = [Polynomial.zero(sym.chart) for _ in range(m)]
     for (a, b), coefficient in sym.bivector.terms.items():
@@ -242,8 +248,7 @@ class JacobiDef:
 
 def jacobi_bracket(jdef: JacobiDef, f: Polynomial, g: Polynomial) -> Polynomial:
     """``L(f,g) + f*X(g) - g*X(f)`` for the pair ``(L, X)``."""
-    if f.chart != jdef.chart or g.chart != jdef.chart:
-        raise ChartMismatch("arguments live on a different chart")
+    f, g = _argument(jdef.chart, f), _argument(jdef.chart, g)
     lam_part = _support_pair([differential(f), differential(g)], jdef.bivector, jdef._levels)
     xf = pair(differential(f), jdef.field)
     xg = pair(differential(g), jdef.field)
@@ -260,8 +265,7 @@ def homogenization_check(
     ``exp(-2s)`` must reproduce ``jacobi_bracket(jdef, f, g)``.  Returns the
     exact equality of the two sides.
     """
-    if f.chart != jdef.chart or g.chart != jdef.chart:
-        raise ChartMismatch("arguments live on a different chart")
+    f, g = _argument(jdef.chart, f), _argument(jdef.chart, g)
     try:
         extended = jdef.chart.extended(s_name)
     except ValueError:

@@ -45,6 +45,7 @@ from .errors import (
     ChartMismatch,
     DegenerateStructure,
     GradeMismatch,
+    KindMismatch,
 )
 from .exterior import Form, SymplecticData, differential, wedge, wedge_all
 from .poly import (
@@ -72,6 +73,8 @@ class ConstraintSet:
         if len(constraints) < 2 or len(constraints) % 2:
             raise DegenerateStructure("constraint count must be even and at least 2")
         for theta in constraints:
+            if not isinstance(theta, Polynomial):
+                raise KindMismatch("constraints must be polynomials")
             if theta.chart != sym.chart:
                 raise ChartMismatch("constraint lives on a different chart")
         chart = sym.chart

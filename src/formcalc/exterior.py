@@ -80,6 +80,8 @@ class _Graded:
             for indices, coefficient in terms.items():
                 if isinstance(coefficient, (int, Fraction)):
                     coefficient = Polynomial.constant(chart, coefficient)
+                elif not isinstance(coefficient, Polynomial):
+                    raise KindMismatch("coefficients must be polynomials")
                 if coefficient.chart != chart:
                     raise ChartMismatch("coefficient lives on a different chart")
                 if len(tuple(indices)) != grade:
@@ -289,6 +291,8 @@ def exterior_derivative(a: Form) -> Form:
 
 def differential(f: Polynomial) -> Form:
     """``df`` for a scalar function given as a polynomial."""
+    if not isinstance(f, Polynomial):
+        raise KindMismatch("differential takes a polynomial")
     return exterior_derivative(Form.from_polynomial(f))
 
 

@@ -243,27 +243,34 @@ class _Builder:
         chart = self._need_chart(line)
         name, eq, rest = body.partition("=")
         name = name.strip()
-        rest = rest.strip()
-        if not eq or not name or not rest:
+        text = rest.strip()
+        if not eq or not name or not text:
             _fail("expected 'name = expression'", line)
         if name in self.definitions or name in chart:
             _fail(f"name {name!r} is already declared", line)
-        rest_raw = body.partition("=")[2]
-        rest_offset = body.index("=") + 1 + (len(rest_raw) - len(rest_raw.lstrip()))
-        try:
-            if rest.startswith("constraints(") and rest.endswith(")"):
-                inner = rest[len("constraints("):-1]
-                parts = [p for p in inner.split(",")]
-                if not any(p.strip() for p in parts):
-                    _fail("empty constraint list", line)
-                value = [parse_expr(p, chart, self.poly_env) for p in parts]
-            else:
-                value = parse_tensor(rest, chart, self.poly_env)
-        except ParseError as exc:
-            _fail(exc.message, line, (exc.column or 0) + rest_offset)
+        offset = len(body) - len(rest.lstrip())  # of ``text`` in the line
+        if text.startswith("constraints(") and text.endswith(")"):
+            offset += len("constraints(")
+            items = text[len("constraints("):-1].split(",")
+            if not any(item.strip() for item in items):
+                _fail("empty constraint list", line, offset + 1)
+            value = []
+            for item in items:
+                value.append(self._parse(parse_expr, item, line, offset))
+                offset += len(item) + 1
+        else:
+            value = self._parse(parse_tensor, text, line, offset)
         self.definitions[name] = value
         if isinstance(value, Polynomial):
             self.poly_env[name] = value
+
+    def _parse(self, parse, text: str, line: int, offset: int):
+        """``parse(text)``, with a parse error's column moved right by
+        ``offset``, the position of ``text`` in the line."""
+        try:
+            return parse(text, self.chart, self.poly_env)
+        except ParseError as exc:
+            _fail(exc.message, line, exc.column + offset)
 
     # -- task argument resolution -------------------------------------------
 

@@ -43,26 +43,26 @@ Besides :class:`Polynomial` this module provides
   exponential in one distinguished coordinate, used by the Jacobi-bracket
   homogenization check.
 * exact division, and :func:`matrix_determinant` / :func:`matrix_adjugate`
-  over the polynomial ring.  They pick one of three routes from the entries,
-  in this order:
+  for the matrices the package inverts: the form matrix of a symplectic
+  2-form and the Dirac constraint bracket matrix, both skew-symmetric of
+  even size.  Any other matrix raises ``ValueError``.  The entries pick one
+  of two routes:
 
-  1. a matrix of constants (for the adjugate, a nonsingular one) takes one
-     exact ``Fraction`` Gauss-Jordan pass on ``[M | I]``, which yields the
-     determinant and ``adj = det * M^-1``;
-  2. a skew-symmetric matrix of even size -- the form matrix of a 2-form, a
-     Dirac constraint matrix, or a singular constant one -- takes one
-     memoized table of Pfaffians over index subsets (the classical
-     expansion; see Galbiati & Maffioli, "On the computation of
-     Pfaffians", 1994): ``det = Pf(M)^2`` and ``adj[i][j] =
-     (-1)^(i+j+[j<i]) * Pf(M) * Pf(M without rows and columns i, j)``;
-  3. every other matrix takes a Laplace expansion in which all minors share
-     one memo.
+  1. a matrix of constants takes one exact ``Fraction`` Gauss-Jordan pass
+     on ``[M | I]``, which yields the determinant and ``adj = det * M^-1``;
+     a singular one has rank at most ``m - 2``, so its adjugate is zero;
+  2. any other takes one memoized table of Pfaffians over index subsets
+     (the classical expansion; see Galbiati & Maffioli, "On the computation
+     of Pfaffians", 1994): ``det = Pf(M)^2`` and ``adj[i][j] =
+     (-1)^(i+j+[j<i]) * Pf(M) * Pf(M without rows and columns i, j)``.
 
-  Elimination wins on dense constant matrices (the inverse of a symplectic
-  form) and loses to expansion on sparse polynomial ones, where its
-  intermediate entries swell.  A Pfaffian has about the square root of the
-  determinant's terms and reads only even index subsets, so on skew
-  polynomial matrices it beats the Laplace table.
+  A Pfaffian has about the square root of the determinant's terms, and
+  elimination's intermediate entries swell on polynomial matrices, so
+  those take the table.  The table holds a Pfaffian for every even index
+  subset, exponentially many, while elimination is cubic, so constant
+  matrices keep elimination: with the table alone, ``SymplecticData`` took
+  about 4x as long on a dense constant 16-dim form, and about 12x as long
+  on the 30-dim standard form plus 15 constant couplings (Python 3.11).
 """
 
 from __future__ import annotations
@@ -721,7 +721,8 @@ class ExpPoly:
         return f"ExpPoly({self})"
 
 
-def _check_square(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> int:
+def _check_even_skew(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> int:
+    """The size of ``rows``; raises unless it is an even skew matrix on ``chart``."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
@@ -729,21 +730,23 @@ def _check_square(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> int:
         for entry in row:
             if entry.chart != chart:
                 raise ChartMismatch("matrix entry lives on a different chart")
+    if not all(rows[j][i] == -rows[i][j] if i != j else rows[i][i].is_zero()
+               for i in range(n) for j in range(i, n)):
+        raise ValueError("matrix must be skew-symmetric")
+    if n % 2:
+        raise ValueError("skew matrix must have even size")
     return n
 
 
-def _constant_values(rows: Sequence[Sequence[Polynomial]]) -> list[list[Fraction]] | None:
-    """The entries as ``Fraction`` values, or ``None`` if one is not constant."""
-    if not all(entry.is_constant() for row in rows for entry in row):
+def _eliminate(matrix: Sequence[Sequence[Polynomial]]):
+    """``None`` unless every entry is a constant; then ``(det, inverse)`` as
+    ``Fraction`` values by one Gauss-Jordan pass on ``[M | I]`` with row
+    pivoting, the inverse ``None`` when ``det`` is zero."""
+    if not all(entry.is_constant() for row in matrix for entry in row):
         return None
-    return [[entry.constant_value() for entry in row] for row in rows]
-
-
-def _eliminate(values: list[list[Fraction]]) -> tuple[Fraction, list[list[Fraction]] | None]:
-    """``(det, inverse)`` by one Gauss-Jordan pass on ``[M | I]`` with row
-    pivoting; the inverse is ``None`` when ``det`` is zero."""
-    m = len(values)
-    rows = [row + [Fraction(int(i == j)) for j in range(m)] for i, row in enumerate(values)]
+    m = len(matrix)
+    rows = [[entry.constant_value() for entry in row] + [Fraction(int(i == j)) for j in range(m)]
+            for i, row in enumerate(matrix)]
     det = Fraction(1)
     for col in range(m):
         pivot = next((r for r in range(col, m) if rows[r][col]), None)
@@ -761,42 +764,6 @@ def _eliminate(values: list[list[Fraction]]) -> tuple[Fraction, list[list[Fracti
             if r != col and factor:
                 rows[r] = [x - factor * y for x, y in zip(rows[r], pivot_row)]
     return det, [row[m:] for row in rows]
-
-
-def _minor_table(rows: Sequence[Sequence[Polynomial]], chart: Chart):
-    """``minor(row_tuple, col_tuple)``: the determinant of that submatrix by
-    Laplace expansion along its first row, with one memo for every minor."""
-    one = Polynomial.constant(chart, 1)
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], Polynomial] = {}
-
-    def minor(rs: tuple[int, ...], cs: tuple[int, ...]) -> Polynomial:
-        if not rs:
-            return one
-        key = (rs, cs)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        row, below = rows[rs[0]], rs[1:]
-        total = Polynomial.zero(chart)
-        for j, col in enumerate(cs):
-            entry = row[col]
-            if entry.is_zero():
-                continue
-            term = entry * minor(below, cs[:j] + cs[j + 1:])
-            total = total + term if j % 2 == 0 else total - term
-        memo[key] = total
-        return total
-
-    return minor
-
-
-def _is_even_skew(rows: Sequence[Sequence[Polynomial]]) -> bool:
-    """Whether the matrix is skew-symmetric (zero diagonal) of even size."""
-    n = len(rows)
-    return n % 2 == 0 and all(
-        rows[j][i] == -rows[i][j] if i != j else rows[i][i].is_zero()
-        for i in range(n) for j in range(i, n)
-    )
 
 
 def _pfaffian_table(rows: Sequence[Sequence[Polynomial]], chart: Chart):
@@ -828,22 +795,52 @@ def _pfaffian_table(rows: Sequence[Sequence[Polynomial]], chart: Chart):
     return pfaffian
 
 
-def _pfaffian_adjugate(rows: Sequence[Sequence[Polynomial]], chart: Chart,
-                       pf: Polynomial | None = None) -> list[list[Polynomial]]:
-    """The adjugate of an even skew matrix from its Pfaffian table:
-    ``adj[i][j] = (-1)^(i+j+[j<i]) * Pf(M) * Pf(M without rows/columns i, j)``
-    with zeros on the diagonal.  ``pf``, when given, is ``Pf(M)``.
+def matrix_determinant(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> Polynomial:
+    """Determinant of an even skew-symmetric matrix of polynomials on ``chart``.
 
-    A singular even skew matrix has rank at most ``m - 2``, so its adjugate is
-    zero; that is the ``Pf(M) = 0`` case, which reads no sub-Pfaffian.
+    A matrix of constants takes one exact ``Fraction`` elimination (a
+    singular one runs out of pivots and gives zero); any other takes
+    ``Pf(M)^2``, with the Pfaffian expanded over one memo of index subsets.
+
+    Raises ``ValueError`` for a matrix that is not square, not skew-symmetric
+    (a nonzero diagonal entry included) or of odd size, and
+    :class:`ChartMismatch` for an entry on another chart; shape and charts
+    are checked first.
     """
-    n = len(rows)
-    pfaffian = _pfaffian_table(rows, chart)
-    full = (1 << n) - 1
-    if pf is None:
-        pf = pfaffian(full)
+    n = _check_even_skew(rows, chart)
+    solved = _eliminate(rows)
+    if solved is not None:
+        return Polynomial.constant(chart, solved[0])
+    pf = _pfaffian_table(rows, chart)((1 << n) - 1)
+    return pf * pf
+
+
+def matrix_adjugate(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> list[list[Polynomial]]:
+    """Classical adjugate of an even skew-symmetric matrix of polynomials:
+    ``adjugate(M) @ M == det(M) * I`` over the polynomial ring.
+
+    A matrix of constants takes ``det * inverse`` from one exact ``Fraction``
+    elimination.  Any other takes ``adj[i][j] = (-1)^(i+j+[j<i]) * Pf(M) *
+    Pf(M without rows and columns i, j)``, zero on the diagonal, with every
+    Pfaffian from one memo of index subsets and each unordered pair of
+    indices computed once.  A singular matrix has rank at most ``m - 2``, so
+    both routes return the zero adjugate as soon as ``det`` or ``Pf(M)`` is
+    zero.
+
+    Raises as :func:`matrix_determinant` does.
+    """
+    n = _check_even_skew(rows, chart)
     zero = Polynomial.zero(chart)
     adj = [[zero] * n for _ in range(n)]
+    solved = _eliminate(rows)
+    if solved is not None:
+        det, inverse = solved
+        if inverse is None:
+            return adj
+        return [[Polynomial.constant(chart, det * x) for x in row] for row in inverse]
+    pfaffian = _pfaffian_table(rows, chart)
+    full = (1 << n) - 1
+    pf = pfaffian(full)
     if pf.is_zero():
         return adj
     for i in range(n):
@@ -854,65 +851,3 @@ def _pfaffian_adjugate(rows: Sequence[Sequence[Polynomial]], chart: Chart,
             adj[i][j] = value
             adj[j][i] = -value
     return adj
-
-
-def matrix_determinant(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> Polynomial:
-    """Determinant of a square matrix of polynomials on ``chart``.
-
-    One of three routes, picked from the entries:
-
-    * a matrix of constants: exact ``Fraction`` elimination (a singular one
-      runs out of pivots and gives zero);
-    * a skew-symmetric matrix of even size: ``Pf(M)^2``, with the Pfaffian
-      expanded over one memo of index subsets;
-    * any other matrix: a Laplace expansion with one memo for every minor.
-
-    Raises ``ValueError`` for a non-square matrix and :class:`ChartMismatch`
-    for an entry on another chart.
-    """
-    n = _check_square(rows, chart)
-    values = _constant_values(rows)
-    if values is not None:
-        return Polynomial.constant(chart, _eliminate(values)[0])
-    if _is_even_skew(rows):
-        pf = _pfaffian_table(rows, chart)((1 << n) - 1)
-        return pf * pf
-    everything = tuple(range(n))
-    return _minor_table(rows, chart)(everything, everything)
-
-
-def matrix_adjugate(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> list[list[Polynomial]]:
-    """Classical adjugate: ``adjugate(M) @ M == det(M) * I`` over the polynomial ring.
-
-    One of three routes, picked from the entries:
-
-    * a nonsingular matrix of constants: ``det * inverse`` from one exact
-      ``Fraction`` elimination;
-    * a skew-symmetric matrix of even size, constant and singular ones
-      included: ``Pf(M)`` times the signed Pfaffians with two rows and
-      columns removed, all from one memo of index subsets, each unordered
-      pair of indices computed once (a singular one gives zero);
-    * any other matrix, a singular constant one that is not even skew
-      included: the ``m^2`` cofactors from one shared table of
-      Laplace-expanded minors.
-
-    Raises as :func:`matrix_determinant` does.
-    """
-    n = _check_square(rows, chart)
-    values = _constant_values(rows)
-    singular = False
-    if values is not None:
-        det, inverse = _eliminate(values)
-        if inverse is not None:
-            return [[Polynomial.constant(chart, det * x) for x in row] for row in inverse]
-        singular = True
-    if _is_even_skew(rows):
-        return _pfaffian_adjugate(rows, chart, Polynomial.zero(chart) if singular else None)
-    minor = _minor_table(rows, chart)
-    everything = tuple(range(n))
-
-    def cofactor(i: int, j: int) -> Polynomial:
-        value = minor(everything[:i] + everything[i + 1:], everything[:j] + everything[j + 1:])
-        return -value if (i + j) % 2 else value
-
-    return [[cofactor(i, j) for i in range(n)] for j in range(n)]

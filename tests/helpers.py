@@ -3,9 +3,13 @@ for the test suite.
 
 The generators are the built-in suites' own, drawing coefficients from
 -3..3 instead of the suites' -2..2.  ``laplace_determinant`` and
-``laplace_adjugate`` are plain cofactor expansion, one independent
-determinant per cofactor: the reference that the property tests hold
-``formcalc.poly.matrix_determinant`` and ``matrix_adjugate`` to.
+``laplace_adjugate`` are plain cofactor expansion of any square matrix, one
+independent determinant per cofactor.  They are the reference for
+``formcalc.poly.matrix_determinant`` and ``matrix_adjugate`` on even skew
+matrices (elimination for constant entries, the Pfaffian table for the
+rest), for the Dirac constraint matrix, and for the Jacobian determinant
+behind ``nambu_top_bracket``, which is not skew and so has no route in
+``formcalc.poly``.
 ``full_wedge_bracket``, ``full_wedge_derived_vf`` and
 ``full_wedge_jacobi_bracket`` build the whole wedge of the differentials and
 pair it with the generator, the route the brackets took before they wedged

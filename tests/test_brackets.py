@@ -11,6 +11,7 @@ from formcalc import (
     BracketDef,
     Chart,
     ChartMismatch,
+    ConstraintSet,
     DegenerateStructure,
     Form,
     JacobiDef,
@@ -43,12 +44,12 @@ from formcalc import (
     wedge_all,
 )
 from formcalc.brackets import _power_def
-from formcalc.poly import matrix_determinant
 
 from tests.helpers import (
     full_wedge_bracket,
     full_wedge_derived_vf,
     full_wedge_jacobi_bracket,
+    laplace_determinant,
     qp,
     rand_form,
     rand_multivector,
@@ -132,6 +133,43 @@ class TestBracketDef:
         value = bracket(bdef, p1, q1)
         assert isinstance(value, RationalExpr)
         assert value == RationalExpr(Polynomial.constant(chart, -1), q1 * q1 + 1)
+
+    @pytest.mark.parametrize("kind", ["quotient", "number"])
+    @pytest.mark.parametrize("entry", [
+        "Form", "Multivector", "differential", "omega_power_bracket", "derived_vf",
+        "hamiltonian_vf", "jacobi_bracket", "homogenization_check", "ConstraintSet",
+    ])
+    def test_non_polynomial_argument_is_a_kind_error(self, entry, kind):
+        chart = darboux_chart(1)
+        q1, p1 = coordinates(chart)
+        bad = RationalExpr(q1, p1) if kind == "quotient" else 3
+        sym = SymplecticData(standard_form(chart))
+        jdef = JacobiDef(Multivector(chart, 2, {(0, 1): 1}), Multivector.zero(chart, 1))
+        calls = {
+            "Form": lambda: Form(chart, 1, {(0,): bad}),
+            "Multivector": lambda: Multivector(chart, 1, {(0,): bad}),
+            "differential": lambda: differential(bad),
+            "omega_power_bracket": lambda: omega_power_bracket(sym, 1, bad, q1),
+            "derived_vf": lambda: derived_vf(sym, 1, bad),
+            "hamiltonian_vf": lambda: hamiltonian_vf(sym, bad),
+            "jacobi_bracket": lambda: jacobi_bracket(jdef, q1, bad),
+            "homogenization_check": lambda: homogenization_check(jdef, bad, q1),
+            "ConstraintSet": lambda: ConstraintSet(sym, [bad, q1]),
+        }
+        if kind == "number" and entry in ("Form", "Multivector"):
+            # a number is a constant coefficient
+            assert calls[entry]().coefficient((0,)) == 3
+        else:
+            with pytest.raises(KindMismatch):
+                calls[entry]()
+
+    def test_zero_quotient_is_the_zero_function(self):
+        chart = darboux_chart(1)
+        q1, p1 = coordinates(chart)
+        zero = RationalExpr(Polynomial.zero(chart), p1)
+        sym = SymplecticData(standard_form(chart))
+        assert omega_power_bracket(sym, 1, zero, q1).is_zero()
+        assert hamiltonian_vf(sym, zero).is_zero()
 
 
 class TestPowerBracket:
@@ -481,7 +519,7 @@ class TestRouteAgreement:
         gamma, fs = polys[0], polys[1:]
         volume = Form(CHART4, 4, {TOP4: c})
         jacobian = [[f.diff(j) for j in range(4)] for f in fs]
-        expected = gamma * matrix_determinant(jacobian, CHART4) * (Fraction(1) / c)
+        expected = gamma * laplace_determinant(jacobian, CHART4) * (Fraction(1) / c)
         assert nambu_top_bracket(volume, gamma, *fs) == expected
 
 

@@ -229,3 +229,9 @@ class TestSuites:
         for name in suite_names():
             ok, detail = run_suite(name)
             assert ok, (name, detail)
+
+    @pytest.mark.parametrize("size, checked", [(1, 1), (6, 6), (None, 55)])
+    def test_pairing_suite_checks_exactly_n(self, size, checked):
+        from formcalc import run_suite
+
+        assert run_suite("pairing-consistency", size) == (True, f"checked {checked} random instances, k=1..4")

@@ -151,6 +151,19 @@ t = verify-suite nonsense
             parse_scenario_text("[chart]\nq1 p1\n\n[define]\nf = q1 + zz\n")
         assert err.value.line == 5
 
+    @pytest.mark.parametrize("definition, message, column", [
+        ("f = q1 + q9", "unknown identifier 'q9'", 10),
+        ("th = constraints(q1, p1 - q9)", "unknown identifier 'q9'", 27),
+        ("th =  constraints(q1,p1,q9)", "unknown identifier 'q9'", 25),
+        ("th = constraints(q1,,p1)", "unexpected end of input", 21),
+        ("th = constraints(q1, )", "unexpected end of input", 22),
+        ("th = constraints( )", "empty constraint list", 18),
+    ])
+    def test_error_column_points_into_the_line(self, definition, message, column):
+        with pytest.raises(ParseError) as err:
+            parse_scenario_text(f"[chart]\nq1 p1\n\n[define]\n{definition}\n")
+        assert (err.value.message, err.value.line, err.value.column) == (message, 5, column)
+
     def test_check_jacobi_needs_even_chart_when_parsed(self):
         text = """
 [chart]

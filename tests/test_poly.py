@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from formcalc import (
@@ -343,8 +343,12 @@ class TestMatrixHelpers:
     def test_adjugate_identity(self):
         rng = random.Random(7)
         chart = Chart(("x", "y"))
-        for size in (1, 2, 3):
-            rows = [[rand_poly(rng, chart, degree=1, nterms=2) for _ in range(size)] for _ in range(size)]
+        for size in (2, 4, 6):
+            rows = [[Polynomial.zero(chart)] * size for _ in range(size)]
+            for i in range(size):
+                for j in range(i + 1, size):
+                    rows[i][j] = rand_poly(rng, chart, degree=1, nterms=2)
+                    rows[j][i] = -rows[i][j]
             det = matrix_determinant(rows, chart)
             adj = matrix_adjugate(rows, chart)
             for i in range(size):
@@ -365,6 +369,7 @@ class TestMatrixHelpers:
     @pytest.mark.parametrize("function", [matrix_determinant, matrix_adjugate])
     @pytest.mark.parametrize("entry", ["constant", "polynomial"])
     def test_foreign_chart_rejected(self, function, entry):
+        # the chart is checked before the size and the skew pattern
         other = Chart(("a", "b"))
         foreign = Polynomial.constant(other, 2) if entry == "constant" else Polynomial.variable(other, "a")
         with pytest.raises(ChartMismatch):
@@ -379,7 +384,7 @@ def _constant_matrix(values):
 
 
 rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-nonzero_rationals = rationals.filter(bool)
+even_sizes = st.sampled_from((2, 4, 6))
 
 
 @st.composite
@@ -389,8 +394,8 @@ def dense_matrices(draw):
 
 
 @st.composite
-def skew_matrices(draw):
-    m = draw(st.integers(1, 7))
+def skew_matrices(draw, sizes=even_sizes):
+    m = draw(sizes)
     values = [[Fraction(0)] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
@@ -400,61 +405,9 @@ def skew_matrices(draw):
 
 
 @st.composite
-def rank_deficient_matrices(draw):
-    """``P L D U`` with ``L``/``U`` unit triangular, ``P`` a permutation and
-    ``D`` diagonal with exactly one zero: rank ``m-1``, so the adjugate is
-    nonzero."""
-    m = draw(st.integers(1, 7))
-    lower = [[draw(rationals) if j < i else Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    upper = [[draw(rationals) if j > i else Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    zero_at = draw(st.integers(0, m - 1))
-    diagonal = [Fraction(0) if k == zero_at else draw(nonzero_rationals) for k in range(m)]
-    product = [[sum(lower[i][k] * diagonal[k] * upper[k][j] for k in range(m)) for j in range(m)]
-               for i in range(m)]
-    return [product[i] for i in draw(st.permutations(range(m)))]
-
-
-@st.composite
 def polynomial_matrices(draw):
     m = draw(st.integers(1, 4))
     return [[draw(polynomials) for _ in range(m)] for _ in range(m)]
-
-
-class TestMatrixOracle:
-    """Elimination and the shared minor table against plain Laplace expansion."""
-
-    def check(self, rows):
-        det = matrix_determinant(rows, CHART)
-        adj = matrix_adjugate(rows, CHART)
-        assert det == laplace_determinant(rows, CHART)
-        assert adj == laplace_adjugate(rows, CHART)
-        m = len(rows)
-        for i in range(m):
-            for j in range(m):
-                entry = sum((adj[i][k] * rows[k][j] for k in range(m)), Polynomial.zero(CHART))
-                assert entry == (det if i == j else 0)
-        return det, adj
-
-    @settings(max_examples=80, deadline=None)
-    @given(dense_matrices() | skew_matrices())
-    def test_constant(self, values):
-        self.check(_constant_matrix(values))
-
-    @settings(max_examples=40, deadline=None)
-    @given(rank_deficient_matrices())
-    def test_rank_deficient_constant(self, values):
-        det, adj = self.check(_constant_matrix(values))
-        assert det.is_zero()
-        assert any(not entry.is_zero() for row in adj for entry in row)
-
-    @pytest.mark.parametrize("m", range(1, 8))
-    def test_zero(self, m):
-        self.check(_constant_matrix([[0] * m for _ in range(m)]))
-
-    @settings(max_examples=60, deadline=None)
-    @given(polynomial_matrices())
-    def test_polynomial(self, rows):
-        self.check(rows)
 
 
 nonzero_polynomials = st.dictionaries(exponents, coefficients.filter(bool), min_size=1, max_size=2).map(poly)
@@ -462,7 +415,7 @@ sparse_polynomials = st.just({}).map(poly) | nonzero_polynomials
 
 
 @st.composite
-def skew_polynomial_matrices(draw, sizes=st.integers(1, 7)):
+def skew_polynomial_matrices(draw, sizes=even_sizes):
     """Skew matrices of polynomials.  The entries ``(0, 1), (2, 3), ...`` are
     nonzero, so the Pfaffian usually is too; about half of the others are
     zero."""
@@ -480,30 +433,57 @@ def skew_polynomial_matrices(draw, sizes=st.integers(1, 7)):
 def singular_constant_skew_matrices(draw):
     """``X S X^T`` for a skew ``S`` of even size ``r <= m - 2`` and an
     ``m x r`` matrix ``X``: skew of rank at most ``r``, so singular."""
-    m = draw(st.sampled_from((2, 4, 6)))
+    m = draw(even_sizes)
     r = draw(st.sampled_from(range(0, m - 1, 2)))
-    s = [[Fraction(0)] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            s[i][j] = draw(rationals)
-            s[j][i] = -s[i][j]
+    s = draw(skew_matrices(st.just(r)))
     x = [[draw(rationals) for _ in range(r)] for _ in range(m)]
     return [[sum(x[i][a] * s[a][b] * x[j][b] for a in range(r) for b in range(r))
              for j in range(m)] for i in range(m)]
 
 
+class TestMatrixOracle:
+    """Both routes against plain Laplace expansion, on even skew matrices."""
+
+    def check(self, rows):
+        det = matrix_determinant(rows, CHART)
+        adj = matrix_adjugate(rows, CHART)
+        assert det == laplace_determinant(rows, CHART)
+        assert adj == laplace_adjugate(rows, CHART)
+        m = len(rows)
+        for i in range(m):
+            for j in range(m):
+                entry = sum((adj[i][k] * rows[k][j] for k in range(m)), Polynomial.zero(CHART))
+                assert entry == (det if i == j else 0)
+        return det, adj
+
+    @settings(max_examples=80, deadline=None)
+    @given(skew_matrices())
+    def test_constant(self, values):
+        self.check(_constant_matrix(values))
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_zero(self, m):
+        # the zero matrix is skew; only the even sizes are in the domain
+        rows = _constant_matrix([[0] * m for _ in range(m)])
+        if m % 2:
+            for function in (matrix_determinant, matrix_adjugate):
+                with pytest.raises(ValueError, match="even size"):
+                    function(rows, CHART)
+        else:
+            det, adj = self.check(rows)
+            assert det.is_zero() and all(entry.is_zero() for row in adj for entry in row)
+
+    @settings(max_examples=60, deadline=None)
+    @given(skew_polynomial_matrices())
+    def test_polynomial(self, rows):
+        self.check(rows)
+
+
 class TestSkewRoutes:
-    """The Pfaffian route against plain Laplace expansion, and the choice of
-    route: even skew matrices take the Pfaffian table, everything else not."""
+    """The choice of route: a matrix of constants never builds the Pfaffian
+    table, any other always does; odd and non-skew matrices are rejected."""
 
-    def check_route(self, rows, monkeypatch):
-        # even skew matrices take the Pfaffian table unless they are constant
-        # and nonsingular (elimination); odd ones keep the Laplace table
-        constant = all(entry.is_constant() for row in rows for entry in row)
-        pfaffian = len(rows) % 2 == 0 and (not constant or laplace_determinant(rows, CHART).is_zero())
-        self.count_route(rows, pfaffian, monkeypatch)
-
-    def count_route(self, rows, pfaffian, monkeypatch):
+    def count_route(self, rows, monkeypatch, check=TestMatrixOracle().check):
         calls = []
         table = poly_module._pfaffian_table
 
@@ -512,42 +492,82 @@ class TestSkewRoutes:
             return table(*args)
 
         monkeypatch.setattr(poly_module, "_pfaffian_table", counted)
-        TestMatrixOracle().check(rows)
-        assert bool(calls) == pfaffian
+        check(rows)
+        constant = all(entry.is_constant() for row in rows for entry in row)
+        assert bool(calls) == (not constant)
 
     @settings(max_examples=60, deadline=None)
     @given(skew_polynomial_matrices())
     def test_polynomial(self, rows):
         with pytest.MonkeyPatch.context() as monkeypatch:
-            self.check_route(rows, monkeypatch)
+            self.count_route(rows, monkeypatch)
 
     @settings(max_examples=40, deadline=None)
     @given(singular_constant_skew_matrices())
     def test_singular_constant(self, values):
+        rows = _constant_matrix(values)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            rows = _constant_matrix(values)
-            self.count_route(rows, True, monkeypatch)
-            assert all(entry.is_zero() for row in matrix_adjugate(rows, CHART) for entry in row)
+            self.count_route(rows, monkeypatch)
+        assert matrix_determinant(rows, CHART).is_zero()
+        assert all(entry.is_zero() for row in matrix_adjugate(rows, CHART) for entry in row)
 
     @settings(max_examples=40, deadline=None)
-    @given(skew_polynomial_matrices(st.sampled_from((2, 4, 6))), st.data())
+    @given(skew_polynomial_matrices(), st.data())
     def test_zero_row(self, rows, data):
         k = data.draw(st.integers(0, len(rows) - 1))
         for i in range(len(rows)):
             rows[k][i] = rows[i][k] = Polynomial.zero(CHART)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            self.count_route(rows, True, monkeypatch)
+            self.count_route(rows, monkeypatch)
+
+    def test_large_constant_form(self, monkeypatch):
+        # the 30-dim standard form plus 15 constant couplings: far past the
+        # sizes the Laplace oracle reaches, so only adj(M) * M == det(M) * I
+        m = 30
+        values = [[Fraction(0)] * m for _ in range(m)]
+        for i in range(m // 2):
+            values[i][m // 2 + i] = Fraction(-1)
+            values[i][(i + 1) % (m // 2)] += Fraction(i % 3 + 1, 2)
+        values = [[values[i][j] - values[j][i] for j in range(m)] for i in range(m)]
+        rows = _constant_matrix(values)
+
+        def check(rows):
+            det = matrix_determinant(rows, CHART).constant_value()
+            adj = [[entry.constant_value() for entry in row] for row in matrix_adjugate(rows, CHART)]
+            assert det
+            for i in range(m):
+                for j in range(m):
+                    assert sum(adj[i][k] * values[k][j] for k in range(m)) == (det if i == j else 0)
+
+        self.count_route(rows, monkeypatch, check)
+
+    @settings(max_examples=40, deadline=None)
+    @given(skew_polynomial_matrices(st.sampled_from((1, 3, 5, 7))))
+    def test_odd_size(self, rows):
+        for function in (matrix_determinant, matrix_adjugate):
+            with pytest.raises(ValueError, match="even size"):
+                function(rows, CHART)
 
     @settings(max_examples=60, deadline=None)
-    @given(skew_polynomial_matrices(st.sampled_from((2, 4, 6))), st.data(), st.booleans())
+    @given(dense_matrices().map(_constant_matrix) | polynomial_matrices())
+    def test_non_skew(self, rows):
+        m = len(rows)
+        assume(not all(rows[j][i] == -rows[i][j] for i in range(m) for j in range(m)))
+        for function in (matrix_determinant, matrix_adjugate):
+            with pytest.raises(ValueError, match="skew-symmetric"):
+                function(rows, CHART)
+
+    @settings(max_examples=60, deadline=None)
+    @given(skew_polynomial_matrices(), st.data(), st.booleans())
     def test_near_miss(self, rows, data, diagonal):
         # a nonzero diagonal entry, or one entry off the skew pattern
         m = len(rows)
         i = data.draw(st.integers(0, m - 1))
         j = i if diagonal else data.draw(st.integers(0, m - 1).filter(lambda j: j != i))
         rows[i][j] = rows[i][j] + data.draw(polynomials.filter(lambda p: not p.is_zero()))
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            self.count_route(rows, False, monkeypatch)
+        for function in (matrix_determinant, matrix_adjugate):
+            with pytest.raises(ValueError, match="skew-symmetric"):
+                function(rows, CHART)
 
     def test_pfaffian_squares_to_the_determinant(self):
         # a 4x4 skew matrix with Pf = a*f - b*e + c*d
