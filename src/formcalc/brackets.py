@@ -2,16 +2,15 @@
 Nambu top brackets, derived and Hamiltonian vector fields, and Jacobi-type
 brackets with their exponential homogenization check.
 
-Normalizations.  Two families of brackets share the volume ``omega^n/n!``:
-
-* :func:`omega_power_bracket` pairs ``2k`` functions against
-  ``k! * omega^{n-k}/(n-k)!``; it is generated by the k-th wedge power of the
-  inverse bivector.
-* the *section* bracket behind :func:`derived_vf` drops the ``k!`` factor
-  (``alpha = omega^{n-k}/(n-k)!``).  This is the normalization for which
-  ``X_{f1,f2,f3} = {f1,f2} X_{f3} + {f2,f3} X_{f1} + {f3,f1} X_{f2}`` holds
-  exactly, and for which the magnetic-chart field ``X_{p1,p2,p3}`` equals
-  ``B^i e(q_i)`` with no extra constant.
+Normalizations.  Both symplectic families pair against the divided power
+``Lambda^k/k!`` of the inverse bivector, the generator of
+``alpha = omega^{n-k}/(n-k)!`` against the volume ``omega^n/n!``.
+:func:`omega_power_bracket` is ``k!`` times that pairing, so ``Lambda^k``
+generates it.  The *section* bracket behind :func:`derived_vf` is the
+pairing itself: the normalization for which
+``X_{f1,f2,f3} = {f1,f2} X_{f3} + {f2,f3} X_{f1} + {f3,f1} X_{f2}`` holds
+exactly, and for which the magnetic-chart field ``X_{p1,p2,p3}`` equals
+``B^i e(q_i)`` with no extra constant.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .exterior import (
     wedge,
     wedge_all,
 )
-from .poly import ExpPoly, Polynomial, RationalExpr
+from .poly import ExpPoly, Polynomial, RationalExpr, _accumulate
 from .schouten import jacobi_pair_check
 
 
@@ -52,8 +51,8 @@ class BracketDef:
     The bracket of ``k = dim - grade(alpha)`` functions is the scalar ``s``
     with ``s * volume == df_1 ^ ... ^ df_k ^ alpha``.  When the volume
     coefficient is a rational constant the generating k-multivector (the
-    ``L`` with ``i_L volume == alpha``) is built at construction and
-    evaluation pairs the differentials against it; otherwise evaluation is a
+    ``L`` with ``i_L volume == alpha``) and its support levels are built at
+    construction and evaluation pairs against it; otherwise evaluation is a
     :class:`RationalExpr` quotient of top-form coefficients.  The tests check
     that the two routes agree.
     """
@@ -78,18 +77,11 @@ class BracketDef:
         self._top = tuple(range(m))
         self._vol_coeff = volume.terms[self._top]
         self.generator = mv_from_form(volume, alpha) if self._vol_coeff.is_constant() else None
-        self._levels = None
+        self._levels = None if self.generator is None else _support_levels(self.generator)
 
     @property
     def chart(self) -> Chart:
         return self.volume.chart
-
-    def _generator_levels(self):
-        """The index subsets of the generator's terms, level by level (see
-        :func:`~formcalc.exterior._support_levels`), built on first use."""
-        if self._levels is None:
-            self._levels = _support_levels(self.generator)
-        return self._levels
 
 
 def _argument(chart: Chart, f) -> Polynomial:
@@ -123,36 +115,40 @@ def bracket(bdef: BracketDef, *functions: Polynomial):
         raise ArityMismatch(f"bracket takes {bdef.arity} arguments, got {len(functions)}")
     dfs = _differentials(bdef.chart, functions)
     if bdef.generator is not None:
-        return _support_pair(dfs, bdef.generator, bdef._generator_levels())
+        return _support_pair(dfs, bdef.generator, bdef._levels)
     return RationalExpr(wedge(wedge_all(dfs), bdef.alpha).coefficient(bdef._top), bdef._vol_coeff)
 
 
-def power_bracket_def(volume: Form, power: Form, k: int, with_factorial: bool) -> BracketDef:
-    """The bracket of ``alpha = [k!] * power/(n-k)!`` against ``volume``, for
-    ``power = omega^{n-k}`` and ``volume = omega^n/n!``; callers pass the
-    powers so that their own caches are reused."""
+def power_bracket_def(volume: Form, power: Form, k: int) -> BracketDef:
+    """The bracket of ``alpha = k! * power/(n-k)!`` against ``volume``, for
+    ``power = omega^{n-k}`` and ``volume = omega^n/n!``: the route to the
+    2k-bracket for forms that are not closed, and the cross-check of the
+    divided power.  Callers pass the powers so their caches are reused."""
     n = volume.chart.dim // 2
-    scale = Fraction(factorial(k) if with_factorial else 1, factorial(n - k))
-    return BracketDef(volume, power * scale)
+    return BracketDef(volume, power * Fraction(factorial(k), factorial(n - k)))
 
 
-def _power_def(sym: SymplecticData, k: int, with_factorial: bool) -> BracketDef:
+def _divided_power(sym: SymplecticData, k: int):
+    """``(Lambda^k/k!, its support levels)``, built once per structure and
+    ``k``; unlike ``Lambda^k`` it has entries ``+-1`` on a standard form."""
     if not 1 <= k <= sym.n:
         raise ArityMismatch(f"power index must lie in 1..{sym.n}")
-    return sym.cached(("bracket_def", k, with_factorial),
-                      lambda: power_bracket_def(sym.volume(), sym.power(sym.n - k), k, with_factorial))
+
+    def build():
+        generator = sym.bivector_power(k) * Fraction(1, factorial(k))
+        return generator, _support_levels(generator)
+
+    return sym.cached(("divided_power", k), build)
 
 
 def omega_power_bracket(sym: SymplecticData, k: int, *functions: Polynomial) -> Polynomial:
-    """The 2k-ary bracket with ``alpha = k! * omega^{n-k}/(n-k)!``.
-
-    Generated by the k-th wedge power of the inverse bivector; ``k = 1`` is
-    the ordinary Poisson bracket of the symplectic form.
-    """
-    bdef = _power_def(sym, k, with_factorial=True)
+    """The 2k-ary bracket generated by the k-th wedge power of the inverse
+    bivector, as ``k!`` times the pairing with ``Lambda^k/k!``; ``k = 1`` is
+    the ordinary Poisson bracket of the symplectic form."""
+    generator, levels = _divided_power(sym, k)
     if len(functions) != 2 * k:
         raise ArityMismatch(f"power bracket of index {k} takes {2 * k} arguments")
-    return bracket(bdef, *functions)
+    return factorial(k) * _support_pair(_differentials(sym.chart, functions), generator, levels)
 
 
 def poisson_bracket(sym: SymplecticData, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -169,8 +165,7 @@ def nambu_top_bracket(volume: Form, gamma: Polynomial, *functions: Polynomial) -
     c = _volume_constant(volume)
     chart = volume.chart
     m = chart.dim
-    if gamma.chart != chart:
-        raise ChartMismatch("gamma lives on a different chart")
+    gamma = _argument(chart, gamma)
     if len(functions) != m:
         raise ArityMismatch(f"top bracket takes {m} arguments, got {len(functions)}")
     dfw = wedge_all(_differentials(chart, functions))
@@ -190,24 +185,24 @@ def hamiltonian_vf(sym: SymplecticData, f: Polynomial) -> Multivector:
 
 def derived_vf(sym: SymplecticData, k: int, *functions: Polynomial) -> Multivector:
     """The vector field obtained by fixing all but the last slot of the
-    section-normalized 2k-bracket (``alpha = omega^{n-k}/(n-k)!``).
+    section-normalized 2k-bracket, the pairing with ``L = Lambda^k/k!``.
 
     Equals ``1/k!`` times the corresponding slice of
     :func:`omega_power_bracket`; for ``k = 1`` it reduces to
     :func:`hamiltonian_vf`.  Component ``i`` is the bracket with last
     argument ``x_i``, ``<W ^ d(x_i), L>`` for the wedge ``W`` of the fixed
-    differentials and the generator ``L``.  ``W`` is built only on the
-    generator's index tuples with one index removed, and component ``i`` is
-    the signed sum, over the generator tuples ``K`` that hold ``i``, of
-    ``L_K`` times the coefficient of ``W`` on ``K`` without ``i``.
+    differentials.  ``W`` is built only on the generator's index tuples with
+    one index removed, and component ``i`` is the signed sum, over the
+    generator tuples ``K`` that hold ``i``, of ``L_K`` times the coefficient
+    of ``W`` on ``K`` without ``i``.
     """
-    bdef = _power_def(sym, k, with_factorial=False)
+    generator, levels = _divided_power(sym, k)
     if len(functions) != 2 * k - 1:
         raise ArityMismatch(f"derived field of index {k} takes {2 * k - 1} arguments")
     chart = sym.chart
-    fixed = _support_wedge(_differentials(chart, functions), bdef._generator_levels())
+    fixed = _support_wedge(_differentials(chart, functions), levels)
     components: dict[tuple[int], Polynomial] = {}
-    for key, coefficient in bdef.generator.terms.items():
+    for key, coefficient in generator.terms.items():
         for p, i in enumerate(key):
             value = fixed.get(key[:p] + key[p + 1:])
             if value is None:
@@ -216,8 +211,7 @@ def derived_vf(sym: SymplecticData, k: int, *functions: Polynomial) -> Multivect
             # d(x_i) moves left past the len(key) - 1 - p larger indices
             if (len(key) - 1 - p) % 2:
                 term = -term
-            acc = components.get((i,))
-            components[(i,)] = term if acc is None else acc + term
+            _accumulate(components, (i,), term)
     return Multivector(chart, 1, components)
 
 

@@ -390,10 +390,8 @@ def _support_wedge(forms: Sequence[Form], levels) -> dict[IndexTuple, Polynomial
 def _support_pair(forms: Sequence[Form], target: Multivector, levels) -> Polynomial:
     """``pair(wedge_all(forms), target)`` for 1-forms, wedging only onto the
     support of ``target`` (``levels`` is :func:`_support_levels` of it)."""
-    total = Polynomial.zero(target.chart)
-    for key, value in _support_wedge(forms, levels).items():
-        total = total + value * target.terms[key]
-    return total
+    return sum((value * target.terms[key] for key, value in _support_wedge(forms, levels).items()),
+               Polynomial.zero(target.chart))
 
 
 def _volume_constant(volume: Form) -> Fraction:
@@ -432,10 +430,7 @@ def form_power(a: Form, power: int) -> Form:
     """Repeated wedge ``a^power``; ``power == 0`` gives the constant-one 0-form."""
     if not isinstance(power, int) or power < 0:
         raise ValueError("form powers must be nonnegative integers")
-    result = Form.from_polynomial(Polynomial.constant(a.chart, 1))
-    for _ in range(power):
-        result = wedge(result, a)
-    return result
+    return wedge_all([Form.from_polynomial(Polynomial.constant(a.chart, 1))] + [a] * power)
 
 
 def poisson_bivector(omega: Form) -> Multivector:
@@ -499,8 +494,9 @@ class SymplecticData:
 
     Construction checks closedness and a constant nonzero determinant; the
     bivector is then the exact inverse, so contracting it into the form
-    yields the half-dimension ``n`` (pinned by the tests).  Power forms and
-    bivector powers are memoized; instances are otherwise immutable.
+    yields the half-dimension ``n`` (pinned by the tests).  Powers of the
+    form and of the bivector are memoized, each one wedge onto the one
+    below; instances are otherwise immutable.
     """
 
     __slots__ = ("chart", "omega", "bivector", "n", "_cache")
@@ -526,9 +522,18 @@ class SymplecticData:
             self._cache[key] = value
         return value
 
+    def _chained_power(self, name: str, base, k: int):
+        """``base^k``, each power memoized as one wedge onto the one below."""
+        if k < 0:
+            raise ValueError("powers must be nonnegative integers")
+        value = type(base).from_polynomial(Polynomial.constant(self.chart, 1))
+        for j in range(1, k + 1):
+            value = self.cached((name, j), lambda: wedge(value, base))
+        return value
+
     def power(self, k: int) -> Form:
         """``omega^k``."""
-        return self.cached(("power", k), lambda: form_power(self.omega, k))
+        return self._chained_power("power", self.omega, k)
 
     def volume(self) -> Form:
         """``omega^n / n!``, the canonical volume form."""
@@ -538,13 +543,7 @@ class SymplecticData:
 
     def bivector_power(self, k: int) -> Multivector:
         """The k-fold wedge of the inverse bivector."""
-        def build():
-            result = Multivector.from_polynomial(Polynomial.constant(self.chart, 1))
-            for _ in range(k):
-                result = wedge(result, self.bivector)
-            return result
-
-        return self.cached(("bivector_power", k), build)
+        return self._chained_power("bivector_power", self.bivector, k)
 
     def __repr__(self):
         return f"SymplecticData(n={self.n}, chart={self.chart!r})"

@@ -50,7 +50,7 @@ from .brackets import (
 from .chart import Chart
 from .dirac import ConstraintSet, calibrate_normalization, dirac_bracket_form, dirac_bracket_matrix
 from .errors import ParseError
-from .exterior import Form, Multivector, SymplecticData, form_power, poisson_bivector
+from .exterior import Form, Multivector, SymplecticData, form_power, poisson_bivector, wedge
 from .parsing import parse_expr, parse_tensor, parse_value
 from .poly import Polynomial
 from .schouten import is_poisson, jacobi_pair_check, schouten
@@ -85,8 +85,9 @@ class Structures:
         # witnesses stay reachable
         def build():
             n = omega.chart.dim // 2
-            volume = form_power(omega, n) * Fraction(1, factorial(n))
-            return power_bracket_def(volume, form_power(omega, n - 1), 1, with_factorial=True)
+            below = form_power(omega, n - 1)
+            volume = wedge(below, omega) * Fraction(1, factorial(n))
+            return power_bracket_def(volume, below, 1)
 
         return self._get(("binary", id(omega)), build)
 
@@ -357,11 +358,11 @@ def parse_scenario_text(text: str) -> Scenario:
     builder = _Builder()
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0].rstrip()  # keeps the indent, which error columns count
+        if not line.strip():
             continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
+        if line.lstrip().startswith("[") and line.endswith("]"):
+            section = line.lstrip()[1:-1].strip().lower()
             if section not in ("chart", "define", "tasks"):
                 _fail(f"unknown section {section!r}", lineno)
             continue

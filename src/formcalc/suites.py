@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, cycle
+from math import factorial
 from typing import Callable
 
 from .brackets import (
@@ -30,7 +31,6 @@ from .exterior import (
     differential,
     form_power,
     pair,
-    poisson_bivector,
     standard_form,
     wedge,
     wedge_all,
@@ -94,12 +94,10 @@ def suite_power_contraction(n: int | None) -> tuple[bool, str]:
     """``i_L omega^k == k(n-k+1) omega^{k-1}`` for the standard pair, k = 1..n."""
     top = 3 if n is None else n
     for nn in range(1, top + 1):
-        chart = darboux_chart(nn)
-        omega = standard_form(chart)
-        lam = poisson_bivector(omega)
+        sym = SymplecticData(standard_form(darboux_chart(nn)))
         for k in range(1, nn + 1):
-            left = contract(lam, form_power(omega, k))
-            right = form_power(omega, k - 1) * Fraction(k * (nn - k + 1))
+            left = contract(sym.bivector, sym.power(k))
+            right = sym.power(k - 1) * Fraction(k * (nn - k + 1))
             if left != right:
                 return False, f"failed at n={nn}, k={k}"
     return True, f"checked n=1..{top}, all k"
@@ -126,31 +124,38 @@ def suite_pairing_consistency(n: int | None) -> tuple[bool, str]:
 
 
 def suite_power_bracket(n: int | None) -> tuple[bool, str]:
-    """Wedge-power generators, and the pairing and form-division routes for
-    the 2k-brackets."""
+    """Wedge-power generators, and the volume, divided-power, pairing,
+    form-division and derived-field routes to the 2k-brackets, on standard
+    forms and on a magnetic form with a polynomial field."""
     top = 3 if n is None else n
     rng = random.Random(42424)
-    for nn in range(1, top + 1):
-        chart = darboux_chart(nn)
-        sym = SymplecticData(standard_form(chart))
-        full = tuple(range(chart.dim))
-        for k in range(1, nn + 1):
-            bdef = power_bracket_def(sym.volume(), sym.power(nn - k), k, with_factorial=True)
-            if bdef.generator != sym.bivector_power(k):
-                return False, f"generator mismatch at n={nn}, k={k}"
-            if not schouten(sym.bivector_power(k), sym.bivector_power(k)).is_zero():
-                return False, f"wedge power does not self-commute at n={nn}, k={k}"
+    chart = darboux_chart(3)
+    q1, q2, q3 = coordinates(chart)[:3]
+    cases = [(f"n={nn}", standard_form(darboux_chart(nn))) for nn in range(1, top + 1)]
+    field = (q2 * q3 + q2 * q2, q1 * q3 - q2, q3 + q1 * q2)  # divergence-free: the form is closed
+    cases.append(("the magnetic form", magnetic_form(chart, *field)))
+    for label, omega in cases:
+        sym = SymplecticData(omega)
+        full = tuple(range(sym.chart.dim))
+        for k in range(1, sym.n + 1):
+            bdef = power_bracket_def(sym.volume(), sym.power(sym.n - k), k)
+            power = sym.bivector_power(k)
+            if bdef.generator != power:
+                return False, f"generator mismatch at {label}, k={k}"
+            if not schouten(power, power).is_zero():
+                return False, f"wedge power does not self-commute at {label}, k={k}"
             scale = Fraction(1) / bdef.volume.coefficient(full).constant_value()
             for _ in range(3):
-                fs = [_random_poly(rng, chart) for _ in range(2 * k)]
+                fs = [_random_poly(rng, sym.chart) for _ in range(2 * k)]
                 dfw = wedge_all([differential(f) for f in fs])
                 via_def = bracket(bdef, *fs)
                 via_power = omega_power_bracket(sym, k, *fs)
-                via_pairing = pair(dfw, sym.bivector_power(k))
+                via_pairing = pair(dfw, power)
                 via_division = wedge(dfw, bdef.alpha).coefficient(full) * scale
-                if not (via_def == via_power == via_pairing == via_division):
-                    return False, f"route mismatch at n={nn}, k={k}"
-    return True, f"checked n=1..{top}, all k, generators and routes"
+                via_field = pair(differential(fs[-1]), derived_vf(sym, k, *fs[:-1])) * factorial(k)
+                if not (via_def == via_power == via_pairing == via_division == via_field):
+                    return False, f"route mismatch at {label}, k={k}"
+    return True, f"checked n=1..{top} and a magnetic form, all k, generators and routes"
 
 
 def suite_volume_poisson(n: int | None) -> tuple[bool, str]:

@@ -13,7 +13,10 @@ behind ``nambu_top_bracket``, which is not skew and so has no route in
 ``full_wedge_bracket``, ``full_wedge_derived_vf`` and
 ``full_wedge_jacobi_bracket`` build the whole wedge of the differentials and
 pair it with the generator, the route the brackets took before they wedged
-only onto the generator's support.
+only onto the generator's support.  ``volume_route_def`` builds the 2k-bracket
+the way ``omega_power_bracket`` and ``derived_vf`` did before they paired
+against the divided power ``Lambda^k/k!``: the generator of
+``k! * omega^(n-k)/(n-k)!`` against the volume ``omega^n/n!``.
 ``legacy_parse_tensor`` and ``legacy_parse_value`` are the same kind of
 reference for ``formcalc.parsing``, and ``LegacyPolynomial`` with
 ``legacy_exact_divide`` (exponent tuples as keys, every coefficient a
@@ -21,6 +24,7 @@ reference for ``formcalc.parsing``, and ``LegacyPolynomial`` with
 """
 
 from fractions import Fraction
+from math import factorial
 from typing import Mapping, Sequence
 
 from formcalc import (
@@ -38,7 +42,7 @@ from formcalc import (
     wedge,
     wedge_all,
 )
-from formcalc.brackets import _power_def
+from formcalc.brackets import power_bracket_def
 from formcalc.exterior import _normalize_index_tuple
 from formcalc.parsing import _error, _tokenize
 from formcalc.poly import _accumulate
@@ -126,13 +130,22 @@ def full_wedge_bracket(bdef, *functions) -> Polynomial:
     return pair(wedge_all([differential(f) for f in functions]), bdef.generator)
 
 
+def volume_route_def(sym, k: int):
+    """The 2k-bracket's definition by the volume route,
+    ``power_bracket_def(omega^n/n!, omega^(n-k), k)``, built once per
+    structure and ``k``."""
+    return sym.cached(("volume_route", k),
+                      lambda: power_bracket_def(sym.volume(), sym.power(sym.n - k), k))
+
+
 def full_wedge_derived_vf(sym, k: int, *functions) -> Multivector:
-    """``derived_vf`` as one full-wedge pairing per coordinate."""
-    bdef = _power_def(sym, k, with_factorial=False)
+    """``derived_vf`` as one full-wedge pairing per coordinate against the
+    volume route's generator, scaled by ``1/k!``."""
+    generator = volume_route_def(sym, k).generator * Fraction(1, factorial(k))
     chart = sym.chart
     fixed = wedge_all([differential(f) for f in functions])
     return Multivector(chart, 1, {
-        (i,): pair(wedge(fixed, coordinate_form(chart, name)), bdef.generator)
+        (i,): pair(wedge(fixed, coordinate_form(chart, name)), generator)
         for i, name in enumerate(chart.names)
     })
 

@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -38,12 +40,13 @@ from formcalc import (
     nambu_top_bracket,
     omega_power_bracket,
     pair,
+    poisson_bivector,
     schouten,
     standard_form,
     wedge,
     wedge_all,
 )
-from formcalc.brackets import _power_def
+from formcalc import exterior
 
 from tests.helpers import (
     full_wedge_bracket,
@@ -54,6 +57,7 @@ from tests.helpers import (
     rand_form,
     rand_multivector,
     rand_poly,
+    volume_route_def,
 )
 
 
@@ -138,6 +142,7 @@ class TestBracketDef:
     @pytest.mark.parametrize("entry", [
         "Form", "Multivector", "differential", "omega_power_bracket", "derived_vf",
         "hamiltonian_vf", "jacobi_bracket", "homogenization_check", "ConstraintSet",
+        "nambu_top_bracket",
     ])
     def test_non_polynomial_argument_is_a_kind_error(self, entry, kind):
         chart = darboux_chart(1)
@@ -155,6 +160,7 @@ class TestBracketDef:
             "jacobi_bracket": lambda: jacobi_bracket(jdef, q1, bad),
             "homogenization_check": lambda: homogenization_check(jdef, bad, q1),
             "ConstraintSet": lambda: ConstraintSet(sym, [bad, q1]),
+            "nambu_top_bracket": lambda: nambu_top_bracket(standard_form(chart), bad, q1, p1),
         }
         if kind == "number" and entry in ("Form", "Multivector"):
             # a number is a constant coefficient
@@ -206,11 +212,10 @@ class TestPowerBracket:
         assert omega_power_bracket(sym, 1, ps[2], ps[0]) == qs[2]
 
     def test_generator_is_wedge_power(self):
-        from math import factorial
-
-        for n in (1, 2, 3):
-            chart = darboux_chart(n)
-            sym = SymplecticData(standard_form(chart))
+        specs = [(n, "standard") for n in (1, 2, 3)] + list(CLOSED_SPECS)
+        for spec in specs:
+            sym = _structure(spec)
+            n = sym.n
             for k in range(1, n + 1):
                 alpha = sym.power(n - k) * Fraction(factorial(k), factorial(n - k))
                 bdef = BracketDef(sym.volume(), alpha)
@@ -542,6 +547,26 @@ def _closed_form(chart: Chart, seed: int) -> Form:
     return standard_form(chart) + exterior_derivative(Form(chart, 1, alpha))
 
 
+def _field_form(chart: Chart) -> Form:
+    """The magnetic form of a polynomial divergence-free field on a
+    6-dimensional chart."""
+    q1, q2, q3 = coordinates(chart)[:3]
+    return magnetic_form(chart, q2 * q3 + q2 * q2, q1 * q3 - q2, q3 + q1 * q2)
+
+
+def _dense_form(chart: Chart, seed: int) -> Form:
+    """A nondegenerate 2-form with a seeded constant in -2..2 on every index
+    pair; constant, so closed."""
+    rng = random.Random(seed)
+    while True:
+        omega = Form(chart, 2, {key: rng.randint(-2, 2) for key in combinations(range(chart.dim), 2)})
+        try:
+            poisson_bivector(omega)
+        except DegenerateStructure:
+            continue
+        return omega
+
+
 def _magnetic(chart: Chart) -> Form:
     """A closed magnetic-type form: the standard form plus field-strength
     terms on ``q1, q2, q3``."""
@@ -554,15 +579,19 @@ def _magnetic(chart: Chart) -> Form:
 _STRUCTURES = {}
 
 
+_FORMS = {"standard": standard_form, "magnetic": _magnetic, "field": _field_form,
+          "closed": _closed_form, "dense": _dense_form}
+
+
 def _structure(spec) -> SymplecticData:
     """One memoized ``SymplecticData`` per ``(n, kind)``, so the draws share
-    their power forms and bracket definitions."""
+    their power forms and bracket definitions.  A kind is a key of
+    ``_FORMS``, with a seed appended for the seeded ones (``"dense1"``)."""
     if spec not in _STRUCTURES:
         n, kind = spec
-        chart = darboux_chart(n)
-        omega = {"standard": standard_form, "magnetic": _magnetic}.get(kind)
-        _STRUCTURES[spec] = SymplecticData(
-            omega(chart) if omega else _closed_form(chart, int(kind[-1])))
+        name = kind.rstrip("0123456789")
+        seeds = [int(kind[len(name):])] if name != kind else []
+        _STRUCTURES[spec] = SymplecticData(_FORMS[name](darboux_chart(n), *seeds))
     return _STRUCTURES[spec]
 
 
@@ -570,6 +599,12 @@ structure_specs = st.tuples(
     st.sampled_from((3, 4)),
     st.sampled_from(("standard", "magnetic", "closed0", "closed1")),
 )
+
+# closed forms with non-trivial wedge powers: the polynomial magnetic form on
+# 6 dimensions, the magnetic-type form of the power-brackets benchmark on 8,
+# and dense constant forms on 4, 6 and 8
+CLOSED_SPECS = ((3, "field"), (4, "magnetic"), (2, "dense0"), (2, "dense1"), (3, "dense0"),
+                (3, "dense1"), (4, "dense0"), (4, "dense1"))
 
 
 def chart_polys(chart: Chart):
@@ -590,20 +625,25 @@ def chart_polys(chart: Chart):
 
 class TestSupportPairing:
     """Brackets that wedge only onto the generator's support, against the
-    pairing of the full wedge of the differentials."""
+    pairing of the full wedge of the differentials.  The power brackets and
+    derived fields pair against the divided power ``Lambda^k/k!``; their
+    oracle pairs against the volume route's generator (that of ``alpha``
+    against ``omega^n/n!``), for every ``k = 1..n``."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.data(), structure_specs, st.integers(1, 3))
-    def test_power_bracket(self, data, spec, k):
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.one_of(structure_specs, st.sampled_from(CLOSED_SPECS)))
+    def test_power_bracket(self, data, spec):
         sym = _structure(spec)
+        k = data.draw(st.integers(1, sym.n))
         fs = [data.draw(chart_polys(sym.chart)) for _ in range(2 * k)]
-        expected = full_wedge_bracket(_power_def(sym, k, with_factorial=True), *fs)
+        expected = full_wedge_bracket(volume_route_def(sym, k), *fs)
         assert omega_power_bracket(sym, k, *fs) == expected
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.data(), structure_specs, st.sampled_from((2, 3)))
-    def test_derived_vf(self, data, spec, k):
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.one_of(structure_specs, st.sampled_from(CLOSED_SPECS)))
+    def test_derived_vf(self, data, spec):
         sym = _structure(spec)
+        k = data.draw(st.integers(1, sym.n))
         fs = [data.draw(chart_polys(sym.chart)) for _ in range(2 * k - 1)]
         assert derived_vf(sym, k, *fs) == full_wedge_derived_vf(sym, k, *fs)
 
@@ -628,3 +668,50 @@ class TestSupportPairing:
         bdef = BracketDef(volume, rand_form(rng, CHART4, 4 - k, density=density))
         fs = [data.draw(small_polys) for _ in range(k)]
         assert bracket(bdef, *fs) == full_wedge_bracket(bdef, *fs)
+
+
+class TestDividedPower:
+    """The divided power is built from the cached bivector powers alone."""
+
+    def test_no_volume_route(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(BracketDef, "__init__", counted("BracketDef", BracketDef.__init__))
+        monkeypatch.setattr(SymplecticData, "volume", counted("volume", SymplecticData.volume))
+        sym = SymplecticData(_field_form(darboux_chart(3)))
+        rng = random.Random(34)
+        for k in range(1, sym.n + 1):
+            fs = [rand_poly(rng, sym.chart, degree=1) for _ in range(2 * k)]
+            omega_power_bracket(sym, k, *fs)
+            derived_vf(sym, k, *fs[1:])
+        assert calls == {}
+        sym.volume()  # the counters are live
+        assert calls == {"volume": 1}
+
+    def test_power_is_one_wedge_onto_the_last(self, monkeypatch):
+        wedges = Counter()
+
+        def counted(a, b):
+            wedges[type(a).__name__] += 1
+            return wedge(a, b)
+
+        sym = SymplecticData(_field_form(darboux_chart(3)))
+        monkeypatch.setattr(exterior, "wedge", counted)
+        for k in range(sym.n + 2):
+            for power, kind in ((sym.power, "Form"), (sym.bivector_power, "Multivector")):
+                before = wedges[kind]
+                power(k)
+                power(k)
+                assert wedges[kind] - before == (1 if k else 0), (kind, k)
+        monkeypatch.undo()
+        for k in range(1, sym.n + 2):
+            assert sym.power(k) == form_power(sym.omega, k)
+            assert sym.bivector_power(k) == wedge_all([sym.bivector] * k)
+        # a long chain is a loop, not a recursion
+        assert sym.power(2000).is_zero()

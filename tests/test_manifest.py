@@ -158,6 +158,12 @@ t = verify-suite nonsense
         ("th = constraints(q1,,p1)", "unexpected end of input", 21),
         ("th = constraints(q1, )", "unexpected end of input", 22),
         ("th = constraints( )", "empty constraint list", 18),
+        # the indent counts: columns are positions in the line as written
+        ("    f = q1 + q9", "unknown identifier 'q9'", 14),
+        ("\tf = q1 + q9", "unknown identifier 'q9'", 11),
+        ("  th = constraints(q1, p1 - q9)", "unknown identifier 'q9'", 29),
+        ("   th = constraints(q1,,p1)", "unexpected end of input", 24),
+        ("  th = constraints( )", "empty constraint list", 20),
     ])
     def test_error_column_points_into_the_line(self, definition, message, column):
         with pytest.raises(ParseError) as err:
