@@ -31,8 +31,10 @@ from .exterior import (
     Form,
     Multivector,
     SymplecticData,
+    _summed,
     _support_levels,
     _support_pair,
+    _support_products,
     _support_wedge,
     _volume_constant,
     differential,
@@ -41,7 +43,7 @@ from .exterior import (
     wedge,
     wedge_all,
 )
-from .poly import ExpPoly, Polynomial, RationalExpr, _accumulate
+from .poly import ExpPoly, Polynomial, RationalExpr, sum_of_products
 from .schouten import jacobi_pair_check
 
 
@@ -145,10 +147,17 @@ def omega_power_bracket(sym: SymplecticData, k: int, *functions: Polynomial) -> 
     """The 2k-ary bracket generated by the k-th wedge power of the inverse
     bivector, as ``k!`` times the pairing with ``Lambda^k/k!``; ``k = 1`` is
     the ordinary Poisson bracket of the symplectic form."""
-    generator, levels = _divided_power(sym, k)
+    _divided_power(sym, k)  # k outside 1..n is an arity error before any other
     if len(functions) != 2 * k:
         raise ArityMismatch(f"power bracket of index {k} takes {2 * k} arguments")
-    return factorial(k) * _support_pair(_differentials(sym.chart, functions), generator, levels)
+    return _power_pairing(sym, k, _differentials(sym.chart, functions))
+
+
+def _power_pairing(sym: SymplecticData, k: int, dfs) -> Polynomial:
+    """:func:`omega_power_bracket` of the functions whose differentials are
+    the 2k 1-forms ``dfs``, for callers that reuse differentials."""
+    generator, levels = _divided_power(sym, k)
+    return factorial(k) * _support_pair(dfs, generator, levels)
 
 
 def poisson_bracket(sym: SymplecticData, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -175,12 +184,11 @@ def nambu_top_bracket(volume: Form, gamma: Polynomial, *functions: Polynomial) -
 def hamiltonian_vf(sym: SymplecticData, f: Polynomial) -> Multivector:
     """The vector field ``X_f`` with ``i_{X_f} omega = -df`` and ``X_f(g) = {f,g}``."""
     f = _argument(sym.chart, f)
-    m = sym.chart.dim
-    components = [Polynomial.zero(sym.chart) for _ in range(m)]
+    groups: dict[tuple[int], list] = {}
     for (a, b), coefficient in sym.bivector.terms.items():
-        components[b] = components[b] + coefficient * f.diff(a)
-        components[a] = components[a] - coefficient * f.diff(b)
-    return Multivector(sym.chart, 1, {(i,): components[i] for i in range(m)})
+        groups.setdefault((b,), []).append((coefficient, f.diff(a), False))
+        groups.setdefault((a,), []).append((coefficient, f.diff(b), True))
+    return Multivector(sym.chart, 1, _summed(groups, sym.chart))
 
 
 def derived_vf(sym: SymplecticData, k: int, *functions: Polynomial) -> Multivector:
@@ -201,18 +209,14 @@ def derived_vf(sym: SymplecticData, k: int, *functions: Polynomial) -> Multivect
         raise ArityMismatch(f"derived field of index {k} takes {2 * k - 1} arguments")
     chart = sym.chart
     fixed = _support_wedge(_differentials(chart, functions), levels)
-    components: dict[tuple[int], Polynomial] = {}
+    groups: dict[tuple[int], list] = {}
     for key, coefficient in generator.terms.items():
         for p, i in enumerate(key):
             value = fixed.get(key[:p] + key[p + 1:])
-            if value is None:
-                continue
-            term = coefficient * value
-            # d(x_i) moves left past the len(key) - 1 - p larger indices
-            if (len(key) - 1 - p) % 2:
-                term = -term
-            _accumulate(components, (i,), term)
-    return Multivector(chart, 1, components)
+            if value is not None:
+                # d(x_i) moves left past the len(key) - 1 - p larger indices
+                groups.setdefault((i,), []).append((coefficient, value, (len(key) - 1 - p) % 2 == 1))
+    return Multivector(chart, 1, _summed(groups, chart))
 
 
 class JacobiDef:
@@ -243,10 +247,10 @@ class JacobiDef:
 def jacobi_bracket(jdef: JacobiDef, f: Polynomial, g: Polynomial) -> Polynomial:
     """``L(f,g) + f*X(g) - g*X(f)`` for the pair ``(L, X)``."""
     f, g = _argument(jdef.chart, f), _argument(jdef.chart, g)
-    lam_part = _support_pair([differential(f), differential(g)], jdef.bivector, jdef._levels)
-    xf = pair(differential(f), jdef.field)
-    xg = pair(differential(g), jdef.field)
-    return lam_part + f * xg - g * xf
+    df, dg = differential(f), differential(g)
+    products = _support_products([df, dg], jdef.bivector, jdef._levels)
+    products += [(f, pair(dg, jdef.field), False), (g, pair(df, jdef.field), True)]
+    return sum_of_products(products, jdef.chart)
 
 
 def homogenization_check(

@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .brackets import omega_power_bracket
+from .brackets import _differentials, _power_pairing
 from .chart import Chart
 from .errors import (
     AlgebraError,
@@ -53,19 +53,22 @@ from .poly import (
     RationalExpr,
     coordinates,
     matrix_adjugate,
+    sum_of_products,
 )
 
 
 class ConstraintSet:
     """An even-length list of constraint functions on a symplectic chart.
 
-    The pairwise bracket matrix, its determinant and adjugate, and the wedge
-    of the constraint differentials are all computed at construction, so
-    matrix-route evaluation afterwards is read-only.  The function-independent
-    factors of the form route are built on first use by :meth:`form_factors`.
+    The constraint differentials, the pairwise bracket matrix (its upper
+    triangle paired, the rest by antisymmetry), its determinant and
+    adjugate, and the wedge of the differentials are all computed at
+    construction, so matrix-route evaluation afterwards is read-only.  The
+    function-independent factors of the form route are built on first use by
+    :meth:`form_factors`.
     """
 
-    __slots__ = ("sym", "constraints", "half_count", "bracket_matrix",
+    __slots__ = ("sym", "constraints", "half_count", "differentials", "bracket_matrix",
                  "determinant", "adjugate", "differential_wedge", "_form_factors")
 
     def __init__(self, sym: SymplecticData, constraints: Sequence[Polynomial]):
@@ -78,19 +81,24 @@ class ConstraintSet:
             if theta.chart != sym.chart:
                 raise ChartMismatch("constraint lives on a different chart")
         chart = sym.chart
-        matrix = [
-            [omega_power_bracket(sym, 1, a, b) for b in constraints]
-            for a in constraints
-        ]
+        dthetas = [differential(theta) for theta in constraints]
+        size = len(constraints)
+        matrix = [[Polynomial.zero(chart)] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i + 1, size):
+                value = _power_pairing(sym, 1, [dthetas[i], dthetas[j]])
+                matrix[i][j] = value
+                matrix[j][i] = -value
         self.sym = sym
         self.constraints = constraints
-        self.half_count = len(constraints) // 2
+        self.half_count = size // 2
+        self.differentials = dthetas
         self.bracket_matrix = matrix
         self.adjugate = matrix_adjugate(matrix, chart)
         # Laplace expansion along the first row, from the cofactors at hand
-        self.determinant = sum((matrix[0][j] * self.adjugate[j][0] for j in range(len(matrix))),
-                               Polynomial.zero(chart))
-        self.differential_wedge = wedge_all([differential(theta) for theta in constraints])
+        self.determinant = sum_of_products(
+            [(matrix[0][j], self.adjugate[j][0], False) for j in range(size)], chart)
+        self.differential_wedge = wedge_all(dthetas)
         self._form_factors = None
 
     @property
@@ -124,23 +132,24 @@ def _require_regular(cs: ConstraintSet):
 
 
 def dirac_bracket_matrix(cs: ConstraintSet, f: Polynomial, g: Polynomial) -> RationalExpr:
-    """The corrected bracket, with denominator the constraint determinant."""
+    """The corrected bracket, with denominator the constraint determinant.
+
+    ``df`` and ``dg`` are taken once and paired with the stored
+    ``dtheta_i``; with ``{theta_j, g} = -{g, theta_j}`` the numerator is
+    ``{f, g} det + sum_i {f, theta_i} sum_j adj_ij {g, theta_j}``, each sum
+    one :func:`~formcalc.poly.sum_of_products`.
+    """
     _require_regular(cs)
-    sym = cs.sym
-    base = omega_power_bracket(sym, 1, f, g)
-    correction = Polynomial.zero(cs.chart)
-    size = 2 * cs.half_count
-    left = [omega_power_bracket(sym, 1, f, theta) for theta in cs.constraints]
-    right = [omega_power_bracket(sym, 1, theta, g) for theta in cs.constraints]
-    for i in range(size):
-        if left[i].is_zero():
-            continue
-        for j in range(size):
-            entry = cs.adjugate[i][j]
-            if entry.is_zero() or right[j].is_zero():
-                continue
-            correction = correction + left[i] * entry * right[j]
-    return RationalExpr(base * cs.determinant - correction, cs.determinant)
+    sym, chart = cs.sym, cs.chart
+    df, dg = _differentials(chart, (f, g))
+    products = [(_power_pairing(sym, 1, [df, dg]), cs.determinant, False)]
+    g_theta = [_power_pairing(sym, 1, [dg, dtheta]) for dtheta in cs.differentials]
+    for dtheta, row in zip(cs.differentials, cs.adjugate):
+        f_theta = _power_pairing(sym, 1, [df, dtheta])
+        if not f_theta.is_zero():
+            inner = sum_of_products([(entry, value, False) for entry, value in zip(row, g_theta)], chart)
+            products.append((f_theta, inner, False))
+    return RationalExpr(sum_of_products(products, chart), cs.determinant)
 
 
 def _form_quotient(sym: SymplecticData, cs: ConstraintSet, f: Polynomial, g: Polynomial) -> RationalExpr:

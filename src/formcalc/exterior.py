@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 from .chart import Chart
 from .errors import ChartMismatch, DegenerateStructure, GradeMismatch, KindMismatch
-from .poly import Polynomial, _accumulate, matrix_adjugate
+from .poly import Polynomial, _accumulate, matrix_adjugate, sum_of_products
 
 IndexTuple = tuple[int, ...]
 
@@ -64,6 +64,17 @@ def _merge_sign(left: IndexTuple, right: IndexTuple) -> tuple[IndexTuple | None,
                 inversions += 1
     merged = tuple(sorted(left + right))
     return merged, (-1 if inversions % 2 else 1)
+
+
+def _summed(groups: dict, chart: Chart) -> dict:
+    """``{key: sum_of_products(products)}`` for the ``(a, b, negate)`` product
+    lists in ``groups``, each summed once, with zero sums dropped."""
+    out = {}
+    for key, products in groups.items():
+        value = sum_of_products(products, chart)
+        if not value.is_zero():
+            out[key] = value
+    return out
 
 
 class _Graded:
@@ -244,16 +255,14 @@ def wedge(a, b):
     grade = a.grade + b.grade
     if grade > chart.dim:
         return type(a).zero(chart, chart.dim)
-    out: dict[IndexTuple, Polynomial] = {}
+    groups: dict[IndexTuple, list] = {}
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
             key, sign = _merge_sign(ka, kb)
-            if key is None:
-                continue
-            product = ca * cb
-            _accumulate(out, key, product if sign == 1 else -product)
+            if key is not None:
+                groups.setdefault(key, []).append((ca, cb, sign == -1))
     result = type(a)(chart, grade)
-    result.terms = out
+    result.terms = _summed(groups, chart)
     return result
 
 
@@ -316,7 +325,7 @@ def contract(field: Multivector, a: Form) -> Form:
     if field.grade > a.grade:
         raise GradeMismatch("cannot contract into a form of lower grade")
     chart = a.chart
-    out: dict[IndexTuple, Polynomial] = {}
+    groups: dict[IndexTuple, list] = {}
     for key, coefficient in field.terms.items():
         current = a.terms
         for index in key:
@@ -324,9 +333,9 @@ def contract(field: Multivector, a: Form) -> Form:
             if not current:
                 break
         for k, v in current.items():
-            _accumulate(out, k, v * coefficient)
+            groups.setdefault(k, []).append((v, coefficient, False))
     result = Form(chart, a.grade - field.grade)
-    result.terms = out
+    result.terms = _summed(groups, chart)
     return result
 
 
@@ -337,13 +346,9 @@ def pair(a: Form, field: Multivector) -> Polynomial:
     _require_same_chart(field, a)
     if field.grade != a.grade:
         raise GradeMismatch("pairing needs equal grades")
-    total = Polynomial.zero(a.chart)
     small, large = (a.terms, field.terms) if len(a.terms) <= len(field.terms) else (field.terms, a.terms)
-    for key, value in small.items():
-        other = large.get(key)
-        if other is not None:
-            total = total + value * other
-    return total
+    return sum_of_products([(value, large[key], False) for key, value in small.items() if key in large],
+                           a.chart)
 
 
 def _support_levels(target: Multivector) -> tuple[frozenset[IndexTuple], ...]:
@@ -363,35 +368,39 @@ def _support_wedge(forms: Sequence[Form], levels) -> dict[IndexTuple, Polynomial
 
     The 1-forms are wedged on one at a time, and after ``j`` of them only
     the ``j``-subsets in ``levels[j]`` are kept: a coefficient outside them
-    cannot reach a tuple of the last level.
+    cannot reach a tuple of the last level.  Each step collects the signed
+    products that land on each merged tuple and sums them once, by
+    :func:`~formcalc.poly.sum_of_products`.
     """
-    current = {(): Polynomial.constant(forms[0].chart, 1)}
+    chart = forms[0].chart
+    current = {(): Polynomial.constant(chart, 1)}
     for allowed, form in zip(levels[1:], forms):
-        step: dict[IndexTuple, Polynomial] = {}
+        groups: dict[IndexTuple, list] = {}
         for key, value in current.items():
             for (i,), c in form.terms.items():
                 p = bisect(key, i)
                 merged = key[:p] + (i,) + key[p:]
-                if merged not in allowed:
-                    continue
-                product = value * c
-                acc = step.get(merged)
-                # moving d(x_i) left past the len(key) - p larger indices
-                if (len(key) - p) % 2:
-                    step[merged] = -product if acc is None else acc - product
-                else:
-                    step[merged] = product if acc is None else acc + product
-        current = {key: value for key, value in step.items() if not value.is_zero()}
+                if merged in allowed:
+                    # moving d(x_i) left past the len(key) - p larger indices
+                    groups.setdefault(merged, []).append((value, c, (len(key) - p) % 2 == 1))
+        current = _summed(groups, chart)
         if not current:
             break
     return current
 
 
-def _support_pair(forms: Sequence[Form], target: Multivector, levels) -> Polynomial:
-    """``pair(wedge_all(forms), target)`` for 1-forms, wedging only onto the
+def _support_products(forms: Sequence[Form], target: Multivector, levels) -> list:
+    """The products whose :func:`~formcalc.poly.sum_of_products` is
+    ``pair(wedge_all(forms), target)`` for 1-forms, wedging only onto the
     support of ``target`` (``levels`` is :func:`_support_levels` of it)."""
-    return sum((value * target.terms[key] for key, value in _support_wedge(forms, levels).items()),
-               Polynomial.zero(target.chart))
+    terms = target.terms
+    return [(value, terms[key], False) for key, value in _support_wedge(forms, levels).items()]
+
+
+def _support_pair(forms: Sequence[Form], target: Multivector, levels) -> Polynomial:
+    """``pair(wedge_all(forms), target)`` for 1-forms, as one fused sum of
+    the :func:`_support_products`."""
+    return sum_of_products(_support_products(forms, target, levels), target.chart)
 
 
 def _volume_constant(volume: Form) -> Fraction:
@@ -454,7 +463,7 @@ def poisson_bivector(omega: Form) -> Multivector:
         matrix[j][i] = -coefficient
     adjugate = matrix_adjugate(matrix, chart)
     # Laplace expansion along the first row, from the cofactors at hand
-    det = sum((matrix[0][j] * adjugate[j][0] for j in range(m)), zero)
+    det = sum_of_products([(matrix[0][j], adjugate[j][0], False) for j in range(m)], chart)
     if det.is_zero() or not det.is_constant():
         raise DegenerateStructure("coefficient matrix needs a constant nonzero determinant")
     det_value = det.constant_value()

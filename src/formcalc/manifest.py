@@ -32,6 +32,7 @@ the CLI runs a task with ``COMMANDS[task.command].run(structures,
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -265,75 +266,76 @@ class _Builder:
         if isinstance(value, Polynomial):
             self.poly_env[name] = value
 
-    def _parse(self, parse, text: str, line: int, offset: int):
+    def _parse(self, parse, text: str, line: int, offset: int, prefix: str = ""):
         """``parse(text)``, with a parse error's column moved right by
-        ``offset``, the position of ``text`` in the line."""
+        ``offset``, the position of ``text`` in the line, and ``prefix``
+        put before its message."""
         try:
             return parse(text, self.chart, self.poly_env)
         except ParseError as exc:
-            _fail(exc.message, line, exc.column + offset)
+            _fail(prefix + exc.message, line, exc.column + offset)
 
     # -- task argument resolution -------------------------------------------
 
     def add_task(self, body: str, line: int):
-        chart = self._need_chart(line)
+        self._need_chart(line)
         name, eq, rest = body.partition("=")
         name = name.strip()
         if not eq or not name:
             _fail("expected 'name = command arguments...'", line)
         if name in self.task_names:
             _fail(f"task name {name!r} is already used", line)
-        tokens = rest.split()
-        if not tokens:
+        start = len(body) - len(rest)  # of ``rest`` in the line
+        # (token, offset in the line) for every whitespace-separated token
+        words = [(match.group(), start + match.start()) for match in re.finditer(r"\S+", rest)]
+        if not words:
             _fail("missing command", line)
-        command, *args = tokens
+        (command, offset), *args = words
         if command not in COMMANDS:
-            _fail(f"unknown command {command!r}", line)
+            _fail(f"unknown command {command!r}", line, offset + 1)
+        tokens = [token for token, _ in args]
         expect_text = None
-        if "expect" in args:
-            where = args.index("expect")
-            expect_tokens = args[where + 1:]
-            if not expect_tokens:
-                _fail("'expect' needs a value", line)
-            expect_text = " ".join(expect_tokens)
-            args = args[:where]
+        if "expect" in tokens:
+            where = tokens.index("expect")
+            if where + 1 == len(args):
+                _fail("'expect' needs a value", line, args[where][1] + 1)
+            expect_text = " ".join(tokens[where + 1:])
+            expect_at = args[where + 1][1]
+            args, tokens = args[:where], tokens[:where]
         resolved = self._arguments(command, args, line)
         expected = None
         if expect_text is not None:
-            try:
-                expected = parse_value(expect_text, chart, self.poly_env)
-            except ParseError as exc:
-                _fail(f"bad expected value: {exc.message}", line)
-        task = Task(name, command, args, resolved, expect_text, expected, line)
+            expected = self._parse(parse_value, body[expect_at:], line, expect_at, "bad expected value: ")
+        task = Task(name, command, tokens, resolved, expect_text, expected, line)
         self.tasks.append(task)
         self.task_names.add(name)
 
-    def _argument(self, kind: str, token: str, line: int):
+    def _argument(self, kind: str, token: str, offset: int, line: int):
+        """The value of the argument ``token``, which starts at ``offset`` in the line."""
+        column = offset + 1
         if kind in ("k", "n"):
             prefix = kind + "="
             if not token.startswith(prefix) or not token[len(prefix):].isdigit():
-                _fail(f"expected '{prefix}<integer>', got {token!r}", line)
+                _fail(f"expected '{prefix}<integer>', got {token!r}", line, column)
             return int(token[len(prefix):])
         if kind == "suite":
             if token not in SUITES:
-                _fail(f"unknown suite {token!r}", line)
+                _fail(f"unknown suite {token!r}", line, column)
             return token
         value = self.definitions.get(token)
         if value is None:
             if kind != "fn":
-                _fail(f"undeclared name {token!r}", line)
-            try:  # a function may also be written inline
-                return parse_expr(token, self.chart, self.poly_env)
-            except ParseError as exc:
-                _fail(exc.message, line)
+                _fail(f"undeclared name {token!r}", line, column)
+            # a function may also be written inline
+            return self._parse(parse_expr, token, line, offset)
         wanted, label = _DEFINED_KINDS[kind]
         if wanted in (Form, Multivector) and isinstance(value, Polynomial):
             return wanted.from_polynomial(value)  # grade-0 embeds a function
         if not isinstance(value, wanted):
-            _fail(f"{token!r} is not {label}", line)
+            _fail(f"{token!r} is not {label}", line, column)
         return value
 
-    def _arguments(self, name: str, tokens: list[str], line: int) -> list:
+    def _arguments(self, name: str, tokens: list[tuple[str, int]], line: int) -> list:
         command = COMMANDS[name]
         kinds = command.kinds
         tail = kinds[-1][-1] if kinds[-1][-1] in "+?" else ""
@@ -342,8 +344,8 @@ class _Builder:
         most = {"": len(fixed), "?": len(fixed) + 1, "+": len(tokens)}[tail]
         if not least <= len(tokens) <= most:
             _fail(f"{name} takes: {command.usage}", line)
-        values = [self._argument(kind, token, line) for kind, token in zip(fixed, tokens)]
-        extra = [self._argument(kinds[-1][:-1], token, line) for token in tokens[len(fixed):]]
+        values = [self._argument(kind, *word, line) for kind, word in zip(fixed, tokens)]
+        extra = [self._argument(kinds[-1][:-1], *word, line) for word in tokens[len(fixed):]]
         if tail == "+":
             values.append(extra)
         elif tail == "?":

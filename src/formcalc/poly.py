@@ -28,6 +28,19 @@ instead; the bound is checked once per operation, never per term.  Powers
 multiply by the base one factor at a time, except that a one-term base is
 raised in one step (see :meth:`Polynomial.__pow__`).
 
+Fused sums of products.  Every bracket, pairing and wedge in the package is
+a sum of products of coefficients.  :func:`sum_of_products` takes the
+products as ``(a, b, negate)`` triples and adds each into one mutable table
+of packed keys, which is settled to ints and cleared of zeros once at the
+end; no ``Polynomial`` is built per product or per partial sum (Monagan &
+Pearce build each result in one accumulator in the same way).
+``Polynomial.__mul__`` runs the same inner loop, :func:`_add_product`, so
+the product loop exists once.  The fused sum runs in the wedge, contraction,
+pairing and support wedge of :mod:`~formcalc.exterior`, the Schouten
+bracket, the derived, Hamiltonian and Jacobi brackets, the Pfaffian table
+below, the Laplace-row determinants of the bivector and of the Dirac
+constraint matrix, the Dirac correction and :class:`RationalExpr` sums.
+
 The packed layout is private to this module.  Other code reads a polynomial
 through :meth:`Polynomial.items`, :meth:`~Polynomial.coefficient`,
 :meth:`~Polynomial.term_count` and :meth:`~Polynomial.extended_to`;
@@ -126,6 +139,12 @@ def _settle(table: dict):
             table[key] = value.numerator
 
 
+def _finished(table: dict) -> dict:
+    """The nonzero entries of ``table``, integral ``Fraction`` values as ints."""
+    return {key: value.numerator if type(value) is Fraction and value.denominator == 1 else value
+            for key, value in table.items() if value}
+
+
 def _check_degree(degree: int) -> int:
     if degree >= DEGREE_CAP:
         raise DegreeOverflow(f"total degree would reach 2^{_BITS}")
@@ -140,6 +159,36 @@ def _accumulate(table: dict, key, value):
         table.pop(key, None)
     else:
         table[key] = total
+
+
+def _add_product(out: dict, large: dict, small: dict, negate: bool):
+    """Add ``large * small`` (negated if ``negate``) into ``out``.
+
+    All three are term tables; ``small`` is nonempty and has no more terms
+    than ``large``.  Values in ``out`` are left unsettled (zeros and integral
+    ``Fraction`` values included) until :func:`_finished` reads them.  A
+    one-term ``small`` takes one pass, and a coefficient of 1 is added
+    without a multiplication.
+    """
+    get = out.get
+    if len(small) == 1:
+        (shift, factor), = small.items()
+        if negate:
+            factor = -factor
+        if factor == 1:
+            for key, value in large.items():
+                key += shift
+                out[key] = get(key, 0) + value
+        else:
+            for key, value in large.items():
+                key += shift
+                out[key] = get(key, 0) + value * factor
+        return
+    inner = [(key, -value) for key, value in small.items()] if negate else list(small.items())
+    for ka, ca in large.items():
+        for kb, cb in inner:
+            key = ka + kb
+            out[key] = get(key, 0) + ca * cb
 
 
 def _make(chart: Chart, terms: dict, degree: int) -> "Polynomial":
@@ -349,15 +398,8 @@ class Polynomial:
             return large._shifted(shift, factor)
         degree = _check_degree(self._degree + other._degree)
         out: dict[int, int | Fraction] = {}
-        get = out.get
-        inner = list(small._terms.items())
-        for ka, ca in large._terms.items():
-            for kb, cb in inner:
-                key = ka + kb
-                out[key] = get(key, 0) + ca * cb
-        terms = {k: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-                 for k, c in out.items() if c}
-        return _make(self.chart, terms, degree)
+        _add_product(out, large._terms, small._terms, False)
+        return _make(self.chart, _finished(out), degree)
 
     __rmul__ = __mul__
 
@@ -456,6 +498,43 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def sum_of_products(products: Sequence[tuple[Polynomial, Polynomial, bool]],
+                    chart: Chart) -> Polynomial:
+    """``sum(-a*b if negate else a*b for a, b, negate in products)`` on
+    ``chart``, built in one term table.
+
+    Every product is added into the same table, which is settled and cleared
+    of zeros once at the end, and the degree bound (the largest of the
+    products' bounds, as ``*`` computes them) is checked once.  A single
+    product is plain ``a * b``, so a one-term factor still takes
+    ``Polynomial``'s one-pass route.  Raises :class:`ChartMismatch` for a
+    factor on another chart.
+    """
+    if len(products) == 1:
+        (a, b, negate), = products
+        if a.chart == chart:
+            product = a * b
+            return -product if negate else product
+    out: dict[int, int | Fraction] = {}
+    degree = 0
+    top = _BITS * chart.dim
+    for a, b, negate in products:
+        if a.chart is not chart or b.chart is not chart:
+            if a.chart != chart or b.chart != chart:
+                raise ChartMismatch("operands live on different charts")
+        small, large = (a, b) if len(a._terms) <= len(b._terms) else (b, a)
+        if not small._terms:
+            continue
+        if len(small._terms) == 1:
+            bound = large._degree + (next(iter(small._terms)) >> top)
+        else:
+            bound = a._degree + b._degree
+        if bound > degree:
+            degree = bound
+        _add_product(out, large._terms, small._terms, negate)
+    return _make(chart, _finished(out), _check_degree(degree))
 
 
 def coordinates(chart: Chart) -> tuple[Polynomial, ...]:
@@ -559,10 +638,9 @@ class RationalExpr:
         other = self._as_operand(other)
         if other is None:
             return NotImplemented
-        return RationalExpr(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
+        numerator = sum_of_products([(self.numerator, other.denominator, False),
+                                     (other.numerator, self.denominator, False)], self.chart)
+        return RationalExpr(numerator, self.denominator * other.denominator)
 
     __radd__ = __add__
 
@@ -779,17 +857,16 @@ def _pfaffian_table(rows: Sequence[Sequence[Polynomial]], chart: Chart):
         low = mask & -mask
         row = rows[low.bit_length() - 1]
         rest = bits = mask ^ low
-        total = Polynomial.zero(chart)
-        plus = True
+        products = []
+        negate = False
         while bits:
             bit = bits & -bits
             bits ^= bit
             entry = row[bit.bit_length() - 1]
             if not entry.is_zero():
-                term = entry * pfaffian(rest ^ bit)
-                total = total + term if plus else total - term
-            plus = not plus
-        memo[mask] = total
+                products.append((entry, pfaffian(rest ^ bit), negate))
+            negate = not negate
+        total = memo[mask] = sum_of_products(products, chart)
         return total
 
     return pfaffian

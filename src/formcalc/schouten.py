@@ -27,11 +27,12 @@ from .exterior import (
     Multivector,
     _contract_single,
     _merge_sign,
+    _summed,
     contract,
     exterior_derivative,
     wedge,
 )
-from .poly import _accumulate
+
 
 def _diff_terms(field: Multivector, index: int) -> dict:
     out: dict = {}
@@ -53,7 +54,7 @@ def schouten(a: Multivector, b: Multivector) -> Multivector:
     if grade < 0:
         return Multivector.zero(chart, 0)
     front = 1 if (a.grade - 1) % 2 == 0 else -1
-    table: dict = {}
+    groups: dict = {}
     for i in range(chart.dim):
         delta_a = _contract_single(a.terms, i)
         if delta_a:
@@ -61,22 +62,18 @@ def schouten(a: Multivector, b: Multivector) -> Multivector:
             for ka, ca in delta_a.items():
                 for kb, cb in diff_b.items():
                     key, sign = _merge_sign(ka, kb)
-                    if key is None:
-                        continue
-                    value = ca * cb
-                    _accumulate(table, key, value if front * sign == 1 else -value)
+                    if key is not None:
+                        groups.setdefault(key, []).append((ca, cb, front * sign == -1))
         diff_a = _diff_terms(a, i)
         if diff_a:
             delta_b = _contract_single(b.terms, i)
             for ka, ca in diff_a.items():
                 for kb, cb in delta_b.items():
                     key, sign = _merge_sign(ka, kb)
-                    if key is None:
-                        continue
-                    value = ca * cb
-                    _accumulate(table, key, -value if sign == 1 else value)
+                    if key is not None:
+                        groups.setdefault(key, []).append((ca, cb, sign == 1))
     result = Multivector(chart, min(grade, chart.dim))
-    result.terms = table
+    result.terms = _summed(groups, chart)
     return result
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,8 @@ from formcalc import (
     regularity_check,
     standard_form,
 )
+
+from formcalc import brackets, dirac
 
 from tests.helpers import laplace_adjugate, laplace_determinant, qp, rand_poly
 
@@ -145,6 +148,51 @@ class TestMatrixBracket:
             value = dirac_bracket_matrix(cs, f, g)
             assert value.denominator == det
             assert value.numerator == omega_power_bracket(sym, 1, f, g) * det - correction
+
+    def test_polynomial_constraints_match_full_matrix(self):
+        # the upper triangle and antisymmetry against every entry paired, and
+        # the stored differentials against the old correction sum
+        sym = sym_n(3)
+        chart = sym.chart
+        cs = perturbed_constraints(sym, 1)
+        thetas = cs.constraints
+        size = len(thetas)
+        matrix = [[omega_power_bracket(sym, 1, a, b) for b in thetas] for a in thetas]
+        assert cs.bracket_matrix == matrix
+        assert not all(entry.is_constant() for row in matrix for entry in row)
+        assert cs.determinant == laplace_determinant(matrix, chart)
+        rng = random.Random(54)
+        for _ in range(4):
+            f, g = rand_poly(rng, chart), rand_poly(rng, chart)
+            left = [omega_power_bracket(sym, 1, f, theta) for theta in thetas]
+            right = [omega_power_bracket(sym, 1, theta, g) for theta in thetas]
+            correction = sum((left[i] * cs.adjugate[i][j] * right[j]
+                              for i in range(size) for j in range(size)), Polynomial.zero(chart))
+            value = dirac_bracket_matrix(cs, f, g)
+            assert value.denominator == cs.determinant
+            assert value.numerator == omega_power_bracket(sym, 1, f, g) * cs.determinant - correction
+
+    def test_each_differential_and_entry_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(dirac, "differential", counted("constraint", dirac.differential))
+        monkeypatch.setattr(brackets, "differential", counted("argument", brackets.differential))
+        monkeypatch.setattr(dirac, "_power_pairing", counted("pairing", dirac._power_pairing))
+        sym = sym_n(3)
+        cs = perturbed_constraints(sym, 1)
+        # four differentials, and the six entries above the diagonal
+        assert calls == {"constraint": 4, "pairing": 6}
+        calls.clear()
+        qs, ps = qp(sym.chart)
+        dirac_bracket_matrix(cs, qs[0] * ps[1], ps[0] + qs[2])
+        # df and dg once; {f, g}, then {f, theta_i} and {g, theta_i} for each i
+        assert calls == {"argument": 2, "pairing": 9}
 
     def test_antisymmetry_and_leibniz(self):
         sym = sym_n(2)

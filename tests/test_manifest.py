@@ -66,6 +66,10 @@ w = b * d(q1)^d(p1)
         assert scenario.definitions["w"].coefficient((0, 1)) == q1 + 1
 
 
+# a definition and the [tasks] header, before a task line under test
+TASKS = "omega = d(p1)^d(q1)\n[tasks]\n"
+
+
 class TestValidation:
     def error(self, text):
         with pytest.raises(ParseError) as err:
@@ -164,11 +168,25 @@ t = verify-suite nonsense
         ("  th = constraints(q1, p1 - q9)", "unknown identifier 'q9'", 29),
         ("   th = constraints(q1,,p1)", "unexpected end of input", 24),
         ("  th = constraints( )", "empty constraint list", 20),
+        # task lines: the column of the token, or into an inline expression
+        (TASKS + "t = power-bracket omega k=1 p1 q1+q9", "unknown identifier 'q9'", 35),
+        (TASKS + "t = power-bracket omega k=1 p1 q1 expect q1 +",
+         "bad expected value: unexpected end of input", 46),
+        (TASKS + "\tt = power-bracket omega k=1 p1 q1   expect  1 + q9",
+         "bad expected value: unknown identifier 'q9'", 50),
+        (TASKS + "  t = power-bracket omeg k=1 p1 q1", "undeclared name 'omeg'", 21),
+        (TASKS + "t = power-bracket omega k=x p1 q1", "expected 'k=<integer>', got 'k=x'", 25),
+        (TASKS + "t = powr-bracket omega", "unknown command 'powr-bracket'", 5),
+        (TASKS + "t = verify-suite nonsense", "unknown suite 'nonsense'", 18),
+        (TASKS + "t =  schouten omega omega", "'omega' is not a multivector", 15),
+        (TASKS + "t = power-bracket omega k=1 p1 q1 expect", "'expect' needs a value", 35),
     ])
     def test_error_column_points_into_the_line(self, definition, message, column):
+        # the error is on the last line of ``definition``
         with pytest.raises(ParseError) as err:
             parse_scenario_text(f"[chart]\nq1 p1\n\n[define]\n{definition}\n")
-        assert (err.value.message, err.value.line, err.value.column) == (message, 5, column)
+        line = 5 + definition.count("\n")
+        assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
 
     def test_check_jacobi_needs_even_chart_when_parsed(self):
         text = """

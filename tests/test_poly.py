@@ -680,3 +680,92 @@ class TestLegacyKernelOracle:
                 exact_divide(a, b)
         else:
             same(exact_divide(a, b), expected)
+
+
+# The fused sum against the route it replaced: one Polynomial per product and
+# per partial sum.
+
+
+def summed_by_polynomials(products, chart):
+    """``sum(+-a*b)`` with ``Polynomial``'s own ``*``, ``-`` and ``+``."""
+    return sum((-(a * b) if negate else a * b for a, b, negate in products), Polynomial.zero(chart))
+
+
+@st.composite
+def product_lists(draw):
+    """A chart of 1-8 coordinates and a list of ``(a, b, negate)`` on it.
+
+    Factors have at most 5 terms, so zero factors, constants and monomials
+    are common.  Some factors carry a degree bound above their degree (a
+    term of degree 7 added and taken away again).  Some lists get one
+    product again with swapped factors and the other sign, and some get
+    every product so, which cancels to zero.
+    """
+    dim = draw(st.integers(1, 8))
+    chart = Chart([f"x{i}" for i in range(dim)])
+    exponent = st.lists(st.integers(0, dim - 1), max_size=6).map(
+        lambda picks: tuple(picks.count(i) for i in range(dim)))
+    coefficient = st.integers(-6, 6) | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    high = Polynomial(chart, {(7,) + (0,) * (dim - 1): 1})
+    factor = st.builds(lambda t, loose: Polynomial(chart, t) + high - high if loose else Polynomial(chart, t),
+                       st.dictionaries(exponent, coefficient, max_size=5), st.booleans())
+    products = draw(st.lists(st.tuples(factor, factor, st.booleans()), max_size=6))
+    if products and draw(st.booleans()):
+        a, b, negate = draw(st.sampled_from(products))
+        products.append((b, a, not negate))
+    if draw(st.booleans()):
+        products += [(b, a, not negate) for a, b, negate in products]
+    return chart, draw(st.permutations(products))
+
+
+def same_sum(fused, oracle):
+    assert fused == oracle and fused.chart == oracle.chart
+    assert str(fused) == str(oracle)
+    assert fused._degree == oracle._degree
+    assert all(type(c) is int or c.denominator != 1 for c in fused._terms.values())
+    assert all(fused._terms.values())
+
+
+class TestSumOfProducts:
+    """``poly.sum_of_products`` against ``sum(+-a*b)`` over ``Polynomial``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(product_lists())
+    def test_matches_polynomial_sums(self, drawn):
+        chart, products = drawn
+        same_sum(poly_module.sum_of_products(products, chart), summed_by_polynomials(products, chart))
+
+    @settings(max_examples=100, deadline=None)
+    @given(product_lists(), st.data())
+    def test_degree_overflow(self, drawn, data):
+        # lift some factors by x0^(2^31 - s), so that some products reach 2^32
+        chart, products = drawn
+        lifts = [Polynomial(chart, {(2 ** 31 - s,) + (0,) * (chart.dim - 1): 1})
+                 for s in data.draw(st.lists(st.integers(0, 8), min_size=2, max_size=2))]
+        lifted = [(a * lifts[0] if data.draw(st.booleans()) else a,
+                   b * lifts[1] if data.draw(st.booleans()) else b, negate)
+                  for a, b, negate in products]
+        try:
+            oracle = summed_by_polynomials(lifted, chart)
+        except DegreeOverflow:
+            with pytest.raises(DegreeOverflow):
+                poly_module.sum_of_products(lifted, chart)
+        else:
+            same_sum(poly_module.sum_of_products(lifted, chart), oracle)
+
+    def test_small_cases(self):
+        sum_of_products = poly_module.sum_of_products
+        zero, one = Polynomial.zero(CHART), Polynomial.constant(CHART, 1)
+        p = Q1 * P1 + Fraction(1, 2)
+        assert sum_of_products([], CHART).is_zero()
+        assert sum_of_products([(zero, p, False), (p, zero, True)], CHART).is_zero()
+        # a single product is plain ``a * b``: a factor of one returns the other
+        assert sum_of_products([(one, p, False)], CHART) is p
+        assert sum_of_products([(p, one, True)], CHART) == -p
+        assert sum_of_products([(p, p, False), (p, p, True)], CHART).is_zero()
+        value = sum_of_products([(p, 2 * one, False), (Q1, P1, False), (one, one, True)], CHART)
+        assert value == 3 * Q1 * P1 and value._terms == {poly_module._pack((1, 1)): 3}
+        with pytest.raises(ChartMismatch):
+            sum_of_products([(p, Polynomial.variable(Chart(("x",)), "x"), False)], CHART)
+        with pytest.raises(ChartMismatch):
+            sum_of_products([(p, p, False), (p, p, False)], Chart(("x", "y")))
