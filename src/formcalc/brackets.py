@@ -23,7 +23,6 @@ from .errors import (
     AlgebraError,
     ArityMismatch,
     ChartMismatch,
-    DegenerateStructure,
     GradeMismatch,
     KindMismatch,
 )
@@ -36,6 +35,7 @@ from .exterior import (
     _support_pair,
     _support_products,
     _support_wedge,
+    _top_coefficient,
     _volume_constant,
     differential,
     mv_from_form,
@@ -62,14 +62,12 @@ class BracketDef:
     __slots__ = ("volume", "alpha", "arity", "generator", "_top", "_vol_coeff", "_levels")
 
     def __init__(self, volume: Form, alpha: Form):
-        if not isinstance(volume, Form) or not isinstance(alpha, Form):
-            raise AlgebraError("BracketDef takes two forms")
+        vol_coeff = _top_coefficient(volume)
+        if not isinstance(alpha, Form):
+            raise KindMismatch("BracketDef takes two forms")
         if volume.chart != alpha.chart:
             raise ChartMismatch("volume and alpha live on different charts")
-        chart = volume.chart
-        m = chart.dim
-        if volume.grade != m or volume.is_zero():
-            raise DegenerateStructure("volume must be a nonzero top form")
+        m = volume.chart.dim
         arity = m - alpha.grade
         if arity < 1:
             raise GradeMismatch("alpha leaves no argument slots")
@@ -77,7 +75,7 @@ class BracketDef:
         self.alpha = alpha
         self.arity = arity
         self._top = tuple(range(m))
-        self._vol_coeff = volume.terms[self._top]
+        self._vol_coeff = vol_coeff
         self.generator = mv_from_form(volume, alpha) if self._vol_coeff.is_constant() else None
         self._levels = None if self.generator is None else _support_levels(self.generator)
 
@@ -188,7 +186,7 @@ def hamiltonian_vf(sym: SymplecticData, f: Polynomial) -> Multivector:
     for (a, b), coefficient in sym.bivector.terms.items():
         groups.setdefault((b,), []).append((coefficient, f.diff(a), False))
         groups.setdefault((a,), []).append((coefficient, f.diff(b), True))
-    return Multivector(sym.chart, 1, _summed(groups, sym.chart))
+    return Multivector._of(sym.chart, 1, _summed(groups, sym.chart))
 
 
 def derived_vf(sym: SymplecticData, k: int, *functions: Polynomial) -> Multivector:
@@ -216,7 +214,7 @@ def derived_vf(sym: SymplecticData, k: int, *functions: Polynomial) -> Multivect
             if value is not None:
                 # d(x_i) moves left past the len(key) - 1 - p larger indices
                 groups.setdefault((i,), []).append((coefficient, value, (len(key) - 1 - p) % 2 == 1))
-    return Multivector(chart, 1, _summed(groups, chart))
+    return Multivector._of(chart, 1, _summed(groups, chart))
 
 
 class JacobiDef:
@@ -264,10 +262,12 @@ def homogenization_check(
     exact equality of the two sides.
     """
     f, g = _argument(jdef.chart, f), _argument(jdef.chart, g)
+    if s_name in jdef.chart:
+        raise ChartMismatch(f"coordinate {s_name!r} is already in use")
     try:
         extended = jdef.chart.extended(s_name)
-    except ValueError:
-        raise ChartMismatch(f"coordinate {s_name!r} is already in use") from None
+    except ValueError as exc:
+        raise ChartMismatch(str(exc)) from None
     s_index = extended.dim - 1
 
     # entries of the extended bivector, as (i, j, coefficient) with i < j

@@ -48,13 +48,7 @@ from .errors import (
     KindMismatch,
 )
 from .exterior import Form, SymplecticData, differential, wedge, wedge_all
-from .poly import (
-    Polynomial,
-    RationalExpr,
-    coordinates,
-    matrix_adjugate,
-    sum_of_products,
-)
+from .poly import Polynomial, RationalExpr, _skew_inverse, coordinates, sum_of_products
 
 
 class ConstraintSet:
@@ -94,10 +88,7 @@ class ConstraintSet:
         self.half_count = size // 2
         self.differentials = dthetas
         self.bracket_matrix = matrix
-        self.adjugate = matrix_adjugate(matrix, chart)
-        # Laplace expansion along the first row, from the cofactors at hand
-        self.determinant = sum_of_products(
-            [(matrix[0][j], self.adjugate[j][0], False) for j in range(size)], chart)
+        self.determinant, self.adjugate = _skew_inverse(matrix, chart)
         self.differential_wedge = wedge_all(dthetas)
         self._form_factors = None
 

@@ -5,6 +5,11 @@ strictly increasing coordinate-index tuples to nonzero polynomial
 coefficients; inserting a term with an unordered tuple normalizes it with the
 permutation parity sign.
 
+``Form(...)`` and ``Multivector(...)`` check outside input in full.  The
+package's own results are normal by construction and are built by
+``_Graded._of``, which takes its term dict unchecked; the tests check that
+each is the tensor ``__init__`` would make of the same terms.
+
 Sign conventions.  Every sign in the package follows from two choices made
 here:
 
@@ -32,7 +37,7 @@ from typing import Mapping, Sequence
 
 from .chart import Chart
 from .errors import ChartMismatch, DegenerateStructure, GradeMismatch, KindMismatch
-from .poly import Polynomial, _accumulate, matrix_adjugate, sum_of_products
+from .poly import Polynomial, _accumulate, _skew_inverse, sum_of_products
 
 IndexTuple = tuple[int, ...]
 
@@ -108,6 +113,16 @@ class _Graded:
         self.terms = table
 
     @classmethod
+    def _of(cls, chart: Chart, grade: int, terms: dict):
+        """A tensor owning ``terms``, unchecked: increasing in-range tuples of
+        length ``grade`` to nonzero polynomials on ``chart``."""
+        tensor = cls.__new__(cls)
+        tensor.chart = chart
+        tensor.grade = grade
+        tensor.terms = terms
+        return tensor
+
+    @classmethod
     def zero(cls, chart: Chart, grade: int):
         return cls(chart, grade)
 
@@ -142,17 +157,13 @@ class _Graded:
         out = dict(self.terms)
         for key, value in other.terms.items():
             _accumulate(out, key, value)
-        result = type(self)(self.chart, grade)
-        result.terms = out
-        return result
+        return self._of(self.chart, grade, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        result = type(self)(self.chart, self.grade)
-        result.terms = {k: -v for k, v in self.terms.items()}
-        return result
+        return self._of(self.chart, self.grade, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
@@ -167,9 +178,7 @@ class _Graded:
                 product = value * scalar
                 if not product.is_zero():
                     out[key] = product
-        result = type(self)(self.chart, self.grade)
-        result.terms = out
-        return result
+        return self._of(self.chart, self.grade, out)
 
     __rmul__ = __mul__
 
@@ -261,9 +270,7 @@ def wedge(a, b):
             key, sign = _merge_sign(ka, kb)
             if key is not None:
                 groups.setdefault(key, []).append((ca, cb, sign == -1))
-    result = type(a)(chart, grade)
-    result.terms = _summed(groups, chart)
-    return result
+    return a._of(chart, grade, _summed(groups, chart))
 
 
 def wedge_all(factors: Sequence) -> "_Graded":
@@ -281,39 +288,45 @@ def exterior_derivative(a: Form) -> Form:
     if not isinstance(a, Form):
         raise KindMismatch("exterior derivative applies to forms")
     chart = a.chart
+    if a.grade == 0:
+        return differential(a.terms.get((), Polynomial.zero(chart)))
     if a.grade >= chart.dim:
         return Form.zero(chart, chart.dim)
     out: dict[IndexTuple, Polynomial] = {}
     for key, coefficient in a.terms.items():
         for i in range(chart.dim):
+            if i in key:
+                continue
             dc = coefficient.diff(i)
             if dc.is_zero():
                 continue
-            merged, sign = _merge_sign((i,), key)
-            if merged is None:
-                continue
-            _accumulate(out, merged, dc if sign == 1 else -dc)
-    result = Form(chart, a.grade + 1)
-    result.terms = out
-    return result
+            # d(x_i) moves right past the p smaller indices of ``key``
+            p = bisect(key, i)
+            _accumulate(out, key[:p] + (i,) + key[p:], -dc if p % 2 else dc)
+    return Form._of(chart, a.grade + 1, out)
 
 
 def differential(f: Polynomial) -> Form:
     """``df`` for a scalar function given as a polynomial."""
     if not isinstance(f, Polynomial):
         raise KindMismatch("differential takes a polynomial")
-    return exterior_derivative(Form.from_polynomial(f))
+    terms = {}
+    for i in range(f.chart.dim):
+        df = f.diff(i)
+        if not df.is_zero():
+            terms[(i,)] = df
+    return Form._of(f.chart, 1, terms)
 
 
 def _contract_single(terms: dict[IndexTuple, Polynomial], index: int) -> dict:
-    """Interior product against the coordinate direction ``index``."""
+    """Interior product against the coordinate direction ``index``.  Distinct
+    tuples that hold ``index`` leave distinct rests, so nothing is merged."""
     out: dict[IndexTuple, Polynomial] = {}
     for key, coefficient in terms.items():
         if index not in key:
             continue
         position = key.index(index)
-        rest = key[:position] + key[position + 1:]
-        _accumulate(out, rest, coefficient if position % 2 == 0 else -coefficient)
+        out[key[:position] + key[position + 1:]] = -coefficient if position % 2 else coefficient
     return out
 
 
@@ -334,9 +347,7 @@ def contract(field: Multivector, a: Form) -> Form:
                 break
         for k, v in current.items():
             groups.setdefault(k, []).append((v, coefficient, False))
-    result = Form(chart, a.grade - field.grade)
-    result.terms = _summed(groups, chart)
-    return result
+    return Form._of(chart, a.grade - field.grade, _summed(groups, chart))
 
 
 def pair(a: Form, field: Multivector) -> Polynomial:
@@ -403,12 +414,20 @@ def _support_pair(forms: Sequence[Form], target: Multivector, levels) -> Polynom
     return sum_of_products(_support_products(forms, target, levels), target.chart)
 
 
-def _volume_constant(volume: Form) -> Fraction:
-    """The constant ``c`` of a top form ``c * dx_1^...^dx_m``."""
+def _top_coefficient(volume: Form) -> Polynomial:
+    """The coefficient ``c`` of a volume form ``c * dx_1^...^dx_m``: the one
+    check of a volume, shared by every construction that takes one."""
+    if not isinstance(volume, Form):
+        raise KindMismatch("volume must be a form")
     if volume.grade != volume.chart.dim or volume.is_zero():
         raise DegenerateStructure("volume must be a nonzero top form")
+    return volume.terms[tuple(range(volume.grade))]
+
+
+def _volume_constant(volume: Form) -> Fraction:
+    """The constant ``c`` of a top form ``c * dx_1^...^dx_m``."""
     try:
-        return volume.terms[tuple(range(volume.grade))].constant_value()
+        return _top_coefficient(volume).constant_value()
     except ValueError:
         raise DegenerateStructure("volume coefficient must be a rational constant") from None
 
@@ -432,7 +451,7 @@ def mv_from_form(volume: Form, a: Form) -> Multivector:
         # sign of contracting the complement out of the full top tuple
         epsilon = -1 if (sum(complement) - k * (k - 1) // 2) % 2 else 1
         out[complement] = coefficient * (Fraction(epsilon) / c)
-    return Multivector(chart, k, out)
+    return Multivector._of(chart, k, out)
 
 
 def form_power(a: Form, power: int) -> Form:
@@ -456,14 +475,11 @@ def poisson_bivector(omega: Form) -> Multivector:
     m = chart.dim
     if m % 2:
         raise DegenerateStructure("chart dimension must be even")
-    zero = Polynomial.zero(chart)
-    matrix = [[zero for _ in range(m)] for _ in range(m)]
+    matrix = [[Polynomial.zero(chart)] * m for _ in range(m)]
     for (i, j), coefficient in omega.terms.items():
         matrix[i][j] = coefficient
         matrix[j][i] = -coefficient
-    adjugate = matrix_adjugate(matrix, chart)
-    # Laplace expansion along the first row, from the cofactors at hand
-    det = sum_of_products([(matrix[0][j], adjugate[j][0], False) for j in range(m)], chart)
+    det, adjugate = _skew_inverse(matrix, chart)
     if det.is_zero() or not det.is_constant():
         raise DegenerateStructure("coefficient matrix needs a constant nonzero determinant")
     det_value = det.constant_value()
@@ -473,7 +489,7 @@ def poisson_bivector(omega: Form) -> Multivector:
             entry = adjugate[i][j] * (Fraction(-1) / det_value)
             if not entry.is_zero():
                 terms[(i, j)] = entry
-    return Multivector(chart, 2, terms)
+    return Multivector._of(chart, 2, terms)
 
 
 def lie_derivative(field: Multivector, a: Form) -> Form:

@@ -35,11 +35,7 @@ of packed keys, which is settled to ints and cleared of zeros once at the
 end; no ``Polynomial`` is built per product or per partial sum (Monagan &
 Pearce build each result in one accumulator in the same way).
 ``Polynomial.__mul__`` runs the same inner loop, :func:`_add_product`, so
-the product loop exists once.  The fused sum runs in the wedge, contraction,
-pairing and support wedge of :mod:`~formcalc.exterior`, the Schouten
-bracket, the derived, Hamiltonian and Jacobi brackets, the Pfaffian table
-below, the Laplace-row determinants of the bivector and of the Dirac
-constraint matrix, the Dirac correction and :class:`RationalExpr` sums.
+the product loop exists once.
 
 The packed layout is private to this module.  Other code reads a polynomial
 through :meth:`Polynomial.items`, :meth:`~Polynomial.coefficient`,
@@ -58,8 +54,9 @@ Besides :class:`Polynomial` this module provides
 * exact division, and :func:`matrix_determinant` / :func:`matrix_adjugate`
   for the matrices the package inverts: the form matrix of a symplectic
   2-form and the Dirac constraint bracket matrix, both skew-symmetric of
-  even size.  Any other matrix raises ``ValueError``.  The entries pick one
-  of two routes:
+  even size.  Any other matrix raises ``ValueError``.  :func:`_skew_inverse`
+  returns both, the determinant from the route that built the adjugate.
+  The entries pick one of two routes:
 
   1. a matrix of constants takes one exact ``Fraction`` Gauss-Jordan pass
      on ``[M | I]``, which yields the determinant and ``adj = det * M^-1``;
@@ -73,9 +70,7 @@ Besides :class:`Polynomial` this module provides
   elimination's intermediate entries swell on polynomial matrices, so
   those take the table.  The table holds a Pfaffian for every even index
   subset, exponentially many, while elimination is cubic, so constant
-  matrices keep elimination: with the table alone, ``SymplecticData`` took
-  about 4x as long on a dense constant 16-dim form, and about 12x as long
-  on the 30-dim standard form plus 15 constant couplings (Python 3.11).
+  matrices keep elimination.
 """
 
 from __future__ import annotations
@@ -417,9 +412,7 @@ class Polynomial:
         dense multivariate base, squaring spends its time on a few products of
         two large partial powers, and those cost more than the many products
         of a partial power by the small base (Fateman, "On the computation of
-        powers of sparse polynomials", 1974).  For ``(q1+q2+p1+p2+1)^k`` on
-        four coordinates, squaring took about 2x as long at ``k = 20`` and
-        about 8x as long at ``k = 30`` (Python 3.11).
+        powers of sparse polynomials", 1974).
 
         A base of at most one term is raised in one step: packing is linear,
         so once the degree check has passed, ``power * key(e)`` is
@@ -767,12 +760,14 @@ class ExpPoly:
     __rmul__ = __mul__
 
     def diff(self, coordinate: int) -> "ExpPoly":
+        # each weight keeps its own term, so nothing is merged
         out: dict[int, Polynomial] = {}
         for weight, coefficient in self.terms.items():
             value = coefficient.diff(coordinate)
             if coordinate == self.s_index:
                 value = coefficient * weight + value
-            _accumulate(out, weight, value)
+            if not value.is_zero():
+                out[weight] = value
         return ExpPoly(self.chart, self.s_index, out)
 
     def __eq__(self, other):
@@ -892,34 +887,27 @@ def matrix_determinant(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> Po
     return pf * pf
 
 
-def matrix_adjugate(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> list[list[Polynomial]]:
-    """Classical adjugate of an even skew-symmetric matrix of polynomials:
-    ``adjugate(M) @ M == det(M) * I`` over the polynomial ring.
-
-    A matrix of constants takes ``det * inverse`` from one exact ``Fraction``
-    elimination.  Any other takes ``adj[i][j] = (-1)^(i+j+[j<i]) * Pf(M) *
-    Pf(M without rows and columns i, j)``, zero on the diagonal, with every
-    Pfaffian from one memo of index subsets and each unordered pair of
-    indices computed once.  A singular matrix has rank at most ``m - 2``, so
-    both routes return the zero adjugate as soon as ``det`` or ``Pf(M)`` is
-    zero.
-
-    Raises as :func:`matrix_determinant` does.
-    """
+def _skew_inverse(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> tuple[Polynomial, list]:
+    """``(det(M), adjugate(M))`` of an even skew-symmetric matrix by the
+    routes of the module docstring, the determinant from the route that
+    built the adjugate: elimination's ``det``, or ``Pf(M)^2`` beside the
+    signed ``Pf(M) * Pf(minor)`` entries, each unordered index pair once.
+    A singular matrix gets the zero adjugate as soon as ``det`` or ``Pf(M)``
+    is zero.  Raises as :func:`matrix_determinant` does."""
     n = _check_even_skew(rows, chart)
     zero = Polynomial.zero(chart)
     adj = [[zero] * n for _ in range(n)]
     solved = _eliminate(rows)
     if solved is not None:
         det, inverse = solved
-        if inverse is None:
-            return adj
-        return [[Polynomial.constant(chart, det * x) for x in row] for row in inverse]
+        if inverse is not None:
+            adj = [[Polynomial.constant(chart, det * x) for x in row] for row in inverse]
+        return Polynomial.constant(chart, det), adj
     pfaffian = _pfaffian_table(rows, chart)
     full = (1 << n) - 1
     pf = pfaffian(full)
     if pf.is_zero():
-        return adj
+        return zero, adj
     for i in range(n):
         for j in range(i + 1, n):
             value = pf * pfaffian(full ^ (1 << i) ^ (1 << j))
@@ -927,4 +915,12 @@ def matrix_adjugate(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> list[
                 value = -value
             adj[i][j] = value
             adj[j][i] = -value
-    return adj
+    return pf * pf, adj
+
+
+def matrix_adjugate(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> list[list[Polynomial]]:
+    """Classical adjugate of an even skew-symmetric matrix of polynomials:
+    ``adjugate(M) @ M == det(M) * I`` over the polynomial ring, by the
+    routes of :func:`_skew_inverse`.  Raises as :func:`matrix_determinant`
+    does."""
+    return _skew_inverse(rows, chart)[1]

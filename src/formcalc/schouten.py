@@ -21,13 +21,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ChartMismatch, DegenerateStructure, GradeMismatch, KindMismatch
+from .errors import GradeMismatch, KindMismatch
 from .exterior import (
     Form,
     Multivector,
     _contract_single,
     _merge_sign,
+    _require_same_chart,
     _summed,
+    _top_coefficient,
     contract,
     exterior_derivative,
     wedge,
@@ -47,8 +49,7 @@ def schouten(a: Multivector, b: Multivector) -> Multivector:
     """The graded bracket ``[a, b]`` of two multivector fields."""
     if not isinstance(a, Multivector) or not isinstance(b, Multivector):
         raise KindMismatch("schouten takes two multivectors")
-    if a.chart != b.chart:
-        raise ChartMismatch("operands live on different charts")
+    _require_same_chart(a, b)
     chart = a.chart
     grade = a.grade + b.grade - 1
     if grade < 0:
@@ -72,28 +73,23 @@ def schouten(a: Multivector, b: Multivector) -> Multivector:
                     key, sign = _merge_sign(ka, kb)
                     if key is not None:
                         groups.setdefault(key, []).append((ca, cb, sign == 1))
-    result = Multivector(chart, min(grade, chart.dim))
-    result.terms = _summed(groups, chart)
-    return result
+    return Multivector._of(chart, min(grade, chart.dim), _summed(groups, chart))
 
 
 def is_poisson(bivector: Multivector) -> bool:
     """True exactly when the grade-2 field commutes with itself."""
-    if bivector.grade != 2:
+    if isinstance(bivector, Multivector) and bivector.grade != 2:
         raise GradeMismatch("is_poisson needs a grade-2 multivector")
-    return schouten(bivector, bivector).is_zero()
+    return is_n_poisson(bivector)
 
 
 def is_n_poisson(field: Multivector) -> bool:
     """Self-commutation test for an even-grade multivector field."""
+    if not isinstance(field, Multivector):
+        raise KindMismatch("the Poisson checks take a multivector")
     if field.grade % 2:
         raise GradeMismatch("is_n_poisson needs an even-grade multivector")
     return schouten(field, field).is_zero()
-
-
-def _require_volume(volume: Form):
-    if not isinstance(volume, Form) or volume.grade != volume.chart.dim or volume.is_zero():
-        raise DegenerateStructure("expected a nonzero top-grade form")
 
 
 def _contract_or_zero(field: Multivector, a: Form) -> Form:
@@ -111,7 +107,7 @@ def volume_poisson_criterion(bivector: Multivector, volume: Form) -> bool:
     """
     if not isinstance(bivector, Multivector) or bivector.grade != 2:
         raise GradeMismatch("expected a grade-2 multivector")
-    _require_volume(volume)
+    _top_coefficient(volume)
     left = exterior_derivative(contract(wedge(bivector, bivector), volume))
     right = _contract_or_zero(bivector, exterior_derivative(contract(bivector, volume))) * 2
     return left == right
@@ -128,7 +124,7 @@ def schouten_volume_identity_check(l1: Multivector, l2: Multivector, volume: For
     for field in (l1, l2):
         if not isinstance(field, Multivector) or field.grade != 2:
             raise GradeMismatch("expected grade-2 multivectors")
-    _require_volume(volume)
+    _top_coefficient(volume)
     left = contract(schouten(l1, l2), volume)
     right = exterior_derivative(contract(wedge(l2, l1), volume))
     right = right - _contract_or_zero(l1, exterior_derivative(contract(l2, volume)))

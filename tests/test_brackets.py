@@ -37,12 +37,15 @@ from formcalc import (
     jacobiator,
     lie_derivative,
     magnetic_form,
+    mv_from_form,
     nambu_top_bracket,
     omega_power_bracket,
     pair,
     poisson_bivector,
     schouten,
+    schouten_volume_identity_check,
     standard_form,
+    volume_poisson_criterion,
     wedge,
     wedge_all,
 )
@@ -289,12 +292,34 @@ class TestNambu:
         with pytest.raises(ArityMismatch):
             nambu_top_bracket(volume, x, x)
 
+    @staticmethod
+    def volume_consumers(chart):
+        """Each construction that takes a volume, as a call on the volume alone."""
+        x, y = coordinates(chart)
+        one = Form.from_polynomial(Polynomial.constant(chart, 1))
+        bivector = Multivector(chart, 2, {(0, 1): x})
+        return [
+            lambda volume: BracketDef(volume, one),
+            lambda volume: nambu_top_bracket(volume, x, x, y),
+            lambda volume: mv_from_form(volume, one),
+            lambda volume: volume_poisson_criterion(bivector, volume),
+            lambda volume: schouten_volume_identity_check(bivector, bivector, volume),
+        ]
+
     @pytest.mark.parametrize("grade, terms", [(2, {}), (1, {(0,): 1}), (1, {})])
     def test_volume_must_be_a_nonzero_top_form(self, grade, terms):
         chart = Chart(("x", "y"))
-        x, y = coordinates(chart)
-        with pytest.raises(DegenerateStructure, match="nonzero top form"):
-            nambu_top_bracket(Form(chart, grade, terms), x, x, y)
+        for consume in self.volume_consumers(chart):
+            with pytest.raises(DegenerateStructure, match="nonzero top form"):
+                consume(Form(chart, grade, terms))
+
+    def test_volume_must_be_a_form(self):
+        chart = Chart(("x", "y"))
+        x, _ = coordinates(chart)
+        for volume in (x, Multivector(chart, 2, {(0, 1): 1})):
+            for consume in self.volume_consumers(chart):
+                with pytest.raises(KindMismatch):
+                    consume(volume)
 
     def test_volume_coefficient_must_be_constant(self):
         chart = Chart(("x", "y"))
@@ -476,6 +501,15 @@ class TestHomogenization:
         one = Polynomial.constant(chart, 1)
         with pytest.raises(Exception):
             homogenization_check(jdef, one, one)
+
+    def test_collision_and_invalid_name_are_told_apart(self):
+        chart = Chart(("x", "s"))
+        jdef = JacobiDef(Multivector.zero(chart, 2), Multivector.zero(chart, 1))
+        one = Polynomial.constant(chart, 1)
+        with pytest.raises(ChartMismatch, match="coordinate 's' is already in use"):
+            homogenization_check(jdef, one, one)
+        with pytest.raises(ChartMismatch, match="invalid coordinate name '9s'"):
+            homogenization_check(jdef, one, one, s_name="9s")
 
 
 class TestJacobiator:

@@ -2,7 +2,12 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import ast
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formcalc import (
     Chart,
@@ -18,14 +23,17 @@ from formcalc import (
     coordinate_form,
     coordinates,
     darboux_chart,
+    derived_vf,
     differential,
     exterior_derivative,
     form_power,
+    hamiltonian_vf,
     lie_derivative,
     magnetic_form,
     mv_from_form,
     pair,
     poisson_bivector,
+    schouten,
     standard_form,
     wedge,
 )
@@ -400,3 +408,77 @@ class TestConventions:
             sym = SymplecticData(omega)
             assert contract(sym.bivector, sym.omega) == Form.from_polynomial(
                 Polynomial.constant(sym.chart, sym.n))
+
+
+class TestTrustedResults:
+    """Builders hand their own terms to ``_of`` unchecked.  Each result must
+    be the tensor the checking constructor makes of the same terms: increasing
+    in-range index tuples of the grade, nonzero coefficients on the chart."""
+
+    def check(self, t):
+        rebuilt = type(t)(t.chart, t.grade, t.terms)
+        assert rebuilt == t and rebuilt.grade == t.grade and rebuilt.terms == t.terms
+        for key, value in t.terms.items():
+            assert len(key) == t.grade
+            assert all(0 <= i < t.chart.dim for i in key)
+            assert all(a < b for a, b in zip(key, key[1:]))
+            assert isinstance(value, Polynomial) and value.chart == t.chart
+            assert not value.is_zero()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 3), st.integers(0, 3),
+           st.sampled_from((0.2, 0.6, 1.0)))
+    def test_tensor_builders(self, rng, ga, gb, density):
+        a, b = rand_form(rng, C4, ga, density), rand_form(rng, C4, gb, density)
+        x, y = rand_multivector(rng, C4, ga, density), rand_multivector(rng, C4, gb, density)
+        same_grade = rand_form(rng, C4, ga, density)
+        f = rand_poly(rng, C4)
+        results = [wedge(a, b), wedge(x, y), exterior_derivative(a), differential(f),
+                   schouten(x, y), a + same_grade, a - same_grade, a - a, -x, a * f, x * 0,
+                   a * Fraction(-3, 2)]
+        if ga <= gb:
+            results.append(contract(x, b))
+        volume = Form(C4, 4, {(0, 1, 2, 3): Fraction(rng.choice((-2, 1, 3)), rng.choice((1, 5)))})
+        results.append(mv_from_form(volume, a))
+        for t in results:
+            self.check(t)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.randoms(use_true_random=False), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    def test_structure_builders(self, rng, c):
+        # the standard form plus g(q) dq1^dq2 is closed with determinant 1;
+        # a constant g takes elimination, any other g the Pfaffian table
+        q1, q2, _, _ = coordinates(C4)
+        g = c[0] + c[1] * q1 + c[2] * q2 + c[3] * q1 * q2
+        omega = standard_form(C4) + Form(C4, 2, {(0, 1): g})
+        sym = SymplecticData(omega)
+        fs = [rand_poly(rng, C4) for _ in range(3)]
+        for t in (poisson_bivector(omega), hamiltonian_vf(sym, fs[0]), derived_vf(sym, 1, fs[0]),
+                  derived_vf(sym, 2, *fs)):
+            self.check(t)
+
+
+class TestTermsAssignment:
+    """Only the two tensor constructors and ``ExpPoly``'s own set ``.terms``."""
+
+    def test_terms_assigned_only_in_constructors(self):
+        sites = set()
+
+        def visit(node, path, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    inner = scope + (child.name,)
+                if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                    for target in targets:
+                        if isinstance(target, ast.Attribute) and target.attr == "terms":
+                            sites.add((path.name, ".".join(scope)))
+                visit(child, path, inner)
+
+        modules = sorted((Path(__file__).resolve().parent.parent / "src" / "formcalc").glob("*.py"))
+        assert len(modules) > 5
+        for path in modules:
+            visit(ast.parse(path.read_text()), path, ())
+        assert sites == {("exterior.py", "_Graded.__init__"), ("exterior.py", "_Graded._of"),
+                         ("poly.py", "ExpPoly.__init__")}

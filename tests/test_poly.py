@@ -449,6 +449,8 @@ class TestMatrixOracle:
         adj = matrix_adjugate(rows, CHART)
         assert det == laplace_determinant(rows, CHART)
         assert adj == laplace_adjugate(rows, CHART)
+        # the determinant of the adjugate's own route is the same polynomial
+        assert poly_module._skew_inverse(rows, CHART) == (det, adj)
         m = len(rows)
         for i in range(m):
             for j in range(m):

@@ -7,6 +7,7 @@ from formcalc import (
     Chart,
     Form,
     GradeMismatch,
+    KindMismatch,
     Multivector,
     Polynomial,
     coordinate_field,
@@ -170,6 +171,13 @@ class TestPoissonChecks:
     def test_odd_grade_rejected(self):
         with pytest.raises(GradeMismatch):
             is_n_poisson(rand_multivector(random.Random(2), C4, 3))
+
+    @pytest.mark.parametrize("check", [is_poisson, is_n_poisson])
+    def test_non_multivector_rejected(self, check):
+        x1 = Polynomial.variable(C4, "x1")
+        for value in (x1, Form(C4, 2, {(0, 1): x1})):
+            with pytest.raises(KindMismatch, match="take a multivector"):
+                check(value)
 
 
 class TestVolumeCriteria:
