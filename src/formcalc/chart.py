@@ -22,7 +22,7 @@ class Chart:
         if not names:
             raise ValueError("a chart needs at least one coordinate")
         for name in names:
-            if not _NAME_RE.match(name):
+            if not isinstance(name, str) or not _NAME_RE.match(name):
                 raise ValueError(f"invalid coordinate name {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("coordinate names must be distinct")
@@ -36,15 +36,15 @@ class Chart:
     def index(self, name: str) -> int:
         try:
             return self._positions[name]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValueError(f"unknown coordinate {name!r}") from None
 
     def __contains__(self, name) -> bool:
-        return name in self._positions
+        return isinstance(name, str) and name in self._positions
 
     def extended(self, name: str) -> "Chart":
         """A new chart with one extra coordinate appended at the end."""
-        if name in self._positions:
+        if name in self:
             raise ValueError(f"coordinate {name!r} already present")
         return Chart(self.names + (name,))
 

@@ -482,14 +482,9 @@ def poisson_bivector(omega: Form) -> Multivector:
     det, adjugate = _skew_inverse(matrix, chart)
     if det.is_zero() or not det.is_constant():
         raise DegenerateStructure("coefficient matrix needs a constant nonzero determinant")
-    det_value = det.constant_value()
-    terms: dict[IndexTuple, Polynomial] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            entry = adjugate[i][j] * (Fraction(-1) / det_value)
-            if not entry.is_zero():
-                terms[(i, j)] = entry
-    return Multivector._of(chart, 2, terms)
+    scale = Fraction(-1) / det.constant_value()
+    return Multivector._of(chart, 2, {(i, j): adjugate[i][j] * scale for i in range(m)
+                                      for j in range(i + 1, m) if not adjugate[i][j].is_zero()})
 
 
 def lie_derivative(field: Multivector, a: Form) -> Form:

@@ -58,19 +58,19 @@ Besides :class:`Polynomial` this module provides
   returns both, the determinant from the route that built the adjugate.
   The entries pick one of two routes:
 
-  1. a matrix of constants takes one exact ``Fraction`` Gauss-Jordan pass
-     on ``[M | I]``, which yields the determinant and ``adj = det * M^-1``;
-     a singular one has rank at most ``m - 2``, so its adjugate is zero;
+  1. a matrix of constants takes one fraction-free elimination (Bareiss,
+     "Sylvester's identity and multistep integer-preserving Gaussian
+     elimination", Math. Comp. 22, 1968) for ``det`` and ``adj``; a
+     singular one has rank at most ``m - 2``, so its adjugate is zero;
   2. any other takes one memoized table of Pfaffians over index subsets
      (the classical expansion; see Galbiati & Maffioli, "On the computation
      of Pfaffians", 1994): ``det = Pf(M)^2`` and ``adj[i][j] =
      (-1)^(i+j+[j<i]) * Pf(M) * Pf(M without rows and columns i, j)``.
 
   A Pfaffian has about the square root of the determinant's terms, and
-  elimination's intermediate entries swell on polynomial matrices, so
-  those take the table.  The table holds a Pfaffian for every even index
-  subset, exponentially many, while elimination is cubic, so constant
-  matrices keep elimination.
+  elimination's entries swell on polynomial matrices, so those take the
+  table; it holds a Pfaffian for every even index subset, exponentially
+  many, while elimination is cubic, so constant matrices keep elimination.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm
 from typing import Iterator, Sequence
 
 from .chart import Chart
@@ -811,32 +812,39 @@ def _check_even_skew(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> int:
     return n
 
 
-def _eliminate(matrix: Sequence[Sequence[Polynomial]]):
-    """``None`` unless every entry is a constant; then ``(det, inverse)`` as
-    ``Fraction`` values by one Gauss-Jordan pass on ``[M | I]`` with row
-    pivoting, the inverse ``None`` when ``det`` is zero."""
+def _eliminate(matrix: Sequence[Sequence[Polynomial]], chart: Chart):
+    """``None`` unless every entry is a constant; then ``(det, adj)``, ``adj``
+    ``None`` when ``det`` is zero, by Bareiss's fraction-free Gauss-Jordan
+    pass (Math. Comp. 22, 1968) on ``[A | I]``, ``A = L*M`` for the lcm ``L``
+    of the denominators.  Each step, with row pivoting, sets every other row
+    to ``(lead*x - factor*y) // prev``, exact as every entry stays a minor of
+    ``[A | I]``; the pass ends at ``[sign*det(A)*I | sign*adj(A)]``."""
     if not all(entry.is_constant() for row in matrix for entry in row):
         return None
     m = len(matrix)
-    rows = [[entry.constant_value() for entry in row] + [Fraction(int(i == j)) for j in range(m)]
-            for i, row in enumerate(matrix)]
-    det = Fraction(1)
+    values = [[entry._terms.get(0, 0) for entry in row] for row in matrix]
+    scale = lcm(*(x.denominator for row in values for x in row))
+    rows = [[x.numerator * (scale // x.denominator) for x in row] + [int(i == j) for j in range(m)]
+            for i, row in enumerate(values)]
+    sign = prev = 1
     for col in range(m):
         pivot = next((r for r in range(col, m) if rows[r][col]), None)
         if pivot is None:
-            return Fraction(0), None
+            return Polynomial.zero(chart), None
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        lead = rows[col][col]
-        det *= lead
-        pivot_row = [x / lead for x in rows[col]]
-        rows[col] = pivot_row
+            sign = -sign
+        pivot_row = rows[col]
+        lead = pivot_row[col]
         for r in range(m):
-            factor = rows[r][col]
-            if r != col and factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], pivot_row)]
-    return det, [row[m:] for row in rows]
+            if r != col:
+                factor = rows[r][col]
+                rows[r] = [(lead * x - factor * y) // prev for x, y in zip(rows[r], pivot_row)]
+        prev = lead
+    unit = scale ** m
+    adj = [[Polynomial.constant(chart, Fraction(sign * scale * x, unit) if unit > 1 else sign * x)
+            for x in row[m:]] for row in rows]
+    return Polynomial.constant(chart, Fraction(sign * prev, unit)), adj
 
 
 def _pfaffian_table(rows: Sequence[Sequence[Polynomial]], chart: Chart):
@@ -870,7 +878,7 @@ def _pfaffian_table(rows: Sequence[Sequence[Polynomial]], chart: Chart):
 def matrix_determinant(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> Polynomial:
     """Determinant of an even skew-symmetric matrix of polynomials on ``chart``.
 
-    A matrix of constants takes one exact ``Fraction`` elimination (a
+    A matrix of constants takes Bareiss's fraction-free elimination (1968; a
     singular one runs out of pivots and gives zero); any other takes
     ``Pf(M)^2``, with the Pfaffian expanded over one memo of index subsets.
 
@@ -880,9 +888,9 @@ def matrix_determinant(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> Po
     are checked first.
     """
     n = _check_even_skew(rows, chart)
-    solved = _eliminate(rows)
+    solved = _eliminate(rows, chart)
     if solved is not None:
-        return Polynomial.constant(chart, solved[0])
+        return solved[0]
     pf = _pfaffian_table(rows, chart)((1 << n) - 1)
     return pf * pf
 
@@ -897,12 +905,9 @@ def _skew_inverse(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> tuple[P
     n = _check_even_skew(rows, chart)
     zero = Polynomial.zero(chart)
     adj = [[zero] * n for _ in range(n)]
-    solved = _eliminate(rows)
+    solved = _eliminate(rows, chart)
     if solved is not None:
-        det, inverse = solved
-        if inverse is not None:
-            adj = [[Polynomial.constant(chart, det * x) for x in row] for row in inverse]
-        return Polynomial.constant(chart, det), adj
+        return solved[0], solved[1] or adj
     pfaffian = _pfaffian_table(rows, chart)
     full = (1 << n) - 1
     pf = pfaffian(full)

@@ -9,7 +9,9 @@ independent determinant per cofactor.  They are the reference for
 matrices (elimination for constant entries, the Pfaffian table for the
 rest), for the Dirac constraint matrix, and for the Jacobian determinant
 behind ``nambu_top_bracket``, which is not skew and so has no route in
-``formcalc.poly``.
+``formcalc.poly``.  ``fraction_gauss_jordan`` is the ``Fraction``
+elimination that constant matrices took before the fraction-free route:
+the reference for it at sizes the Laplace expansion cannot reach.
 ``full_wedge_bracket``, ``full_wedge_derived_vf`` and
 ``full_wedge_jacobi_bracket`` build the whole wedge of the differentials and
 pair it with the generator, the route the brackets took before they wedged
@@ -123,6 +125,32 @@ def laplace_adjugate(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> list
                 cofactor = -cofactor
             adj[j][i] = cofactor
     return adj
+
+
+def fraction_gauss_jordan(values: Sequence[Sequence[Fraction]]):
+    """``(det, inverse)`` of a square matrix of rationals by one Gauss-Jordan
+    pass on ``[M | I]`` with row pivoting, every entry a ``Fraction``; the
+    inverse is ``None`` when ``det`` is zero."""
+    m = len(values)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)]
+            for i, row in enumerate(values)]
+    det = Fraction(1)
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if rows[r][col]), None)
+        if pivot is None:
+            return Fraction(0), None
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        lead = rows[col][col]
+        det *= lead
+        pivot_row = [x / lead for x in rows[col]]
+        rows[col] = pivot_row
+        for r in range(m):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], pivot_row)]
+    return det, [row[m:] for row in rows]
 
 
 def full_wedge_bracket(bdef, *functions) -> Polynomial:

@@ -511,6 +511,13 @@ class TestHomogenization:
         with pytest.raises(ChartMismatch, match="invalid coordinate name '9s'"):
             homogenization_check(jdef, one, one, s_name="9s")
 
+    @pytest.mark.parametrize("s_name", (5, None, ["s"], ("s",)), ids=repr)
+    def test_non_string_name_rejected(self, s_name):
+        jdef = self.contact_pair()
+        one = Polynomial.constant(self.CONTACT, 1)
+        with pytest.raises(ChartMismatch, match="invalid coordinate name"):
+            homogenization_check(jdef, one, one, s_name=s_name)
+
 
 class TestJacobiator:
     def test_magnetic_cases(self):

@@ -341,6 +341,23 @@ class TestSymplecticData:
                             Polynomial.zero(chart))
                 assert entry == -int(i == j)
 
+    @pytest.mark.parametrize("m", (16, 24))
+    def test_large_dense_constant_form_inverts_exactly(self, m):
+        # sizes the fraction-free elimination reaches in well under a second;
+        # the denominators 1-3 make the common denominator L = 6
+        rng = random.Random(m)
+        chart = Chart([f"x{i}" for i in range(1, m + 1)])
+        omega = Form(chart, 2, {
+            (i, j): Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(1, 3))
+            for i in range(m) for j in range(i + 1, m)
+        })
+        lam = SymplecticData(omega).bivector
+        for i in range(m):
+            for j in range(m):
+                entry = sum((lam.coefficient((i, k)) * omega.coefficient((k, j)) for k in range(m)),
+                            Polynomial.zero(chart))
+                assert entry == -int(i == j)
+
     def test_singular_dense_constant_form_rejected(self):
         # Pfaffian a01*a23 - a02*a13 + a03*a12 = 1 - 2 + 1 = 0, no entry zero
         omega = Form(C4, 2, {(0, 1): 1, (2, 3): 1, (0, 2): 1, (1, 3): 2, (0, 3): 1, (1, 2): 1})

@@ -36,6 +36,7 @@ from formcalc.cli import run_scenario
 
 from tests.helpers import (
     LegacyPolynomial,
+    fraction_gauss_jordan,
     laplace_adjugate,
     laplace_determinant,
     legacy_exact_divide,
@@ -55,6 +56,30 @@ def poly(terms):
 coefficients = st.integers(-4, 4).map(Fraction)
 exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
 polynomials = st.dictionaries(exponents, coefficients, max_size=4).map(poly)
+
+
+NOT_NAMES = (5, None, 1.5, ("q",), ["q"], b"q")
+
+
+class TestChart:
+    """A coordinate name that is not a string is an invalid name, never a
+    ``TypeError`` from the name check or a hash."""
+
+    @pytest.mark.parametrize("name", NOT_NAMES, ids=repr)
+    def test_non_string_name_rejected(self, name):
+        with pytest.raises(ValueError, match="invalid coordinate name"):
+            Chart(["q", name])
+
+    @pytest.mark.parametrize("name", NOT_NAMES, ids=repr)
+    def test_extended_by_non_string_rejected(self, name):
+        with pytest.raises(ValueError, match="invalid coordinate name"):
+            CHART.extended(name)
+
+    @pytest.mark.parametrize("name", NOT_NAMES, ids=repr)
+    def test_non_string_is_not_a_member(self, name):
+        assert name not in CHART
+        with pytest.raises(ValueError, match="unknown coordinate"):
+            CHART.index(name)
 
 
 class TestArithmetic:
@@ -394,12 +419,12 @@ def dense_matrices(draw):
 
 
 @st.composite
-def skew_matrices(draw, sizes=even_sizes):
+def skew_matrices(draw, sizes=even_sizes, entries=rationals):
     m = draw(sizes)
     values = [[Fraction(0)] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            values[i][j] = draw(rationals)
+            values[i][j] = draw(entries)
             values[j][i] = -values[i][j]
     return values
 
@@ -430,13 +455,13 @@ def skew_polynomial_matrices(draw, sizes=even_sizes):
 
 
 @st.composite
-def singular_constant_skew_matrices(draw):
+def singular_constant_skew_matrices(draw, sizes=even_sizes, entries=rationals):
     """``X S X^T`` for a skew ``S`` of even size ``r <= m - 2`` and an
     ``m x r`` matrix ``X``: skew of rank at most ``r``, so singular."""
-    m = draw(even_sizes)
+    m = draw(sizes)
     r = draw(st.sampled_from(range(0, m - 1, 2)))
-    s = draw(skew_matrices(st.just(r)))
-    x = [[draw(rationals) for _ in range(r)] for _ in range(m)]
+    s = draw(skew_matrices(st.just(r), entries))
+    x = [[draw(entries) for _ in range(r)] for _ in range(m)]
     return [[sum(x[i][a] * s[a][b] * x[j][b] for a in range(r) for b in range(r))
              for j in range(m)] for i in range(m)]
 
@@ -479,6 +504,47 @@ class TestMatrixOracle:
     @given(skew_polynomial_matrices())
     def test_polynomial(self, rows):
         self.check(rows)
+
+
+wide_sizes = st.sampled_from(range(2, 17, 2))
+integer_entries = st.integers(-9, 9)
+# coprime denominators, so the common denominator L is often their product
+coprime_entries = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 5, 7)))
+
+
+class TestEliminationOracle:
+    """The fraction-free route of constant matrices against the ``Fraction``
+    Gauss-Jordan pass it replaced, at sizes 2-16, past the Laplace oracle's
+    reach: ``_skew_inverse`` must give the oracle's ``det`` and
+    ``det * inverse`` (the zero adjugate when singular)."""
+
+    def check(self, values):
+        rows = _constant_matrix(values)
+        det, inverse = fraction_gauss_jordan(values)
+        m = len(values)
+        if inverse is None:
+            adj = [[Polynomial.zero(CHART)] * m for _ in range(m)]
+        else:
+            adj = [[Polynomial.constant(CHART, det * x) for x in row] for row in inverse]
+        expected = Polynomial.constant(CHART, det)
+        assert poly_module._skew_inverse(rows, CHART) == (expected, adj)
+        assert matrix_determinant(rows, CHART) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(skew_matrices(wide_sizes, integer_entries))
+    def test_integer(self, values):
+        self.check(values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(skew_matrices(wide_sizes, coprime_entries))
+    def test_coprime_denominators(self, values):
+        self.check(values)
+
+    @settings(max_examples=30, deadline=None)
+    @given(singular_constant_skew_matrices(wide_sizes, integer_entries | coprime_entries))
+    def test_singular(self, values):
+        assert fraction_gauss_jordan(values)[1] is None
+        self.check(values)
 
 
 class TestSkewRoutes:
