@@ -30,6 +30,7 @@ from .exterior import (
     Form,
     Multivector,
     SymplecticData,
+    _star,
     _summed,
     _support_levels,
     _support_pair,
@@ -37,13 +38,13 @@ from .exterior import (
     _support_wedge,
     _top_coefficient,
     _volume_constant,
+    coordinate_form,
     differential,
-    mv_from_form,
     pair,
     wedge,
     wedge_all,
 )
-from .poly import ExpPoly, Polynomial, RationalExpr, sum_of_products
+from .poly import Polynomial, RationalExpr, sum_of_products
 from .schouten import jacobi_pair_check
 
 
@@ -51,15 +52,18 @@ class BracketDef:
     """A k-ary bracket cut out by a volume form and a complementary form.
 
     The bracket of ``k = dim - grade(alpha)`` functions is the scalar ``s``
-    with ``s * volume == df_1 ^ ... ^ df_k ^ alpha``.  When the volume
-    coefficient is a rational constant the generating k-multivector (the
-    ``L`` with ``i_L volume == alpha``) and its support levels are built at
-    construction and evaluation pairs against it; otherwise evaluation is a
-    :class:`RationalExpr` quotient of top-form coefficients.  The tests check
-    that the two routes agree.
+    with ``s * volume == df_1 ^ ... ^ df_k ^ alpha``.  Writing the volume as
+    ``c * dx_1^...^dx_m``, that is ``<df_1 ^ ... ^ df_k, *alpha> / c`` for
+    the k-multivector ``*alpha`` with ``i_{*alpha}(dx_1^...^dx_m) == alpha``,
+    which is built with its support levels at construction.  When ``c`` is a
+    rational constant the ``1/c`` is folded into it, giving the
+    ``generator`` (the ``L`` with ``i_L volume == alpha``); otherwise
+    ``generator`` is ``None`` and evaluation is a :class:`RationalExpr`
+    quotient by ``c``.  The tests check both against the top coefficient of
+    the wedge.
     """
 
-    __slots__ = ("volume", "alpha", "arity", "generator", "_top", "_vol_coeff", "_levels")
+    __slots__ = ("volume", "alpha", "arity", "generator", "_star", "_vol_coeff", "_levels")
 
     def __init__(self, volume: Form, alpha: Form):
         vol_coeff = _top_coefficient(volume)
@@ -67,17 +71,17 @@ class BracketDef:
             raise KindMismatch("BracketDef takes two forms")
         if volume.chart != alpha.chart:
             raise ChartMismatch("volume and alpha live on different charts")
-        m = volume.chart.dim
-        arity = m - alpha.grade
+        arity = volume.chart.dim - alpha.grade
         if arity < 1:
             raise GradeMismatch("alpha leaves no argument slots")
         self.volume = volume
         self.alpha = alpha
         self.arity = arity
-        self._top = tuple(range(m))
         self._vol_coeff = vol_coeff
-        self.generator = mv_from_form(volume, alpha) if self._vol_coeff.is_constant() else None
-        self._levels = None if self.generator is None else _support_levels(self.generator)
+        constant = vol_coeff.is_constant()
+        self._star = _star(alpha, Fraction(1) / vol_coeff.constant_value() if constant else Fraction(1))
+        self.generator = self._star if constant else None
+        self._levels = _support_levels(self._star)
 
     @property
     def chart(self) -> Chart:
@@ -104,19 +108,18 @@ def _differentials(chart: Chart, functions) -> list[Form]:
 def bracket(bdef: BracketDef, *functions: Polynomial):
     """Evaluate a form-defined bracket on ``arity`` polynomial arguments.
 
-    Under a constant volume the value is the pairing
-    ``<df_1 ^ ... ^ df_k, L>`` with the generator ``L``, and the
-    differentials are wedged only onto index tuples inside ``L``'s terms,
-    so a component the pairing would not read is never built.  Under a
-    non-constant volume it is the :class:`RationalExpr` quotient of the top
-    coefficients of ``df_1 ^ ... ^ df_k ^ alpha`` and of the volume.
+    The value is the pairing ``<df_1 ^ ... ^ df_k, *alpha>`` (see
+    :class:`BracketDef`), with the differentials wedged only onto index
+    tuples inside the terms of ``*alpha``, so a component the pairing would
+    not read is never built.  Under a constant volume that pairing, taken
+    with the generator, is the bracket; under a non-constant volume the
+    bracket is the :class:`RationalExpr` quotient of the pairing by the
+    volume coefficient.
     """
     if len(functions) != bdef.arity:
         raise ArityMismatch(f"bracket takes {bdef.arity} arguments, got {len(functions)}")
-    dfs = _differentials(bdef.chart, functions)
-    if bdef.generator is not None:
-        return _support_pair(dfs, bdef.generator, bdef._levels)
-    return RationalExpr(wedge(wedge_all(dfs), bdef.alpha).coefficient(bdef._top), bdef._vol_coeff)
+    value = _support_pair(_differentials(bdef.chart, functions), bdef._star, bdef._levels)
+    return value if bdef.generator is not None else RationalExpr(value, bdef._vol_coeff)
 
 
 def power_bracket_def(volume: Form, power: Form, k: int) -> BracketDef:
@@ -254,12 +257,17 @@ def jacobi_bracket(jdef: JacobiDef, f: Polynomial, g: Polynomial) -> Polynomial:
 def homogenization_check(
     jdef: JacobiDef, f: Polynomial, g: Polynomial, s_name: str = "s"
 ) -> bool:
-    """Exponential-weight reformulation of the Jacobi bracket.
+    """Exponential-weight reformulation of the Jacobi bracket (Poissonization).
 
     On the chart extended by a fresh coordinate ``s``, evaluating the
-    bivector ``L + e(s)^X`` on ``exp(s)*f`` and ``exp(s)*g`` and rescaling by
-    ``exp(-2s)`` must reproduce ``jacobi_bracket(jdef, f, g)``.  Returns the
-    exact equality of the two sides.
+    bivector ``P = L + e(s)^X`` on ``exp(s)*f`` and ``exp(s)*g`` and
+    rescaling by ``exp(-2s)`` must reproduce ``jacobi_bracket(jdef, f, g)``
+    (Lichnerowicz, "Les variétés de Jacobi et leurs algèbres de Lie
+    associées", J. Math. Pures Appl. 57, 1978).  The exponential enters only
+    through ``d(exp(s)*p) = exp(s)*(dp + p*ds)``, so each argument is lifted
+    to the 1-form ``dp + p*ds`` and the factors ``exp(s)*exp(s)*exp(-2s)``
+    cancel: the left side is ``<lift(f) ^ lift(g), P>``.  Returns its exact
+    equality with the bracket, both read on the extended chart.
     """
     f, g = _argument(jdef.chart, f), _argument(jdef.chart, g)
     if s_name in jdef.chart:
@@ -269,28 +277,19 @@ def homogenization_check(
     except ValueError as exc:
         raise ChartMismatch(str(exc)) from None
     s_index = extended.dim - 1
-
-    # entries of the extended bivector, as (i, j, coefficient) with i < j
-    entries = [
-        (i, j, c.extended_to(extended))
-        for (i, j), c in jdef.bivector.terms.items()
-    ]
+    terms = {key: c.extended_to(extended) for key, c in jdef.bivector.terms.items()}
     for (i,), c in jdef.field.terms.items():
         # e(s)^e(x_i) = -e(x_i)^e(s)
-        entries.append((i, s_index, -c.extended_to(extended)))
+        terms[(i, s_index)] = -c.extended_to(extended)
+    bivector = Multivector._of(extended, 2, terms)
+    ds = coordinate_form(extended, s_name)
 
-    def lift(p: Polynomial, weight: int = 0) -> ExpPoly:
-        return ExpPoly.from_polynomial(p.extended_to(extended), s_index, weight)
+    def lift(p: Polynomial) -> Form:
+        p = p.extended_to(extended)
+        return differential(p) + ds * p
 
-    u = lift(f, weight=1)
-    v = lift(g, weight=1)
-    total = ExpPoly(extended, s_index)
-    for i, j, c in entries:
-        value = u.diff(i) * v.diff(j) - u.diff(j) * v.diff(i)
-        total = total + ExpPoly.from_polynomial(c, s_index) * value
-    left = ExpPoly.exponential(extended, s_index, -2) * total
-    right = lift(jacobi_bracket(jdef, f, g))
-    return left == right
+    left = pair(wedge(lift(f), lift(g)), bivector)
+    return left == jacobi_bracket(jdef, f, g).extended_to(extended)
 
 
 def _binary_bracket(source):

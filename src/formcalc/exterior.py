@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 
 from .chart import Chart
 from .errors import ChartMismatch, DegenerateStructure, GradeMismatch, KindMismatch
-from .poly import Polynomial, _accumulate, _skew_inverse, sum_of_products
+from .poly import Polynomial, _skew_inverse, sum_of_products
 
 IndexTuple = tuple[int, ...]
 
@@ -69,6 +69,16 @@ def _merge_sign(left: IndexTuple, right: IndexTuple) -> tuple[IndexTuple | None,
                 inversions += 1
     merged = tuple(sorted(left + right))
     return merged, (-1 if inversions % 2 else 1)
+
+
+def _accumulate(table: dict, key, value):
+    """Add ``value`` into ``table[key]``, dropping the key when the sum is zero."""
+    acc = table.get(key)
+    total = value if acc is None else acc + value
+    if total.is_zero():
+        table.pop(key, None)
+    else:
+        table[key] = total
 
 
 def _summed(groups: dict, chart: Chart) -> dict:
@@ -294,6 +304,8 @@ def exterior_derivative(a: Form) -> Form:
         return Form.zero(chart, chart.dim)
     out: dict[IndexTuple, Polynomial] = {}
     for key, coefficient in a.terms.items():
+        if coefficient.is_constant():
+            continue
         for i in range(chart.dim):
             if i in key:
                 continue
@@ -432,6 +444,20 @@ def _volume_constant(volume: Form) -> Fraction:
         raise DegenerateStructure("volume coefficient must be a rational constant") from None
 
 
+def _star(a: Form, scale: Fraction) -> Multivector:
+    """``scale`` times the multivector ``L`` with ``i_L(dx_1^...^dx_m) == a``,
+    unchecked: each index tuple of ``a`` goes to its complement."""
+    chart = a.chart
+    k = chart.dim - a.grade
+    out: dict[IndexTuple, Polynomial] = {}
+    for key, coefficient in a.terms.items():
+        complement = tuple(i for i in range(chart.dim) if i not in key)
+        # sign of contracting the complement out of the full top tuple
+        epsilon = -1 if (sum(complement) - k * (k - 1) // 2) % 2 else 1
+        out[complement] = coefficient * (epsilon * scale)
+    return Multivector._of(chart, k, out)
+
+
 def mv_from_form(volume: Form, a: Form) -> Multivector:
     """The unique multivector ``L`` with ``contract(L, volume) == a``.
 
@@ -441,17 +467,7 @@ def mv_from_form(volume: Form, a: Form) -> Multivector:
     if not isinstance(volume, Form) or not isinstance(a, Form):
         raise KindMismatch("mv_from_form takes two forms")
     _require_same_chart(volume, a)
-    c = _volume_constant(volume)
-    chart = volume.chart
-    top = tuple(range(chart.dim))
-    k = chart.dim - a.grade
-    out: dict[IndexTuple, Polynomial] = {}
-    for key, coefficient in a.terms.items():
-        complement = tuple(i for i in top if i not in key)
-        # sign of contracting the complement out of the full top tuple
-        epsilon = -1 if (sum(complement) - k * (k - 1) // 2) % 2 else 1
-        out[complement] = coefficient * (Fraction(epsilon) / c)
-    return Multivector._of(chart, k, out)
+    return _star(a, Fraction(1) / _volume_constant(volume))
 
 
 def form_power(a: Form, power: int) -> Form:

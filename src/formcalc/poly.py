@@ -48,9 +48,6 @@ Besides :class:`Polynomial` this module provides
 * :class:`RationalExpr` -- an *unreduced* quotient of two polynomials.
   Equality is decided by cross-multiplication, never by computing a
   multivariate GCD.
-* :class:`ExpPoly` -- a polynomial extended by integer powers of a formal
-  exponential in one distinguished coordinate, used by the Jacobi-bracket
-  homogenization check.
 * exact division, and :func:`matrix_determinant` / :func:`matrix_adjugate`
   for the matrices the package inverts: the form matrix of a symplectic
   2-form and the Dirac constraint bracket matrix, both skew-symmetric of
@@ -145,16 +142,6 @@ def _check_degree(degree: int) -> int:
     if degree >= DEGREE_CAP:
         raise DegreeOverflow(f"total degree would reach 2^{_BITS}")
     return degree
-
-
-def _accumulate(table: dict, key, value):
-    """Add ``value`` into ``table[key]``, dropping the key when the sum is zero."""
-    acc = table.get(key)
-    total = value if acc is None else acc + value
-    if total.is_zero():
-        table.pop(key, None)
-    else:
-        table[key] = total
 
 
 def _add_product(out: dict, large: dict, small: dict, negate: bool):
@@ -685,114 +672,6 @@ class RationalExpr:
 
     def __repr__(self):
         return f"RationalExpr({self.numerator!r}, {self.denominator!r})"
-
-
-class ExpPoly:
-    """A polynomial extended by integer powers of ``exp(s)`` in one coordinate.
-
-    Stored as a map from the integer exponential weight ``w`` to the
-    polynomial coefficient of ``exp(w*s)``; weight zero embeds plain
-    polynomials.  The distinguished coordinate ``s`` is fixed by its chart
-    index.  Differentiation follows ``d/ds (exp(w*s) * p) =
-    exp(w*s) * (w*p + dp/ds)``.
-    """
-
-    __slots__ = ("chart", "s_index", "terms")
-
-    def __init__(self, chart: Chart, s_index: int, terms: Mapping[int, Polynomial] | None = None):
-        if not 0 <= s_index < chart.dim:
-            raise ValueError("distinguished coordinate index out of range")
-        table: dict[int, Polynomial] = {}
-        if terms:
-            for weight, coefficient in terms.items():
-                if not isinstance(weight, int):
-                    raise TypeError("exponential weights must be integers")
-                if coefficient.chart != chart:
-                    raise ChartMismatch("coefficient lives on a different chart")
-                if not coefficient.is_zero():
-                    table[weight] = coefficient
-        self.chart = chart
-        self.s_index = s_index
-        self.terms = table
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial, s_index: int, weight: int = 0) -> "ExpPoly":
-        return cls(p.chart, s_index, {weight: p})
-
-    @classmethod
-    def exponential(cls, chart: Chart, s_index: int, weight: int) -> "ExpPoly":
-        return cls(chart, s_index, {weight: Polynomial.constant(chart, 1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "ExpPoly"):
-        if not isinstance(other, ExpPoly):
-            raise TypeError("expected an ExpPoly")
-        if other.chart != self.chart or other.s_index != self.s_index:
-            raise ChartMismatch("operands disagree on chart or distinguished coordinate")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for weight, coefficient in other.terms.items():
-            _accumulate(out, weight, coefficient)
-        return ExpPoly(self.chart, self.s_index, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ExpPoly(self.chart, self.s_index, {w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = ExpPoly.from_polynomial(
-                other if isinstance(other, Polynomial) else Polynomial.constant(self.chart, other),
-                self.s_index,
-            )
-        self._check(other)
-        out: dict[int, Polynomial] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                _accumulate(out, wa + wb, ca * cb)
-        return ExpPoly(self.chart, self.s_index, out)
-
-    __rmul__ = __mul__
-
-    def diff(self, coordinate: int) -> "ExpPoly":
-        # each weight keeps its own term, so nothing is merged
-        out: dict[int, Polynomial] = {}
-        for weight, coefficient in self.terms.items():
-            value = coefficient.diff(coordinate)
-            if coordinate == self.s_index:
-                value = coefficient * weight + value
-            if not value.is_zero():
-                out[weight] = value
-        return ExpPoly(self.chart, self.s_index, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.s_index == other.s_index
-            and self.terms == other.terms
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        s = self.chart.names[self.s_index]
-        parts = []
-        for weight in sorted(self.terms):
-            head = f"exp({weight}*{s})" if weight else ""
-            body = f"({self.terms[weight]})"
-            parts.append(f"{head}*{body}" if head else body)
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"ExpPoly({self})"
 
 
 def _check_even_skew(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> int:

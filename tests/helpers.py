@@ -15,7 +15,9 @@ the reference for it at sizes the Laplace expansion cannot reach.
 ``full_wedge_bracket``, ``full_wedge_derived_vf`` and
 ``full_wedge_jacobi_bracket`` build the whole wedge of the differentials and
 pair it with the generator, the route the brackets took before they wedged
-only onto the generator's support.  ``volume_route_def`` builds the 2k-bracket
+only onto the generator's support.  ``ExpPoly`` and
+``exp_poly_homogenization`` are the algebra of ``exp(w*s)`` weights that
+``homogenization_check`` ran on before it lifted its arguments to 1-forms.  ``volume_route_def`` builds the 2k-bracket
 the way ``omega_power_bracket`` and ``derived_vf`` did before they paired
 against the divided power ``Lambda^k/k!``: the generator of
 ``k! * omega^(n-k)/(n-k)!`` against the volume ``omega^n/n!``.
@@ -45,9 +47,8 @@ from formcalc import (
     wedge_all,
 )
 from formcalc.brackets import power_bracket_def
-from formcalc.exterior import _normalize_index_tuple
+from formcalc.exterior import _accumulate, _normalize_index_tuple
 from formcalc.parsing import _error, _tokenize
-from formcalc.poly import _accumulate
 from formcalc.suites import _random_graded, _random_poly
 
 
@@ -182,6 +183,134 @@ def full_wedge_jacobi_bracket(jdef, f, g) -> Polynomial:
     """``L(f,g) + f*X(g) - g*X(f)`` with ``L(f,g)`` paired against ``df ^ dg``."""
     df, dg = differential(f), differential(g)
     return pair(wedge(df, dg), jdef.bivector) + f * pair(dg, jdef.field) - g * pair(df, jdef.field)
+
+
+class ExpPoly:
+    """A polynomial extended by integer powers of ``exp(s)`` in one coordinate.
+
+    Stored as a map from the integer exponential weight ``w`` to the
+    polynomial coefficient of ``exp(w*s)``; weight zero embeds plain
+    polynomials.  The distinguished coordinate ``s`` is fixed by its chart
+    index.  Differentiation follows ``d/ds (exp(w*s) * p) =
+    exp(w*s) * (w*p + dp/ds)``.
+    """
+
+    __slots__ = ("chart", "s_index", "terms")
+
+    def __init__(self, chart: Chart, s_index: int, terms: Mapping[int, Polynomial] | None = None):
+        if not 0 <= s_index < chart.dim:
+            raise ValueError("distinguished coordinate index out of range")
+        table: dict[int, Polynomial] = {}
+        if terms:
+            for weight, coefficient in terms.items():
+                if not isinstance(weight, int):
+                    raise TypeError("exponential weights must be integers")
+                if coefficient.chart != chart:
+                    raise ChartMismatch("coefficient lives on a different chart")
+                if not coefficient.is_zero():
+                    table[weight] = coefficient
+        self.chart = chart
+        self.s_index = s_index
+        self.terms = table
+
+    @classmethod
+    def from_polynomial(cls, p: Polynomial, s_index: int, weight: int = 0) -> "ExpPoly":
+        return cls(p.chart, s_index, {weight: p})
+
+    @classmethod
+    def exponential(cls, chart: Chart, s_index: int, weight: int) -> "ExpPoly":
+        return cls(chart, s_index, {weight: Polynomial.constant(chart, 1)})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check(self, other: "ExpPoly"):
+        if not isinstance(other, ExpPoly):
+            raise TypeError("expected an ExpPoly")
+        if other.chart != self.chart or other.s_index != self.s_index:
+            raise ChartMismatch("operands disagree on chart or distinguished coordinate")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for weight, coefficient in other.terms.items():
+            _accumulate(out, weight, coefficient)
+        return ExpPoly(self.chart, self.s_index, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return ExpPoly(self.chart, self.s_index, {w: -c for w, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, Polynomial)):
+            other = ExpPoly.from_polynomial(
+                other if isinstance(other, Polynomial) else Polynomial.constant(self.chart, other),
+                self.s_index,
+            )
+        self._check(other)
+        out: dict[int, Polynomial] = {}
+        for wa, ca in self.terms.items():
+            for wb, cb in other.terms.items():
+                _accumulate(out, wa + wb, ca * cb)
+        return ExpPoly(self.chart, self.s_index, out)
+
+    __rmul__ = __mul__
+
+    def diff(self, coordinate: int) -> "ExpPoly":
+        # each weight keeps its own term, so nothing is merged
+        out: dict[int, Polynomial] = {}
+        for weight, coefficient in self.terms.items():
+            value = coefficient.diff(coordinate)
+            if coordinate == self.s_index:
+                value = coefficient * weight + value
+            if not value.is_zero():
+                out[weight] = value
+        return ExpPoly(self.chart, self.s_index, out)
+
+    def __eq__(self, other):
+        if not isinstance(other, ExpPoly):
+            return NotImplemented
+        return (
+            self.chart == other.chart
+            and self.s_index == other.s_index
+            and self.terms == other.terms
+        )
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        s = self.chart.names[self.s_index]
+        parts = []
+        for weight in sorted(self.terms):
+            head = f"exp({weight}*{s})" if weight else ""
+            body = f"({self.terms[weight]})"
+            parts.append(f"{head}*{body}" if head else body)
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return f"ExpPoly({self})"
+
+
+def exp_poly_homogenization(jdef, f: Polynomial, g: Polynomial, s_name: str = "s") -> ExpPoly:
+    """``exp(-2s)`` times the bivector ``L + e(s)^X`` evaluated on
+    ``exp(s)*f`` and ``exp(s)*g``, on the chart extended by ``s_name``,
+    every step in :class:`ExpPoly` arithmetic."""
+    extended = jdef.chart.extended(s_name)
+    s_index = extended.dim - 1
+    # entries of the extended bivector, as (i, j, coefficient) with i < j
+    entries = [(i, j, c.extended_to(extended)) for (i, j), c in jdef.bivector.terms.items()]
+    for (i,), c in jdef.field.terms.items():
+        # e(s)^e(x_i) = -e(x_i)^e(s)
+        entries.append((i, s_index, -c.extended_to(extended)))
+    u = ExpPoly.from_polynomial(f.extended_to(extended), s_index, weight=1)
+    v = ExpPoly.from_polynomial(g.extended_to(extended), s_index, weight=1)
+    total = ExpPoly(extended, s_index)
+    for i, j, c in entries:
+        value = u.diff(i) * v.diff(j) - u.diff(j) * v.diff(i)
+        total = total + ExpPoly.from_polynomial(c, s_index) * value
+    return ExpPoly.exponential(extended, s_index, -2) * total
 
 
 # The token-slicing tensor parser and the ``(num) / (den)`` text scan that

@@ -52,6 +52,7 @@ from formcalc import (
 from formcalc import exterior
 
 from tests.helpers import (
+    exp_poly_homogenization,
     full_wedge_bracket,
     full_wedge_derived_vf,
     full_wedge_jacobi_bracket,
@@ -519,6 +520,43 @@ class TestHomogenization:
             homogenization_check(jdef, one, one, s_name=s_name)
 
 
+@st.composite
+def jacobi_cases(draw):
+    """A random pair ``(L, X)`` on a 2-4-dim chart, zero and non-Jacobi
+    pairs included, with two random functions."""
+    dim = draw(st.integers(2, 4))
+    chart = Chart(("x1", "x2", "x3", "x4")[:dim])
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * dim), st.integers(-3, 3), max_size=3).map(
+        lambda terms: Polynomial(chart, {e: Fraction(c) for e, c in terms.items() if c}))
+    nonzero = polys.filter(lambda p: not p.is_zero())
+
+    def terms(keys):
+        # zero in one draw of four; hypothesis's simplest draw is the nonzero case
+        if draw(st.integers(0, 3)) == 3:
+            return {}
+        return draw(st.dictionaries(st.sampled_from(keys), nonzero, min_size=1, max_size=4))
+
+    bivector = Multivector(chart, 2, terms(list(combinations(range(dim), 2))))
+    field = Multivector(chart, 1, terms([(i,) for i in range(dim)]))
+    return JacobiDef(bivector, field), draw(polys), draw(polys)
+
+
+class TestHomogenizationOracle:
+    """``homogenization_check`` on the tensor layer against the ``exp(w*s)``
+    algebra it ran on before: the oracle's left side keeps only weight 0,
+    and both left sides equal the Jacobi bracket on the extended chart."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(jacobi_cases())
+    def test_matches_exp_poly_oracle(self, case):
+        jdef, f, g = case
+        oracle = exp_poly_homogenization(jdef, f, g)
+        right = jacobi_bracket(jdef, f, g).extended_to(oracle.chart)
+        assert set(oracle.terms) <= {0}
+        assert oracle.terms.get(0, Polynomial.zero(oracle.chart)) == right
+        assert homogenization_check(jdef, f, g)
+
+
 class TestJacobiator:
     def test_magnetic_cases(self):
         chart = darboux_chart(3)
@@ -558,6 +596,20 @@ class TestRouteAgreement:
         dfw = wedge_all([differential(f) for f in fs])
         assert bracket(bdef, *fs) * c == wedge(dfw, alpha).coefficient(TOP4)
         assert contract(bdef.generator, volume) == alpha
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(1, 4), small_polys.filter(lambda p: not p.is_constant()))
+    def test_nonconstant_volume_routes(self, data, k, c):
+        # the pairing with *alpha over c, against the top coefficient of the wedge over c
+        volume = Form(CHART4, 4, {TOP4: c})
+        keys = list(combinations(range(4), 4 - k))
+        alpha = Form(CHART4, 4 - k, {key: data.draw(small_polys) for key in keys})
+        fs = [data.draw(small_polys) for _ in range(k)]
+        bdef = BracketDef(volume, alpha)
+        value = bracket(bdef, *fs)
+        dfw = wedge_all([differential(f) for f in fs])
+        assert bdef.generator is None
+        assert (value.numerator, value.denominator) == (wedge(dfw, alpha).coefficient(TOP4), c)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(small_polys, min_size=5, max_size=5), nonzero_constants)

@@ -476,7 +476,7 @@ class TestTrustedResults:
 
 
 class TestTermsAssignment:
-    """Only the two tensor constructors and ``ExpPoly``'s own set ``.terms``."""
+    """Only the two tensor constructors set ``.terms``."""
 
     def test_terms_assigned_only_in_constructors(self):
         sites = set()
@@ -497,5 +497,4 @@ class TestTermsAssignment:
         assert len(modules) > 5
         for path in modules:
             visit(ast.parse(path.read_text()), path, ())
-        assert sites == {("exterior.py", "_Graded.__init__"), ("exterior.py", "_Graded._of"),
-                         ("poly.py", "ExpPoly.__init__")}
+        assert sites == {("exterior.py", "_Graded.__init__"), ("exterior.py", "_Graded._of")}

@@ -13,7 +13,6 @@ from formcalc import (
     Chart,
     ChartMismatch,
     DegreeOverflow,
-    ExpPoly,
     JacobiDef,
     Multivector,
     NotDivisible,
@@ -35,6 +34,7 @@ from formcalc import poly as poly_module
 from formcalc.cli import run_scenario
 
 from tests.helpers import (
+    ExpPoly,
     LegacyPolynomial,
     fraction_gauss_jordan,
     laplace_adjugate,
@@ -332,6 +332,8 @@ class TestRationalExpr:
 
 
 class TestExpPoly:
+    """The test suite's ``exp(w*s)`` algebra, the oracle of ``homogenization_check``."""
+
     S_CHART = Chart(("x", "s"))
     S = 1  # index of the distinguished coordinate
 
