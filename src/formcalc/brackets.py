@@ -2,12 +2,18 @@
 Nambu top brackets, derived and Hamiltonian vector fields, and Jacobi-type
 brackets with their exponential homogenization check.
 
+Each bracket but Nambu's pairs the differentials with a generator, one
+:class:`~formcalc.exterior._Generator`: ``*alpha``, a Jacobi bivector, or the
+cached divided power below (:mod:`formcalc.dirac` pairs with the ``k = 1``
+one, and its form numerator with ``*(Theta ^ omega^{m-1})``).
+
 Normalizations.  Both symplectic families pair against the divided power
 ``Lambda^k/k!`` of the inverse bivector, the generator of
 ``alpha = omega^{n-k}/(n-k)!`` against the volume ``omega^n/n!``.
 :func:`omega_power_bracket` is ``k!`` times that pairing, so ``Lambda^k``
 generates it.  The *section* bracket behind :func:`derived_vf` is the
-pairing itself: the normalization for which
+pairing itself, with its last slot left open; at ``k = 1`` it gives the
+Hamiltonian field.  It is the normalization for which
 ``X_{f1,f2,f3} = {f1,f2} X_{f3} + {f2,f3} X_{f1} + {f3,f1} X_{f2}`` holds
 exactly, and for which the magnetic-chart field ``X_{p1,p2,p3}`` equals
 ``B^i e(q_i)`` with no extra constant.
@@ -30,12 +36,8 @@ from .exterior import (
     Form,
     Multivector,
     SymplecticData,
+    _Generator,
     _star,
-    _summed,
-    _support_levels,
-    _support_pair,
-    _support_products,
-    _support_wedge,
     _top_coefficient,
     _volume_constant,
     coordinate_form,
@@ -54,16 +56,14 @@ class BracketDef:
     The bracket of ``k = dim - grade(alpha)`` functions is the scalar ``s``
     with ``s * volume == df_1 ^ ... ^ df_k ^ alpha``.  Writing the volume as
     ``c * dx_1^...^dx_m``, that is ``<df_1 ^ ... ^ df_k, *alpha> / c`` for
-    the k-multivector ``*alpha`` with ``i_{*alpha}(dx_1^...^dx_m) == alpha``,
-    which is built with its support levels at construction.  When ``c`` is a
-    rational constant the ``1/c`` is folded into it, giving the
-    ``generator`` (the ``L`` with ``i_L volume == alpha``); otherwise
+    the k-multivector ``*alpha`` with ``i_{*alpha}(dx_1^...^dx_m) == alpha``.
+    When ``c`` is a rational constant the ``1/c`` is folded into it, giving
+    the ``generator`` (the ``L`` with ``i_L volume == alpha``); otherwise
     ``generator`` is ``None`` and evaluation is a :class:`RationalExpr`
-    quotient by ``c``.  The tests check both against the top coefficient of
-    the wedge.
+    quotient by ``c``.
     """
 
-    __slots__ = ("volume", "alpha", "arity", "generator", "_star", "_vol_coeff", "_levels")
+    __slots__ = ("volume", "alpha", "arity", "generator", "_vol_coeff", "_pairing")
 
     def __init__(self, volume: Form, alpha: Form):
         vol_coeff = _top_coefficient(volume)
@@ -79,9 +79,9 @@ class BracketDef:
         self.arity = arity
         self._vol_coeff = vol_coeff
         constant = vol_coeff.is_constant()
-        self._star = _star(alpha, Fraction(1) / vol_coeff.constant_value() if constant else Fraction(1))
-        self.generator = self._star if constant else None
-        self._levels = _support_levels(self._star)
+        star = _star(alpha, Fraction(1) / vol_coeff.constant_value() if constant else Fraction(1))
+        self.generator = star if constant else None
+        self._pairing = _Generator(star)
 
     @property
     def chart(self) -> Chart:
@@ -109,16 +109,12 @@ def bracket(bdef: BracketDef, *functions: Polynomial):
     """Evaluate a form-defined bracket on ``arity`` polynomial arguments.
 
     The value is the pairing ``<df_1 ^ ... ^ df_k, *alpha>`` (see
-    :class:`BracketDef`), with the differentials wedged only onto index
-    tuples inside the terms of ``*alpha``, so a component the pairing would
-    not read is never built.  Under a constant volume that pairing, taken
-    with the generator, is the bracket; under a non-constant volume the
-    bracket is the :class:`RationalExpr` quotient of the pairing by the
-    volume coefficient.
+    :class:`BracketDef`): the bracket under a constant volume, and under any
+    other the numerator of its quotient by the volume coefficient.
     """
     if len(functions) != bdef.arity:
         raise ArityMismatch(f"bracket takes {bdef.arity} arguments, got {len(functions)}")
-    value = _support_pair(_differentials(bdef.chart, functions), bdef._star, bdef._levels)
+    value = bdef._pairing.pair(_differentials(bdef.chart, functions))
     return value if bdef.generator is not None else RationalExpr(value, bdef._vol_coeff)
 
 
@@ -131,34 +127,23 @@ def power_bracket_def(volume: Form, power: Form, k: int) -> BracketDef:
     return BracketDef(volume, power * Fraction(factorial(k), factorial(n - k)))
 
 
-def _divided_power(sym: SymplecticData, k: int):
-    """``(Lambda^k/k!, its support levels)``, built once per structure and
-    ``k``; unlike ``Lambda^k`` it has entries ``+-1`` on a standard form."""
+def _divided_power(sym: SymplecticData, k: int) -> _Generator:
+    """The generator of ``Lambda^k/k!``, built once per structure and ``k``;
+    unlike ``Lambda^k`` it has entries ``+-1`` on a standard form."""
     if not 1 <= k <= sym.n:
         raise ArityMismatch(f"power index must lie in 1..{sym.n}")
-
-    def build():
-        generator = sym.bivector_power(k) * Fraction(1, factorial(k))
-        return generator, _support_levels(generator)
-
-    return sym.cached(("divided_power", k), build)
+    return sym.cached(("divided_power", k),
+                      lambda: _Generator(sym.bivector_power(k) * Fraction(1, factorial(k))))
 
 
 def omega_power_bracket(sym: SymplecticData, k: int, *functions: Polynomial) -> Polynomial:
     """The 2k-ary bracket generated by the k-th wedge power of the inverse
     bivector, as ``k!`` times the pairing with ``Lambda^k/k!``; ``k = 1`` is
     the ordinary Poisson bracket of the symplectic form."""
-    _divided_power(sym, k)  # k outside 1..n is an arity error before any other
+    generator = _divided_power(sym, k)  # k outside 1..n is an arity error before any other
     if len(functions) != 2 * k:
         raise ArityMismatch(f"power bracket of index {k} takes {2 * k} arguments")
-    return _power_pairing(sym, k, _differentials(sym.chart, functions))
-
-
-def _power_pairing(sym: SymplecticData, k: int, dfs) -> Polynomial:
-    """:func:`omega_power_bracket` of the functions whose differentials are
-    the 2k 1-forms ``dfs``, for callers that reuse differentials."""
-    generator, levels = _divided_power(sym, k)
-    return factorial(k) * _support_pair(dfs, generator, levels)
+    return factorial(k) * generator.pair(_differentials(sym.chart, functions))
 
 
 def poisson_bracket(sym: SymplecticData, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -183,13 +168,9 @@ def nambu_top_bracket(volume: Form, gamma: Polynomial, *functions: Polynomial) -
 
 
 def hamiltonian_vf(sym: SymplecticData, f: Polynomial) -> Multivector:
-    """The vector field ``X_f`` with ``i_{X_f} omega = -df`` and ``X_f(g) = {f,g}``."""
-    f = _argument(sym.chart, f)
-    groups: dict[tuple[int], list] = {}
-    for (a, b), coefficient in sym.bivector.terms.items():
-        groups.setdefault((b,), []).append((coefficient, f.diff(a), False))
-        groups.setdefault((a,), []).append((coefficient, f.diff(b), True))
-    return Multivector._of(sym.chart, 1, _summed(groups, sym.chart))
+    """The vector field ``X_f`` with ``i_{X_f} omega = -df`` and ``X_f(g) = {f,g}``:
+    the ``k = 1`` case of :func:`derived_vf`."""
+    return derived_vf(sym, 1, f)
 
 
 def derived_vf(sym: SymplecticData, k: int, *functions: Polynomial) -> Multivector:
@@ -197,27 +178,12 @@ def derived_vf(sym: SymplecticData, k: int, *functions: Polynomial) -> Multivect
     section-normalized 2k-bracket, the pairing with ``L = Lambda^k/k!``.
 
     Equals ``1/k!`` times the corresponding slice of
-    :func:`omega_power_bracket`; for ``k = 1`` it reduces to
-    :func:`hamiltonian_vf`.  Component ``i`` is the bracket with last
-    argument ``x_i``, ``<W ^ d(x_i), L>`` for the wedge ``W`` of the fixed
-    differentials.  ``W`` is built only on the generator's index tuples with
-    one index removed, and component ``i`` is the signed sum, over the
-    generator tuples ``K`` that hold ``i``, of ``L_K`` times the coefficient
-    of ``W`` on ``K`` without ``i``.
+    :func:`omega_power_bracket`; for ``k = 1`` it is :func:`hamiltonian_vf`.
     """
-    generator, levels = _divided_power(sym, k)
+    generator = _divided_power(sym, k)
     if len(functions) != 2 * k - 1:
         raise ArityMismatch(f"derived field of index {k} takes {2 * k - 1} arguments")
-    chart = sym.chart
-    fixed = _support_wedge(_differentials(chart, functions), levels)
-    groups: dict[tuple[int], list] = {}
-    for key, coefficient in generator.terms.items():
-        for p, i in enumerate(key):
-            value = fixed.get(key[:p] + key[p + 1:])
-            if value is not None:
-                # d(x_i) moves left past the len(key) - 1 - p larger indices
-                groups.setdefault((i,), []).append((coefficient, value, (len(key) - 1 - p) % 2 == 1))
-    return Multivector._of(chart, 1, _summed(groups, chart))
+    return generator.field(_differentials(sym.chart, functions))
 
 
 class JacobiDef:
@@ -228,7 +194,7 @@ class JacobiDef:
     below satisfies the ordinary Jacobi identity.
     """
 
-    __slots__ = ("bivector", "field", "is_jacobi", "_levels")
+    __slots__ = ("bivector", "field", "is_jacobi", "_pairing")
 
     def __init__(self, bivector: Multivector, field: Multivector):
         if bivector.chart != field.chart:
@@ -238,7 +204,7 @@ class JacobiDef:
         self.bivector = bivector
         self.field = field
         self.is_jacobi = jacobi_pair_check(bivector, field)
-        self._levels = _support_levels(bivector)
+        self._pairing = _Generator(bivector)
 
     @property
     def chart(self) -> Chart:
@@ -249,7 +215,7 @@ def jacobi_bracket(jdef: JacobiDef, f: Polynomial, g: Polynomial) -> Polynomial:
     """``L(f,g) + f*X(g) - g*X(f)`` for the pair ``(L, X)``."""
     f, g = _argument(jdef.chart, f), _argument(jdef.chart, g)
     df, dg = differential(f), differential(g)
-    products = _support_products([df, dg], jdef.bivector, jdef._levels)
+    products = jdef._pairing.products([df, dg])
     products += [(f, pair(dg, jdef.field), False), (g, pair(df, jdef.field), True)]
     return sum_of_products(products, jdef.chart)
 

@@ -136,7 +136,7 @@ def run_scenario(scenario: Scenario, only: str | None = None) -> Report:
     for task in tasks:
         try:
             value = COMMANDS[task.command].run(structures, *task.resolved)
-        except (AlgebraError, ZeroDivisionError, ValueError) as exc:
+        except AlgebraError as exc:
             status, result_text, detail = "error", "-", str(exc)
         else:
             result_text, detail = _render_value(value)

@@ -11,6 +11,10 @@ and ``m = n - k``,
 
     {f, g}_D = m * (df^dg ^ Theta ^ omega^{m-1}) / (Theta ^ omega^m).
 
+Both routes pair through :class:`~formcalc.exterior._Generator`: the matrix
+route with the inverse bivector, the form route's numerator with
+``*(Theta ^ omega^{m-1})``, built once per constraint set.
+
 Derivation.  At a point, the differentials ``dtheta_i`` span a subspace ``W``
 of the cotangent space that is symplectic for the bivector (its Gram matrix
 is the constraint matrix), so the cotangent space splits as ``W`` plus its
@@ -37,7 +41,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .brackets import _differentials, _power_pairing
+from .brackets import _differentials, _divided_power
 from .chart import Chart
 from .errors import (
     AlgebraError,
@@ -47,7 +51,7 @@ from .errors import (
     GradeMismatch,
     KindMismatch,
 )
-from .exterior import Form, SymplecticData, differential, wedge, wedge_all
+from .exterior import SymplecticData, _Generator, _star, differential, wedge, wedge_all
 from .poly import Polynomial, RationalExpr, _skew_inverse, coordinates, sum_of_products
 
 
@@ -59,7 +63,7 @@ class ConstraintSet:
     adjugate, and the wedge of the differentials are all computed at
     construction, so matrix-route evaluation afterwards is read-only.  The
     function-independent factors of the form route are built on first use by
-    :meth:`form_factors`.
+    :meth:`form_factors`; after that the route makes no wedge.
     """
 
     __slots__ = ("sym", "constraints", "half_count", "differentials", "bracket_matrix",
@@ -80,7 +84,7 @@ class ConstraintSet:
         matrix = [[Polynomial.zero(chart)] * size for _ in range(size)]
         for i in range(size):
             for j in range(i + 1, size):
-                value = _power_pairing(sym, 1, [dthetas[i], dthetas[j]])
+                value = _divided_power(sym, 1).pair([dthetas[i], dthetas[j]])
                 matrix[i][j] = value
                 matrix[j][i] = -value
         self.sym = sym
@@ -96,10 +100,10 @@ class ConstraintSet:
     def chart(self) -> Chart:
         return self.sym.chart
 
-    def form_factors(self) -> tuple[Form, Polynomial]:
-        """``(Theta ^ omega^{m-1}, top coefficient of Theta ^ omega^m)`` for
-        ``m = n - k``: the parts of the form route that do not depend on the
-        bracket arguments.  The route needs ``k < n``."""
+    def form_factors(self) -> tuple[_Generator, Polynomial]:
+        """``(generator of *(Theta ^ omega^{m-1}), top coefficient of Theta ^
+        omega^m)``, ``m = n - k``: the argument-free parts of the form route,
+        which needs ``k < n``."""
         if self._form_factors is None:
             m = self.sym.n - self.half_count
             if m < 1:
@@ -107,8 +111,8 @@ class ConstraintSet:
             reference = wedge(self.differential_wedge, self.sym.power(m))
             if reference.is_zero():
                 raise DegenerateStructure("reference top form vanishes")
-            factor = wedge(self.differential_wedge, self.sym.power(m - 1))
-            self._form_factors = (factor, reference.coefficient(tuple(range(self.chart.dim))))
+            factor = _star(wedge(self.differential_wedge, self.sym.power(m - 1)), Fraction(1))
+            self._form_factors = (_Generator(factor), reference.coefficient(tuple(range(self.chart.dim))))
         return self._form_factors
 
 
@@ -131,12 +135,12 @@ def dirac_bracket_matrix(cs: ConstraintSet, f: Polynomial, g: Polynomial) -> Rat
     one :func:`~formcalc.poly.sum_of_products`.
     """
     _require_regular(cs)
-    sym, chart = cs.sym, cs.chart
+    chart, poisson = cs.chart, _divided_power(cs.sym, 1)
     df, dg = _differentials(chart, (f, g))
-    products = [(_power_pairing(sym, 1, [df, dg]), cs.determinant, False)]
-    g_theta = [_power_pairing(sym, 1, [dg, dtheta]) for dtheta in cs.differentials]
+    products = [(poisson.pair([df, dg]), cs.determinant, False)]
+    g_theta = [poisson.pair([dg, dtheta]) for dtheta in cs.differentials]
     for dtheta, row in zip(cs.differentials, cs.adjugate):
-        f_theta = _power_pairing(sym, 1, [df, dtheta])
+        f_theta = poisson.pair([df, dtheta])
         if not f_theta.is_zero():
             inner = sum_of_products([(entry, value, False) for entry, value in zip(row, g_theta)], chart)
             products.append((f_theta, inner, False))
@@ -148,9 +152,8 @@ def _form_quotient(sym: SymplecticData, cs: ConstraintSet, f: Polynomial, g: Pol
     _require_regular(cs)
     if sym is not cs.sym and sym.omega != cs.sym.omega:
         raise DegenerateStructure("constraint set was built on another symplectic form")
-    factor, reference = cs.form_factors()
-    numerator = wedge(wedge(differential(f), differential(g)), factor)
-    return RationalExpr(numerator.coefficient(tuple(range(sym.chart.dim))), reference)
+    generator, reference = cs.form_factors()
+    return RationalExpr(generator.pair(_differentials(cs.chart, (f, g))), reference)
 
 
 def _low_degree_pairs(chart: Chart):

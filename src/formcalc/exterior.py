@@ -26,6 +26,11 @@ here:
 
   holds for every top form ``V``; ``tests/test_exterior.py`` re-derives this
   identity on a reference chart so the two conventions cannot drift apart.
+
+Every bracket is such a pairing with a generating multivector, taken by the
+one type :class:`_Generator`.  By the identity, the top coefficient of
+``df1^...^dfk ^ a`` is the pairing with ``*a = _star(a, 1)``: so are the
+form-defined brackets and the Dirac form numerator, ``a = Theta ^ omega^{m-1}``.
 """
 
 from __future__ import annotations
@@ -374,56 +379,69 @@ def pair(a: Form, field: Multivector) -> Polynomial:
                            a.chart)
 
 
-def _support_levels(target: Multivector) -> tuple[frozenset[IndexTuple], ...]:
-    """``levels[j]``: the ``j``-element subsets of the index tuples of
-    ``target``, for ``j = 0 .. grade``."""
-    level = frozenset(target.terms)
-    levels = [level]
-    for _ in range(target.grade):
-        level = frozenset(key[:p] + key[p + 1:] for key in level for p in range(len(key)))
-        levels.append(level)
-    return tuple(reversed(levels))
+class _Generator:
+    """A generating multivector ``target`` with its support levels, built
+    once: ``levels[j]`` holds the ``j``-element subsets of its index tuples.
 
-
-def _support_wedge(forms: Sequence[Form], levels) -> dict[IndexTuple, Polynomial]:
-    """The coefficients of ``forms[0] ^ ... ^ forms[-1]`` (1-forms) on the
-    index tuples of ``levels[len(forms)]`` (see :func:`_support_levels`).
-
-    The 1-forms are wedged on one at a time, and after ``j`` of them only
-    the ``j``-subsets in ``levels[j]`` are kept: a coefficient outside them
-    cannot reach a tuple of the last level.  Each step collects the signed
-    products that land on each merged tuple and sums them once, by
-    :func:`~formcalc.poly.sum_of_products`.
+    1-forms are wedged on one at a time, and after ``j`` of them only the
+    tuples in ``levels[j]`` are kept: a coefficient outside them cannot
+    reach a tuple of ``target``.  Each step sums the signed products that
+    land on each merged tuple once, by :func:`~formcalc.poly.sum_of_products`.
     """
-    chart = forms[0].chart
-    current = {(): Polynomial.constant(chart, 1)}
-    for allowed, form in zip(levels[1:], forms):
+
+    __slots__ = ("target", "_levels")
+
+    def __init__(self, target: Multivector):
+        level = frozenset(target.terms)
+        levels = [level]
+        for _ in range(target.grade):
+            level = frozenset(key[:p] + key[p + 1:] for key in level for p in range(len(key)))
+            levels.append(level)
+        self.target = target
+        self._levels = tuple(reversed(levels))
+
+    def wedge(self, forms: Sequence[Form]) -> dict[IndexTuple, Polynomial]:
+        """The coefficients of ``forms[0] ^ ... ^ forms[-1]`` on the index
+        tuples of ``levels[len(forms)]``."""
+        chart = self.target.chart
+        current = {(): Polynomial.constant(chart, 1)}
+        for allowed, form in zip(self._levels[1:], forms):
+            groups: dict[IndexTuple, list] = {}
+            for key, value in current.items():
+                for (i,), c in form.terms.items():
+                    p = bisect(key, i)
+                    merged = key[:p] + (i,) + key[p:]
+                    if merged in allowed:
+                        # moving d(x_i) left past the len(key) - p larger indices
+                        groups.setdefault(merged, []).append((value, c, (len(key) - p) % 2 == 1))
+            current = _summed(groups, chart)
+            if not current:
+                break
+        return current
+
+    def products(self, forms: Sequence[Form]) -> list:
+        """The products whose sum is :meth:`pair` of ``forms``, unsummed."""
+        terms = self.target.terms
+        return [(value, terms[key], False) for key, value in self.wedge(forms).items()]
+
+    def pair(self, forms: Sequence[Form]) -> Polynomial:
+        """``pair(wedge_all(forms), target)`` for k 1-forms."""
+        return sum_of_products(self.products(forms), self.target.chart)
+
+    def field(self, forms: Sequence[Form]) -> Multivector:
+        """The field whose component ``i`` is :meth:`pair` of ``forms +
+        [d(x_i)]``: over the tuples ``K`` of ``target`` that hold ``i``, the
+        signed sum of ``target_K`` times the fixed wedge on ``K`` less ``i``."""
+        chart = self.target.chart
+        fixed = self.wedge(forms)
         groups: dict[IndexTuple, list] = {}
-        for key, value in current.items():
-            for (i,), c in form.terms.items():
-                p = bisect(key, i)
-                merged = key[:p] + (i,) + key[p:]
-                if merged in allowed:
-                    # moving d(x_i) left past the len(key) - p larger indices
-                    groups.setdefault(merged, []).append((value, c, (len(key) - p) % 2 == 1))
-        current = _summed(groups, chart)
-        if not current:
-            break
-    return current
-
-
-def _support_products(forms: Sequence[Form], target: Multivector, levels) -> list:
-    """The products whose :func:`~formcalc.poly.sum_of_products` is
-    ``pair(wedge_all(forms), target)`` for 1-forms, wedging only onto the
-    support of ``target`` (``levels`` is :func:`_support_levels` of it)."""
-    terms = target.terms
-    return [(value, terms[key], False) for key, value in _support_wedge(forms, levels).items()]
-
-
-def _support_pair(forms: Sequence[Form], target: Multivector, levels) -> Polynomial:
-    """``pair(wedge_all(forms), target)`` for 1-forms, as one fused sum of
-    the :func:`_support_products`."""
-    return sum_of_products(_support_products(forms, target, levels), target.chart)
+        for key, coefficient in self.target.terms.items():
+            for p, i in enumerate(key):
+                value = fixed.get(key[:p] + key[p + 1:])
+                if value is not None:
+                    # d(x_i) moves left past the len(key) - 1 - p larger indices
+                    groups.setdefault((i,), []).append((coefficient, value, (len(key) - 1 - p) % 2 == 1))
+        return Multivector._of(chart, 1, _summed(groups, chart))
 
 
 def _top_coefficient(volume: Form) -> Polynomial:

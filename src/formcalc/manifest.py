@@ -48,7 +48,7 @@ from .brackets import (
     omega_power_bracket,
     power_bracket_def,
 )
-from .chart import Chart
+from .chart import _NAME_RE, Chart
 from .dirac import ConstraintSet, calibrate_normalization, dirac_bracket_form, dirac_bracket_matrix
 from .errors import ParseError
 from .exterior import Form, Multivector, SymplecticData, form_power, poisson_bivector, wedge
@@ -217,6 +217,18 @@ def _fail(message: str, line: int, column: int | None = None):
     raise ParseError(message, line, column)
 
 
+def _named(body: str, line: int, usage: str) -> tuple[str, str]:
+    """``(name, rest)`` of the line ``name = rest``; the name must be one
+    identifier, as coordinate names are, or the error is at its column."""
+    left, eq, rest = body.partition("=")
+    name = left.strip()
+    if not eq or not name:
+        _fail(usage, line)
+    if not _NAME_RE.match(name):
+        _fail(f"name {name!r} is not an identifier", line, len(left) - len(left.lstrip()) + 1)
+    return name, rest
+
+
 class _Builder:
     def __init__(self):
         self.chart: Chart | None = None
@@ -243,10 +255,9 @@ class _Builder:
 
     def add_definition(self, body: str, line: int):
         chart = self._need_chart(line)
-        name, eq, rest = body.partition("=")
-        name = name.strip()
+        name, rest = _named(body, line, "expected 'name = expression'")
         text = rest.strip()
-        if not eq or not name or not text:
+        if not text:
             _fail("expected 'name = expression'", line)
         if name in self.definitions or name in chart:
             _fail(f"name {name!r} is already declared", line)
@@ -279,10 +290,7 @@ class _Builder:
 
     def add_task(self, body: str, line: int):
         self._need_chart(line)
-        name, eq, rest = body.partition("=")
-        name = name.strip()
-        if not eq or not name:
-            _fail("expected 'name = command arguments...'", line)
+        name, rest = _named(body, line, "expected 'name = command arguments...'")
         if name in self.task_names:
             _fail(f"task name {name!r} is already used", line)
         start = len(body) - len(rest)  # of ``rest`` in the line

@@ -780,8 +780,8 @@ def _skew_inverse(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> tuple[P
     built the adjugate: elimination's ``det``, or ``Pf(M)^2`` beside the
     signed ``Pf(M) * Pf(minor)`` entries, each unordered index pair once.
     A singular matrix gets the zero adjugate as soon as ``det`` or ``Pf(M)``
-    is zero.  Raises as :func:`matrix_determinant` does."""
-    n = _check_even_skew(rows, chart)
+    is zero.  Unchecked: ``rows`` must be an even skew matrix on ``chart``."""
+    n = len(rows)
     zero = Polynomial.zero(chart)
     adj = [[zero] * n for _ in range(n)]
     solved = _eliminate(rows, chart)
@@ -807,4 +807,5 @@ def matrix_adjugate(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> list[
     ``adjugate(M) @ M == det(M) * I`` over the polynomial ring, by the
     routes of :func:`_skew_inverse`.  Raises as :func:`matrix_determinant`
     does."""
+    _check_even_skew(rows, chart)
     return _skew_inverse(rows, chart)[1]

@@ -17,7 +17,13 @@ the reference for it at sizes the Laplace expansion cannot reach.
 pair it with the generator, the route the brackets took before they wedged
 only onto the generator's support.  ``ExpPoly`` and
 ``exp_poly_homogenization`` are the algebra of ``exp(w*s)`` weights that
-``homogenization_check`` ran on before it lifted its arguments to 1-forms.  ``volume_route_def`` builds the 2k-bracket
+``homogenization_check`` ran on before it lifted its arguments to 1-forms.
+``bivector_loop_hamiltonian_vf`` is the Hamiltonian field as its own loop
+over the inverse bivector's terms, before it became ``derived_vf(sym, 1,
+f)``, and ``full_wedge_dirac_numerator`` the Dirac form route's numerator
+read off the top coefficient of ``df^dg ^ Theta ^ omega^(m-1)``, before it
+became a pairing with ``*(Theta ^ omega^(m-1))``.  ``volume_route_def``
+builds the 2k-bracket
 the way ``omega_power_bracket`` and ``derived_vf`` did before they paired
 against the divided power ``Lambda^k/k!``: the generator of
 ``k! * omega^(n-k)/(n-k)!`` against the volume ``omega^n/n!``.
@@ -177,6 +183,24 @@ def full_wedge_derived_vf(sym, k: int, *functions) -> Multivector:
         (i,): pair(wedge(fixed, coordinate_form(chart, name)), generator)
         for i, name in enumerate(chart.names)
     })
+
+
+def bivector_loop_hamiltonian_vf(sym, f) -> Multivector:
+    """``X_f``: each term ``L_ab e(a)^e(b)`` of the inverse bivector adds
+    ``L_ab * df/dx_a`` to component ``b`` and ``-L_ab * df/dx_b`` to ``a``."""
+    components = {}
+    for (a, b), coefficient in sym.bivector.terms.items():
+        components[(b,)] = components.get((b,), 0) + coefficient * f.diff(a)
+        components[(a,)] = components.get((a,), 0) - coefficient * f.diff(b)
+    return Multivector(sym.chart, 1, components)
+
+
+def full_wedge_dirac_numerator(cs, f, g) -> Polynomial:
+    """The top coefficient of ``df^dg ^ Theta ^ omega^(m-1)``, ``m = n - k``,
+    with every wedge built in full."""
+    m = cs.sym.n - cs.half_count
+    factor = wedge(wedge_all([differential(theta) for theta in cs.constraints]), cs.sym.power(m - 1))
+    return wedge(wedge(differential(f), differential(g)), factor).coefficient(tuple(range(cs.chart.dim)))
 
 
 def full_wedge_jacobi_bracket(jdef, f, g) -> Polynomial:

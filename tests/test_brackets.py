@@ -52,6 +52,7 @@ from formcalc import (
 from formcalc import exterior
 
 from tests.helpers import (
+    bivector_loop_hamiltonian_vf,
     exp_poly_homogenization,
     full_wedge_bracket,
     full_wedge_derived_vf,
@@ -393,7 +394,7 @@ class TestDerivedField:
         rng = random.Random(37)
         for _ in range(6):
             f = rand_poly(rng, chart)
-            assert derived_vf(sym, 1, f) == hamiltonian_vf(sym, f)
+            assert derived_vf(sym, 1, f) == bivector_loop_hamiltonian_vf(sym, f)
 
     def test_three_function_expansion(self):
         rng = random.Random(38)
@@ -721,7 +722,9 @@ class TestSupportPairing:
     pairing of the full wedge of the differentials.  The power brackets and
     derived fields pair against the divided power ``Lambda^k/k!``; their
     oracle pairs against the volume route's generator (that of ``alpha``
-    against ``omega^n/n!``), for every ``k = 1..n``."""
+    against ``omega^n/n!``), for every ``k = 1..n``.  The Hamiltonian field,
+    ``derived_vf`` at ``k = 1``, is also checked against its former loop
+    over the inverse bivector's terms."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.data(), st.one_of(structure_specs, st.sampled_from(CLOSED_SPECS)))
@@ -739,6 +742,15 @@ class TestSupportPairing:
         k = data.draw(st.integers(1, sym.n))
         fs = [data.draw(chart_polys(sym.chart)) for _ in range(2 * k - 1)]
         assert derived_vf(sym, k, *fs) == full_wedge_derived_vf(sym, k, *fs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.one_of(structure_specs, st.sampled_from(CLOSED_SPECS)))
+    def test_hamiltonian_field(self, data, spec):
+        sym = _structure(spec)
+        f = data.draw(chart_polys(sym.chart))
+        expected = bivector_loop_hamiltonian_vf(sym, f)
+        assert derived_vf(sym, 1, f) == expected
+        assert hamiltonian_vf(sym, f) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), structure_specs, st.booleans(), st.integers(0, 10**6))

@@ -3,6 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formcalc import (
     ConstraintSet,
@@ -16,14 +18,16 @@ from formcalc import (
     dirac_bracket_matrix,
     magnetic_form,
     omega_power_bracket,
+    differential,
     parse_expr,
     regularity_check,
     standard_form,
+    wedge,
 )
 
-from formcalc import brackets, dirac
+from formcalc import brackets, dirac, exterior
 
-from tests.helpers import laplace_adjugate, laplace_determinant, qp, rand_poly
+from tests.helpers import full_wedge_dirac_numerator, laplace_adjugate, laplace_determinant, qp, rand_poly
 
 
 def sym_n(n: int) -> SymplecticData:
@@ -183,7 +187,7 @@ class TestMatrixBracket:
 
         monkeypatch.setattr(dirac, "differential", counted("constraint", dirac.differential))
         monkeypatch.setattr(brackets, "differential", counted("argument", brackets.differential))
-        monkeypatch.setattr(dirac, "_power_pairing", counted("pairing", dirac._power_pairing))
+        monkeypatch.setattr(exterior._Generator, "pair", counted("pairing", exterior._Generator.pair))
         sym = sym_n(3)
         cs = perturbed_constraints(sym, 1)
         # four differentials, and the six entries above the diagonal
@@ -317,6 +321,25 @@ class TestFormBracket:
         sym, cs = self.grid_case(3, 1)
         assert cs.form_factors() is cs.form_factors()
 
+    def test_no_wedge_after_form_factors(self, monkeypatch):
+        wedges = Counter()
+
+        def counted(a, b):
+            wedges["wedge"] += 1
+            return wedge(a, b)
+
+        sym = sym_n(3)
+        cs = perturbed_constraints(sym, 1)
+        cs.form_factors()
+        monkeypatch.setattr(exterior, "wedge", counted)
+        monkeypatch.setattr(dirac, "wedge", counted)
+        qs, ps = qp(sym.chart)
+        value = dirac_bracket_form(sym, cs, qs[0] * ps[1], ps[0] + qs[2])
+        assert wedges == {}
+        # the counters are live: a new set builds its factors by wedges
+        assert dirac_bracket_form(sym, perturbed_constraints(sym, 1), qs[0] * ps[1], ps[0] + qs[2]) == value
+        assert wedges["wedge"] > 0
+
     def test_other_symplectic_form_rejected(self):
         sym, cs = self.grid_case(3, 1)
         other = magnetic_syms()[1]
@@ -332,6 +355,34 @@ class TestFormBracket:
         qs, _ = qp(sym.chart)
         with pytest.raises(GradeMismatch):
             dirac_bracket_form(sym, cs, qs[0], qs[1])
+
+
+# (n, k, constraint builder) over the standard forms of TestFormBracket.GRID
+FORM_ORACLE_CASES = [(n, k, build) for n, k in TestFormBracket.GRID
+                     for build in (canonical_constraints, perturbed_constraints)]
+_FORM_ORACLE_SETS = {}
+
+
+class TestFormNumeratorOracle:
+    """The form route's numerator, the pairing with ``*(Theta ^
+    omega^{m-1})``, against the top coefficient of the full wedge
+    ``df^dg ^ Theta ^ omega^{m-1}`` that it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(FORM_ORACLE_CASES), st.integers(0, 10**6))
+    def test_matches_full_wedge(self, case, seed):
+        if case not in _FORM_ORACLE_SETS:
+            n, k, build = case
+            sym = sym_n(n)
+            _FORM_ORACLE_SETS[case] = sym, build(sym, n - k)
+        sym, cs = _FORM_ORACLE_SETS[case]
+        rng = random.Random(seed)
+        f, g = rand_poly(rng, sym.chart), rand_poly(rng, sym.chart)
+        expected = full_wedge_dirac_numerator(cs, f, g)
+        generator, reference = cs.form_factors()
+        assert generator.pair([differential(f), differential(g)]) == expected
+        quotient = dirac._form_quotient(sym, cs, f, g)
+        assert (quotient.numerator, quotient.denominator) == (expected, reference)
 
 
 class TestReduction:

@@ -188,6 +188,31 @@ t = verify-suite nonsense
         line = 5 + definition.count("\n")
         assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
 
+    @pytest.mark.parametrize("definition, name, column", [
+        ("q1 + q2 = p1", "q1 + q2", 1),
+        # would shadow the inline expression f-g in every task argument
+        ("f-g = q1", "f-g", 1),
+        ("  2f = q1", "2f", 3),
+        ("f.g = q1", "f.g", 1),
+        ("th x = constraints(q1, p1)", "th x", 1),
+        # a tab would split the tab-separated columns of --machine output
+        (TASKS + "t\tx = power-bracket omega k=1 p1 q1", "t\tx", 1),
+        (TASKS + "  t-1 = power-bracket omega k=1 p1 q1", "t-1", 3),
+        (TASKS + "t_\u00e9 = power-bracket omega k=1 p1 q1", "t_\u00e9", 1),
+    ])
+    def test_names_must_be_identifiers(self, definition, name, column):
+        with pytest.raises(ParseError) as err:
+            parse_scenario_text(f"[chart]\nq1 p1\n\n[define]\n{definition}\n")
+        line = 5 + definition.count("\n")
+        message = f"name {name!r} is not an identifier"
+        assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
+
+    def test_identifier_names_accepted(self):
+        text = MINIMAL.replace("one = 1", "one = 1\nF_2b = q1") + "T_1b = bracket omega one p1 F_2b\n"
+        scenario = parse_scenario_text(text)
+        assert "F_2b" in scenario.definitions
+        assert [task.name for task in scenario.tasks] == ["t1", "T_1b"]
+
     def test_check_jacobi_needs_even_chart_when_parsed(self):
         text = """
 [chart]
