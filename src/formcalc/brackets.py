@@ -43,7 +43,6 @@ from .exterior import (
     coordinate_form,
     differential,
     pair,
-    wedge,
     wedge_all,
 )
 from .poly import Polynomial, RationalExpr, sum_of_products
@@ -232,8 +231,9 @@ def homogenization_check(
     associées", J. Math. Pures Appl. 57, 1978).  The exponential enters only
     through ``d(exp(s)*p) = exp(s)*(dp + p*ds)``, so each argument is lifted
     to the 1-form ``dp + p*ds`` and the factors ``exp(s)*exp(s)*exp(-2s)``
-    cancel: the left side is ``<lift(f) ^ lift(g), P>``.  Returns its exact
-    equality with the bracket, both read on the extended chart.
+    cancel: the left side is ``<lift(f) ^ lift(g), P>``, one
+    ``_Generator(P)`` pairing.  Returns its exact equality with the bracket,
+    both read on the extended chart.
     """
     f, g = _argument(jdef.chart, f), _argument(jdef.chart, g)
     if s_name in jdef.chart:
@@ -254,7 +254,7 @@ def homogenization_check(
         p = p.extended_to(extended)
         return differential(p) + ds * p
 
-    left = pair(wedge(lift(f), lift(g)), bivector)
+    left = _Generator(bivector).pair([lift(f), lift(g)])
     return left == jacobi_bracket(jdef, f, g).extended_to(extended)
 
 

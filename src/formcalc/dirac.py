@@ -12,8 +12,10 @@ and ``m = n - k``,
     {f, g}_D = m * (df^dg ^ Theta ^ omega^{m-1}) / (Theta ^ omega^m).
 
 Both routes pair through :class:`~formcalc.exterior._Generator`: the matrix
-route with the inverse bivector, the form route's numerator with
-``*(Theta ^ omega^{m-1})``, built once per constraint set.
+route with the inverse bivector, the form route with ``L = *(Theta ^
+omega^{m-1})``, built once per constraint set.  By the pairing identity in
+:mod:`formcalc.exterior`, the numerator is ``<df^dg, L>`` and the
+denominator ``<omega, L>``.
 
 Derivation.  At a point, the differentials ``dtheta_i`` span a subspace ``W``
 of the cotangent space that is symplectic for the bivector (its Gram matrix
@@ -51,7 +53,7 @@ from .errors import (
     GradeMismatch,
     KindMismatch,
 )
-from .exterior import SymplecticData, _Generator, _star, differential, wedge, wedge_all
+from .exterior import SymplecticData, _Generator, _star, differential, pair, wedge, wedge_all
 from .poly import Polynomial, RationalExpr, _skew_inverse, coordinates, sum_of_products
 
 
@@ -59,15 +61,14 @@ class ConstraintSet:
     """An even-length list of constraint functions on a symplectic chart.
 
     The constraint differentials, the pairwise bracket matrix (its upper
-    triangle paired, the rest by antisymmetry), its determinant and
-    adjugate, and the wedge of the differentials are all computed at
-    construction, so matrix-route evaluation afterwards is read-only.  The
+    triangle paired, the rest by antisymmetry), its determinant and adjugate
+    are computed at construction, so the matrix route makes no wedge.  The
     function-independent factors of the form route are built on first use by
-    :meth:`form_factors`; after that the route makes no wedge.
+    :meth:`form_factors`, its only wedges.
     """
 
     __slots__ = ("sym", "constraints", "half_count", "differentials", "bracket_matrix",
-                 "determinant", "adjugate", "differential_wedge", "_form_factors")
+                 "determinant", "adjugate", "_form_factors")
 
     def __init__(self, sym: SymplecticData, constraints: Sequence[Polynomial]):
         constraints = tuple(constraints)
@@ -93,7 +94,6 @@ class ConstraintSet:
         self.differentials = dthetas
         self.bracket_matrix = matrix
         self.determinant, self.adjugate = _skew_inverse(matrix, chart)
-        self.differential_wedge = wedge_all(dthetas)
         self._form_factors = None
 
     @property
@@ -101,24 +101,26 @@ class ConstraintSet:
         return self.sym.chart
 
     def form_factors(self) -> tuple[_Generator, Polynomial]:
-        """``(generator of *(Theta ^ omega^{m-1}), top coefficient of Theta ^
-        omega^m)``, ``m = n - k``: the argument-free parts of the form route,
-        which needs ``k < n``."""
+        """``(generator of L, <omega, L>)``, ``L = *(Theta ^ omega^{m-1})``,
+        ``m = n - k``: the argument-free parts of the form route, which needs
+        ``k < n``.  Its only wedges are ``Theta`` and ``Theta ^ omega^{m-1}``."""
         if self._form_factors is None:
             m = self.sym.n - self.half_count
             if m < 1:
                 raise GradeMismatch("need strictly fewer constraint pairs than degrees of freedom")
-            reference = wedge(self.differential_wedge, self.sym.power(m))
+            factor = _star(wedge(wedge_all(self.differentials), self.sym.power(m - 1)), Fraction(1))
+            reference = pair(self.sym.omega, factor)
             if reference.is_zero():
                 raise DegenerateStructure("reference top form vanishes")
-            factor = _star(wedge(self.differential_wedge, self.sym.power(m - 1)), Fraction(1))
-            self._form_factors = (_Generator(factor), reference.coefficient(tuple(range(self.chart.dim))))
+            self._form_factors = (_Generator(factor), reference)
         return self._form_factors
 
 
 def regularity_check(cs: ConstraintSet) -> bool:
-    """Both second-class conditions: nonzero differential wedge, nonzero det."""
-    return not cs.determinant.is_zero() and not cs.differential_wedge.is_zero()
+    """Whether the constraints are second class: ``det C != 0``.  That implies
+    ``Theta != 0``, so ``Theta`` is not built: ``sum_i a_i dtheta_i = 0`` with
+    ``a != 0`` gives ``sum_i a_i C_ij = 0``, so ``a^T C = 0`` and ``det C = 0``."""
+    return not cs.determinant.is_zero()
 
 
 def _require_regular(cs: ConstraintSet):

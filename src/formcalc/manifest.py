@@ -202,14 +202,12 @@ class Task:
     resolved: list
     expect_text: str | None
     expected: object | None
-    line: int
 
 
 @dataclass
 class Scenario:
     chart: Chart
     definitions: dict[str, object]
-    poly_env: dict[str, Polynomial]
     tasks: list[Task] = field(default_factory=list)
 
 
@@ -314,7 +312,7 @@ class _Builder:
         expected = None
         if expect_text is not None:
             expected = self._parse(parse_value, body[expect_at:], line, expect_at, "bad expected value: ")
-        task = Task(name, command, tokens, resolved, expect_text, expected, line)
+        task = Task(name, command, tokens, resolved, expect_text, expected)
         self.tasks.append(task)
         self.task_names.add(name)
 
@@ -386,7 +384,7 @@ def parse_scenario_text(text: str) -> Scenario:
             builder.add_task(line, lineno)
     if builder.chart is None:
         _fail("no [chart] section", 1)
-    return Scenario(builder.chart, builder.definitions, builder.poly_env, builder.tasks)
+    return Scenario(builder.chart, builder.definitions, builder.tasks)
 
 
 def parse_scenario(path) -> Scenario:

@@ -20,13 +20,15 @@ only onto the generator's support.  ``ExpPoly`` and
 ``homogenization_check`` ran on before it lifted its arguments to 1-forms.
 ``bivector_loop_hamiltonian_vf`` is the Hamiltonian field as its own loop
 over the inverse bivector's terms, before it became ``derived_vf(sym, 1,
-f)``, and ``full_wedge_dirac_numerator`` the Dirac form route's numerator
-read off the top coefficient of ``df^dg ^ Theta ^ omega^(m-1)``, before it
-became a pairing with ``*(Theta ^ omega^(m-1))``.  ``volume_route_def``
-builds the 2k-bracket
-the way ``omega_power_bracket`` and ``derived_vf`` did before they paired
-against the divided power ``Lambda^k/k!``: the generator of
-``k! * omega^(n-k)/(n-k)!`` against the volume ``omega^n/n!``.
+f)``.  ``full_wedge_dirac_numerator`` and ``full_wedge_dirac_denominator``
+read the Dirac form quotient off the top coefficients of ``df^dg ^ Theta ^
+omega^(m-1)`` and ``Theta ^ omega^m``, before both became pairings with
+``*(Theta ^ omega^(m-1))``, and ``two_condition_regularity`` is the Dirac
+regularity check with the nonzero-wedge condition it dropped as implied.
+``volume_route_def`` builds the 2k-bracket the way ``omega_power_bracket``
+and ``derived_vf`` did before they paired against the divided power
+``Lambda^k/k!``: the generator of ``k! * omega^(n-k)/(n-k)!`` against the
+volume ``omega^n/n!``.
 ``legacy_parse_tensor`` and ``legacy_parse_value`` are the same kind of
 reference for ``formcalc.parsing``, and ``LegacyPolynomial`` with
 ``legacy_exact_divide`` (exponent tuples as keys, every coefficient a
@@ -201,6 +203,21 @@ def full_wedge_dirac_numerator(cs, f, g) -> Polynomial:
     m = cs.sym.n - cs.half_count
     factor = wedge(wedge_all([differential(theta) for theta in cs.constraints]), cs.sym.power(m - 1))
     return wedge(wedge(differential(f), differential(g)), factor).coefficient(tuple(range(cs.chart.dim)))
+
+
+def full_wedge_dirac_denominator(cs) -> Polynomial:
+    """The top coefficient of ``Theta ^ omega^m``, ``m = n - k``, with every
+    wedge built in full."""
+    m = cs.sym.n - cs.half_count
+    factors = [differential(theta) for theta in cs.constraints] + [cs.sym.omega] * m
+    return wedge_all(factors).coefficient(tuple(range(cs.chart.dim)))
+
+
+def two_condition_regularity(cs) -> bool:
+    """Both second-class conditions as ``regularity_check`` tested them
+    before it read the determinant alone: ``det C != 0`` and a nonzero
+    wedge of the constraint differentials."""
+    return not cs.determinant.is_zero() and not wedge_all(cs.differentials).is_zero()
 
 
 def full_wedge_jacobi_bracket(jdef, f, g) -> Polynomial:

@@ -49,7 +49,7 @@ from formcalc import (
     wedge,
     wedge_all,
 )
-from formcalc import exterior
+from formcalc import brackets, exterior
 
 from tests.helpers import (
     bivector_loop_hamiltonian_vf,
@@ -496,6 +496,28 @@ class TestHomogenization:
         for _ in range(20):
             f, g = rand_poly(rng, self.CONTACT), rand_poly(rng, self.CONTACT)
             assert homogenization_check(jdef, f, g)
+
+    def test_pairs_through_generator(self, monkeypatch):
+        """The left side is one ``_Generator`` pairing of the lifted
+        arguments, with no wedge of them built."""
+        calls = Counter()
+        wedge, generator_pair = exterior.wedge, exterior._Generator.pair
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(exterior, "wedge", counted("wedge", wedge))
+        monkeypatch.setattr(brackets, "wedge", counted("wedge", wedge), raising=False)
+        monkeypatch.setattr(exterior._Generator, "pair", counted("pairing", generator_pair))
+        jdef = self.contact_pair()
+        rng = random.Random(43)
+        f, g = rand_poly(rng, self.CONTACT), rand_poly(rng, self.CONTACT)
+        assert homogenization_check(jdef, f, g)
+        # the left side; jacobi_bracket on the right sums the generator's products
+        assert calls == {"pairing": 1}
 
     def test_name_collision_rejected(self):
         chart = Chart(("x", "s"))

@@ -27,7 +27,15 @@ from formcalc import (
 
 from formcalc import brackets, dirac, exterior
 
-from tests.helpers import full_wedge_dirac_numerator, laplace_adjugate, laplace_determinant, qp, rand_poly
+from tests.helpers import (
+    full_wedge_dirac_denominator,
+    full_wedge_dirac_numerator,
+    laplace_adjugate,
+    laplace_determinant,
+    qp,
+    rand_poly,
+    two_condition_regularity,
+)
 
 
 def sym_n(n: int) -> SymplecticData:
@@ -41,6 +49,39 @@ def canonical_constraints(sym: SymplecticData, keep: int):
     for j in range(keep, sym.n):
         thetas.extend([qs[j], ps[j]])
     return ConstraintSet(sym, thetas)
+
+
+def counting(calls: Counter, name: str, function):
+    """``function``, counting each call under ``name`` in ``calls``."""
+    def wrapper(*args):
+        calls[name] += 1
+        return function(*args)
+    return wrapper
+
+
+_REGULARITY_SYMS = {n: sym_n(n) for n in (2, 3, 4)}
+
+
+@st.composite
+def regularity_cases(draw):
+    """A pair or quadruple of constraints on a 4- to 8-dim standard chart:
+    random, or with the last one a function of the first (``theta1 *
+    p1``, ``theta1^2``, ``2*theta1 + 1``), or all in the q's alone, so that
+    they Poisson-commute."""
+    sym = _REGULARITY_SYMS[draw(st.sampled_from(sorted(_REGULARITY_SYMS)))]
+    count = draw(st.sampled_from([2, 4]))
+    kind = draw(st.sampled_from(["random", "product", "square", "scaled", "commuting"]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    qs, ps = qp(sym.chart)
+    if kind == "commuting":
+        thetas = [sum((rng.randint(-3, 3) * rng.choice(qs) ** rng.randint(1, 2) for _ in range(3)),
+                      Polynomial.zero(sym.chart)) for _ in range(count)]
+    else:
+        thetas = [rand_poly(rng, sym.chart) for _ in range(count)]
+    last = {"product": lambda t: t * ps[0], "square": lambda t: t ** 2, "scaled": lambda t: 2 * t + 1}
+    if kind in last:
+        thetas[-1] = last[kind](thetas[0])
+    return kind, ConstraintSet(sym, thetas)
 
 
 class TestRegularity:
@@ -66,6 +107,16 @@ class TestRegularity:
         qs, _ = qp(sym.chart)
         with pytest.raises(DegenerateStructure):
             ConstraintSet(sym, [qs[0]])
+
+    @settings(max_examples=80, deadline=None)
+    @given(regularity_cases())
+    def test_matches_two_condition_oracle(self, case):
+        """``det C != 0`` alone decides regularity: a zero wedge of the
+        differentials forces a zero determinant."""
+        kind, cs = case
+        assert regularity_check(cs) == two_condition_regularity(cs)
+        if kind in ("square", "scaled", "commuting"):
+            assert not regularity_check(cs)
 
 
 def hand_oracle_two_constraints(sym, theta1, theta2, f, g):
@@ -178,16 +229,9 @@ class TestMatrixBracket:
 
     def test_each_differential_and_entry_once(self, monkeypatch):
         calls = Counter()
-
-        def counted(name, function):
-            def wrapper(*args):
-                calls[name] += 1
-                return function(*args)
-            return wrapper
-
-        monkeypatch.setattr(dirac, "differential", counted("constraint", dirac.differential))
-        monkeypatch.setattr(brackets, "differential", counted("argument", brackets.differential))
-        monkeypatch.setattr(exterior._Generator, "pair", counted("pairing", exterior._Generator.pair))
+        monkeypatch.setattr(dirac, "differential", counting(calls, "constraint", dirac.differential))
+        monkeypatch.setattr(brackets, "differential", counting(calls, "argument", brackets.differential))
+        monkeypatch.setattr(exterior._Generator, "pair", counting(calls, "pairing", exterior._Generator.pair))
         sym = sym_n(3)
         cs = perturbed_constraints(sym, 1)
         # four differentials, and the six entries above the diagonal
@@ -197,6 +241,23 @@ class TestMatrixBracket:
         dirac_bracket_matrix(cs, qs[0] * ps[1], ps[0] + qs[2])
         # df and dg once; {f, g}, then {f, theta_i} and {g, theta_i} for each i
         assert calls == {"argument": 2, "pairing": 9}
+
+    def test_matrix_route_builds_no_wedge(self, monkeypatch):
+        calls = Counter()
+        sym = sym_n(3)
+        # the structure's cached bivector, built once by a wedge onto 1
+        brackets._divided_power(sym, 1)
+        for module in (exterior, dirac):
+            monkeypatch.setattr(module, "wedge", counting(calls, "wedge", module.wedge))
+            monkeypatch.setattr(module, "wedge_all", counting(calls, "wedge_all", module.wedge_all))
+        cs = perturbed_constraints(sym, 1)
+        qs, ps = qp(sym.chart)
+        assert regularity_check(cs)
+        dirac_bracket_matrix(cs, qs[0] * ps[1], ps[0] + qs[2])
+        assert calls == {}
+        # the counters are live: the form route's factors are built by wedges
+        cs.form_factors()
+        assert calls["wedge_all"] == 1 and calls["wedge"] > 0
 
     def test_antisymmetry_and_leibniz(self):
         sym = sym_n(2)
@@ -321,6 +382,22 @@ class TestFormBracket:
         sym, cs = self.grid_case(3, 1)
         assert cs.form_factors() is cs.form_factors()
 
+    def test_form_factors_never_build_omega_m(self, monkeypatch):
+        """The denominator is ``<omega, *(Theta ^ omega^{m-1})>``, so the
+        only power of the form taken is ``omega^{m-1}``."""
+        powers = []
+        power = SymplecticData.power
+
+        def recorded(sym, k):
+            powers.append(k)
+            return power(sym, k)
+
+        monkeypatch.setattr(SymplecticData, "power", recorded)
+        for sym, cs in self.wide_cases():
+            powers.clear()
+            cs.form_factors()
+            assert powers == [sym.n - cs.half_count - 1]
+
     def test_no_wedge_after_form_factors(self, monkeypatch):
         wedges = Counter()
 
@@ -357,32 +434,42 @@ class TestFormBracket:
             dirac_bracket_form(sym, cs, qs[0], qs[1])
 
 
-# (n, k, constraint builder) over the standard forms of TestFormBracket.GRID
-FORM_ORACLE_CASES = [(n, k, build) for n, k in TestFormBracket.GRID
+# the standard forms of TestFormBracket.GRID and both magnetic forms, on
+# which the pairing identity must hold as well
+FORM_ORACLE_STRUCTURES = {"standard-2": lambda: sym_n(2), "standard-3": lambda: sym_n(3),
+                          "magnetic-linear": lambda: magnetic_syms()[0],
+                          "magnetic-constant": lambda: magnetic_syms()[1]}
+FORM_ORACLE_PAIRS = [(f"standard-{n}", k) for n, k in TestFormBracket.GRID] + [
+    (name, k) for name in ("magnetic-linear", "magnetic-constant") for k in (1, 2)]
+# (structure, k, constraint builder)
+FORM_ORACLE_CASES = [(name, k, build) for name, k in FORM_ORACLE_PAIRS
                      for build in (canonical_constraints, perturbed_constraints)]
 _FORM_ORACLE_SETS = {}
 
 
 class TestFormNumeratorOracle:
-    """The form route's numerator, the pairing with ``*(Theta ^
-    omega^{m-1})``, against the top coefficient of the full wedge
-    ``df^dg ^ Theta ^ omega^{m-1}`` that it replaced."""
+    """The form route's numerator and denominator, the pairings of
+    ``df^dg`` and ``omega`` with ``*(Theta ^ omega^{m-1})``, against the top
+    coefficients of the full wedges ``df^dg ^ Theta ^ omega^{m-1}`` and
+    ``Theta ^ omega^m`` that they replaced."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(FORM_ORACLE_CASES), st.integers(0, 10**6))
     def test_matches_full_wedge(self, case, seed):
         if case not in _FORM_ORACLE_SETS:
-            n, k, build = case
-            sym = sym_n(n)
-            _FORM_ORACLE_SETS[case] = sym, build(sym, n - k)
-        sym, cs = _FORM_ORACLE_SETS[case]
+            name, k, build = case
+            sym = FORM_ORACLE_STRUCTURES[name]()
+            cs = build(sym, sym.n - k)
+            _FORM_ORACLE_SETS[case] = sym, cs, full_wedge_dirac_denominator(cs)
+        sym, cs, denominator = _FORM_ORACLE_SETS[case]
         rng = random.Random(seed)
         f, g = rand_poly(rng, sym.chart), rand_poly(rng, sym.chart)
         expected = full_wedge_dirac_numerator(cs, f, g)
         generator, reference = cs.form_factors()
         assert generator.pair([differential(f), differential(g)]) == expected
+        assert reference == denominator
         quotient = dirac._form_quotient(sym, cs, f, g)
-        assert (quotient.numerator, quotient.denominator) == (expected, reference)
+        assert (quotient.numerator, quotient.denominator) == (expected, denominator)
 
 
 class TestReduction:
