@@ -30,7 +30,7 @@ from .errors import (
     ArityMismatch,
     ChartMismatch,
     GradeMismatch,
-    KindMismatch,
+    checked,
 )
 from .exterior import (
     Form,
@@ -66,11 +66,7 @@ class BracketDef:
 
     def __init__(self, volume: Form, alpha: Form):
         vol_coeff = _top_coefficient(volume)
-        if not isinstance(alpha, Form):
-            raise KindMismatch("BracketDef takes two forms")
-        if volume.chart != alpha.chart:
-            raise ChartMismatch("volume and alpha live on different charts")
-        arity = volume.chart.dim - alpha.grade
+        arity = volume.chart.dim - checked(alpha, Form, "alpha", chart=volume.chart).grade
         if arity < 1:
             raise GradeMismatch("alpha leaves no argument slots")
         self.volume = volume
@@ -93,11 +89,7 @@ def _argument(chart: Chart, f) -> Polynomial:
     one, or anything else that is not a polynomial, is a kind error."""
     if isinstance(f, RationalExpr) and f.is_zero():
         f = f.numerator
-    if not isinstance(f, Polynomial):
-        raise KindMismatch("bracket arguments must be polynomials")
-    if f.chart != chart:
-        raise ChartMismatch("bracket argument lives on a different chart")
-    return f
+    return checked(f, Polynomial, "bracket argument", chart=chart)
 
 
 def _differentials(chart: Chart, functions) -> list[Form]:
@@ -111,7 +103,7 @@ def bracket(bdef: BracketDef, *functions: Polynomial):
     :class:`BracketDef`): the bracket under a constant volume, and under any
     other the numerator of its quotient by the volume coefficient.
     """
-    if len(functions) != bdef.arity:
+    if len(functions) != checked(bdef, BracketDef, "bracket definition").arity:
         raise ArityMismatch(f"bracket takes {bdef.arity} arguments, got {len(functions)}")
     value = bdef._pairing.pair(_differentials(bdef.chart, functions))
     return value if bdef.generator is not None else RationalExpr(value, bdef._vol_coeff)
@@ -127,9 +119,10 @@ def power_bracket_def(volume: Form, power: Form, k: int) -> BracketDef:
 
 
 def _divided_power(sym: SymplecticData, k: int) -> _Generator:
-    """The generator of ``Lambda^k/k!``, built once per structure and ``k``;
-    unlike ``Lambda^k`` it has entries ``+-1`` on a standard form."""
-    if not 1 <= k <= sym.n:
+    """The generator of ``Lambda^k/k!``, built once per structure and ``k``
+    after the one check of both; unlike ``Lambda^k`` its entries are ``+-1`` on a standard form."""
+    checked(sym, SymplecticData, "symplectic structure")
+    if not 1 <= checked(k, int, "power index") <= sym.n:
         raise ArityMismatch(f"power index must lie in 1..{sym.n}")
     return sym.cached(("divided_power", k),
                       lambda: _Generator(sym.bivector_power(k) * Fraction(1, factorial(k))))
@@ -196,13 +189,9 @@ class JacobiDef:
     __slots__ = ("bivector", "field", "is_jacobi", "_pairing")
 
     def __init__(self, bivector: Multivector, field: Multivector):
-        if bivector.chart != field.chart:
-            raise ChartMismatch("bivector and field live on different charts")
-        if bivector.grade != 2 or field.grade != 1:
-            raise GradeMismatch("JacobiDef takes a grade-2 and a grade-1 multivector")
+        self.is_jacobi = jacobi_pair_check(bivector, field)  # checks both arguments
         self.bivector = bivector
         self.field = field
-        self.is_jacobi = jacobi_pair_check(bivector, field)
         self._pairing = _Generator(bivector)
 
     @property
@@ -212,6 +201,7 @@ class JacobiDef:
 
 def jacobi_bracket(jdef: JacobiDef, f: Polynomial, g: Polynomial) -> Polynomial:
     """``L(f,g) + f*X(g) - g*X(f)`` for the pair ``(L, X)``."""
+    checked(jdef, JacobiDef, "Jacobi structure")
     f, g = _argument(jdef.chart, f), _argument(jdef.chart, g)
     df, dg = differential(f), differential(g)
     products = jdef._pairing.products([df, dg])
@@ -235,9 +225,8 @@ def homogenization_check(
     ``_Generator(P)`` pairing.  Returns its exact equality with the bracket,
     both read on the extended chart.
     """
+    checked(jdef, JacobiDef, "Jacobi structure")
     f, g = _argument(jdef.chart, f), _argument(jdef.chart, g)
-    if s_name in jdef.chart:
-        raise ChartMismatch(f"coordinate {s_name!r} is already in use")
     try:
         extended = jdef.chart.extended(s_name)
     except ValueError as exc:

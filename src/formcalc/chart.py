@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from collections.abc import Iterable
+
+from .errors import InvalidArgument, checked
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -18,14 +20,14 @@ class Chart:
     __slots__ = ("names", "_positions")
 
     def __init__(self, names: Iterable[str]):
-        names = tuple(names)
+        names = tuple(checked(names, Iterable, "chart names"))
         if not names:
-            raise ValueError("a chart needs at least one coordinate")
-        for name in names:
+            raise InvalidArgument("a chart needs at least one coordinate")
+        for i, name in enumerate(names):
             if not isinstance(name, str) or not _NAME_RE.match(name):
-                raise ValueError(f"invalid coordinate name {name!r}")
-        if len(set(names)) != len(names):
-            raise ValueError("coordinate names must be distinct")
+                raise InvalidArgument(f"invalid coordinate name {name!r}")
+            if name in names[:i]:
+                raise InvalidArgument(f"coordinate {name!r} is already in use")
         self.names = names
         self._positions = {name: i for i, name in enumerate(names)}
 
@@ -37,15 +39,13 @@ class Chart:
         try:
             return self._positions[name]
         except (KeyError, TypeError):
-            raise ValueError(f"unknown coordinate {name!r}") from None
+            raise InvalidArgument(f"unknown coordinate {name!r}") from None
 
     def __contains__(self, name) -> bool:
         return isinstance(name, str) and name in self._positions
 
     def extended(self, name: str) -> "Chart":
         """A new chart with one extra coordinate appended at the end."""
-        if name in self:
-            raise ValueError(f"coordinate {name!r} already present")
         return Chart(self.names + (name,))
 
     def __eq__(self, other):

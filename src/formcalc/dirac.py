@@ -39,19 +39,18 @@ instead of assuming it, and the tests pin it to ``1/(n-k)``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
 
 from .brackets import _differentials, _divided_power
 from .chart import Chart
 from .errors import (
     AlgebraError,
     CalibrationFailure,
-    ChartMismatch,
     DegenerateStructure,
     GradeMismatch,
-    KindMismatch,
+    checked,
 )
 from .exterior import SymplecticData, _Generator, _star, differential, pair, wedge, wedge_all
 from .poly import Polynomial, RationalExpr, _skew_inverse, coordinates, sum_of_products
@@ -71,21 +70,19 @@ class ConstraintSet:
                  "determinant", "adjugate", "_form_factors")
 
     def __init__(self, sym: SymplecticData, constraints: Sequence[Polynomial]):
-        constraints = tuple(constraints)
+        poisson = _divided_power(sym, 1)
+        constraints = tuple(checked(constraints, Iterable, "constraint list"))
         if len(constraints) < 2 or len(constraints) % 2:
             raise DegenerateStructure("constraint count must be even and at least 2")
-        for theta in constraints:
-            if not isinstance(theta, Polynomial):
-                raise KindMismatch("constraints must be polynomials")
-            if theta.chart != sym.chart:
-                raise ChartMismatch("constraint lives on a different chart")
         chart = sym.chart
+        for theta in constraints:
+            checked(theta, Polynomial, "constraint", chart=chart)
         dthetas = [differential(theta) for theta in constraints]
         size = len(constraints)
         matrix = [[Polynomial.zero(chart)] * size for _ in range(size)]
         for i in range(size):
             for j in range(i + 1, size):
-                value = _divided_power(sym, 1).pair([dthetas[i], dthetas[j]])
+                value = poisson.pair([dthetas[i], dthetas[j]])
                 matrix[i][j] = value
                 matrix[j][i] = -value
         self.sym = sym
@@ -120,7 +117,7 @@ def regularity_check(cs: ConstraintSet) -> bool:
     """Whether the constraints are second class: ``det C != 0``.  That implies
     ``Theta != 0``, so ``Theta`` is not built: ``sum_i a_i dtheta_i = 0`` with
     ``a != 0`` gives ``sum_i a_i C_ij = 0``, so ``a^T C = 0`` and ``det C = 0``."""
-    return not cs.determinant.is_zero()
+    return not checked(cs, ConstraintSet, "constraint set").determinant.is_zero()
 
 
 def _require_regular(cs: ConstraintSet):
@@ -152,7 +149,7 @@ def dirac_bracket_matrix(cs: ConstraintSet, f: Polynomial, g: Polynomial) -> Rat
 def _form_quotient(sym: SymplecticData, cs: ConstraintSet, f: Polynomial, g: Polynomial) -> RationalExpr:
     """``(df^dg ^ Theta ^ omega^{m-1}) / (Theta ^ omega^m)``, unscaled."""
     _require_regular(cs)
-    if sym is not cs.sym and sym.omega != cs.sym.omega:
+    if sym is not cs.sym and checked(sym, SymplecticData, "symplectic structure").omega != cs.sym.omega:
         raise DegenerateStructure("constraint set was built on another symplectic form")
     generator, reference = cs.form_factors()
     return RationalExpr(generator.pair(_differentials(cs.chart, (f, g))), reference)
@@ -175,14 +172,14 @@ def calibrate_normalization(sym: SymplecticData, cs: ConstraintSet) -> Fraction:
     ratio must come out as a rational constant or calibration fails loudly.
     The derivation in the module docstring gives ``c = 1/(n-k)``.
     """
-    for f, g in _low_degree_pairs(sym.chart):
+    for f, g in _low_degree_pairs(checked(cs, ConstraintSet, "constraint set").chart):
         q = _form_quotient(sym, cs, f, g)
         mb = dirac_bracket_matrix(cs, f, g)
         if mb.is_zero():
             continue
         try:
             return (q / mb).as_constant()
-        except (AlgebraError, ValueError) as exc:
+        except AlgebraError as exc:
             raise CalibrationFailure(f"normalization ratio is not a constant: {exc}") from exc
     raise CalibrationFailure("no reference pair with a nonzero bracket was found")
 

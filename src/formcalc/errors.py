@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one argument check.
+
+Errors.  Every call into the package ends in a result or an AlgebraError:
+public entry points check their arguments with :func:`checked`.  A value of
+the right type but out of range raises InvalidArgument, and a division by
+zero DivisionByZero; these also subclass ValueError and ZeroDivisionError.
+Only Python's operator protocol (``q1 + "x"``, ``Polynomial / Polynomial``)
+ends in its own TypeError.
+"""
 
 
 class AlgebraError(Exception):
@@ -10,7 +18,7 @@ class ChartMismatch(AlgebraError):
 
 
 class KindMismatch(AlgebraError):
-    """A form was supplied where a multivector was required, or vice versa."""
+    """An argument is of the wrong type, such as a form where a multivector belongs."""
 
 
 class GradeMismatch(AlgebraError):
@@ -19,6 +27,14 @@ class GradeMismatch(AlgebraError):
 
 class ArityMismatch(AlgebraError):
     """A bracket received the wrong number of arguments."""
+
+
+class InvalidArgument(AlgebraError, ValueError):
+    """An argument of the right type lies outside the values the call takes."""
+
+
+class DivisionByZero(AlgebraError, ZeroDivisionError):
+    """A division by zero, or a quotient with a zero denominator."""
 
 
 class NotDivisible(AlgebraError):
@@ -48,4 +64,18 @@ class ParseError(AlgebraError):
         where = ""
         if line is not None:
             where = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + where)
+        super().__init__(f"{message}{where}")
+
+
+def checked(value, kind, role: str, chart=None, grade=None):
+    """``value``, if it is a ``kind`` (a type or tuple of types) on ``chart``
+    of grade ``grade`` (each where given); otherwise a :class:`KindMismatch`,
+    :class:`ChartMismatch` or :class:`GradeMismatch` whose message starts with ``role``."""
+    if not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in kind) if isinstance(kind, tuple) else kind.__name__
+        raise KindMismatch(f"{role} must be {names}, got {type(value).__name__}")
+    if chart is not None and value.chart != chart:
+        raise ChartMismatch(f"{role} lives on a different chart")
+    if grade is not None and value.grade != grade:
+        raise GradeMismatch(f"{role} must have grade {grade}, got {value.grade}")
+    return value

@@ -36,12 +36,12 @@ form-defined brackets and the Dirac form numerator, ``a = Theta ^ omega^{m-1}``.
 from __future__ import annotations
 
 from bisect import bisect
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, Sequence
 
 from .chart import Chart
-from .errors import ChartMismatch, DegenerateStructure, GradeMismatch, KindMismatch
+from .errors import DegenerateStructure, GradeMismatch, InvalidArgument, checked
 from .poly import Polynomial, _skew_inverse, sum_of_products
 
 IndexTuple = tuple[int, ...]
@@ -104,24 +104,21 @@ class _Graded:
     _atom = "?"
 
     def __init__(self, chart: Chart, grade: int, terms: Mapping | None = None):
-        if not 0 <= grade <= chart.dim:
+        if not 0 <= checked(grade, int, "tensor grade") <= checked(chart, Chart, "tensor chart").dim:
             raise GradeMismatch(f"grade must lie between 0 and {chart.dim}")
         table: dict[IndexTuple, Polynomial] = {}
         if terms:
-            for indices, coefficient in terms.items():
+            for indices, coefficient in checked(terms, Mapping, "tensor terms").items():
                 if isinstance(coefficient, (int, Fraction)):
                     coefficient = Polynomial.constant(chart, coefficient)
-                elif not isinstance(coefficient, Polynomial):
-                    raise KindMismatch("coefficients must be polynomials")
-                if coefficient.chart != chart:
-                    raise ChartMismatch("coefficient lives on a different chart")
+                checked(coefficient, Polynomial, "coefficient", chart=chart)
                 if len(tuple(indices)) != grade:
                     raise GradeMismatch("index tuple length must equal the grade")
                 key, sign = _normalize_index_tuple(indices)
                 if key is None or coefficient.is_zero():
                     continue
                 if key and (key[0] < 0 or key[-1] >= chart.dim):
-                    raise ValueError("coordinate index out of range")
+                    raise InvalidArgument("coordinate index out of range")
                 _accumulate(table, key, coefficient if sign == 1 else -coefficient)
         self.chart = chart
         self.grade = grade
@@ -158,14 +155,8 @@ class _Graded:
             return Polynomial.zero(self.chart)
         return value if sign == 1 else -value
 
-    def _check_peer(self, other):
-        if type(other) is not type(self):
-            raise KindMismatch("cannot combine a form with a multivector")
-        if other.chart != self.chart:
-            raise ChartMismatch("operands live on different charts")
-
     def __add__(self, other):
-        self._check_peer(other)
+        checked(other, type(self), "summand", chart=self.chart)
         if self.terms and other.terms and self.grade != other.grade:
             raise GradeMismatch("cannot add tensors of different grades")
         grade = self.grade if self.terms or not other.terms else other.grade
@@ -185,8 +176,7 @@ class _Graded:
             scalar = Polynomial.constant(self.chart, scalar)
         if not isinstance(scalar, Polynomial):
             return NotImplemented
-        if scalar.chart != self.chart:
-            raise ChartMismatch("scalar lives on a different chart")
+        checked(scalar, Polynomial, "scalar", chart=self.chart)
         out: dict[IndexTuple, Polynomial] = {}
         if not scalar.is_zero():
             for key, value in self.terms.items():
@@ -199,7 +189,7 @@ class _Graded:
 
     def __truediv__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(scalar))
+            return self * (Polynomial.constant(self.chart, 1) / scalar)
         return NotImplemented
 
     def __eq__(self, other):
@@ -257,24 +247,18 @@ class Multivector(_Graded):
 
 def coordinate_form(chart: Chart, name: str) -> Form:
     """The coordinate differential ``d(name)``."""
-    return Form(chart, 1, {(chart.index(name),): Fraction(1)})
+    return Form(chart, 1, {(checked(chart, Chart, "chart").index(name),): Fraction(1)})
 
 
 def coordinate_field(chart: Chart, name: str) -> Multivector:
     """The coordinate vector field ``e(name)``."""
-    return Multivector(chart, 1, {(chart.index(name),): Fraction(1)})
-
-
-def _require_same_chart(a, b):
-    if a.chart != b.chart:
-        raise ChartMismatch("operands live on different charts")
+    return Multivector(chart, 1, {(checked(chart, Chart, "chart").index(name),): Fraction(1)})
 
 
 def wedge(a, b):
     """Exterior product of two forms or two multivectors."""
-    if not isinstance(a, _Graded) or type(a) is not type(b):
-        raise KindMismatch("wedge needs two forms or two multivectors")
-    _require_same_chart(a, b)
+    checked(a, _Graded, "wedge factor")
+    checked(b, type(a), "wedge factor", chart=a.chart)
     chart = a.chart
     grade = a.grade + b.grade
     if grade > chart.dim:
@@ -290,9 +274,9 @@ def wedge(a, b):
 
 def wedge_all(factors: Sequence) -> "_Graded":
     """Left-to-right wedge of a nonempty sequence of tensors of one kind."""
-    if not factors:
-        raise ValueError("need at least one factor")
-    result = factors[0]
+    if not checked(factors, Sequence, "wedge factors"):
+        raise InvalidArgument("need at least one factor")
+    result = checked(factors[0], _Graded, "wedge factor")
     for factor in factors[1:]:
         result = wedge(result, factor)
     return result
@@ -300,9 +284,7 @@ def wedge_all(factors: Sequence) -> "_Graded":
 
 def exterior_derivative(a: Form) -> Form:
     """The exterior derivative; on grade-0 forms this is the differential."""
-    if not isinstance(a, Form):
-        raise KindMismatch("exterior derivative applies to forms")
-    chart = a.chart
+    chart = checked(a, Form, "exterior derivative argument").chart
     if a.grade == 0:
         return differential(a.terms.get((), Polynomial.zero(chart)))
     if a.grade >= chart.dim:
@@ -325,8 +307,7 @@ def exterior_derivative(a: Form) -> Form:
 
 def differential(f: Polynomial) -> Form:
     """``df`` for a scalar function given as a polynomial."""
-    if not isinstance(f, Polynomial):
-        raise KindMismatch("differential takes a polynomial")
+    checked(f, Polynomial, "differential argument")
     terms = {}
     for i in range(f.chart.dim):
         df = f.diff(i)
@@ -349,10 +330,8 @@ def _contract_single(terms: dict[IndexTuple, Polynomial], index: int) -> dict:
 
 def contract(field: Multivector, a: Form) -> Form:
     """Interior product ``i_field a``; first factors of wedges act first."""
-    if not isinstance(field, Multivector) or not isinstance(a, Form):
-        raise KindMismatch("contract takes a multivector and a form")
-    _require_same_chart(field, a)
-    if field.grade > a.grade:
+    checked(field, Multivector, "contracted field")
+    if field.grade > checked(a, Form, "contracted form", chart=field.chart).grade:
         raise GradeMismatch("cannot contract into a form of lower grade")
     chart = a.chart
     groups: dict[IndexTuple, list] = {}
@@ -369,10 +348,8 @@ def contract(field: Multivector, a: Form) -> Form:
 
 def pair(a: Form, field: Multivector) -> Polynomial:
     """Determinant pairing of a k-form with a k-multivector."""
-    if not isinstance(field, Multivector) or not isinstance(a, Form):
-        raise KindMismatch("pair takes a form and a multivector")
-    _require_same_chart(field, a)
-    if field.grade != a.grade:
+    checked(a, Form, "paired form")
+    if checked(field, Multivector, "paired field", chart=a.chart).grade != a.grade:
         raise GradeMismatch("pairing needs equal grades")
     small, large = (a.terms, field.terms) if len(a.terms) <= len(field.terms) else (field.terms, a.terms)
     return sum_of_products([(value, large[key], False) for key, value in small.items() if key in large],
@@ -447,9 +424,7 @@ class _Generator:
 def _top_coefficient(volume: Form) -> Polynomial:
     """The coefficient ``c`` of a volume form ``c * dx_1^...^dx_m``: the one
     check of a volume, shared by every construction that takes one."""
-    if not isinstance(volume, Form):
-        raise KindMismatch("volume must be a form")
-    if volume.grade != volume.chart.dim or volume.is_zero():
+    if checked(volume, Form, "volume").grade != volume.chart.dim or volume.is_zero():
         raise DegenerateStructure("volume must be a nonzero top form")
     return volume.terms[tuple(range(volume.grade))]
 
@@ -482,16 +457,15 @@ def mv_from_form(volume: Form, a: Form) -> Multivector:
     The volume must be a top form whose single coefficient is a nonzero
     rational constant.
     """
-    if not isinstance(volume, Form) or not isinstance(a, Form):
-        raise KindMismatch("mv_from_form takes two forms")
-    _require_same_chart(volume, a)
-    return _star(a, Fraction(1) / _volume_constant(volume))
+    scale = Fraction(1) / _volume_constant(volume)
+    return _star(checked(a, Form, "mv_from_form argument", chart=volume.chart), scale)
 
 
 def form_power(a: Form, power: int) -> Form:
     """Repeated wedge ``a^power``; ``power == 0`` gives the constant-one 0-form."""
+    checked(a, Form, "form_power base")
     if not isinstance(power, int) or power < 0:
-        raise ValueError("form powers must be nonnegative integers")
+        raise InvalidArgument("form powers must be nonnegative integers")
     return wedge_all([Form.from_polynomial(Polynomial.constant(a.chart, 1))] + [a] * power)
 
 
@@ -503,9 +477,7 @@ def poisson_bivector(omega: Form) -> Multivector:
     ``{p_j, q_j} = 1``.  Requires an even-dimensional chart and a constant
     nonzero determinant of the coefficient matrix.
     """
-    if not isinstance(omega, Form) or omega.grade != 2:
-        raise GradeMismatch("expected a grade-2 form")
-    chart = omega.chart
+    chart = checked(omega, Form, "symplectic form", grade=2).chart
     m = chart.dim
     if m % 2:
         raise DegenerateStructure("chart dimension must be even")
@@ -523,11 +495,7 @@ def poisson_bivector(omega: Form) -> Multivector:
 
 def lie_derivative(field: Multivector, a: Form) -> Form:
     """Lie derivative along a vector field, via ``i_X d + d i_X``."""
-    if not isinstance(field, Multivector) or field.grade != 1:
-        raise GradeMismatch("lie_derivative needs a grade-1 multivector")
-    if not isinstance(a, Form):
-        raise KindMismatch("lie_derivative acts on forms")
-    _require_same_chart(field, a)
+    checked(field, Multivector, "Lie derivative field", grade=1)  # d and contract check ``a``
     result = contract(field, exterior_derivative(a))
     if a.grade >= 1:
         result = result + exterior_derivative(contract(field, a))
@@ -536,7 +504,7 @@ def lie_derivative(field: Multivector, a: Form) -> Form:
 
 def standard_form(chart: Chart) -> Form:
     """``sum_j dp_j ^ dq_j`` where the first half of the chart is q, second half p."""
-    m = chart.dim
+    m = checked(chart, Chart, "chart").dim
     if m % 2:
         raise DegenerateStructure("chart dimension must be even")
     n = m // 2
@@ -546,27 +514,23 @@ def standard_form(chart: Chart) -> Form:
 class SymplecticData:
     """A closed nondegenerate 2-form together with its inverse bivector.
 
-    Construction checks closedness and a constant nonzero determinant; the
-    bivector is then the exact inverse, so contracting it into the form
-    yields the half-dimension ``n`` (pinned by the tests).  Powers of the
-    form and of the bivector are memoized, each one wedge onto the one
-    below; instances are otherwise immutable.
+    Construction inverts the form, which checks its constant nonzero
+    determinant, then checks closedness.  The bivector is the exact inverse,
+    so contracting it into the form yields the half-dimension ``n`` (pinned
+    by the tests).  Powers of the form and of the bivector are memoized, each
+    one wedge onto the one below; instances are otherwise immutable.
     """
 
     __slots__ = ("chart", "omega", "bivector", "n", "_cache")
 
     def __init__(self, omega: Form):
-        if not isinstance(omega, Form) or omega.grade != 2:
-            raise GradeMismatch("expected a grade-2 form")
-        chart = omega.chart
-        if chart.dim % 2:
-            raise DegenerateStructure("chart dimension must be even")
+        bivector = poisson_bivector(omega)  # checks kind, grade, dimension and determinant
         if not exterior_derivative(omega).is_zero():
             raise DegenerateStructure("symplectic form must be closed")
-        self.chart = chart
+        self.chart = omega.chart
         self.omega = omega
-        self.bivector = poisson_bivector(omega)
-        self.n = chart.dim // 2
+        self.bivector = bivector
+        self.n = omega.chart.dim // 2
         self._cache = {}
 
     def cached(self, key, build):
@@ -577,11 +541,14 @@ class SymplecticData:
         return value
 
     def _chained_power(self, name: str, base, k: int):
-        """``base^k``, each power memoized as one wedge onto the one below."""
+        """``base^k``: the constant 1 at ``k = 0``, ``base`` itself at ``k = 1``,
+        and each higher power memoized as one wedge onto the one below."""
         if k < 0:
-            raise ValueError("powers must be nonnegative integers")
-        value = type(base).from_polynomial(Polynomial.constant(self.chart, 1))
-        for j in range(1, k + 1):
+            raise InvalidArgument("powers must be nonnegative integers")
+        if k == 0:
+            return type(base).from_polynomial(Polynomial.constant(self.chart, 1))
+        value = base
+        for j in range(2, k + 1):
             value = self.cached((name, j), lambda: wedge(value, base))
         return value
 

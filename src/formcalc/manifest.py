@@ -32,6 +32,7 @@ the CLI runs a task with ``COMMANDS[task.command].run(structures,
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,7 +51,7 @@ from .brackets import (
 )
 from .chart import _NAME_RE, Chart
 from .dirac import ConstraintSet, calibrate_normalization, dirac_bracket_form, dirac_bracket_matrix
-from .errors import ParseError
+from .errors import ParseError, checked
 from .exterior import Form, Multivector, SymplecticData, form_power, poisson_bivector, wedge
 from .parsing import parse_expr, parse_tensor, parse_value
 from .poly import Polynomial
@@ -321,7 +322,7 @@ class _Builder:
         column = offset + 1
         if kind in ("k", "n"):
             prefix = kind + "="
-            if not token.startswith(prefix) or not token[len(prefix):].isdigit():
+            if not token.startswith(prefix) or not token[len(prefix):].isdecimal():
                 _fail(f"expected '{prefix}<integer>', got {token!r}", line, column)
             return int(token[len(prefix):])
         if kind == "suite":
@@ -365,7 +366,7 @@ class _Builder:
 def parse_scenario_text(text: str) -> Scenario:
     builder = _Builder()
     section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(checked(text, str, "scenario text").splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()  # keeps the indent, which error columns count
         if not line.strip():
             continue
@@ -389,5 +390,5 @@ def parse_scenario_text(text: str) -> Scenario:
 
 def parse_scenario(path) -> Scenario:
     """Parse and fully validate a scenario file."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(checked(path, (str, os.PathLike), "scenario path")).read_text(encoding="utf-8")
     return parse_scenario_text(text)

@@ -34,17 +34,17 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .chart import Chart
-from .errors import DegreeOverflow, ParseError
+from .errors import DegreeOverflow, ParseError, checked
 from .exterior import coordinate_field, coordinate_form, wedge
 from .poly import Polynomial, RationalExpr
 
 # Each nesting level costs the recursive-descent parser five stack frames.
 MAX_NESTING = 100
-# Powers multiply step by step, so the exponent bounds the work.
+# Bounds the literal, not the work: a multi-term base on n coordinates grows to C(k+n, n) terms.
 MAX_EXPONENT = 1000
 
 _TOKEN_RE = re.compile(
@@ -76,9 +76,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _ExprParser:
     def __init__(self, text: str, chart: Chart, env: Mapping[str, Polynomial] | None):
-        self.text = text
-        self.chart = chart
-        self.env = env or {}
+        self.text = checked(text, str, "parsed text")
+        self.chart = checked(chart, Chart, "parse chart")
+        self.env = checked(env or {}, Mapping, "parse environment")
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -266,9 +266,10 @@ def parse_value(text: str, chart: Chart, env: Mapping[str, Polynomial] | None = 
     ``"fail"`` for suite outcomes, a :class:`RationalExpr` for
     ``(num) / (den)``, and otherwise whatever :func:`parse_tensor` yields.
     """
+    parser = _ExprParser(text, chart, env)  # checks the arguments, as for every parse_* function
     lowered = text.strip().lower()
     if lowered in ("true", "false"):
         return lowered == "true"
     if lowered in ("pass", "fail"):
         return lowered
-    return _ExprParser(text, chart, env).parse(_ExprParser.value)
+    return parser.parse(_ExprParser.value)

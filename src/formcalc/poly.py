@@ -51,7 +51,7 @@ Besides :class:`Polynomial` this module provides
 * exact division, and :func:`matrix_determinant` / :func:`matrix_adjugate`
   for the matrices the package inverts: the form matrix of a symplectic
   2-form and the Dirac constraint bracket matrix, both skew-symmetric of
-  even size.  Any other matrix raises ``ValueError``.  :func:`_skew_inverse`
+  even size.  Any other matrix raises :class:`InvalidArgument`.  :func:`_skew_inverse`
   returns both, the determinant from the route that built the adjugate.
   The entries pick one of two routes:
 
@@ -72,14 +72,14 @@ Besides :class:`Polynomial` this module provides
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .chart import Chart
-from .errors import ChartMismatch, DegreeOverflow, NotDivisible
+from .errors import ChartMismatch, DegreeOverflow, DivisionByZero, InvalidArgument, NotDivisible, checked
 
 Exponent = tuple[int, ...]
 
@@ -120,9 +120,7 @@ def _coefficient(value):
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):
-        return int(value)
-    raise TypeError(f"expected an int or Fraction coefficient, got {type(value).__name__}")
+    return int(checked(value, (int, Fraction), "coefficient"))
 
 
 def _settle(table: dict):
@@ -216,16 +214,17 @@ class Polynomial:
     __slots__ = ("chart", "_terms", "_degree")
 
     def __init__(self, chart: Chart, terms: Mapping[Exponent, Fraction] | None = None):
+        checked(chart, Chart, "polynomial chart")
         table: dict[int, int | Fraction] = {}
         degree = 0
         if terms:
             dim = chart.dim
-            for exponent, coefficient in terms.items():
+            for exponent, coefficient in checked(terms, Mapping, "polynomial terms").items():
                 exponent = tuple(exponent)
                 if len(exponent) != dim:
-                    raise ValueError("exponent vector length must equal the chart dimension")
+                    raise InvalidArgument("exponent vector length must equal the chart dimension")
                 if not all(isinstance(e, int) and e >= 0 for e in exponent):
-                    raise ValueError("exponents must be nonnegative integers")
+                    raise InvalidArgument("exponents must be nonnegative integers")
                 c = _coefficient(coefficient)
                 if c:
                     degree = max(degree, _check_degree(sum(exponent)))
@@ -297,7 +296,7 @@ class Polynomial:
         if not self._terms:
             return Fraction(0)
         if not self.is_constant():
-            raise ValueError("polynomial is not a constant")
+            raise InvalidArgument("polynomial is not a constant")
         return Fraction(self._terms[0])
 
     # -- arithmetic ---------------------------------------------------------
@@ -389,7 +388,7 @@ class Polynomial:
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
-                raise ZeroDivisionError("division by zero")
+                raise DivisionByZero("division by zero")
             return self * (Fraction(1) / other)
         return NotImplemented
 
@@ -407,7 +406,7 @@ class Polynomial:
         ``key(power * e)``, and the coefficient is ``c ** power``.
         """
         if not isinstance(power, int) or power < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
+            raise InvalidArgument("polynomial powers must be nonnegative integers")
         _check_degree(self._degree * power)
         if len(self._terms) <= 1:
             if not power:
@@ -423,7 +422,7 @@ class Polynomial:
         """Formal partial derivative with respect to coordinate ``coordinate``."""
         dim = self.chart.dim
         if not 0 <= coordinate < dim:
-            raise ValueError("coordinate index out of range")
+            raise InvalidArgument("coordinate index out of range")
         shift = _BITS * (dim - 1 - coordinate)
         unit = (1 << _BITS * dim) + (1 << shift)
         out: dict[int, int | Fraction] = {}
@@ -520,7 +519,7 @@ def sum_of_products(products: Sequence[tuple[Polynomial, Polynomial, bool]],
 
 def coordinates(chart: Chart) -> tuple[Polynomial, ...]:
     """The chart coordinates as degree-one polynomials, in chart order."""
-    return tuple(Polynomial.variable(chart, name) for name in chart.names)
+    return tuple(Polynomial.variable(chart, name) for name in checked(chart, Chart, "chart").names)
 
 
 def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -531,10 +530,9 @@ def exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:
     leading term without scanning the remainder; keys cancelled to zero stay
     in the heap and are skipped when they surface.
     """
-    if a.chart != b.chart:
-        raise ChartMismatch("operands live on different charts")
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
+    checked(a, Polynomial, "dividend")
+    if checked(b, Polynomial, "divisor", chart=a.chart).is_zero():
+        raise DivisionByZero("division by the zero polynomial")
     if a.is_zero():
         return Polynomial.zero(a.chart)
     dim = a.chart.dim
@@ -582,10 +580,9 @@ class RationalExpr:
     __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: Polynomial, denominator: Polynomial):
-        if numerator.chart != denominator.chart:
-            raise ChartMismatch("numerator and denominator live on different charts")
-        if denominator.is_zero():
-            raise ZeroDivisionError("zero denominator")
+        checked(numerator, Polynomial, "numerator")
+        if checked(denominator, Polynomial, "denominator", chart=numerator.chart).is_zero():
+            raise DivisionByZero("zero denominator")
         self.numerator = numerator
         self.denominator = denominator
 
@@ -648,8 +645,6 @@ class RationalExpr:
         other = self._as_operand(other)
         if other is None:
             return NotImplemented
-        if other.numerator.is_zero():
-            raise ZeroDivisionError("division by a zero rational expression")
         return RationalExpr(self.numerator * other.denominator, self.denominator * other.numerator)
 
     def as_polynomial(self) -> Polynomial:
@@ -676,18 +671,18 @@ class RationalExpr:
 
 def _check_even_skew(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> int:
     """The size of ``rows``; raises unless it is an even skew matrix on ``chart``."""
-    n = len(rows)
+    checked(chart, Chart, "matrix chart")
+    n = len(checked(rows, Sequence, "matrix"))
     for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
+        if len(checked(row, Sequence, "matrix row")) != n:
+            raise InvalidArgument("matrix must be square")
         for entry in row:
-            if entry.chart != chart:
-                raise ChartMismatch("matrix entry lives on a different chart")
+            checked(entry, Polynomial, "matrix entry", chart=chart)
     if not all(rows[j][i] == -rows[i][j] if i != j else rows[i][i].is_zero()
                for i in range(n) for j in range(i, n)):
-        raise ValueError("matrix must be skew-symmetric")
+        raise InvalidArgument("matrix must be skew-symmetric")
     if n % 2:
-        raise ValueError("skew matrix must have even size")
+        raise InvalidArgument("skew matrix must have even size")
     return n
 
 
@@ -761,10 +756,11 @@ def matrix_determinant(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> Po
     singular one runs out of pivots and gives zero); any other takes
     ``Pf(M)^2``, with the Pfaffian expanded over one memo of index subsets.
 
-    Raises ``ValueError`` for a matrix that is not square, not skew-symmetric
-    (a nonzero diagonal entry included) or of odd size, and
-    :class:`ChartMismatch` for an entry on another chart; shape and charts
-    are checked first.
+    Raises :class:`InvalidArgument` (a ``ValueError``) for a matrix that is
+    not square, not skew-symmetric (a nonzero diagonal entry included) or of
+    odd size, :class:`KindMismatch` for a row or entry of the wrong type and
+    :class:`ChartMismatch` for an entry on another chart; shape, types and
+    charts are checked first.
     """
     n = _check_even_skew(rows, chart)
     solved = _eliminate(rows, chart)
@@ -806,6 +802,6 @@ def matrix_adjugate(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> list[
     """Classical adjugate of an even skew-symmetric matrix of polynomials:
     ``adjugate(M) @ M == det(M) * I`` over the polynomial ring, by the
     routes of :func:`_skew_inverse`.  Raises as :func:`matrix_determinant`
-    does."""
+    does: :class:`InvalidArgument` for a matrix of the wrong shape."""
     _check_even_skew(rows, chart)
     return _skew_inverse(rows, chart)[1]

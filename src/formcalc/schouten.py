@@ -21,13 +21,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import GradeMismatch, KindMismatch
+from .errors import GradeMismatch, checked
 from .exterior import (
     Form,
     Multivector,
     _contract_single,
     _merge_sign,
-    _require_same_chart,
     _summed,
     _top_coefficient,
     contract,
@@ -47,10 +46,8 @@ def _diff_terms(field: Multivector, index: int) -> dict:
 
 def schouten(a: Multivector, b: Multivector) -> Multivector:
     """The graded bracket ``[a, b]`` of two multivector fields."""
-    if not isinstance(a, Multivector) or not isinstance(b, Multivector):
-        raise KindMismatch("schouten takes two multivectors")
-    _require_same_chart(a, b)
-    chart = a.chart
+    chart = checked(a, Multivector, "schouten argument").chart
+    checked(b, Multivector, "schouten argument", chart=chart)
     grade = a.grade + b.grade - 1
     if grade < 0:
         return Multivector.zero(chart, 0)
@@ -76,18 +73,17 @@ def schouten(a: Multivector, b: Multivector) -> Multivector:
     return Multivector._of(chart, min(grade, chart.dim), _summed(groups, chart))
 
 
+_POISSON_ROLE = "argument of the Poisson checks, which take a multivector,"
+
+
 def is_poisson(bivector: Multivector) -> bool:
     """True exactly when the grade-2 field commutes with itself."""
-    if isinstance(bivector, Multivector) and bivector.grade != 2:
-        raise GradeMismatch("is_poisson needs a grade-2 multivector")
-    return is_n_poisson(bivector)
+    return is_n_poisson(checked(bivector, Multivector, _POISSON_ROLE, grade=2))
 
 
 def is_n_poisson(field: Multivector) -> bool:
     """Self-commutation test for an even-grade multivector field."""
-    if not isinstance(field, Multivector):
-        raise KindMismatch("the Poisson checks take a multivector")
-    if field.grade % 2:
+    if checked(field, Multivector, _POISSON_ROLE).grade % 2:
         raise GradeMismatch("is_n_poisson needs an even-grade multivector")
     return schouten(field, field).is_zero()
 
@@ -105,8 +101,7 @@ def volume_poisson_criterion(bivector: Multivector, volume: Form) -> bool:
     Evaluates ``d i_{L^L} V == 2 i_L d i_L V`` exactly; for a nondegenerate
     volume this is equivalent to ``is_poisson``.
     """
-    if not isinstance(bivector, Multivector) or bivector.grade != 2:
-        raise GradeMismatch("expected a grade-2 multivector")
+    checked(bivector, Multivector, "bivector", grade=2)
     _top_coefficient(volume)
     left = exterior_derivative(contract(wedge(bivector, bivector), volume))
     right = _contract_or_zero(bivector, exterior_derivative(contract(bivector, volume))) * 2
@@ -122,8 +117,7 @@ def schouten_volume_identity_check(l1: Multivector, l2: Multivector, volume: For
         i_{[L1,L2]} V  ==  d i_{L2^L1} V  -  i_{L1} d i_{L2} V  -  i_{L2} d i_{L1} V.
     """
     for field in (l1, l2):
-        if not isinstance(field, Multivector) or field.grade != 2:
-            raise GradeMismatch("expected grade-2 multivectors")
+        checked(field, Multivector, "bivector", grade=2)
     _top_coefficient(volume)
     left = contract(schouten(l1, l2), volume)
     right = exterior_derivative(contract(wedge(l2, l1), volume))
@@ -139,10 +133,8 @@ def jacobi_pair_check(bivector: Multivector, field: Multivector) -> bool:
     and ``[L, L] = -2 X^L``; when they hold, the bracket
     ``L(f,g) + f*X(g) - g*X(f)`` satisfies the ordinary Jacobi identity.
     """
-    if not isinstance(bivector, Multivector) or bivector.grade != 2:
-        raise GradeMismatch("expected a grade-2 multivector")
-    if not isinstance(field, Multivector) or field.grade != 1:
-        raise GradeMismatch("expected a grade-1 multivector")
+    checked(bivector, Multivector, "Jacobi bivector", grade=2)
+    checked(field, Multivector, "Jacobi field", chart=bivector.chart, grade=1)
     if not schouten(field, bivector).is_zero():
         return False
     return schouten(bivector, bivector) == wedge(field, bivector) * Fraction(-2)

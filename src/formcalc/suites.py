@@ -22,7 +22,7 @@ from .brackets import (
     power_bracket_def,
 )
 from .chart import Chart
-from .errors import AlgebraError
+from .errors import AlgebraError, checked
 from .exterior import (
     Form,
     Multivector,
@@ -46,6 +46,7 @@ from .schouten import (
 
 def darboux_chart(n: int) -> Chart:
     """Chart ``(q1..qn, p1..pn)``."""
+    checked(n, int, "Darboux chart size")
     return Chart([f"q{i}" for i in range(1, n + 1)] + [f"p{i}" for i in range(1, n + 1)])
 
 
@@ -55,9 +56,10 @@ def magnetic_form(chart: Chart, b1: Polynomial, b2: Polynomial, b3: Polynomial) 
     Oriented so that the induced binary bracket gives ``{p1,p2} = b3``,
     ``{p2,p3} = b1`` and ``{p3,p1} = b2`` with ``{p_i, q_j}`` unchanged.
     """
-    if chart.dim != 6:
+    if checked(chart, Chart, "magnetic chart").dim != 6:
         raise AlgebraError("the magnetic example lives on a 6-dimensional chart")
-    beta = Form(chart, 2, {(0, 1): -b3, (0, 2): b2, (1, 2): -b1})
+    # the reversed pairs carry the minus signs, so Form checks each b_i as given
+    beta = Form(chart, 2, {(1, 0): b3, (0, 2): b2, (2, 1): b1})
     return standard_form(chart) + beta
 
 
@@ -274,11 +276,11 @@ def suite_names() -> list[str]:
 
 def run_suite(name: str, n: int | None = None) -> tuple[bool, str]:
     try:
-        suite = SUITES[name]
+        suite = SUITES[checked(name, str, "suite name")]
     except KeyError:
         raise AlgebraError(
             f"unknown suite {name!r}; available: {', '.join(suite_names())}"
         ) from None
-    if n is not None and n < 1:
+    if n is not None and checked(n, int, "suite size") < 1:
         raise AlgebraError(f"suite size must be at least 1, got {n}")
     return suite(n)

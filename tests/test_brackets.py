@@ -29,6 +29,9 @@ from formcalc import (
     darboux_chart,
     derived_vf,
     differential,
+    dirac_bracket_form,
+    dirac_bracket_matrix,
+    exact_divide,
     exterior_derivative,
     form_power,
     hamiltonian_vf,
@@ -37,11 +40,13 @@ from formcalc import (
     jacobiator,
     lie_derivative,
     magnetic_form,
+    matrix_determinant,
     mv_from_form,
     nambu_top_bracket,
     omega_power_bracket,
     pair,
     poisson_bivector,
+    poisson_bracket,
     schouten,
     schouten_volume_identity_check,
     standard_form,
@@ -143,18 +148,26 @@ class TestBracketDef:
         assert isinstance(value, RationalExpr)
         assert value == RationalExpr(Polynomial.constant(chart, -1), q1 * q1 + 1)
 
-    @pytest.mark.parametrize("kind", ["quotient", "number"])
+    @pytest.mark.parametrize("kind", ["quotient", "number", "float"])
     @pytest.mark.parametrize("entry", [
         "Form", "Multivector", "differential", "omega_power_bracket", "derived_vf",
         "hamiltonian_vf", "jacobi_bracket", "homogenization_check", "ConstraintSet",
-        "nambu_top_bracket",
+        "nambu_top_bracket", "Polynomial", "RationalExpr", "exact_divide", "matrix_determinant",
+        "magnetic_form", "bracket", "poisson_bracket", "jacobiator", "dirac_bracket_matrix",
+        "dirac_bracket_form",
     ])
     def test_non_polynomial_argument_is_a_kind_error(self, entry, kind):
-        chart = darboux_chart(1)
-        q1, p1 = coordinates(chart)
-        bad = RationalExpr(q1, p1) if kind == "quotient" else 3
+        chart = darboux_chart(2)
+        q1, q2, p1, p2 = coordinates(chart)
+        bad = {"quotient": RationalExpr(q1, p1), "number": 3, "float": 1.5}[kind]
         sym = SymplecticData(standard_form(chart))
         jdef = JacobiDef(Multivector(chart, 2, {(0, 1): 1}), Multivector.zero(chart, 1))
+        cs = ConstraintSet(sym, [q2, p2])
+        zero = Polynomial.zero(chart)
+        c3 = darboux_chart(3)
+        # entry -> (index or exponent tuple, value) of a number taken as a constant coefficient
+        numbers = {"Form": ((0,), 3), "Multivector": ((0,), 3), "Polynomial": ((1, 0, 0, 0), 3),
+                   "magnetic_form": ((1, 2), -3)}
         calls = {
             "Form": lambda: Form(chart, 1, {(0,): bad}),
             "Multivector": lambda: Multivector(chart, 1, {(0,): bad}),
@@ -165,11 +178,21 @@ class TestBracketDef:
             "jacobi_bracket": lambda: jacobi_bracket(jdef, q1, bad),
             "homogenization_check": lambda: homogenization_check(jdef, bad, q1),
             "ConstraintSet": lambda: ConstraintSet(sym, [bad, q1]),
-            "nambu_top_bracket": lambda: nambu_top_bracket(standard_form(chart), bad, q1, p1),
+            "nambu_top_bracket": lambda: nambu_top_bracket(sym.volume(), bad, q1, p1, q2, p2),
+            "Polynomial": lambda: Polynomial(chart, {(1, 0, 0, 0): bad}),
+            "RationalExpr": lambda: RationalExpr(q1, bad),
+            "exact_divide": lambda: exact_divide(q1, bad),
+            "matrix_determinant": lambda: matrix_determinant([[zero, bad], [-q1, zero]], chart),
+            "magnetic_form": lambda: magnetic_form(c3, bad, Polynomial.zero(c3), Polynomial.zero(c3)),
+            "bracket": lambda: bracket(BracketDef(sym.volume(), sym.omega), q1, bad),
+            "poisson_bracket": lambda: poisson_bracket(sym, bad, q1),
+            "jacobiator": lambda: jacobiator(sym, q1, p1, bad),
+            "dirac_bracket_matrix": lambda: dirac_bracket_matrix(cs, bad, q1),
+            "dirac_bracket_form": lambda: dirac_bracket_form(sym, cs, q1, bad),
         }
-        if kind == "number" and entry in ("Form", "Multivector"):
-            # a number is a constant coefficient
-            assert calls[entry]().coefficient((0,)) == 3
+        if kind == "number" and entry in numbers:
+            key, value = numbers[entry]
+            assert calls[entry]().coefficient(key) == value
         else:
             with pytest.raises(KindMismatch):
                 calls[entry]()
@@ -835,8 +858,10 @@ class TestDividedPower:
                 before = wedges[kind]
                 power(k)
                 power(k)
-                assert wedges[kind] - before == (1 if k else 0), (kind, k)
+                # the chain starts at the base: no wedge builds 1 or base^1
+                assert wedges[kind] - before == (1 if k >= 2 else 0), (kind, k)
         monkeypatch.undo()
+        assert sym.power(1) is sym.omega and sym.bivector_power(1) is sym.bivector
         for k in range(1, sym.n + 2):
             assert sym.power(k) == form_power(sym.omega, k)
             assert sym.bivector_power(k) == wedge_all([sym.bivector] * k)

@@ -1,11 +1,14 @@
 import io
+import string
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from formcalc import parse_scenario, parse_value
+from formcalc import ParseError, parse_scenario, parse_scenario_text, parse_value
 from formcalc.cli import main, run_scenario
 from formcalc.manifest import command_lines
 
@@ -194,6 +197,31 @@ class TestDeterminism:
         _, out, _ = run_cli(["run", str(SCENARIOS / "dirac.scn")])
         assert report.render() == out
         assert report.exit_code == 0
+
+
+class TestScenarioEdits:
+    """A random 1-4 character edit of a bundled scenario ends in a report, a
+    parse error or a task error, and never in another exception."""
+
+    TEXTS = [path.read_text(encoding="utf-8") for path in sorted(SCENARIOS.glob("*.scn"))]
+    CHARACTERS = st.sampled_from(string.printable) | st.characters()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_edit_ends_in_a_report_or_a_parse_error(self, data):
+        text = data.draw(st.sampled_from(self.TEXTS))
+        start = data.draw(st.integers(0, len(text)))
+        action = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        size = data.draw(st.integers(1, 4))
+        new = "" if action == "delete" else data.draw(st.text(self.CHARACTERS, min_size=size, max_size=size))
+        edited = text[:start] + new + text[start + (0 if action == "insert" else size):]
+        try:
+            scenario = parse_scenario_text(edited)
+        except ParseError:
+            return
+        report = run_scenario(scenario)
+        assert report.render() and report.render(machine=True)
+        assert {outcome.status for outcome in report.outcomes} <= {"ok", "done", "mismatch", "error"}
 
 
 class TestVerify:

@@ -244,12 +244,11 @@ class TestMatrixBracket:
 
     def test_matrix_route_builds_no_wedge(self, monkeypatch):
         calls = Counter()
-        sym = sym_n(3)
-        # the structure's cached bivector, built once by a wedge onto 1
-        brackets._divided_power(sym, 1)
         for module in (exterior, dirac):
             monkeypatch.setattr(module, "wedge", counting(calls, "wedge", module.wedge))
             monkeypatch.setattr(module, "wedge_all", counting(calls, "wedge_all", module.wedge_all))
+        # a cold structure: the constraint set builds its divided power, Lambda itself
+        sym = sym_n(3)
         cs = perturbed_constraints(sym, 1)
         qs, ps = qp(sym.chart)
         assert regularity_check(cs)
