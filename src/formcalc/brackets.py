@@ -92,6 +92,19 @@ def _argument(chart: Chart, f) -> Polynomial:
     return checked(f, Polynomial, "bracket argument", chart=chart)
 
 
+def _arity(what: str, functions, wanted: int):
+    """The count check of every bracket, and of the scenario parser's tasks."""
+    if len(functions) != wanted:
+        raise ArityMismatch(f"{what} takes {wanted} functions, got {len(functions)}")
+
+
+def _power_index(n: int, k) -> int:
+    """``k``, if it is a power index of a ``2n``-dimensional structure."""
+    if not 1 <= checked(k, int, "power index") <= n:
+        raise ArityMismatch(f"k must lie in 1..{n}")
+    return k
+
+
 def _differentials(chart: Chart, functions) -> list[Form]:
     return [differential(_argument(chart, f)) for f in functions]
 
@@ -103,8 +116,7 @@ def bracket(bdef: BracketDef, *functions: Polynomial):
     :class:`BracketDef`): the bracket under a constant volume, and under any
     other the numerator of its quotient by the volume coefficient.
     """
-    if len(functions) != checked(bdef, BracketDef, "bracket definition").arity:
-        raise ArityMismatch(f"bracket takes {bdef.arity} arguments, got {len(functions)}")
+    _arity("bracket", functions, checked(bdef, BracketDef, "bracket definition").arity)
     value = bdef._pairing.pair(_differentials(bdef.chart, functions))
     return value if bdef.generator is not None else RationalExpr(value, bdef._vol_coeff)
 
@@ -121,9 +133,7 @@ def power_bracket_def(volume: Form, power: Form, k: int) -> BracketDef:
 def _divided_power(sym: SymplecticData, k: int) -> _Generator:
     """The generator of ``Lambda^k/k!``, built once per structure and ``k``
     after the one check of both; unlike ``Lambda^k`` its entries are ``+-1`` on a standard form."""
-    checked(sym, SymplecticData, "symplectic structure")
-    if not 1 <= checked(k, int, "power index") <= sym.n:
-        raise ArityMismatch(f"power index must lie in 1..{sym.n}")
+    _power_index(checked(sym, SymplecticData, "symplectic structure").n, k)
     return sym.cached(("divided_power", k),
                       lambda: _Generator(sym.bivector_power(k) * Fraction(1, factorial(k))))
 
@@ -133,8 +143,7 @@ def omega_power_bracket(sym: SymplecticData, k: int, *functions: Polynomial) -> 
     bivector, as ``k!`` times the pairing with ``Lambda^k/k!``; ``k = 1`` is
     the ordinary Poisson bracket of the symplectic form."""
     generator = _divided_power(sym, k)  # k outside 1..n is an arity error before any other
-    if len(functions) != 2 * k:
-        raise ArityMismatch(f"power bracket of index {k} takes {2 * k} arguments")
+    _arity(f"power bracket with k={k}", functions, 2 * k)
     return factorial(k) * generator.pair(_differentials(sym.chart, functions))
 
 
@@ -153,8 +162,7 @@ def nambu_top_bracket(volume: Form, gamma: Polynomial, *functions: Polynomial) -
     chart = volume.chart
     m = chart.dim
     gamma = _argument(chart, gamma)
-    if len(functions) != m:
-        raise ArityMismatch(f"top bracket takes {m} arguments, got {len(functions)}")
+    _arity("top bracket", functions, m)
     dfw = wedge_all(_differentials(chart, functions))
     return gamma * dfw.coefficient(tuple(range(m))) * (Fraction(1) / c)
 
@@ -173,8 +181,7 @@ def derived_vf(sym: SymplecticData, k: int, *functions: Polynomial) -> Multivect
     :func:`omega_power_bracket`; for ``k = 1`` it is :func:`hamiltonian_vf`.
     """
     generator = _divided_power(sym, k)
-    if len(functions) != 2 * k - 1:
-        raise ArityMismatch(f"derived field of index {k} takes {2 * k - 1} arguments")
+    _arity(f"derived field with k={k}", functions, 2 * k - 1)
     return generator.field(_differentials(sym.chart, functions))
 
 

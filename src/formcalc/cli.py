@@ -20,12 +20,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import AlgebraError, ParseError
 from .exterior import Form, Multivector
 from .manifest import COMMANDS, Scenario, Structures, command_lines, parse_scenario
-from .poly import Polynomial, RationalExpr
+from .poly import Polynomial
 from .suites import run_suite, suite_names
 
 
@@ -101,30 +100,15 @@ def _render_value(value) -> tuple[str, str | None]:
 
 
 def _values_match(result, expected) -> bool:
+    """The CLI's own rules, then the values' own equality across polynomials, quotients and constants."""
     if isinstance(result, tuple):  # suite outcome vs 'pass'/'fail' literal
         return isinstance(expected, str) and result[0] == expected
     if isinstance(result, bool) or isinstance(expected, bool):
-        return isinstance(result, bool) and isinstance(expected, bool) and result == expected
-    if isinstance(result, RationalExpr) or isinstance(expected, RationalExpr):
-        left = result if isinstance(result, RationalExpr) else _as_rational(result)
-        right = expected if isinstance(expected, RationalExpr) else _as_rational(expected)
-        if left is None or right is None:
-            return False
-        return left == right
-    if isinstance(result, (Form, Multivector)) or isinstance(expected, (Form, Multivector)):
-        if type(result) is type(expected):
-            return result == expected
+        return type(result) is type(expected) and result == expected
+    if type(result) is not type(expected) and {type(result), type(expected)} & {Form, Multivector}:
         # a zero tensor prints as "0" and re-parses as the zero polynomial
-        left_zero = hasattr(result, "is_zero") and result.is_zero()
-        right_zero = hasattr(expected, "is_zero") and expected.is_zero()
-        return left_zero and right_zero
-    if isinstance(result, Polynomial) and isinstance(expected, Polynomial):
-        return result == expected
-    return False
-
-
-def _as_rational(value) -> RationalExpr | None:
-    return RationalExpr.from_polynomial(value) if isinstance(value, Polynomial) else None
+        return all(isinstance(v, (Polynomial, Form, Multivector)) and v.is_zero() for v in (result, expected))
+    return result == expected
 
 
 def run_scenario(scenario: Scenario, only: str | None = None) -> Report:
@@ -143,8 +127,6 @@ def run_scenario(scenario: Scenario, only: str | None = None) -> Report:
             if task.expected is None:
                 status = "done"
             else:
-                if isinstance(value, Fraction):
-                    value = Polynomial.constant(scenario.chart, value)
                 status = "ok" if _values_match(value, task.expected) else "mismatch"
         outcomes.append(TaskOutcome(task.name, task.command, " ".join(task.arg_tokens), status,
                                     result_text, task.expect_text, detail))

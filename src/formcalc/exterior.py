@@ -42,14 +42,16 @@ from math import factorial
 
 from .chart import Chart
 from .errors import DegenerateStructure, GradeMismatch, InvalidArgument, checked
-from .poly import Polynomial, _skew_inverse, sum_of_products
+from .poly import Polynomial, _nonnegative_power, _skew_inverse, sum_of_products
 
 IndexTuple = tuple[int, ...]
 
 
-def _normalize_index_tuple(indices) -> tuple[IndexTuple | None, int]:
-    """Sort into increasing order, tracking parity; ``(None, 0)`` on a repeat."""
-    idx = list(indices)
+def _normalize_index_tuple(indices, dim: int) -> tuple[IndexTuple | None, int]:
+    """Sort indices below ``dim`` into increasing order, tracking parity; ``(None, 0)`` on a repeat."""
+    idx = list(checked(indices, Sequence, "index tuple"))
+    if not all(isinstance(i, int) and 0 <= i < dim for i in idx):
+        raise InvalidArgument(f"coordinate indices must be ints in 0..{dim - 1}")
     sign = 1
     for i in range(1, len(idx)):
         j = i
@@ -112,13 +114,11 @@ class _Graded:
                 if isinstance(coefficient, (int, Fraction)):
                     coefficient = Polynomial.constant(chart, coefficient)
                 checked(coefficient, Polynomial, "coefficient", chart=chart)
-                if len(tuple(indices)) != grade:
+                key, sign = _normalize_index_tuple(indices, chart.dim)
+                if len(indices) != grade:
                     raise GradeMismatch("index tuple length must equal the grade")
-                key, sign = _normalize_index_tuple(indices)
                 if key is None or coefficient.is_zero():
                     continue
-                if key and (key[0] < 0 or key[-1] >= chart.dim):
-                    raise InvalidArgument("coordinate index out of range")
                 _accumulate(table, key, coefficient if sign == 1 else -coefficient)
         self.chart = chart
         self.grade = grade
@@ -147,7 +147,7 @@ class _Graded:
 
     def coefficient(self, indices) -> Polynomial:
         """The coefficient of the given index tuple, with parity sign applied."""
-        key, sign = _normalize_index_tuple(indices)
+        key, sign = _normalize_index_tuple(indices, self.chart.dim)
         if key is None:
             return Polynomial.zero(self.chart)
         value = self.terms.get(key)
@@ -462,11 +462,18 @@ def mv_from_form(volume: Form, a: Form) -> Multivector:
 
 
 def form_power(a: Form, power: int) -> Form:
-    """Repeated wedge ``a^power``; ``power == 0`` gives the constant-one 0-form."""
+    """``a^power`` as ``power - 1`` wedges onto ``a``; ``power == 0`` gives the constant-one 0-form."""
     checked(a, Form, "form_power base")
-    if not isinstance(power, int) or power < 0:
-        raise InvalidArgument("form powers must be nonnegative integers")
-    return wedge_all([Form.from_polynomial(Polynomial.constant(a.chart, 1))] + [a] * power)
+    if _nonnegative_power(power) == 0:
+        return Form.from_polynomial(Polynomial.constant(a.chart, 1))
+    return wedge_all([a] * power)
+
+
+def _half_dimension(chart: Chart) -> int:
+    """``n`` for a ``2n``-dimensional chart: the parity check of the package and its parser."""
+    if chart.dim % 2:
+        raise DegenerateStructure(f"chart must be even-dimensional, not {chart.dim}-dimensional")
+    return chart.dim // 2
 
 
 def poisson_bivector(omega: Form) -> Multivector:
@@ -478,9 +485,7 @@ def poisson_bivector(omega: Form) -> Multivector:
     nonzero determinant of the coefficient matrix.
     """
     chart = checked(omega, Form, "symplectic form", grade=2).chart
-    m = chart.dim
-    if m % 2:
-        raise DegenerateStructure("chart dimension must be even")
+    m = 2 * _half_dimension(chart)
     matrix = [[Polynomial.zero(chart)] * m for _ in range(m)]
     for (i, j), coefficient in omega.terms.items():
         matrix[i][j] = coefficient
@@ -504,10 +509,7 @@ def lie_derivative(field: Multivector, a: Form) -> Form:
 
 def standard_form(chart: Chart) -> Form:
     """``sum_j dp_j ^ dq_j`` where the first half of the chart is q, second half p."""
-    m = checked(chart, Chart, "chart").dim
-    if m % 2:
-        raise DegenerateStructure("chart dimension must be even")
-    n = m // 2
+    n = _half_dimension(checked(chart, Chart, "chart"))
     return Form(chart, 2, {(j, n + j): Fraction(-1) for j in range(n)})
 
 
@@ -543,9 +545,7 @@ class SymplecticData:
     def _chained_power(self, name: str, base, k: int):
         """``base^k``: the constant 1 at ``k = 0``, ``base`` itself at ``k = 1``,
         and each higher power memoized as one wedge onto the one below."""
-        if k < 0:
-            raise InvalidArgument("powers must be nonnegative integers")
-        if k == 0:
+        if _nonnegative_power(k) == 0:
             return type(base).from_polynomial(Polynomial.constant(self.chart, 1))
         value = base
         for j in range(2, k + 1):

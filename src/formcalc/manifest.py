@@ -24,8 +24,9 @@ tokens: a defined name, an inline space-free expression, or ``k=<int>`` /
 
 Every task command is one entry of :data:`COMMANDS`: its usage line, the
 kinds of its arguments, an arity rule and an executor.  Parsing resolves the
-arguments by kind and applies the arity rule, so all names, arities and
-expected values are validated while parsing, before anything is computed;
+arguments by kind and applies the arity rule, which raises the library's own
+count, ``k`` or parity error, so all names, arities and expected values are
+validated while parsing, before anything is computed;
 the CLI runs a task with ``COMMANDS[task.command].run(structures,
 *task.resolved)`` and prints the usage lines as its help.
 """
@@ -42,6 +43,8 @@ from typing import Callable
 
 from .brackets import (
     BracketDef,
+    _arity,
+    _power_index,
     bracket,
     derived_vf,
     jacobiator,
@@ -51,8 +54,9 @@ from .brackets import (
 )
 from .chart import _NAME_RE, Chart
 from .dirac import ConstraintSet, calibrate_normalization, dirac_bracket_form, dirac_bracket_matrix
-from .errors import ParseError, checked
-from .exterior import Form, Multivector, SymplecticData, form_power, poisson_bivector, wedge
+from .errors import AlgebraError, ParseError, checked
+from .exterior import (Form, Multivector, SymplecticData, _half_dimension, form_power,
+                       poisson_bivector, wedge)
 from .parsing import parse_expr, parse_tensor, parse_value
 from .poly import Polynomial
 from .schouten import is_poisson, jacobi_pair_check, schouten
@@ -101,43 +105,15 @@ class Command:
     ``kinds`` names the kind of each argument token; a last kind ending in
     ``+`` takes one or more further tokens (resolved as one list), one
     ending in ``?`` at most one (``None`` when absent).  ``arity`` sees the
-    chart and the resolved arguments and returns an error message or
-    ``None``; ``run`` computes the result from the run's :class:`Structures`
+    chart and the resolved arguments and raises the library's own error for
+    them; ``run`` computes the result from the run's :class:`Structures`
     and the resolved arguments.
     """
 
     usage: str
     kinds: tuple[str, ...]
     run: Callable
-    arity: Callable[[Chart, list], str | None] | None = None
-
-
-_EVEN = "this command needs an even-dimensional chart"
-
-
-def _bracket_arity(chart: Chart, args) -> str | None:
-    wanted, got = chart.dim - args[1].grade, len(args[2])
-    return None if got == wanted else f"bracket takes {wanted} functions here, got {got}"
-
-
-def _power_arity(command: str, extra: int):
-    # power-bracket takes 2k functions, derived-vf 2k - 1
-    def rule(chart: Chart, args) -> str | None:
-        k, got = args[1], len(args[2])
-        if chart.dim % 2:
-            return _EVEN
-        if not 1 <= k <= chart.dim // 2:
-            return f"k must lie in 1..{chart.dim // 2}"
-        if got != 2 * k + extra:
-            return f"{command} with k={k} takes {2 * k + extra} functions, got {got}"
-        return None
-
-    return rule
-
-
-def _nambu_arity(chart: Chart, args) -> str | None:
-    got = len(args[2])
-    return None if got == chart.dim else f"nambu takes {chart.dim} functions, got {got}"
+    arity: Callable[[Chart, list], object] = lambda chart, args: None
 
 
 def _suite_outcome(structures: Structures, suite: str, n: int | None):
@@ -148,13 +124,14 @@ def _suite_outcome(structures: Structures, suite: str, n: int | None):
 COMMANDS: dict[str, Command] = {
     "bracket": Command("volume alpha f1 ... fk", ("form", "form", "fn+"),
                        lambda s, volume, alpha, fs: bracket(BracketDef(volume, alpha), *fs),
-                       _bracket_arity),
+                       lambda chart, args: _arity("bracket", args[2], chart.dim - args[1].grade)),
     "power-bracket": Command("omega k=<int> f1 ... f2k", ("form", "k", "fn+"),
                              lambda s, omega, k, fs: omega_power_bracket(s.sym(omega), k, *fs),
-                             _power_arity("power-bracket", 0)),
+                             lambda chart, args: _arity(f"power-bracket with k={args[1]}", args[2],
+                                                        2 * _power_index(_half_dimension(chart), args[1]))),
     "nambu": Command("volume gamma f1 ... fm", ("form", "fn", "fn+"),
                      lambda s, volume, gamma, fs: nambu_top_bracket(volume, gamma, *fs),
-                     _nambu_arity),
+                     lambda chart, args: _arity("nambu", args[2], chart.dim)),
     "dirac-matrix": Command("omega constraints f g", ("form", "constraints", "fn", "fn"),
                             lambda s, omega, th, f, g:
                             dirac_bracket_matrix(s.constraints(omega, th), f, g)),
@@ -163,12 +140,13 @@ COMMANDS: dict[str, Command] = {
                           dirac_bracket_form(s.sym(omega), s.constraints(omega, th), f, g)),
     "derived-vf": Command("omega k=<int> f1 ... f2k-1", ("form", "k", "fn+"),
                           lambda s, omega, k, fs: derived_vf(s.sym(omega), k, *fs),
-                          _power_arity("derived-vf", -1)),
+                          lambda chart, args: _arity(f"derived-vf with k={args[1]}", args[2],
+                                                     2 * _power_index(_half_dimension(chart), args[1]) - 1)),
     "schouten": Command("multivector multivector", ("mv", "mv"),
                         lambda s, a, b: schouten(a, b)),
     "check-jacobi": Command("omega f g h", ("form", "fn", "fn", "fn"),
                             lambda s, omega, f, g, h: jacobiator(s.binary(omega), f, g, h),
-                            lambda chart, args: _EVEN if chart.dim % 2 else None),
+                            lambda chart, args: _half_dimension(chart)),
     "check-poisson": Command("form-or-bivector", ("tensor",),
                              lambda s, value: is_poisson(value if isinstance(value, Multivector)
                                                          else poisson_bivector(value))),
@@ -324,7 +302,9 @@ class _Builder:
             prefix = kind + "="
             if not token.startswith(prefix) or not token[len(prefix):].isdecimal():
                 _fail(f"expected '{prefix}<integer>', got {token!r}", line, column)
-            return int(token[len(prefix):])
+            # the parser's own integer rule, which refuses a literal too long to convert
+            literal = self._parse(parse_expr, token[len(prefix):], line, offset + len(prefix))
+            return int(literal.constant_value())
         if kind == "suite":
             if token not in SUITES:
                 _fail(f"unknown suite {token!r}", line, column)
@@ -357,9 +337,10 @@ class _Builder:
             values.append(extra)
         elif tail == "?":
             values.append(extra[0] if extra else None)
-        message = command.arity and command.arity(self.chart, values)
-        if message:
-            _fail(message, line)
+        try:
+            command.arity(self.chart, values)
+        except AlgebraError as exc:
+            _fail(str(exc), line)
         return values
 
 

@@ -79,7 +79,8 @@ from math import lcm
 from typing import Iterator
 
 from .chart import Chart
-from .errors import ChartMismatch, DegreeOverflow, DivisionByZero, InvalidArgument, NotDivisible, checked
+from .errors import (ChartMismatch, DegreeOverflow, DivisionByZero, InvalidArgument, KindMismatch,
+                     NotDivisible, checked)
 
 Exponent = tuple[int, ...]
 
@@ -104,14 +105,21 @@ def _unpack(key: int, dim: int) -> Exponent:
     return tuple(exponent)
 
 
-def _key_of(exponent, dim: int) -> int | None:
-    """The packed key of ``exponent``, or ``None`` if it is no exponent
-    vector of a ``dim``-coordinate chart."""
-    if not isinstance(exponent, tuple) or len(exponent) != dim:
-        return None
-    if not all(isinstance(e, int) and 0 <= e <= _MASK for e in exponent):
-        return None
+def _key_of(exponent, dim: int) -> int:
+    """The packed key of ``exponent``, which must be ``dim`` nonnegative ints.
+    A key of degree :data:`DEGREE_CAP` or more is the key of no term."""
+    if len(checked(exponent, Sequence, "exponent vector")) != dim:
+        raise InvalidArgument("exponent vector length must equal the chart dimension")
+    if not all(isinstance(e, int) and e >= 0 for e in exponent):
+        raise InvalidArgument("exponents must be nonnegative integers")
     return _pack(exponent)
+
+
+def _nonnegative_power(power) -> int:
+    """``power``, if it is a nonnegative int: the one check of every power."""
+    if not isinstance(power, int) or power < 0:
+        raise InvalidArgument("powers must be nonnegative integers")
+    return power
 
 
 def _coefficient(value):
@@ -192,7 +200,11 @@ class _TermView(Mapping):
         self._dim = dim
 
     def __getitem__(self, exponent) -> Fraction:
-        value = self._table.get(_key_of(exponent, self._dim))
+        try:
+            key = _key_of(exponent, self._dim)
+        except (KindMismatch, InvalidArgument):  # no exponent vector of this chart
+            raise KeyError(exponent) from None
+        value = self._table.get(key)
         if value is None:
             raise KeyError(exponent)
         return Fraction(value)
@@ -220,15 +232,11 @@ class Polynomial:
         if terms:
             dim = chart.dim
             for exponent, coefficient in checked(terms, Mapping, "polynomial terms").items():
-                exponent = tuple(exponent)
-                if len(exponent) != dim:
-                    raise InvalidArgument("exponent vector length must equal the chart dimension")
-                if not all(isinstance(e, int) and e >= 0 for e in exponent):
-                    raise InvalidArgument("exponents must be nonnegative integers")
+                key = _key_of(exponent, dim)
                 c = _coefficient(coefficient)
                 if c:
-                    degree = max(degree, _check_degree(sum(exponent)))
-                    table[_pack(exponent)] = c
+                    degree = max(degree, _check_degree(key >> _BITS * dim))
+                    table[key] = c
         self.chart = chart
         self._terms = table
         self._degree = degree
@@ -237,16 +245,16 @@ class Polynomial:
 
     @classmethod
     def zero(cls, chart: Chart) -> "Polynomial":
-        return _make(chart, {}, 0)
+        return _make(checked(chart, Chart, "polynomial chart"), {}, 0)
 
     @classmethod
     def constant(cls, chart: Chart, value) -> "Polynomial":
         c = _coefficient(value)
-        return _make(chart, {0: c} if c else {}, 0)
+        return _make(checked(chart, Chart, "polynomial chart"), {0: c} if c else {}, 0)
 
     @classmethod
     def variable(cls, chart: Chart, name: str) -> "Polynomial":
-        dim = chart.dim
+        dim = checked(chart, Chart, "polynomial chart").dim
         key = 1 << _BITS * dim | 1 << _BITS * (dim - 1 - chart.index(name))
         return _make(chart, {key: 1}, 1)
 
@@ -265,7 +273,7 @@ class Polynomial:
 
     def coefficient(self, exponent) -> Fraction:
         """The coefficient of the monomial with this exponent tuple (zero if absent)."""
-        return Fraction(self._terms.get(_key_of(tuple(exponent), self.chart.dim), 0))
+        return Fraction(self._terms.get(_key_of(exponent, self.chart.dim), 0))
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -273,7 +281,7 @@ class Polynomial:
     def extended_to(self, chart: Chart) -> "Polynomial":
         """The same polynomial on ``chart``, whose leading coordinates are this
         polynomial's chart and whose further coordinates it does not involve."""
-        dim, wider = self.chart.dim, chart.dim
+        dim, wider = self.chart.dim, checked(chart, Chart, "target chart").dim
         if chart.names[:dim] != self.chart.names:
             raise ChartMismatch("target chart does not extend this polynomial's chart")
         low = _BITS * dim
@@ -405,9 +413,7 @@ class Polynomial:
         so once the degree check has passed, ``power * key(e)`` is
         ``key(power * e)``, and the coefficient is ``c ** power``.
         """
-        if not isinstance(power, int) or power < 0:
-            raise InvalidArgument("polynomial powers must be nonnegative integers")
-        _check_degree(self._degree * power)
+        _check_degree(self._degree * _nonnegative_power(power))
         if len(self._terms) <= 1:
             if not power:
                 return Polynomial.constant(self.chart, 1)
@@ -421,7 +427,7 @@ class Polynomial:
     def diff(self, coordinate: int) -> "Polynomial":
         """Formal partial derivative with respect to coordinate ``coordinate``."""
         dim = self.chart.dim
-        if not 0 <= coordinate < dim:
+        if not 0 <= checked(coordinate, int, "coordinate index") < dim:
             raise InvalidArgument("coordinate index out of range")
         shift = _BITS * (dim - 1 - coordinate)
         unit = (1 << _BITS * dim) + (1 << shift)

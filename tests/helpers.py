@@ -473,7 +473,7 @@ def legacy_parse_tensor(text: str, chart: Chart, env=None):
         elif grade != len(atoms):
             raise _error(text, piece[chain_start].start, "every term must have the same grade")
 
-        key, parity = _normalize_index_tuple(atoms)
+        key, parity = _normalize_index_tuple(atoms, chart.dim)
         if key is None or coefficient.is_zero():
             continue
         _accumulate(table, key, coefficient if parity == 1 else -coefficient)

@@ -119,6 +119,25 @@ class TestBracketDef:
         with pytest.raises(ArityMismatch):
             derived_vf(sym, 0)
 
+    def test_arity_messages(self):
+        # one count check and one power-index check, whose messages the scenario parser shares
+        chart = darboux_chart(1)
+        q1, p1 = coordinates(chart)
+        sym = SymplecticData(standard_form(chart))
+        volume = standard_form(chart)
+        calls = [
+            (lambda: bracket(BracketDef(volume, Form.from_polynomial(q1)), q1), "bracket takes 2 functions, got 1"),
+            (lambda: omega_power_bracket(sym, 1, q1), "power bracket with k=1 takes 2 functions, got 1"),
+            (lambda: derived_vf(sym, 1), "derived field with k=1 takes 1 functions, got 0"),
+            (lambda: nambu_top_bracket(volume, q1, p1), "top bracket takes 2 functions, got 1"),
+            (lambda: omega_power_bracket(sym, 2, q1, p1, q1, p1), "k must lie in 1..1"),
+            (lambda: derived_vf(sym, 0), "k must lie in 1..1"),
+        ]
+        for call, message in calls:
+            with pytest.raises(ArityMismatch) as err:
+                call()
+            assert str(err.value) == message
+
     def test_argument_from_another_chart(self):
         chart = darboux_chart(1)
         q1, _ = coordinates(chart)
@@ -867,3 +886,23 @@ class TestDividedPower:
             assert sym.bivector_power(k) == wedge_all([sym.bivector] * k)
         # a long chain is a loop, not a recursion
         assert sym.power(2000).is_zero()
+
+    def test_form_power_starts_at_its_base(self, monkeypatch):
+        wedges = Counter()
+
+        def counted(a, b):
+            wedges["wedge"] += 1
+            return wedge(a, b)
+
+        omega = _field_form(darboux_chart(3))
+        # the values of the former route, each power one wedge onto the constant one
+        expected = [Form.from_polynomial(Polynomial.constant(omega.chart, 1))]
+        for _ in range(4):
+            expected.append(wedge(expected[-1], omega))
+        monkeypatch.setattr(exterior, "wedge", counted)
+        for k, value in enumerate(expected):
+            before = wedges["wedge"]
+            assert form_power(omega, k) == value
+            # a^k is k - 1 wedges onto a, and a^0 the constant one, built by no wedge
+            assert wedges["wedge"] - before == max(k - 1, 0), k
+        assert form_power(omega, 1) is omega

@@ -224,6 +224,57 @@ class TestScenarioEdits:
         assert {outcome.status for outcome in report.outcomes} <= {"ok", "done", "mismatch", "error"}
 
 
+MATCH_SCENARIO = """
+[chart]
+q1 q2 q3 p1 p2 p3
+
+[define]
+omega = d(p1)^d(q1) + d(p2)^d(q2) + d(p3)^d(q3)
+th = constraints(q3, p3)
+
+[tasks]
+"""
+
+# (task line, status): how a result is matched against its expected value
+MATCH_ROWS = [
+    # bools match bools only
+    ("check-poisson omega expect true", "ok"),
+    ("check-poisson omega expect 1", "mismatch"),
+    ("power-bracket omega k=1 q1 q2 expect false", "mismatch"),
+    # a zero tensor prints as 0, which re-parses as the zero polynomial
+    ("derived-vf omega k=1 1 expect 0", "ok"),
+    ("derived-vf omega k=1 1 expect e(q1) - e(q1)", "ok"),
+    ("derived-vf omega k=1 1 expect d(q1) - d(q1)", "ok"),
+    ("power-bracket omega k=1 q1 q2 expect d(q1) - d(q1)", "ok"),
+    ("check-poisson omega expect e(q1) - e(q1)", "mismatch"),
+    # a nonzero tensor against 0, either way round
+    ("derived-vf omega k=1 p1 expect 0", "mismatch"),
+    ("power-bracket omega k=1 q1 q2 expect d(q1)", "mismatch"),
+    # quotients and polynomials compare by cross-multiplication, either way round
+    ("dirac-form omega th p1 q1 expect 1", "ok"),
+    ("dirac-form omega th p1 q1 expect 2", "mismatch"),
+    ("dirac-form omega th p1 q1 expect d(q1)", "mismatch"),
+    ("power-bracket omega k=1 p1 q1 expect (q1) / (q1)", "ok"),
+    ("power-bracket omega k=1 p1 q1 expect (2) / (1)", "mismatch"),
+    # a rational constant against a polynomial or a quotient
+    ("calibrate-dirac omega th expect 1/2", "ok"),
+    ("calibrate-dirac omega th expect (1) / (2)", "ok"),
+    ("calibrate-dirac omega th expect 1", "mismatch"),
+    # a suite outcome matches its pass/fail literal only
+    ("verify-suite power-contraction n=1 expect pass", "ok"),
+    ("verify-suite power-contraction n=1 expect fail", "mismatch"),
+    ("verify-suite power-contraction n=1 expect 1", "mismatch"),
+    ("power-bracket omega k=1 p1 q1 expect pass", "mismatch"),
+]
+
+
+def test_expected_values_are_matched_by_kind():
+    scenario = parse_scenario_text(MATCH_SCENARIO + "".join(
+        f"t{i} = {task}\n" for i, (task, _) in enumerate(MATCH_ROWS)))
+    outcomes = run_scenario(scenario).outcomes
+    assert [(task, o.status) for (task, _), o in zip(MATCH_ROWS, outcomes)] == MATCH_ROWS
+
+
 class TestVerify:
     def test_pass(self):
         code, out, _ = run_cli(["verify", "power-contraction", "--n", "2"])

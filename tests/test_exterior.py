@@ -277,6 +277,15 @@ class TestPoissonBivector:
         with pytest.raises(DegenerateStructure):
             poisson_bivector(Form(chart, 2, {(0, 1): 1}))
 
+    def test_odd_dimension_is_one_message(self):
+        # the check the scenario parser runs for every command that needs it
+        chart = Chart(("x", "y", "z"))
+        form = Form(chart, 2, {(0, 1): 1})
+        for call in (lambda: poisson_bivector(form), lambda: SymplecticData(form), lambda: standard_form(chart)):
+            with pytest.raises(DegenerateStructure) as err:
+                call()
+            assert str(err.value) == "chart must be even-dimensional, not 3-dimensional"
+
     def test_nonconstant_determinant_rejected(self):
         q1 = Polynomial.variable(C2, "q1")
         with pytest.raises(DegenerateStructure):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,6 +233,47 @@ t = check-jacobi w x y z
     def test_bracket_needs_a_function(self):
         text = FUZZ_HEADER + "t = bracket omega vol\n"
         assert "bracket takes: volume alpha" in self.error(text)
+
+    @pytest.mark.parametrize("task, message", [
+        ("bracket vol omega p1", "bracket takes 2 functions, got 1"),
+        ("power-bracket omega k=1 p1", "power-bracket with k=1 takes 2 functions, got 1"),
+        ("power-bracket omega k=3 p1 q1", "k must lie in 1..2"),
+        ("derived-vf omega k=2 p1 q1", "derived-vf with k=2 takes 3 functions, got 2"),
+        ("derived-vf omega k=0 p1", "k must lie in 1..2"),
+        ("nambu vol 1 p1 q1", "nambu takes 4 functions, got 2"),
+    ])
+    def test_arity_error_is_the_librarys_under_the_command_name(self, task, message):
+        with pytest.raises(ParseError) as err:
+            parse_scenario_text(FUZZ_HEADER + f"t = {task}\n")
+        assert err.value.message == message
+
+    @pytest.mark.parametrize("task", ["power-bracket omega k=1 p1 q1", "derived-vf omega k=1 p1",
+                                      "check-jacobi omega p1 q1 q2"])
+    def test_odd_chart_is_a_parse_error(self, task):
+        text = f"[chart]\nq1 q2 p1\n\n[define]\nomega = d(p1)^d(q1)\n\n[tasks]\nt = {task}\n"
+        with pytest.raises(ParseError) as err:
+            parse_scenario_text(text)
+        assert err.value.message == "chart must be even-dimensional, not 3-dimensional"
+
+    @pytest.mark.parametrize("lifted", [False, True])
+    def test_k_with_more_digits_than_int_reads(self, lifted):
+        """One digit more than ``int()`` converts under the interpreter's
+        limit: the parser's integer rule refuses it while the limit holds,
+        and the range of ``k`` once the limit is lifted."""
+        limit = sys.get_int_max_str_digits()
+        digits = "9" * ((limit or 4300) + 1)
+        text = f"[chart]\nq1 p1\n\n[define]\n{TASKS}t = power-bracket omega k={digits} p1 q1\n"
+        try:
+            if lifted:
+                sys.set_int_max_str_digits(0)
+            held = sys.get_int_max_str_digits() > 0
+            with pytest.raises(ParseError) as err:
+                parse_scenario_text(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        # the digits start at column 27, after "t = power-bracket omega k="
+        expected = ("integer literal too long", 27) if held else ("k must lie in 1..1", None)
+        assert (err.value.message, err.value.line, err.value.column) == (expected[0], 7, expected[1])
 
 
 # A 4-dim chart with one definition of every kind a task argument can name.

@@ -14,6 +14,7 @@ from formcalc import (
     Chart,
     ChartMismatch,
     ConstraintSet,
+    DegreeOverflow,
     DivisionByZero,
     Form,
     InvalidArgument,
@@ -241,6 +242,22 @@ PROBES = {
     "float coefficient": (lambda: Polynomial(C, {(1, 0, 0, 0): 1.5}), KindMismatch),
     "float constant": (lambda: Polynomial.constant(C, 0.5), KindMismatch),
     "float tensor coefficient": (lambda: Form(C, 1, {(0,): 1.5}), KindMismatch),
+    # a term key or method argument of the wrong type
+    "Polynomial(chart, {5: 1})": (lambda: Polynomial(C, {5: 1}), KindMismatch),
+    "Form(chart, 1, {5: 1})": (lambda: Form(C, 1, {5: 1}), KindMismatch),
+    "q1.coefficient(5)": (lambda: q1.coefficient(5), KindMismatch),
+    "form.coefficient(5)": (lambda: OMEGA.coefficient(5), KindMismatch),
+    "q1.diff('x')": (lambda: q1.diff("x"), KindMismatch),
+    "q1.extended_to(5)": (lambda: q1.extended_to(5), KindMismatch),
+    "Polynomial.constant(5, 1)": (lambda: Polynomial.constant(5, 1), KindMismatch),
+    "Form(chart, 1, {('x',): 1})": (lambda: Form(C, 1, {("x",): 1}), InvalidArgument),
+    "Form(chart, 1, {(1.5,): 1})": (lambda: Form(C, 1, {(1.5,): 1}), InvalidArgument),
+    "SymplecticData.power('x')": (lambda: SYM.power("x"), InvalidArgument),
+    "SymplecticData.power(1.5)": (lambda: SYM.power(1.5), InvalidArgument),
+    "SymplecticData.bivector_power(None)": (lambda: SYM.bivector_power(None), InvalidArgument),
+    # the degree cap keeps its own error
+    "exponent past the degree cap": (lambda: Polynomial(C, {(2 ** 32, 0, 0, 0): 1}), DegreeOverflow),
+    "power past the degree cap": (lambda: q1 ** 2 ** 32, DegreeOverflow),
     # a value of the right type out of range
     "Chart([])": (lambda: Chart([]), InvalidArgument),
     "Chart(duplicate names)": (lambda: Chart(["q", "q"]), InvalidArgument),
