@@ -28,7 +28,6 @@ from .chart import Chart
 from .errors import (
     AlgebraError,
     ArityMismatch,
-    ChartMismatch,
     GradeMismatch,
     checked,
 )
@@ -121,13 +120,13 @@ def bracket(bdef: BracketDef, *functions: Polynomial):
     return value if bdef.generator is not None else RationalExpr(value, bdef._vol_coeff)
 
 
-def power_bracket_def(volume: Form, power: Form, k: int) -> BracketDef:
-    """The bracket of ``alpha = k! * power/(n-k)!`` against ``volume``, for
-    ``power = omega^{n-k}`` and ``volume = omega^n/n!``: the route to the
-    2k-bracket for forms that are not closed, and the cross-check of the
-    divided power.  Callers pass the powers so their caches are reused."""
-    n = volume.chart.dim // 2
-    return BracketDef(volume, power * Fraction(factorial(k), factorial(n - k)))
+def power_bracket_def(sym: SymplecticData, k: int) -> BracketDef:
+    """The volume route to the 2k-bracket: ``alpha = k! * omega^{n-k}/(n-k)!``
+    against the volume ``omega^n/n!``, both read off ``sym``'s cached powers.
+    The ``power-bracket`` suite and the tests check the divided power against it."""
+    n = checked(sym, SymplecticData, "symplectic structure").n
+    alpha = sym.power(n - _power_index(n, k)) * Fraction(factorial(k), factorial(n - k))
+    return BracketDef(sym.volume(), alpha)
 
 
 def _divided_power(sym: SymplecticData, k: int) -> _Generator:
@@ -216,9 +215,7 @@ def jacobi_bracket(jdef: JacobiDef, f: Polynomial, g: Polynomial) -> Polynomial:
     return sum_of_products(products, jdef.chart)
 
 
-def homogenization_check(
-    jdef: JacobiDef, f: Polynomial, g: Polynomial, s_name: str = "s"
-) -> bool:
+def homogenization_check(jdef: JacobiDef, f: Polynomial, g: Polynomial) -> bool:
     """Exponential-weight reformulation of the Jacobi bracket (Poissonization).
 
     On the chart extended by a fresh coordinate ``s``, evaluating the
@@ -230,14 +227,13 @@ def homogenization_check(
     to the 1-form ``dp + p*ds`` and the factors ``exp(s)*exp(s)*exp(-2s)``
     cancel: the left side is ``<lift(f) ^ lift(g), P>``, one
     ``_Generator(P)`` pairing.  Returns its exact equality with the bracket,
-    both read on the extended chart.
+    both read on the extended chart.  The name of ``s`` is a run of ``s``
+    longer than every name of the chart, so it is never one of them.
     """
     checked(jdef, JacobiDef, "Jacobi structure")
     f, g = _argument(jdef.chart, f), _argument(jdef.chart, g)
-    try:
-        extended = jdef.chart.extended(s_name)
-    except ValueError as exc:
-        raise ChartMismatch(str(exc)) from None
+    s_name = "s" * (1 + max(map(len, jdef.chart.names)))
+    extended = jdef.chart.extended(s_name)
     s_index = extended.dim - 1
     terms = {key: c.extended_to(extended) for key, c in jdef.bivector.terms.items()}
     for (i,), c in jdef.field.terms.items():

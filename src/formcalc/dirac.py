@@ -15,7 +15,9 @@ Both routes pair through :class:`~formcalc.exterior._Generator`: the matrix
 route with the inverse bivector, the form route with ``L = *(Theta ^
 omega^{m-1})``, built once per constraint set.  By the pairing identity in
 :mod:`formcalc.exterior`, the numerator is ``<df^dg, L>`` and the
-denominator ``<omega, L>``.
+denominator ``<omega, L>``.  Every entry point takes the symplectic
+structure from its :class:`ConstraintSet`, which is built on it, so no call
+can pair a constraint set with another form.
 
 Derivation.  At a point, the differentials ``dtheta_i`` span a subspace ``W``
 of the cotangent space that is symplectic for the bivector (its Gram matrix
@@ -146,11 +148,9 @@ def dirac_bracket_matrix(cs: ConstraintSet, f: Polynomial, g: Polynomial) -> Rat
     return RationalExpr(sum_of_products(products, chart), cs.determinant)
 
 
-def _form_quotient(sym: SymplecticData, cs: ConstraintSet, f: Polynomial, g: Polynomial) -> RationalExpr:
+def _form_quotient(cs: ConstraintSet, f: Polynomial, g: Polynomial) -> RationalExpr:
     """``(df^dg ^ Theta ^ omega^{m-1}) / (Theta ^ omega^m)``, unscaled."""
     _require_regular(cs)
-    if sym is not cs.sym and checked(sym, SymplecticData, "symplectic structure").omega != cs.sym.omega:
-        raise DegenerateStructure("constraint set was built on another symplectic form")
     generator, reference = cs.form_factors()
     return RationalExpr(generator.pair(_differentials(cs.chart, (f, g))), reference)
 
@@ -165,7 +165,7 @@ def _low_degree_pairs(chart: Chart):
             yield f, a * b
 
 
-def calibrate_normalization(sym: SymplecticData, cs: ConstraintSet) -> Fraction:
+def calibrate_normalization(cs: ConstraintSet) -> Fraction:
     """Measure the constant ``c`` with form-quotient = c * matrix-bracket.
 
     Searches low-degree monomial pairs for a nonzero reference bracket; the
@@ -173,7 +173,7 @@ def calibrate_normalization(sym: SymplecticData, cs: ConstraintSet) -> Fraction:
     The derivation in the module docstring gives ``c = 1/(n-k)``.
     """
     for f, g in _low_degree_pairs(checked(cs, ConstraintSet, "constraint set").chart):
-        q = _form_quotient(sym, cs, f, g)
+        q = _form_quotient(cs, f, g)
         mb = dirac_bracket_matrix(cs, f, g)
         if mb.is_zero():
             continue
@@ -184,6 +184,6 @@ def calibrate_normalization(sym: SymplecticData, cs: ConstraintSet) -> Fraction:
     raise CalibrationFailure("no reference pair with a nonzero bracket was found")
 
 
-def dirac_bracket_form(sym: SymplecticData, cs: ConstraintSet, f: Polynomial, g: Polynomial) -> RationalExpr:
+def dirac_bracket_form(cs: ConstraintSet, f: Polynomial, g: Polynomial) -> RationalExpr:
     """Dirac bracket from top-form division, times the closed-form ``n - k``."""
-    return _form_quotient(sym, cs, f, g) * (sym.n - cs.half_count)
+    return _form_quotient(cs, f, g) * (cs.sym.n - cs.half_count)

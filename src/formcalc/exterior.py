@@ -78,6 +78,17 @@ def _merge_sign(left: IndexTuple, right: IndexTuple) -> tuple[IndexTuple | None,
     return merged, (-1 if inversions % 2 else 1)
 
 
+def _merge_products(groups: dict, left: dict, right: dict, flip: bool = False):
+    """Add to ``groups``, under the merged tuple, the signed product of every
+    pair of terms of ``left`` and ``right`` whose index tuples do not
+    overlap, as ``(a, b, negate)`` for :func:`_summed`; ``flip`` negates all."""
+    for ka, ca in left.items():
+        for kb, cb in right.items():
+            key, sign = _merge_sign(ka, kb)
+            if key is not None:
+                groups.setdefault(key, []).append((ca, cb, (sign == -1) != flip))
+
+
 def _accumulate(table: dict, key, value):
     """Add ``value`` into ``table[key]``, dropping the key when the sum is zero."""
     acc = table.get(key)
@@ -264,11 +275,7 @@ def wedge(a, b):
     if grade > chart.dim:
         return type(a).zero(chart, chart.dim)
     groups: dict[IndexTuple, list] = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            key, sign = _merge_sign(ka, kb)
-            if key is not None:
-                groups.setdefault(key, []).append((ca, cb, sign == -1))
+    _merge_products(groups, a.terms, b.terms)
     return a._of(chart, grade, _summed(groups, chart))
 
 
@@ -285,8 +292,6 @@ def wedge_all(factors: Sequence) -> "_Graded":
 def exterior_derivative(a: Form) -> Form:
     """The exterior derivative; on grade-0 forms this is the differential."""
     chart = checked(a, Form, "exterior derivative argument").chart
-    if a.grade == 0:
-        return differential(a.terms.get((), Polynomial.zero(chart)))
     if a.grade >= chart.dim:
         return Form.zero(chart, chart.dim)
     out: dict[IndexTuple, Polynomial] = {}

@@ -36,27 +36,24 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import factorial
 from pathlib import Path
 from typing import Callable
 
 from .brackets import (
     BracketDef,
     _arity,
+    _differentials,
     _power_index,
     bracket,
     derived_vf,
     jacobiator,
     nambu_top_bracket,
     omega_power_bracket,
-    power_bracket_def,
 )
 from .chart import _NAME_RE, Chart
 from .dirac import ConstraintSet, calibrate_normalization, dirac_bracket_form, dirac_bracket_matrix
 from .errors import AlgebraError, ParseError, checked
-from .exterior import (Form, Multivector, SymplecticData, _half_dimension, form_power,
-                       poisson_bivector, wedge)
+from .exterior import Form, Multivector, SymplecticData, _Generator, _half_dimension, poisson_bivector
 from .parsing import parse_expr, parse_tensor, parse_value
 from .poly import Polynomial
 from .schouten import is_poisson, jacobi_pair_check, schouten
@@ -86,14 +83,14 @@ class Structures:
         return self._get(("constraints", id(omega), id(thetas)),
                           lambda: ConstraintSet(self.sym(omega), thetas))
 
-    def binary(self, omega: Form) -> BracketDef:
-        # unlike sym() this does not require closedness, so that jacobiator
-        # witnesses stay reachable
+    def binary(self, omega: Form) -> Callable:
+        """The binary bracket of ``omega``'s inverse bivector, the one
+        ``check-poisson`` and ``power-bracket k=1`` use.  Unlike :meth:`sym`
+        it does not require closedness, so that jacobiator witnesses on
+        forms that are not closed stay reachable."""
         def build():
-            n = omega.chart.dim // 2
-            below = form_power(omega, n - 1)
-            volume = wedge(below, omega) * Fraction(1, factorial(n))
-            return power_bracket_def(volume, below, 1)
+            generator = _Generator(poisson_bivector(omega))
+            return lambda f, g: generator.pair(_differentials(omega.chart, (f, g)))
 
         return self._get(("binary", id(omega)), build)
 
@@ -136,8 +133,7 @@ COMMANDS: dict[str, Command] = {
                             lambda s, omega, th, f, g:
                             dirac_bracket_matrix(s.constraints(omega, th), f, g)),
     "dirac-form": Command("omega constraints f g", ("form", "constraints", "fn", "fn"),
-                          lambda s, omega, th, f, g:
-                          dirac_bracket_form(s.sym(omega), s.constraints(omega, th), f, g)),
+                          lambda s, omega, th, f, g: dirac_bracket_form(s.constraints(omega, th), f, g)),
     "derived-vf": Command("omega k=<int> f1 ... f2k-1", ("form", "k", "fn+"),
                           lambda s, omega, k, fs: derived_vf(s.sym(omega), k, *fs),
                           lambda chart, args: _arity(f"derived-vf with k={args[1]}", args[2],
@@ -153,8 +149,7 @@ COMMANDS: dict[str, Command] = {
     "check-jacobi-pair": Command("bivector field", ("mv", "mv"),
                                  lambda s, bivector, field: jacobi_pair_check(bivector, field)),
     "calibrate-dirac": Command("omega constraints", ("form", "constraints"),
-                               lambda s, omega, th: calibrate_normalization(
-                                   s.sym(omega), s.constraints(omega, th))),
+                               lambda s, omega, th: calibrate_normalization(s.constraints(omega, th))),
     "verify-suite": Command("suite-name [n=<int>]", ("suite", "n?"), _suite_outcome),
 }
 

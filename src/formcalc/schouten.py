@@ -26,7 +26,7 @@ from .exterior import (
     Form,
     Multivector,
     _contract_single,
-    _merge_sign,
+    _merge_products,
     _summed,
     _top_coefficient,
     contract,
@@ -51,25 +51,16 @@ def schouten(a: Multivector, b: Multivector) -> Multivector:
     grade = a.grade + b.grade - 1
     if grade < 0:
         return Multivector.zero(chart, 0)
-    front = 1 if (a.grade - 1) % 2 == 0 else -1
     groups: dict = {}
     for i in range(chart.dim):
         delta_a = _contract_single(a.terms, i)
         if delta_a:
-            diff_b = _diff_terms(b, i)
-            for ka, ca in delta_a.items():
-                for kb, cb in diff_b.items():
-                    key, sign = _merge_sign(ka, kb)
-                    if key is not None:
-                        groups.setdefault(key, []).append((ca, cb, front * sign == -1))
+            # (-1)^(a-1) * sum_i (delta_i A)^(d_i B)
+            _merge_products(groups, delta_a, _diff_terms(b, i), flip=a.grade % 2 == 0)
         diff_a = _diff_terms(a, i)
         if diff_a:
-            delta_b = _contract_single(b.terms, i)
-            for ka, ca in diff_a.items():
-                for kb, cb in delta_b.items():
-                    key, sign = _merge_sign(ka, kb)
-                    if key is not None:
-                        groups.setdefault(key, []).append((ca, cb, sign == 1))
+            # - sum_i (d_i A)^(delta_i B)
+            _merge_products(groups, diff_a, _contract_single(b.terms, i), flip=True)
     return Multivector._of(chart, min(grade, chart.dim), _summed(groups, chart))
 
 

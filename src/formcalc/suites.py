@@ -140,7 +140,7 @@ def suite_power_bracket(n: int | None) -> tuple[bool, str]:
         sym = SymplecticData(omega)
         full = tuple(range(sym.chart.dim))
         for k in range(1, sym.n + 1):
-            bdef = power_bracket_def(sym.volume(), sym.power(sym.n - k), k)
+            bdef = power_bracket_def(sym, k)
             power = sym.bivector_power(k)
             if bdef.generator != power:
                 return False, f"generator mismatch at {label}, k={k}"

@@ -28,7 +28,9 @@ regularity check with the nonzero-wedge condition it dropped as implied.
 ``volume_route_def`` builds the 2k-bracket the way ``omega_power_bracket``
 and ``derived_vf`` did before they paired against the divided power
 ``Lambda^k/k!``: the generator of ``k! * omega^(n-k)/(n-k)!`` against the
-volume ``omega^n/n!``.
+volume ``omega^n/n!``.  ``volume_route_binary`` is the same route at
+``k = 1`` for any nondegenerate 2-form, closed or not, the bracket
+``check-jacobi`` took before it paired with the inverse bivector.
 ``legacy_parse_tensor`` and ``legacy_parse_value`` are the same kind of
 reference for ``formcalc.parsing``, and ``LegacyPolynomial`` with
 ``legacy_exact_divide`` (exponent tuples as keys, every coefficient a
@@ -40,6 +42,7 @@ from math import factorial
 from typing import Mapping, Sequence
 
 from formcalc import (
+    BracketDef,
     Chart,
     ChartMismatch,
     Form,
@@ -49,6 +52,7 @@ from formcalc import (
     RationalExpr,
     coordinate_form,
     differential,
+    form_power,
     pair,
     parse_expr,
     wedge,
@@ -169,10 +173,17 @@ def full_wedge_bracket(bdef, *functions) -> Polynomial:
 
 def volume_route_def(sym, k: int):
     """The 2k-bracket's definition by the volume route,
-    ``power_bracket_def(omega^n/n!, omega^(n-k), k)``, built once per
-    structure and ``k``."""
-    return sym.cached(("volume_route", k),
-                      lambda: power_bracket_def(sym.volume(), sym.power(sym.n - k), k))
+    ``power_bracket_def(sym, k)``, built once per structure and ``k``."""
+    return sym.cached(("volume_route", k), lambda: power_bracket_def(sym, k))
+
+
+def volume_route_binary(omega) -> BracketDef:
+    """The binary bracket of ``omega^(n-1)/(n-1)!`` against ``omega^n/n!``,
+    with no closedness required."""
+    n = omega.chart.dim // 2
+    below = form_power(omega, n - 1)
+    volume = wedge(below, omega) * Fraction(1, factorial(n))
+    return BracketDef(volume, below * Fraction(1, factorial(n - 1)))
 
 
 def full_wedge_derived_vf(sym, k: int, *functions) -> Multivector:

@@ -227,16 +227,16 @@ def test_criterion_08_dirac_pipelines():
         for j in range(n - k, n):
             thetas.extend([qs[j], ps[j]])
         cs = ConstraintSet(sym, thetas)
-        constants[(n, k)] = calibrate_normalization(sym, cs)
+        constants[(n, k)] = calibrate_normalization(cs)
         assert constants[(n, k)] == Fraction(1, n - k)
         for _ in range(20):
             f, g = rand_poly(rng, chart), rand_poly(rng, chart)
-            assert dirac_bracket_form(sym, cs, f, g) == dirac_bracket_matrix(cs, f, g)
+            assert dirac_bracket_form(cs, f, g) == dirac_bracket_matrix(cs, f, g)
         for theta in cs.constraints:
             for _ in range(4):
                 g = rand_poly(rng, chart)
                 assert dirac_bracket_matrix(cs, theta, g).is_zero()
-                assert dirac_bracket_form(sym, cs, theta, g).is_zero()
+                assert dirac_bracket_form(cs, theta, g).is_zero()
     # canonical reduction agrees with the plain bracket on the reduced chart
     for n, keep in ((2, 1), (3, 1)):
         sym = SymplecticData(standard_form(darboux_chart(n)))

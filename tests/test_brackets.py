@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from formcalc import (
@@ -45,6 +45,7 @@ from formcalc import (
     nambu_top_bracket,
     omega_power_bracket,
     pair,
+    parse_scenario_text,
     poisson_bivector,
     poisson_bracket,
     schouten,
@@ -55,6 +56,7 @@ from formcalc import (
     wedge_all,
 )
 from formcalc import brackets, exterior
+from formcalc.cli import run_scenario
 
 from tests.helpers import (
     bivector_loop_hamiltonian_vf,
@@ -67,6 +69,7 @@ from tests.helpers import (
     rand_form,
     rand_multivector,
     rand_poly,
+    volume_route_binary,
     volume_route_def,
 )
 
@@ -207,7 +210,7 @@ class TestBracketDef:
             "poisson_bracket": lambda: poisson_bracket(sym, bad, q1),
             "jacobiator": lambda: jacobiator(sym, q1, p1, bad),
             "dirac_bracket_matrix": lambda: dirac_bracket_matrix(cs, bad, q1),
-            "dirac_bracket_form": lambda: dirac_bracket_form(sym, cs, q1, bad),
+            "dirac_bracket_form": lambda: dirac_bracket_form(cs, q1, bad),
         }
         if kind == "number" and entry in numbers:
             key, value = numbers[entry]
@@ -561,28 +564,21 @@ class TestHomogenization:
         # the left side; jacobi_bracket on the right sums the generator's products
         assert calls == {"pairing": 1}
 
-    def test_name_collision_rejected(self):
-        chart = Chart(("x", "s"))
-        jdef = JacobiDef(Multivector.zero(chart, 2), Multivector.zero(chart, 1))
-        one = Polynomial.constant(chart, 1)
-        with pytest.raises(Exception):
-            homogenization_check(jdef, one, one)
-
-    def test_collision_and_invalid_name_are_told_apart(self):
-        chart = Chart(("x", "s"))
-        jdef = JacobiDef(Multivector.zero(chart, 2), Multivector.zero(chart, 1))
-        one = Polynomial.constant(chart, 1)
-        with pytest.raises(ChartMismatch, match="coordinate 's' is already in use"):
-            homogenization_check(jdef, one, one)
-        with pytest.raises(ChartMismatch, match="invalid coordinate name '9s'"):
-            homogenization_check(jdef, one, one, s_name="9s")
-
-    @pytest.mark.parametrize("s_name", (5, None, ["s"], ("s",)), ids=repr)
-    def test_non_string_name_rejected(self, s_name):
-        jdef = self.contact_pair()
-        one = Polynomial.constant(self.CONTACT, 1)
-        with pytest.raises(ChartMismatch, match="invalid coordinate name"):
-            homogenization_check(jdef, one, one, s_name=s_name)
+    def test_chart_holding_s_and_ss(self):
+        """The fresh coordinate is a name the chart does not hold; the check
+        agrees with the ``exp(w*s)`` oracle run on a free name."""
+        chart = Chart(("x", "s", "ss"))
+        x, s, ss = coordinates(chart)
+        lam = Multivector(chart, 2, {(0, 1): 1, (1, 2): -ss, (0, 2): x * s})
+        jdef = JacobiDef(lam, Multivector(chart, 1, {(2,): 1, (0,): s}))
+        rng = random.Random(44)
+        for _ in range(10):
+            f, g = rand_poly(rng, chart), rand_poly(rng, chart)
+            oracle = exp_poly_homogenization(jdef, f, g, "t")
+            right = jacobi_bracket(jdef, f, g).extended_to(oracle.chart)
+            expected = set(oracle.terms) <= {0} and oracle.terms.get(0, Polynomial.zero(oracle.chart)) == right
+            assert expected
+            assert homogenization_check(jdef, f, g) == expected
 
 
 @st.composite
@@ -779,6 +775,38 @@ def chart_polys(chart: Chart):
         st.integers(-3, 3), max_size=3)
     return st.builds(lambda a, b: Polynomial(chart, {e: Fraction(c) for e, c in {**a, **b}.items()}),
                      linear, quadratic)
+
+
+@st.composite
+def constant_determinant_forms(draw):
+    """The standard form on a 4-8-dim chart plus polynomial ``d(q_i)^d(q_j)``
+    terms, which leave the determinant 1: either ``d`` of a seeded 1-form in
+    the ``q``, so closed, or random terms that leave it not closed."""
+    chart = darboux_chart(draw(st.integers(2, 4)))
+    n = chart.dim // 2
+    if draw(st.booleans()):
+        return _closed_form(chart, draw(st.integers(0, 10**6)))
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 1)] * chart.dim), st.integers(-2, 2), max_size=2).map(
+        lambda terms: Polynomial(chart, {e: Fraction(c) for e, c in terms.items() if c}))
+    pairs = draw(st.dictionaries(st.sampled_from(list(combinations(range(n), 2))), polys, min_size=1, max_size=3))
+    omega = standard_form(chart) + Form(chart, 2, pairs)
+    assume(not exterior_derivative(omega).is_zero())
+    return omega
+
+
+class TestCheckJacobiOracle:
+    """``check-jacobi``, which pairs with the inverse bivector, against the
+    volume route it took before, on closed forms and forms that are not."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), constant_determinant_forms())
+    def test_matches_volume_route(self, data, omega):
+        f, g, h = (data.draw(chart_polys(omega.chart)) for _ in range(3))
+        text = "\n".join(["[chart]", " ".join(omega.chart.names), "[define]", f"omega = {omega}",
+                          f"f = {f}", f"g = {g}", f"h = {h}", "[tasks]", "jac = check-jacobi omega f g h"])
+        outcome, = run_scenario(parse_scenario_text(text)).outcomes
+        expected = jacobiator(volume_route_binary(omega), f, g, h)
+        assert (outcome.status, outcome.result_text) == ("done", str(expected))
 
 
 class TestSupportPairing:

@@ -68,6 +68,18 @@ class TestRun:
         assert out.count("task ") == 2
         assert "status: ok" in out
 
+    @pytest.mark.parametrize("omega", ["q1 * d(p1)^d(q1) + d(p2)^d(q2)", "d(p1)^d(q1)"],
+                             ids=["non-constant determinant", "degenerate"])
+    def test_check_jacobi_needs_a_constant_nonzero_determinant(self, tmp_path, omega):
+        # the check-poisson error, for arguments whose brackets vanish or not
+        scn = tmp_path / "determinant.scn"
+        scn.write_text(f"[chart]\nq1 q2 p1 p2\n\n[define]\nomega = {omega}\n\n[tasks]\n"
+                       "t1 = check-jacobi omega q2 q2 q2\nt2 = check-jacobi omega p1 q1 p2\n"
+                       "t3 = check-poisson omega\n")
+        code, out, _ = run_cli(["run", str(scn)])
+        assert code == 1
+        assert out.count("error: coefficient matrix needs a constant nonzero determinant") == 3
+
     def test_parse_error_exit_two(self, tmp_path):
         scn = tmp_path / "broken.scn"
         scn.write_text("[chart]\nq1 p1\n\n[tasks]\nt = twiddle\n")

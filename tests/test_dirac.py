@@ -328,35 +328,35 @@ class TestFormBracket:
     def test_calibration_grid(self):
         for n, k in self.GRID:
             sym, cs = self.grid_case(n, k)
-            constant = calibrate_normalization(sym, cs)
+            constant = calibrate_normalization(cs)
             assert constant == self.EXPECTED_CONSTANTS[(n, k)]
             assert constant == Fraction(1, n - k)
         rng = random.Random(57)
         for sym, cs in self.wide_cases():
-            assert calibrate_normalization(sym, cs) == Fraction(1, sym.n - cs.half_count)
+            assert calibrate_normalization(cs) == Fraction(1, sym.n - cs.half_count)
             f, g = rand_poly(rng, sym.chart), rand_poly(rng, sym.chart)
-            assert dirac_bracket_form(sym, cs, f, g) == dirac_bracket_matrix(cs, f, g)
+            assert dirac_bracket_form(cs, f, g) == dirac_bracket_matrix(cs, f, g)
 
     def test_calibration_stability(self):
         rng = random.Random(54)
         for n, k in self.GRID:
             sym, cs = self.grid_case(n, k)
-            assert calibrate_normalization(sym, cs) == Fraction(1, n - k)
+            assert calibrate_normalization(cs) == Fraction(1, n - k)
             for _ in range(20):
                 f, g = rand_poly(rng, sym.chart), rand_poly(rng, sym.chart)
-                assert dirac_bracket_form(sym, cs, f, g) == dirac_bracket_matrix(cs, f, g)
+                assert dirac_bracket_form(cs, f, g) == dirac_bracket_matrix(cs, f, g)
         for sym, cs in self.wide_cases():
-            assert calibrate_normalization(sym, cs) == Fraction(1, sym.n - cs.half_count)
+            assert calibrate_normalization(cs) == Fraction(1, sym.n - cs.half_count)
             for _ in range(5):
                 f, g = rand_poly(rng, sym.chart), rand_poly(rng, sym.chart)
-                assert dirac_bracket_form(sym, cs, f, g) == dirac_bracket_matrix(cs, f, g)
+                assert dirac_bracket_form(cs, f, g) == dirac_bracket_matrix(cs, f, g)
 
     def test_degenerate_arguments_vanish(self):
         sym, cs = self.grid_case(2, 1)
         rng = random.Random(55)
         f = rand_poly(rng, sym.chart)
-        assert dirac_bracket_form(sym, cs, f, f).is_zero()
-        assert dirac_bracket_form(sym, cs, cs.constraints[0], f).is_zero()
+        assert dirac_bracket_form(cs, f, f).is_zero()
+        assert dirac_bracket_form(cs, cs.constraints[0], f).is_zero()
 
     def test_nonconstant_determinant_pipeline_agreement(self):
         sym = sym_n(2)
@@ -364,18 +364,18 @@ class TestFormBracket:
         cs = ConstraintSet(sym, [qs[1], qs[1] * ps[1]])
         assert regularity_check(cs)
         assert not cs.determinant.is_constant()
-        assert calibrate_normalization(sym, cs) == Fraction(1)
+        assert calibrate_normalization(cs) == Fraction(1)
         rng = random.Random(56)
         for _ in range(10):
             f, g = rand_poly(rng, sym.chart), rand_poly(rng, sym.chart)
-            assert dirac_bracket_form(sym, cs, f, g) == dirac_bracket_matrix(cs, f, g)
+            assert dirac_bracket_form(cs, f, g) == dirac_bracket_matrix(cs, f, g)
 
     def test_calibration_needs_fewer_pairs_than_degrees_of_freedom(self):
         from formcalc import GradeMismatch
 
         sym = sym_n(2)
         with pytest.raises(GradeMismatch):
-            calibrate_normalization(sym, canonical_constraints(sym, 0))
+            calibrate_normalization(canonical_constraints(sym, 0))
 
     def test_form_factors_built_once(self):
         sym, cs = self.grid_case(3, 1)
@@ -410,18 +410,11 @@ class TestFormBracket:
         monkeypatch.setattr(exterior, "wedge", counted)
         monkeypatch.setattr(dirac, "wedge", counted)
         qs, ps = qp(sym.chart)
-        value = dirac_bracket_form(sym, cs, qs[0] * ps[1], ps[0] + qs[2])
+        value = dirac_bracket_form(cs, qs[0] * ps[1], ps[0] + qs[2])
         assert wedges == {}
         # the counters are live: a new set builds its factors by wedges
-        assert dirac_bracket_form(sym, perturbed_constraints(sym, 1), qs[0] * ps[1], ps[0] + qs[2]) == value
+        assert dirac_bracket_form(perturbed_constraints(sym, 1), qs[0] * ps[1], ps[0] + qs[2]) == value
         assert wedges["wedge"] > 0
-
-    def test_other_symplectic_form_rejected(self):
-        sym, cs = self.grid_case(3, 1)
-        other = magnetic_syms()[1]
-        qs, ps = qp(sym.chart)
-        with pytest.raises(DegenerateStructure):
-            dirac_bracket_form(other, cs, qs[0], ps[0])
 
     def test_too_many_constraints_rejected(self):
         from formcalc import GradeMismatch
@@ -430,7 +423,7 @@ class TestFormBracket:
         cs = canonical_constraints(sym, 0)
         qs, _ = qp(sym.chart)
         with pytest.raises(GradeMismatch):
-            dirac_bracket_form(sym, cs, qs[0], qs[1])
+            dirac_bracket_form(cs, qs[0], qs[1])
 
 
 # the standard forms of TestFormBracket.GRID and both magnetic forms, on
@@ -467,7 +460,7 @@ class TestFormNumeratorOracle:
         generator, reference = cs.form_factors()
         assert generator.pair([differential(f), differential(g)]) == expected
         assert reference == denominator
-        quotient = dirac._form_quotient(sym, cs, f, g)
+        quotient = dirac._form_quotient(cs, f, g)
         assert (quotient.numerator, quotient.denominator) == (expected, denominator)
 
 

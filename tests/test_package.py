@@ -77,7 +77,7 @@ VALID = {
     "Scenario": lambda: (C, {}, []),
     "SymplecticData": lambda: (OMEGA,),
     "bracket": lambda: (BracketDef(VOLUME, OMEGA), q1, p1),
-    "calibrate_normalization": lambda: (SYM, CS),
+    "calibrate_normalization": lambda: (CS,),
     "contract": lambda: (FIELD, OMEGA),
     "coordinate_field": lambda: (C, "q1"),
     "coordinate_form": lambda: (C, "q1"),
@@ -85,13 +85,13 @@ VALID = {
     "darboux_chart": lambda: (2,),
     "derived_vf": lambda: (SYM, 1, q1),
     "differential": lambda: (q1,),
-    "dirac_bracket_form": lambda: (SYM, CS, q1, p1),
+    "dirac_bracket_form": lambda: (CS, q1, p1),
     "dirac_bracket_matrix": lambda: (CS, q1, p1),
     "exact_divide": lambda: (q1 * p1, p1),
     "exterior_derivative": lambda: (DQ1 * p1,),
     "form_power": lambda: (OMEGA, 2),
     "hamiltonian_vf": lambda: (SYM, q1),
-    "homogenization_check": lambda: (JDEF, q1, p1, "s"),
+    "homogenization_check": lambda: (JDEF, q1, p1),
     "is_n_poisson": lambda: (BIVECTOR,),
     "is_poisson": lambda: (BIVECTOR,),
     "jacobi_bracket": lambda: (JDEF, q1, p1),
@@ -219,12 +219,10 @@ PROBES = {
     "derived_vf(sym, 'x', ...)": (lambda: formcalc.derived_vf(SYM, "x", q1), KindMismatch),
     "ConstraintSet(form, ...)": (lambda: ConstraintSet(OMEGA, [q2, p2]), KindMismatch),
     "ConstraintSet(sym, 5)": (lambda: ConstraintSet(SYM, 5), KindMismatch),
-    "calibrate_normalization(form, cs)": (lambda: formcalc.calibrate_normalization(OMEGA, CS), KindMismatch),
-    "calibrate_normalization(sym, sym)": (lambda: formcalc.calibrate_normalization(SYM, SYM), KindMismatch),
+    "calibrate_normalization(sym)": (lambda: formcalc.calibrate_normalization(SYM), KindMismatch),
     "dirac_bracket_matrix(None, ...)": (lambda: formcalc.dirac_bracket_matrix(None, q1, p1), KindMismatch),
     "dirac_bracket_matrix(sym, ...)": (lambda: formcalc.dirac_bracket_matrix(SYM, q1, p1), KindMismatch),
-    "dirac_bracket_form(sym, sym, ...)": (lambda: formcalc.dirac_bracket_form(SYM, SYM, q1, p1), KindMismatch),
-    "dirac_bracket_form(form, cs, ...)": (lambda: formcalc.dirac_bracket_form(OMEGA, CS, q1, p1), KindMismatch),
+    "dirac_bracket_form(sym, ...)": (lambda: formcalc.dirac_bracket_form(SYM, q1, p1), KindMismatch),
     "regularity_check(sym)": (lambda: formcalc.regularity_check(SYM), KindMismatch),
     "jacobi_bracket('x', ...)": (lambda: formcalc.jacobi_bracket("x", q1, p1), KindMismatch),
     "jacobi_bracket(bivector, ...)": (lambda: formcalc.jacobi_bracket(BIVECTOR, q1, p1), KindMismatch),

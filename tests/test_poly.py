@@ -75,6 +75,13 @@ class TestChart:
         with pytest.raises(ValueError, match="invalid coordinate name"):
             CHART.extended(name)
 
+    def test_extended_by_taken_or_invalid_name_rejected(self):
+        chart = Chart(("x", "s"))
+        with pytest.raises(ValueError, match="coordinate 's' is already in use"):
+            chart.extended("s")
+        with pytest.raises(ValueError, match="invalid coordinate name '9s'"):
+            chart.extended("9s")
+
     @pytest.mark.parametrize("name", NOT_NAMES, ids=repr)
     def test_non_string_is_not_a_member(self, name):
         assert name not in CHART
