@@ -55,7 +55,7 @@ from formcalc import (
     wedge,
     wedge_all,
 )
-from formcalc import brackets, exterior
+from formcalc import brackets, exterior, manifest
 from formcalc.cli import run_scenario
 
 from tests.helpers import (
@@ -807,6 +807,52 @@ class TestCheckJacobiOracle:
         outcome, = run_scenario(parse_scenario_text(text)).outcomes
         expected = jacobiator(volume_route_binary(omega), f, g, h)
         assert (outcome.status, outcome.result_text) == ("done", str(expected))
+
+
+def _open_form(chart: Chart) -> Form:
+    """The standard form plus polynomial ``d(q_i)^d(q_j)`` terms whose
+    ``d`` does not vanish: determinant 1, not closed."""
+    q1, q2, q3 = coordinates(chart)[:3]
+    return standard_form(chart) + Form(chart, 2, {(0, 1): q3 * q1 + 2, (1, 2): q1 * q1 - q3})
+
+
+class TestBinaryStructure:
+    """The binary bracket ``check-jacobi`` pairs with: the volume route's
+    bracket itself, not only its jacobiator, so an argument swap shows."""
+
+    FORMS = {"standard": lambda: standard_form(darboux_chart(2)),
+             "field": lambda: _field_form(darboux_chart(3)),
+             "not closed": lambda: _open_form(darboux_chart(3))}
+
+    @pytest.mark.parametrize("name", FORMS)
+    def test_is_the_volume_route_bracket(self, name):
+        omega = self.FORMS[name]()
+        binary = manifest.Structures().binary(omega)
+        oracle = volume_route_binary(omega)
+        closed = exterior_derivative(omega).is_zero()
+        assert closed == (name != "not closed")
+        rng = random.Random(61)
+        for _ in range(8):
+            f, g = rand_poly(rng, omega.chart), rand_poly(rng, omega.chart)
+            value = binary(f, g)
+            assert value == bracket(oracle, f, g)
+            if closed:
+                assert value == poisson_bracket(SymplecticData(omega), f, g)
+
+    def test_built_once_per_form(self, monkeypatch):
+        calls = Counter()
+
+        def counted(omega):
+            calls[id(omega)] += 1
+            return poisson_bivector(omega)
+
+        monkeypatch.setattr(manifest, "poisson_bivector", counted)
+        omega, other = standard_form(darboux_chart(2)), _open_form(darboux_chart(3))
+        structures = manifest.Structures()
+        first = structures.binary(omega)
+        assert structures.binary(omega) is first
+        assert structures.binary(other) is not first
+        assert calls == {id(omega): 1, id(other): 1}
 
 
 class TestSupportPairing:
