@@ -253,6 +253,9 @@ def homogenization_check(jdef: JacobiDef, f: Polynomial, g: Polynomial) -> bool:
 def _binary_bracket(source):
     if isinstance(source, SymplecticData):
         return lambda f, g: omega_power_bracket(source, 1, f, g)
+    if isinstance(source, Multivector):
+        generator = _Generator(checked(source, Multivector, "jacobiator bivector", grade=2))
+        return lambda f, g: generator.pair(_differentials(source.chart, (f, g)))
     if isinstance(source, BracketDef):
         if source.arity != 2:
             raise ArityMismatch("jacobiator needs a binary bracket definition")
@@ -265,6 +268,7 @@ def _binary_bracket(source):
 
 
 def jacobiator(source, f: Polynomial, g: Polynomial, h: Polynomial) -> Polynomial:
-    """``{f,{g,h}} + {g,{h,f}} + {h,{f,g}}`` for any binary bracket source."""
+    """``{f,{g,h}} + {g,{h,f}} + {h,{f,g}}`` for a binary bracket source: a symplectic
+    structure, a bivector, a binary bracket definition, a Jacobi structure or a callable."""
     b = _binary_bracket(source)
     return b(f, b(g, h)) + b(g, b(h, f)) + b(h, b(f, g))

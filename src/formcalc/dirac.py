@@ -172,11 +172,13 @@ def calibrate_normalization(cs: ConstraintSet) -> Fraction:
     ratio must come out as a rational constant or calibration fails loudly.
     The derivation in the module docstring gives ``c = 1/(n-k)``.
     """
-    for f, g in _low_degree_pairs(checked(cs, ConstraintSet, "constraint set").chart):
-        q = _form_quotient(cs, f, g)
+    _require_regular(cs)
+    cs.form_factors()  # the form route's own errors, before any pair is tried
+    for f, g in _low_degree_pairs(cs.chart):
         mb = dirac_bracket_matrix(cs, f, g)
         if mb.is_zero():
             continue
+        q = _form_quotient(cs, f, g)
         try:
             return (q / mb).as_constant()
         except AlgebraError as exc:

@@ -42,7 +42,7 @@ from math import factorial
 
 from .chart import Chart
 from .errors import DegenerateStructure, GradeMismatch, InvalidArgument, checked
-from .poly import Polynomial, _nonnegative_power, _skew_inverse, sum_of_products
+from .poly import Polynomial, _nonnegative_power, _signed_sum, _skew_inverse, sum_of_products
 
 IndexTuple = tuple[int, ...]
 
@@ -159,9 +159,7 @@ class _Graded:
     def coefficient(self, indices) -> Polynomial:
         """The coefficient of the given index tuple, with parity sign applied."""
         key, sign = _normalize_index_tuple(indices, self.chart.dim)
-        if key is None:
-            return Polynomial.zero(self.chart)
-        value = self.terms.get(key)
+        value = self.terms.get(key)  # a repeated index gives the key None, which has no term
         if value is None:
             return Polynomial.zero(self.chart)
         return value if sign == 1 else -value
@@ -234,11 +232,7 @@ class _Graded:
             atoms = "^".join(f"{self._atom}({names[i]})" for i in key)
             body = f"{coeff} * {atoms}" if coeff else atoms
             parts.append((sign, body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _signed_sum(parts)
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"

@@ -42,7 +42,6 @@ from typing import Callable
 from .brackets import (
     BracketDef,
     _arity,
-    _differentials,
     _power_index,
     bracket,
     derived_vf,
@@ -53,7 +52,7 @@ from .brackets import (
 from .chart import _NAME_RE, Chart
 from .dirac import ConstraintSet, calibrate_normalization, dirac_bracket_form, dirac_bracket_matrix
 from .errors import AlgebraError, ParseError, checked
-from .exterior import Form, Multivector, SymplecticData, _Generator, _half_dimension, poisson_bivector
+from .exterior import Form, Multivector, SymplecticData, _half_dimension, exterior_derivative, poisson_bivector
 from .parsing import parse_expr, parse_tensor, parse_value
 from .poly import Polynomial
 from .schouten import is_poisson, jacobi_pair_check, schouten
@@ -65,7 +64,8 @@ class Structures:
 
     Keys are the ``id`` of the defining values: a scenario binds every
     definition to one object that outlives the run, so one key means one
-    definition.
+    definition.  On a closed form :meth:`bivector` is the inverse that
+    :meth:`sym` holds, so every command shares one inversion of it.
     """
 
     def __init__(self):
@@ -83,16 +83,16 @@ class Structures:
         return self._get(("constraints", id(omega), id(thetas)),
                           lambda: ConstraintSet(self.sym(omega), thetas))
 
-    def binary(self, omega: Form) -> Callable:
-        """The binary bracket of ``omega``'s inverse bivector, the one
-        ``check-poisson`` and ``power-bracket k=1`` use.  Unlike :meth:`sym`
-        it does not require closedness, so that jacobiator witnesses on
-        forms that are not closed stay reachable."""
+    def bivector(self, omega: Form) -> Multivector:
+        """The inverse bivector ``check-jacobi`` and ``check-poisson`` read: that of
+        :meth:`sym` on a closed form, else its own, so that jacobiator witnesses on
+        forms that are not closed stay reachable.  Both are the same value."""
         def build():
-            generator = _Generator(poisson_bivector(omega))
-            return lambda f, g: generator.pair(_differentials(omega.chart, (f, g)))
+            if exterior_derivative(omega).is_zero():
+                return self.sym(omega).bivector
+            return poisson_bivector(omega)
 
-        return self._get(("binary", id(omega)), build)
+        return self._get(("bivector", id(omega)), build)
 
 
 @dataclass(frozen=True)
@@ -141,11 +141,11 @@ COMMANDS: dict[str, Command] = {
     "schouten": Command("multivector multivector", ("mv", "mv"),
                         lambda s, a, b: schouten(a, b)),
     "check-jacobi": Command("omega f g h", ("form", "fn", "fn", "fn"),
-                            lambda s, omega, f, g, h: jacobiator(s.binary(omega), f, g, h),
+                            lambda s, omega, f, g, h: jacobiator(s.bivector(omega), f, g, h),
                             lambda chart, args: _half_dimension(chart)),
     "check-poisson": Command("form-or-bivector", ("tensor",),
                              lambda s, value: is_poisson(value if isinstance(value, Multivector)
-                                                         else poisson_bivector(value))),
+                                                         else s.bivector(value))),
     "check-jacobi-pair": Command("bivector field", ("mv", "mv"),
                                  lambda s, bivector, field: jacobi_pair_check(bivector, field)),
     "calibrate-dirac": Command("omega constraints", ("form", "constraints"),
@@ -207,7 +207,6 @@ class _Builder:
         self.definitions: dict[str, object] = {}
         self.poly_env: dict[str, Polynomial] = {}
         self.tasks: list[Task] = []
-        self.task_names: set[str] = set()
 
     # -- definitions -------------------------------------------------------
 
@@ -263,7 +262,7 @@ class _Builder:
     def add_task(self, body: str, line: int):
         self._need_chart(line)
         name, rest = _named(body, line, "expected 'name = command arguments...'")
-        if name in self.task_names:
+        if any(task.name == name for task in self.tasks):
             _fail(f"task name {name!r} is already used", line)
         start = len(body) - len(rest)  # of ``rest`` in the line
         # (token, offset in the line) for every whitespace-separated token
@@ -288,7 +287,6 @@ class _Builder:
             expected = self._parse(parse_value, body[expect_at:], line, expect_at, "bad expected value: ")
         task = Task(name, command, tokens, resolved, expect_text, expected)
         self.tasks.append(task)
-        self.task_names.add(name)
 
     def _argument(self, kind: str, token: str, offset: int, line: int):
         """The value of the argument ``token``, which starts at ``offset`` in the line."""

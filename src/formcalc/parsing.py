@@ -107,6 +107,7 @@ class _ExprParser:
 
     def value(self):
         if self.peek().text == "(":
+            start = self.pos
             numerator = self.atom()
             if self.peek().text == "/":
                 self.advance()
@@ -117,12 +118,11 @@ class _ExprParser:
                 if denominator.is_zero():
                     self.fail(token, "zero denominator")
                 return RationalExpr(numerator, denominator)
-            return self.expr(numerator)  # it was the first atom of an expression
+            self.pos = start  # it was the first atom of an expression: read it again
         return self.expr()
 
-    # ``first`` is an atom already read at the start of the expression
-    def expr(self, first=None):
-        value = self.term(first)
+    def expr(self):
+        value = self.term()
         while self.peek().text in ("+", "-"):
             op = self.advance().text
             start = self.peek()
@@ -132,8 +132,8 @@ class _ExprParser:
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def term(self, first=None):
-        value = self.unary() if first is None else self.power(first)
+    def term(self):
+        value = self.unary()
         while self.peek().text == "*":
             if not isinstance(value, Polynomial):
                 self.fail(self.peek(), "a coefficient must come before its d(...) or e(...) factors")
@@ -149,8 +149,8 @@ class _ExprParser:
         value = self.power()
         return -value if negate else value
 
-    def power(self, base=None):
-        base = self.atom() if base is None else base
+    def power(self):
+        base = self.atom()
         if self.peek().text != "^":
             return base
         self.advance()

@@ -301,11 +301,9 @@ class Polynomial:
         return not terms or (len(terms) == 1 and 0 in terms)
 
     def constant_value(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
         if not self.is_constant():
             raise InvalidArgument("polynomial is not a constant")
-        return Fraction(self._terms[0])
+        return Fraction(self._terms.get(0, 0))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -476,14 +474,19 @@ class Polynomial:
             else:
                 body = f"{magnitude}*{monomial}"
             pieces.append(("-" if coefficient < 0 else "+", body))
-        sign, body = pieces[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _signed_sum(pieces)
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def _signed_sum(parts) -> str:
+    """``(sign, body)`` pairs, signs ``"+"`` or ``"-"``, printed as ``-a + b - c``."""
+    sign, body = parts[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
 
 
 def sum_of_products(products: Sequence[tuple[Polynomial, Polynomial, bool]],
@@ -665,10 +668,8 @@ class RationalExpr:
         return quotient.constant_value()
 
     def __str__(self):
-        if self.denominator.is_constant():
-            d = self.denominator.constant_value()
-            if d == 1:
-                return str(self.numerator)
+        if self.denominator == 1:
+            return str(self.numerator)
         return f"({self.numerator}) / ({self.denominator})"
 
     def __repr__(self):

@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +17,7 @@ from formcalc import (
     ConstraintSet,
     DegenerateStructure,
     Form,
+    GradeMismatch,
     JacobiDef,
     KindMismatch,
     Multivector,
@@ -72,6 +74,8 @@ from tests.helpers import (
     volume_route_binary,
     volume_route_def,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def permutation_parity(sigma) -> int:
@@ -817,8 +821,9 @@ def _open_form(chart: Chart) -> Form:
 
 
 class TestBinaryStructure:
-    """The binary bracket ``check-jacobi`` pairs with: the volume route's
-    bracket itself, not only its jacobiator, so an argument swap shows."""
+    """The bivector ``check-jacobi`` pairs with, ``Structures.bivector``, as
+    a jacobiator source: the volume route's bracket itself, not only its
+    jacobiator, so an argument swap shows; and one inversion per form."""
 
     FORMS = {"standard": lambda: standard_form(darboux_chart(2)),
              "field": lambda: _field_form(darboux_chart(3)),
@@ -827,7 +832,7 @@ class TestBinaryStructure:
     @pytest.mark.parametrize("name", FORMS)
     def test_is_the_volume_route_bracket(self, name):
         omega = self.FORMS[name]()
-        binary = manifest.Structures().binary(omega)
+        binary = brackets._binary_bracket(manifest.Structures().bivector(omega))
         oracle = volume_route_binary(omega)
         closed = exterior_derivative(omega).is_zero()
         assert closed == (name != "not closed")
@@ -839,20 +844,66 @@ class TestBinaryStructure:
             if closed:
                 assert value == poisson_bracket(SymplecticData(omega), f, g)
 
-    def test_built_once_per_form(self, monkeypatch):
+    @staticmethod
+    def count_inversions(monkeypatch) -> Counter:
+        """Calls of ``poisson_bivector`` by the ``id`` of the form, through
+        its home module (so inside ``SymplecticData``) and ``manifest``."""
         calls = Counter()
 
         def counted(omega):
             calls[id(omega)] += 1
             return poisson_bivector(omega)
 
+        monkeypatch.setattr(exterior, "poisson_bivector", counted)
         monkeypatch.setattr(manifest, "poisson_bivector", counted)
-        omega, other = standard_form(darboux_chart(2)), _open_form(darboux_chart(3))
-        structures = manifest.Structures()
-        first = structures.binary(omega)
-        assert structures.binary(omega) is first
-        assert structures.binary(other) is not first
-        assert calls == {id(omega): 1, id(other): 1}
+        return calls
+
+    @pytest.mark.parametrize("name", FORMS)
+    def test_one_inversion_per_form_in_any_order(self, monkeypatch, name):
+        omega = self.FORMS[name]()
+        closed = name != "not closed"
+        f, g, h = coordinates(omega.chart)[-3:]
+        uses = {
+            "bivector": lambda s: s.bivector(omega),
+            "check-poisson": lambda s: manifest.COMMANDS["check-poisson"].run(s, omega),
+            "check-jacobi": lambda s: manifest.COMMANDS["check-jacobi"].run(s, omega, f, g, h),
+        }
+        if closed:
+            uses["sym"] = lambda s: s.sym(omega)
+        calls = self.count_inversions(monkeypatch)
+        for order in permutations(uses):
+            calls.clear()
+            structures = manifest.Structures()
+            for use in order:
+                uses[use](structures)
+            assert calls == {id(omega): 1}, order
+            if closed:
+                assert structures.bivector(omega) is structures.sym(omega).bivector
+            else:
+                with pytest.raises(DegenerateStructure, match="symplectic form must be closed"):
+                    structures.sym(omega)
+        assert manifest.Structures().bivector(omega) == poisson_bivector(omega)
+
+    @pytest.mark.parametrize("name", ["magnetic", "divergence"])
+    def test_each_scenario_form_is_inverted_once(self, monkeypatch, name):
+        scenario = manifest.parse_scenario(SCENARIOS / f"{name}.scn")
+        calls = self.count_inversions(monkeypatch)
+        run_scenario(scenario)
+        forms = {id(value) for value in scenario.definitions.values() if isinstance(value, Form)}
+        assert forms and {key: calls[key] for key in forms} == dict.fromkeys(forms, 1)
+
+    def test_bivector_source_of_the_jacobiator(self):
+        rng = random.Random(62)
+        for name in ("standard", "field"):
+            sym = SymplecticData(self.FORMS[name]())
+            for _ in range(4):
+                f, g, h = (rand_poly(rng, sym.chart) for _ in range(3))
+                assert jacobiator(sym.bivector, f, g, h) == jacobiator(sym, f, g, h)
+        chart = darboux_chart(2)
+        trivector = Multivector(chart, 3, {(0, 1, 2): 1})
+        q1, q2, p1 = coordinates(chart)[:3]
+        with pytest.raises(GradeMismatch, match="jacobiator bivector must have grade 2, got 3"):
+            jacobiator(trivector, q1, q2, p1)
 
 
 class TestSupportPairing:

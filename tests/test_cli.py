@@ -165,6 +165,18 @@ class TestRun:
         assert code == 0
         assert "status: ok" in out
 
+    def test_derived_vf_after_check_jacobi_on_a_form_that_is_not_closed(self, tmp_path):
+        """``check-jacobi`` inverts a form that is not closed without a
+        symplectic structure; a later ``derived-vf`` still needs one."""
+        scn = tmp_path / "open.scn"
+        omega = (SCENARIOS / "divergence.scn").read_text(encoding="utf-8").split("[tasks]")[0]
+        scn.write_text(omega + "[tasks]\njac = check-jacobi omegaB p1 p2 p3\nvf = derived-vf omegaB k=1 p1\n")
+        code, out, _ = run_cli(["run", str(scn)])
+        assert code == 1
+        jac, vf = out.split("task vf: ")
+        assert "  result: 1\n" in jac
+        assert "  error: symplectic form must be closed\n" in vf
+
     def test_usage_error(self):
         code, _, _ = run_cli(["frobnicate"])
         assert code == 2

@@ -13,6 +13,7 @@ from formcalc import (
     RationalExpr,
     SymplecticData,
     calibrate_normalization,
+    coordinates,
     darboux_chart,
     dirac_bracket_form,
     dirac_bracket_matrix,
@@ -336,6 +337,20 @@ class TestFormBracket:
             assert calibrate_normalization(cs) == Fraction(1, sym.n - cs.half_count)
             f, g = rand_poly(rng, sym.chart), rand_poly(rng, sym.chart)
             assert dirac_bracket_form(cs, f, g) == dirac_bracket_matrix(cs, f, g)
+
+    def test_calibration_takes_one_form_quotient(self, monkeypatch):
+        """Pairs with a zero matrix bracket are skipped before their form
+        quotient is taken, so a calibration takes exactly one."""
+        calls = Counter()
+        monkeypatch.setattr(dirac, "_form_quotient", counting(calls, "quotient", dirac._form_quotient))
+        first_zero = 0
+        for sym, cs in [self.grid_case(n, k) for n, k in self.GRID] + list(self.wide_cases()):
+            q1, q2 = coordinates(sym.chart)[:2]  # the first pair tried
+            first_zero += dirac_bracket_matrix(cs, q1, q2).is_zero()
+            calls.clear()
+            calibrate_normalization(cs)
+            assert calls == {"quotient": 1}
+        assert first_zero
 
     def test_calibration_stability(self):
         rng = random.Random(54)

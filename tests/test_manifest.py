@@ -184,6 +184,9 @@ t = verify-suite nonsense
         (TASKS + "t = verify-suite nonsense", "unknown suite 'nonsense'", 18),
         (TASKS + "t =  schouten omega omega", "'omega' is not a multivector", 15),
         (TASKS + "t = power-bracket omega k=1 p1 q1 expect", "'expect' needs a value", 35),
+        # a repeated task name is an error of the whole line
+        (TASKS + "t = power-bracket omega k=1 p1 q1\nt = power-bracket omega k=1 q1 p1",
+         "task name 't' is already used", None),
     ])
     def test_error_column_points_into_the_line(self, definition, message, column):
         # the error is on the last line of ``definition``
