@@ -23,19 +23,16 @@ from dataclasses import dataclass
 
 from .errors import AlgebraError, ParseError
 from .exterior import Form, Multivector
-from .manifest import COMMANDS, Scenario, Structures, command_lines, parse_scenario
+from .manifest import COMMANDS, Scenario, Structures, Task, command_lines, parse_scenario
 from .poly import Polynomial
 from .suites import run_suite, suite_names
 
 
 @dataclass
 class TaskOutcome:
-    name: str
-    command: str
-    args_text: str
+    task: Task
     status: str  # ok | done | mismatch | error
     result_text: str
-    expected_text: str | None
     detail: str | None = None
 
 
@@ -61,22 +58,22 @@ class Report:
         if machine:
             lines = []
             for o in self.outcomes:
-                expected = o.expected_text if o.expected_text is not None else "-"
+                expected = o.task.expect_text if o.task.expect_text is not None else "-"
                 lines.append(
-                    "\t".join([o.name, o.command, o.args_text, o.status, o.result_text, expected])
+                    "\t".join([o.task.name, o.task.command, o.task.args_text, o.status, o.result_text, expected])
                 )
             return "\n".join(lines) + "\n"
         lines = [f"chart: {' '.join(self.chart_names)}", ""]
         for o in self.outcomes:
-            lines.append(f"task {o.name}: {o.command} {o.args_text}".rstrip())
+            lines.append(f"task {o.task.name}: {o.task.command} {o.task.args_text}".rstrip())
             if o.status == "error":
                 lines.append(f"  error: {o.detail}")
             else:
                 lines.append(f"  result: {o.result_text}")
                 if o.detail:
                     lines.append(f"  detail: {o.detail}")
-                if o.expected_text is not None:
-                    lines.append(f"  expect: {o.expected_text}")
+                if o.task.expect_text is not None:
+                    lines.append(f"  expect: {o.task.expect_text}")
             lines.append(f"  status: {o.status}")
             lines.append("")
         totals = self.counts()
@@ -111,13 +108,10 @@ def _values_match(result, expected) -> bool:
     return result == expected
 
 
-def run_scenario(scenario: Scenario, only: str | None = None) -> Report:
+def run_scenario(scenario: Scenario) -> Report:
     structures = Structures()
-    tasks = scenario.tasks
-    if only is not None:
-        tasks = [t for t in tasks if t.name == only]
     outcomes = []
-    for task in tasks:
+    for task in scenario.tasks:
         try:
             value = COMMANDS[task.command].run(structures, *task.resolved)
         except AlgebraError as exc:
@@ -128,8 +122,7 @@ def run_scenario(scenario: Scenario, only: str | None = None) -> Report:
                 status = "done"
             else:
                 status = "ok" if _values_match(value, task.expected) else "mismatch"
-        outcomes.append(TaskOutcome(task.name, task.command, " ".join(task.arg_tokens), status,
-                                    result_text, task.expect_text, detail))
+        outcomes.append(TaskOutcome(task, status, result_text, detail))
     return Report(scenario.chart.names, outcomes)
 
 
@@ -172,10 +165,12 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if options.only is not None and all(t.name != options.only for t in scenario.tasks):
-        print(f"error: no task named {options.only!r}", file=sys.stderr)
-        return 2
-    report = run_scenario(scenario, only=options.only)
+    if options.only is not None:
+        scenario.tasks = [t for t in scenario.tasks if t.name == options.only]
+        if not scenario.tasks:
+            print(f"error: no task named {options.only!r}", file=sys.stderr)
+            return 2
+    report = run_scenario(scenario)
     sys.stdout.write(report.render(machine=options.machine))
     return report.exit_code
 

@@ -189,9 +189,7 @@ class _Graded:
         out: dict[IndexTuple, Polynomial] = {}
         if not scalar.is_zero():
             for key, value in self.terms.items():
-                product = value * scalar
-                if not product.is_zero():
-                    out[key] = product
+                out[key] = value * scalar
         return self._of(self.chart, self.grade, out)
 
     __rmul__ = __mul__
@@ -515,8 +513,9 @@ def standard_form(chart: Chart) -> Form:
 class SymplecticData:
     """A closed nondegenerate 2-form together with its inverse bivector.
 
-    Construction inverts the form, which checks its constant nonzero
-    determinant, then checks closedness.  The bivector is the exact inverse,
+    Construction checks the cheapest conditions first: kind and grade, an
+    even-dimensional chart, closedness, and only then the constant nonzero
+    determinant, by inverting the form.  The bivector is the exact inverse,
     so contracting it into the form yields the half-dimension ``n`` (pinned
     by the tests).  Powers of the form and of the bivector are memoized, each
     one wedge onto the one below; instances are otherwise immutable.
@@ -525,13 +524,12 @@ class SymplecticData:
     __slots__ = ("chart", "omega", "bivector", "n", "_cache")
 
     def __init__(self, omega: Form):
-        bivector = poisson_bivector(omega)  # checks kind, grade, dimension and determinant
+        self.chart = checked(omega, Form, "symplectic form", grade=2).chart
+        self.n = _half_dimension(self.chart)
         if not exterior_derivative(omega).is_zero():
             raise DegenerateStructure("symplectic form must be closed")
-        self.chart = omega.chart
         self.omega = omega
-        self.bivector = bivector
-        self.n = omega.chart.dim // 2
+        self.bivector = poisson_bivector(omega)  # checks the determinant
         self._cache = {}
 
     def cached(self, key, build):

@@ -52,7 +52,7 @@ from .brackets import (
 from .chart import _NAME_RE, Chart
 from .dirac import ConstraintSet, calibrate_normalization, dirac_bracket_form, dirac_bracket_matrix
 from .errors import AlgebraError, ParseError, checked
-from .exterior import Form, Multivector, SymplecticData, _half_dimension, exterior_derivative, poisson_bivector
+from .exterior import Form, Multivector, SymplecticData, _half_dimension, poisson_bivector
 from .parsing import parse_expr, parse_tensor, parse_value
 from .poly import Polynomial
 from .schouten import is_poisson, jacobi_pair_check, schouten
@@ -64,8 +64,8 @@ class Structures:
 
     Keys are the ``id`` of the defining values: a scenario binds every
     definition to one object that outlives the run, so one key means one
-    definition.  On a closed form :meth:`bivector` is the inverse that
-    :meth:`sym` holds, so every command shares one inversion of it.
+    definition.  A build that fails keeps its :class:`AlgebraError`, which
+    every later request for that key raises again without rebuilding.
     """
 
     def __init__(self):
@@ -73,8 +73,14 @@ class Structures:
 
     def _get(self, key, build):
         if key not in self._built:
-            self._built[key] = build()
-        return self._built[key]
+            try:
+                self._built[key] = build()
+            except AlgebraError as exc:
+                self._built[key] = exc
+        value = self._built[key]
+        if isinstance(value, AlgebraError):
+            raise value.with_traceback(None)  # each request's own frames, not all of them
+        return value
 
     def sym(self, omega: Form) -> SymplecticData:
         return self._get(("sym", id(omega)), lambda: SymplecticData(omega))
@@ -85,12 +91,14 @@ class Structures:
 
     def bivector(self, omega: Form) -> Multivector:
         """The inverse bivector ``check-jacobi`` and ``check-poisson`` read: that of
-        :meth:`sym` on a closed form, else its own, so that jacobiator witnesses on
-        forms that are not closed stay reachable.  Both are the same value."""
+        :meth:`sym`, so every command shares one inversion of the form, else, on a
+        form that is not closed or is degenerate, its own, so that jacobiator
+        witnesses on forms that are not closed stay reachable."""
         def build():
-            if exterior_derivative(omega).is_zero():
+            try:
                 return self.sym(omega).bivector
-            return poisson_bivector(omega)
+            except AlgebraError:
+                return poisson_bivector(omega)
 
         return self._get(("bivector", id(omega)), build)
 
@@ -172,7 +180,7 @@ def command_lines() -> list[str]:
 class Task:
     name: str
     command: str
-    arg_tokens: list[str]
+    args_text: str
     resolved: list
     expect_text: str | None
     expected: object | None
@@ -285,7 +293,7 @@ class _Builder:
         expected = None
         if expect_text is not None:
             expected = self._parse(parse_value, body[expect_at:], line, expect_at, "bad expected value: ")
-        task = Task(name, command, tokens, resolved, expect_text, expected)
+        task = Task(name, command, " ".join(tokens), resolved, expect_text, expected)
         self.tasks.append(task)
 
     def _argument(self, kind: str, token: str, offset: int, line: int):

@@ -662,10 +662,7 @@ class RationalExpr:
 
     def as_constant(self) -> Fraction:
         """The value as a rational constant; raises if it is not one."""
-        if self.numerator.is_zero():
-            return Fraction(0)
-        quotient = self.as_polynomial()
-        return quotient.constant_value()
+        return self.as_polynomial().constant_value()
 
     def __str__(self):
         if self.denominator == 1:

@@ -823,7 +823,8 @@ def _open_form(chart: Chart) -> Form:
 class TestBinaryStructure:
     """The bivector ``check-jacobi`` pairs with, ``Structures.bivector``, as
     a jacobiator source: the volume route's bracket itself, not only its
-    jacobiator, so an argument swap shows; and one inversion per form."""
+    jacobiator, so an argument swap shows; and one inversion and one
+    closedness test per form, whether its structure builds or fails."""
 
     FORMS = {"standard": lambda: standard_form(darboux_chart(2)),
              "field": lambda: _field_form(darboux_chart(3)),
@@ -858,6 +859,21 @@ class TestBinaryStructure:
         monkeypatch.setattr(manifest, "poisson_bivector", counted)
         return calls
 
+    @staticmethod
+    def count_closedness_tests(monkeypatch) -> Counter:
+        """Calls of ``exterior_derivative`` by the ``id`` of the form through
+        its home module, where ``SymplecticData`` tests closedness, the only
+        place that does: ``manifest`` does not import it."""
+        assert not hasattr(manifest, "exterior_derivative")
+        calls = Counter()
+
+        def counted(form):
+            calls[id(form)] += 1
+            return exterior_derivative(form)
+
+        monkeypatch.setattr(exterior, "exterior_derivative", counted)
+        return calls
+
     @pytest.mark.parametrize("name", FORMS)
     def test_one_inversion_per_form_in_any_order(self, monkeypatch, name):
         omega = self.FORMS[name]()
@@ -871,26 +887,86 @@ class TestBinaryStructure:
         if closed:
             uses["sym"] = lambda s: s.sym(omega)
         calls = self.count_inversions(monkeypatch)
+        tests = self.count_closedness_tests(monkeypatch)
         for order in permutations(uses):
             calls.clear()
+            tests.clear()
             structures = manifest.Structures()
             for use in order:
                 uses[use](structures)
             assert calls == {id(omega): 1}, order
+            assert tests == {id(omega): 1}, order
             if closed:
                 assert structures.bivector(omega) is structures.sym(omega).bivector
             else:
-                with pytest.raises(DegenerateStructure, match="symplectic form must be closed"):
-                    structures.sym(omega)
+                for _ in range(2):
+                    with pytest.raises(DegenerateStructure, match="symplectic form must be closed"):
+                        structures.sym(omega)
+                assert (calls, tests) == ({id(omega): 1}, {id(omega): 1}), order
         assert manifest.Structures().bivector(omega) == poisson_bivector(omega)
 
     @pytest.mark.parametrize("name", ["magnetic", "divergence"])
     def test_each_scenario_form_is_inverted_once(self, monkeypatch, name):
         scenario = manifest.parse_scenario(SCENARIOS / f"{name}.scn")
         calls = self.count_inversions(monkeypatch)
+        tests = self.count_closedness_tests(monkeypatch)
         run_scenario(scenario)
         forms = {id(value) for value in scenario.definitions.values() if isinstance(value, Form)}
         assert forms and {key: calls[key] for key in forms} == dict.fromkeys(forms, 1)
+        assert {key: tests[key] for key in forms} == dict.fromkeys(forms, 1)
+
+    OPEN_FORM_TASKS = """
+[chart]
+q1 q2 q3 p1 p2 p3
+[define]
+omegaB = d(p1)^d(q1) + d(p2)^d(q2) + d(p3)^d(q3) - q1 * d(q2)^d(q3)
+th = constraints(q3, p3)
+[tasks]
+poisson = check-poisson omegaB
+jac = check-jacobi omegaB p1 p2 p3
+vf1 = derived-vf omegaB k=1 p1
+vf2 = derived-vf omegaB k=1 p2
+pb = power-bracket omegaB k=1 p1 q1
+dm = dirac-matrix omegaB th p1 q1
+"""
+
+    def test_failed_structure_is_built_once(self, monkeypatch):
+        # the divergence form is nondegenerate but not closed: its one
+        # closedness test fails the structure, which is kept, and the
+        # jacobiator's fallback bivector is its one inversion
+        scenario = parse_scenario_text(self.OPEN_FORM_TASKS)
+        calls = self.count_inversions(monkeypatch)
+        tests = self.count_closedness_tests(monkeypatch)
+        outcomes = run_scenario(scenario).outcomes
+        key = id(scenario.definitions["omegaB"])
+        assert (calls[key], tests[key]) == (1, 1)
+        assert [(o.result_text, o.detail) for o in outcomes] == (
+            [("false", None), ("1", None)] + [("-", "symplectic form must be closed")] * 4)
+
+    def test_kept_failure_is_raised_with_its_own_frames(self):
+        # a kept error does not pile up the frames of every request
+        structures = manifest.Structures()
+        omega = _open_form(darboux_chart(3))
+        depths = set()
+        for _ in range(3):
+            with pytest.raises(DegenerateStructure) as err:
+                structures.sym(omega)
+            depths.add(len(err.traceback))
+        assert len(depths) == 1
+
+    def test_failed_inversion_is_made_at_most_twice(self, monkeypatch):
+        # closed, determinant q1^2: the failed structure, then the fallback,
+        # however many tasks read the form
+        tasks = ["poisson = check-poisson omega", "jac = check-jacobi omega q2 q2 q2",
+                 "jac2 = check-jacobi omega p1 p2 q1", "poisson2 = check-poisson omega"]
+        scenario = parse_scenario_text("\n".join(
+            ["[chart]", "q1 q2 p1 p2", "[define]", "omega = q1 * d(p1)^d(q1) + d(p2)^d(q2)", "[tasks]", *tasks]))
+        calls = self.count_inversions(monkeypatch)
+        tests = self.count_closedness_tests(monkeypatch)
+        outcomes = run_scenario(scenario).outcomes
+        key = id(scenario.definitions["omega"])
+        assert calls[key] <= 2 and tests[key] == 1
+        assert [o.detail for o in outcomes] == ["coefficient matrix needs a constant nonzero determinant"] * 4
 
     def test_bivector_source_of_the_jacobiator(self):
         rng = random.Random(62)

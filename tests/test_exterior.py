@@ -37,6 +37,7 @@ from formcalc import (
     standard_form,
     wedge,
 )
+from formcalc import exterior
 
 from tests.helpers import qp, rand_form, rand_multivector, rand_poly
 
@@ -332,6 +333,18 @@ class TestSymplecticData:
         zero = Polynomial.zero(chart)
         with pytest.raises(DegenerateStructure):
             SymplecticData(magnetic_form(chart, qs[0], zero, zero))
+
+    def test_open_form_fails_before_the_inversion(self, monkeypatch):
+        # q2 * d(p1)^d(q1) is neither closed nor nondegenerate: closedness,
+        # the cheaper check, decides without inverting the form
+        omega = coordinates(C4)[1] * wedge(d("p1", C4), d("q1", C4))
+
+        def inverted(form):
+            raise AssertionError("the form was inverted")
+
+        monkeypatch.setattr(exterior, "poisson_bivector", inverted)
+        with pytest.raises(DegenerateStructure, match="symplectic form must be closed"):
+            SymplecticData(omega)
 
     def test_dense_constant_form_inverts_exactly(self):
         # every entry nonzero, so the determinant and adjugate see a full matrix

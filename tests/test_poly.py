@@ -329,6 +329,7 @@ class TestRationalExpr:
     def test_as_constant(self):
         r = RationalExpr(3 * (Q1 + 1), (Q1 + 1) * 2)
         assert r.as_constant() == Fraction(3, 2)
+        assert RationalExpr(Polynomial.zero(CHART), Q1 + 1).as_constant() == Fraction(0)
 
     def test_arithmetic(self):
         half = RationalExpr(Polynomial.constant(CHART, 1), Polynomial.constant(CHART, 2))
