@@ -64,8 +64,8 @@ class Structures:
 
     Keys are the ``id`` of the defining values: a scenario binds every
     definition to one object that outlives the run, so one key means one
-    definition.  A build that fails keeps its :class:`AlgebraError`, which
-    every later request for that key raises again without rebuilding.
+    definition.  Only successful builds are kept; a failed one is attempted
+    again on the next request and raises again.
     """
 
     def __init__(self):
@@ -73,14 +73,8 @@ class Structures:
 
     def _get(self, key, build):
         if key not in self._built:
-            try:
-                self._built[key] = build()
-            except AlgebraError as exc:
-                self._built[key] = exc
-        value = self._built[key]
-        if isinstance(value, AlgebraError):
-            raise value.with_traceback(None)  # each request's own frames, not all of them
-        return value
+            self._built[key] = build()
+        return self._built[key]
 
     def sym(self, omega: Form) -> SymplecticData:
         return self._get(("sym", id(omega)), lambda: SymplecticData(omega))

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -57,7 +59,7 @@ from formcalc import (
     wedge,
     wedge_all,
 )
-from formcalc import brackets, exterior, manifest
+from formcalc import brackets, cli, exterior, manifest
 from formcalc.cli import run_scenario
 
 from tests.helpers import (
@@ -823,8 +825,8 @@ def _open_form(chart: Chart) -> Form:
 class TestBinaryStructure:
     """The bivector ``check-jacobi`` pairs with, ``Structures.bivector``, as
     a jacobiator source: the volume route's bracket itself, not only its
-    jacobiator, so an argument swap shows; and one inversion and one
-    closedness test per form, whether its structure builds or fails."""
+    jacobiator, so an argument swap shows; and one inversion per
+    nondegenerate form, whether its structure builds or fails."""
 
     FORMS = {"standard": lambda: standard_form(darboux_chart(2)),
              "field": lambda: _field_form(darboux_chart(3)),
@@ -899,10 +901,12 @@ class TestBinaryStructure:
             if closed:
                 assert structures.bivector(omega) is structures.sym(omega).bivector
             else:
+                # a failed structure is built again, which tests closedness
+                # again but never inverts
                 for _ in range(2):
                     with pytest.raises(DegenerateStructure, match="symplectic form must be closed"):
                         structures.sym(omega)
-                assert (calls, tests) == ({id(omega): 1}, {id(omega): 1}), order
+                assert (calls, tests) == ({id(omega): 1}, {id(omega): 3}), order
         assert manifest.Structures().bivector(omega) == poisson_bivector(omega)
 
     @pytest.mark.parametrize("name", ["magnetic", "divergence"])
@@ -930,33 +934,22 @@ pb = power-bracket omegaB k=1 p1 q1
 dm = dirac-matrix omegaB th p1 q1
 """
 
-    def test_failed_structure_is_built_once(self, monkeypatch):
-        # the divergence form is nondegenerate but not closed: its one
-        # closedness test fails the structure, which is kept, and the
-        # jacobiator's fallback bivector is its one inversion
+    def test_open_form_is_inverted_once(self, monkeypatch):
+        # the divergence form is nondegenerate but not closed: each task that
+        # needs its structure fails on the closedness test, before any
+        # inversion, and the jacobiator's fallback bivector is the one inversion
         scenario = parse_scenario_text(self.OPEN_FORM_TASKS)
         calls = self.count_inversions(monkeypatch)
         tests = self.count_closedness_tests(monkeypatch)
         outcomes = run_scenario(scenario).outcomes
         key = id(scenario.definitions["omegaB"])
-        assert (calls[key], tests[key]) == (1, 1)
+        assert (calls[key], tests[key]) == (1, 5)  # the shared bivector, then four tasks
         assert [(o.result_text, o.detail) for o in outcomes] == (
             [("false", None), ("1", None)] + [("-", "symplectic form must be closed")] * 4)
 
-    def test_kept_failure_is_raised_with_its_own_frames(self):
-        # a kept error does not pile up the frames of every request
-        structures = manifest.Structures()
-        omega = _open_form(darboux_chart(3))
-        depths = set()
-        for _ in range(3):
-            with pytest.raises(DegenerateStructure) as err:
-                structures.sym(omega)
-            depths.add(len(err.traceback))
-        assert len(depths) == 1
-
-    def test_failed_inversion_is_made_at_most_twice(self, monkeypatch):
-        # closed, determinant q1^2: the failed structure, then the fallback,
-        # however many tasks read the form
+    def test_degenerate_form_keeps_the_determinant_message(self, monkeypatch):
+        # closed, determinant q1^2: each check task inverts at most twice,
+        # the failed structure and then the fallback
         tasks = ["poisson = check-poisson omega", "jac = check-jacobi omega q2 q2 q2",
                  "jac2 = check-jacobi omega p1 p2 q1", "poisson2 = check-poisson omega"]
         scenario = parse_scenario_text("\n".join(
@@ -965,8 +958,28 @@ dm = dirac-matrix omegaB th p1 q1
         tests = self.count_closedness_tests(monkeypatch)
         outcomes = run_scenario(scenario).outcomes
         key = id(scenario.definitions["omega"])
-        assert calls[key] <= 2 and tests[key] == 1
+        assert calls[key] <= 2 * len(tasks) and tests[key] == len(tasks)
         assert [o.detail for o in outcomes] == ["coefficient matrix needs a constant nonzero determinant"] * 4
+
+    def test_failing_run_frees_its_structures_on_return(self, monkeypatch):
+        # a failed build is not kept, so no error's traceback ties the run's
+        # structures into a cycle that only the cyclic collector frees
+        runs = []
+
+        class Tracked(manifest.Structures):
+            def __init__(self):
+                super().__init__()
+                runs.append(weakref.ref(self))
+
+        monkeypatch.setattr(cli, "Structures", Tracked)
+        scenario = parse_scenario_text(self.OPEN_FORM_TASKS)
+        gc.disable()
+        try:
+            outcomes = run_scenario(scenario).outcomes
+            assert len(runs) == 1 and runs[0]() is None
+        finally:
+            gc.enable()
+        assert [o.status for o in outcomes].count("error") == 4
 
     def test_bivector_source_of_the_jacobiator(self):
         rng = random.Random(62)
