@@ -25,12 +25,7 @@ from fractions import Fraction
 from math import factorial
 
 from .chart import Chart
-from .errors import (
-    AlgebraError,
-    ArityMismatch,
-    GradeMismatch,
-    checked,
-)
+from .errors import ArityMismatch, GradeMismatch, checked
 from .exterior import (
     Form,
     Multivector,
@@ -251,6 +246,7 @@ def homogenization_check(jdef: JacobiDef, f: Polynomial, g: Polynomial) -> bool:
 
 
 def _binary_bracket(source):
+    checked(source, (SymplecticData, Multivector, BracketDef, JacobiDef), "jacobiator source")
     if isinstance(source, SymplecticData):
         return lambda f, g: omega_power_bracket(source, 1, f, g)
     if isinstance(source, Multivector):
@@ -260,15 +256,12 @@ def _binary_bracket(source):
         if source.arity != 2:
             raise ArityMismatch("jacobiator needs a binary bracket definition")
         return lambda f, g: bracket(source, f, g)
-    if isinstance(source, JacobiDef):
-        return lambda f, g: jacobi_bracket(source, f, g)
-    if callable(source):
-        return source
-    raise AlgebraError("unsupported bracket source for the jacobiator")
+    return lambda f, g: jacobi_bracket(source, f, g)
 
 
 def jacobiator(source, f: Polynomial, g: Polynomial, h: Polynomial) -> Polynomial:
     """``{f,{g,h}} + {g,{h,f}} + {h,{f,g}}`` for a binary bracket source: a symplectic
-    structure, a bivector, a binary bracket definition, a Jacobi structure or a callable."""
+    structure, a bivector, a binary bracket definition or a Jacobi structure.
+    Any other source is a :class:`~formcalc.errors.KindMismatch`."""
     b = _binary_bracket(source)
     return b(f, b(g, h)) + b(g, b(h, f)) + b(h, b(f, g))

@@ -155,35 +155,28 @@ def _form_quotient(cs: ConstraintSet, f: Polynomial, g: Polynomial) -> RationalE
     return RationalExpr(generator.pair(_differentials(cs.chart, (f, g))), reference)
 
 
-def _low_degree_pairs(chart: Chart):
-    xs = coordinates(chart)
-    for f, g in combinations(xs, 2):
-        yield f, g
-        yield g, f
-    for f in xs:
-        for a, b in combinations(xs, 2):
-            yield f, a * b
-
-
 def calibrate_normalization(cs: ConstraintSet) -> Fraction:
     """Measure the constant ``c`` with form-quotient = c * matrix-bracket.
 
-    Searches low-degree monomial pairs for a nonzero reference bracket; the
-    ratio must come out as a rational constant or calibration fails loudly.
-    The derivation in the module docstring gives ``c = 1/(n-k)``.
+    Measures on the first unordered coordinate pair with a nonzero matrix
+    bracket; the ratio must come out as a rational constant or calibration
+    fails loudly.  The derivation in the module docstring gives
+    ``c = 1/(n-k)``.  Coordinate pairs suffice: where ``det C != 0`` the
+    Dirac bivector has rank ``2m = 2(n-k) >= 2`` (the form route needs
+    ``m >= 1``), so some coordinate pair has a nonzero bracket, and a
+    reversed pair only negates it.
     """
     _require_regular(cs)
     cs.form_factors()  # the form route's own errors, before any pair is tried
-    for f, g in _low_degree_pairs(cs.chart):
+    for f, g in combinations(coordinates(cs.chart), 2):
         mb = dirac_bracket_matrix(cs, f, g)
-        if mb.is_zero():
-            continue
-        q = _form_quotient(cs, f, g)
-        try:
-            return (q / mb).as_constant()
-        except AlgebraError as exc:
-            raise CalibrationFailure(f"normalization ratio is not a constant: {exc}") from exc
-    raise CalibrationFailure("no reference pair with a nonzero bracket was found")
+        if not mb.is_zero():
+            break
+    q = _form_quotient(cs, f, g)
+    try:
+        return (q / mb).as_constant()
+    except AlgebraError as exc:
+        raise CalibrationFailure(f"normalization ratio is not a constant: {exc}") from exc
 
 
 def dirac_bracket_form(cs: ConstraintSet, f: Polynomial, g: Polynomial) -> RationalExpr:

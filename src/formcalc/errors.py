@@ -5,7 +5,8 @@ public entry points check their arguments with :func:`checked`.  A value of
 the right type but out of range raises InvalidArgument, and a division by
 zero DivisionByZero; these also subclass ValueError and ZeroDivisionError.
 Only Python's operator protocol (``q1 + "x"``, ``Polynomial / Polynomial``)
-ends in its own TypeError.
+ends in its own TypeError.  NotClosed, a form that is not closed, is the one
+DegenerateStructure whose cause a caller branches on.
 """
 
 
@@ -50,8 +51,12 @@ class DegenerateStructure(AlgebraError):
     """A volume, symplectic form or constraint set fails a regularity condition."""
 
 
+class NotClosed(DegenerateStructure):
+    """A symplectic form is not closed, though its inverse bivector may exist."""
+
+
 class CalibrationFailure(AlgebraError):
-    """No usable reference pair was found while calibrating a normalization."""
+    """A normalization ratio measured on a reference pair is not a rational constant."""
 
 
 class ParseError(AlgebraError):

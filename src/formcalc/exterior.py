@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import factorial
 
 from .chart import Chart
-from .errors import DegenerateStructure, GradeMismatch, InvalidArgument, checked
+from .errors import DegenerateStructure, GradeMismatch, InvalidArgument, NotClosed, checked
 from .poly import Polynomial, _nonnegative_power, _signed_sum, _skew_inverse, sum_of_products
 
 IndexTuple = tuple[int, ...]
@@ -514,11 +514,12 @@ class SymplecticData:
     """A closed nondegenerate 2-form together with its inverse bivector.
 
     Construction checks the cheapest conditions first: kind and grade, an
-    even-dimensional chart, closedness, and only then the constant nonzero
-    determinant, by inverting the form.  The bivector is the exact inverse,
-    so contracting it into the form yields the half-dimension ``n`` (pinned
-    by the tests).  Powers of the form and of the bivector are memoized, each
-    one wedge onto the one below; instances are otherwise immutable.
+    even-dimensional chart, closedness (else :class:`~formcalc.errors.NotClosed`),
+    and only then the constant nonzero determinant, by inverting the form.
+    The bivector is the exact inverse, so contracting it into the form yields
+    the half-dimension ``n`` (pinned by the tests).  Powers of the form and of
+    the bivector are memoized, each one wedge onto the one below; instances
+    are otherwise immutable.
     """
 
     __slots__ = ("chart", "omega", "bivector", "n", "_cache")
@@ -527,7 +528,7 @@ class SymplecticData:
         self.chart = checked(omega, Form, "symplectic form", grade=2).chart
         self.n = _half_dimension(self.chart)
         if not exterior_derivative(omega).is_zero():
-            raise DegenerateStructure("symplectic form must be closed")
+            raise NotClosed("symplectic form must be closed")
         self.omega = omega
         self.bivector = poisson_bivector(omega)  # checks the determinant
         self._cache = {}

@@ -25,8 +25,8 @@ tokens: a defined name, an inline space-free expression, or ``k=<int>`` /
 Every task command is one entry of :data:`COMMANDS`: its usage line, the
 kinds of its arguments, an arity rule and an executor.  Parsing resolves the
 arguments by kind and applies the arity rule, which raises the library's own
-count, ``k`` or parity error, so all names, arities and expected values are
-validated while parsing, before anything is computed;
+count, ``k``, parity or suite-size error, so all names, arities and expected
+values are validated while parsing, before anything is computed;
 the CLI runs a task with ``COMMANDS[task.command].run(structures,
 *task.resolved)`` and prints the usage lines as its help.
 """
@@ -51,12 +51,12 @@ from .brackets import (
 )
 from .chart import _NAME_RE, Chart
 from .dirac import ConstraintSet, calibrate_normalization, dirac_bracket_form, dirac_bracket_matrix
-from .errors import AlgebraError, ParseError, checked
+from .errors import AlgebraError, NotClosed, ParseError, checked
 from .exterior import Form, Multivector, SymplecticData, _half_dimension, poisson_bivector
 from .parsing import parse_expr, parse_tensor, parse_value
 from .poly import Polynomial
 from .schouten import is_poisson, jacobi_pair_check, schouten
-from .suites import SUITES, run_suite
+from .suites import SUITES, _suite_size, run_suite
 
 
 class Structures:
@@ -65,7 +65,8 @@ class Structures:
     Keys are the ``id`` of the defining values: a scenario binds every
     definition to one object that outlives the run, so one key means one
     definition.  Only successful builds are kept; a failed one is attempted
-    again on the next request and raises again.
+    again on the next request and raises again.  Only a form that is not
+    closed has a bivector built outside its structure.
     """
 
     def __init__(self):
@@ -86,12 +87,13 @@ class Structures:
     def bivector(self, omega: Form) -> Multivector:
         """The inverse bivector ``check-jacobi`` and ``check-poisson`` read: that of
         :meth:`sym`, so every command shares one inversion of the form, else, on a
-        form that is not closed or is degenerate, its own, so that jacobiator
-        witnesses on forms that are not closed stay reachable."""
+        form that is not closed, its own, so that jacobiator witnesses on such
+        forms stay reachable.  Any other failure of the structure is raised as
+        it is: inverting the form again would only raise it again."""
         def build():
             try:
                 return self.sym(omega).bivector
-            except AlgebraError:
+            except NotClosed:
                 return poisson_bivector(omega)
 
         return self._get(("bivector", id(omega)), build)
@@ -152,7 +154,8 @@ COMMANDS: dict[str, Command] = {
                                  lambda s, bivector, field: jacobi_pair_check(bivector, field)),
     "calibrate-dirac": Command("omega constraints", ("form", "constraints"),
                                lambda s, omega, th: calibrate_normalization(s.constraints(omega, th))),
-    "verify-suite": Command("suite-name [n=<int>]", ("suite", "n?"), _suite_outcome),
+    "verify-suite": Command("suite-name [n=<int>]", ("suite", "n?"), _suite_outcome,
+                            lambda chart, args: _suite_size(args[1])),
 }
 
 # kind -> (accepted type, label in error messages) for kinds that name a definition

@@ -22,7 +22,7 @@ from .brackets import (
     power_bracket_def,
 )
 from .chart import Chart
-from .errors import AlgebraError, checked
+from .errors import AlgebraError, InvalidArgument, checked
 from .exterior import (
     Form,
     Multivector,
@@ -274,13 +274,16 @@ def suite_names() -> list[str]:
     return sorted(SUITES)
 
 
+def _suite_size(n: int | None) -> int | None:
+    """``n``, if it is ``None`` (each suite's own size) or at least 1."""
+    if n is not None and checked(n, int, "suite size") < 1:
+        raise InvalidArgument(f"suite size must be at least 1, got {n}")
+    return n
+
+
 def run_suite(name: str, n: int | None = None) -> tuple[bool, str]:
     try:
         suite = SUITES[checked(name, str, "suite name")]
     except KeyError:
-        raise AlgebraError(
-            f"unknown suite {name!r}; available: {', '.join(suite_names())}"
-        ) from None
-    if n is not None and checked(n, int, "suite size") < 1:
-        raise AlgebraError(f"suite size must be at least 1, got {n}")
-    return suite(n)
+        raise AlgebraError(f"unknown suite {name!r}; available: {', '.join(suite_names())}") from None
+    return suite(_suite_size(n))

@@ -134,6 +134,8 @@ class TestBracketDef:
         q1, p1 = coordinates(chart)
         sym = SymplecticData(standard_form(chart))
         volume = standard_form(chart)
+        c4 = darboux_chart(2)
+        quaternary = BracketDef(form_power(standard_form(c4), 2), Form.from_polynomial(Polynomial.constant(c4, 1)))
         calls = [
             (lambda: bracket(BracketDef(volume, Form.from_polynomial(q1)), q1), "bracket takes 2 functions, got 1"),
             (lambda: omega_power_bracket(sym, 1, q1), "power bracket with k=1 takes 2 functions, got 1"),
@@ -141,11 +143,18 @@ class TestBracketDef:
             (lambda: nambu_top_bracket(volume, q1, p1), "top bracket takes 2 functions, got 1"),
             (lambda: omega_power_bracket(sym, 2, q1, p1, q1, p1), "k must lie in 1..1"),
             (lambda: derived_vf(sym, 0), "k must lie in 1..1"),
+            (lambda: jacobiator(quaternary, *coordinates(c4)[:3]), "jacobiator needs a binary bracket definition"),
         ]
         for call, message in calls:
             with pytest.raises(ArityMismatch) as err:
                 call()
             assert str(err.value) == message
+
+    def test_alpha_must_leave_an_argument_slot(self):
+        volume = standard_form(darboux_chart(1))
+        with pytest.raises(GradeMismatch) as err:
+            BracketDef(volume, volume)
+        assert str(err.value) == "alpha leaves no argument slots"
 
     def test_argument_from_another_chart(self):
         chart = darboux_chart(1)
@@ -948,8 +957,8 @@ dm = dirac-matrix omegaB th p1 q1
             [("false", None), ("1", None)] + [("-", "symplectic form must be closed")] * 4)
 
     def test_degenerate_form_keeps_the_determinant_message(self, monkeypatch):
-        # closed, determinant q1^2: each check task inverts at most twice,
-        # the failed structure and then the fallback
+        # closed, determinant q1^2: each check task inverts once, in the
+        # structure, whose determinant failure no fallback could mend
         tasks = ["poisson = check-poisson omega", "jac = check-jacobi omega q2 q2 q2",
                  "jac2 = check-jacobi omega p1 p2 q1", "poisson2 = check-poisson omega"]
         scenario = parse_scenario_text("\n".join(
@@ -958,7 +967,7 @@ dm = dirac-matrix omegaB th p1 q1
         tests = self.count_closedness_tests(monkeypatch)
         outcomes = run_scenario(scenario).outcomes
         key = id(scenario.definitions["omega"])
-        assert calls[key] <= 2 * len(tasks) and tests[key] == len(tasks)
+        assert calls[key] == tests[key] == len(tasks)
         assert [o.detail for o in outcomes] == ["coefficient matrix needs a constant nonzero determinant"] * 4
 
     def test_failing_run_frees_its_structures_on_return(self, monkeypatch):

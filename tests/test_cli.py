@@ -318,11 +318,12 @@ class TestVerify:
         assert "at least 1" in err
 
     def test_suite_task_with_size_zero_is_an_error(self, tmp_path):
+        # a parse error, as for ``verify --n 0``
         scn = tmp_path / "suite.scn"
         scn.write_text("[chart]\nq1 p1\n\n[tasks]\nt = verify-suite power-contraction n=0\n")
-        code, out, _ = run_cli(["run", str(scn)])
-        assert code == 1
-        assert "status: error" in out and "at least 1" in out
+        code, out, err = run_cli(["run", str(scn)])
+        assert code == 2
+        assert out == "" and "suite size must be at least 1, got 0 (line 5)" in err
 
 
 class TestSuites:

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -326,6 +327,9 @@ class TestFormBracket:
                     assert regularity_check(cs)
                     yield sym, cs
 
+    def cases(self):
+        return [self.grid_case(n, k) for n, k in self.GRID] + list(self.wide_cases())
+
     def test_calibration_grid(self):
         for n, k in self.GRID:
             sym, cs = self.grid_case(n, k)
@@ -339,18 +343,40 @@ class TestFormBracket:
             assert dirac_bracket_form(cs, f, g) == dirac_bracket_matrix(cs, f, g)
 
     def test_calibration_takes_one_form_quotient(self, monkeypatch):
-        """Pairs with a zero matrix bracket are skipped before their form
-        quotient is taken, so a calibration takes exactly one."""
+        """Calibration evaluates the matrix bracket on the unordered
+        coordinate pairs up to the first nonzero one, index ``j``, which
+        every regular set has: ``j + 1`` brackets.  The zero ones are skipped
+        before their form quotient is taken, so it takes exactly one."""
+        cases = self.cases()
+        firsts = []
+        for sym, cs in cases:
+            nonzero = [not dirac_bracket_matrix(cs, f, g).is_zero()
+                       for f, g in combinations(coordinates(sym.chart), 2)]
+            assert any(nonzero)
+            firsts.append(nonzero.index(True))
         calls = Counter()
+        monkeypatch.setattr(dirac, "dirac_bracket_matrix", counting(calls, "matrix", dirac.dirac_bracket_matrix))
         monkeypatch.setattr(dirac, "_form_quotient", counting(calls, "quotient", dirac._form_quotient))
-        first_zero = 0
-        for sym, cs in [self.grid_case(n, k) for n, k in self.GRID] + list(self.wide_cases()):
-            q1, q2 = coordinates(sym.chart)[:2]  # the first pair tried
-            first_zero += dirac_bracket_matrix(cs, q1, q2).is_zero()
+        for (sym, cs), first in zip(cases, firsts):
             calls.clear()
             calibrate_normalization(cs)
-            assert calls == {"quotient": 1}
-        assert first_zero
+            assert calls == {"matrix": first + 1, "quotient": 1}
+        assert max(firsts) > 0
+
+    def test_reversed_pair_negates_the_bracket(self):
+        rng = random.Random(58)
+        for sym, cs in self.cases():
+            pairs = list(combinations(coordinates(sym.chart), 2))
+            pairs += [(rand_poly(rng, sym.chart), rand_poly(rng, sym.chart)) for _ in range(3)]
+            for f, g in pairs:
+                assert dirac_bracket_matrix(cs, g, f) == -dirac_bracket_matrix(cs, f, g)
+
+    def test_first_class_set_has_no_reference_form(self):
+        sym = sym_n(2)
+        qs, _ = qp(sym.chart)
+        with pytest.raises(DegenerateStructure) as err:
+            ConstraintSet(sym, qs).form_factors()
+        assert str(err.value) == "reference top form vanishes"
 
     def test_calibration_stability(self):
         rng = random.Random(54)

@@ -16,6 +16,7 @@ from formcalc import (
     GradeMismatch,
     KindMismatch,
     Multivector,
+    NotClosed,
     Polynomial,
     SymplecticData,
     contract,
@@ -83,6 +84,16 @@ class TestWedge:
             b = rand_form(rng, C4, 1)
             c = rand_form(rng, C4, 1)
             assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Form(C2, 2, {(0,): 1}), "index tuple length must equal the grade"),
+    (lambda: d("q1") + wedge(d("q1"), d("p1")), "cannot add tensors of different grades"),
+])
+def test_grade_error_message(build, message):
+    with pytest.raises(GradeMismatch) as err:
+        build()
+    assert str(err.value) == message
 
 
 class TestExteriorDerivative:
@@ -343,8 +354,17 @@ class TestSymplecticData:
             raise AssertionError("the form was inverted")
 
         monkeypatch.setattr(exterior, "poisson_bivector", inverted)
-        with pytest.raises(DegenerateStructure, match="symplectic form must be closed"):
+        with pytest.raises(NotClosed, match="symplectic form must be closed") as err:
             SymplecticData(omega)
+        assert isinstance(err.value, DegenerateStructure)
+
+    def test_only_an_open_form_is_not_closed(self):
+        # closed but degenerate, and odd-dimensional: other failures keep their type
+        q1 = coordinates(C4)[0]
+        for omega in (q1 * wedge(d("p1", C4), d("q1", C4)), Form(Chart(("x", "y", "z")), 2, {(0, 1): 1})):
+            with pytest.raises(DegenerateStructure) as err:
+                SymplecticData(omega)
+            assert not isinstance(err.value, NotClosed)
 
     def test_dense_constant_form_inverts_exactly(self):
         # every entry nonzero, so the determinant and adjugate see a full matrix

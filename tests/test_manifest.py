@@ -170,6 +170,7 @@ t = verify-suite nonsense
         ("  th = constraints(q1, p1 - q9)", "unknown identifier 'q9'", 29),
         ("   th = constraints(q1,,p1)", "unexpected end of input", 24),
         ("  th = constraints( )", "empty constraint list", 20),
+        ("f =", "expected 'name = expression'", None),
         # task lines: the column of the token, or into an inline expression
         (TASKS + "t = power-bracket omega k=1 p1 q1+q9", "unknown identifier 'q9'", 35),
         (TASKS + "t = power-bracket omega k=1 p1 q1 expect q1 +",
@@ -180,6 +181,7 @@ t = verify-suite nonsense
         (TASKS + "t = power-bracket omega k=x p1 q1", "expected 'k=<integer>', got 'k=x'", 25),
         # a digit that int() does not read
         (TASKS + "t = power-bracket omega k=\u00b2 p1 q1", "expected 'k=<integer>', got 'k=\u00b2'", 25),
+        (TASKS + "t =", "missing command", None),
         (TASKS + "t = powr-bracket omega", "unknown command 'powr-bracket'", 5),
         (TASKS + "t = verify-suite nonsense", "unknown suite 'nonsense'", 18),
         (TASKS + "t =  schouten omega omega", "'omega' is not a multivector", 15),
@@ -244,6 +246,7 @@ t = check-jacobi w x y z
         ("derived-vf omega k=2 p1 q1", "derived-vf with k=2 takes 3 functions, got 2"),
         ("derived-vf omega k=0 p1", "k must lie in 1..2"),
         ("nambu vol 1 p1 q1", "nambu takes 4 functions, got 2"),
+        ("verify-suite magnetic n=0", "suite size must be at least 1, got 0"),
     ])
     def test_arity_error_is_the_librarys_under_the_command_name(self, task, message):
         with pytest.raises(ParseError) as err:

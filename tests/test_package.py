@@ -220,6 +220,7 @@ PROBES = {
     "ConstraintSet(form, ...)": (lambda: ConstraintSet(OMEGA, [q2, p2]), KindMismatch),
     "ConstraintSet(sym, 5)": (lambda: ConstraintSet(SYM, 5), KindMismatch),
     "calibrate_normalization(sym)": (lambda: formcalc.calibrate_normalization(SYM), KindMismatch),
+    "jacobiator(lambda, ...)": (lambda: formcalc.jacobiator(lambda f, g: f * g, q1, p1, q2), KindMismatch),
     "dirac_bracket_matrix(None, ...)": (lambda: formcalc.dirac_bracket_matrix(None, q1, p1), KindMismatch),
     "dirac_bracket_matrix(sym, ...)": (lambda: formcalc.dirac_bracket_matrix(SYM, q1, p1), KindMismatch),
     "dirac_bracket_form(sym, ...)": (lambda: formcalc.dirac_bracket_form(SYM, q1, p1), KindMismatch),

@@ -116,6 +116,19 @@ class TestExpressions:
         assert parse_expr(str(p), CHART) == p
 
 
+@pytest.mark.parametrize("parse, text, message, column", [
+    (parse_value, "(q1) / q2", "expected '(' after '/'", 8),
+    (parse_expr, "1/q1", "expected an integer denominator", 3),
+    (parse_expr, "1/0", "zero denominator in rational literal", 3),
+    (parse_tensor, "d(1)", "expected a coordinate name", 3),
+    (parse_tensor, "d(q1 q2)", "expected ')'", 6),
+])
+def test_error_message_and_column(parse, text, message, column):
+    with pytest.raises(ParseError) as err:
+        parse(text, CHART)
+    assert (err.value.message, err.value.column) == (message, column)
+
+
 class TestTensors:
     def test_form(self):
         f = parse_tensor("q1^2 * d(q1)^d(p1)", CHART)
