@@ -2,8 +2,10 @@
 
 Both kinds of tensors are grade-homogeneous and stored sparsely as maps from
 strictly increasing coordinate-index tuples to nonzero polynomial
-coefficients; inserting a term with an unordered tuple normalizes it with the
-permutation parity sign.
+coefficients.  One merge rule, :func:`_merge_sign`, signs every move of
+indices into sorted place: normalizing an unordered tuple, ``wedge``, ``d``
+and the merge table of :class:`_Generator`.  Contraction and ``_star`` take
+their signs from removing indices, by the first convention below.
 
 ``Form(...)`` and ``Multivector(...)`` check outside input in full.  The
 package's own results are normal by construction and are built by
@@ -35,7 +37,6 @@ form-defined brackets and the Dirac form numerator, ``a = Theta ^ omega^{m-1}``.
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import factorial
@@ -48,21 +49,18 @@ IndexTuple = tuple[int, ...]
 
 
 def _normalize_index_tuple(indices, dim: int) -> tuple[IndexTuple | None, int]:
-    """Sort indices below ``dim`` into increasing order, tracking parity; ``(None, 0)`` on a repeat."""
-    idx = list(checked(indices, Sequence, "index tuple"))
+    """Merge indices below ``dim`` one by one into increasing order by
+    :func:`_merge_sign`, multiplying the signs; ``(None, 0)`` on a repeat."""
+    idx = checked(indices, Sequence, "index tuple")
     if not all(isinstance(i, int) and 0 <= i < dim for i in idx):
         raise InvalidArgument(f"coordinate indices must be ints in 0..{dim - 1}")
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
+    key, sign = (), 1
+    for i in idx:
+        key, step = _merge_sign(key, (i,))
+        if key is None:
             return None, 0
-    return tuple(idx), sign
+        sign *= step
+    return key, sign
 
 
 def _merge_sign(left: IndexTuple, right: IndexTuple) -> tuple[IndexTuple | None, int]:
@@ -282,7 +280,8 @@ def wedge_all(factors: Sequence) -> "_Graded":
 
 
 def exterior_derivative(a: Form) -> Form:
-    """The exterior derivative; on grade-0 forms this is the differential."""
+    """The exterior derivative; on grade-0 forms this is the differential.
+    Each ``d(x_i)`` merges in front of a term's tuple by :func:`_merge_sign`."""
     chart = checked(a, Form, "exterior derivative argument").chart
     if a.grade >= chart.dim:
         return Form.zero(chart, chart.dim)
@@ -296,9 +295,8 @@ def exterior_derivative(a: Form) -> Form:
             dc = coefficient.diff(i)
             if dc.is_zero():
                 continue
-            # d(x_i) moves right past the p smaller indices of ``key``
-            p = bisect(key, i)
-            _accumulate(out, key[:p] + (i,) + key[p:], -dc if p % 2 else dc)
+            merged, sign = _merge_sign((i,), key)
+            _accumulate(out, merged, dc if sign == 1 else -dc)
     return Form._of(chart, a.grade + 1, out)
 
 
@@ -354,40 +352,41 @@ def pair(a: Form, field: Multivector) -> Polynomial:
 
 
 class _Generator:
-    """A generating multivector ``target`` with its support levels, built
-    once: ``levels[j]`` holds the ``j``-element subsets of its index tuples.
-
-    1-forms are wedged on one at a time, and after ``j`` of them only the
-    tuples in ``levels[j]`` are kept: a coefficient outside them cannot
-    reach a tuple of ``target``.  Each step sums the signed products that
-    land on each merged tuple once, by :func:`~formcalc.poly.sum_of_products`.
+    """A generating multivector ``target`` with its merge table, built once:
+    ``_steps[j]`` maps each ``j``-element subset ``key`` of its index tuples
+    to the ``(i, merged, odd)`` that extend it within one, where ``odd`` is
+    ``_merge_sign(key, (i,)) == (merged, -1)``.  1-forms are wedged on one at
+    a time along the table, and each step sums the signed products that land
+    on each merged tuple once, by :func:`~formcalc.poly.sum_of_products`.
     """
 
-    __slots__ = ("target", "_levels")
+    __slots__ = ("target", "_steps")
 
     def __init__(self, target: Multivector):
-        level = frozenset(target.terms)
-        levels = [level]
-        for _ in range(target.grade):
-            level = frozenset(key[:p] + key[p + 1:] for key in level for p in range(len(key)))
-            levels.append(level)
+        steps = [{} for _ in range(target.grade)]
+        level = target.terms
+        for step in reversed(steps):
+            for merged in level:
+                for p, i in enumerate(merged):
+                    # d(x_i), appended last, moves left past the len(merged) - 1 - p larger indices
+                    entry = (i, merged, (len(merged) - 1 - p) % 2 == 1)
+                    step.setdefault(merged[:p] + merged[p + 1:], []).append(entry)
+            level = step  # its keys are the level below
         self.target = target
-        self._levels = tuple(reversed(levels))
+        self._steps = steps
 
     def wedge(self, forms: Sequence[Form]) -> dict[IndexTuple, Polynomial]:
-        """The coefficients of ``forms[0] ^ ... ^ forms[-1]`` on the index
-        tuples of ``levels[len(forms)]``."""
+        """The coefficients of ``forms[0] ^ ... ^ forms[-1]`` on the
+        ``len(forms)``-element subsets of the index tuples of ``target``."""
         chart = self.target.chart
         current = {(): Polynomial.constant(chart, 1)}
-        for allowed, form in zip(self._levels[1:], forms):
+        for step, form in zip(self._steps, forms):
             groups: dict[IndexTuple, list] = {}
             for key, value in current.items():
-                for (i,), c in form.terms.items():
-                    p = bisect(key, i)
-                    merged = key[:p] + (i,) + key[p:]
-                    if merged in allowed:
-                        # moving d(x_i) left past the len(key) - p larger indices
-                        groups.setdefault(merged, []).append((value, c, (len(key) - p) % 2 == 1))
+                for i, merged, odd in step.get(key, ()):
+                    c = form.terms.get((i,))
+                    if c is not None:
+                        groups.setdefault(merged, []).append((value, c, odd))
             current = _summed(groups, chart)
             if not current:
                 break
@@ -407,14 +406,11 @@ class _Generator:
         [d(x_i)]``: over the tuples ``K`` of ``target`` that hold ``i``, the
         signed sum of ``target_K`` times the fixed wedge on ``K`` less ``i``."""
         chart = self.target.chart
-        fixed = self.wedge(forms)
+        terms = self.target.terms
         groups: dict[IndexTuple, list] = {}
-        for key, coefficient in self.target.terms.items():
-            for p, i in enumerate(key):
-                value = fixed.get(key[:p] + key[p + 1:])
-                if value is not None:
-                    # d(x_i) moves left past the len(key) - 1 - p larger indices
-                    groups.setdefault((i,), []).append((coefficient, value, (len(key) - 1 - p) % 2 == 1))
+        for key, value in self.wedge(forms).items():
+            for i, merged, odd in self._steps[-1].get(key, ()):
+                groups.setdefault((i,), []).append((terms[merged], value, odd))
         return Multivector._of(chart, 1, _summed(groups, chart))
 
 

@@ -22,7 +22,7 @@ from .brackets import (
     power_bracket_def,
 )
 from .chart import Chart
-from .errors import AlgebraError, InvalidArgument, checked
+from .errors import InvalidArgument, checked
 from .exterior import (
     Form,
     Multivector,
@@ -57,7 +57,7 @@ def magnetic_form(chart: Chart, b1: Polynomial, b2: Polynomial, b3: Polynomial) 
     ``{p2,p3} = b1`` and ``{p3,p1} = b2`` with ``{p_i, q_j}`` unchanged.
     """
     if checked(chart, Chart, "magnetic chart").dim != 6:
-        raise AlgebraError("the magnetic example lives on a 6-dimensional chart")
+        raise InvalidArgument("the magnetic example lives on a 6-dimensional chart")
     # the reversed pairs carry the minus signs, so Form checks each b_i as given
     beta = Form(chart, 2, {(1, 0): b3, (0, 2): b2, (2, 1): b1})
     return standard_form(chart) + beta
@@ -285,5 +285,5 @@ def run_suite(name: str, n: int | None = None) -> tuple[bool, str]:
     try:
         suite = SUITES[checked(name, str, "suite name")]
     except KeyError:
-        raise AlgebraError(f"unknown suite {name!r}; available: {', '.join(suite_names())}") from None
+        raise InvalidArgument(f"unknown suite {name!r}; available: {', '.join(suite_names())}") from None
     return suite(_suite_size(n))

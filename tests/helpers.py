@@ -35,9 +35,13 @@ volume ``omega^n/n!``.  ``volume_route_binary`` is the same route at
 reference for ``formcalc.parsing``, and ``LegacyPolynomial`` with
 ``legacy_exact_divide`` (exponent tuples as keys, every coefficient a
 ``Fraction``) for the packed-key kernel of ``formcalc.poly``.
+``permutation_sign`` is the sign of sorting an index sequence, counted by
+inversions without ``formcalc``: the reference for the package's one merge
+rule, ``formcalc.exterior._merge_sign``.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 from typing import Mapping, Sequence
 
@@ -89,6 +93,12 @@ def rand_form(rng, chart, grade, density=0.6) -> Form:
 
 def rand_multivector(rng, chart, grade, density=0.6) -> Multivector:
     return _random_graded(Multivector, rng, chart, grade, density, span=3)
+
+
+def permutation_sign(seq: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """``sorted(seq)`` as a tuple and the parity of its inversions, ``+1`` or ``-1``."""
+    inversions = sum(1 for a, b in combinations(seq, 2) if a > b)
+    return tuple(sorted(seq)), (-1 if inversions % 2 else 1)
 
 
 def laplace_determinant(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> Polynomial:

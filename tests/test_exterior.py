@@ -14,6 +14,7 @@ from formcalc import (
     DegenerateStructure,
     Form,
     GradeMismatch,
+    InvalidArgument,
     KindMismatch,
     Multivector,
     NotClosed,
@@ -40,7 +41,7 @@ from formcalc import (
 )
 from formcalc import exterior
 
-from tests.helpers import qp, rand_form, rand_multivector, rand_poly
+from tests.helpers import permutation_sign, qp, rand_form, rand_multivector, rand_poly
 
 C2 = darboux_chart(1)  # (q1, p1)
 C4 = darboux_chart(2)
@@ -116,6 +117,75 @@ class TestExteriorDerivative:
         zero = Polynomial.zero(chart)
         divergent = magnetic_form(chart, qs[0], zero, zero)
         assert not exterior_derivative(divergent).is_zero()
+
+
+class TestMergeRule:
+    """``_merge_sign`` is the one merge rule: tuple normalization folds it,
+    ``d`` merges through it, and every entry of the generator's merge table
+    carries its sign.  Each is checked against ``permutation_sign``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 7), max_size=6))
+    def test_normalization_is_the_permutation_sign(self, seq):
+        expected = (None, 0) if len(set(seq)) < len(seq) else permutation_sign(seq)
+        assert exterior._normalize_index_tuple(seq, 8) == expected
+        assert exterior._normalize_index_tuple(tuple(seq), 8) == expected
+
+    @given(st.lists(st.integers(0, 7), max_size=5), st.integers(0, 5),
+           st.one_of(st.integers(-9, -1), st.integers(8, 20)))
+    def test_out_of_range_entry_raises(self, seq, at, bad):
+        seq.insert(min(at, len(seq)), bad)
+        with pytest.raises(InvalidArgument, match=r"coordinate indices must be ints in 0\.\.7"):
+            exterior._normalize_index_tuple(seq, 8)
+
+    def test_three_index_rows(self):
+        chart = Chart(("x", "y", "z"))
+        x = Polynomial.variable(chart, "x")
+        assert Form(chart, 3, {(2, 1, 0): x}).coefficient((0, 1, 2)) == -x
+        assert Multivector(chart, 3, {(1, 2, 0): x}).terms == {(0, 1, 2): x}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(4, 8), st.integers(1, 4),
+           st.sampled_from((0.0, 0.1, 0.4, 1.0)))
+    def test_generator_table(self, rng, dim, grade, density):
+        chart = Chart(tuple(f"x{i}" for i in range(dim)))
+        target = rand_multivector(rng, chart, grade, density)
+        steps = exterior._Generator(target)._steps
+        assert len(steps) == grade
+        for j, step in enumerate(steps):
+            # every (j+1)-subset of a target tuple, once under each j-subset it extends
+            expected = {}
+            for tuple_ in target.terms:
+                for merged in combinations(tuple_, j + 1):
+                    for i in merged:
+                        expected.setdefault(tuple(k for k in merged if k != i), set()).add((i, merged))
+            assert set(step) == expected.keys()
+            for key, entries in step.items():
+                assert len(entries) == len(expected[key])
+                assert {(i, merged) for i, merged, _ in entries} == expected[key]
+                for i, merged, odd in entries:
+                    assert exterior._merge_sign(key, (i,)) == (merged, -1 if odd else 1)
+
+    def test_zero_generator(self):
+        chart = darboux_chart(2)
+        q1, q2, p1, _ = coordinates(chart)
+        generator = exterior._Generator(Multivector.zero(chart, 2))
+        assert generator.pair([differential(q1 * p1), differential(q2)]) == Polynomial.zero(chart)
+        assert generator.field([differential(q1 * p1)]) == Multivector.zero(chart, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 6), st.integers(0, 5))
+    def test_exterior_derivative_formula(self, rng, dim, grade):
+        # d(c dx_K) = sum_i dc/dx_i dx_i ^ dx_K, sorted by permutation_sign
+        chart = Chart(tuple(f"x{i}" for i in range(dim)))
+        a = rand_form(rng, chart, min(grade, dim))
+        expected = {}
+        for key, c in a.terms.items():
+            for i in range(dim):
+                if i not in key:
+                    merged, sign = permutation_sign((i,) + key)
+                    expected[merged] = expected.get(merged, Polynomial.zero(chart)) + c.diff(i) * sign
+        assert exterior_derivative(a).terms == {k: v for k, v in expected.items() if not v.is_zero()}
 
 
 class TestFormPower:

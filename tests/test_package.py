@@ -271,6 +271,8 @@ PROBES = {
     "odd matrix": (lambda: formcalc.matrix_adjugate([[ZERO]], C), InvalidArgument),
     "wedge_all([])": (lambda: formcalc.wedge_all([]), InvalidArgument),
     "constant value of q1": (lambda: q1.constant_value(), InvalidArgument),
+    "run_suite(unknown name)": (lambda: formcalc.run_suite("nonsense"), InvalidArgument),
+    "magnetic_form(4-dim chart, ...)": (lambda: formcalc.magnetic_form(C, q1, q2, p1), InvalidArgument),
     # a division by zero
     "exact_divide(q1, 0)": (lambda: exact_divide(q1, ZERO), DivisionByZero),
     "q1 / 0": (lambda: q1 / 0, DivisionByZero),
@@ -280,6 +282,14 @@ PROBES = {
     # Python's operator protocol keeps its own TypeError
     "q1 + 'x'": (lambda: q1 + "x", TypeError),
     "q1 / q1": (lambda: q1 / q1, TypeError),
+    "q1 - 'x'": (lambda: q1 - "x", TypeError),
+    "'x' - q1": (lambda: "x" - q1, TypeError),
+    "form * 'x'": (lambda: DQ1 * "x", TypeError),
+    "form / q1": (lambda: DQ1 / q1, TypeError),
+    "quotient + 'x'": (lambda: RationalExpr(q1, p1) + "x", TypeError),
+    "quotient - 'x'": (lambda: RationalExpr(q1, p1) - "x", TypeError),
+    "quotient * 'x'": (lambda: RationalExpr(q1, p1) * "x", TypeError),
+    "quotient / 'x'": (lambda: RationalExpr(q1, p1) / "x", TypeError),
 }
 
 
@@ -292,6 +302,11 @@ def test_former_untyped_end(label):
         assert isinstance(info.value, AlgebraError)
     else:
         assert not isinstance(info.value, AlgebraError)
+
+
+@pytest.mark.parametrize("left, right", [(DQ1, 3), (RationalExpr(q1, p1), "x")], ids=["form", "quotient"])
+def test_equality_with_another_type_is_false(left, right):
+    assert (left == right) is False and (left != right) is True
 
 
 def test_typed_errors_are_the_built_in_ones_too():

@@ -118,6 +118,7 @@ class TestExpressions:
 
 @pytest.mark.parametrize("parse, text, message, column", [
     (parse_value, "(q1) / q2", "expected '(' after '/'", 8),
+    (parse_value, "(q1) / (0)", "zero denominator", 8),
     (parse_expr, "1/q1", "expected an integer denominator", 3),
     (parse_expr, "1/0", "zero denominator in rational literal", 3),
     (parse_tensor, "d(1)", "expected a coordinate name", 3),
@@ -144,6 +145,9 @@ class TestTensors:
 
     def test_grade_zero_is_polynomial(self):
         assert isinstance(parse_tensor("q1 + 1", CHART), Polynomial)
+        # a 0-form prints as its polynomial
+        q1 = Polynomial.variable(CHART, "q1")
+        assert str(Form.from_polynomial(q1)) == "q1"
 
     def test_sign_folding(self):
         f = parse_tensor("- d(q1)^d(p1) + 2 * d(q1)^d(p1)", CHART)

@@ -82,6 +82,9 @@ class TestChart:
         with pytest.raises(ValueError, match="invalid coordinate name '9s'"):
             chart.extended("9s")
 
+    def test_equal_charts_hash_equal(self):
+        assert Chart(["q1", "p1"]) == CHART and hash(Chart(["q1", "p1"])) == hash(CHART)
+
     @pytest.mark.parametrize("name", NOT_NAMES, ids=repr)
     def test_non_string_is_not_a_member(self, name):
         assert name not in CHART
