@@ -205,16 +205,10 @@ class _Graded:
         return self.grade == other.grade or (not self.terms and not other.terms)
 
     def _coefficient_text(self, p: Polynomial) -> tuple[str, str]:
-        # returns (sign, body) with multi-term coefficients parenthesized
-        if p.is_constant():
-            c = p.constant_value()
-            sign = "-" if c < 0 else "+"
-            magnitude = abs(c)
-            return sign, ("" if magnitude == 1 else str(magnitude))
-        if p.term_count() == 1:
-            (_, c), = p.items()
-            return ("-", str(-p)) if c < 0 else ("+", str(p))
-        return "+", f"({p})"
+        # the sign and the "c * " before the atoms, as str(p) prints c: a sum in parentheses, "" for 1
+        text = str(p) if p.term_count() == 1 else f"({p})"
+        sign, body = ("-", text[1:]) if text.startswith("-") else ("+", text)
+        return sign, ("" if body == "1" else f"{body} * ")
 
     def __str__(self):
         if not self.terms:
@@ -226,8 +220,7 @@ class _Graded:
         for key in sorted(self.terms):
             sign, coeff = self._coefficient_text(self.terms[key])
             atoms = "^".join(f"{self._atom}({names[i]})" for i in key)
-            body = f"{coeff} * {atoms}" if coeff else atoms
-            parts.append((sign, body))
+            parts.append((sign, coeff + atoms))
         return _signed_sum(parts)
 
     def __repr__(self):

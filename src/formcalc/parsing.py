@@ -1,6 +1,6 @@
 """Textual syntax for polynomials, forms, multivectors and result values.
 
-One recursive-descent grammar (ASCII) reads every textual value::
+One regex scan and one recursive-descent grammar (ASCII) read every value::
 
     value   :=  '(' expr ')' '/' '(' expr ')'  |  expr
     expr    :=  term (('+' | '-') term)*
@@ -12,8 +12,8 @@ One recursive-descent grammar (ASCII) reads every textual value::
 
 ``^`` binds tighter than unary minus, which binds tighter than ``*``, which
 binds tighter than ``+``/``-``; whitespace is insignificant.  Identifiers
-resolve to chart coordinates first, then to an optional environment of named
-polynomials.  ``d(x)`` is a coordinate differential and ``e(x)`` a
+resolve to chart coordinates first, then to an optional environment of
+polynomials on that chart.  ``d(x)`` is a coordinate differential, ``e(x)`` a
 coordinate vector field, and ``^`` between them is the wedge::
 
     q1^2 * d(q1)^d(p1) + 3/2 * d(q2)^d(p2)       (a 2-form)
@@ -24,10 +24,11 @@ a form or multivector cannot be followed by ``*``, sit inside parentheses or
 take a power, and all terms of an expression share one kind and grade.
 Parentheses nest at most :data:`MAX_NESTING` deep and exponents are at most
 :data:`MAX_EXPONENT`; a product or power whose total degree would overflow
-the polynomial kernel's exponent field is an error at its last token.
-:func:`parse_expr` accepts polynomials only, and
-:func:`parse_value` also reads the printed ``(num) / (den)`` as a
-:class:`RationalExpr` and the literals ``true``, ``false``, ``pass``, ``fail``.
+the polynomial kernel's exponent field is an error at its last token.  The
+terms of an expression are summed once, in one table, linear in their count.
+:func:`parse_expr` accepts polynomials only, and :func:`parse_value` also
+reads the printed ``(num) / (den)`` as a :class:`RationalExpr` and the
+literals ``true``, ``false``, ``pass``, ``fail``.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from fractions import Fraction
 
 from .chart import Chart
 from .errors import DegreeOverflow, ParseError, checked
-from .exterior import coordinate_field, coordinate_form, wedge
-from .poly import Polynomial, RationalExpr
+from .exterior import _summed, coordinate_field, coordinate_form, wedge
+from .poly import Polynomial, RationalExpr, sum_of_products
 
 # Each nesting level costs the recursive-descent parser five stack frames.
 MAX_NESTING = 100
@@ -49,6 +50,7 @@ MAX_EXPONENT = 1000
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
+    r"|(?P<end>\Z)|(?P<bad>.)"
 )
 _Token = namedtuple("_Token", "kind text start")
 
@@ -60,17 +62,11 @@ def _error(text: str, offset: int, message: str) -> ParseError:
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    offset = 0
-    while offset < len(text):
-        match = _TOKEN_RE.match(text, offset)
-        if match is None:
-            raise _error(text, offset, f"unexpected character {text[offset]!r}")
-        offset = match.end()
-        if match.lastgroup == "ws":
-            continue
-        tokens.append(_Token(match.lastgroup, match.group(), match.start()))
-    tokens.append(_Token("end", "", len(text)))
+    tokens = [_Token(match.lastgroup, match.group(), match.start())
+              for match in _TOKEN_RE.finditer(text) if match.lastgroup != "ws"]
+    for token in tokens:
+        if token.kind == "bad":
+            raise _error(text, token.start, f"unexpected character {token.text!r}")
     return tokens
 
 
@@ -122,15 +118,25 @@ class _ExprParser:
         return self.expr()
 
     def expr(self):
-        value = self.term()
+        first = self.term()
+        terms = [(first, False)]
         while self.peek().text in ("+", "-"):
-            op = self.advance().text
+            negate = self.advance().text == "-"
             start = self.peek()
-            rhs = self.term()
-            if type(rhs) is not type(value) or getattr(rhs, "grade", 0) != getattr(value, "grade", 0):
+            term = self.term()
+            if type(term) is not type(first) or getattr(term, "grade", 0) != getattr(first, "grade", 0):
                 self.fail(start, "every term must have the same kind and grade")
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            terms.append((term, negate))
+        if len(terms) == 1:
+            return first
+        one = Polynomial.constant(self.chart, 1)
+        if isinstance(first, Polynomial):
+            return sum_of_products([(term, one, negate) for term, negate in terms], self.chart)
+        groups: dict = {}
+        for term, negate in terms:
+            for key, coefficient in term.terms.items():
+                groups.setdefault(key, []).append((coefficient, one, negate))
+        return first._of(self.chart, first.grade, _summed(groups, self.chart))
 
     def term(self):
         value = self.unary()
@@ -209,7 +215,7 @@ class _ExprParser:
                 return Polynomial.variable(self.chart, token.text)
             value = self.env.get(token.text)
             if value is not None:
-                return value
+                return checked(value, Polynomial, f"environment value {token.text!r}", chart=self.chart)
             self.fail(token, f"unknown identifier {token.text!r}")
         if token.text == "(":
             self.depth += 1

@@ -37,7 +37,10 @@ reference for ``formcalc.parsing``, and ``LegacyPolynomial`` with
 ``Fraction``) for the packed-key kernel of ``formcalc.poly``.
 ``permutation_sign`` is the sign of sorting an index sequence, counted by
 inversions without ``formcalc``: the reference for the package's one merge
-rule, ``formcalc.exterior._merge_sign``.
+rule, ``formcalc.exterior._merge_sign``.  ``compose`` substitutes polynomials
+for coordinates, and ``pulled_back_form`` is the standard form pulled back by
+a random triangular polynomial map: a symplectic form polynomial off the
+Darboux chart, whose brackets are the standard ones composed with the map.
 """
 
 from fractions import Fraction
@@ -55,6 +58,7 @@ from formcalc import (
     Polynomial,
     RationalExpr,
     coordinate_form,
+    coordinates,
     differential,
     form_power,
     pair,
@@ -93,6 +97,44 @@ def rand_form(rng, chart, grade, density=0.6) -> Form:
 
 def rand_multivector(rng, chart, grade, density=0.6) -> Multivector:
     return _random_graded(Multivector, rng, chart, grade, density, span=3)
+
+
+def compose(f: Polynomial, phi: Sequence[Polynomial]) -> Polynomial:
+    """``f∘phi``: ``phi[i]`` substituted for coordinate ``i`` of ``f``."""
+    chart = phi[0].chart
+    result = Polynomial.zero(chart)
+    for exponent, coefficient in f.items():
+        term = Polynomial.constant(chart, coefficient)
+        for component, power in zip(phi, exponent):
+            term = term * component ** power
+        result = result + term
+    return result
+
+
+def pulled_back_form(rng, chart, degree=2, nterms=2) -> tuple[list[Polynomial], Form]:
+    """A random triangular map ``phi`` of ``chart`` and ``sum_j dP_j ^ dQ_j``
+    for ``(Q, P) = phi``, the pullback of the standard form by ``phi``.
+
+    In a shuffled coordinate order, each coordinate of ``phi`` is that
+    coordinate plus ``nterms`` monomials of degree 1..``degree`` in the
+    earlier ones.  So ``det Dphi = 1``: the form is closed, and its matrix has
+    polynomial entries and determinant 1.
+    """
+    xs = coordinates(chart)
+    order = rng.sample(range(chart.dim), chart.dim)
+    phi = list(xs)
+    for position, i in enumerate(order[1:], 1):
+        earlier = [xs[j] for j in order[:position]]
+        for _ in range(nterms):
+            monomial = Polynomial.constant(chart, rng.choice([-2, -1, 1, 2]))
+            for _ in range(rng.randint(1, degree)):
+                monomial = monomial * rng.choice(earlier)
+            phi[i] = phi[i] + monomial
+    n = chart.dim // 2
+    omega = Form.zero(chart, 2)
+    for j in range(n):
+        omega = omega + wedge(differential(phi[n + j]), differential(phi[j]))
+    return phi, omega
 
 
 def permutation_sign(seq: Sequence[int]) -> tuple[tuple[int, ...], int]:

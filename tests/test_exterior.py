@@ -97,6 +97,33 @@ def test_grade_error_message(build, message):
     assert str(err.value) == message
 
 
+Q1 = coordinates(C4)[0]
+
+
+@pytest.mark.parametrize("coefficient, text", [
+    (1, "d(q1)"),
+    (-1, "-d(q1)"),
+    (Fraction(3, 2), "3/2 * d(q1)"),
+    (Fraction(-3, 2), "-3/2 * d(q1)"),
+    (Q1, "q1 * d(q1)"),
+    (-2 * Q1, "-2*q1 * d(q1)"),
+    (Q1 - 1, "(q1 - 1) * d(q1)"),
+    (1 - Q1, "(-q1 + 1) * d(q1)"),
+])
+def test_coefficient_prints_as_its_polynomial(coefficient, text):
+    # the sign leads the term, a unit coefficient is dropped, a sum is parenthesized
+    assert str(Form(C4, 1, {(0,): coefficient})) == text
+    assert str(Multivector(C4, 1, {(0,): coefficient})) == text.replace("d(", "e(")
+    rest = text.replace("d(q1)", "d(p2)")  # the same coefficient on a later term
+    later = f"d(q1) - {rest[1:]}" if rest.startswith("-") else f"d(q1) + {rest}"
+    assert str(Form(C4, 1, {(0,): 1, (3,): coefficient})) == later
+
+
+def test_terms_print_with_their_signs():
+    form = Form(C4, 2, {(0, 1): 1, (0, 2): Fraction(-3, 2), (1, 3): -2 * Q1, (2, 3): 1 - Q1})
+    assert str(form) == "d(q1)^d(q2) - 3/2 * d(q1)^d(p1) - 2*q1 * d(q2)^d(p2) + (-q1 + 1) * d(p1)^d(p2)"
+
+
 class TestExteriorDerivative:
     def test_coefficient_times_basis(self):
         q1, p1 = coordinates(C2)

@@ -273,6 +273,10 @@ PROBES = {
     "constant value of q1": (lambda: q1.constant_value(), InvalidArgument),
     "run_suite(unknown name)": (lambda: formcalc.run_suite("nonsense"), InvalidArgument),
     "magnetic_form(4-dim chart, ...)": (lambda: formcalc.magnetic_form(C, q1, q2, p1), InvalidArgument),
+    # an environment value is a polynomial on the parse chart
+    "environment value on another chart": (lambda: formcalc.parse_expr("f", C, {"f": FOREIGN}), ChartMismatch),
+    "int environment value": (lambda: formcalc.parse_expr("q1 * f", C, {"f": 5}), KindMismatch),
+    "form environment value": (lambda: formcalc.parse_tensor("f", C, {"f": DQ1}), KindMismatch),
     # a division by zero
     "exact_divide(q1, 0)": (lambda: exact_divide(q1, ZERO), DivisionByZero),
     "q1 / 0": (lambda: q1 / 0, DivisionByZero),

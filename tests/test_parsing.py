@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from formcalc import (
     AlgebraError,
     Chart,
+    ChartMismatch,
     Form,
     Multivector,
     ParseError,
@@ -17,6 +18,7 @@ from formcalc import (
     parse_tensor,
     parse_value,
 )
+from formcalc.exterior import _Graded
 from formcalc.parsing import MAX_EXPONENT, MAX_NESTING
 
 from tests.helpers import (
@@ -123,11 +125,15 @@ class TestExpressions:
     (parse_expr, "1/0", "zero denominator in rational literal", 3),
     (parse_tensor, "d(1)", "expected a coordinate name", 3),
     (parse_tensor, "d(q1 q2)", "expected ')'", 6),
+    (parse_expr, "q1 $ p1", "unexpected character '$'", 4),
+    (parse_expr, "q1$", "unexpected character '$'", 3),
+    (parse_expr, "q1 +\n  p1 $", "unexpected character '$'", 6),
 ])
 def test_error_message_and_column(parse, text, message, column):
     with pytest.raises(ParseError) as err:
         parse(text, CHART)
-    assert (err.value.message, err.value.column) == (message, column)
+    # every error here sits on the last line of its text
+    assert (err.value.message, err.value.line, err.value.column) == (message, text.count("\n") + 1, column)
 
 
 class TestTensors:
@@ -224,6 +230,52 @@ class TestTensors:
                         assert back.is_zero()
                     else:
                         assert back == tensor
+
+
+class TestOneSum:
+    """An expression's terms are added into one table once: no pairwise fold."""
+
+    def test_sums_add_no_partial_results(self, monkeypatch):
+        rng = random.Random(7)
+        q1, p1 = Polynomial.variable(CHART, "q1"), Polynomial.variable(CHART, "p1")
+        dq1, dp1 = parse_tensor("d(q1)", CHART), parse_tensor("d(p1)", CHART)
+        texts, expected = [], []
+        for atoms in ([("", 1)], [(" * d(q1)", dq1), (" * d(p1)", dp1)]):  # polynomial, 1-form
+            text, value = "", 0 * atoms[0][1]
+            for _ in range(200):
+                a, b, c = rng.randint(0, 3), rng.randint(0, 3), rng.randint(1, 4)
+                suffix, atom = rng.choice(atoms)
+                negate = rng.random() < 0.5
+                text += f" {'-' if negate else '+'} {c}*q1^{a}*p1^{b}{suffix}"
+                term = c * q1 ** a * p1 ** b * atom
+                value = value - term if negate else value + term
+            texts.append(text.lstrip(" +"))
+            expected.append(value)
+
+        def forbidden(*args):
+            raise AssertionError("a parsed sum was folded pairwise")
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+            monkeypatch.setattr(Polynomial, name, forbidden)
+        for name in ("__add__", "__sub__"):
+            monkeypatch.setattr(_Graded, name, forbidden)
+        values = [parse_expr(texts[0], CHART), parse_tensor(texts[1], CHART)]
+        monkeypatch.undo()
+        assert values == expected
+
+    def test_many_terms_on_one_index_tuple(self):
+        q1 = Polynomial.variable(CHART, "q1")
+        text = " + ".join(f"{k}*q1 * e(q1)^e(p1) - {k} * e(p1)^e(q1)" for k in range(1, 51))
+        assert parse_tensor(text, CHART) == Multivector(CHART, 2, {(0, 1): 1275 * q1 + 1275})
+
+    def test_a_cancelling_sum_keeps_its_grade(self):
+        zero = parse_tensor("q1 * d(q1) + 2 * d(p1) - q1 * d(q1) - 2 * d(p1)", CHART)
+        assert isinstance(zero, Form) and zero.grade == 1 and zero.is_zero()
+
+    @pytest.mark.parametrize("text", ["f", "f^2", "-f", "(f)", "f + 1", "q1 * f"])
+    def test_environment_value_on_another_chart(self, text):
+        with pytest.raises(ChartMismatch):
+            parse_expr(text, CHART, {"f": Polynomial.variable(Chart(("x",)), "x")})
 
 
 class TestValues:
