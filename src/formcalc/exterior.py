@@ -43,7 +43,7 @@ from math import factorial
 
 from .chart import Chart
 from .errors import DegenerateStructure, GradeMismatch, InvalidArgument, NotClosed, checked
-from .poly import Polynomial, _nonnegative_power, _signed_sum, _skew_inverse, sum_of_products
+from .poly import Polynomial, _negated_inverse, _nonnegative_power, _signed_sum, sum_of_products
 
 IndexTuple = tuple[int, ...]
 
@@ -468,20 +468,15 @@ def poisson_bivector(omega: Form) -> Multivector:
     Oriented so that the standard form ``sum_j dp_j^dq_j`` maps to
     ``sum_j e(p_j)^e(q_j)``; the induced binary bracket then satisfies
     ``{p_j, q_j} = 1``.  Requires an even-dimensional chart and a constant
-    nonzero determinant of the coefficient matrix.
+    nonzero determinant of the coefficient matrix ``M``.  The coefficients
+    are the upper triangle of ``-M^-1``: straight from elimination's integers
+    for a constant form, else the Pfaffian route's adjugate times ``-1/det``.
     """
     chart = checked(omega, Form, "symplectic form", grade=2).chart
-    m = 2 * _half_dimension(chart)
-    matrix = [[Polynomial.zero(chart)] * m for _ in range(m)]
-    for (i, j), coefficient in omega.terms.items():
-        matrix[i][j] = coefficient
-        matrix[j][i] = -coefficient
-    det, adjugate = _skew_inverse(matrix, chart)
-    if det.is_zero() or not det.is_constant():
+    terms = _negated_inverse(omega.terms, 2 * _half_dimension(chart), chart)
+    if not terms:
         raise DegenerateStructure("coefficient matrix needs a constant nonzero determinant")
-    scale = Fraction(-1) / det.constant_value()
-    return Multivector._of(chart, 2, {(i, j): adjugate[i][j] * scale for i in range(m)
-                                      for j in range(i + 1, m) if not adjugate[i][j].is_zero()})
+    return Multivector._of(chart, 2, terms)
 
 
 def lie_derivative(field: Multivector, a: Form) -> Form:

@@ -52,13 +52,15 @@ Besides :class:`Polynomial` this module provides
   for the matrices the package inverts: the form matrix of a symplectic
   2-form and the Dirac constraint bracket matrix, both skew-symmetric of
   even size.  Any other matrix raises :class:`InvalidArgument`.  :func:`_skew_inverse`
-  returns both, the determinant from the route that built the adjugate.
-  The entries pick one of two routes:
+  returns both, the determinant from the route that built the adjugate, and
+  :func:`_negated_inverse` the upper triangle of ``-M^-1``, the inverse
+  bivector's coefficients.  The entries pick one of two routes:
 
   1. a matrix of constants takes one fraction-free elimination (Bareiss,
      "Sylvester's identity and multistep integer-preserving Gaussian
-     elimination", Math. Comp. 22, 1968) for ``det`` and ``adj``; a
-     singular one has rank at most ``m - 2``, so its adjugate is zero;
+     elimination", Math. Comp. 22, 1968), whose integers give ``det`` and
+     ``adj``, or each entry of ``-M^-1`` as one fraction with no adjugate
+     built; a singular one has rank at most ``m - 2``, so its adjugate is zero;
   2. any other takes one memoized table of Pfaffians over index subsets
      (the classical expansion; see Galbiati & Maffioli, "On the computation
      of Pfaffians", 1994): ``det = Pf(M)^2`` and ``adj[i][j] =
@@ -690,17 +692,14 @@ def _check_even_skew(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> int:
     return n
 
 
-def _eliminate(matrix: Sequence[Sequence[Polynomial]], chart: Chart):
-    """``None`` unless every entry is a constant; then ``(det, adj)``, ``adj``
-    ``None`` when ``det`` is zero, by Bareiss's fraction-free Gauss-Jordan
-    pass (Math. Comp. 22, 1968) on ``[A | I]``, ``A = L*M`` for the lcm ``L``
-    of the denominators.  Each step, with row pivoting, sets every other row
-    to ``(lead*x - factor*y) // prev``, exact as every entry stays a minor of
-    ``[A | I]``; the pass ends at ``[sign*det(A)*I | sign*adj(A)]``."""
-    if not all(entry.is_constant() for row in matrix for entry in row):
-        return None
-    m = len(matrix)
-    values = [[entry._terms.get(0, 0) for entry in row] for row in matrix]
+def _bareiss(values: Sequence[Sequence]):
+    """Bareiss's fraction-free Gauss-Jordan pass (Math. Comp. 22, 1968) on
+    ``[A | I]``, ``A = L*M`` for a square rational ``M`` and the lcm ``L`` of
+    its denominators.  Each step, with row pivoting, sets every other row to
+    ``(lead*x - factor*y) // prev``, exact as every entry stays a minor of
+    ``[A | I]``.  ``None`` if ``M`` is singular, else ``(L, sign, prev, X)``
+    for the final ``[prev*I | X] = [sign*det(A)*I | sign*adj(A)]``."""
+    m = len(values)
     scale = lcm(*(x.denominator for row in values for x in row))
     rows = [[x.numerator * (scale // x.denominator) for x in row] + [int(i == j) for j in range(m)]
             for i, row in enumerate(values)]
@@ -708,7 +707,7 @@ def _eliminate(matrix: Sequence[Sequence[Polynomial]], chart: Chart):
     for col in range(m):
         pivot = next((r for r in range(col, m) if rows[r][col]), None)
         if pivot is None:
-            return Polynomial.zero(chart), None
+            return None
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             sign = -sign
@@ -719,9 +718,22 @@ def _eliminate(matrix: Sequence[Sequence[Polynomial]], chart: Chart):
                 factor = rows[r][col]
                 rows[r] = [(lead * x - factor * y) // prev for x, y in zip(rows[r], pivot_row)]
         prev = lead
-    unit = scale ** m
+    return scale, sign, prev, [row[m:] for row in rows]
+
+
+def _eliminate(matrix: Sequence[Sequence[Polynomial]], chart: Chart):
+    """``None`` unless every entry is a constant; then ``(det, adj)`` by
+    :func:`_bareiss`, ``adj`` ``None`` when ``det`` is zero: ``det(M) =
+    sign*prev / L^m`` and ``adj(M) = adj(A) / L^(m-1) = sign*L*X / L^m``."""
+    if not all(entry.is_constant() for row in matrix for entry in row):
+        return None
+    solved = _bareiss([[entry._terms.get(0, 0) for entry in row] for row in matrix])
+    if solved is None:
+        return Polynomial.zero(chart), None
+    scale, sign, prev, block = solved
+    unit = scale ** len(matrix)
     adj = [[Polynomial.constant(chart, Fraction(sign * scale * x, unit) if unit > 1 else sign * x)
-            for x in row[m:]] for row in rows]
+            for x in row] for row in block]
     return Polynomial.constant(chart, Fraction(sign * prev, unit)), adj
 
 
@@ -809,3 +821,32 @@ def matrix_adjugate(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> list[
     does: :class:`InvalidArgument` for a matrix of the wrong shape."""
     _check_even_skew(rows, chart)
     return _skew_inverse(rows, chart)[1]
+
+
+def _negated_inverse(upper: Mapping[tuple[int, int], Polynomial], m: int, chart: Chart) -> dict:
+    """The nonzero entries ``(i, j)``, ``i < j``, of ``-M^-1`` for the ``m x m``
+    skew matrix ``M`` with upper triangle ``upper`` (absent pairs zero); ``{}``
+    unless ``det(M)`` is a nonzero constant.  Constants take the one fraction
+    ``-L*X[i][j] / prev`` of :func:`_bareiss`'s integers, as ``M^-1 = L*A^-1``;
+    any other entries take :func:`_skew_inverse`'s adjugate times ``-1/det``."""
+    if all(entry.is_constant() for entry in upper.values()):
+        values = [[0] * m for _ in range(m)]
+        for (i, j), entry in upper.items():
+            values[i][j] = entry._terms.get(0, 0)
+            values[j][i] = -values[i][j]
+        solved = _bareiss(values)
+        if solved is None:
+            return {}
+        scale, _, prev, block = solved
+        return {(i, j): _make(chart, {0: _coefficient(Fraction(-scale * x, prev))}, 0)
+                for i, row in enumerate(block) for j in range(i + 1, m) if (x := row[j])}
+    matrix = [[Polynomial.zero(chart)] * m for _ in range(m)]
+    for (i, j), entry in upper.items():
+        matrix[i][j] = entry
+        matrix[j][i] = -entry
+    det, adj = _skew_inverse(matrix, chart)
+    if not det.is_constant() or det.is_zero():
+        return {}
+    scale = Fraction(-1) / det.constant_value()
+    return {(i, j): adj[i][j] * scale for i in range(m) for j in range(i + 1, m)
+            if not adj[i][j].is_zero()}

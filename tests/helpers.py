@@ -12,6 +12,10 @@ behind ``nambu_top_bracket``, which is not skew and so has no route in
 ``formcalc.poly``.  ``fraction_gauss_jordan`` is the ``Fraction``
 elimination that constant matrices took before the fraction-free route:
 the reference for it at sizes the Laplace expansion cannot reach.
+``scaled_adjugate_bivector`` is ``poisson_bivector`` as it was before
+constant forms read ``-M^-1`` straight off elimination's integers: the
+skew matrix of ``Polynomial`` entries, ``matrix_determinant`` and
+``matrix_adjugate``, then every upper adjugate entry times ``-1/det``.
 ``full_wedge_bracket``, ``full_wedge_derived_vf`` and
 ``full_wedge_jacobi_bracket`` build the whole wedge of the differentials and
 pair it with the generator, the route the brackets took before they wedged
@@ -61,6 +65,8 @@ from formcalc import (
     coordinates,
     differential,
     form_power,
+    matrix_adjugate,
+    matrix_determinant,
     pair,
     parse_expr,
     wedge,
@@ -216,6 +222,25 @@ def fraction_gauss_jordan(values: Sequence[Sequence[Fraction]]):
             if r != col and factor:
                 rows[r] = [x - factor * y for x, y in zip(rows[r], pivot_row)]
     return det, [row[m:] for row in rows]
+
+
+def scaled_adjugate_bivector(omega: Form) -> Multivector | None:
+    """The inverse bivector of the 2-form ``omega`` as ``adj(M) * (-1/det(M))``
+    over the ``Polynomial`` coefficient matrix ``M``; ``None`` when ``det(M)``
+    is zero."""
+    chart = omega.chart
+    m = chart.dim
+    matrix = [[Polynomial.zero(chart)] * m for _ in range(m)]
+    for (i, j), coefficient in omega.terms.items():
+        matrix[i][j] = coefficient
+        matrix[j][i] = -coefficient
+    det = matrix_determinant(matrix, chart)
+    if det.is_zero():
+        return None
+    adj = matrix_adjugate(matrix, chart)
+    scale = Fraction(-1) / det.constant_value()
+    return Multivector(chart, 2, {(i, j): adj[i][j] * scale for i in range(m) for j in range(i + 1, m)
+                                  if not adj[i][j].is_zero()})
 
 
 def full_wedge_bracket(bdef, *functions) -> Polynomial:

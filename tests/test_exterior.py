@@ -41,10 +41,32 @@ from formcalc import (
 )
 from formcalc import exterior
 
-from tests.helpers import permutation_sign, qp, rand_form, rand_multivector, rand_poly
+from tests.helpers import (permutation_sign, qp, rand_form, rand_multivector, rand_poly,
+                           scaled_adjugate_bivector)
+from tests.test_poly import (coprime_entries, integer_entries, singular_constant_skew_matrices,
+                             skew_matrices, wide_sizes)
 
 C2 = darboux_chart(1)  # (q1, p1)
 C4 = darboux_chart(2)
+C8 = darboux_chart(4)
+
+
+def dense_constant_form(m: int, seed: int) -> Form:
+    """A constant 2-form on an ``m``-dim chart, every upper entry a nonzero
+    fraction ``a/b`` with ``a`` in -4..4 and ``b`` in 1..3."""
+    rng = random.Random(seed)
+    chart = Chart([f"x{i}" for i in range(1, m + 1)])
+    entries = (-4, -3, -2, -1, 1, 2, 3, 4)
+    return Form(chart, 2, {(i, j): Fraction(rng.choice(entries), rng.randint(1, 3))
+                           for i in range(m) for j in range(i + 1, m)})
+
+
+def constant_form(values) -> Form:
+    """The constant 2-form whose coefficient matrix is the skew ``values``."""
+    m = len(values)
+    chart = Chart([f"x{i}" for i in range(1, m + 1)])
+    return Form(chart, 2, {(i, j): values[i][j] for i in range(m) for j in range(i + 1, m)
+                           if values[i][j]})
 
 
 def d(name, chart=C2):
@@ -417,6 +439,47 @@ class TestPoissonBivector:
         with pytest.raises(DegenerateStructure, match=self.DETERMINANT_MESSAGE):
             poisson_bivector(Form(C4, 2, {(0, 2): q1, (1, 3): q1}))
 
+    @settings(max_examples=60, deadline=None)
+    @given(skew_matrices(wide_sizes, integer_entries | coprime_entries))
+    def test_constant_form_matches_scaled_adjugate(self, values):
+        # a zero entry can make a small form singular: then both reject it
+        omega = constant_form(values)
+        expected = scaled_adjugate_bivector(omega)
+        if expected is None:
+            with pytest.raises(DegenerateStructure, match=self.DETERMINANT_MESSAGE):
+                poisson_bivector(omega)
+        else:
+            assert poisson_bivector(omega) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(singular_constant_skew_matrices(wide_sizes, integer_entries | coprime_entries))
+    def test_singular_constant_form(self, values):
+        omega = constant_form(values)
+        assert scaled_adjugate_bivector(omega) is None
+        with pytest.raises(DegenerateStructure) as err:
+            poisson_bivector(omega)
+        assert str(err.value) == self.DETERMINANT_MESSAGE
+
+    @pytest.mark.parametrize("omega, expected", [
+        (dense_constant_form(10, 21), None),
+        # a dq^dp inverts to e(q)^e(p) / a
+        *((Form(C2, 2, {(0, 1): a}), Multivector(C2, 2, {(0, 1): 1 / a}))
+          for a in (Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-7, 5))),
+        (standard_form(C8), Multivector(C8, 2, {(j, 4 + j): -1 for j in range(4)})),  # 4 terms
+    ], ids=["dense-10", "dq^dp", "-dq^dp", "3/2*dq^dp", "-7/5*dq^dp", "standard-8"])
+    def test_constant_form_takes_no_product(self, monkeypatch, omega, expected):
+        # the entries of -M^-1 come straight from elimination's integers: no
+        # polynomial product, negation or scaling by -1/det
+        if expected is None:
+            expected = scaled_adjugate_bivector(omega)
+
+        def refuse(*args):
+            raise AssertionError("a polynomial product or negation ran")
+
+        for name in ("__mul__", "__rmul__", "__neg__", "_shifted"):
+            monkeypatch.setattr(Polynomial, name, refuse)
+        assert SymplecticData(omega).bivector == expected
+
 
 class TestLieDerivative:
     def test_translation_direction(self):
@@ -464,14 +527,10 @@ class TestSymplecticData:
             assert not isinstance(err.value, NotClosed)
 
     def test_dense_constant_form_inverts_exactly(self):
-        # every entry nonzero, so the determinant and adjugate see a full matrix
-        rng = random.Random(21)
+        # every entry nonzero, so the elimination sees a full matrix
         m = 10
-        chart = Chart([f"x{i}" for i in range(1, m + 1)])
-        omega = Form(chart, 2, {
-            (i, j): Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(1, 3))
-            for i in range(m) for j in range(i + 1, m)
-        })
+        omega = dense_constant_form(m, 21)
+        chart = omega.chart
         lam = SymplecticData(omega).bivector
         # the bivector is minus the inverse of the coefficient matrix
         for i in range(m):
@@ -484,12 +543,8 @@ class TestSymplecticData:
     def test_large_dense_constant_form_inverts_exactly(self, m):
         # sizes the fraction-free elimination reaches in well under a second;
         # the denominators 1-3 make the common denominator L = 6
-        rng = random.Random(m)
-        chart = Chart([f"x{i}" for i in range(1, m + 1)])
-        omega = Form(chart, 2, {
-            (i, j): Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.randint(1, 3))
-            for i in range(m) for j in range(i + 1, m)
-        })
+        omega = dense_constant_form(m, m)
+        chart = omega.chart
         lam = SymplecticData(omega).bivector
         for i in range(m):
             for j in range(m):
