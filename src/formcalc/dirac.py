@@ -62,10 +62,10 @@ class ConstraintSet:
     """An even-length list of constraint functions on a symplectic chart.
 
     The constraint differentials, the pairwise bracket matrix (its upper
-    triangle paired, the rest by antisymmetry), its determinant and adjugate
-    are computed at construction, so the matrix route makes no wedge.  The
-    function-independent factors of the form route are built on first use by
-    :meth:`form_factors`, its only wedges.
+    triangle paired and inverted as it is, the rest by antisymmetry), its
+    determinant and adjugate are computed at construction, so the matrix
+    route makes no wedge.  The function-independent factors of the form
+    route are built on first use by :meth:`form_factors`, its only wedges.
     """
 
     __slots__ = ("sym", "constraints", "half_count", "differentials", "bracket_matrix",
@@ -81,18 +81,17 @@ class ConstraintSet:
             checked(theta, Polynomial, "constraint", chart=chart)
         dthetas = [differential(theta) for theta in constraints]
         size = len(constraints)
+        upper = {(i, j): poisson.pair([dthetas[i], dthetas[j]]) for i, j in combinations(range(size), 2)}
         matrix = [[Polynomial.zero(chart)] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i + 1, size):
-                value = poisson.pair([dthetas[i], dthetas[j]])
-                matrix[i][j] = value
-                matrix[j][i] = -value
+        for (i, j), value in upper.items():
+            matrix[i][j] = value
+            matrix[j][i] = -value
         self.sym = sym
         self.constraints = constraints
         self.half_count = size // 2
         self.differentials = dthetas
         self.bracket_matrix = matrix
-        self.determinant, self.adjugate = _skew_inverse(matrix, chart)
+        self.determinant, self.adjugate = _skew_inverse(upper, size, chart)
         self._form_factors = None
 
     @property

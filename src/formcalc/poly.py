@@ -51,7 +51,9 @@ Besides :class:`Polynomial` this module provides
 * exact division, and :func:`matrix_determinant` / :func:`matrix_adjugate`
   for the matrices the package inverts: the form matrix of a symplectic
   2-form and the Dirac constraint bracket matrix, both skew-symmetric of
-  even size.  Any other matrix raises :class:`InvalidArgument`.  :func:`_skew_inverse`
+  even size.  Any other matrix raises :class:`InvalidArgument`.  Inside, a
+  skew matrix has one shape, its upper triangle ``{(i, j): entry}``, ``i < j``,
+  absent pairs zero, as a 2-form's ``terms`` are.  :func:`_skew_inverse`
   returns both, the determinant from the route that built the adjugate, and
   :func:`_negated_inverse` the upper triangle of ``-M^-1``, the inverse
   bivector's coefficients.  The entries pick one of two routes:
@@ -77,6 +79,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 from math import lcm
 from typing import Iterator
 
@@ -675,8 +678,10 @@ class RationalExpr:
         return f"RationalExpr({self.numerator!r}, {self.denominator!r})"
 
 
-def _check_even_skew(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> int:
-    """The size of ``rows``; raises unless it is an even skew matrix on ``chart``."""
+def _check_even_skew(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> tuple[dict, int]:
+    """``(upper, n)``: the upper triangle ``{(i, j): rows[i][j]}``, ``i < j``,
+    of the nonzero entries, and the size of ``rows``; raises unless ``rows``
+    is an even skew matrix on ``chart``."""
     checked(chart, Chart, "matrix chart")
     n = len(checked(rows, Sequence, "matrix"))
     for row in rows:
@@ -689,58 +694,47 @@ def _check_even_skew(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> int:
         raise InvalidArgument("matrix must be skew-symmetric")
     if n % 2:
         raise InvalidArgument("skew matrix must have even size")
-    return n
+    return {(i, j): rows[i][j] for i, j in combinations(range(n), 2) if not rows[i][j].is_zero()}, n
 
 
-def _bareiss(values: Sequence[Sequence]):
+def _bareiss(upper: Mapping[tuple[int, int], Polynomial], m: int):
     """Bareiss's fraction-free Gauss-Jordan pass (Math. Comp. 22, 1968) on
-    ``[A | I]``, ``A = L*M`` for a square rational ``M`` and the lcm ``L`` of
-    its denominators.  Each step, with row pivoting, sets every other row to
-    ``(lead*x - factor*y) // prev``, exact as every entry stays a minor of
-    ``[A | I]``.  ``None`` if ``M`` is singular, else ``(L, sign, prev, X)``
-    for the final ``[prev*I | X] = [sign*det(A)*I | sign*adj(A)]``."""
-    m = len(values)
-    scale = lcm(*(x.denominator for row in values for x in row))
-    rows = [[x.numerator * (scale // x.denominator) for x in row] + [int(i == j) for j in range(m)]
-            for i, row in enumerate(values)]
+    ``[A | I]``, ``A = L*M`` for the ``m x m`` skew matrix ``M`` with upper
+    triangle ``upper`` of constants and the lcm ``L`` of their denominators.
+    Each step, with row pivoting, sets every other row to ``(lead*x -
+    factor*y) // prev``, exact as every entry stays a minor of ``[A | I]``,
+    and drops the pivot column, which no later step reads.  ``None`` if ``M``
+    is singular, else ``(L, sign, prev, X)`` for the final ``[prev*I | X] =
+    [sign*det(A)*I | sign*adj(A)]``."""
+    values = {key: entry._terms.get(0, 0) for key, entry in upper.items()}
+    scale = lcm(*(x.denominator for x in values.values()))
+    rows = [[0] * m + [int(i == j) for j in range(m)] for i in range(m)]
+    for (i, j), x in values.items():
+        rows[i][j] = x.numerator * (scale // x.denominator)
+        rows[j][i] = -rows[i][j]
     sign = prev = 1
     for col in range(m):
-        pivot = next((r for r in range(col, m) if rows[r][col]), None)
+        pivot = next((r for r in range(col, m) if rows[r][0]), None)
         if pivot is None:
             return None
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             sign = -sign
-        pivot_row = rows[col]
-        lead = pivot_row[col]
+        lead, *pivot_row = rows[col]
         for r in range(m):
             if r != col:
-                factor = rows[r][col]
-                rows[r] = [(lead * x - factor * y) // prev for x, y in zip(rows[r], pivot_row)]
+                factor, *row = rows[r]
+                rows[r] = [(lead * x - factor * y) // prev for x, y in zip(row, pivot_row)]
+        rows[col] = pivot_row
         prev = lead
-    return scale, sign, prev, [row[m:] for row in rows]
+    return scale, sign, prev, rows
 
 
-def _eliminate(matrix: Sequence[Sequence[Polynomial]], chart: Chart):
-    """``None`` unless every entry is a constant; then ``(det, adj)`` by
-    :func:`_bareiss`, ``adj`` ``None`` when ``det`` is zero: ``det(M) =
-    sign*prev / L^m`` and ``adj(M) = adj(A) / L^(m-1) = sign*L*X / L^m``."""
-    if not all(entry.is_constant() for row in matrix for entry in row):
-        return None
-    solved = _bareiss([[entry._terms.get(0, 0) for entry in row] for row in matrix])
-    if solved is None:
-        return Polynomial.zero(chart), None
-    scale, sign, prev, block = solved
-    unit = scale ** len(matrix)
-    adj = [[Polynomial.constant(chart, Fraction(sign * scale * x, unit) if unit > 1 else sign * x)
-            for x in row] for row in block]
-    return Polynomial.constant(chart, Fraction(sign * prev, unit)), adj
-
-
-def _pfaffian_table(rows: Sequence[Sequence[Polynomial]], chart: Chart):
+def _pfaffian_table(upper: Mapping[tuple[int, int], Polynomial], chart: Chart):
     """``pfaffian(mask)``: the Pfaffian of the skew submatrix on the rows and
     columns whose bits are set in ``mask`` (an even count), by expansion along
-    its first index, with one memo for every sub-Pfaffian."""
+    its first index ``i``, with one memo for every sub-Pfaffian.  It reads the
+    entries ``upper.get((i, j))``, ``j > i``, above the diagonal only."""
     memo: dict[int, Polynomial] = {0: Polynomial.constant(chart, 1)}
 
     def pfaffian(mask: int) -> Polynomial:
@@ -748,15 +742,15 @@ def _pfaffian_table(rows: Sequence[Sequence[Polynomial]], chart: Chart):
         if cached is not None:
             return cached
         low = mask & -mask
-        row = rows[low.bit_length() - 1]
+        i = low.bit_length() - 1
         rest = bits = mask ^ low
         products = []
         negate = False
         while bits:
             bit = bits & -bits
             bits ^= bit
-            entry = row[bit.bit_length() - 1]
-            if not entry.is_zero():
+            entry = upper.get((i, bit.bit_length() - 1))
+            if entry is not None and not entry.is_zero():
                 products.append((entry, pfaffian(rest ^ bit), negate))
             negate = not negate
         total = memo[mask] = sum_of_products(products, chart)
@@ -778,39 +772,45 @@ def matrix_determinant(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> Po
     :class:`ChartMismatch` for an entry on another chart; shape, types and
     charts are checked first.
     """
-    n = _check_even_skew(rows, chart)
-    solved = _eliminate(rows, chart)
-    if solved is not None:
-        return solved[0]
-    pf = _pfaffian_table(rows, chart)((1 << n) - 1)
+    upper, n = _check_even_skew(rows, chart)
+    if all(entry.is_constant() for entry in upper.values()):
+        return _skew_inverse(upper, n, chart)[0]
+    pf = _pfaffian_table(upper, chart)((1 << n) - 1)
     return pf * pf
 
 
-def _skew_inverse(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> tuple[Polynomial, list]:
-    """``(det(M), adjugate(M))`` of an even skew-symmetric matrix by the
-    routes of the module docstring, the determinant from the route that
-    built the adjugate: elimination's ``det``, or ``Pf(M)^2`` beside the
-    signed ``Pf(M) * Pf(minor)`` entries, each unordered index pair once.
-    A singular matrix gets the zero adjugate as soon as ``det`` or ``Pf(M)``
-    is zero.  Unchecked: ``rows`` must be an even skew matrix on ``chart``."""
-    n = len(rows)
+def _skew_inverse(upper: Mapping[tuple[int, int], Polynomial], m: int,
+                  chart: Chart) -> tuple[Polynomial, list]:
+    """``(det(M), adjugate(M))`` of the ``m x m`` skew matrix ``M`` with upper
+    triangle ``upper`` (absent pairs zero), by the routes of the module
+    docstring, the determinant from the route that built the adjugate.
+    Constants take :func:`_bareiss`: ``det(M) = sign*prev / L^m`` and
+    ``adj(M) = adj(A) / L^(m-1) = sign*L*X / L^m``.  Any other entries take
+    ``Pf(M)^2`` beside the signed ``Pf(M) * Pf(minor)`` entries, each
+    unordered index pair once.  A singular matrix gets the zero adjugate as
+    soon as ``det`` or ``Pf(M)`` is zero.  Unchecked: ``m`` must be even and
+    every entry on ``chart``."""
     zero = Polynomial.zero(chart)
-    adj = [[zero] * n for _ in range(n)]
-    solved = _eliminate(rows, chart)
-    if solved is not None:
-        return solved[0], solved[1] or adj
-    pfaffian = _pfaffian_table(rows, chart)
-    full = (1 << n) - 1
+    adj = [[zero] * m for _ in range(m)]
+    if all(entry.is_constant() for entry in upper.values()):
+        solved = _bareiss(upper, m)
+        if solved is None:
+            return zero, adj
+        scale, sign, prev, block = solved
+        unit = Fraction(sign, scale ** m)
+        return Polynomial.constant(chart, prev * unit), [
+            [Polynomial.constant(chart, scale * x * unit) for x in row] for row in block]
+    pfaffian = _pfaffian_table(upper, chart)
+    full = (1 << m) - 1
     pf = pfaffian(full)
     if pf.is_zero():
         return zero, adj
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = pf * pfaffian(full ^ (1 << i) ^ (1 << j))
-            if (i + j) % 2:
-                value = -value
-            adj[i][j] = value
-            adj[j][i] = -value
+    for i, j in combinations(range(m), 2):
+        value = pf * pfaffian(full ^ (1 << i) ^ (1 << j))
+        if (i + j) % 2:
+            value = -value
+        adj[i][j] = value
+        adj[j][i] = -value
     return pf * pf, adj
 
 
@@ -819,34 +819,25 @@ def matrix_adjugate(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> list[
     ``adjugate(M) @ M == det(M) * I`` over the polynomial ring, by the
     routes of :func:`_skew_inverse`.  Raises as :func:`matrix_determinant`
     does: :class:`InvalidArgument` for a matrix of the wrong shape."""
-    _check_even_skew(rows, chart)
-    return _skew_inverse(rows, chart)[1]
+    return _skew_inverse(*_check_even_skew(rows, chart), chart)[1]
 
 
 def _negated_inverse(upper: Mapping[tuple[int, int], Polynomial], m: int, chart: Chart) -> dict:
     """The nonzero entries ``(i, j)``, ``i < j``, of ``-M^-1`` for the ``m x m``
-    skew matrix ``M`` with upper triangle ``upper`` (absent pairs zero); ``{}``
-    unless ``det(M)`` is a nonzero constant.  Constants take the one fraction
-    ``-L*X[i][j] / prev`` of :func:`_bareiss`'s integers, as ``M^-1 = L*A^-1``;
-    any other entries take :func:`_skew_inverse`'s adjugate times ``-1/det``."""
+    skew matrix ``M`` with upper triangle ``upper`` (absent pairs zero), such
+    as a 2-form's ``terms``; ``{}`` unless ``det(M)`` is a nonzero constant.
+    Constants take the one fraction ``-L*X[i][j] / prev`` of
+    :func:`_bareiss`'s integers, as ``M^-1 = L*A^-1``; any other entries take
+    :func:`_skew_inverse`'s adjugate times ``-1/det``."""
     if all(entry.is_constant() for entry in upper.values()):
-        values = [[0] * m for _ in range(m)]
-        for (i, j), entry in upper.items():
-            values[i][j] = entry._terms.get(0, 0)
-            values[j][i] = -values[i][j]
-        solved = _bareiss(values)
+        solved = _bareiss(upper, m)
         if solved is None:
             return {}
         scale, _, prev, block = solved
         return {(i, j): _make(chart, {0: _coefficient(Fraction(-scale * x, prev))}, 0)
                 for i, row in enumerate(block) for j in range(i + 1, m) if (x := row[j])}
-    matrix = [[Polynomial.zero(chart)] * m for _ in range(m)]
-    for (i, j), entry in upper.items():
-        matrix[i][j] = entry
-        matrix[j][i] = -entry
-    det, adj = _skew_inverse(matrix, chart)
+    det, adj = _skew_inverse(upper, m, chart)
     if not det.is_constant() or det.is_zero():
         return {}
     scale = Fraction(-1) / det.constant_value()
-    return {(i, j): adj[i][j] * scale for i in range(m) for j in range(i + 1, m)
-            if not adj[i][j].is_zero()}
+    return {(i, j): adj[i][j] * scale for i, j in combinations(range(m), 2) if not adj[i][j].is_zero()}

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from formcalc import (
     Chart,
+    ConstraintSet,
     DegenerateStructure,
     Form,
     GradeMismatch,
@@ -39,10 +40,10 @@ from formcalc import (
     standard_form,
     wedge,
 )
-from formcalc import exterior
+from formcalc import exterior, poly
 
-from tests.helpers import (permutation_sign, qp, rand_form, rand_multivector, rand_poly,
-                           scaled_adjugate_bivector)
+from tests.helpers import (permutation_sign, pulled_back_form, qp, rand_form, rand_multivector,
+                           rand_poly, scaled_adjugate_bivector)
 from tests.test_poly import (coprime_entries, integer_entries, singular_constant_skew_matrices,
                              skew_matrices, wide_sizes)
 
@@ -479,6 +480,32 @@ class TestPoissonBivector:
         for name in ("__mul__", "__rmul__", "__neg__", "_shifted"):
             monkeypatch.setattr(Polynomial, name, refuse)
         assert SymplecticData(omega).bivector == expected
+
+    def test_matrix_layer_takes_the_upper_triangle(self, monkeypatch):
+        # poisson_bivector hands both routes the form's own terms, with no
+        # matrix built from them, and ConstraintSet the pairs above the diagonal
+        seen = []
+        for name in ("_pfaffian_table", "_bareiss"):
+            def recorded(upper, *args, wrapped=getattr(poly, name)):
+                seen.append(upper)
+                return wrapped(upper, *args)
+
+            monkeypatch.setattr(poly, name, recorded)
+        chart = darboux_chart(3)
+        qs, _ = qp(chart)
+        omegas = {"magnetic": magnetic_form(chart, qs[1], qs[2], qs[0]),
+                  "pulled back": pulled_back_form(random.Random(61), C4)[1],
+                  "dense": dense_constant_form(10, 21)}
+        for name, omega in omegas.items():
+            seen.clear()
+            poisson_bivector(omega)
+            assert seen and all(upper is omega.terms for upper in seen), name
+        sym = SymplecticData(standard_form(C4))
+        q1, q2, _, p2 = coordinates(C4)
+        seen.clear()
+        cs = ConstraintSet(sym, [q2, p2 + q1 * p2])
+        assert not cs.bracket_matrix[0][1].is_constant()
+        assert seen and all(i < j for upper in seen for i, j in upper)
 
 
 class TestLieDerivative:
