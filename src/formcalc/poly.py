@@ -19,14 +19,17 @@ multiplication and division in Maple 14", 2009).  The exponent vector
 
 Multiplying two monomials is then one integer ``+``, and ordering keys as
 integers is the graded-lexicographic order in which polynomials print and
-divide.  A coefficient is stored as an ``int`` whenever it is integral and
-as a ``Fraction`` only when it is not.  Each polynomial carries an upper bound
-on its total degree (the sum of the factors' bounds for ``*``, their maximum
-for ``+``, unchanged by ``diff`` and negation).  A product whose bound reaches
-``2**32`` would overflow a field, so it raises :class:`DegreeOverflow`
-instead; the bound is checked once per operation, never per term.  Powers
-multiply by the base one factor at a time, except that a one-term base is
-raised in one step (see :meth:`Polynomial.__pow__`).
+divide.  A key prints as its high half, the first ``n // 2`` fields, times its
+low half; each distinct half is printed once per ``str`` call, and a dense
+product has only a few hundred of them.  A coefficient is stored as an
+``int`` whenever it is integral and as a ``Fraction`` only when it is not.
+Each polynomial carries an upper bound on its total degree (the sum of the
+factors' bounds for ``*``, their maximum for ``+``, unchanged by ``diff`` and
+negation).  A product whose bound reaches ``2**32`` would overflow a field,
+so it raises :class:`DegreeOverflow` instead; the bound is checked once per
+operation, never per term.  Powers multiply by the base one factor at a
+time, except that a one-term base is raised in one step (see
+:meth:`Polynomial.__pow__`).
 
 Fused sums of products.  Every bracket, pairing and wedge in the package is
 a sum of products of coefficients.  :func:`sum_of_products` takes the
@@ -79,7 +82,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 from typing import Iterator
 
@@ -455,22 +458,35 @@ class Polynomial:
         if not self._terms:
             return "0"
         names = self.chart.names
-        top = _BITS * len(names)
-        fields = [(name, top - _BITS * (i + 1)) for i, name in enumerate(names)]
+        split = len(names) // 2
+        low = _BITS * (len(names) - split)
+        high_mask, low_mask = (1 << _BITS * split) - 1, (1 << low) - 1
+        # the text of each distinct high half and low half, built once per call
+        heads: dict[int, str] = {}
+        tails: dict[int, str] = {}
+
+        def half(fields: int, part: tuple[str, ...]) -> str:
+            factors = []
+            shift = _BITS * len(part)
+            for name in part:
+                shift -= _BITS
+                e = fields >> shift & _MASK
+                if e:
+                    factors.append(name if e == 1 else f"{name}^{e}")
+            return "*".join(factors)
+
         pieces = []
         # descending keys are descending graded-lexicographic order
         for key in sorted(self._terms, reverse=True):
             coefficient = self._terms[key]
-            factors = []
-            left = key >> top  # degree not yet printed
-            for name, shift in fields:
-                if not left:
-                    break
-                e = key >> shift & _MASK
-                if e:
-                    factors.append(name if e == 1 else f"{name}^{e}")
-                    left -= e
-            monomial = "*".join(factors)
+            high, rest = key >> low & high_mask, key & low_mask
+            head = heads.get(high)
+            if head is None:
+                head = heads[high] = half(high, names[:split])
+            tail = tails.get(rest)
+            if tail is None:
+                tail = tails[rest] = half(rest, names[split:])
+            monomial = f"{head}*{tail}" if head and tail else head or tail
             magnitude = abs(coefficient)
             if not monomial:
                 body = str(magnitude)
@@ -487,11 +503,8 @@ class Polynomial:
 
 def _signed_sum(parts) -> str:
     """``(sign, body)`` pairs, signs ``"+"`` or ``"-"``, printed as ``-a + b - c``."""
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    text = " ".join(chain.from_iterable(parts))
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def sum_of_products(products: Sequence[tuple[Polynomial, Polynomial, bool]],

@@ -39,6 +39,9 @@ volume ``omega^n/n!``.  ``volume_route_binary`` is the same route at
 reference for ``formcalc.parsing``, and ``LegacyPolynomial`` with
 ``legacy_exact_divide`` (exponent tuples as keys, every coefficient a
 ``Fraction``) for the packed-key kernel of ``formcalc.poly``.
+``legacy_polynomial_str`` is ``Polynomial.__str__`` as it was before it
+printed each packed key from memoized halves: a loop over every coordinate
+field of every key, and the text grown by ``+=``.
 ``permutation_sign`` is the sign of sorting an index sequence, counted by
 inversions without ``formcalc``: the reference for the package's one merge
 rule, ``formcalc.exterior._merge_sign``.  ``compose`` substitutes polynomials
@@ -75,6 +78,7 @@ from formcalc import (
 from formcalc.brackets import power_bracket_def
 from formcalc.exterior import _accumulate, _normalize_index_tuple
 from formcalc.parsing import _error, _tokenize
+from formcalc.poly import _BITS, _MASK
 from formcalc.suites import _random_graded, _random_poly
 
 
@@ -803,6 +807,41 @@ class LegacyPolynomial:
         for sign, body in pieces[1:]:
             text += f" {sign} {body}"
         return text
+
+
+def legacy_polynomial_str(p: Polynomial) -> str:
+    """``str(p)`` by a loop over the coordinate fields of each packed key."""
+    if not p._terms:
+        return "0"
+    names = p.chart.names
+    top = _BITS * len(names)
+    fields = [(name, top - _BITS * (i + 1)) for i, name in enumerate(names)]
+    pieces = []
+    for key in sorted(p._terms, reverse=True):
+        coefficient = p._terms[key]
+        factors = []
+        left = key >> top  # degree not yet printed
+        for name, shift in fields:
+            if not left:
+                break
+            e = key >> shift & _MASK
+            if e:
+                factors.append(name if e == 1 else f"{name}^{e}")
+                left -= e
+        monomial = "*".join(factors)
+        magnitude = abs(coefficient)
+        if not monomial:
+            body = str(magnitude)
+        elif magnitude == 1:
+            body = monomial
+        else:
+            body = f"{magnitude}*{monomial}"
+        pieces.append(("-" if coefficient < 0 else "+", body))
+    sign, body = pieces[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in pieces[1:]:
+        text += f" {sign} {body}"
+    return text
 
 
 def legacy_exact_divide(a: LegacyPolynomial, b: LegacyPolynomial) -> LegacyPolynomial:

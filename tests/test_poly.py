@@ -40,6 +40,7 @@ from tests.helpers import (
     laplace_adjugate,
     laplace_determinant,
     legacy_exact_divide,
+    legacy_polynomial_str,
     rand_nonzero_poly,
     rand_poly,
 )
@@ -768,6 +769,63 @@ class TestLegacyKernelOracle:
                 exact_divide(a, b)
         else:
             same(exact_divide(a, b), expected)
+
+
+# The printer against the one it replaced.  Charts of 1-10 coordinates, so
+# that the high half (the first dim // 2 fields) is empty, shorter than the
+# low half or as long.
+
+PRINT_NAMES = ("q1", "q2", "q3", "q4", "q5", "p1", "p2", "p3", "p4", "p5", "x", "y_2")
+
+
+@st.composite
+def printed_polynomials(draw, top=True):
+    """A polynomial on a chart of 1-10 coordinates from ``PRINT_NAMES`` in any
+    order: int, ``Fraction`` and negative coefficients, constant terms, and
+    with ``top`` one-variable terms of degree ``DEGREE_CAP - 1``."""
+    dim = draw(st.integers(1, 10))
+    chart = Chart(draw(st.permutations(PRINT_NAMES))[:dim])
+    exponent = st.lists(st.integers(0, dim - 1), max_size=8).map(
+        lambda picks: tuple(picks.count(i) for i in range(dim)))
+    if top:
+        exponent |= st.integers(0, dim - 1).map(
+            lambda i: tuple(poly_module.DEGREE_CAP - 1 if j == i else 0 for j in range(dim)))
+    coefficient = st.integers(-6, 6) | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    return Polynomial(chart, draw(st.dictionaries(exponent, coefficient, max_size=12)))
+
+
+class TestPrinterOracle:
+    """``Polynomial.__str__`` against ``legacy_polynomial_str``, which loops
+    over every coordinate field of every key."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(printed_polynomials())
+    def test_matches_field_loop(self, p):
+        assert str(p) == legacy_polynomial_str(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(printed_polynomials(top=False))
+    def test_parse_round_trip(self, p):
+        # the parser takes exponents up to 1000 only
+        assert parse_expr(str(p), p.chart) == p
+
+    def test_dense_product(self):
+        # a corpus power-bracket result: 5,775 terms over 225 high and 135 low halves
+        chart = Chart(("q1", "q2", "q3", "q4", "q5", "p1", "p2", "p3", "p4", "p5"))
+        p = parse_expr("45*(q1+q3+p3+1)^8*(p1+q4+p4+1)^4", chart)
+        assert p.term_count() == 5775
+        text = str(p)
+        assert text == legacy_polynomial_str(p) and len(text) == 141981
+
+    def test_each_call_prints_its_own_chart(self):
+        # the same keys on two charts of one dimension: no half text outlives its call
+        first, second = Chart(("q1", "q2", "p1", "p2")), Chart(("x", "y", "z", "w"))
+        a = parse_expr("(q1 + q2 + p1 - 2*p2 + 1)^4", first)
+        b = parse_expr("(x + y + z - 2*w + 1)^4", second)
+        assert a._terms == b._terms
+        for p in (a, b, a):
+            assert str(p) == legacy_polynomial_str(p)
+        assert not re.search(r"[qp]", str(b)) and not re.search(r"[xyzw]", str(a))
 
 
 # The fused sum against the route it replaced: one Polynomial per product and
