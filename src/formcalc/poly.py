@@ -36,9 +36,10 @@ a sum of products of coefficients.  :func:`sum_of_products` takes the
 products as ``(a, b, negate)`` triples and adds each into one mutable table
 of packed keys, which is settled to ints and cleared of zeros once at the
 end; no ``Polynomial`` is built per product or per partial sum (Monagan &
-Pearce build each result in one accumulator in the same way).
-``Polynomial.__mul__`` runs the same inner loop, :func:`_add_product`, so
-the product loop exists once.
+Pearce build each result in one accumulator in the same way).  Every
+product, ``*`` included, enters there: ``a * b`` is the one-product sum
+``[(a, b, False)]``, and the rule for a lone product with a one-term factor,
+its sign included, lives in :func:`sum_of_products` alone.
 
 The packed layout is private to this module.  Other code reads a polynomial
 through :meth:`Polynomial.items`, :meth:`~Polynomial.coefficient`,
@@ -159,7 +160,8 @@ def _check_degree(degree: int) -> int:
 
 
 def _add_product(out: dict, large: dict, small: dict, negate: bool):
-    """Add ``large * small`` (negated if ``negate``) into ``out``.
+    """Add ``large * small`` (negated if ``negate``) into ``out``: the inner
+    loop of :func:`sum_of_products`, its only caller.
 
     All three are term tables; ``small`` is nonempty and has no more terms
     than ``large``.  Values in ``out`` are left unsettled (zeros and integral
@@ -367,9 +369,8 @@ class Polynomial:
         return _make(self.chart, {key: -value for key, value in self._terms.items()}, self._degree)
 
     def _shifted(self, shift: int, factor) -> "Polynomial":
-        """``self`` times the monomial ``factor * x^shift``, in one pass."""
-        if not factor:
-            return _make(self.chart, {}, 0)
+        """``self`` times the monomial ``factor * x^shift``, ``factor`` nonzero,
+        in one pass; only :func:`sum_of_products` calls it, for a lone product."""
         if not shift:
             if factor == 1:
                 return self
@@ -382,20 +383,10 @@ class Polynomial:
         return _make(self.chart, terms, degree)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._shifted(0, _coefficient(other))
         other = self._as_operand(other)
         if other is None:
             return NotImplemented
-        small, large = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
-        if len(small._terms) <= 1:
-            # a monomial or zero: no two products share a key
-            shift, factor = next(iter(small._terms.items()), (0, 0))
-            return large._shifted(shift, factor)
-        degree = _check_degree(self._degree + other._degree)
-        out: dict[int, int | Fraction] = {}
-        _add_product(out, large._terms, small._terms, False)
-        return _make(self.chart, _finished(out), degree)
+        return sum_of_products(((self, other, False),), self.chart)
 
     __rmul__ = __mul__
 
@@ -510,20 +501,16 @@ def _signed_sum(parts) -> str:
 def sum_of_products(products: Sequence[tuple[Polynomial, Polynomial, bool]],
                     chart: Chart) -> Polynomial:
     """``sum(-a*b if negate else a*b for a, b, negate in products)`` on
-    ``chart``, built in one term table.
+    ``chart``, built in one term table: the one route of every product of two
+    polynomials, ``a * b`` included as the list ``[(a, b, False)]``.
 
     Every product is added into the same table, which is settled and cleared
     of zeros once at the end, and the degree bound (the largest of the
-    products' bounds, as ``*`` computes them) is checked once.  A single
-    product is plain ``a * b``, so a one-term factor still takes
-    ``Polynomial``'s one-pass route.  Raises :class:`ChartMismatch` for a
-    factor on another chart.
+    products' bounds) is checked once.  A lone product whose smaller factor
+    is one term takes :meth:`Polynomial._shifted` instead, one pass with the
+    sign folded into that term's coefficient.  Raises :class:`ChartMismatch`
+    for a factor on another chart.
     """
-    if len(products) == 1:
-        (a, b, negate), = products
-        if a.chart == chart:
-            product = a * b
-            return -product if negate else product
     out: dict[int, int | Fraction] = {}
     degree = 0
     top = _BITS * chart.dim
@@ -535,7 +522,10 @@ def sum_of_products(products: Sequence[tuple[Polynomial, Polynomial, bool]],
         if not small._terms:
             continue
         if len(small._terms) == 1:
-            bound = large._degree + (next(iter(small._terms)) >> top)
+            (shift, factor), = small._terms.items()
+            if len(products) == 1:
+                return large._shifted(shift, -factor if negate else factor)
+            bound = large._degree + (shift >> top)
         else:
             bound = a._degree + b._degree
         if bound > degree:
@@ -819,9 +809,8 @@ def _skew_inverse(upper: Mapping[tuple[int, int], Polynomial], m: int,
     if pf.is_zero():
         return zero, adj
     for i, j in combinations(range(m), 2):
-        value = pf * pfaffian(full ^ (1 << i) ^ (1 << j))
-        if (i + j) % 2:
-            value = -value
+        minor = pfaffian(full ^ (1 << i) ^ (1 << j))
+        value = sum_of_products(((pf, minor, (i + j) % 2 == 1),), chart)
         adj[i][j] = value
         adj[j][i] = -value
     return pf * pf, adj

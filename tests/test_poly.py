@@ -1,3 +1,4 @@
+import ast
 import random
 import re
 import sys
@@ -828,13 +829,28 @@ class TestPrinterOracle:
         assert not re.search(r"[qp]", str(b)) and not re.search(r"[xyzw]", str(a))
 
 
-# The fused sum against the route it replaced: one Polynomial per product and
-# per partial sum.
+# The fused sum against the tuple-key kernel: one LegacyPolynomial per
+# product and per partial sum.  ``Polynomial``'s own ``*`` is a one-product
+# fused sum, so it cannot be the oracle.
 
 
-def summed_by_polynomials(products, chart):
-    """``sum(+-a*b)`` with ``Polynomial``'s own ``*``, ``-`` and ``+``."""
-    return sum((-(a * b) if negate else a * b for a, b, negate in products), Polynomial.zero(chart))
+def summed_by_legacy(products, chart):
+    """``(sum(+-a*b), bound)``: the sum over ``LegacyPolynomial`` and the degree
+    bound the fused sum must carry.  The bound is the largest over the nonzero
+    products, 0 for none; a product whose smaller factor (the first on a tie)
+    is one term has the larger factor's bound plus that term's degree, any
+    other ``a``'s bound plus ``b``'s."""
+    total, degree = LegacyPolynomial.zero(chart), 0
+    for a, b, negate in products:
+        product = LegacyPolynomial(chart, a.terms) * LegacyPolynomial(chart, b.terms)
+        total = total - product if negate else total + product
+        small, large = (a, b) if a.term_count() <= b.term_count() else (b, a)
+        if small.term_count() == 1:
+            (exponent, _), = small.items()
+            degree = max(degree, large._degree + sum(exponent))
+        elif small.term_count():
+            degree = max(degree, a._degree + b._degree)
+    return total, degree
 
 
 @st.composite
@@ -843,9 +859,10 @@ def product_lists(draw):
 
     Factors have at most 5 terms, so zero factors, constants and monomials
     are common.  Some factors carry a degree bound above their degree (a
-    term of degree 7 added and taken away again).  Some lists get one
-    product again with swapped factors and the other sign, and some get
-    every product so, which cancels to zero.
+    term of degree 7 added and taken away again).  A quarter of the lists
+    are one negated product with a one-term factor on either side.  Some
+    lists get one product again with swapped factors and the other sign,
+    and some get every product so, which cancels to zero.
     """
     dim = draw(st.integers(1, 8))
     chart = Chart([f"x{i}" for i in range(dim)])
@@ -855,6 +872,12 @@ def product_lists(draw):
     high = Polynomial(chart, {(7,) + (0,) * (dim - 1): 1})
     factor = st.builds(lambda t, loose: Polynomial(chart, t) + high - high if loose else Polynomial(chart, t),
                        st.dictionaries(exponent, coefficient, max_size=5), st.booleans())
+    if draw(st.integers(0, 3)) == 0:
+        one_term = st.dictionaries(exponent, coefficient.filter(bool), min_size=1, max_size=1)
+        monomial = draw(st.builds(lambda t, loose: Polynomial(chart, t) + high - high if loose
+                                  else Polynomial(chart, t), one_term, st.booleans()))
+        other = draw(factor)
+        return chart, [draw(st.sampled_from([(monomial, other, True), (other, monomial, True)]))]
     products = draw(st.lists(st.tuples(factor, factor, st.booleans()), max_size=6))
     if products and draw(st.booleans()):
         a, b, negate = draw(st.sampled_from(products))
@@ -864,22 +887,22 @@ def product_lists(draw):
     return chart, draw(st.permutations(products))
 
 
-def same_sum(fused, oracle):
-    assert fused == oracle and fused.chart == oracle.chart
-    assert str(fused) == str(oracle)
-    assert fused._degree == oracle._degree
-    assert all(type(c) is int or c.denominator != 1 for c in fused._terms.values())
+def same_sum(fused, expected):
+    oracle, degree = expected
+    same(fused, oracle)
+    assert fused.chart == oracle.chart
+    assert fused._degree == degree
     assert all(fused._terms.values())
 
 
 class TestSumOfProducts:
-    """``poly.sum_of_products`` against ``sum(+-a*b)`` over ``Polynomial``."""
+    """``poly.sum_of_products`` against ``sum(+-a*b)`` over ``LegacyPolynomial``."""
 
     @settings(max_examples=200, deadline=None)
     @given(product_lists())
     def test_matches_polynomial_sums(self, drawn):
         chart, products = drawn
-        same_sum(poly_module.sum_of_products(products, chart), summed_by_polynomials(products, chart))
+        same_sum(poly_module.sum_of_products(products, chart), summed_by_legacy(products, chart))
 
     @settings(max_examples=100, deadline=None)
     @given(product_lists(), st.data())
@@ -891,13 +914,12 @@ class TestSumOfProducts:
         lifted = [(a * lifts[0] if data.draw(st.booleans()) else a,
                    b * lifts[1] if data.draw(st.booleans()) else b, negate)
                   for a, b, negate in products]
-        try:
-            oracle = summed_by_polynomials(lifted, chart)
-        except DegreeOverflow:
+        expected = summed_by_legacy(lifted, chart)
+        if expected[1] >= poly_module.DEGREE_CAP:
             with pytest.raises(DegreeOverflow):
                 poly_module.sum_of_products(lifted, chart)
         else:
-            same_sum(poly_module.sum_of_products(lifted, chart), oracle)
+            same_sum(poly_module.sum_of_products(lifted, chart), expected)
 
     def test_small_cases(self):
         sum_of_products = poly_module.sum_of_products
@@ -905,7 +927,7 @@ class TestSumOfProducts:
         p = Q1 * P1 + Fraction(1, 2)
         assert sum_of_products([], CHART).is_zero()
         assert sum_of_products([(zero, p, False), (p, zero, True)], CHART).is_zero()
-        # a single product is plain ``a * b``: a factor of one returns the other
+        # a lone product with a one-term factor takes one pass: a factor of one returns the other
         assert sum_of_products([(one, p, False)], CHART) is p
         assert sum_of_products([(p, one, True)], CHART) == -p
         assert sum_of_products([(p, p, False), (p, p, True)], CHART).is_zero()
@@ -915,3 +937,77 @@ class TestSumOfProducts:
             sum_of_products([(p, Polynomial.variable(Chart(("x",)), "x"), False)], CHART)
         with pytest.raises(ChartMismatch):
             sum_of_products([(p, p, False), (p, p, False)], Chart(("x", "y")))
+
+
+def legacy(p):
+    return LegacyPolynomial(p.chart, p.terms)
+
+
+@pytest.fixture
+def negations(monkeypatch):
+    """The polynomials ``Polynomial.__neg__`` is called on."""
+    seen = []
+    negate = Polynomial.__neg__
+
+    def counting(self):
+        seen.append(self)
+        return negate(self)
+
+    monkeypatch.setattr(Polynomial, "__neg__", counting)
+    return seen
+
+
+class TestOneProductRoute:
+    """Every product of two polynomials enters ``poly.sum_of_products``."""
+
+    def test_mul_is_one_fused_sum(self, monkeypatch):
+        p = Q1 * P1 - Fraction(1, 2) * P1 ** 2 + 3
+        operands = [(q, legacy(q)) for q in (Q1 + 2 * P1, -3 * Q1 ** 2)]
+        operands += [(s, s) for s in (5, -1, Fraction(-2, 3), 0)]
+        calls = []
+        fused = poly_module.sum_of_products
+
+        def counting(products, chart):
+            calls.append(len(products))
+            return fused(products, chart)
+
+        monkeypatch.setattr(poly_module, "sum_of_products", counting)
+        for other, expected in operands:
+            same(p * other, legacy(p) * expected)
+            same(other * p, expected * legacy(p))
+            assert calls == [1, 1], other
+            calls.clear()
+
+    def test_lone_negated_monomial_product_negates_nothing(self, negations):
+        p = Q1 * P1 - Fraction(1, 2) * P1 ** 2 + 3
+        m = Fraction(-3, 4) * Q1 ** 2 * P1
+        expected = -(legacy(p) * legacy(m))
+        negations.clear()
+        for products in ([(p, m, True)], [(m, p, True)]):
+            same(poly_module.sum_of_products(products, CHART), expected)
+        assert negations == []
+
+    def test_adjugate_signs_are_folded_into_the_products(self, negations):
+        # the Pfaffian route negates only to mirror each upper entry below the diagonal
+        chart = Chart(("x", "y"))
+        x, y = coordinates(chart)
+        upper = {(0, 1): x + 1, (0, 2): y, (0, 3): 2 * x, (1, 2): 3 * y, (1, 3): x * y, (2, 3): 1 + y}
+        rows = [[upper[i, j] if i < j else -upper[j, i] if i > j else Polynomial.zero(chart)
+                 for j in range(4)] for i in range(4)]
+        negations.clear()
+        det, adj = poly_module._skew_inverse(upper, 4, chart)
+        assert len(negations) == 6
+        assert adj == laplace_adjugate(rows, chart) and det == laplace_determinant(rows, chart)
+
+    def test_only_the_fused_sum_calls_the_product_loops(self):
+        # inside poly.py, _add_product and ._shifted are named by sum_of_products alone
+        tree = ast.parse((ROOT / "src" / "formcalc" / "poly.py").read_text())
+        callers = set()
+        for top in tree.body:
+            for function in top.body if isinstance(top, ast.ClassDef) else [top]:
+                if isinstance(function, ast.FunctionDef):
+                    for node in ast.walk(function):
+                        if (isinstance(node, ast.Name) and node.id == "_add_product"
+                                or isinstance(node, ast.Attribute) and node.attr == "_shifted"):
+                            callers.add(function.name)
+        assert callers == {"sum_of_products"}
