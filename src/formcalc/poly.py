@@ -62,11 +62,12 @@ Besides :class:`Polynomial` this module provides
   :func:`_negated_inverse` the upper triangle of ``-M^-1``, the inverse
   bivector's coefficients.  The entries pick one of two routes:
 
-  1. a matrix of constants takes one fraction-free elimination (Bareiss,
-     "Sylvester's identity and multistep integer-preserving Gaussian
-     elimination", Math. Comp. 22, 1968), whose integers give ``det`` and
-     ``adj``, or each entry of ``-M^-1`` as one fraction with no adjugate
-     built; a singular one has rank at most ``m - 2``, so its adjugate is zero;
+  1. a matrix of constants takes one fraction-free Gauss-Jordan pass
+     (Bareiss, "Sylvester's identity and multistep integer-preserving
+     Gaussian elimination", Math. Comp. 22, 1968) that keeps ``m`` integers
+     per row, whose integers give ``det`` and ``adj``, or each entry of
+     ``-M^-1`` as one fraction with no adjugate built; a singular one has
+     rank at most ``m - 2``, so its adjugate is zero;
   2. any other takes one memoized table of Pfaffians over index subsets
      (the classical expansion; see Galbiati & Maffioli, "On the computation
      of Pfaffians", 1994): ``det = Pf(M)^2`` and ``adj[i][j] =
@@ -705,32 +706,46 @@ def _bareiss(upper: Mapping[tuple[int, int], Polynomial], m: int):
     ``[A | I]``, ``A = L*M`` for the ``m x m`` skew matrix ``M`` with upper
     triangle ``upper`` of constants and the lcm ``L`` of their denominators.
     Each step, with row pivoting, sets every other row to ``(lead*x -
-    factor*y) // prev``, exact as every entry stays a minor of ``[A | I]``,
-    and drops the pivot column, which no later step reads.  ``None`` if ``M``
-    is singular, else ``(L, sign, prev, X)`` for the final ``[prev*I | X] =
+    factor*y) // prev``, exact as every entry stays a minor of ``[A | I]``.
+
+    In place, a row holds ``m`` integers: before step ``col``, ``X``'s
+    columns ``0..col-1``, then the left block's ``col..m-1``.  The right
+    block's other columns are ``prev`` times an identity column in the rows
+    at or below ``col`` and zero above, so none is stored: the step writes
+    ``X``'s column ``col`` over the pivot column, which no later step reads,
+    as ``-factor`` in every other row and ``prev`` in the pivot row.  A row
+    swap only exchanges two rows' identity columns, so the swaps are applied
+    to ``X``'s columns at the end, last one first.  ``None`` if ``M`` is
+    singular, else ``(L, sign, prev, X)`` for the final ``[prev*I | X] =
     [sign*det(A)*I | sign*adj(A)]``."""
     values = {key: entry._terms.get(0, 0) for key, entry in upper.items()}
     scale = lcm(*(x.denominator for x in values.values()))
-    rows = [[0] * m + [int(i == j) for j in range(m)] for i in range(m)]
+    rows = [[0] * m for _ in range(m)]
     for (i, j), x in values.items():
         rows[i][j] = x.numerator * (scale // x.denominator)
         rows[j][i] = -rows[i][j]
-    sign = prev = 1
+    swaps = []
+    prev = 1
     for col in range(m):
-        pivot = next((r for r in range(col, m) if rows[r][0]), None)
+        pivot = next((r for r in range(col, m) if rows[r][col]), None)
         if pivot is None:
             return None
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        lead, *pivot_row = rows[col]
-        for r in range(m):
+            swaps.append((col, pivot))
+        pivot_row = rows[col]
+        lead = pivot_row[col]
+        for r, row in enumerate(rows):
             if r != col:
-                factor, *row = rows[r]
-                rows[r] = [(lead * x - factor * y) // prev for x, y in zip(row, pivot_row)]
-        rows[col] = pivot_row
+                factor = row[col]
+                row = rows[r] = [(lead * x - factor * y) // prev for x, y in zip(row, pivot_row)]
+                row[col] = -factor
+        pivot_row[col] = prev
         prev = lead
-    return scale, sign, prev, rows
+    for col, pivot in reversed(swaps):
+        for row in rows:
+            row[col], row[pivot] = row[pivot], row[col]
+    return scale, -1 if len(swaps) % 2 else 1, prev, rows
 
 
 def _pfaffian_table(upper: Mapping[tuple[int, int], Polynomial], chart: Chart):

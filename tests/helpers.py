@@ -12,6 +12,9 @@ behind ``nambu_top_bracket``, which is not skew and so has no route in
 ``formcalc.poly``.  ``fraction_gauss_jordan`` is the ``Fraction``
 elimination that constant matrices took before the fraction-free route:
 the reference for it at sizes the Laplace expansion cannot reach.
+``legacy_bareiss`` is ``poly._bareiss`` as it was before each row kept
+``m`` integers: the whole of ``[A | I]`` less the columns already pivoted,
+the reference for the integers ``(L, sign, prev, X)`` themselves.
 ``scaled_adjugate_bivector`` is ``poisson_bivector`` as it was before
 constant forms read ``-M^-1`` straight off elimination's integers: the
 skew matrix of ``Polynomial`` entries, ``matrix_determinant`` and
@@ -52,7 +55,7 @@ Darboux chart, whose brackets are the standard ones composed with the map.
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping, Sequence
 
 from formcalc import (
@@ -226,6 +229,33 @@ def fraction_gauss_jordan(values: Sequence[Sequence[Fraction]]):
             if r != col and factor:
                 rows[r] = [x - factor * y for x, y in zip(rows[r], pivot_row)]
     return det, [row[m:] for row in rows]
+
+
+def legacy_bareiss(upper: Mapping[tuple[int, int], Polynomial], m: int):
+    """``poly._bareiss`` by updating all ``2m - col - 1`` columns of ``[A | I]``
+    that each row still holds at step ``col``, the row swaps made in place."""
+    values = {key: entry._terms.get(0, 0) for key, entry in upper.items()}
+    scale = lcm(*(x.denominator for x in values.values()))
+    rows = [[0] * m + [int(i == j) for j in range(m)] for i in range(m)]
+    for (i, j), x in values.items():
+        rows[i][j] = x.numerator * (scale // x.denominator)
+        rows[j][i] = -rows[i][j]
+    sign = prev = 1
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if rows[r][0]), None)
+        if pivot is None:
+            return None
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        lead, *pivot_row = rows[col]
+        for r in range(m):
+            if r != col:
+                factor, *row = rows[r]
+                rows[r] = [(lead * x - factor * y) // prev for x, y in zip(row, pivot_row)]
+        rows[col] = pivot_row
+        prev = lead
+    return scale, sign, prev, rows
 
 
 def scaled_adjugate_bivector(omega: Form) -> Multivector | None:

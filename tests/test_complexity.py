@@ -2,8 +2,9 @@
 
 Each test wraps private kernel functions with ``monkeypatch`` and counts
 what they are handed: the term pairs that ``poly._add_product`` and
-``Polynomial._shifted`` multiply, and the polynomials ``poly._make`` builds
-with the terms they hold.  The counts are exact functions of the input, so a
+``Polynomial._shifted`` multiply, the polynomials ``poly._make`` builds
+with the terms they hold, and the products that each level of a generator
+wedge hands to ``sum_of_products``.  The counts are exact functions of the input, so a
 complexity claim is pinned with no timing noise (after Goldsmith, Aiken &
 Wilkerson, "Measuring empirical computational complexity", ESEC/FSE 2007,
 with exact counts in place of fitted times).
@@ -13,11 +14,15 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from formcalc import Chart, Polynomial, coordinates, parse_expr
+from formcalc import (Chart, Form, Polynomial, SymplecticData, coordinates, darboux_chart, differential,
+                      parse_expr, standard_form, wedge_all)
+from formcalc import exterior as exterior_module
 from formcalc import poly as poly_module
+from formcalc.brackets import _divided_power
 
 from tests.helpers import rand_poly
 
@@ -126,3 +131,75 @@ def test_parse_work_is_linear(work):
         rates.append((work["built"] / tokens, (work["terms"] - expected.term_count()) / tokens))
     for ratios in zip(*rates):
         assert max(ratios) <= 1.05 * min(ratios), ratios
+
+
+def level_products(monkeypatch):
+    """One list per level of each ``_Generator.wedge`` call made while it is
+    patched in: the product count of every ``sum_of_products`` of the level."""
+    levels = []
+    summed, sum_of_products = exterior_module._summed, exterior_module.sum_of_products
+
+    def counted_summed(groups, chart):
+        levels.append([])
+        return summed(groups, chart)
+
+    def counted_sum_of_products(products, chart):
+        levels[-1].append(len(products))
+        return sum_of_products(products, chart)
+
+    monkeypatch.setattr(exterior_module, "_summed", counted_summed)
+    monkeypatch.setattr(exterior_module, "sum_of_products", counted_sum_of_products)
+    return levels
+
+
+def walked_entries(target, forms):
+    """Per level, the ``(key, i)`` extensions a wedge of ``forms`` onto the
+    index tuples of ``target`` must walk: ``key`` a nonzero term of the wedge
+    of the forms before, ``i`` an index of the level's form with a nonzero
+    component, and ``key + (i,)`` inside a tuple of ``target``.  The walk
+    stops after the first level whose wedge has no such term."""
+    inside = {frozenset(s) for t in target.terms for r in range(len(t) + 1) for s in combinations(t, r)}
+
+    def support(level):
+        if not level:
+            return [frozenset()]
+        terms = wedge_all(forms[:level]).terms
+        return [frozenset(key) for key, value in terms.items() if not value.is_zero() and frozenset(key) in inside]
+
+    counts = []
+    for level, form in enumerate(forms):
+        counts.append(sum(1 for key in support(level) for (i,), value in form.terms.items()
+                          if not value.is_zero() and i not in key and key | {i} in inside))
+        if not support(level + 1):
+            break
+    return counts
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_generator_wedge_hands_each_nonzero_entry_one_product(monkeypatch, k):
+    # the divided power Lambda^k/k! of the 8-dim standard and magnetic forms:
+    # every level hands sum_of_products one product per merge-table entry
+    # walked from a nonzero sum with a nonzero form component.  The second
+    # function is the first plus a sparse one, so some sums cancel to zero
+    chart = darboux_chart(4)
+    q = coordinates(chart)
+    standard = standard_form(chart)
+    magnetic = standard + Form(chart, 2, {(0, 1): -q[0], (0, 2): q[2], (1, 2): -q[1]})
+    pairs_order = [q[i] for j in range(4) for i in (j, j + 4)]  # q1, p1, q2, p2, ...
+    for name, omega in (("standard", standard), ("magnetic", magnetic)):
+        generator = _divided_power(SymplecticData(omega), k)
+        for seed in range(6):
+            rng = random.Random(100 * k + seed)
+            f = rand_poly(rng, chart, degree=2, nterms=5)
+            functions = [f, f + rand_poly(rng, chart, degree=2, nterms=2)]
+            functions += [rand_poly(rng, chart, degree=2, nterms=4) for _ in range(2 * k - 2)]
+            forms = [differential(g) for g in functions]
+            levels = level_products(monkeypatch)
+            generator.wedge(forms)
+            monkeypatch.undo()
+            assert [sum(level) for level in levels] == walked_entries(generator.target, forms), (name, seed)
+        # coordinate functions along the pairs: one product at each level
+        levels = level_products(monkeypatch)
+        generator.wedge([differential(x) for x in pairs_order[:2 * k]])
+        monkeypatch.undo()
+        assert levels == [[1]] * (2 * k), name

@@ -40,6 +40,7 @@ from tests.helpers import (
     fraction_gauss_jordan,
     laplace_adjugate,
     laplace_determinant,
+    legacy_bareiss,
     legacy_exact_divide,
     legacy_polynomial_str,
     rand_nonzero_poly,
@@ -567,6 +568,43 @@ class TestEliminationOracle:
     def test_singular(self, values):
         assert fraction_gauss_jordan(values)[1] is None
         self.check(values)
+
+
+class TestInPlaceElimination:
+    """``poly._bareiss``, which keeps ``m`` integers per row, against
+    ``legacy_bareiss``, which updated the whole of ``[A | I]``: the same
+    ``(L, sign, prev, X)`` integers, or ``None`` for a singular matrix."""
+
+    def check(self, values):
+        m = len(values)
+        upper = {(i, j): Polynomial.constant(CHART, values[i][j]) for i in range(m) for j in range(i + 1, m)}
+        solved = poly_module._bareiss(upper, m)
+        assert solved == legacy_bareiss(upper, m)
+        return solved
+
+    @settings(max_examples=60, deadline=None)
+    @given(skew_matrices(wide_sizes, integer_entries | coprime_entries))
+    def test_matches_legacy(self, values):
+        self.check(values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(singular_constant_skew_matrices(wide_sizes, integer_entries | coprime_entries))
+    def test_singular_matches_legacy(self, values):
+        assert self.check(values) is None
+
+    def test_three_pivot_swaps(self):
+        # the 6-dim form of the CI case: the pivots swap rows (0, 1), (2, 3)
+        # and (4, 5), so sign = -1, and L = lcm(2, 3) = 6
+        upper = {(0, 3): 1, (0, 1): Fraction(1, 2), (1, 4): 3, (2, 3): Fraction(-2, 3),
+                 (2, 5): 1, (4, 5): 5, (1, 2): -1}
+        values = [[Fraction(0)] * 6 for _ in range(6)]
+        for (i, j), x in upper.items():
+            values[i][j], values[j][i] = Fraction(x), -Fraction(x)
+        scale, sign, prev, block = self.check(values)
+        assert (scale, sign) == (6, -1)
+        # -M^-1 = -L*X/prev holds the brackets {x1,x2}, {x3,x6} and {x4,x5}
+        brackets = [Fraction(-scale * block[i][j], prev) for i, j in ((0, 1), (2, 5), (3, 4))]
+        assert brackets == [Fraction(10, 29), Fraction(9, 29), Fraction(-3, 58)]
 
 
 class TestSkewRoutes:
