@@ -4,8 +4,8 @@ Both kinds of tensors are grade-homogeneous and stored sparsely as maps from
 strictly increasing coordinate-index tuples to nonzero polynomial
 coefficients.  One merge rule, :func:`_merge_sign`, signs every move of
 indices into sorted place: normalizing an unordered tuple, ``wedge``, ``d``
-and the merge table of :class:`_Generator`.  Contraction and ``_star`` take
-their signs from removing indices, by the first convention below.
+and each entry of the merge table of :class:`_Generator`.  Contraction and
+``_star`` take their signs from removing indices, by the first convention below.
 
 ``Form(...)`` and ``Multivector(...)`` check outside input in full.  The
 package's own results are normal by construction and are built by
@@ -274,7 +274,7 @@ def wedge_all(factors: Sequence) -> "_Graded":
 
 def exterior_derivative(a: Form) -> Form:
     """The exterior derivative; on grade-0 forms this is the differential.
-    Each ``d(x_i)`` merges in front of a term's tuple by :func:`_merge_sign`."""
+    A non-constant coefficient's ``differential`` merges in front by :func:`_merge_sign`."""
     chart = checked(a, Form, "exterior derivative argument").chart
     if a.grade >= chart.dim:
         return Form.zero(chart, chart.dim)
@@ -282,14 +282,10 @@ def exterior_derivative(a: Form) -> Form:
     for key, coefficient in a.terms.items():
         if coefficient.is_constant():
             continue
-        for i in range(chart.dim):
-            if i in key:
-                continue
-            dc = coefficient.diff(i)
-            if dc.is_zero():
-                continue
+        for (i,), dc in differential(coefficient).terms.items():
             merged, sign = _merge_sign((i,), key)
-            _accumulate(out, merged, dc if sign == 1 else -dc)
+            if merged is not None:
+                _accumulate(out, merged, dc if sign == 1 else -dc)
     return Form._of(chart, a.grade + 1, out)
 
 
@@ -345,38 +341,42 @@ def pair(a: Form, field: Multivector) -> Polynomial:
 
 
 class _Generator:
-    """A generating multivector ``target`` with its merge table, built once:
-    ``_steps[j]`` maps each ``j``-element subset ``key`` of its index tuples
-    to the ``(i, merged, odd)`` that extend it within one, where ``odd`` is
-    ``_merge_sign(key, (i,)) == (merged, -1)``.  1-forms are wedged on one at
-    a time along the table, and each step sums the signed products that land
-    on each merged tuple once, by :func:`~formcalc.poly.sum_of_products`.
+    """A generating multivector ``target`` with its merge table ``_table``,
+    filled by the walks that read it: each subset ``key`` of an index tuple
+    that a walk reaches maps to the ``(i, merged, odd)`` that extend it within
+    one, where ``_merge_sign(key, (i,))`` is ``(merged, -1 if odd else 1)``.
+    1-forms are wedged on one at a time, each step summing the products that
+    land on a merged tuple once, by :func:`~formcalc.poly.sum_of_products`.
+    A key's entries are a pure function of ``target`` and the key, so a walk
+    racing another to fill a key can only store an equal list.
     """
 
-    __slots__ = ("target", "_steps")
+    __slots__ = ("target", "_table")
 
     def __init__(self, target: Multivector):
-        steps = [{} for _ in range(target.grade)]
-        level = target.terms
-        for step in reversed(steps):
-            for merged in level:
-                for p, i in enumerate(merged):
-                    # d(x_i), appended last, moves left past the len(merged) - 1 - p larger indices
-                    entry = (i, merged, (len(merged) - 1 - p) % 2 == 1)
-                    step.setdefault(merged[:p] + merged[p + 1:], []).append(entry)
-            level = step  # its keys are the level below
         self.target = target
-        self._steps = steps
+        self._table: dict[IndexTuple, list] = {}
+
+    def _fill(self, key: IndexTuple) -> list:
+        """Store and return the entries of ``key``, read off the tuples that hold it."""
+        inside = set(key)
+        extensions = {i for t in self.target.terms if inside.issubset(t) for i in t} - inside
+        entries = self._table[key] = []
+        for i in sorted(extensions):
+            merged, sign = _merge_sign(key, (i,))
+            entries.append((i, merged, sign == -1))
+        return entries
 
     def wedge(self, forms: Sequence[Form]) -> dict[IndexTuple, Polynomial]:
         """The coefficients of ``forms[0] ^ ... ^ forms[-1]`` on the
         ``len(forms)``-element subsets of the index tuples of ``target``."""
         chart = self.target.chart
+        table = self._table
         current = {(): Polynomial.constant(chart, 1)}
-        for step, form in zip(self._steps, forms):
+        for form in forms:
             groups: dict[IndexTuple, list] = {}
             for key, value in current.items():
-                for i, merged, odd in step.get(key, ()):
+                for i, merged, odd in table.get(key) or self._fill(key):
                     c = form.terms.get((i,))
                     if c is not None:
                         groups.setdefault(merged, []).append((value, c, odd))
@@ -402,7 +402,7 @@ class _Generator:
         terms = self.target.terms
         groups: dict[IndexTuple, list] = {}
         for key, value in self.wedge(forms).items():
-            for i, merged, odd in self._steps[-1].get(key, ()):
+            for i, merged, odd in self._table.get(key) or self._fill(key):
                 groups.setdefault((i,), []).append((terms[merged], value, odd))
         return Multivector._of(chart, 1, _summed(groups, chart))
 

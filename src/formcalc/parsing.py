@@ -22,10 +22,10 @@ coordinate vector field, and ``^`` between them is the wedge::
 A term's polynomial coefficient comes first, joined to its factors by ``*``;
 a form or multivector cannot be followed by ``*``, sit inside parentheses or
 take a power, and all terms of an expression share one kind and grade.
-Parentheses nest at most :data:`MAX_NESTING` deep and exponents are at most
-:data:`MAX_EXPONENT`; a product or power whose total degree would overflow
-the polynomial kernel's exponent field is an error at its last token.  The
-terms of an expression are summed once, in one table, linear in their count.
+Parentheses nest at most :data:`MAX_NESTING` deep, and exponents on all but a
+``+-1`` monomial are at most :data:`MAX_EXPONENT`; a product or power whose
+total degree would overflow the kernel's exponent field is an error at its
+last token.  An expression's terms are summed once, in one table, in linear time.
 :func:`parse_expr` accepts polynomials only, and :func:`parse_value` also
 reads the printed ``(num) / (den)`` as a :class:`RationalExpr` and the
 literals ``true``, ``false``, ``pass``, ``fail``.
@@ -45,7 +45,7 @@ from .poly import Polynomial, RationalExpr, sum_of_products
 
 # Each nesting level costs the recursive-descent parser five stack frames.
 MAX_NESTING = 100
-# Bounds the literal, not the work: a multi-term base on n coordinates grows to C(k+n, n) terms.
+# Caps powers that cost work, of a multi-term base (C(k+n, n) terms) or a coefficient c (c**k).
 MAX_EXPONENT = 1000
 
 _TOKEN_RE = re.compile(
@@ -165,7 +165,7 @@ class _ExprParser:
             if token.kind != "int":
                 self.fail(token, "exponent must be a nonnegative integer")
             exponent = self.integer(self.advance())
-            if exponent > MAX_EXPONENT:
+            if exponent > MAX_EXPONENT and (base.term_count() > 1 or any(abs(c) != 1 for _, c in base.items())):
                 self.fail(token, f"exponent larger than {MAX_EXPONENT}")
             return base ** exponent
         if token.kind == "int":

@@ -127,7 +127,7 @@ class TestRun:
 
     def test_huge_exponent_exit_two(self, tmp_path):
         scn = tmp_path / "power.scn"
-        scn.write_text("[chart]\nq1 p1\n\n[define]\nf = q1^99999999999\n")
+        scn.write_text("[chart]\nq1 p1\n\n[define]\nf = (q1+p1)^99999999999\n")
         started = time.perf_counter()
         code, out, err = run_cli(["run", str(scn)])
         assert time.perf_counter() - started < 5

@@ -3,8 +3,9 @@
 Each test wraps private kernel functions with ``monkeypatch`` and counts
 what they are handed: the term pairs that ``poly._add_product`` and
 ``Polynomial._shifted`` multiply, the polynomials ``poly._make`` builds
-with the terms they hold, and the products that each level of a generator
-wedge hands to ``sum_of_products``.  The counts are exact functions of the input, so a
+with the terms they hold, the products that each level of a generator
+wedge hands to ``sum_of_products``, and the keys and entries of the
+generator's merge table.  The counts are exact functions of the input, so a
 complexity claim is pinned with no timing noise (after Goldsmith, Aiken &
 Wilkerson, "Measuring empirical computational complexity", ESEC/FSE 2007,
 with exact counts in place of fitted times).
@@ -18,8 +19,8 @@ from itertools import combinations
 
 import pytest
 
-from formcalc import (Chart, Form, Polynomial, SymplecticData, coordinates, darboux_chart, differential,
-                      parse_expr, standard_form, wedge_all)
+from formcalc import (BracketDef, Chart, Form, Polynomial, SymplecticData, bracket, coordinates, darboux_chart,
+                      differential, parse_expr, standard_form, wedge_all)
 from formcalc import exterior as exterior_module
 from formcalc import poly as poly_module
 from formcalc.brackets import _divided_power
@@ -157,7 +158,8 @@ def walked_entries(target, forms):
     index tuples of ``target`` must walk: ``key`` a nonzero term of the wedge
     of the forms before, ``i`` an index of the level's form with a nonzero
     component, and ``key + (i,)`` inside a tuple of ``target``.  The walk
-    stops after the first level whose wedge has no such term."""
+    stops after the first level whose wedge has no such term.  Also returns
+    the set of every such ``key``, the partial wedges' keys the walk reads."""
     inside = {frozenset(s) for t in target.terms for r in range(len(t) + 1) for s in combinations(t, r)}
 
     def support(level):
@@ -166,13 +168,15 @@ def walked_entries(target, forms):
         terms = wedge_all(forms[:level]).terms
         return [frozenset(key) for key, value in terms.items() if not value.is_zero() and frozenset(key) in inside]
 
-    counts = []
+    counts, keys = [], set()
     for level, form in enumerate(forms):
-        counts.append(sum(1 for key in support(level) for (i,), value in form.terms.items()
+        walked = support(level)
+        keys.update(tuple(sorted(key)) for key in walked)
+        counts.append(sum(1 for key in walked for (i,), value in form.terms.items()
                           if not value.is_zero() and i not in key and key | {i} in inside))
         if not support(level + 1):
             break
-    return counts
+    return counts, keys
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -188,6 +192,7 @@ def test_generator_wedge_hands_each_nonzero_entry_one_product(monkeypatch, k):
     pairs_order = [q[i] for j in range(4) for i in (j, j + 4)]  # q1, p1, q2, p2, ...
     for name, omega in (("standard", standard), ("magnetic", magnetic)):
         generator = _divided_power(SymplecticData(omega), k)
+        read = set()
         for seed in range(6):
             rng = random.Random(100 * k + seed)
             f = rand_poly(rng, chart, degree=2, nterms=5)
@@ -197,9 +202,30 @@ def test_generator_wedge_hands_each_nonzero_entry_one_product(monkeypatch, k):
             levels = level_products(monkeypatch)
             generator.wedge(forms)
             monkeypatch.undo()
-            assert [sum(level) for level in levels] == walked_entries(generator.target, forms), (name, seed)
+            counts, keys = walked_entries(generator.target, forms)
+            assert [sum(level) for level in levels] == counts, (name, seed)
+            read |= keys
         # coordinate functions along the pairs: one product at each level
+        coordinate_forms = [differential(x) for x in pairs_order[:2 * k]]
         levels = level_products(monkeypatch)
-        generator.wedge([differential(x) for x in pairs_order[:2 * k]])
+        generator.wedge(coordinate_forms)
         monkeypatch.undo()
         assert levels == [[1]] * (2 * k), name
+        read |= walked_entries(generator.target, coordinate_forms)[1]
+        # the merge table holds the keys the walks read, and no other
+        assert set(generator._table) == read, name
+
+
+@pytest.mark.parametrize("m", [12, 16, 20])
+def test_top_arity_bracket_fills_one_key_per_level(m):
+    # the 0-form x0 + 1 against the volume: one top tuple, paired with the
+    # coordinates' differentials.  Each level reads one key, the coordinates
+    # taken so far, whose entries are the m - j indices left: m keys and
+    # m(m+1)/2 entries, where a table of every subset would hold m*2^(m-1)
+    chart = Chart(tuple(f"x{i}" for i in range(m)))
+    x = coordinates(chart)
+    bdef = BracketDef(Form(chart, m, {tuple(range(m)): 1}), Form.from_polynomial(x[0] + 1))
+    assert bracket(bdef, *x) == x[0] + 1
+    table = bdef._pairing._table
+    assert sorted(table) == [tuple(range(j)) for j in range(m)]
+    assert sum(len(entries) for entries in table.values()) == m * (m + 1) // 2

@@ -200,21 +200,30 @@ class TestMergeRule:
     def test_generator_table(self, rng, dim, grade, density):
         chart = Chart(tuple(f"x{i}" for i in range(dim)))
         target = rand_multivector(rng, chart, grade, density)
-        steps = exterior._Generator(target)._steps
-        assert len(steps) == grade
-        for j, step in enumerate(steps):
-            # every (j+1)-subset of a target tuple, once under each j-subset it extends
-            expected = {}
-            for tuple_ in target.terms:
+        generator = exterior._Generator(target)
+        table = generator._table
+        assert table == {}  # filled only as walks reach its keys
+        # every (j+1)-subset of a target tuple, once under each j-subset it extends
+        expected = {}
+        for tuple_ in target.terms:
+            for j in range(grade):
                 for merged in combinations(tuple_, j + 1):
                     for i in merged:
                         expected.setdefault(tuple(k for k in merged if k != i), set()).add((i, merged))
-            assert set(step) == expected.keys()
-            for key, entries in step.items():
-                assert len(entries) == len(expected[key])
-                assert {(i, merged) for i, merged, _ in entries} == expected[key]
-                for i, merged, odd in entries:
-                    assert exterior._merge_sign(key, (i,)) == (merged, -1 if odd else 1)
+        assert {len(key) for key in expected} == (set(range(grade)) if target.terms else set())
+        for key in expected:  # the walks' accessor, and what it stores
+            entries = generator._fill(key)
+            assert table[key] == entries
+            assert len(entries) == len(expected[key])
+            assert {(i, merged) for i, merged, _ in entries} == expected[key]
+            for i, merged, odd in entries:
+                assert type(odd) is bool
+                assert exterior._merge_sign(key, (i,)) == (merged, -1 if odd else 1)
+        assert set(table) == expected.keys()
+        for r in range(grade + 1):
+            for key in combinations(range(dim), r):
+                if key not in expected:
+                    assert generator._fill(key) == []
 
     def test_zero_generator(self):
         chart = darboux_chart(2)

@@ -302,14 +302,15 @@ g = q1*p2 + 1
 """
 
 # tokens of each argument kind, wrong-kind names and exponent literals included
-# (p1^1001 is above parsing.MAX_EXPONENT)
+# ((2*p1)^1001 is above parsing.MAX_EXPONENT; p1^1001 parses, as the power of a
+# monomial with coefficient 1 is bounded by the degree cap alone)
 FUZZ_TOKENS = {
     "form": ["omega", "open", "vol", "f", "lam"],
     "mv": ["lam", "vf", "g", "omega"],
     "tensor": ["omega", "open", "lam", "vf", "f"],
     "constraints": ["th", "odd", "f"],
     "fn": ["f", "g", "q1", "q2", "p1", "p2", "0", "-1/2*q1*p2", "q1+p2", "2*q2*q2", "vf", "zz",
-           "q1^2", "(q1+p2)^3", "p1^1001"],
+           "q1^2", "(q1+p2)^3", "p1^1001", "(2*p1)^1001"],
     "k": [f"k={k}" for k in range(4)],
     "n": ["n=1", "n=2"],
     "suite": sorted(SUITES),

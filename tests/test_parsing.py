@@ -84,12 +84,23 @@ class TestExpressions:
         assert parse_expr("-" * 3001 + "q1^2", CHART) == -(q1 ** 2)
 
     def test_exponent_cap(self):
+        # the cap holds where the power costs work: a multi-term base, or a
+        # coefficient other than +-1.  A +-1 monomial is bounded by the degree cap
         q1 = Polynomial.variable(CHART, "q1")
         assert parse_expr(f"q1^{MAX_EXPONENT}", CHART) == q1 ** MAX_EXPONENT
-        for bad, column in ((f"q1^{MAX_EXPONENT + 1}", 4), ("(q1 + p1)^99999999999", 11), ("q1^" + "9" * 5000, 4)):
+        assert parse_expr(f"q1^{MAX_EXPONENT + 1}", CHART) == q1 ** (MAX_EXPONENT + 1)
+        assert parse_expr(f"(-q1)^{MAX_EXPONENT + 1}", CHART) == -q1 ** (MAX_EXPONENT + 1)
+        assert parse_expr("q1^1000*q1", CHART) == parse_expr(str(q1 ** 1001), CHART)
+        for bad, column, message in ((f"(2*q1)^{MAX_EXPONENT + 1}", 8, "exponent larger than"),
+                                     (f"2^{MAX_EXPONENT + 1}", 3, "exponent larger than"),
+                                     ("2^5000", 3, "exponent larger than"),
+                                     ("(q1 + p1)^99999999999", 11, "exponent larger than"),
+                                     ("q1^99999999999", 4, "total degree"),
+                                     ("q1^" + "9" * 5000, 4, "integer literal too long")):
             with pytest.raises(ParseError) as err:
                 parse_expr(bad, CHART)
             assert err.value.column == column
+            assert message in err.value.message
 
     def test_integer_literal_beyond_int_conversion(self):
         with pytest.raises(ParseError) as err:
