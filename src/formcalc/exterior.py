@@ -72,8 +72,7 @@ def _merge_sign(left: IndexTuple, right: IndexTuple) -> tuple[IndexTuple | None,
                 return None, 0
             if a > b:
                 inversions += 1
-    merged = tuple(sorted(left + right))
-    return merged, (-1 if inversions % 2 else 1)
+    return tuple(sorted(left + right)), (-1 if inversions % 2 else 1)
 
 
 def _merge_products(groups: dict, left: dict, right: dict, flip: bool = False):
@@ -344,27 +343,34 @@ class _Generator:
     """A generating multivector ``target`` with its merge table ``_table``,
     filled by the walks that read it: each subset ``key`` of an index tuple
     that a walk reaches maps to the ``(i, merged, odd)`` that extend it within
-    one, where ``_merge_sign(key, (i,))`` is ``(merged, -1 if odd else 1)``.
+    one, where ``_merge_sign(key, (i,))`` is ``(merged, -1 if odd else 1)``,
+    and bit ``p`` of ``_holding[i]`` is set when the ``p``-th tuple holds ``i``.
     1-forms are wedged on one at a time, each step summing the products that
     land on a merged tuple once, by :func:`~formcalc.poly.sum_of_products`.
-    A key's entries are a pure function of ``target`` and the key, so a walk
-    racing another to fill a key can only store an equal list.
-    """
+    A key's entries are a pure function of ``target`` and the key, stored once
+    whole, so a walk racing another to fill a key can only store an equal list."""
 
-    __slots__ = ("target", "_table")
+    __slots__ = ("target", "_holding", "_table")
 
     def __init__(self, target: Multivector):
         self.target = target
+        self._holding = [0] * target.chart.dim
+        for p, t in enumerate(target.terms):
+            for i in t:
+                self._holding[i] |= 1 << p
         self._table: dict[IndexTuple, list] = {}
 
     def _fill(self, key: IndexTuple) -> list:
         """Store and return the entries of ``key``, read off the tuples that hold it."""
-        inside = set(key)
-        extensions = {i for t in self.target.terms if inside.issubset(t) for i in t} - inside
-        entries = self._table[key] = []
-        for i in sorted(extensions):
-            merged, sign = _merge_sign(key, (i,))
-            entries.append((i, merged, sign == -1))
+        held = -1  # the bits of the tuples that hold key: all of them for ()
+        for i in key:
+            held &= self._holding[i]
+        entries = []
+        for i, holding in enumerate(self._holding):
+            if held & holding and i not in key:
+                merged, sign = _merge_sign(key, (i,))
+                entries.append((i, merged, sign == -1))
+        self._table[key] = entries
         return entries
 
     def wedge(self, forms: Sequence[Form]) -> dict[IndexTuple, Polynomial]:
@@ -438,11 +444,8 @@ def _star(a: Form, scale: Fraction) -> Multivector:
 
 
 def mv_from_form(volume: Form, a: Form) -> Multivector:
-    """The unique multivector ``L`` with ``contract(L, volume) == a``.
-
-    The volume must be a top form whose single coefficient is a nonzero
-    rational constant.
-    """
+    """The unique multivector ``L`` with ``contract(L, volume) == a``, for a
+    top form ``volume`` whose single coefficient is a nonzero rational constant."""
     scale = Fraction(1) / _volume_constant(volume)
     return _star(checked(a, Form, "mv_from_form argument", chart=volume.chart), scale)
 
@@ -520,8 +523,7 @@ class SymplecticData:
     def cached(self, key, build):
         value = self._cache.get(key)
         if value is None:
-            value = build()
-            self._cache[key] = value
+            value = self._cache[key] = build()
         return value
 
     def _chained_power(self, name: str, base, k: int):
@@ -540,9 +542,7 @@ class SymplecticData:
 
     def volume(self) -> Form:
         """``omega^n / n!``, the canonical volume form."""
-        return self.cached(
-            "volume", lambda: self.power(self.n) * Fraction(1, factorial(self.n))
-        )
+        return self.cached("volume", lambda: self.power(self.n) * Fraction(1, factorial(self.n)))
 
     def bivector_power(self, k: int) -> Multivector:
         """The k-fold wedge of the inverse bivector."""

@@ -232,6 +232,23 @@ class TestMergeRule:
         assert generator.pair([differential(q1 * p1), differential(q2)]) == Polynomial.zero(chart)
         assert generator.field([differential(q1 * p1)]) == Multivector.zero(chart, 1)
 
+    def test_fill_stores_only_whole_lists(self, monkeypatch):
+        # generators are shared, so a walk may read a key another walk is
+        # filling: while a key's entries are being signed, its list is not stored
+        chart = darboux_chart(3)
+        generator = exterior._Generator(rand_multivector(random.Random(5), chart, 3, 1.0))
+        merge_sign = exterior._merge_sign
+        signed = []
+
+        def signing(left, right):
+            assert left not in generator._table
+            signed.append(left)
+            return merge_sign(left, right)
+
+        monkeypatch.setattr(exterior, "_merge_sign", signing)
+        generator.field([differential(x) for x in coordinates(chart)[:2]])
+        assert signed and set(signed) == set(generator._table)
+
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 6), st.integers(0, 5))
     def test_exterior_derivative_formula(self, rng, dim, grade):
