@@ -62,12 +62,13 @@ Besides :class:`Polynomial` this module provides
   :func:`_negated_inverse` the upper triangle of ``-M^-1``, the inverse
   bivector's coefficients.  The entries pick one of two routes:
 
-  1. a matrix of constants takes one fraction-free Gauss-Jordan pass
-     (Bareiss, "Sylvester's identity and multistep integer-preserving
-     Gaussian elimination", Math. Comp. 22, 1968) that keeps ``m`` integers
-     per row, whose integers give ``det`` and ``adj``, or each entry of
-     ``-M^-1`` as one fraction with no adjugate built; a singular one has
-     rank at most ``m - 2``, so its adjugate is zero;
+  1. a matrix of constants takes one fraction-free Gauss-Jordan sweep in
+     place over 2x2 skew pivots (Bunch, "A note on the stable decomposition
+     of skew-symmetric matrices", Math. Comp. 38, 1982), ``m/2`` steps whose
+     exact divisions are Knuth's identity for overlapping Pfaffians
+     (Electron. J. Combin. 3(2), 1996).  Its integers give ``det``, ``adj``
+     or each entry of ``-M^-1`` as one fraction with no adjugate built; a
+     singular one has rank at most ``m - 2``, so its adjugate is zero;
   2. any other takes one memoized table of Pfaffians over index subsets
      (the classical expansion; see Galbiati & Maffioli, "On the computation
      of Pfaffians", 1994): ``det = Pf(M)^2`` and ``adj[i][j] =
@@ -701,51 +702,48 @@ def _check_even_skew(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> tupl
     return {(i, j): rows[i][j] for i, j in combinations(range(n), 2) if not rows[i][j].is_zero()}, n
 
 
-def _bareiss(upper: Mapping[tuple[int, int], Polynomial], m: int):
-    """Bareiss's fraction-free Gauss-Jordan pass (Math. Comp. 22, 1968) on
-    ``[A | I]``, ``A = L*M`` for the ``m x m`` skew matrix ``M`` with upper
-    triangle ``upper`` of constants and the lcm ``L`` of their denominators.
-    Each step, with row pivoting, sets every other row to ``(lead*x -
-    factor*y) // prev``, exact as every entry stays a minor of ``[A | I]``.
-
-    In place, a row holds ``m`` integers: before step ``col``, ``X``'s
-    columns ``0..col-1``, then the left block's ``col..m-1``.  The right
-    block's other columns are ``prev`` times an identity column in the rows
-    at or below ``col`` and zero above, so none is stored: the step writes
-    ``X``'s column ``col`` over the pivot column, which no later step reads,
-    as ``-factor`` in every other row and ``prev`` in the pivot row.  A row
-    swap only exchanges two rows' identity columns, so the swaps are applied
-    to ``X``'s columns at the end, last one first.  ``None`` if ``M`` is
-    singular, else ``(L, sign, prev, X)`` for the final ``[prev*I | X] =
-    [sign*det(A)*I | sign*adj(A)]``."""
+def _pfaffian_sweep(upper: Mapping[tuple[int, int], Polynomial], m: int):
+    """A fraction-free Gauss-Jordan sweep over 2x2 skew pivots (Bunch, Math.
+    Comp. 38, 1982), in place on the skew integer tableau ``N = A = L*M`` of
+    the ``m x m`` skew ``M`` with upper triangle ``upper`` of constants and
+    the lcm ``L`` of their denominators, from ``p = 1``.  Each step takes
+    ``r``, the first index not yet swept, and ``s``, the first unswept ``j``
+    with ``N[r][j] != 0``.  With ``d = N[r][s]``, every other row, ``a, b``
+    in its columns ``r, s``, becomes ``(d*x - b*y + a*z) // p`` over rows
+    ``r`` and ``s``, then takes ``b, -a`` there, as the implicit identity
+    block of ``[A | I]`` would.  Rows ``r, s`` become ``-N[s]`` and ``N[r]``
+    with ``p, -p`` at ``(r, s), (s, r)`` and 0 on the diagonal, and ``p =
+    d``.  Each division is exact: up to sign, ``p`` is the Pfaffian of ``A``
+    on the swept indices ``P`` and ``N[i][j]`` that on ``P ^ {i, j}``,
+    related by Knuth's identity for overlapping Pfaffians (Electron. J.
+    Combin. 3(2), 1996).  ``None`` if ``M`` is singular, else ``(L, p, N)``
+    with ``N`` skew: ``-M^-1 = L*N/p``, ``det(M) = p^2/L^m`` and ``adj(M) =
+    -p*N/L^(m-1)``."""
     values = {key: entry._terms.get(0, 0) for key, entry in upper.items()}
     scale = lcm(*(x.denominator for x in values.values()))
     rows = [[0] * m for _ in range(m)]
     for (i, j), x in values.items():
         rows[i][j] = x.numerator * (scale // x.denominator)
         rows[j][i] = -rows[i][j]
-    swaps = []
-    prev = 1
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if rows[r][col]), None)
-        if pivot is None:
+    left = list(range(m))
+    p = 1
+    while left:
+        r = left.pop(0)
+        top = rows[r]
+        s = next((j for j in left if top[j]), None)
+        if s is None:
             return None
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            swaps.append((col, pivot))
-        pivot_row = rows[col]
-        lead = pivot_row[col]
-        for r, row in enumerate(rows):
-            if r != col:
-                factor = row[col]
-                row = rows[r] = [(lead * x - factor * y) // prev for x, y in zip(row, pivot_row)]
-                row[col] = -factor
-        pivot_row[col] = prev
-        prev = lead
-    for col, pivot in reversed(swaps):
-        for row in rows:
-            row[col], row[pivot] = row[pivot], row[col]
-    return scale, -1 if len(swaps) % 2 else 1, prev, rows
+        left.remove(s)
+        d, low = top[s], rows[s]
+        for k, row in enumerate(rows):
+            if k != r and k != s:
+                a, b = row[r], row[s]
+                row = rows[k] = [(d * x - b * y + a * z) // p for x, y, z in zip(row, top, low)]
+                row[r], row[s] = b, -a
+        rows[r], rows[s] = [-z for z in low], top
+        rows[r][r], rows[r][s], top[r], top[s] = 0, p, -p, 0
+        p = d
+    return scale, p, rows
 
 
 def _pfaffian_table(upper: Mapping[tuple[int, int], Polynomial], chart: Chart):
@@ -780,9 +778,9 @@ def _pfaffian_table(upper: Mapping[tuple[int, int], Polynomial], chart: Chart):
 def matrix_determinant(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> Polynomial:
     """Determinant of an even skew-symmetric matrix of polynomials on ``chart``.
 
-    A matrix of constants takes Bareiss's fraction-free elimination (1968; a
-    singular one runs out of pivots and gives zero); any other takes
-    ``Pf(M)^2``, with the Pfaffian expanded over one memo of index subsets.
+    A matrix of constants reads ``p^2/L^m`` off :func:`_pfaffian_sweep`, and
+    builds no adjugate (a singular one runs out of pivots and gives zero); any
+    other takes ``Pf(M)^2``, the Pfaffian expanded over one memo of subsets.
 
     Raises :class:`InvalidArgument` (a ``ValueError``) for a matrix that is
     not square, not skew-symmetric (a nonzero diagonal entry included) or of
@@ -792,7 +790,8 @@ def matrix_determinant(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> Po
     """
     upper, n = _check_even_skew(rows, chart)
     if all(entry.is_constant() for entry in upper.values()):
-        return _skew_inverse(upper, n, chart)[0]
+        scale, p, _ = _pfaffian_sweep(upper, n) or (1, 0, None)
+        return Polynomial.constant(chart, Fraction(p * p, scale ** n))
     pf = _pfaffian_table(upper, chart)((1 << n) - 1)
     return pf * pf
 
@@ -802,8 +801,8 @@ def _skew_inverse(upper: Mapping[tuple[int, int], Polynomial], m: int,
     """``(det(M), adjugate(M))`` of the ``m x m`` skew matrix ``M`` with upper
     triangle ``upper`` (absent pairs zero), by the routes of the module
     docstring, the determinant from the route that built the adjugate.
-    Constants take :func:`_bareiss`: ``det(M) = sign*prev / L^m`` and
-    ``adj(M) = adj(A) / L^(m-1) = sign*L*X / L^m``.  Any other entries take
+    Constants take :func:`_pfaffian_sweep`: ``det(M) = p^2/L^m`` and
+    ``adj(M) = det(M) * M^-1 = -p*L*N/L^m``.  Any other entries take
     ``Pf(M)^2`` beside the signed ``Pf(M) * Pf(minor)`` entries, each
     unordered index pair once.  A singular matrix gets the zero adjugate as
     soon as ``det`` or ``Pf(M)`` is zero.  Unchecked: ``m`` must be even and
@@ -811,13 +810,13 @@ def _skew_inverse(upper: Mapping[tuple[int, int], Polynomial], m: int,
     zero = Polynomial.zero(chart)
     adj = [[zero] * m for _ in range(m)]
     if all(entry.is_constant() for entry in upper.values()):
-        solved = _bareiss(upper, m)
+        solved = _pfaffian_sweep(upper, m)
         if solved is None:
             return zero, adj
-        scale, sign, prev, block = solved
-        unit = Fraction(sign, scale ** m)
-        return Polynomial.constant(chart, prev * unit), [
-            [Polynomial.constant(chart, scale * x * unit) for x in row] for row in block]
+        scale, p, block = solved
+        unit = Fraction(p, scale ** m)
+        return Polynomial.constant(chart, p * unit), [
+            [Polynomial.constant(chart, -scale * x * unit) for x in row] for row in block]
     pfaffian = _pfaffian_table(upper, chart)
     full = (1 << m) - 1
     pf = pfaffian(full)
@@ -843,15 +842,15 @@ def _negated_inverse(upper: Mapping[tuple[int, int], Polynomial], m: int, chart:
     """The nonzero entries ``(i, j)``, ``i < j``, of ``-M^-1`` for the ``m x m``
     skew matrix ``M`` with upper triangle ``upper`` (absent pairs zero), such
     as a 2-form's ``terms``; ``{}`` unless ``det(M)`` is a nonzero constant.
-    Constants take the one fraction ``-L*X[i][j] / prev`` of
-    :func:`_bareiss`'s integers, as ``M^-1 = L*A^-1``; any other entries take
+    Constants take the one fraction ``L*N[i][j] / p`` of
+    :func:`_pfaffian_sweep`'s integers; any other entries take
     :func:`_skew_inverse`'s adjugate times ``-1/det``."""
     if all(entry.is_constant() for entry in upper.values()):
-        solved = _bareiss(upper, m)
+        solved = _pfaffian_sweep(upper, m)
         if solved is None:
             return {}
-        scale, _, prev, block = solved
-        return {(i, j): _make(chart, {0: _coefficient(Fraction(-scale * x, prev))}, 0)
+        scale, p, block = solved
+        return {(i, j): _make(chart, {0: _coefficient(Fraction(scale * x, p))}, 0)
                 for i, row in enumerate(block) for j in range(i + 1, m) if (x := row[j])}
     det, adj = _skew_inverse(upper, m, chart)
     if not det.is_constant() or det.is_zero():

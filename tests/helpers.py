@@ -12,9 +12,12 @@ behind ``nambu_top_bracket``, which is not skew and so has no route in
 ``formcalc.poly``.  ``fraction_gauss_jordan`` is the ``Fraction``
 elimination that constant matrices took before the fraction-free route:
 the reference for it at sizes the Laplace expansion cannot reach.
-``legacy_bareiss`` is ``poly._bareiss`` as it was before each row kept
+``inplace_bareiss`` is Bareiss's row-pivoted Gauss-Jordan pass on ``m``
+integers per row, the route constant matrices took before the 2x2 Pfaffian
+sweep ``poly._pfaffian_sweep``: the reference for the sweep's ``-M^-1`` and
+determinant.  ``legacy_bareiss`` is that pass as it was before each row kept
 ``m`` integers: the whole of ``[A | I]`` less the columns already pivoted,
-the reference for the integers ``(L, sign, prev, X)`` themselves.
+the reference for ``inplace_bareiss``'s integers ``(L, sign, prev, X)``.
 ``scaled_adjugate_bivector`` is ``poisson_bivector`` as it was before
 constant forms read ``-M^-1`` straight off elimination's integers: the
 skew matrix of ``Polynomial`` entries, ``matrix_determinant`` and
@@ -232,7 +235,7 @@ def fraction_gauss_jordan(values: Sequence[Sequence[Fraction]]):
 
 
 def legacy_bareiss(upper: Mapping[tuple[int, int], Polynomial], m: int):
-    """``poly._bareiss`` by updating all ``2m - col - 1`` columns of ``[A | I]``
+    """``inplace_bareiss`` by updating all ``2m - col - 1`` columns of ``[A | I]``
     that each row still holds at step ``col``, the row swaps made in place."""
     values = {key: entry._terms.get(0, 0) for key, entry in upper.items()}
     scale = lcm(*(x.denominator for x in values.values()))
@@ -256,6 +259,53 @@ def legacy_bareiss(upper: Mapping[tuple[int, int], Polynomial], m: int):
         rows[col] = pivot_row
         prev = lead
     return scale, sign, prev, rows
+
+
+def inplace_bareiss(upper: Mapping[tuple[int, int], Polynomial], m: int):
+    """Bareiss's fraction-free Gauss-Jordan pass (Math. Comp. 22, 1968) on
+    ``[A | I]``, ``A = L*M`` for the ``m x m`` skew matrix ``M`` with upper
+    triangle ``upper`` of constants and the lcm ``L`` of their denominators.
+    Each step, with row pivoting, sets every other row to ``(lead*x -
+    factor*y) // prev``, exact as every entry stays a minor of ``[A | I]``.
+
+    In place, a row holds ``m`` integers: before step ``col``, ``X``'s
+    columns ``0..col-1``, then the left block's ``col..m-1``.  The right
+    block's other columns are ``prev`` times an identity column in the rows
+    at or below ``col`` and zero above, so none is stored: the step writes
+    ``X``'s column ``col`` over the pivot column, which no later step reads,
+    as ``-factor`` in every other row and ``prev`` in the pivot row.  A row
+    swap only exchanges two rows' identity columns, so the swaps are applied
+    to ``X``'s columns at the end, last one first.  ``None`` if ``M`` is
+    singular, else ``(L, sign, prev, X)`` for the final ``[prev*I | X] =
+    [sign*det(A)*I | sign*adj(A)]``."""
+    values = {key: entry._terms.get(0, 0) for key, entry in upper.items()}
+    scale = lcm(*(x.denominator for x in values.values()))
+    rows = [[0] * m for _ in range(m)]
+    for (i, j), x in values.items():
+        rows[i][j] = x.numerator * (scale // x.denominator)
+        rows[j][i] = -rows[i][j]
+    swaps = []
+    prev = 1
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            swaps.append((col, pivot))
+        pivot_row = rows[col]
+        lead = pivot_row[col]
+        for r, row in enumerate(rows):
+            if r != col:
+                factor = row[col]
+                row = rows[r] = [(lead * x - factor * y) // prev for x, y in zip(row, pivot_row)]
+                row[col] = -factor
+        pivot_row[col] = prev
+        prev = lead
+    for col, pivot in reversed(swaps):
+        for row in rows:
+            row[col], row[pivot] = row[pivot], row[col]
+    return scale, -1 if len(swaps) % 2 else 1, prev, rows
 
 
 def scaled_adjugate_bivector(omega: Form) -> Multivector | None:

@@ -4,8 +4,9 @@ Each test wraps private kernel functions with ``monkeypatch`` and counts
 what they are handed: the term pairs that ``poly._add_product`` and
 ``Polynomial._shifted`` multiply, the polynomials ``poly._make`` builds
 with the terms they hold, the products that each level of a generator
-wedge hands to ``sum_of_products``, and the keys and entries of the
-generator's merge table.  The counts are exact functions of the input, so a
+wedge hands to ``sum_of_products``, the keys and entries of the
+generator's merge table, and the calls of ``poly._pfaffian_sweep``, the
+constant forms' inversion.  The counts are exact functions of the input, so a
 complexity claim is pinned with no timing noise (after Goldsmith, Aiken &
 Wilkerson, "Measuring empirical computational complexity", ESEC/FSE 2007,
 with exact counts in place of fitted times).
@@ -24,8 +25,11 @@ from formcalc import (BracketDef, Chart, Form, Polynomial, SymplecticData, brack
 from formcalc import exterior as exterior_module
 from formcalc import poly as poly_module
 from formcalc.brackets import _divided_power
+from formcalc.cli import run_scenario
+from formcalc.manifest import parse_scenario_text
 
 from tests.helpers import rand_poly
+from tests.test_exterior import dense_constant_form
 
 
 @pytest.fixture
@@ -229,3 +233,44 @@ def test_top_arity_bracket_fills_one_key_per_level(m):
     table = bdef._pairing._table
     assert sorted(table) == [tuple(range(j)) for j in range(m)]
     assert sum(len(entries) for entries in table.values()) == m * (m + 1) // 2
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The sizes ``poly._pfaffian_sweep`` is called with, one per call."""
+    sizes = []
+    sweep = poly_module._pfaffian_sweep
+
+    def counted(upper, m):
+        sizes.append(m)
+        return sweep(upper, m)
+
+    monkeypatch.setattr(poly_module, "_pfaffian_sweep", counted)
+    return sizes
+
+
+def test_one_sweep_per_constant_form_per_run(sweeps):
+    # four commands that each read the inverse bivector of one dense constant
+    # 6-dim form share the run's one inversion of it
+    omega = dense_constant_form(6, 5)
+    text = (f"[chart]\nx1 x2 x3 x4 x5 x6\n\n[define]\nomega = {omega}\n\n[tasks]\n"
+            "pb = power-bracket omega k=1 x1 x2\nvf = derived-vf omega k=1 x3\n"
+            "jac = check-jacobi omega x1 x4 x5 expect 0\npoisson = check-poisson omega expect true\n")
+    outcomes = run_scenario(parse_scenario_text(text)).outcomes
+    assert [o.status for o in outcomes] == ["done", "done", "ok", "ok"]
+    assert sweeps == [6]
+    bivector = SymplecticData(omega).bivector
+    assert outcomes[0].result_text == str(bivector.coefficient((0, 1)))
+
+
+@pytest.mark.parametrize("m", [6, 8, 10, 16])
+def test_constant_form_builds_one_polynomial_per_inverse_entry(work, sweeps, m):
+    # SymplecticData on a dense constant form: one sweep, and each nonzero
+    # entry of -M^-1 above the diagonal is one polynomial built, with no
+    # product, adjugate or scaling by -1/det
+    omega = dense_constant_form(m, m)
+    work.clear()
+    bivector = SymplecticData(omega).bivector
+    assert sweeps == [m]
+    assert work == {"built": len(bivector.terms), "terms": len(bivector.terms)}
+    assert len(bivector.terms) > m * (m - 1) // 4

@@ -511,7 +511,7 @@ class TestPoissonBivector:
         # poisson_bivector hands both routes the form's own terms, with no
         # matrix built from them, and ConstraintSet the pairs above the diagonal
         seen = []
-        for name in ("_pfaffian_table", "_bareiss"):
+        for name in ("_pfaffian_table", "_pfaffian_sweep"):
             def recorded(upper, *args, wrapped=getattr(poly, name)):
                 seen.append(upper)
                 return wrapped(upper, *args)

@@ -38,6 +38,7 @@ from tests.helpers import (
     ExpPoly,
     LegacyPolynomial,
     fraction_gauss_jordan,
+    inplace_bareiss,
     laplace_adjugate,
     laplace_determinant,
     legacy_bareiss,
@@ -424,6 +425,12 @@ def _constant_matrix(values):
     return [[Polynomial.constant(CHART, x) for x in row] for row in values]
 
 
+def _upper_of(values):
+    """The upper triangle of the skew ``values`` as constants, zeros included."""
+    m = len(values)
+    return {(i, j): Polynomial.constant(CHART, values[i][j]) for i in range(m) for j in range(i + 1, m)}
+
+
 def _skew_inverse_of(rows):
     """``poly._skew_inverse`` on the upper triangle of ``rows``, zero entries
     included, as ``ConstraintSet`` passes it."""
@@ -571,15 +578,14 @@ class TestEliminationOracle:
 
 
 class TestInPlaceElimination:
-    """``poly._bareiss``, which keeps ``m`` integers per row, against
+    """``inplace_bareiss``, which keeps ``m`` integers per row, against
     ``legacy_bareiss``, which updated the whole of ``[A | I]``: the same
     ``(L, sign, prev, X)`` integers, or ``None`` for a singular matrix."""
 
     def check(self, values):
-        m = len(values)
-        upper = {(i, j): Polynomial.constant(CHART, values[i][j]) for i in range(m) for j in range(i + 1, m)}
-        solved = poly_module._bareiss(upper, m)
-        assert solved == legacy_bareiss(upper, m)
+        upper = _upper_of(values)
+        solved = inplace_bareiss(upper, len(values))
+        assert solved == legacy_bareiss(upper, len(values))
         return solved
 
     @settings(max_examples=60, deadline=None)
@@ -593,18 +599,49 @@ class TestInPlaceElimination:
         assert self.check(values) is None
 
     def test_three_pivot_swaps(self):
-        # the 6-dim form of the CI case: the pivots swap rows (0, 1), (2, 3)
-        # and (4, 5), so sign = -1, and L = lcm(2, 3) = 6
+        # the 6-dim form of the CI case: Bareiss's pivots swap rows (0, 1),
+        # (2, 3) and (4, 5), and L = lcm(2, 3) = 6.  The sweep pivots on
+        # (0, 1), (2, 3) and (4, 5) with no swap, and its p^2 is det(A)
         upper = {(0, 3): 1, (0, 1): Fraction(1, 2), (1, 4): 3, (2, 3): Fraction(-2, 3),
                  (2, 5): 1, (4, 5): 5, (1, 2): -1}
         values = [[Fraction(0)] * 6 for _ in range(6)]
         for (i, j), x in upper.items():
             values[i][j], values[j][i] = Fraction(x), -Fraction(x)
-        scale, sign, prev, block = self.check(values)
-        assert (scale, sign) == (6, -1)
-        # -M^-1 = -L*X/prev holds the brackets {x1,x2}, {x3,x6} and {x4,x5}
-        brackets = [Fraction(-scale * block[i][j], prev) for i, j in ((0, 1), (2, 5), (3, 4))]
+        _, sign, prev, _ = self.check(values)
+        scale, p, block = TestPfaffianSweep().check(values)
+        assert scale == 6 and p * p == sign * prev
+        # -M^-1 = L*N/p holds the brackets {x1,x2}, {x3,x6} and {x4,x5}
+        brackets = [Fraction(scale * block[i][j], p) for i, j in ((0, 1), (2, 5), (3, 4))]
         assert brackets == [Fraction(10, 29), Fraction(9, 29), Fraction(-3, 58)]
+
+
+class TestPfaffianSweep:
+    """``poly._pfaffian_sweep``, 2x2 skew pivots, against ``inplace_bareiss``,
+    Gauss-Jordan with row swaps: the same ``-M^-1``, ``L*N/p`` against
+    ``-L*X/prev`` entry for entry, the same ``L``, ``p^2 = sign*prev`` and a
+    skew ``N``, or ``None`` on both sides for a singular matrix."""
+
+    def check(self, values):
+        upper, m = _upper_of(values), len(values)
+        solved, oracle = poly_module._pfaffian_sweep(upper, m), inplace_bareiss(upper, m)
+        assert (solved is None) == (oracle is None)
+        if solved is not None:
+            (scale, p, block), (oracle_scale, sign, prev, x) = solved, oracle
+            assert scale == oracle_scale and p * p == sign * prev
+            assert all(block[i][j] == -block[j][i] for i in range(m) for j in range(m))
+            assert [[Fraction(scale * y, p) for y in row] for row in block] == [
+                [Fraction(-scale * y, prev) for y in row] for row in x]
+        return solved
+
+    @settings(max_examples=60, deadline=None)
+    @given(skew_matrices(wide_sizes, integer_entries | coprime_entries))
+    def test_matches_bareiss(self, values):
+        self.check(values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(singular_constant_skew_matrices(wide_sizes, integer_entries | coprime_entries))
+    def test_singular_matches_bareiss(self, values):
+        assert self.check(values) is None
 
 
 class TestSkewRoutes:
