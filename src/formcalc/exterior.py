@@ -43,7 +43,7 @@ from math import factorial
 
 from .chart import Chart
 from .errors import DegenerateStructure, GradeMismatch, InvalidArgument, NotClosed, checked
-from .poly import Polynomial, _negated_inverse, _nonnegative_power, _signed_sum, sum_of_products
+from .poly import Polynomial, _negated_inverse, _nonnegative_power, _signed_sum, merge_walk, sum_of_products
 
 IndexTuple = tuple[int, ...]
 
@@ -345,8 +345,10 @@ class _Generator:
     that a walk reaches maps to the ``(i, merged, odd)`` that extend it within
     one, where ``_merge_sign(key, (i,))`` is ``(merged, -1 if odd else 1)``,
     and bit ``p`` of ``_holding[i]`` is set when the ``p``-th tuple holds ``i``.
-    1-forms are wedged on one at a time, each step summing the products that
-    land on a merged tuple once, by :func:`~formcalc.poly.sum_of_products`.
+    1-forms are wedged on one at a time by :func:`~formcalc.poly.merge_walk`,
+    which reads the table through :meth:`_fill` and adds each step's products
+    into the packed tables of the merged tuples, with no polynomial built for
+    a partial wedge.
     A key's entries are a pure function of ``target`` and the key, stored once
     whole, so a walk racing another to fill a key can only store an equal list."""
 
@@ -374,22 +376,12 @@ class _Generator:
         return entries
 
     def wedge(self, forms: Sequence[Form]) -> dict[IndexTuple, Polynomial]:
-        """The coefficients of ``forms[0] ^ ... ^ forms[-1]`` on the
-        ``len(forms)``-element subsets of the index tuples of ``target``."""
-        chart = self.target.chart
-        table = self._table
-        current = {(): Polynomial.constant(chart, 1)}
-        for form in forms:
-            groups: dict[IndexTuple, list] = {}
-            for key, value in current.items():
-                for i, merged, odd in table.get(key) or self._fill(key):
-                    c = form.terms.get((i,))
-                    if c is not None:
-                        groups.setdefault(merged, []).append((value, c, odd))
-            current = _summed(groups, chart)
-            if not current:
-                break
-        return current
+        """The coefficients of ``forms[0] ^ ... ^ forms[-1]``, one or more
+        1-forms, on the ``len(forms)``-element subsets of the index tuples of
+        ``target``."""
+        table, fill = self._table, self._fill
+        return merge_walk([{i: c for (i,), c in form.terms.items()} for form in forms],
+                          lambda key: table.get(key) or fill(key), self.target.chart)
 
     def products(self, forms: Sequence[Form]) -> list:
         """The products whose sum is :meth:`pair` of ``forms``, unsummed."""

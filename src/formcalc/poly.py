@@ -37,9 +37,14 @@ products as ``(a, b, negate)`` triples and adds each into one mutable table
 of packed keys, which is settled to ints and cleared of zeros once at the
 end; no ``Polynomial`` is built per product or per partial sum (Monagan &
 Pearce build each result in one accumulator in the same way).  Every
-product, ``*`` included, enters there: ``a * b`` is the one-product sum
-``[(a, b, False)]``, and the rule for a lone product with a one-term factor,
-its sign included, lives in :func:`sum_of_products` alone.
+product of two polynomials, ``*`` included, enters there: ``a * b`` is the
+one-product sum ``[(a, b, False)]``, and the rule for a lone product with a
+one-term factor, its sign included, lives in :func:`sum_of_products` alone.
+The one other caller of the product loop is :func:`merge_walk`, the wedge of
+1-forms along a generator's merge table.  Its first level takes the first
+form's coefficients as they are, with no product by the constant 1; each
+later level adds its products into the packed tables of the merged tuples,
+and only the last level's tables are settled and become polynomials.
 
 The packed layout is private to this module.  Other code reads a polynomial
 through :meth:`Polynomial.items`, :meth:`~Polynomial.coefficient`,
@@ -163,11 +168,11 @@ def _check_degree(degree: int) -> int:
 
 def _add_product(out: dict, large: dict, small: dict, negate: bool):
     """Add ``large * small`` (negated if ``negate``) into ``out``: the inner
-    loop of :func:`sum_of_products`, its only caller.
+    loop of :func:`sum_of_products` and of :func:`_walk_level`, its only callers.
 
     All three are term tables; ``small`` is nonempty and has no more terms
     than ``large``.  Values in ``out`` are left unsettled (zeros and integral
-    ``Fraction`` values included) until :func:`_finished` reads them.  A
+    ``Fraction`` values included) until the caller settles the table.  A
     one-term ``small`` takes one pass, and a coefficient of 1 is added
     without a multiplication.
     """
@@ -534,6 +539,65 @@ def sum_of_products(products: Sequence[tuple[Polynomial, Polynomial, bool]],
             degree = bound
         _add_product(out, large._terms, small._terms, negate)
     return _make(chart, _finished(out), _check_degree(degree))
+
+
+def merge_walk(levels: Sequence[Mapping[int, Polynomial]], entries, chart: Chart) -> dict:
+    """``{key: Polynomial}``, the wedge of 1-forms along a merge table
+    (:class:`~formcalc.exterior._Generator`'s walk): ``levels[j]`` holds the
+    ``j``-th form's coefficients by index, and ``entries(key)`` the ``(i,
+    merged, odd)`` that extend ``key``.  Level 1 is the first form's
+    coefficients on the indices of ``entries(())``, as they are; each later
+    level is one :func:`_walk_level` on packed tables, and an empty level
+    ends the walk.  Only the last level's tables are settled, each into one
+    ``Polynomial``.  ``levels`` is not empty: every bracket has an argument."""
+    first = levels[0]
+    walked = {merged: first[i] for i, merged, _ in entries(()) if i in first}
+    if len(levels) == 1:
+        return walked
+    current = {key: (c._terms, c._degree) for key, c in walked.items()}
+    top = _BITS * chart.dim
+    for coefficients in levels[1:]:
+        if not current:
+            return {}
+        current = _walk_level(current, coefficients, entries, top)
+    for table, _ in current.values():
+        _settle(table)
+    return {key: _make(chart, table, degree) for key, (table, degree) in current.items()}
+
+
+def _walk_level(current: dict, coefficients: Mapping[int, Polynomial], entries, top: int) -> dict:
+    """One level of :func:`merge_walk`: for each ``key`` of ``current``, a
+    ``(table, degree bound)`` pair, and each of its entries ``(i, merged,
+    odd)`` with a coefficient ``c`` at ``i``, ``table * c``, negated if
+    ``odd``, is added into ``merged``'s table by :func:`_add_product`.  Each
+    bound is the largest of its products' bounds, as in
+    :func:`sum_of_products`, and is checked before the table is cleared of
+    zeros (only when it holds one) or dropped (when empty), so ``entries``
+    reads the keys of nonzero partial wedges alone."""
+    sums: dict = {}
+    for key, (table, degree) in current.items():
+        size = len(table)
+        for i, merged, odd in entries(key):
+            c = coefficients.get(i)
+            if c is None:
+                continue
+            terms = c._terms
+            small, large, lead = (table, terms, c._degree) if size <= len(terms) else (terms, table, degree)
+            bound = lead + (next(iter(small)) >> top) if len(small) == 1 else degree + c._degree
+            acc = sums.get(merged)
+            if acc is None:
+                acc = sums[merged] = [{}, bound]
+            elif bound > acc[1]:
+                acc[1] = bound
+            _add_product(acc[0], large, small, odd)
+    out = {}
+    for merged, (table, degree) in sums.items():
+        _check_degree(degree)
+        if not all(table.values()):
+            table = {key: value for key, value in table.items() if value}
+        if table:
+            out[merged] = (table, degree)
+    return out
 
 
 def coordinates(chart: Chart) -> tuple[Polynomial, ...]:

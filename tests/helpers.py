@@ -25,7 +25,9 @@ skew matrix of ``Polynomial`` entries, ``matrix_determinant`` and
 ``full_wedge_bracket``, ``full_wedge_derived_vf`` and
 ``full_wedge_jacobi_bracket`` build the whole wedge of the differentials and
 pair it with the generator, the route the brackets took before they wedged
-only onto the generator's support.  ``ExpPoly`` and
+only onto the generator's support.  ``legacy_generator_wedge`` is that
+support wedge as it was before ``poly.merge_walk`` kept its partial sums in
+packed tables: one ``Polynomial`` per merged tuple at every level.  ``ExpPoly`` and
 ``exp_poly_homogenization`` are the algebra of ``exp(w*s)`` weights that
 ``homogenization_check`` ran on before it lifted its arguments to 1-forms.
 ``bivector_loop_hamiltonian_vf`` is the Hamiltonian field as its own loop
@@ -82,7 +84,7 @@ from formcalc import (
     wedge_all,
 )
 from formcalc.brackets import power_bracket_def
-from formcalc.exterior import _accumulate, _normalize_index_tuple
+from formcalc.exterior import _accumulate, _normalize_index_tuple, _summed
 from formcalc.parsing import _error, _tokenize
 from formcalc.poly import _BITS, _MASK
 from formcalc.suites import _random_graded, _random_poly
@@ -396,6 +398,28 @@ def full_wedge_jacobi_bracket(jdef, f, g) -> Polynomial:
     """``L(f,g) + f*X(g) - g*X(f)`` with ``L(f,g)`` paired against ``df ^ dg``."""
     df, dg = differential(f), differential(g)
     return pair(wedge(df, dg), jdef.bivector) + f * pair(dg, jdef.field) - g * pair(df, jdef.field)
+
+
+def legacy_generator_wedge(generator, forms) -> dict:
+    """``generator.wedge(forms)`` as the level loop it was before the walk
+    moved into ``poly.merge_walk``: one ``Polynomial`` per merged tuple at
+    every level, each the fused sum of its ``(value, c, odd)`` products,
+    starting from the constant 1 on the empty tuple.  It reads and fills
+    ``generator``'s merge table as the walk does."""
+    chart = generator.target.chart
+    table = generator._table
+    current = {(): Polynomial.constant(chart, 1)}
+    for form in forms:
+        groups: dict = {}
+        for key, value in current.items():
+            for i, merged, odd in table.get(key) or generator._fill(key):
+                c = form.terms.get((i,))
+                if c is not None:
+                    groups.setdefault(merged, []).append((value, c, odd))
+        current = _summed(groups, chart)
+        if not current:
+            break
+    return current
 
 
 class ExpPoly:

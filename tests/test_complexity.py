@@ -4,7 +4,7 @@ Each test wraps private kernel functions with ``monkeypatch`` and counts
 what they are handed: the term pairs that ``poly._add_product`` and
 ``Polynomial._shifted`` multiply, the polynomials ``poly._make`` builds
 with the terms they hold, the products that each level of a generator
-wedge hands to ``sum_of_products``, the keys and entries of the
+wedge adds into its merged tuples' tables, the keys and entries of the
 generator's merge table, and the calls of ``poly._pfaffian_sweep``, the
 constant forms' inversion.  The counts are exact functions of the input, so a
 complexity claim is pinned with no timing noise (after Goldsmith, Aiken &
@@ -139,21 +139,28 @@ def test_parse_work_is_linear(work):
 
 
 def level_products(monkeypatch):
-    """One list per level of each ``_Generator.wedge`` call made while it is
-    patched in: the product count of every ``sum_of_products`` of the level."""
+    """One dict per level of each ``_Generator.wedge`` call made while it is
+    patched in: for each merged tuple the level sums onto, the id of its
+    table and the products ``poly._add_product`` adds into it.  Level 1's
+    dict opens with ``merge_walk``, each later level's with ``poly._walk_level``."""
     levels = []
-    summed, sum_of_products = exterior_module._summed, exterior_module.sum_of_products
+    walk, walk_level, add_product = exterior_module.merge_walk, poly_module._walk_level, poly_module._add_product
 
-    def counted_summed(groups, chart):
-        levels.append([])
-        return summed(groups, chart)
+    def opening(function):
+        def counted(*args):
+            levels.append({})
+            return function(*args)
+        return counted
 
-    def counted_sum_of_products(products, chart):
-        levels[-1].append(len(products))
-        return sum_of_products(products, chart)
+    def counted_add_product(out, large, small, negate):
+        # every table of a level is alive until the level ends: one id each
+        level = levels[-1]
+        level[id(out)] = level.get(id(out), 0) + 1
+        return add_product(out, large, small, negate)
 
-    monkeypatch.setattr(exterior_module, "_summed", counted_summed)
-    monkeypatch.setattr(exterior_module, "sum_of_products", counted_sum_of_products)
+    monkeypatch.setattr(exterior_module, "merge_walk", opening(walk))
+    monkeypatch.setattr(poly_module, "_walk_level", opening(walk_level))
+    monkeypatch.setattr(poly_module, "_add_product", counted_add_product)
     return levels
 
 
@@ -186,9 +193,10 @@ def walked_entries(target, forms):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_generator_wedge_hands_each_nonzero_entry_one_product(monkeypatch, k):
     # the divided power Lambda^k/k! of the 8-dim standard and magnetic forms:
-    # every level hands sum_of_products one product per merge-table entry
-    # walked from a nonzero sum with a nonzero form component.  The second
-    # function is the first plus a sparse one, so some sums cancel to zero
+    # level 1 takes the first form's coefficients and multiplies nothing, and
+    # each later level adds one product per merge-table entry walked from a
+    # nonzero sum with a nonzero form component.  The second function is the
+    # first plus a sparse one, so some sums cancel to zero
     chart = darboux_chart(4)
     q = coordinates(chart)
     standard = standard_form(chart)
@@ -207,17 +215,43 @@ def test_generator_wedge_hands_each_nonzero_entry_one_product(monkeypatch, k):
             generator.wedge(forms)
             monkeypatch.undo()
             counts, keys = walked_entries(generator.target, forms)
-            assert [sum(level) for level in levels] == counts, (name, seed)
+            assert [sum(level.values()) for level in levels] == [0] + counts[1:], (name, seed)
             read |= keys
-        # coordinate functions along the pairs: one product at each level
+        # coordinate functions along the pairs: one product at each later level
         coordinate_forms = [differential(x) for x in pairs_order[:2 * k]]
         levels = level_products(monkeypatch)
         generator.wedge(coordinate_forms)
         monkeypatch.undo()
-        assert levels == [[1]] * (2 * k), name
+        assert [list(level.values()) for level in levels] == [[]] + [[1]] * (2 * k - 1), name
         read |= walked_entries(generator.target, coordinate_forms)[1]
         # the merge table holds the keys the walks read, and no other
         assert set(generator._table) == read, name
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_generator_pairing_builds_only_the_last_level(work, k):
+    # the divided power of the 8-dim magnetic form paired with 2k random
+    # functions: one polynomial per key of the full wedge on the target's
+    # tuples, none for a partial wedge, and one for the sum.  A wedge of one
+    # form is that form's own coefficients, and builds none.  (At k = 4 the
+    # target is one top tuple, and a lone product by 1 builds no sum)
+    chart = darboux_chart(4)
+    q = coordinates(chart)
+    omega = standard_form(chart) + Form(chart, 2, {(0, 1): -q[0], (0, 2): q[2], (1, 2): -q[1]})
+    generator = _divided_power(SymplecticData(omega), k)
+    for seed in range(6):
+        rng = random.Random(200 * k + seed)
+        forms = [differential(rand_poly(rng, chart, degree=2, nterms=10)) for _ in range(2 * k)]
+        full = wedge_all(forms).terms
+        last = [full[key] for key in generator.target.terms if key in full]
+        assert len(last) > 1  # so the sum is one fused sum of several products
+        work.clear()
+        value = generator.pair(forms)
+        assert work["built"] == len(last) + 1, seed
+        assert work["terms"] == sum(p.term_count() for p in last) + value.term_count(), seed
+        work.clear()
+        first = generator.wedge(forms[:1])
+        assert work["built"] == 0 and first and all(c is forms[0].terms[(i,)] for (i,), c in first.items()), seed
 
 
 @pytest.mark.parametrize("m", [12, 16, 20])

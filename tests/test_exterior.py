@@ -13,6 +13,7 @@ from formcalc import (
     Chart,
     ConstraintSet,
     DegenerateStructure,
+    DegreeOverflow,
     Form,
     GradeMismatch,
     InvalidArgument,
@@ -42,8 +43,10 @@ from formcalc import (
 )
 from formcalc import exterior, poly
 
-from tests.helpers import (permutation_sign, pulled_back_form, qp, rand_form, rand_multivector,
-                           rand_poly, scaled_adjugate_bivector)
+from formcalc.brackets import _divided_power
+
+from tests.helpers import (legacy_generator_wedge, permutation_sign, pulled_back_form, qp, rand_form,
+                           rand_multivector, rand_poly, scaled_adjugate_bivector)
 from tests.test_poly import (coprime_entries, integer_entries, singular_constant_skew_matrices,
                              skew_matrices, wide_sizes)
 
@@ -262,6 +265,75 @@ class TestMergeRule:
                     merged, sign = permutation_sign((i,) + key)
                     expected[merged] = expected.get(merged, Polynomial.zero(chart)) + c.diff(i) * sign
         assert exterior_derivative(a).terms == {k: v for k, v in expected.items() if not v.is_zero()}
+
+
+def magnetic_form_on(rng, chart: Chart) -> Form:
+    """The standard form plus ``dq1 ^ dg``, ``g`` a random quadratic in the
+    q's alone: closed on any Darboux chart, its matrix of determinant 1."""
+    qs, _ = qp(chart)
+    g = Polynomial.zero(chart)
+    for _ in range(3):
+        g = g + rng.choice((-2, -1, 1, 2)) * rng.choice(qs) * rng.choice(qs)
+    return standard_form(chart) + wedge(differential(qs[0]), differential(g))
+
+
+class TestMergeWalkOracle:
+    """``_Generator.wedge``, the walk of ``poly.merge_walk`` in packed tables,
+    against the level loop before it, ``legacy_generator_wedge``: key for key
+    equal values and degree bounds, every integral coefficient an ``int``, in
+    the same order, read off the same merge-table keys."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(2, 5),
+           st.sampled_from(("standard", "magnetic", "pulled back")), st.integers(1, 5),
+           st.sampled_from((None, "repeat", "perturb")))
+    def test_walk_matches_the_level_loop(self, rng, n, kind, k, twin):
+        # divided powers Lambda^k/k! of 4-10-dim forms.  Halves and doubles
+        # among the arguments' scales give Fraction sums that settle to ints;
+        # a repeated argument empties the walk at a middle level, and one
+        # perturbed by a monomial cancels some of its sums there
+        chart = darboux_chart(n)
+        k = min(k, n)
+        omega = (standard_form(chart) if kind == "standard" else magnetic_form_on(rng, chart)
+                 if kind == "magnetic" else pulled_back_form(rng, chart)[1])
+        target = _divided_power(SymplecticData(omega), k).target
+        scales = (1, 2, -2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3))
+        functions = [rand_poly(rng, chart, degree=2, nterms=3) * rng.choice(scales) for _ in range(2 * k)]
+        if twin is not None:
+            i, j = sorted(rng.sample(range(2 * k), 2))
+            functions[j] = functions[i]
+            if twin == "perturb":
+                functions[j] = functions[j] + rand_poly(rng, chart, degree=2, nterms=1)
+        forms = [differential(f) for f in functions]
+        walked, looped = exterior._Generator(target), exterior._Generator(target)
+        new, old = walked.wedge(forms), legacy_generator_wedge(looped, forms)
+        assert list(new) == list(old)
+        for key, value in old.items():
+            assert new[key] == value and new[key]._degree == value._degree, key
+            assert all(type(x) is int or x.denominator != 1 for x in new[key]._terms.values()), key
+        assert list(walked._table) == list(looped._table)
+
+    def test_repeated_argument_stops_the_walk(self):
+        # df ^ dg ^ df: level 3 cancels everywhere, so no level-3 key is read
+        chart = darboux_chart(3)
+        q1, q2, q3, p1, p2, p3 = coordinates(chart)
+        f, g = Fraction(1, 2) * q1 * p2 + 2 * q3, q2 * p1 - Fraction(3, 2) * p3 ** 2
+        target = _divided_power(SymplecticData(standard_form(chart)), 2).target
+        walked, looped = exterior._Generator(target), exterior._Generator(target)
+        forms = [differential(x) for x in (f, g, f, g)]
+        assert walked.wedge(forms) == legacy_generator_wedge(looped, forms) == {}
+        assert list(walked._table) == list(looped._table)
+        assert {len(key) for key in walked._table} == {0, 1, 2}
+
+    def test_degree_overflow_at_a_cancelling_level(self):
+        # df ^ df cancels, but the bounds of its products reach 2^32 first, so
+        # both walks raise, as the fused sum of those products does
+        chart = darboux_chart(2)
+        f = Polynomial(chart, {(2 ** 31, 0, 1, 0): 1})
+        target = _divided_power(SymplecticData(standard_form(chart)), 1).target
+        for walk in (exterior._Generator.wedge, legacy_generator_wedge):
+            with pytest.raises(DegreeOverflow):
+                walk(exterior._Generator(target), [differential(f)] * 2)
 
 
 class TestFormPower:

@@ -1032,7 +1032,8 @@ def negations(monkeypatch):
 
 
 class TestOneProductRoute:
-    """Every product of two polynomials enters ``poly.sum_of_products``."""
+    """Every product of two polynomials enters ``poly.sum_of_products``; a
+    generator walk's products of partial sums enter ``poly._walk_level``."""
 
     def test_mul_is_one_fused_sum(self, monkeypatch):
         p = Q1 * P1 - Fraction(1, 2) * P1 ** 2 + 3
@@ -1074,7 +1075,8 @@ class TestOneProductRoute:
         assert adj == laplace_adjugate(rows, chart) and det == laplace_determinant(rows, chart)
 
     def test_only_the_fused_sum_calls_the_product_loops(self):
-        # inside poly.py, _add_product and ._shifted are named by sum_of_products alone
+        # inside poly.py, _add_product and ._shifted are named by sum_of_products
+        # and by one level of merge_walk alone
         tree = ast.parse((ROOT / "src" / "formcalc" / "poly.py").read_text())
         callers = set()
         for top in tree.body:
@@ -1084,4 +1086,4 @@ class TestOneProductRoute:
                         if (isinstance(node, ast.Name) and node.id == "_add_product"
                                 or isinstance(node, ast.Attribute) and node.attr == "_shifted"):
                             callers.add(function.name)
-        assert callers == {"sum_of_products"}
+        assert callers == {"sum_of_products", "_walk_level"}
