@@ -464,8 +464,7 @@ def poisson_bivector(omega: Form) -> Multivector:
     ``sum_j e(p_j)^e(q_j)``; the induced binary bracket then satisfies
     ``{p_j, q_j} = 1``.  Requires an even-dimensional chart and a constant
     nonzero determinant of the coefficient matrix ``M``.  The coefficients
-    are the upper triangle of ``-M^-1``: straight from elimination's integers
-    for a constant form, else the Pfaffian route's adjugate times ``-1/det``.
+    are the upper triangle of ``-M^-1``, read off one 2x2 Pfaffian sweep.
     """
     chart = checked(omega, Form, "symplectic form", grade=2).chart
     terms = _negated_inverse(omega.terms, 2 * _half_dimension(chart), chart)

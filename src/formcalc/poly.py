@@ -63,26 +63,19 @@ Besides :class:`Polynomial` this module provides
   even size.  Any other matrix raises :class:`InvalidArgument`.  Inside, a
   skew matrix has one shape, its upper triangle ``{(i, j): entry}``, ``i < j``,
   absent pairs zero, as a 2-form's ``terms`` are.  :func:`_skew_inverse`
-  returns both, the determinant from the route that built the adjugate, and
-  :func:`_negated_inverse` the upper triangle of ``-M^-1``, the inverse
-  bivector's coefficients.  The entries pick one of two routes:
-
-  1. a matrix of constants takes one fraction-free Gauss-Jordan sweep in
-     place over 2x2 skew pivots (Bunch, "A note on the stable decomposition
-     of skew-symmetric matrices", Math. Comp. 38, 1982), ``m/2`` steps whose
-     exact divisions are Knuth's identity for overlapping Pfaffians
-     (Electron. J. Combin. 3(2), 1996).  Its integers give ``det``, ``adj``
-     or each entry of ``-M^-1`` as one fraction with no adjugate built; a
-     singular one has rank at most ``m - 2``, so its adjugate is zero;
-  2. any other takes one memoized table of Pfaffians over index subsets
-     (the classical expansion; see Galbiati & Maffioli, "On the computation
-     of Pfaffians", 1994): ``det = Pf(M)^2`` and ``adj[i][j] =
-     (-1)^(i+j+[j<i]) * Pf(M) * Pf(M without rows and columns i, j)``.
-
-  A Pfaffian has about the square root of the determinant's terms, and
-  elimination's entries swell on polynomial matrices, so those take the
-  table; it holds a Pfaffian for every even index subset, exponentially
-  many, while elimination is cubic, so constant matrices keep elimination.
+  returns ``det`` and ``adj``, and :func:`_negated_inverse` the upper
+  triangle of ``-M^-1``, the inverse bivector's coefficients.  All three
+  read one algorithm on two rings: a fraction-free Gauss-Jordan sweep over
+  2x2 skew pivots (Bunch, Math. Comp. 38, 1982), ``m/2`` steps whose exact
+  divisions are Knuth's identity for overlapping Pfaffians (Electron. J.
+  Combin. 3(2), 1996).  Constants take :func:`_pfaffian_sweep` on
+  integers, any other entries :func:`_polynomial_sweep`: two loops, as the
+  polynomial one takes 27-44x the integer one's time on dense constant
+  matrices of 6-10 dims.  Over ``Q[x]`` a constant pivot keeps ``p`` a
+  constant, so each division is a scalar multiply; picking it by the terms
+  in its two columns keeps the later pivots constant too, where picking it
+  by their nonzero entries divided by a polynomial ``p`` 960 times on one
+  18-dim pulled-back form.
 """
 
 from __future__ import annotations
@@ -810,41 +803,55 @@ def _pfaffian_sweep(upper: Mapping[tuple[int, int], Polynomial], m: int):
     return scale, p, rows
 
 
-def _pfaffian_table(upper: Mapping[tuple[int, int], Polynomial], chart: Chart):
-    """``pfaffian(mask)``: the Pfaffian of the skew submatrix on the rows and
-    columns whose bits are set in ``mask`` (an even count), by expansion along
-    its first index ``i``, with one memo for every sub-Pfaffian.  It reads the
-    entries ``upper.get((i, j))``, ``j > i``, above the diagonal only."""
-    memo: dict[int, Polynomial] = {0: Polynomial.constant(chart, 1)}
-
-    def pfaffian(mask: int) -> Polynomial:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        low = mask & -mask
-        i = low.bit_length() - 1
-        rest = bits = mask ^ low
-        products = []
-        negate = False
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            entry = upper.get((i, bit.bit_length() - 1))
-            if entry is not None and not entry.is_zero():
-                products.append((entry, pfaffian(rest ^ bit), negate))
-            negate = not negate
-        total = memo[mask] = sum_of_products(products, chart)
-        return total
-
-    return pfaffian
+def _polynomial_sweep(upper: Mapping[tuple[int, int], Polynomial], m: int, chart: Chart):
+    """:func:`_pfaffian_sweep`'s steps over ``Q[x]`` on the skew tableau ``N =
+    M`` of ``Polynomial`` entries, from ``p = 1``.  Each pivot is a nonzero
+    unswept ``N[r][s]``, ``r < s``: constant if one is, else of the fewest
+    terms, and then the one whose two columns hold the fewest terms over the
+    unswept rows.  Each update ``(d*x - b*y + a*z) / p`` is one fused sum of
+    the nonzero products, times ``1/p`` if ``p`` is a constant, else
+    :func:`exact_divide`.  ``None`` if ``M`` is singular, else ``(p, N)``:
+    ``-M^-1 = N/p``, ``det(M) = p^2`` and ``adj(M) = -p*N``."""
+    zero = Polynomial.zero(chart)
+    rows = [[zero] * m for _ in range(m)]
+    for (i, j), x in upper.items():
+        rows[i][j], rows[j][i] = x, -x
+    left = list(range(m))
+    p = Polynomial.constant(chart, 1)
+    while left:
+        terms = {c: sum(rows[k][c].term_count() for k in left) for c in left}
+        pivots = [(not x.is_constant(), x.term_count(), terms[r] + terms[s], r, s)
+                  for r, s in combinations(left, 2) if not (x := rows[r][s]).is_zero()]
+        if not pivots:
+            return None
+        *_, r, s = min(pivots)
+        left = [c for c in left if c != r and c != s]
+        top, low, d = rows[r], rows[s], rows[r][s]
+        unit = Fraction(1) / p.constant_value() if p.is_constant() else None
+        others = [k for k in range(m) if k != r and k != s]
+        for k in others:
+            row = rows[k]
+            a, b = row[r], row[s]
+            new = rows[k] = row[:]
+            for j in others:
+                products = [(u, v, negate) for u, v, negate in ((d, row[j], False), (b, top[j], True),
+                                                                (a, low[j], False)) if u._terms and v._terms]
+                if products and j != k:  # the diagonal stays zero
+                    total = sum_of_products(products, chart)
+                    new[j] = total * unit if unit is not None else exact_divide(total, p)
+            new[r], new[s] = b, -a
+        rows[r], rows[s] = [-z for z in low], top
+        rows[r][r], rows[r][s], top[r], top[s] = zero, p, -p, zero
+        p = d
+    return p, rows
 
 
 def matrix_determinant(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> Polynomial:
     """Determinant of an even skew-symmetric matrix of polynomials on ``chart``.
 
-    A matrix of constants reads ``p^2/L^m`` off :func:`_pfaffian_sweep`, and
-    builds no adjugate (a singular one runs out of pivots and gives zero); any
-    other takes ``Pf(M)^2``, the Pfaffian expanded over one memo of subsets.
+    It is ``p^2`` of :func:`_pfaffian_sweep` (over ``L^m``) for a matrix of
+    constants and of :func:`_polynomial_sweep` for any other, with no
+    adjugate built; a singular matrix runs out of pivots and gives zero.
 
     Raises :class:`InvalidArgument` (a ``ValueError``) for a matrix that is
     not square, not skew-symmetric (a nonzero diagonal entry included) or of
@@ -856,21 +863,19 @@ def matrix_determinant(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> Po
     if all(entry.is_constant() for entry in upper.values()):
         scale, p, _ = _pfaffian_sweep(upper, n) or (1, 0, None)
         return Polynomial.constant(chart, Fraction(p * p, scale ** n))
-    pf = _pfaffian_table(upper, chart)((1 << n) - 1)
-    return pf * pf
+    p, _ = _polynomial_sweep(upper, n, chart) or (Polynomial.zero(chart), None)
+    return p * p
 
 
 def _skew_inverse(upper: Mapping[tuple[int, int], Polynomial], m: int,
                   chart: Chart) -> tuple[Polynomial, list]:
     """``(det(M), adjugate(M))`` of the ``m x m`` skew matrix ``M`` with upper
-    triangle ``upper`` (absent pairs zero), by the routes of the module
-    docstring, the determinant from the route that built the adjugate.
-    Constants take :func:`_pfaffian_sweep`: ``det(M) = p^2/L^m`` and
-    ``adj(M) = det(M) * M^-1 = -p*L*N/L^m``.  Any other entries take
-    ``Pf(M)^2`` beside the signed ``Pf(M) * Pf(minor)`` entries, each
-    unordered index pair once.  A singular matrix gets the zero adjugate as
-    soon as ``det`` or ``Pf(M)`` is zero.  Unchecked: ``m`` must be even and
-    every entry on ``chart``."""
+    triangle ``upper`` (absent pairs zero), read off one sweep.  Constants
+    take :func:`_pfaffian_sweep`: ``det(M) = p^2/L^m`` and ``adj(M) =
+    -p*L*N/L^m``.  Any other entries take :func:`_polynomial_sweep`:
+    ``det(M) = p^2`` and ``adj(M) = -p*N``, each index pair's sign folded
+    into its product.  A singular matrix gets the zero adjugate.
+    Unchecked: ``m`` must be even and every entry on ``chart``."""
     zero = Polynomial.zero(chart)
     adj = [[zero] * m for _ in range(m)]
     if all(entry.is_constant() for entry in upper.values()):
@@ -881,23 +886,17 @@ def _skew_inverse(upper: Mapping[tuple[int, int], Polynomial], m: int,
         unit = Fraction(p, scale ** m)
         return Polynomial.constant(chart, p * unit), [
             [Polynomial.constant(chart, -scale * x * unit) for x in row] for row in block]
-    pfaffian = _pfaffian_table(upper, chart)
-    full = (1 << m) - 1
-    pf = pfaffian(full)
-    if pf.is_zero():
-        return zero, adj
+    p, block = _polynomial_sweep(upper, m, chart) or (zero, adj)  # p = 0: det = 0 and adj = 0
     for i, j in combinations(range(m), 2):
-        minor = pfaffian(full ^ (1 << i) ^ (1 << j))
-        value = sum_of_products(((pf, minor, (i + j) % 2 == 1),), chart)
-        adj[i][j] = value
-        adj[j][i] = -value
-    return pf * pf, adj
+        value = sum_of_products(((p, block[i][j], True),), chart)
+        adj[i][j], adj[j][i] = value, -value
+    return p * p, adj
 
 
 def matrix_adjugate(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> list[list[Polynomial]]:
     """Classical adjugate of an even skew-symmetric matrix of polynomials:
-    ``adjugate(M) @ M == det(M) * I`` over the polynomial ring, by the
-    routes of :func:`_skew_inverse`.  Raises as :func:`matrix_determinant`
+    ``adjugate(M) @ M == det(M) * I`` over the polynomial ring, read off
+    :func:`_skew_inverse`'s sweep.  Raises as :func:`matrix_determinant`
     does: :class:`InvalidArgument` for a matrix of the wrong shape."""
     return _skew_inverse(*_check_even_skew(rows, chart), chart)[1]
 
@@ -907,8 +906,8 @@ def _negated_inverse(upper: Mapping[tuple[int, int], Polynomial], m: int, chart:
     skew matrix ``M`` with upper triangle ``upper`` (absent pairs zero), such
     as a 2-form's ``terms``; ``{}`` unless ``det(M)`` is a nonzero constant.
     Constants take the one fraction ``L*N[i][j] / p`` of
-    :func:`_pfaffian_sweep`'s integers; any other entries take
-    :func:`_skew_inverse`'s adjugate times ``-1/det``."""
+    :func:`_pfaffian_sweep`'s integers; any other entries take ``N[i][j] /
+    p`` of :func:`_polynomial_sweep`, when its ``p`` is a constant."""
     if all(entry.is_constant() for entry in upper.values()):
         solved = _pfaffian_sweep(upper, m)
         if solved is None:
@@ -916,8 +915,8 @@ def _negated_inverse(upper: Mapping[tuple[int, int], Polynomial], m: int, chart:
         scale, p, block = solved
         return {(i, j): _make(chart, {0: _coefficient(Fraction(scale * x, p))}, 0)
                 for i, row in enumerate(block) for j in range(i + 1, m) if (x := row[j])}
-    det, adj = _skew_inverse(upper, m, chart)
-    if not det.is_constant() or det.is_zero():
+    p, block = _polynomial_sweep(upper, m, chart) or (Polynomial.zero(chart), None)
+    if p.is_zero() or not p.is_constant():
         return {}
-    scale = Fraction(-1) / det.constant_value()
-    return {(i, j): adj[i][j] * scale for i, j in combinations(range(m), 2) if not adj[i][j].is_zero()}
+    unit = Fraction(1) / p.constant_value()
+    return {(i, j): block[i][j] * unit for i, j in combinations(range(m), 2) if not block[i][j].is_zero()}

@@ -6,8 +6,8 @@ The generators are the built-in suites' own, drawing coefficients from
 ``laplace_adjugate`` are plain cofactor expansion of any square matrix, one
 independent determinant per cofactor.  They are the reference for
 ``formcalc.poly.matrix_determinant`` and ``matrix_adjugate`` on even skew
-matrices (elimination for constant entries, the Pfaffian table for the
-rest), for the Dirac constraint matrix, and for the Jacobian determinant
+matrices (the 2x2 Pfaffian sweep over the integers for constant entries,
+over the polynomials for the rest), for the Dirac constraint matrix, and for the Jacobian determinant
 behind ``nambu_top_bracket``, which is not skew and so has no route in
 ``formcalc.poly``.  ``fraction_gauss_jordan`` is the ``Fraction``
 elimination that constant matrices took before the fraction-free route:
@@ -18,6 +18,11 @@ sweep ``poly._pfaffian_sweep``: the reference for the sweep's ``-M^-1`` and
 determinant.  ``legacy_bareiss`` is that pass as it was before each row kept
 ``m`` integers: the whole of ``[A | I]`` less the columns already pivoted,
 the reference for ``inplace_bareiss``'s integers ``(L, sign, prev, X)``.
+``_pfaffian_table`` is the memo of a Pfaffian for every even index subset
+that non-constant matrices took before the polynomial sweep
+``poly._polynomial_sweep``; ``table_skew_inverse`` and
+``table_negated_inverse`` read ``det``, ``adj`` and ``-M^-1`` off it as
+``poly`` did then, the reference for the sweep's at 4-12 dims.
 ``scaled_adjugate_bivector`` is ``poisson_bivector`` as it was before
 constant forms read ``-M^-1`` straight off elimination's integers: the
 skew matrix of ``Polynomial`` entries, ``matrix_determinant`` and
@@ -86,7 +91,7 @@ from formcalc import (
 from formcalc.brackets import power_bracket_def
 from formcalc.exterior import _accumulate, _normalize_index_tuple, _summed
 from formcalc.parsing import _error, _tokenize
-from formcalc.poly import _BITS, _MASK
+from formcalc.poly import _BITS, _MASK, sum_of_products
 from formcalc.suites import _random_graded, _random_poly
 
 
@@ -327,6 +332,67 @@ def scaled_adjugate_bivector(omega: Form) -> Multivector | None:
     scale = Fraction(-1) / det.constant_value()
     return Multivector(chart, 2, {(i, j): adj[i][j] * scale for i in range(m) for j in range(i + 1, m)
                                   if not adj[i][j].is_zero()})
+
+
+def _pfaffian_table(upper: Mapping[tuple[int, int], Polynomial], chart: Chart):
+    """``pfaffian(mask)``: the Pfaffian of the skew submatrix on the rows and
+    columns whose bits are set in ``mask`` (an even count), by expansion along
+    its first index ``i``, with one memo for every sub-Pfaffian.  It reads the
+    entries ``upper.get((i, j))``, ``j > i``, above the diagonal only."""
+    memo: dict[int, Polynomial] = {0: Polynomial.constant(chart, 1)}
+
+    def pfaffian(mask: int) -> Polynomial:
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        low = mask & -mask
+        i = low.bit_length() - 1
+        rest = bits = mask ^ low
+        products = []
+        negate = False
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            entry = upper.get((i, bit.bit_length() - 1))
+            if entry is not None and not entry.is_zero():
+                products.append((entry, pfaffian(rest ^ bit), negate))
+            negate = not negate
+        total = memo[mask] = sum_of_products(products, chart)
+        return total
+
+    return pfaffian
+
+
+def table_skew_inverse(upper: Mapping[tuple[int, int], Polynomial], m: int,
+                       chart: Chart) -> tuple[Polynomial, list]:
+    """``(det(M), adjugate(M))`` of the ``m x m`` skew ``M`` with upper
+    triangle ``upper`` by ``_pfaffian_table``, as ``poly._skew_inverse``
+    computed them for non-constant entries before the polynomial sweep:
+    ``Pf(M)^2`` beside the signed ``Pf(M) * Pf(minor)`` entries, and the zero
+    adjugate when ``Pf(M)`` is zero."""
+    zero = Polynomial.zero(chart)
+    adj = [[zero] * m for _ in range(m)]
+    pfaffian = _pfaffian_table(upper, chart)
+    full = (1 << m) - 1
+    pf = pfaffian(full)
+    if pf.is_zero():
+        return zero, adj
+    for i, j in combinations(range(m), 2):
+        minor = pfaffian(full ^ (1 << i) ^ (1 << j))
+        value = sum_of_products(((pf, minor, (i + j) % 2 == 1),), chart)
+        adj[i][j] = value
+        adj[j][i] = -value
+    return pf * pf, adj
+
+
+def table_negated_inverse(det: Polynomial, adj: Sequence[Sequence[Polynomial]]) -> dict:
+    """The nonzero upper entries of ``-M^-1`` from ``table_skew_inverse``'s
+    ``(det, adj)``, as the adjugate times ``-1/det``; ``{}`` unless ``det`` is
+    a nonzero constant."""
+    if not det.is_constant() or det.is_zero():
+        return {}
+    scale = Fraction(-1) / det.constant_value()
+    return {(i, j): adj[i][j] * scale for i, j in combinations(range(len(adj)), 2) if not adj[i][j].is_zero()}
 
 
 def full_wedge_bracket(bdef, *functions) -> Polynomial:

@@ -5,11 +5,13 @@ what they are handed: the term pairs that ``poly._add_product`` and
 ``Polynomial._shifted`` multiply, the polynomials ``poly._make`` builds
 with the terms they hold, the products that each level of a generator
 wedge adds into its merged tuples' tables, the keys and entries of the
-generator's merge table, and the calls of ``poly._pfaffian_sweep``, the
-constant forms' inversion.  The counts are exact functions of the input, so a
-complexity claim is pinned with no timing noise (after Goldsmith, Aiken &
-Wilkerson, "Measuring empirical computational complexity", ESEC/FSE 2007,
-with exact counts in place of fitted times).
+generator's merge table, the calls of the two inversion sweeps,
+``poly._pfaffian_sweep`` for constant matrices and ``poly._polynomial_sweep``
+for the rest, and the exact divisions the latter makes.  The counts are
+exact functions of the input, so a complexity claim is pinned with no
+timing noise (after Goldsmith, Aiken & Wilkerson, "Measuring empirical
+computational complexity", ESEC/FSE 2007, with exact counts in place of
+fitted times).
 """
 
 import random
@@ -20,15 +22,16 @@ from itertools import combinations
 
 import pytest
 
-from formcalc import (BracketDef, Chart, Form, Polynomial, SymplecticData, bracket, coordinates, darboux_chart,
-                      differential, parse_expr, standard_form, wedge_all)
+from formcalc import (BracketDef, Chart, ConstraintSet, Form, Polynomial, SymplecticData, bracket, coordinates,
+                      darboux_chart, differential, dirac_bracket_form, dirac_bracket_matrix, magnetic_form,
+                      parse_expr, standard_form, wedge_all)
 from formcalc import exterior as exterior_module
 from formcalc import poly as poly_module
 from formcalc.brackets import _divided_power
 from formcalc.cli import run_scenario
 from formcalc.manifest import parse_scenario_text
 
-from tests.helpers import rand_poly
+from tests.helpers import pulled_back_form, rand_poly
 from tests.test_exterior import dense_constant_form
 
 
@@ -269,18 +272,29 @@ def test_top_arity_bracket_fills_one_key_per_level(m):
     assert sum(len(entries) for entries in table.values()) == m * (m + 1) // 2
 
 
+def _sizes(monkeypatch, name):
+    """The sizes ``poly.<name>``, a sweep, is called with, one per call."""
+    sizes = []
+    sweep = getattr(poly_module, name)
+
+    def counted(upper, m, *chart):
+        sizes.append(m)
+        return sweep(upper, m, *chart)
+
+    monkeypatch.setattr(poly_module, name, counted)
+    return sizes
+
+
 @pytest.fixture
 def sweeps(monkeypatch):
     """The sizes ``poly._pfaffian_sweep`` is called with, one per call."""
-    sizes = []
-    sweep = poly_module._pfaffian_sweep
+    return _sizes(monkeypatch, "_pfaffian_sweep")
 
-    def counted(upper, m):
-        sizes.append(m)
-        return sweep(upper, m)
 
-    monkeypatch.setattr(poly_module, "_pfaffian_sweep", counted)
-    return sizes
+@pytest.fixture
+def polynomial_sweeps(monkeypatch):
+    """The sizes ``poly._polynomial_sweep`` is called with, one per call."""
+    return _sizes(monkeypatch, "_polynomial_sweep")
 
 
 def test_one_sweep_per_constant_form_per_run(sweeps):
@@ -308,3 +322,58 @@ def test_constant_form_builds_one_polynomial_per_inverse_entry(work, sweeps, m):
     assert sweeps == [m]
     assert work == {"built": len(bivector.terms), "terms": len(bivector.terms)}
     assert len(bivector.terms) > m * (m - 1) // 4
+
+
+def test_one_sweep_per_polynomial_form_per_run(sweeps, polynomial_sweeps):
+    # the same four commands on a closed 6-dim magnetic form, whose matrix
+    # has polynomial entries, share the run's one sweep over Q[x]
+    chart = darboux_chart(3)
+    q1, q2, q3 = coordinates(chart)[:3]
+    omega = magnetic_form(chart, q2 * q3, q1 * q3, q1 * q2)
+    text = (f"[chart]\nq1 q2 q3 p1 p2 p3\n\n[define]\nomega = {omega}\n\n[tasks]\n"
+            "pb = power-bracket omega k=1 p1 p2\nvf = derived-vf omega k=1 q3\n"
+            "jac = check-jacobi omega q1 p1 p2 expect 0\npoisson = check-poisson omega expect true\n")
+    outcomes = run_scenario(parse_scenario_text(text)).outcomes
+    assert [o.status for o in outcomes] == ["done", "done", "ok", "ok"]
+    assert polynomial_sweeps == [6] and sweeps == []
+    bivector = SymplecticData(omega).bivector
+    assert outcomes[0].result_text == str(bivector.coefficient((3, 4))) == "q1*q2"
+
+
+@pytest.mark.parametrize("half", [1, 2])
+def test_one_sweep_per_constraint_set(polynomial_sweeps, half):
+    # constraints (q_j, (1 + q_{j-1}) * p_j) for the last ``half`` pairs:
+    # a polynomial bracket matrix, swept once when the set is built and
+    # never again by its brackets
+    sym = SymplecticData(standard_form(darboux_chart(2 * half)))
+    xs = coordinates(sym.chart)
+    constraints = []
+    for j in range(half, 2 * half):
+        constraints += [xs[j], (1 + xs[j - half]) * xs[2 * half + j]]
+    cs = ConstraintSet(sym, constraints)
+    assert not cs.determinant.is_constant()
+    assert polynomial_sweeps == [2 * half]
+    f, g = xs[0] * xs[2 * half], xs[2 * half] + xs[half] * xs[3 * half]
+    dirac_bracket_matrix(cs, f, g)
+    dirac_bracket_form(cs, f, g)
+    assert polynomial_sweeps == [2 * half]
+
+
+def test_term_weighted_pivots_divide_by_no_polynomial(monkeypatch):
+    # the 18-dim pulled-back form of seed 0: ordering the constant pivots by
+    # the terms in their two columns keeps every p a constant, so the sweep
+    # never calls exact_divide; ordering them by nonzero entries divides by
+    # a polynomial p hundreds of times
+    chart = darboux_chart(9)
+    _, omega = pulled_back_form(random.Random(18000), chart, 3, 3)
+    calls = []
+    divide = poly_module.exact_divide
+
+    def counted(a, b):
+        calls.append(b)
+        return divide(a, b)
+
+    monkeypatch.setattr(poly_module, "exact_divide", counted)
+    terms = poly_module._negated_inverse(omega.terms, 18, chart)
+    assert calls == []
+    assert len(terms) == 128

@@ -580,10 +580,10 @@ class TestPoissonBivector:
         assert SymplecticData(omega).bivector == expected
 
     def test_matrix_layer_takes_the_upper_triangle(self, monkeypatch):
-        # poisson_bivector hands both routes the form's own terms, with no
+        # poisson_bivector hands both sweeps the form's own terms, with no
         # matrix built from them, and ConstraintSet the pairs above the diagonal
         seen = []
-        for name in ("_pfaffian_table", "_pfaffian_sweep"):
+        for name in ("_polynomial_sweep", "_pfaffian_sweep"):
             def recorded(upper, *args, wrapped=getattr(poly, name)):
                 seen.append(upper)
                 return wrapped(upper, *args)
@@ -783,7 +783,7 @@ class TestTrustedResults:
     @given(st.randoms(use_true_random=False), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
     def test_structure_builders(self, rng, c):
         # the standard form plus g(q) dq1^dq2 is closed with determinant 1;
-        # a constant g takes elimination, any other g the Pfaffian table
+        # a constant g takes the integer sweep, any other g the polynomial one
         q1, q2, _, _ = coordinates(C4)
         g = c[0] + c[1] * q1 + c[2] * q2 + c[3] * q1 * q2
         omega = standard_form(C4) + Form(C4, 2, {(0, 1): g})

@@ -5,7 +5,9 @@
 are natural under it (Arnold, *Mathematical Methods of Classical
 Mechanics*, 1989): a bracket of the composed functions on the pulled-back
 form is the standard bracket composed with ``phi``.  These forms have
-non-constant matrix entries, so their inversion takes the Pfaffian route.
+non-constant matrix entries, so their inversion takes the 2x2 Pfaffian
+sweep over the polynomials, ``poly._polynomial_sweep``; the check that
+``-M^-1`` inverts the form matrix draws up to 10 dims.
 """
 
 import random
@@ -29,9 +31,10 @@ from tests.helpers import compose, pulled_back_form, rand_poly
 
 
 @st.composite
-def pulled_back(draw):
-    """``(phi, sym, standard, functions)`` on a 4-, 6- or 8-dim chart."""
-    chart = darboux_chart(draw(st.integers(2, 4)))
+def pulled_back(draw, halves=st.integers(2, 4)):
+    """``(phi, sym, standard, functions)`` on a chart of ``2 * halves``
+    dimensions, by default 4, 6 or 8."""
+    chart = darboux_chart(draw(halves))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     phi, omega = pulled_back_form(rng, chart)
     functions = [rand_poly(rng, chart) for _ in range(4)]
@@ -72,7 +75,7 @@ def test_inverse_bivector_satisfies_jacobi(case):
 
 
 @settings(max_examples=25, deadline=None)
-@given(pulled_back())
+@given(pulled_back(st.integers(2, 5)))
 def test_bivector_matrix_is_minus_the_inverse_of_the_form_matrix(case):
     _, sym, _, _ = case
     form, bivector = _matrix(sym.omega), _matrix(sym.bivector)

@@ -22,6 +22,7 @@ from formcalc import (
     RationalExpr,
     coordinate_field,
     coordinates,
+    darboux_chart,
     exact_divide,
     homogenization_check,
     matrix_adjugate,
@@ -44,8 +45,11 @@ from tests.helpers import (
     legacy_bareiss,
     legacy_exact_divide,
     legacy_polynomial_str,
+    pulled_back_form,
     rand_nonzero_poly,
     rand_poly,
+    table_negated_inverse,
+    table_skew_inverse,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -497,7 +501,7 @@ def singular_constant_skew_matrices(draw, sizes=even_sizes, entries=rationals):
 
 
 class TestMatrixOracle:
-    """Both routes against plain Laplace expansion, on even skew matrices."""
+    """Both sweeps against plain Laplace expansion, on even skew matrices."""
 
     def check(self, rows):
         det = matrix_determinant(rows, CHART)
@@ -644,19 +648,124 @@ class TestPfaffianSweep:
         assert self.check(values) is None
 
 
+mixed_entries = sparse_polynomials | rationals.map(lambda x: Polynomial.constant(CHART, x))
+
+
+@st.composite
+def mixed_skew_uppers(draw, sizes=st.sampled_from((4, 6, 8)), entries=mixed_entries):
+    """``(upper, m)``: the upper triangle, zeros included, of a skew matrix
+    whose entries are constants or sparse polynomials, so that a sweep meets
+    both kinds of pivot."""
+    m = draw(sizes)
+    return {(i, j): draw(entries) for i in range(m) for j in range(i + 1, m)}, m
+
+
+@st.composite
+def singular_polynomial_uppers(draw):
+    """``X S X^T`` for a skew ``S`` of even size ``r <= m - 2`` and an
+    ``m x r`` matrix ``X`` of sparse polynomials: skew of rank at most ``r``."""
+    m = draw(st.sampled_from((4, 6, 8, 10, 12)))
+    r = draw(st.sampled_from(range(0, min(m - 1, 5), 2)))
+    s = [[Polynomial.zero(CHART)] * r for _ in range(r)]
+    for a in range(r):
+        for b in range(a + 1, r):
+            s[a][b] = draw(mixed_entries)
+            s[b][a] = -s[a][b]
+    x = [[draw(sparse_polynomials) for _ in range(r)] for _ in range(m)]
+    return {(i, j): poly_module.sum_of_products(
+        [(x[i][a] * s[a][b], x[j][b], False) for a in range(r) for b in range(r)], CHART)
+        for i in range(m) for j in range(i + 1, m)}, m
+
+
+@st.composite
+def pulled_back_uppers(draw):
+    """``(upper, m)``: the terms of a pulled-back form on 4-12 dims, a matrix
+    of polynomial entries with determinant 1."""
+    chart = darboux_chart(draw(st.integers(2, 6)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return pulled_back_form(rng, chart, draw(st.integers(2, 3)), draw(st.integers(2, 3)))[1].terms, chart.dim
+
+
+def _skew_rows(upper, m, chart):
+    """The ``m x m`` skew matrix with upper triangle ``upper``, absent pairs zero."""
+    zero = Polynomial.zero(chart)
+    return [[upper.get((i, j), zero) if i < j else -upper.get((j, i), zero) for j in range(m)] for i in range(m)]
+
+
+class TestPolynomialSweepOracle:
+    """``poly._polynomial_sweep``'s readers against the Pfaffian table they
+    replaced (``tests.helpers.table_skew_inverse``): the same ``det``,
+    ``adj`` and ``-M^-1``, entry for entry, on 4-12-dim skew matrices."""
+
+    def check(self, upper, m):
+        chart = next(iter(upper.values())).chart
+        det, adj = table_skew_inverse(upper, m, chart)
+        assert poly_module._skew_inverse(upper, m, chart) == (det, adj)
+        assert poly_module._negated_inverse(upper, m, chart) == table_negated_inverse(det, adj)
+        assert matrix_determinant(_skew_rows(upper, m, chart), chart) == det
+        return det
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_skew_uppers())
+    def test_mixed(self, case):
+        self.check(*case)
+
+    @settings(max_examples=6, deadline=None)
+    @given(mixed_skew_uppers(st.sampled_from((10, 12)), st.just(Polynomial.zero(CHART)) | mixed_entries))
+    def test_sparse_wide(self, case):
+        self.check(*case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(pulled_back_uppers())
+    def test_pulled_back(self, case):
+        assert self.check(*case) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(singular_polynomial_uppers())
+    def test_singular(self, case):
+        assert self.check(*case).is_zero()
+
+    @settings(max_examples=30, deadline=None)
+    @given(mixed_skew_uppers(st.sampled_from((4, 6, 8, 10))), st.data())
+    def test_zero_row(self, case, data):
+        upper, m = case
+        k = data.draw(st.integers(0, m - 1))
+        upper = {(i, j): Polynomial.zero(CHART) if k in (i, j) else x for (i, j), x in upper.items()}
+        assert self.check(upper, m).is_zero()
+
+    def test_polynomial_pivot_divides_exactly(self, monkeypatch):
+        # no entry is constant, so the sweep pivots on the one-term q1 at
+        # (0, 1), and its second step divides by p = q1
+        upper = {(0, 1): Q1, (0, 2): P1 + 1, (0, 3): Q1 * P1, (1, 2): 2 * P1 + Q1, (1, 3): Q1 - 3,
+                 (2, 3): P1 ** 2 + Q1}
+        divisors = []
+        divide = poly_module.exact_divide
+
+        def recorded(a, b):
+            divisors.append(b)
+            return divide(a, b)
+
+        monkeypatch.setattr(poly_module, "exact_divide", recorded)
+        det = self.check(upper, 4)
+        assert divisors and all(b == Q1 for b in divisors)
+        rows = _skew_rows(upper, 4, CHART)
+        assert det == laplace_determinant(rows, CHART) and not det.is_zero()
+        assert matrix_adjugate(rows, CHART) == laplace_adjugate(rows, CHART)
+
+
 class TestSkewRoutes:
-    """The choice of route: a matrix of constants never builds the Pfaffian
-    table, any other always does; odd and non-skew matrices are rejected."""
+    """The choice of loop: a matrix of constants never takes the polynomial
+    sweep, any other always does; odd and non-skew matrices are rejected."""
 
     def count_route(self, rows, monkeypatch, check=TestMatrixOracle().check):
         calls = []
-        table = poly_module._pfaffian_table
+        sweep = poly_module._polynomial_sweep
 
         def counted(*args):
             calls.append(args)
-            return table(*args)
+            return sweep(*args)
 
-        monkeypatch.setattr(poly_module, "_pfaffian_table", counted)
+        monkeypatch.setattr(poly_module, "_polynomial_sweep", counted)
         check(rows)
         constant = all(entry.is_constant() for row in rows for entry in row)
         assert bool(calls) == (not constant)
@@ -1062,14 +1171,22 @@ class TestOneProductRoute:
             same(poly_module.sum_of_products(products, CHART), expected)
         assert negations == []
 
-    def test_adjugate_signs_are_folded_into_the_products(self, negations):
-        # the Pfaffian route negates only to mirror each upper entry below the diagonal
+    def test_adjugate_signs_are_folded_into_the_products(self, negations, monkeypatch):
+        # past the sweep, the adjugate -p*N negates only to mirror each upper
+        # entry below the diagonal
         chart = Chart(("x", "y"))
         x, y = coordinates(chart)
         upper = {(0, 1): x + 1, (0, 2): y, (0, 3): 2 * x, (1, 2): 3 * y, (1, 3): x * y, (2, 3): 1 + y}
         rows = [[upper[i, j] if i < j else -upper[j, i] if i > j else Polynomial.zero(chart)
                  for j in range(4)] for i in range(4)]
-        negations.clear()
+        sweep = poly_module._polynomial_sweep
+
+        def swept(*args):
+            solved = sweep(*args)
+            negations.clear()
+            return solved
+
+        monkeypatch.setattr(poly_module, "_polynomial_sweep", swept)
         det, adj = poly_module._skew_inverse(upper, 4, chart)
         assert len(negations) == 6
         assert adj == laplace_adjugate(rows, chart) and det == laplace_determinant(rows, chart)
