@@ -178,16 +178,12 @@ class _Graded:
         return self._of(self.chart, self.grade, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            scalar = Polynomial.constant(self.chart, scalar)
-        if not isinstance(scalar, Polynomial):
+        if isinstance(scalar, Polynomial):
+            checked(scalar, Polynomial, "scalar", chart=self.chart)
+        elif not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        checked(scalar, Polynomial, "scalar", chart=self.chart)
-        out: dict[IndexTuple, Polynomial] = {}
-        if not scalar.is_zero():
-            for key, value in self.terms.items():
-                out[key] = value * scalar
-        return self._of(self.chart, self.grade, out)
+        terms = {key: c for key, value in self.terms.items() if not (c := value * scalar).is_zero()}
+        return self._of(self.chart, self.grade, terms)
 
     __rmul__ = __mul__
 

@@ -66,16 +66,17 @@ Besides :class:`Polynomial` this module provides
   returns ``det`` and ``adj``, and :func:`_negated_inverse` the upper
   triangle of ``-M^-1``, the inverse bivector's coefficients.  All three
   read one algorithm on two rings: a fraction-free Gauss-Jordan sweep over
-  2x2 skew pivots (Bunch, Math. Comp. 38, 1982), ``m/2`` steps whose exact
-  divisions are Knuth's identity for overlapping Pfaffians (Electron. J.
-  Combin. 3(2), 1996).  Constants take :func:`_pfaffian_sweep` on
-  integers, any other entries :func:`_polynomial_sweep`: two loops, as the
-  polynomial one takes 27-44x the integer one's time on dense constant
-  matrices of 6-10 dims.  Over ``Q[x]`` a constant pivot keeps ``p`` a
-  constant, so each division is a scalar multiply; picking it by the terms
-  in its two columns keeps the later pivots constant too, where picking it
-  by their nonzero entries divided by a polynomial ``p`` 960 times on one
-  18-dim pulled-back form.
+  2x2 skew pivots (Bunch, Math. Comp. 38, 1982) in ``m/2`` steps on one
+  skew tableau ``T``, whose exact divisions are Knuth's identity for
+  overlapping Pfaffians (Electron. J. Combin. 3(2), 1996); then ``det =
+  p^2/L^m``, ``adj = p*L*T/L^m`` and ``-M^-1 = -L*T/p``.  Constants take
+  :func:`_pfaffian_sweep` on integers (``L`` their common denominator),
+  any other entries :func:`_polynomial_sweep` (``L = 1``): two loops, as
+  the polynomial one is 8-14x slower on dense constant 6-10-dim matrices.
+  Over ``Q[x]`` a constant pivot keeps ``p`` constant, so each division is
+  a scalar multiply; picking it by the terms in its two columns keeps the
+  later pivots constant too, where picking it by their nonzero entries
+  divided by a polynomial ``p`` 960 times on one 18-dim pulled-back form.
 """
 
 from __future__ import annotations
@@ -369,8 +370,9 @@ class Polynomial:
         return _make(self.chart, {key: -value for key, value in self._terms.items()}, self._degree)
 
     def _shifted(self, shift: int, factor) -> "Polynomial":
-        """``self`` times the monomial ``factor * x^shift``, ``factor`` nonzero,
-        in one pass; only :func:`sum_of_products` calls it, for a lone product."""
+        """``self`` times the monomial ``factor * x^shift``, ``factor`` nonzero
+        and settled, in one pass: a product by a scalar (``shift = 0``), or
+        :func:`sum_of_products`'s lone product with a one-term factor."""
         if not shift:
             if factor == 1:
                 return self
@@ -383,6 +385,8 @@ class Polynomial:
         return _make(self.chart, terms, degree)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._shifted(0, c) if (c := _coefficient(other)) else _make(self.chart, {}, 0)
         other = self._as_operand(other)
         if other is None:
             return NotImplemented
@@ -761,21 +765,21 @@ def _check_even_skew(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> tupl
 
 def _pfaffian_sweep(upper: Mapping[tuple[int, int], Polynomial], m: int):
     """A fraction-free Gauss-Jordan sweep over 2x2 skew pivots (Bunch, Math.
-    Comp. 38, 1982), in place on the skew integer tableau ``N = A = L*M`` of
+    Comp. 38, 1982) on the integer tableau ``T``, from ``T = A = L*M`` for
     the ``m x m`` skew ``M`` with upper triangle ``upper`` of constants and
-    the lcm ``L`` of their denominators, from ``p = 1``.  Each step takes
-    ``r``, the first index not yet swept, and ``s``, the first unswept ``j``
-    with ``N[r][j] != 0``.  With ``d = N[r][s]``, every other row, ``a, b``
-    in its columns ``r, s``, becomes ``(d*x - b*y + a*z) // p`` over rows
-    ``r`` and ``s``, then takes ``b, -a`` there, as the implicit identity
-    block of ``[A | I]`` would.  Rows ``r, s`` become ``-N[s]`` and ``N[r]``
-    with ``p, -p`` at ``(r, s), (s, r)`` and 0 on the diagonal, and ``p =
-    d``.  Each division is exact: up to sign, ``p`` is the Pfaffian of ``A``
-    on the swept indices ``P`` and ``N[i][j]`` that on ``P ^ {i, j}``,
-    related by Knuth's identity for overlapping Pfaffians (Electron. J.
-    Combin. 3(2), 1996).  ``None`` if ``M`` is singular, else ``(L, p, N)``
-    with ``N`` skew: ``-M^-1 = L*N/p``, ``det(M) = p^2/L^m`` and ``adj(M) =
-    -p*N/L^(m-1)``."""
+    the lcm ``L`` of their denominators, and ``p = 1``.  ``T`` is the
+    Gauss-Jordan tableau with its swept rows negated, so it stays skew, as
+    Goodnight's SWEEP keeps a symmetric tableau symmetric (Amer. Statist.
+    33(3), 1979).  A step pivots on ``d = T[r][s]``: ``r`` is the first
+    index not yet swept, ``s`` the first unswept ``j`` with ``T[r][j]``
+    nonzero.  With columns ``u = T[.][r]`` and ``v = T[.][s]``, each other
+    pair becomes ``(d*T[k][j] + v[k]*u[j] - u[k]*v[j]) // p``; then the
+    pivot pair turns, column ``r`` to ``v``, ``s`` to ``-u`` and ``T[r][s]``
+    to ``-p``, and ``p = d``.  Each division is exact: up to sign, ``p`` is
+    the Pfaffian of ``A`` on the swept indices ``P`` and ``T[i][j]`` that on
+    ``P ^ {i, j}``, related by Knuth's identity for overlapping Pfaffians
+    (Electron. J. Combin. 3(2), 1996).  ``None`` if ``M`` is singular, else
+    ``(L, p, T)``: ``-M^-1 = -L*T/p``."""
     values = {key: entry._terms.get(0, 0) for key, entry in upper.items()}
     scale = lcm(*(x.denominator for x in values.values()))
     rows = [[0] * m for _ in range(m)]
@@ -797,21 +801,21 @@ def _pfaffian_sweep(upper: Mapping[tuple[int, int], Polynomial], m: int):
                 a, b = row[r], row[s]
                 row = rows[k] = [(d * x - b * y + a * z) // p for x, y, z in zip(row, top, low)]
                 row[r], row[s] = b, -a
-        rows[r], rows[s] = [-z for z in low], top
-        rows[r][r], rows[r][s], top[r], top[s] = 0, p, -p, 0
+        rows[r], rows[s] = low, [-z for z in top]
+        rows[r][r], rows[r][s], rows[s][r], rows[s][s] = 0, -p, p, 0
         p = d
     return scale, p, rows
 
 
 def _polynomial_sweep(upper: Mapping[tuple[int, int], Polynomial], m: int, chart: Chart):
-    """:func:`_pfaffian_sweep`'s steps over ``Q[x]`` on the skew tableau ``N =
-    M`` of ``Polynomial`` entries, from ``p = 1``.  Each pivot is a nonzero
-    unswept ``N[r][s]``, ``r < s``: constant if one is, else of the fewest
-    terms, and then the one whose two columns hold the fewest terms over the
-    unswept rows.  Each update ``(d*x - b*y + a*z) / p`` is one fused sum of
-    the nonzero products, times ``1/p`` if ``p`` is a constant, else
-    :func:`exact_divide`.  ``None`` if ``M`` is singular, else ``(p, N)``:
-    ``-M^-1 = N/p``, ``det(M) = p^2`` and ``adj(M) = -p*N``."""
+    """:func:`_pfaffian_sweep`'s steps over ``Q[x]``, in place on the skew
+    tableau ``T`` of ``Polynomial`` entries, from ``T = M``.  Each pivot is a
+    nonzero unswept ``T[r][s]``, ``r < s``: constant if one is, else of the
+    fewest terms, and then the one whose two columns hold the fewest terms
+    over the unswept rows.  Each pair ``k < j`` off the pivots is one fused
+    sum of the nonzero products, times ``1/p`` if ``p`` is a constant, else
+    :func:`exact_divide`, and ``T[j][k]`` its negation.  ``None`` if ``M``
+    is singular, else ``(p, T)``: ``-M^-1 = -T/p``."""
     zero = Polynomial.zero(chart)
     rows = [[zero] * m for _ in range(m)]
     for (i, j), x in upper.items():
@@ -829,19 +833,18 @@ def _polynomial_sweep(upper: Mapping[tuple[int, int], Polynomial], m: int, chart
         top, low, d = rows[r], rows[s], rows[r][s]
         unit = Fraction(1) / p.constant_value() if p.is_constant() else None
         others = [k for k in range(m) if k != r and k != s]
-        for k in others:
+        for k, j in combinations(others, 2):
             row = rows[k]
-            a, b = row[r], row[s]
-            new = rows[k] = row[:]
-            for j in others:
-                products = [(u, v, negate) for u, v, negate in ((d, row[j], False), (b, top[j], True),
-                                                                (a, low[j], False)) if u._terms and v._terms]
-                if products and j != k:  # the diagonal stays zero
-                    total = sum_of_products(products, chart)
-                    new[j] = total * unit if unit is not None else exact_divide(total, p)
-            new[r], new[s] = b, -a
-        rows[r], rows[s] = [-z for z in low], top
-        rows[r][r], rows[r][s], top[r], top[s] = zero, p, -p, zero
+            products = [(x, y, negate) for x, y, negate in ((d, row[j], False), (row[s], top[j], True),
+                                                            (row[r], low[j], False)) if x._terms and y._terms]
+            if products:
+                total = sum_of_products(products, chart)
+                row[j] = total * unit if unit is not None else exact_divide(total, p)
+                rows[j][k] = -row[j]
+        for k in others:
+            u, v = rows[k][r], rows[k][s]
+            rows[k][r], rows[k][s], top[k], low[k] = v, -u, -v, u
+        top[s], low[r] = -p, p
         p = d
     return p, rows
 
@@ -849,9 +852,9 @@ def _polynomial_sweep(upper: Mapping[tuple[int, int], Polynomial], m: int, chart
 def matrix_determinant(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> Polynomial:
     """Determinant of an even skew-symmetric matrix of polynomials on ``chart``.
 
-    It is ``p^2`` of :func:`_pfaffian_sweep` (over ``L^m``) for a matrix of
-    constants and of :func:`_polynomial_sweep` for any other, with no
-    adjugate built; a singular matrix runs out of pivots and gives zero.
+    It is ``p^2/L^m`` of :func:`_pfaffian_sweep` for a matrix of constants
+    and ``p^2`` of :func:`_polynomial_sweep` for any other, with no
+    adjugate read off the tableau; a singular matrix gives zero.
 
     Raises :class:`InvalidArgument` (a ``ValueError``) for a matrix that is
     not square, not skew-symmetric (a nonzero diagonal entry included) or of
@@ -870,12 +873,12 @@ def matrix_determinant(rows: Sequence[Sequence[Polynomial]], chart: Chart) -> Po
 def _skew_inverse(upper: Mapping[tuple[int, int], Polynomial], m: int,
                   chart: Chart) -> tuple[Polynomial, list]:
     """``(det(M), adjugate(M))`` of the ``m x m`` skew matrix ``M`` with upper
-    triangle ``upper`` (absent pairs zero), read off one sweep.  Constants
-    take :func:`_pfaffian_sweep`: ``det(M) = p^2/L^m`` and ``adj(M) =
-    -p*L*N/L^m``.  Any other entries take :func:`_polynomial_sweep`:
-    ``det(M) = p^2`` and ``adj(M) = -p*N``, each index pair's sign folded
-    into its product.  A singular matrix gets the zero adjugate.
-    Unchecked: ``m`` must be even and every entry on ``chart``."""
+    triangle ``upper`` (absent pairs zero), read off one sweep's tableau
+    ``T``: ``det(M) = p^2/L^m`` and ``adj(M) = p*L*T/L^m``.  Constants take
+    :func:`_pfaffian_sweep`, any other entries :func:`_polynomial_sweep`
+    (``L = 1``), one product ``p*T[i][j]`` per pair ``i < j``.  A singular
+    matrix gets the zero adjugate.  Unchecked: ``m`` must be even and every
+    entry on ``chart``."""
     zero = Polynomial.zero(chart)
     adj = [[zero] * m for _ in range(m)]
     if all(entry.is_constant() for entry in upper.values()):
@@ -885,10 +888,10 @@ def _skew_inverse(upper: Mapping[tuple[int, int], Polynomial], m: int,
         scale, p, block = solved
         unit = Fraction(p, scale ** m)
         return Polynomial.constant(chart, p * unit), [
-            [Polynomial.constant(chart, -scale * x * unit) for x in row] for row in block]
+            [Polynomial.constant(chart, scale * x * unit) for x in row] for row in block]
     p, block = _polynomial_sweep(upper, m, chart) or (zero, adj)  # p = 0: det = 0 and adj = 0
     for i, j in combinations(range(m), 2):
-        value = sum_of_products(((p, block[i][j], True),), chart)
+        value = p * block[i][j]
         adj[i][j], adj[j][i] = value, -value
     return p * p, adj
 
@@ -905,18 +908,18 @@ def _negated_inverse(upper: Mapping[tuple[int, int], Polynomial], m: int, chart:
     """The nonzero entries ``(i, j)``, ``i < j``, of ``-M^-1`` for the ``m x m``
     skew matrix ``M`` with upper triangle ``upper`` (absent pairs zero), such
     as a 2-form's ``terms``; ``{}`` unless ``det(M)`` is a nonzero constant.
-    Constants take the one fraction ``L*N[i][j] / p`` of
-    :func:`_pfaffian_sweep`'s integers; any other entries take ``N[i][j] /
-    p`` of :func:`_polynomial_sweep`, when its ``p`` is a constant."""
+    Each is ``-L*T[i][j]/p`` of one sweep's tableau: one fraction of
+    :func:`_pfaffian_sweep`'s integers, or :func:`_polynomial_sweep`'s entry
+    times ``-1/p`` (``L = 1``) when its ``p`` is a constant."""
     if all(entry.is_constant() for entry in upper.values()):
         solved = _pfaffian_sweep(upper, m)
         if solved is None:
             return {}
         scale, p, block = solved
-        return {(i, j): _make(chart, {0: _coefficient(Fraction(scale * x, p))}, 0)
+        return {(i, j): _make(chart, {0: _coefficient(Fraction(-scale * x, p))}, 0)
                 for i, row in enumerate(block) for j in range(i + 1, m) if (x := row[j])}
     p, block = _polynomial_sweep(upper, m, chart) or (Polynomial.zero(chart), None)
     if p.is_zero() or not p.is_constant():
         return {}
-    unit = Fraction(1) / p.constant_value()
+    unit = Fraction(-1) / p.constant_value()
     return {(i, j): block[i][j] * unit for i, j in combinations(range(m), 2) if not block[i][j].is_zero()}

@@ -7,7 +7,8 @@ with the terms they hold, the products that each level of a generator
 wedge adds into its merged tuples' tables, the keys and entries of the
 generator's merge table, the calls of the two inversion sweeps,
 ``poly._pfaffian_sweep`` for constant matrices and ``poly._polynomial_sweep``
-for the rest, and the exact divisions the latter makes.  The counts are
+for the rest, and the fused sums and exact divisions of each of the
+latter's steps.  The counts are
 exact functions of the input, so a complexity claim is pinned with no
 timing noise (after Goldsmith, Aiken & Wilkerson, "Measuring empirical
 computational complexity", ESEC/FSE 2007, with exact counts in place of
@@ -18,7 +19,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 
 import pytest
 
@@ -377,3 +378,69 @@ def test_term_weighted_pivots_divide_by_no_polynomial(monkeypatch):
     terms = poly_module._negated_inverse(omega.terms, 18, chart)
     assert calls == []
     assert len(terms) == 128
+
+
+@pytest.fixture
+def sweep_work(monkeypatch):
+    """A function returning ``(steps, divisors)`` for the
+    ``poly._polynomial_sweep`` calls so far: the number of
+    ``poly.sum_of_products`` calls in each step, told apart by their first
+    product's first factor, the step's pivot (held in a list, so no two
+    share an ``id``), and the divisor of each ``poly.exact_divide`` call the
+    sweeps made."""
+    pivots, divisors, active = [], [], []
+    sweep, fused, divide = poly_module._polynomial_sweep, poly_module.sum_of_products, poly_module.exact_divide
+
+    def counted_sweep(*args):
+        active.append(True)
+        try:
+            return sweep(*args)
+        finally:
+            active.pop()
+
+    def counted_sum(products, chart):
+        if active:
+            pivots.append(products[0][0])
+        return fused(products, chart)
+
+    def counted_divide(a, b):
+        if active:
+            divisors.append(b)
+        return divide(a, b)
+
+    monkeypatch.setattr(poly_module, "_polynomial_sweep", counted_sweep)
+    monkeypatch.setattr(poly_module, "sum_of_products", counted_sum)
+    monkeypatch.setattr(poly_module, "exact_divide", counted_divide)
+    return lambda: ([len(list(run)) for _, run in groupby(pivots, key=id)], divisors)
+
+
+def test_polynomial_sweep_updates_each_pair_once(sweep_work):
+    # a dense 8x8 matrix of non-constant entries: each of the 4 steps makes
+    # one fused sum per unordered pair off its pivots, C(6, 2) = 15, and
+    # after the first step each of them is one exact division by p
+    rng = random.Random(8)
+    chart = Chart(("x", "y"))
+
+    def entry():
+        while (x := rand_poly(rng, chart, degree=2, nterms=3)).is_constant():
+            pass
+        return x
+
+    upper = {pair: entry() for pair in combinations(range(8), 2)}
+    p, block = poly_module._polynomial_sweep(upper, 8, chart)
+    steps, divisors = sweep_work()
+    assert steps == [15, 15, 15, 15]
+    assert len(divisors) == 45 and not p.is_constant()
+    assert all(not block[i][j].is_zero() for i, j in combinations(range(8), 2))
+
+
+def test_constraint_matrix_divides_once(sweep_work):
+    # the 4-constraint matrix (q2, p2 + q1*p2, q3, p3 + q1*p3), with no
+    # constant entry: each step updates the one pair off its pivots, and the
+    # second divides once, by the first pivot -q1 - 1
+    chart = darboux_chart(3)
+    q1, q2, q3, _, p2, p3 = coordinates(chart)
+    cs = ConstraintSet(SymplecticData(standard_form(chart)), [q2, p2 + q1 * p2, q3, p3 + q1 * p3])
+    steps, divisors = sweep_work()
+    assert steps == [1, 1] and divisors == [-q1 - 1]
+    assert cs.determinant == (q1 + 1) ** 4

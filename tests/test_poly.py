@@ -14,6 +14,7 @@ from formcalc import (
     Chart,
     ChartMismatch,
     DegreeOverflow,
+    DivisionByZero,
     JacobiDef,
     Multivector,
     NotDivisible,
@@ -614,16 +615,16 @@ class TestInPlaceElimination:
         _, sign, prev, _ = self.check(values)
         scale, p, block = TestPfaffianSweep().check(values)
         assert scale == 6 and p * p == sign * prev
-        # -M^-1 = L*N/p holds the brackets {x1,x2}, {x3,x6} and {x4,x5}
-        brackets = [Fraction(scale * block[i][j], p) for i, j in ((0, 1), (2, 5), (3, 4))]
+        # -M^-1 = -L*T/p holds the brackets {x1,x2}, {x3,x6} and {x4,x5}
+        brackets = [Fraction(-scale * block[i][j], p) for i, j in ((0, 1), (2, 5), (3, 4))]
         assert brackets == [Fraction(10, 29), Fraction(9, 29), Fraction(-3, 58)]
 
 
 class TestPfaffianSweep:
     """``poly._pfaffian_sweep``, 2x2 skew pivots, against ``inplace_bareiss``,
-    Gauss-Jordan with row swaps: the same ``-M^-1``, ``L*N/p`` against
+    Gauss-Jordan with row swaps: the same ``-M^-1``, ``-L*T/p`` against
     ``-L*X/prev`` entry for entry, the same ``L``, ``p^2 = sign*prev`` and a
-    skew ``N``, or ``None`` on both sides for a singular matrix."""
+    skew ``T``, or ``None`` on both sides for a singular matrix."""
 
     def check(self, values):
         upper, m = _upper_of(values), len(values)
@@ -633,7 +634,7 @@ class TestPfaffianSweep:
             (scale, p, block), (oracle_scale, sign, prev, x) = solved, oracle
             assert scale == oracle_scale and p * p == sign * prev
             assert all(block[i][j] == -block[j][i] for i in range(m) for j in range(m))
-            assert [[Fraction(scale * y, p) for y in row] for row in block] == [
+            assert [[Fraction(-scale * y, p) for y in row] for row in block] == [
                 [Fraction(-scale * y, prev) for y in row] for row in x]
         return solved
 
@@ -709,6 +710,18 @@ class TestPolynomialSweepOracle:
     @given(mixed_skew_uppers())
     def test_mixed(self, case):
         self.check(*case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(mixed_skew_uppers())
+    def test_tableau_is_skew(self, case):
+        # as TestPfaffianSweep asserts for the integers: T[i][j] == -T[j][i],
+        # a zero diagonal included
+        upper, m = case
+        solved = poly_module._polynomial_sweep(upper, m, CHART)
+        if solved is not None:
+            block = solved[1]
+            assert all(block[i][i].is_zero() for i in range(m))
+            assert all(block[i][j] == -block[j][i] for i in range(m) for j in range(i + 1, m))
 
     @settings(max_examples=6, deadline=None)
     @given(mixed_skew_uppers(st.sampled_from((10, 12)), st.just(Polynomial.zero(CHART)) | mixed_entries))
@@ -1141,13 +1154,13 @@ def negations(monkeypatch):
 
 
 class TestOneProductRoute:
-    """Every product of two polynomials enters ``poly.sum_of_products``; a
-    generator walk's products of partial sums enter ``poly._walk_level``."""
+    """Every product of two polynomials enters ``poly.sum_of_products``, and
+    every product by a scalar ``Polynomial._shifted``; a generator walk's
+    products of partial sums enter ``poly._walk_level``."""
 
-    def test_mul_is_one_fused_sum(self, monkeypatch):
-        p = Q1 * P1 - Fraction(1, 2) * P1 ** 2 + 3
-        operands = [(q, legacy(q)) for q in (Q1 + 2 * P1, -3 * Q1 ** 2)]
-        operands += [(s, s) for s in (5, -1, Fraction(-2, 3), 0)]
+    @staticmethod
+    def fused_calls(monkeypatch):
+        """The number of products in each ``poly.sum_of_products`` call."""
         calls = []
         fused = poly_module.sum_of_products
 
@@ -1156,11 +1169,36 @@ class TestOneProductRoute:
             return fused(products, chart)
 
         monkeypatch.setattr(poly_module, "sum_of_products", counting)
-        for other, expected in operands:
-            same(p * other, legacy(p) * expected)
-            same(other * p, expected * legacy(p))
-            assert calls == [1, 1], other
+        return calls
+
+    def test_mul_is_one_fused_sum(self, monkeypatch):
+        p = Q1 * P1 - Fraction(1, 2) * P1 ** 2 + 3
+        calls = self.fused_calls(monkeypatch)
+        for q in (Q1 + 2 * P1, -3 * Q1 ** 2, Polynomial.constant(CHART, 5), Polynomial.zero(CHART)):
+            same(p * q, legacy(p) * legacy(q))
+            same(q * p, legacy(q) * legacy(p))
+            assert calls == [1, 1], q
             calls.clear()
+
+    def test_scalar_product_takes_no_fused_sum(self, monkeypatch):
+        # an int or Fraction factor is one pass of _shifted: no constant
+        # polynomial is built and no fused sum runs
+        p = Q1 * P1 - Fraction(1, 2) * P1 ** 2 + 3
+        calls = self.fused_calls(monkeypatch)
+
+        def refuse(*args):
+            raise AssertionError("a constant polynomial was built")
+
+        monkeypatch.setattr(Polynomial, "constant", classmethod(refuse))
+        for c in (Fraction(1, 3), 5, -1, 1, Fraction(-2, 3), Fraction(4, 2), 0):
+            same(p * c, legacy(p) * c)
+            same(c * p, c * legacy(p))
+            if c:
+                same(p / c, legacy(p) * (1 / Fraction(c)))
+        assert calls == []
+        assert (p * 0).is_zero() and (p * Fraction(0)).is_zero() and (0 * p).is_zero()
+        with pytest.raises(DivisionByZero):
+            p / 0
 
     def test_lone_negated_monomial_product_negates_nothing(self, negations):
         p = Q1 * P1 - Fraction(1, 2) * P1 ** 2 + 3
@@ -1192,8 +1230,8 @@ class TestOneProductRoute:
         assert adj == laplace_adjugate(rows, chart) and det == laplace_determinant(rows, chart)
 
     def test_only_the_fused_sum_calls_the_product_loops(self):
-        # inside poly.py, _add_product and ._shifted are named by sum_of_products
-        # and by one level of merge_walk alone
+        # inside poly.py, _add_product and ._shifted are named by sum_of_products,
+        # by one level of merge_walk and, for a scalar factor, by __mul__ alone
         tree = ast.parse((ROOT / "src" / "formcalc" / "poly.py").read_text())
         callers = set()
         for top in tree.body:
@@ -1203,4 +1241,4 @@ class TestOneProductRoute:
                         if (isinstance(node, ast.Name) and node.id == "_add_product"
                                 or isinstance(node, ast.Attribute) and node.attr == "_shifted"):
                             callers.add(function.name)
-        assert callers == {"sum_of_products", "_walk_level"}
+        assert callers == {"sum_of_products", "_walk_level", "__mul__"}
