@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import factorial
 
 from .chart import Chart
-from .errors import DegenerateStructure, GradeMismatch, InvalidArgument, NotClosed, checked
+from .errors import DegenerateStructure, DivisionByZero, GradeMismatch, InvalidArgument, NotClosed, checked
 from .poly import Polynomial, _negated_inverse, _nonnegative_power, _signed_sum, merge_walk, sum_of_products
 
 IndexTuple = tuple[int, ...]
@@ -189,7 +189,9 @@ class _Graded:
 
     def __truediv__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
-            return self * (Polynomial.constant(self.chart, 1) / scalar)
+            if not scalar:
+                raise DivisionByZero("division by zero")
+            return self * (Fraction(1) / scalar)
         return NotImplemented
 
     def __eq__(self, other):

@@ -25,7 +25,19 @@ take a power, and all terms of an expression share one kind and grade.
 Parentheses nest at most :data:`MAX_NESTING` deep, and exponents on all but a
 ``+-1`` monomial are at most :data:`MAX_EXPONENT`; a product or power whose
 total degree would overflow the kernel's exponent field is an error at its
-last token.  An expression's terms are summed once, in one table, in linear time.
+last token.
+
+A term is read by monomials: while its factors are ``INT``, ``INT/INT``, a
+coordinate or ``coordinate^INT``, each after any unary minuses, they fold
+into one coefficient, one ``{coordinate index: exponent}`` record and one
+running total degree, with no polynomial per factor.  At the first other
+factor (parentheses, an environment name, ``d(``/``e(``, ``INT^`` or an
+over-long literal) the prefix becomes one polynomial and the rest of the
+term is read factor by factor.  An expression's monomial terms become one
+polynomial through ``poly._monomial_sum``, the parser's one entry to the
+packed layout; its other terms are summed once, in one table, by
+``sum_of_products``, so a sum is read in linear time.  A wedge chain is one
+index list, signed once into increasing order, and one tensor.
 :func:`parse_expr` accepts polynomials only, and :func:`parse_value` also
 reads the printed ``(num) / (den)`` as a :class:`RationalExpr` and the
 literals ``true``, ``false``, ``pass``, ``fail``.
@@ -34,14 +46,13 @@ literals ``true``, ``false``, ``pass``, ``fail``.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 
 from .chart import Chart
 from .errors import DegreeOverflow, ParseError, checked
-from .exterior import _summed, coordinate_field, coordinate_form, wedge
-from .poly import Polynomial, RationalExpr, sum_of_products
+from .exterior import Form, Multivector, _normalize_index_tuple, _summed
+from .poly import Polynomial, RationalExpr, _check_degree, _monomial_sum, sum_of_products
 
 # Each nesting level costs the recursive-descent parser five stack frames.
 MAX_NESTING = 100
@@ -52,7 +63,6 @@ _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
     r"|(?P<end>\Z)|(?P<bad>.)"
 )
-_Token = namedtuple("_Token", "kind text start")
 
 
 def _error(text: str, offset: int, message: str) -> ParseError:
@@ -61,13 +71,23 @@ def _error(text: str, offset: int, message: str) -> ParseError:
     return ParseError(message, line, column)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = [_Token(match.lastgroup, match.group(), match.start())
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Every token but whitespace as a ``(kind, text, start)`` tuple, the
+    last one of kind ``end``."""
+    tokens = [(match.lastgroup, match.group(), match.start())
               for match in _TOKEN_RE.finditer(text) if match.lastgroup != "ws"]
-    for token in tokens:
-        if token.kind == "bad":
-            raise _error(text, token.start, f"unexpected character {token.text!r}")
+    for kind, token_text, start in tokens:
+        if kind == "bad":
+            raise _error(text, start, f"unexpected character {token_text!r}")
     return tokens
+
+
+def _literal(text: str) -> int | None:
+    """The value of an integer token, or ``None`` for more digits than int() converts."""
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 class _ExprParser:
@@ -76,39 +96,40 @@ class _ExprParser:
         self.chart = checked(chart, Chart, "parse chart")
         self.env = checked(env or {}, Mapping, "parse environment")
         self.tokens = _tokenize(text)
+        self.positions = {name: i for i, name in enumerate(chart.names)}
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
 
-    def fail(self, token: _Token, message: str):
-        raise _error(self.text, token.start, message)
+    def fail(self, token: tuple, message: str):
+        raise _error(self.text, token[2], message)
 
     def parse(self, rule):
         try:
             value = rule(self)
         except DegreeOverflow as exc:
-            # raised by the product or power whose last token was just read
-            raise _error(self.text, self.tokens[self.pos - 1].start, str(exc)) from exc
+            # raised by the factor, product or power whose last token was just read
+            raise _error(self.text, self.tokens[self.pos - 1][2], str(exc)) from exc
         token = self.peek()
-        if token.kind != "end":
-            self.fail(token, f"unexpected token {token.text!r}")
+        if token[0] != "end":
+            self.fail(token, f"unexpected token {token[1]!r}")
         return value
 
     def value(self):
-        if self.peek().text == "(":
+        if self.peek()[1] == "(":
             start = self.pos
             numerator = self.atom()
-            if self.peek().text == "/":
+            if self.peek()[1] == "/":
                 self.advance()
                 token = self.peek()
-                if token.text != "(":
+                if token[1] != "(":
                     self.fail(token, "expected '(' after '/'")
                 denominator = self.atom()
                 if denominator.is_zero():
@@ -118,29 +139,99 @@ class _ExprParser:
         return self.expr()
 
     def expr(self):
-        first = self.term()
-        terms = [(first, False)]
-        while self.peek().text in ("+", "-"):
-            negate = self.advance().text == "-"
+        monomials, terms = [], []
+        shape = None
+        negate = False
+        while True:
             start = self.peek()
             term = self.term()
-            if type(term) is not type(first) or getattr(term, "grade", 0) != getattr(first, "grade", 0):
+            if type(term) is tuple:
+                coefficient, exponents = term
+                monomials.append((-coefficient if negate else coefficient, exponents))
+                kind = (Polynomial, 0)
+            else:
+                terms.append((term, negate))
+                kind = (type(term), getattr(term, "grade", 0))
+            if shape is None:
+                shape = kind
+            elif kind != shape:
                 self.fail(start, "every term must have the same kind and grade")
-            terms.append((term, negate))
-        if len(terms) == 1:
-            return first
+            if self.peek()[1] not in ("+", "-"):
+                break
+            negate = self.advance()[1] == "-"
+        if not terms:
+            return _monomial_sum(self.chart, monomials)
+        if not monomials and len(terms) == 1:
+            return terms[0][0]
         one = Polynomial.constant(self.chart, 1)
-        if isinstance(first, Polynomial):
-            return sum_of_products([(term, one, negate) for term, negate in terms], self.chart)
-        groups: dict = {}
-        for term, negate in terms:
-            for key, coefficient in term.terms.items():
-                groups.setdefault(key, []).append((coefficient, one, negate))
-        return first._of(self.chart, first.grade, _summed(groups, self.chart))
+        if shape[0] is not Polynomial:
+            first = terms[0][0]
+            groups: dict = {}
+            for term, negate in terms:
+                for key, coefficient in term.terms.items():
+                    groups.setdefault(key, []).append((coefficient, one, negate))
+            return first._of(self.chart, first.grade, _summed(groups, self.chart))
+        value = sum_of_products([(term, one, negate) for term, negate in terms], self.chart)
+        return _monomial_sum(self.chart, monomials, value) if monomials else value
 
     def term(self):
-        value = self.unary()
-        while self.peek().text == "*":
+        """``unary ('*' unary)*``.  While its factors are ``INT``, ``INT/INT``,
+        a coordinate or ``coordinate^INT``, each after any unary minuses, the
+        term is one monomial, returned as ``(coefficient, {index: exponent})``;
+        its total degree is checked after each coordinate, as a product would
+        check it (only the coordinate's own exponent once the coefficient is
+        zero).  At the first other factor the monomial read so far becomes one
+        polynomial, and the rest of the term is read factor by factor."""
+        tokens, positions = self.tokens, self.positions
+        pos = self.pos
+        coefficient, exponents, degree = 1, {}, 0
+        read = False
+        while True:
+            kind, text, _ = tokens[pos]
+            while text == "-":
+                coefficient = -coefficient
+                pos += 1
+                kind, text, _ = tokens[pos]
+            follow = tokens[pos + 1][1] if kind != "end" else ""
+            if kind == "int":
+                value = None if follow == "^" else _literal(text)
+                if value is None:
+                    break
+                if follow == "/":
+                    kind, literal, _ = tokens[pos + 2]
+                    denominator = _literal(literal) if kind == "int" else None
+                    if not denominator or tokens[pos + 3][1] == "^":
+                        break
+                    value = Fraction(value, denominator)
+                    pos += 2
+                pos += 1
+                coefficient *= value
+            elif kind == "name" and text in positions and not (follow == "(" and text in ("d", "e")):
+                exponent = 1
+                if follow == "^":
+                    kind, literal, _ = tokens[pos + 2]
+                    exponent = _literal(literal) if kind == "int" else None
+                    if exponent is None:
+                        break
+                    pos += 2
+                self.pos = pos = pos + 1  # an overflow is reported at this factor's last token
+                index = positions[text]
+                exponents[index] = exponents.get(index, 0) + exponent
+                degree = _check_degree(degree + exponent if coefficient else exponent)
+            else:
+                break
+            read = True
+            if tokens[pos][1] != "*":
+                self.pos = pos
+                return coefficient, exponents
+            pos += 1
+        self.pos = pos
+        value = self.power()
+        if read:
+            value = _monomial_sum(self.chart, [(coefficient, exponents)]) * value
+        elif coefficient == -1:
+            value = -value
+        while self.peek()[1] == "*":
             if not isinstance(value, Polynomial):
                 self.fail(self.peek(), "a coefficient must come before its d(...) or e(...) factors")
             self.advance()
@@ -149,75 +240,82 @@ class _ExprParser:
 
     def unary(self):
         negate = False
-        while self.peek().text == "-":
+        while self.peek()[1] == "-":
             self.advance()
             negate = not negate
         value = self.power()
         return -value if negate else value
 
     def power(self):
+        if self.at_factor():
+            return self.chain()
         base = self.atom()
-        if self.peek().text != "^":
+        if self.peek()[1] != "^":
             return base
         self.advance()
         token = self.peek()
-        if isinstance(base, Polynomial):
-            if token.kind != "int":
-                self.fail(token, "exponent must be a nonnegative integer")
-            exponent = self.integer(self.advance())
-            if exponent > MAX_EXPONENT and (base.term_count() > 1 or any(abs(c) != 1 for _, c in base.items())):
-                self.fail(token, f"exponent larger than {MAX_EXPONENT}")
-            return base ** exponent
-        if token.kind == "int":
-            self.fail(token, "d(...) and e(...) factors take no powers")
-        while True:
-            if not self.at_factor():
-                self.fail(token, "expected a d(...) or e(...) factor")
-            factor = self.atom()
-            if type(factor) is not type(base):
-                self.fail(token, "cannot mix d(...) and e(...) factors")
-            if base.grade == self.chart.dim:
-                self.fail(token, "more factors than chart coordinates")
-            base = wedge(base, factor)
-            if self.peek().text != "^":
-                return base
+        if token[0] != "int":
+            self.fail(token, "exponent must be a nonnegative integer")
+        exponent = self.integer(self.advance())
+        if exponent > MAX_EXPONENT and (base.term_count() > 1 or any(abs(c) != 1 for _, c in base.items())):
+            self.fail(token, f"exponent larger than {MAX_EXPONENT}")
+        return base ** exponent
+
+    def chain(self):
+        """``factor ('^' factor)*``: the factors' coordinate indices in one
+        list, signed once into increasing order, as one tensor."""
+        atom, index = self.factor()
+        indices = [index]
+        while self.peek()[1] == "^":
             self.advance()
             token = self.peek()
+            if token[0] == "int" and len(indices) == 1:
+                self.fail(token, "d(...) and e(...) factors take no powers")
+            if not self.at_factor():
+                self.fail(token, "expected a d(...) or e(...) factor")
+            kind, index = self.factor()
+            if kind != atom:
+                self.fail(token, "cannot mix d(...) and e(...) factors")
+            if len(indices) == self.chart.dim:
+                self.fail(token, "more factors than chart coordinates")
+            indices.append(index)
+        key, sign = _normalize_index_tuple(indices, self.chart.dim)
+        terms = {} if key is None else {key: Polynomial.constant(self.chart, sign)}
+        return (Form if atom == "d" else Multivector)._of(self.chart, len(indices), terms)
 
     def at_factor(self) -> bool:
         token = self.peek()
-        return token.text in ("d", "e") and self.tokens[self.pos + 1].text == "("
+        return token[1] in ("d", "e") and self.tokens[self.pos + 1][1] == "("
 
-    def integer(self, token: _Token) -> int:
-        try:
-            return int(token.text)
-        except ValueError:  # more digits than int() converts
+    def integer(self, token: tuple) -> int:
+        value = _literal(token[1])
+        if value is None:
             self.fail(token, "integer literal too long")
+        return value
 
     def atom(self):
-        if self.at_factor():
-            return self.factor()
         token = self.advance()
-        if token.kind == "int":
+        kind, text, _ = token
+        if kind == "int":
             numerator = self.integer(token)
-            if self.peek().text == "/":
+            if self.peek()[1] == "/":
                 self.advance()
                 denom_token = self.peek()
-                if denom_token.kind != "int":
+                if denom_token[0] != "int":
                     self.fail(denom_token, "expected an integer denominator")
                 denominator = self.integer(self.advance())
                 if denominator == 0:
                     self.fail(denom_token, "zero denominator in rational literal")
                 return Polynomial.constant(self.chart, Fraction(numerator, denominator))
             return Polynomial.constant(self.chart, numerator)
-        if token.kind == "name":
-            if token.text in self.chart:
-                return Polynomial.variable(self.chart, token.text)
-            value = self.env.get(token.text)
+        if kind == "name":
+            if text in self.chart:
+                return Polynomial.variable(self.chart, text)
+            value = self.env.get(text)
             if value is not None:
-                return checked(value, Polynomial, f"environment value {token.text!r}", chart=self.chart)
-            self.fail(token, f"unknown identifier {token.text!r}")
-        if token.text == "(":
+                return checked(value, Polynomial, f"environment value {text!r}", chart=self.chart)
+            self.fail(token, f"unknown identifier {text!r}")
+        if text == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
                 self.fail(token, f"parentheses nested deeper than {MAX_NESTING}")
@@ -226,26 +324,26 @@ class _ExprParser:
                 self.fail(token, "d(...) and e(...) factors cannot sit inside parentheses")
             self.depth -= 1
             closing = self.advance()
-            if closing.text != ")":
+            if closing[1] != ")":
                 self.fail(closing, "expected ')'")
             return value
-        if token.kind == "end":
+        if kind == "end":
             self.fail(token, "unexpected end of input")
-        self.fail(token, f"unexpected token {token.text!r}")
+        self.fail(token, f"unexpected token {text!r}")
 
-    def factor(self):
+    def factor(self) -> tuple[str, int]:
+        """``d(x)`` or ``e(x)``: its letter and the coordinate index of ``x``."""
         atom = self.advance()
         self.advance()  # '('
         name = self.advance()
-        if name.kind != "name":
+        if name[0] != "name":
             self.fail(name, "expected a coordinate name")
-        if name.text not in self.chart:
-            self.fail(name, f"unknown coordinate {name.text!r}")
+        if name[1] not in self.positions:
+            self.fail(name, f"unknown coordinate {name[1]!r}")
         closing = self.advance()
-        if closing.text != ")":
+        if closing[1] != ")":
             self.fail(closing, "expected ')'")
-        make = coordinate_form if atom.text == "d" else coordinate_field
-        return make(self.chart, name.text)
+        return atom[1], self.positions[name[1]]
 
 
 def parse_expr(text: str, chart: Chart, env: Mapping[str, Polynomial] | None = None) -> Polynomial:

@@ -50,7 +50,9 @@ The packed layout is private to this module.  Other code reads a polynomial
 through :meth:`Polynomial.items`, :meth:`~Polynomial.coefficient`,
 :meth:`~Polynomial.term_count` and :meth:`~Polynomial.extended_to`;
 ``terms`` stays available as a read-only map from exponent tuples to
-``Fraction`` for inspection.
+``Fraction`` for inspection.  The parser builds the polynomial of an
+expression's monomial terms through :func:`_monomial_sum`, from
+``(coefficient, {coordinate index: exponent})`` pairs.
 
 Besides :class:`Polynomial` this module provides
 
@@ -500,6 +502,33 @@ def _signed_sum(parts) -> str:
     """``(sign, body)`` pairs, signs ``"+"`` or ``"-"``, printed as ``-a + b - c``."""
     text = " ".join(chain.from_iterable(parts))
     return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _monomial_sum(chart: Chart, monomials, rest: Polynomial | None = None) -> Polynomial:
+    """``rest`` (zero if ``None``) plus the ``(coefficient, exponents)``
+    monomials on ``chart``, in one table: the parser's one entry to the
+    packed layout.  ``coefficient`` is an int or ``Fraction``, and
+    ``exponents`` maps coordinate indices to exponents whose total is below
+    :data:`DEGREE_CAP`.  The degree bound is the larger of ``rest``'s and
+    the largest total of a monomial with a nonzero coefficient, as
+    :func:`sum_of_products` would bound the same sum."""
+    dim = chart.dim
+    top = _BITS * dim
+    out: dict[int, int | Fraction] = {} if rest is None else dict(rest._terms)
+    get = out.get
+    degree = 0 if rest is None else rest._degree
+    for coefficient, exponents in monomials:
+        if not coefficient:
+            continue
+        total = key = 0
+        for i, e in exponents.items():
+            total += e
+            key |= e << _BITS * (dim - 1 - i)
+        key |= total << top
+        out[key] = get(key, 0) + coefficient
+        if total > degree:
+            degree = total
+    return _make(chart, _finished(out), degree)
 
 
 def sum_of_products(products: Sequence[tuple[Polynomial, Polynomial, bool]],

@@ -63,6 +63,8 @@ a random triangular polynomial map: a symplectic form polynomial off the
 Darboux chart, whose brackets are the standard ones composed with the map.
 """
 
+import re
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
@@ -90,7 +92,7 @@ from formcalc import (
 )
 from formcalc.brackets import power_bracket_def
 from formcalc.exterior import _accumulate, _normalize_index_tuple, _summed
-from formcalc.parsing import _error, _tokenize
+from formcalc.parsing import _error
 from formcalc.poly import _BITS, _MASK, sum_of_products
 from formcalc.suites import _random_graded, _random_poly
 
@@ -619,7 +621,23 @@ def exp_poly_homogenization(jdef, f: Polynomial, g: Polynomial, s_name: str = "s
 # The token-slicing tensor parser and the ``(num) / (den)`` text scan that
 # ``formcalc.parsing`` used before it read every value with one
 # recursive-descent parser: the reference for the parser property tests.
-# Coefficient substrings still go through ``parse_expr``.
+# Coefficient substrings still go through ``parse_expr``.  It keeps its own
+# tokenizer, one ``_LegacyToken`` namedtuple per token, as the parser had it.
+
+_LEGACY_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
+    r"|(?P<end>\Z)|(?P<bad>.)"
+)
+_LegacyToken = namedtuple("_LegacyToken", "kind text start")
+
+
+def _legacy_tokenize(text: str) -> list:
+    tokens = [_LegacyToken(match.lastgroup, match.group(), match.start())
+              for match in _LEGACY_TOKEN_RE.finditer(text) if match.lastgroup != "ws"]
+    for token in tokens:
+        if token.kind == "bad":
+            raise _error(text, token.start, f"unexpected character {token.text!r}")
+    return tokens
 
 
 def _end(token) -> int:
@@ -663,7 +681,7 @@ def _split_terms(tokens):
 
 
 def legacy_parse_tensor(text: str, chart: Chart, env=None):
-    tokens = _tokenize(text)
+    tokens = _legacy_tokenize(text)
     if tokens[0].kind == "end":
         raise _error(text, 0, "empty expression")
     has_atoms = any(_atom_at(tokens, i) for i in range(len(tokens) - 1))

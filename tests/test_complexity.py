@@ -7,8 +7,9 @@ with the terms they hold, the products that each level of a generator
 wedge adds into its merged tuples' tables, the keys and entries of the
 generator's merge table, the calls of the two inversion sweeps,
 ``poly._pfaffian_sweep`` for constant matrices and ``poly._polynomial_sweep``
-for the rest, and the fused sums and exact divisions of each of the
-latter's steps.  The counts are
+for the rest, the fused sums and exact divisions of each of the
+latter's steps, the wedges and tensor constructors a parsed wedge chain
+calls, and the fused sums of a tensor divided by a scalar.  The counts are
 exact functions of the input, so a complexity claim is pinned with no
 timing noise (after Goldsmith, Aiken & Wilkerson, "Measuring empirical
 computational complexity", ESEC/FSE 2007, with exact counts in place of
@@ -25,8 +26,9 @@ import pytest
 
 from formcalc import (BracketDef, Chart, ConstraintSet, Form, Polynomial, SymplecticData, bracket, coordinates,
                       darboux_chart, differential, dirac_bracket_form, dirac_bracket_matrix, magnetic_form,
-                      parse_expr, standard_form, wedge_all)
+                      parse_expr, parse_tensor, standard_form, wedge_all)
 from formcalc import exterior as exterior_module
+from formcalc import parsing as parsing_module
 from formcalc import poly as poly_module
 from formcalc.brackets import _divided_power
 from formcalc.cli import run_scenario
@@ -123,23 +125,61 @@ TOKEN = re.compile(r"\d+|[A-Za-z]\w*|[-+*/^()]")
 
 def test_parse_work_is_linear(work):
     # str((x1 + ... + x10 + 1)^k), k = 3..6: 286 to 8,008 terms and 2.1k to
-    # 96k tokens.  Per token, the polynomials built and the terms held by all
-    # but the result stay within 5 % of each other (about 0.81 each; one
-    # partial sum per term would make the terms grow with k).  One term pair
-    # is multiplied per ``*`` and one per term of the sum.
+    # 96k tokens, every term a monomial.  Each term is read into one
+    # coefficient and one exponent record, so a parse multiplies no term
+    # pair and builds one polynomial, the expression's sum: at most 0.2
+    # polynomials per token, and in fact under 0.0005.
     chart = Chart(tuple(f"x{i}" for i in range(1, 11)))
     base = sum(coordinates(chart), Polynomial.constant(chart, 1))
-    rates = []
     for k in range(3, 7):
         expected = base ** k
         text = str(expected)
         tokens = len(TOKEN.findall(text))
         work.clear()
         assert parse_expr(text, chart) == expected
-        assert work["pairs"] == text.count("*") + expected.term_count()
-        rates.append((work["built"] / tokens, (work["terms"] - expected.term_count()) / tokens))
-    for ratios in zip(*rates):
-        assert max(ratios) <= 1.05 * min(ratios), ratios
+        assert (work["pairs"], work["built"], work["terms"]) == (0, 1, expected.term_count())
+        assert work["built"] <= 0.2 * tokens
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+def test_wedge_chain_is_one_tensor(monkeypatch, n):
+    # d(x_n)^...^d(x_1): one index list signed once, with no wedge and no
+    # checked tensor constructor per factor
+    chart = Chart(tuple(f"x{i}" for i in range(1, 11)))
+    calls = Counter()
+    wedge, init = exterior_module.wedge, exterior_module._Graded.__init__
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(exterior_module, "wedge", counted("wedge", wedge))
+    monkeypatch.setattr(parsing_module, "wedge", counted("wedge", wedge), raising=False)
+    monkeypatch.setattr(exterior_module._Graded, "__init__", counted("init", init))
+    value = parse_tensor("^".join(f"d(x{i})" for i in range(n, 0, -1)), chart)
+    monkeypatch.undo()
+    assert calls == Counter()
+    assert value == Form(chart, n, {tuple(range(n - 1, -1, -1)): 1})
+
+
+def test_tensor_divided_by_a_scalar_makes_no_product(monkeypatch):
+    # form / 2 multiplies each coefficient by the scalar 1/2 in one pass,
+    # with no product by a constant polynomial
+    omega = standard_form(CHART)
+    calls = Counter()
+    fused = poly_module.sum_of_products
+
+    def counted(products, chart):
+        calls["sum_of_products"] += 1
+        return fused(products, chart)
+
+    monkeypatch.setattr(poly_module, "sum_of_products", counted)
+    monkeypatch.setattr(exterior_module, "sum_of_products", counted)
+    half = omega / 2
+    assert calls == Counter()
+    assert half == omega * Fraction(1, 2)
 
 
 def level_products(monkeypatch):

@@ -20,6 +20,7 @@ from formcalc import (
 )
 from formcalc.exterior import _Graded
 from formcalc.parsing import MAX_EXPONENT, MAX_NESTING
+from formcalc.poly import DEGREE_CAP
 
 from tests.helpers import (
     legacy_parse_tensor,
@@ -145,6 +146,134 @@ def test_error_message_and_column(parse, text, message, column):
         parse(text, CHART)
     # every error here sits on the last line of its text
     assert (err.value.message, err.value.line, err.value.column) == (message, text.count("\n") + 1, column)
+
+
+
+# Inputs at the edges of the monomial route: each term's leading factors
+# are read as one coefficient and one exponent record until a factor that
+# is not INT, INT/INT, a coordinate or coordinate^INT.  Each row is the
+# message and column, or the kind, grade and printed value, that the
+# parser gave before it read terms by monomials.
+MONOMIAL_ROUTE_OUTCOMES = [
+    ("3*q1^4294967295*q1", ("total degree would reach 2^32", 17)),
+    ("2*q1^4294967295*p1", ("total degree would reach 2^32", 17)),
+    ("q1^4294967295*p1*-1", ("total degree would reach 2^32", 15)),
+    ("0*q1^4294967296", ("total degree would reach 2^32", 6)),
+    ("(q1)^4294967296", ("total degree would reach 2^32", 6)),
+    ("0*q1^4294967295*q1", ("Polynomial", None, "0")),
+    ("(0*q1^4294967295 + p1 + 1)*(p1+1)", ("Polynomial", None, "p1^2 + 2*p1 + 1")),
+    ("p1*(q1^4294967295 - q1^4294967295 + 4^2)", ("total degree would reach 2^32", 40)),
+    ("(q1^4294967294*(p1+1) + 1)*(p1+1)", ("total degree would reach 2^32", 33)),
+    ("q1^2^3", ("unexpected token '^'", 5)),
+    ("2/0*q1", ("zero denominator in rational literal", 3)),
+    ("q1*2/", ("expected an integer denominator", 6)),
+    ("2/3^2*q1", ("Polynomial", None, "4/9*q1")),
+    ("q1^" + "9" * 5000, ("integer literal too long", 4)),
+    ("3*" + "1" * 5000 + "*q1", ("integer literal too long", 3)),
+    ("1/" + "7" * 5000, ("integer literal too long", 3)),
+    ("2^1001*q1", ("exponent larger than 1000", 3)),
+    ("q1^p1", ("exponent must be a nonnegative integer", 4)),
+    ("q1 * -", ("unexpected end of input", 7)),
+    ("q1*zz", ("unknown identifier 'zz'", 4)),
+    ("q1 - - -p1^3*2/3", ("Polynomial", None, "-2/3*p1^3 + q1")),
+    ("q1^0*3", ("Polynomial", None, "3")),
+    ("q1*d(q1)^e(p1)", ("cannot mix d(...) and e(...) factors", 10)),
+    ("2*d(zz)", ("unknown coordinate 'zz'", 5)),
+    ("d(q1)*2", ("a coefficient must come before its d(...) or e(...) factors", 6)),
+    ("d(q1)^2", ("d(...) and e(...) factors take no powers", 7)),
+    ("d(q1)^d(p1)^2", ("expected a d(...) or e(...) factor", 13)),
+    ("d(q1)^d(p1)^d(q1)", ("more factors than chart coordinates", 13)),
+    ("d(q1)^d(q1)", ("Form", 2, "0")),
+    ("e(p1)^e(q1) - 2*q1^2*e(q1)^e(p1)", ("Multivector", 2, "(-2*q1^2 - 1) * e(q1)^e(p1)")),
+]
+
+
+@pytest.mark.parametrize("text, expected", MONOMIAL_ROUTE_OUTCOMES,
+                         ids=[text if len(text) < 40 else f"{text[:8]}...{len(text)}" for text, _ in
+                              MONOMIAL_ROUTE_OUTCOMES])
+def test_monomial_route_outcome(text, expected):
+    if len(expected) == 3:
+        value = parse_tensor(text, CHART)
+        assert (type(value).__name__, getattr(value, "grade", None), str(value)) == expected
+        return
+    with pytest.raises(ParseError) as err:
+        parse_tensor(text, CHART)
+    assert (err.value.message, err.value.line, err.value.column) == (expected[0], 1, expected[1])
+
+
+def test_coordinates_named_d_and_e():
+    # ``d(`` and ``e(`` open a factor even where d and e are coordinates
+    chart = Chart(("d", "e", "x"))
+    assert str(parse_tensor("d*d(x)^d(d) - e^2*e*d(e)^d(x)", chart)) == "-d * d(d)^d(x) - e^3 * d(e)^d(x)"
+    with pytest.raises(ParseError) as err:
+        parse_tensor("d^2*e(d) + e(e)*d", chart)
+    assert (err.value.message, err.value.column) == ("a coefficient must come before its d(...) or e(...) factors", 16)
+
+
+@st.composite
+def wide_charts(draw):
+    dim = draw(st.integers(1, 10))
+    return Chart(tuple(f"x{i}" for i in range(1, dim + 1)))
+
+
+@st.composite
+def wide_polynomials(draw, chart):
+    """Up to 5 terms with ``Fraction`` coefficients and exponents up to just
+    below ``DEGREE_CAP`` in total."""
+    largest = (DEGREE_CAP - 1) // chart.dim
+    exponents = st.lists(st.one_of(st.integers(0, 3), st.integers(0, largest), st.just(largest)),
+                         min_size=chart.dim, max_size=chart.dim).map(tuple)
+    coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    return Polynomial(chart, draw(st.dictionaries(exponents, coefficients, max_size=5)))
+
+
+@st.composite
+def index_lists(draw, chart):
+    """A wedge chain's coordinate indices: unsorted, and now and then repeated."""
+    grade = draw(st.integers(1, min(chart.dim, 4)))
+    return draw(st.lists(st.integers(0, chart.dim - 1), min_size=grade, max_size=grade))
+
+
+class TestRoundTrip:
+    """Printing and parsing are inverse on 1-10-dim charts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_polynomial(self, data):
+        chart = data.draw(wide_charts())
+        p = data.draw(wide_polynomials(chart))
+        assert parse_expr(str(p), chart) == p
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_tensor(self, data):
+        chart = data.draw(wide_charts())
+        cls = data.draw(st.sampled_from([Form, Multivector]))
+        chains = data.draw(st.lists(index_lists(chart), min_size=1, max_size=4))
+        grade = len(chains[0])
+        terms = {}
+        for indices in chains:
+            if len(indices) == grade:
+                terms[tuple(indices)] = data.draw(wide_polynomials(chart))
+        tensor = cls(chart, grade, terms)
+        back = parse_tensor(str(tensor), chart)
+        if tensor.is_zero():
+            assert str(tensor) == "0" and back.is_zero()
+        else:
+            assert back == tensor and back.grade == grade
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_wedge_chain(self, data):
+        # one chain as written, with its coordinates in any order and repeats
+        chart = data.draw(wide_charts())
+        cls, atom = data.draw(st.sampled_from([(Form, "d"), (Multivector, "e")]))
+        indices = data.draw(index_lists(chart))
+        coefficient = data.draw(wide_polynomials(chart))
+        text = f"({coefficient}) * " + "^".join(f"{atom}({chart.names[i]})" for i in indices)
+        value = parse_tensor(text, chart)
+        assert type(value) is cls and value.grade == len(indices)
+        assert value == cls(chart, len(indices), {tuple(indices): coefficient})
 
 
 class TestTensors:
