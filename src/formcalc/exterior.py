@@ -43,7 +43,8 @@ from math import factorial
 
 from .chart import Chart
 from .errors import DegenerateStructure, DivisionByZero, GradeMismatch, InvalidArgument, NotClosed, checked
-from .poly import Polynomial, _negated_inverse, _nonnegative_power, _signed_sum, merge_walk, sum_of_products
+from .poly import (Polynomial, _negated_inverse, _nonnegative_power, _partials, _signed_sum, merge_walk,
+                   sum_of_products)
 
 IndexTuple = tuple[int, ...]
 
@@ -287,14 +288,10 @@ def exterior_derivative(a: Form) -> Form:
 
 
 def differential(f: Polynomial) -> Form:
-    """``df`` for a scalar function given as a polynomial."""
+    """``df`` for a scalar function given as a polynomial: its nonzero
+    partials, all read in one pass by :func:`~formcalc.poly._partials`."""
     checked(f, Polynomial, "differential argument")
-    terms = {}
-    for i in range(f.chart.dim):
-        df = f.diff(i)
-        if not df.is_zero():
-            terms[(i,)] = df
-    return Form._of(f.chart, 1, terms)
+    return Form._of(f.chart, 1, {(i,): df for i, df in _partials(f).items()})
 
 
 def _contract_single(terms: dict[IndexTuple, Polynomial], index: int) -> dict:

@@ -5,10 +5,11 @@ One regex scan and one recursive-descent grammar (ASCII) read every value::
     value   :=  '(' expr ')' '/' '(' expr ')'  |  expr
     expr    :=  term (('+' | '-') term)*
     term    :=  unary ('*' unary)*
-    unary   :=  '-'* power
-    power   :=  atom ('^' INT)?  |  factor ('^' factor)*
-    atom    :=  INT ('/' INT)?  |  IDENT  |  factor  |  '(' expr ')'
+    unary   :=  '-'* (chain | power)
+    chain   :=  factor ('^' factor)*
     factor  :=  ('d' | 'e') '(' COORD ')'
+    power   :=  atom ('^' INT)?
+    atom    :=  INT ('/' INT)?  |  IDENT  |  '(' expr ')'
 
 ``^`` binds tighter than unary minus, which binds tighter than ``*``, which
 binds tighter than ``+``/``-``; whitespace is insignificant.  Identifiers
@@ -37,7 +38,10 @@ term is read factor by factor.  An expression's monomial terms become one
 polynomial through ``poly._monomial_sum``, the parser's one entry to the
 packed layout; its other terms are summed once, in one table, by
 ``sum_of_products``, so a sum is read in linear time.  A wedge chain is one
-index list, signed once into increasing order, and one tensor.
+index list, signed once into increasing order, and a tensor term is one key
+and its coefficient: the chain takes the polynomial read before its ``*``,
+negated by the chain's sign, with no constant-1 tensor and no product of a
+tensor by a polynomial.
 :func:`parse_expr` accepts polynomials only, and :func:`parse_value` also
 reads the printed ``(num) / (den)`` as a :class:`RationalExpr` and the
 literals ``true``, ``false``, ``pass``, ``fail``.
@@ -181,7 +185,8 @@ class _ExprParser:
         its total degree is checked after each coordinate, as a product would
         check it (only the coordinate's own exponent once the coefficient is
         zero).  At the first other factor the monomial read so far becomes one
-        polynomial, and the rest of the term is read factor by factor."""
+        polynomial, and the rest of the term is read factor by factor; a
+        wedge chain takes that polynomial as its coefficient."""
         tokens, positions = self.tokens, self.positions
         pos = self.pos
         coefficient, exponents, degree = 1, {}, 0
@@ -226,29 +231,32 @@ class _ExprParser:
                 return coefficient, exponents
             pos += 1
         self.pos = pos
-        value = self.power()
         if read:
-            value = _monomial_sum(self.chart, [(coefficient, exponents)]) * value
-        elif coefficient == -1:
-            value = -value
+            value = self.unary(_monomial_sum(self.chart, [(coefficient, exponents)]))
+        else:
+            value = self.unary(negate=coefficient == -1)
         while self.peek()[1] == "*":
             if not isinstance(value, Polynomial):
                 self.fail(self.peek(), "a coefficient must come before its d(...) or e(...) factors")
             self.advance()
-            value = value * self.unary()
+            value = self.unary(value)
         return value
 
-    def unary(self):
-        negate = False
+    def unary(self, scale: Polynomial | None = None, negate: bool = False):
+        """``'-'* (chain | power)``, negated once more if ``negate``, times
+        ``scale`` unless it is ``None``.  A wedge chain takes the signed
+        ``scale`` as its one term's coefficient, with no tensor product."""
         while self.peek()[1] == "-":
             self.advance()
             negate = not negate
+        if self.at_factor():
+            return self.chain(scale, negate)
         value = self.power()
-        return -value if negate else value
+        if negate:
+            value = -value
+        return value if scale is None else scale * value
 
     def power(self):
-        if self.at_factor():
-            return self.chain()
         base = self.atom()
         if self.peek()[1] != "^":
             return base
@@ -261,9 +269,11 @@ class _ExprParser:
             self.fail(token, f"exponent larger than {MAX_EXPONENT}")
         return base ** exponent
 
-    def chain(self):
+    def chain(self, scale: Polynomial | None = None, negate: bool = False):
         """``factor ('^' factor)*``: the factors' coordinate indices in one
-        list, signed once into increasing order, as one tensor."""
+        list, signed once into increasing order, as one tensor of one term
+        whose coefficient is ``scale`` (1 if ``None``), negated by that sign
+        and by ``negate``."""
         atom, index = self.factor()
         indices = [index]
         while self.peek()[1] == "^":
@@ -280,7 +290,11 @@ class _ExprParser:
                 self.fail(token, "more factors than chart coordinates")
             indices.append(index)
         key, sign = _normalize_index_tuple(indices, self.chart.dim)
-        terms = {} if key is None else {key: Polynomial.constant(self.chart, sign)}
+        if negate:
+            sign = -sign
+        if scale is None:
+            scale, sign = Polynomial.constant(self.chart, sign), 1
+        terms = {} if key is None or scale.is_zero() else {key: scale if sign == 1 else -scale}
         return (Form if atom == "d" else Multivector)._of(self.chart, len(indices), terms)
 
     def at_factor(self) -> bool:

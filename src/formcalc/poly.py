@@ -31,6 +31,11 @@ operation, never per term.  Powers multiply by the base one factor at a
 time, except that a one-term base is raised in one step (see
 :meth:`Polynomial.__pow__`).
 
+Partial derivatives.  :func:`_partials` builds every nonzero partial in one
+pass over a polynomial's keys, each partial keeping the polynomial's degree
+bound; :meth:`Polynomial.diff`, ``exterior.differential`` and
+``schouten.schouten`` all read it.
+
 Fused sums of products.  Every bracket, pairing and wedge in the package is
 a sum of products of coefficients.  :func:`sum_of_products` takes the
 products as ``(a, b, negate)`` triples and adds each into one mutable table
@@ -428,19 +433,12 @@ class Polynomial:
         return result
 
     def diff(self, coordinate: int) -> "Polynomial":
-        """Formal partial derivative with respect to coordinate ``coordinate``."""
-        dim = self.chart.dim
-        if not 0 <= checked(coordinate, int, "coordinate index") < dim:
+        """Formal partial derivative with respect to coordinate ``coordinate``,
+        read off :func:`_partials`; a zero partial keeps ``self``'s degree
+        bound too."""
+        if not 0 <= checked(coordinate, int, "coordinate index") < self.chart.dim:
             raise InvalidArgument("coordinate index out of range")
-        shift = _BITS * (dim - 1 - coordinate)
-        unit = (1 << _BITS * dim) + (1 << shift)
-        out: dict[int, int | Fraction] = {}
-        for key, value in self._terms.items():
-            e = key >> shift & _MASK
-            if e:
-                out[key - unit] = value * e
-        _settle(out)
-        return _make(self.chart, out, self._degree)
+        return _partials(self).get(coordinate) or _make(self.chart, {}, self._degree)
 
     # -- comparison / display ------------------------------------------------
 
@@ -496,6 +494,34 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def _partials(p: Polynomial) -> dict[int, Polynomial]:
+    """``{i: dp/dx_i}`` for every ``i`` whose partial is nonzero, in
+    increasing ``i``, from one pass over ``p``'s keys: each key's nonzero
+    exponent fields are found from its low bits up, and an ``e`` in field
+    ``i`` adds ``e * value`` at the key lowered by one there and in the
+    degree.  Every partial keeps ``p``'s degree bound."""
+    dim = p.chart.dim
+    degree_unit = 1 << _BITS * dim
+    tables: dict[int, dict] = {}
+    for key, value in p._terms.items():
+        fields = key & degree_unit - 1
+        while fields:
+            shift = (fields & -fields).bit_length() - 1
+            shift -= shift % _BITS
+            e = fields >> shift & _MASK
+            fields ^= e << shift
+            c = value * e
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
+            i = dim - 1 - shift // _BITS
+            table = tables.get(i)
+            if table is None:
+                table = tables[i] = {}
+            table[key - degree_unit - (1 << shift)] = c
+    chart, degree = p.chart, p._degree
+    return {i: _make(chart, tables[i], degree) for i in sorted(tables)}
 
 
 def _signed_sum(parts) -> str:

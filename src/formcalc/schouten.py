@@ -33,34 +33,39 @@ from .exterior import (
     exterior_derivative,
     wedge,
 )
+from .poly import _partials
 
 
-def _diff_terms(field: Multivector, index: int) -> dict:
+def _diff_terms(field: Multivector) -> dict:
+    """``{i: d_i field}``, each the ``{key: partial}`` of the nonzero
+    partials of ``field``'s coefficients, from one :func:`_partials` pass
+    per coefficient."""
     out: dict = {}
     for key, coefficient in field.terms.items():
-        dc = coefficient.diff(index)
-        if not dc.is_zero():
-            out[key] = dc
+        for i, dc in _partials(coefficient).items():
+            out.setdefault(i, {})[key] = dc
     return out
 
 
 def schouten(a: Multivector, b: Multivector) -> Multivector:
-    """The graded bracket ``[a, b]`` of two multivector fields."""
+    """The graded bracket ``[a, b]`` of two multivector fields, by the
+    coordinate formula.  Each coefficient's partials are read once per call,
+    and once in all when ``b is a`` (as in :func:`is_n_poisson`)."""
     chart = checked(a, Multivector, "schouten argument").chart
     checked(b, Multivector, "schouten argument", chart=chart)
     grade = a.grade + b.grade - 1
     if grade < 0:
         return Multivector.zero(chart, 0)
+    diff_a = _diff_terms(a)
+    diff_b = diff_a if b is a else _diff_terms(b)
     groups: dict = {}
     for i in range(chart.dim):
-        delta_a = _contract_single(a.terms, i)
-        if delta_a:
+        if i in diff_b and (delta_a := _contract_single(a.terms, i)):
             # (-1)^(a-1) * sum_i (delta_i A)^(d_i B)
-            _merge_products(groups, delta_a, _diff_terms(b, i), flip=a.grade % 2 == 0)
-        diff_a = _diff_terms(a, i)
-        if diff_a:
+            _merge_products(groups, delta_a, diff_b[i], flip=a.grade % 2 == 0)
+        if i in diff_a:
             # - sum_i (d_i A)^(delta_i B)
-            _merge_products(groups, diff_a, _contract_single(b.terms, i), flip=True)
+            _merge_products(groups, diff_a[i], _contract_single(b.terms, i), flip=True)
     return Multivector._of(chart, min(grade, chart.dim), _summed(groups, chart))
 
 

@@ -9,13 +9,16 @@ generator's merge table, the calls of the two inversion sweeps,
 ``poly._pfaffian_sweep`` for constant matrices and ``poly._polynomial_sweep``
 for the rest, the fused sums and exact divisions of each of the
 latter's steps, the wedges and tensor constructors a parsed wedge chain
-calls, and the fused sums of a tensor divided by a scalar.  The counts are
+calls, the tensor products a parsed tensor term calls, the fused sums of a
+tensor divided by a scalar, and the ``poly._partials`` passes that a
+differential or a bracket of multivectors makes.  The counts are
 exact functions of the input, so a complexity claim is pinned with no
 timing noise (after Goldsmith, Aiken & Wilkerson, "Measuring empirical
 computational complexity", ESEC/FSE 2007, with exact counts in place of
 fitted times).
 """
 
+import importlib
 import random
 import re
 from collections import Counter
@@ -24,9 +27,9 @@ from itertools import combinations, groupby
 
 import pytest
 
-from formcalc import (BracketDef, Chart, ConstraintSet, Form, Polynomial, SymplecticData, bracket, coordinates,
-                      darboux_chart, differential, dirac_bracket_form, dirac_bracket_matrix, magnetic_form,
-                      parse_expr, parse_tensor, standard_form, wedge_all)
+from formcalc import (BracketDef, Chart, ConstraintSet, Form, Multivector, Polynomial, SymplecticData, bracket,
+                      coordinates, darboux_chart, differential, dirac_bracket_form, dirac_bracket_matrix,
+                      is_poisson, magnetic_form, parse_expr, parse_tensor, schouten, standard_form, wedge_all)
 from formcalc import exterior as exterior_module
 from formcalc import parsing as parsing_module
 from formcalc import poly as poly_module
@@ -34,8 +37,11 @@ from formcalc.brackets import _divided_power
 from formcalc.cli import run_scenario
 from formcalc.manifest import parse_scenario_text
 
-from tests.helpers import pulled_back_form, rand_poly
+from tests.helpers import pulled_back_form, rand_multivector, rand_nonzero_poly, rand_poly
 from tests.test_exterior import dense_constant_form
+
+# the module, which the package's ``schouten`` function shadows as an attribute
+schouten_module = importlib.import_module("formcalc.schouten")
 
 
 @pytest.fixture
@@ -180,6 +186,79 @@ def test_tensor_divided_by_a_scalar_makes_no_product(monkeypatch):
     half = omega / 2
     assert calls == Counter()
     assert half == omega * Fraction(1, 2)
+
+
+@pytest.fixture
+def partial_passes(monkeypatch):
+    """A ``Counter`` of ``passes`` (``poly._partials`` calls) and ``terms``
+    (the terms of the polynomials they read), counted on every route that
+    reaches the kernel."""
+    counts = Counter()
+    partials = poly_module._partials
+
+    def counted(p):
+        counts["passes"] += 1
+        counts["terms"] += p.term_count()
+        return partials(p)
+
+    for module in (poly_module, exterior_module, schouten_module):
+        monkeypatch.setattr(module, "_partials", counted)
+    return counts
+
+
+@pytest.mark.parametrize("n", [2, 5, 10])
+def test_differential_is_one_pass(partial_passes, n):
+    # d f on an n-dim chart reads all n partials in one pass over f's terms
+    chart = Chart(tuple(f"x{i}" for i in range(1, n + 1)))
+    f = sum(coordinates(chart), Polynomial.constant(chart, 1)) ** 2
+    df = differential(f)
+    assert partial_passes == Counter(passes=1, terms=f.term_count())
+    assert df == Form(chart, 1, {(i,): f.diff(i) for i in range(n)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_self_bracket_is_one_pass_per_term(partial_passes, n):
+    # is_poisson(L) reads each coefficient's partials once in all, as [L, L]
+    # has b is a: one pass per term of L, not 2 * dim diff calls per term
+    rng = random.Random(n)
+    chart = darboux_chart(n)
+    bivector = Multivector(chart, 2, {key: rand_nonzero_poly(rng, chart, degree=2, nterms=3)
+                                      for key in combinations(range(2 * n), 2)})
+    is_poisson(bivector)
+    assert partial_passes["passes"] == len(bivector.terms) == n * (2 * n - 1)
+
+
+def test_bracket_of_two_fields_is_one_pass_per_term(partial_passes):
+    # [a, b] with b not a: one pass per term of each
+    rng = random.Random(5)
+    a, b = (rand_multivector(rng, CHART, grade) for grade in (1, 2))
+    schouten(a, b)
+    assert partial_passes["passes"] == len(a.terms) + len(b.terms)
+
+
+@pytest.mark.parametrize("n", [1, 4, 10])
+def test_tensor_term_is_one_key_and_its_coefficient(monkeypatch, n):
+    # a sum of n "(c) * e(x)" terms, and of n monomial-times-chain terms:
+    # each chain takes its coefficient as its one term, with no tensor product
+    chart = Chart(tuple(f"x{i}" for i in range(1, 12)))
+    calls = Counter()
+    graded = exterior_module._Graded
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(graded, "__mul__", counted("mul", graded.__mul__))
+    monkeypatch.setattr(graded, "__rmul__", counted("mul", graded.__rmul__))
+    field = parse_tensor(" + ".join(f"(x{i} + {i}) * e(x{i})" for i in range(1, n + 1)), chart)
+    form = parse_tensor(" - ".join(f"{i}*x{i} * -d(x{i})^d(x1)" for i in range(2, n + 2)), chart)
+    monkeypatch.undo()
+    assert calls == Counter()
+    x = coordinates(chart)
+    assert field == Multivector(chart, 1, {(i - 1,): x[i - 1] + i for i in range(1, n + 1)})
+    assert form == Form(chart, 2, {(0, i - 1): (i if i == 2 else -i) * x[i - 1] for i in range(2, n + 2)})
 
 
 def level_products(monkeypatch):

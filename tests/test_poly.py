@@ -238,6 +238,11 @@ class TestDegreeCap:
         assert p.terms == {(2 ** 32 - 1, 0): 1, (2 ** 32 - 2, 1): 1}
         assert str(p) == "q1^4294967295 + q1^4294967294*p1"
         assert p.diff(0).terms == {(2 ** 32 - 2, 0): 2 ** 32 - 1, (2 ** 32 - 3, 1): 2 ** 32 - 2}
+        legacy = LegacyPolynomial(CHART, p.terms)
+        partials = poly_module._partials(p * Fraction(1, 3))
+        for i in (0, 1):
+            assert partials[i].terms == (legacy.diff(i) * Fraction(1, 3)).terms
+            assert partials[i]._degree == 2 ** 32 - 1
         assert exact_divide(p, top) == Q1 + P1
         with pytest.raises(DegreeOverflow):
             p * Q1
@@ -952,6 +957,22 @@ class TestLegacyKernelOracle:
         chart, [(a, la)] = drawn
         for i in range(chart.dim):
             same(a.diff(i), la.diff(i))
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_pairs(1))
+    def test_partials_in_one_pass(self, drawn):
+        # every partial of the one-pass kernel against the per-coordinate
+        # loop, zero partials included: those are absent, and the rest come
+        # in increasing index with the polynomial's degree bound
+        chart, [(a, la)] = drawn
+        partials = poly_module._partials(a)
+        assert list(partials) == [i for i in range(chart.dim) if not la.diff(i).is_zero()]
+        for i in range(chart.dim):
+            partial = partials.get(i, Polynomial.zero(chart))
+            same(partial, la.diff(i))
+            assert a.diff(i)._degree == a._degree
+            if i in partials:
+                assert partial._degree == a._degree
 
     @settings(max_examples=150, deadline=None)
     @given(oracle_pairs(2))

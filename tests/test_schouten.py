@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formcalc import (
     Chart,
@@ -25,7 +27,7 @@ from formcalc import (
     wedge,
 )
 
-from tests.helpers import qp, rand_multivector, rand_poly
+from tests.helpers import LegacyPolynomial, qp, rand_multivector, rand_poly
 
 C4 = Chart(("x1", "x2", "x3", "x4"))
 VOL4 = Form(C4, 4, {(0, 1, 2, 3): Fraction(1)})
@@ -40,6 +42,61 @@ def lie_oracle(x: Multivector, y: Multivector) -> Multivector:
             comps[j] = comps[j] + xi * yj.diff(i)
             comps[i] = comps[i] - yj * xi.diff(j)
     return Multivector(chart, 1, {(i,): comps[i] for i in range(chart.dim)})
+
+
+def _delta(field: Multivector, i: int) -> Multivector:
+    """The interior product against ``dx_i``: index removal with parity sign."""
+    terms = {}
+    for key, c in field.terms.items():
+        if i in key:
+            position = key.index(i)
+            terms[key[:position] + key[position + 1:]] = -c if position % 2 else c
+    return Multivector(field.chart, field.grade - 1, terms)
+
+
+def _partial(field: Multivector, i: int) -> Multivector:
+    """``d_i`` of every coefficient, by the per-coordinate loop of ``LegacyPolynomial.diff``."""
+    chart = field.chart
+    return Multivector(chart, field.grade, {
+        key: Polynomial(chart, LegacyPolynomial(chart, c.terms).diff(i).terms) for key, c in field.terms.items()})
+
+
+def coordinate_formula(a: Multivector, b: Multivector) -> Multivector:
+    """``(-1)^(a-1) sum_i (delta_i A)^(d_i B) - sum_i (d_i A)^(delta_i B)``,
+    one coordinate at a time with public wedges and sums."""
+    chart = a.chart
+    total = Multivector.zero(chart, min(a.grade + b.grade - 1, chart.dim))
+    sign = 1 if a.grade % 2 else -1
+    for i in range(chart.dim):
+        total = total + wedge(_delta(a, i), _partial(b, i)) * sign - wedge(_partial(a, i), _delta(b, i))
+    return total
+
+
+@st.composite
+def field_pairs(draw):
+    """A 2-6-dim chart and two multivectors of grade 1-3 on it, the second
+    the very first object in a third of the draws."""
+    dim = draw(st.integers(2, 6))
+    chart = Chart([f"x{i}" for i in range(dim)])
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    a = rand_multivector(rng, chart, draw(st.integers(1, min(3, dim))), density=0.5)
+    if draw(st.integers(0, 2)) == 0:
+        return a, a
+    return a, rand_multivector(rng, chart, draw(st.integers(1, min(3, dim))), density=0.5)
+
+
+class TestCoordinateFormulaOracle:
+    """The bracket, whose partials come from one pass per coefficient, against
+    the coordinate formula with the partials of the per-coordinate loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(field_pairs())
+    def test_matches_coordinate_formula(self, pair):
+        a, b = pair
+        expected = coordinate_formula(a, b)
+        assert schouten(a, b) == expected
+        if b is a and a.grade % 2 == 0:
+            assert is_n_poisson(a) == expected.is_zero()
 
 
 class TestBasics:
