@@ -43,8 +43,8 @@ from math import factorial
 
 from .chart import Chart
 from .errors import DegenerateStructure, DivisionByZero, GradeMismatch, InvalidArgument, NotClosed, checked
-from .poly import (Polynomial, _negated_inverse, _nonnegative_power, _partials, _signed_sum, merge_walk,
-                   sum_of_products)
+from .poly import (_SEPARATORS, Polynomial, _negated_inverse, _nonnegative_power, _partials, _signed_text,
+                   merge_walk, sum_of_products)
 
 IndexTuple = tuple[int, ...]
 
@@ -202,11 +202,12 @@ class _Graded:
             return False
         return self.grade == other.grade or (not self.terms and not other.terms)
 
-    def _coefficient_text(self, p: Polynomial) -> tuple[str, str]:
-        # the sign and the "c * " before the atoms, as str(p) prints c: a sum in parentheses, "" for 1
+    def _coefficient_text(self, p: Polynomial) -> str:
+        # the separator and the "c * " before the atoms, as str(p) prints c: a sum in parentheses, "" for 1
         text = str(p) if p.term_count() == 1 else f"({p})"
-        sign, body = ("-", text[1:]) if text.startswith("-") else ("+", text)
-        return sign, ("" if body == "1" else f"{body} * ")
+        negative = text.startswith("-")
+        body = text[negative:]
+        return _SEPARATORS[negative] if body == "1" else f"{_SEPARATORS[negative]}{body} * "
 
     def __str__(self):
         if not self.terms:
@@ -214,12 +215,8 @@ class _Graded:
         if self.grade == 0:
             return str(self.terms[()])
         names = self.chart.names
-        parts = []
-        for key in sorted(self.terms):
-            sign, coeff = self._coefficient_text(self.terms[key])
-            atoms = "^".join(f"{self._atom}({names[i]})" for i in key)
-            parts.append((sign, coeff + atoms))
-        return _signed_sum(parts)
+        return _signed_text([self._coefficient_text(self.terms[key])
+                             + "^".join(f"{self._atom}({names[i]})" for i in key) for key in sorted(self.terms)])
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"

@@ -20,8 +20,12 @@ multiplication and division in Maple 14", 2009).  The exponent vector
 Multiplying two monomials is then one integer ``+``, and ordering keys as
 integers is the graded-lexicographic order in which polynomials print and
 divide.  A key prints as its high half, the first ``n // 2`` fields, times its
-low half; each distinct half is printed once per ``str`` call, and a dense
-product has only a few hundred of them.  A coefficient is stored as an
+low half.  Keys that share their degree and high half are one run of the
+descending order, so printing looks a head text up once per run and, per
+term, a tail text and the text of the coefficient with its separator; each
+distinct half and coefficient is printed once per ``str`` call (a dense
+product has a few hundred halves and a few dozen coefficients), and the
+pieces are joined once.  A coefficient is stored as an
 ``int`` whenever it is integral and as a ``Fraction`` only when it is not.
 Each polynomial carries an upper bound on its total degree (the sum of the
 factors' bounds for ``*``, their maximum for ``+``, unchanged by ``diff`` and
@@ -91,7 +95,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 from typing import Iterator
 
@@ -450,47 +454,46 @@ class Polynomial:
         return self.chart == other.chart and self._terms == other._terms
 
     def __str__(self):
-        if not self._terms:
+        """The terms in descending graded-lexicographic order (descending
+        keys), as ``-3/2*q1^2*p1 + q1 - 1``.  Keys sharing their degree and
+        high half form one run of that order, so each run looks its head text
+        up once; each term then looks up its tail text and the text of its
+        coefficient with the separator before it, and is one string.  Every
+        distinct half and coefficient is printed once per call, and the
+        pieces are joined once."""
+        terms = self._terms
+        if not terms:
             return "0"
         names = self.chart.names
         split = len(names) // 2
         low = _BITS * (len(names) - split)
         high_mask, low_mask = (1 << _BITS * split) - 1, (1 << low) - 1
-        # the text of each distinct high half and low half, built once per call
+        high_names, low_names = names[:split], names[split:]
         heads: dict[int, str] = {}
         tails: dict[int, str] = {}
-
-        def half(fields: int, part: tuple[str, ...]) -> str:
-            factors = []
-            shift = _BITS * len(part)
-            for name in part:
-                shift -= _BITS
-                e = fields >> shift & _MASK
-                if e:
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            return "*".join(factors)
-
+        leads: dict[int | Fraction, str] = {}
         pieces = []
-        # descending keys are descending graded-lexicographic order
-        for key in sorted(self._terms, reverse=True):
-            coefficient = self._terms[key]
-            high, rest = key >> low & high_mask, key & low_mask
-            head = heads.get(high)
-            if head is None:
-                head = heads[high] = half(high, names[:split])
-            tail = tails.get(rest)
+        run = -1
+        keys = sorted(terms, reverse=True)
+        for key in keys:
+            if key >> low != run:
+                run = key >> low
+                head = heads.get(high := run & high_mask)
+                if head is None:
+                    head = heads[high] = _half_text(high, high_names)
+                if head and key & low_mask:  # a key with no low half is alone in its run
+                    head += "*"
+            tail = tails.get(rest := key & low_mask)
             if tail is None:
-                tail = tails[rest] = half(rest, names[split:])
-            monomial = f"{head}*{tail}" if head and tail else head or tail
-            magnitude = abs(coefficient)
-            if not monomial:
-                body = str(magnitude)
-            elif magnitude == 1:
-                body = monomial
-            else:
-                body = f"{magnitude}*{monomial}"
-            pieces.append(("-" if coefficient < 0 else "+", body))
-        return _signed_sum(pieces)
+                tail = tails[rest] = _half_text(rest, low_names)
+            lead = leads.get(c := terms[key])
+            if lead is None:
+                lead = leads[c] = _lead(c)
+            pieces.append(f"{lead}{head}{tail}")
+        if not keys[-1]:
+            c = terms[0]
+            pieces[-1] = f"{_SEPARATORS[c < 0]}{abs(c)}"
+        return _signed_text(pieces)
 
     def __repr__(self):
         return f"Polynomial({self})"
@@ -524,10 +527,34 @@ def _partials(p: Polynomial) -> dict[int, Polynomial]:
     return {i: _make(chart, tables[i], degree) for i in sorted(tables)}
 
 
-def _signed_sum(parts) -> str:
-    """``(sign, body)`` pairs, signs ``"+"`` or ``"-"``, printed as ``-a + b - c``."""
-    text = " ".join(chain.from_iterable(parts))
-    return text[2:] if text[0] == "+" else "-" + text[2:]
+_SEPARATORS = (" + ", " - ")
+
+
+def _half_text(fields: int, names: tuple[str, ...]) -> str:
+    """The product of ``names`` raised to the exponents in ``fields``, one
+    field per name, the last name's lowest: ``q1^2*p1``, ``""`` for none."""
+    factors = []
+    shift = _BITS * len(names)
+    for name in names:
+        shift -= _BITS
+        e = fields >> shift & _MASK
+        if e:
+            factors.append(name if e == 1 else f"{name}^{e}")
+    return "*".join(factors)
+
+
+def _lead(c) -> str:
+    """The separator and the factor printed before a monomial whose
+    coefficient is ``c``: ``" - 3/2*"``, or ``" + "`` for 1."""
+    magnitude = abs(c)
+    return _SEPARATORS[c < 0] if magnitude == 1 else f"{_SEPARATORS[c < 0]}{magnitude}*"
+
+
+def _signed_text(pieces: list[str]) -> str:
+    """Pieces that each begin with their separator, ``" + "`` or ``" - "``,
+    printed as ``-a + b - c``: the one sign convention of every printed sum."""
+    text = "".join(pieces)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def _monomial_sum(chart: Chart, monomials, rest: Polynomial | None = None) -> Polynomial:

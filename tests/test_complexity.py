@@ -10,8 +10,10 @@ generator's merge table, the calls of the two inversion sweeps,
 for the rest, the fused sums and exact divisions of each of the
 latter's steps, the wedges and tensor constructors a parsed wedge chain
 calls, the tensor products a parsed tensor term calls, the fused sums of a
-tensor divided by a scalar, and the ``poly._partials`` passes that a
-differential or a bracket of multivectors makes.  The counts are
+tensor divided by a scalar, the ``poly._partials`` passes that a
+differential or a bracket of multivectors makes, and the half-key and
+coefficient texts (``poly._half_text``, ``poly._lead``) that printing a
+polynomial builds.  The counts are
 exact functions of the input, so a complexity claim is pinned with no
 timing noise (after Goldsmith, Aiken & Wilkerson, "Measuring empirical
 computational complexity", ESEC/FSE 2007, with exact counts in place of
@@ -19,6 +21,7 @@ fitted times).
 """
 
 import importlib
+import math
 import random
 import re
 from collections import Counter
@@ -145,6 +148,56 @@ def test_parse_work_is_linear(work):
         assert parse_expr(text, chart) == expected
         assert (work["pairs"], work["built"], work["terms"]) == (0, 1, expected.term_count())
         assert work["built"] <= 0.2 * tokens
+
+
+@pytest.fixture
+def printed_texts(monkeypatch):
+    """A ``Counter`` of ``halves`` (``poly._half_text`` calls, each one half
+    key's text) and ``leads`` (``poly._lead`` calls, each one coefficient's
+    text)."""
+    counts = Counter()
+    half_text, lead = poly_module._half_text, poly_module._lead
+
+    def counted_half_text(fields, names):
+        counts["halves"] += 1
+        return half_text(fields, names)
+
+    def counted_lead(c):
+        counts["leads"] += 1
+        return lead(c)
+
+    monkeypatch.setattr(poly_module, "_half_text", counted_half_text)
+    monkeypatch.setattr(poly_module, "_lead", counted_lead)
+    return counts
+
+
+def distinct_texts(p):
+    """``Counter(halves=..., leads=...)``: the distinct high halves plus the
+    distinct low halves of ``p``'s exponents, and its distinct coefficients."""
+    split = p.chart.dim // 2
+    exponents = list(p.terms)
+    return Counter(halves=len({e[:split] for e in exponents}) + len({e[split:] for e in exponents}),
+                   leads=len({c for _, c in p.items()}))
+
+
+def test_dense_product_prints_each_half_and_coefficient_once(printed_texts):
+    # the 5,775 terms test_dense_product prints: 225 high and 135 low halves
+    # and 43 distinct coefficients
+    chart = Chart(("q1", "q2", "q3", "q4", "q5", "p1", "p2", "p3", "p4", "p5"))
+    p = parse_expr("45*(q1+q3+p3+1)^8*(p1+q4+p4+1)^4", chart)
+    str(p)
+    assert printed_texts == distinct_texts(p)
+    assert printed_texts == Counter(halves=225 + 135, leads=43)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_printing_builds_track_distinct_halves(printed_texts, n):
+    # (q1 + q2 - 2*p1 + p2 + 1)^n has C(n+4, 4) terms (495 at n = 8) but
+    # C(n+2, 2) high and as many low halves (45 each at n = 8)
+    p = parse_expr(f"(q1 + q2 - 2*p1 + p2 + 1)^{n}", Chart(("q1", "q2", "p1", "p2")))
+    str(p)
+    assert printed_texts == distinct_texts(p)
+    assert printed_texts["halves"] == 2 * math.comb(n + 2, 2) and p.term_count() == math.comb(n + 4, 4)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 10])

@@ -1001,15 +1001,36 @@ PRINT_NAMES = ("q1", "q2", "q3", "q4", "q5", "p1", "p2", "p3", "p4", "p5", "x", 
 def printed_polynomials(draw):
     """A polynomial on a chart of 1-10 coordinates from ``PRINT_NAMES`` in any
     order: int, ``Fraction`` and negative coefficients, constant terms, and
-    one-variable terms of degree ``DEGREE_CAP - 1``."""
+    one-variable terms of degree ``DEGREE_CAP - 1``.
+
+    Other terms join one of a few high halves (the first ``dim // 2``
+    fields) to one of a few low halves, either of them often zero, so keys
+    share a high half across total degrees and a degree across high halves,
+    and head-only, tail-only and constant monomials are common.  Their
+    coefficients are a few magnitudes, 1 and some beyond 2^64 among them,
+    each with either sign."""
     dim = draw(st.integers(1, 10))
+    split = dim // 2
     chart = Chart(draw(st.permutations(PRINT_NAMES))[:dim])
+
+    def fields(first, stop):
+        if first == stop:  # the empty high half of a 1-dim chart
+            return st.just(())
+        return st.lists(st.integers(first, stop - 1), max_size=4).map(
+            lambda picks: tuple(picks.count(i) for i in range(first, stop)))
+
+    heads = draw(st.lists(fields(0, split), min_size=1, max_size=3))
+    tails = draw(st.lists(fields(split, dim), min_size=1, max_size=3))
+    magnitudes = [1] + draw(st.lists(st.integers(2, 6) | st.integers(2**64, 2**70)
+                                     | st.builds(Fraction, st.integers(1, 2**66), st.integers(2, 4)), max_size=2))
     exponent = st.lists(st.integers(0, dim - 1), max_size=8).map(
         lambda picks: tuple(picks.count(i) for i in range(dim)))
     exponent |= st.integers(0, dim - 1).map(
         lambda i: tuple(poly_module.DEGREE_CAP - 1 if j == i else 0 for j in range(dim)))
+    exponent |= st.builds(lambda head, tail: head + tail, st.sampled_from(heads), st.sampled_from(tails))
     coefficient = st.integers(-6, 6) | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-    return Polynomial(chart, draw(st.dictionaries(exponent, coefficient, max_size=12)))
+    coefficient |= st.builds(lambda m, sign: sign * m, st.sampled_from(magnitudes), st.sampled_from((1, -1)))
+    return Polynomial(chart, draw(st.dictionaries(exponent, coefficient, max_size=16)))
 
 
 class TestPrinterOracle:
@@ -1020,6 +1041,23 @@ class TestPrinterOracle:
     @given(printed_polynomials())
     def test_matches_field_loop(self, p):
         assert str(p) == legacy_polynomial_str(p)
+
+    @pytest.mark.parametrize("text, printed", [
+        # one magnitude with both signs, and ints and fractions beyond 2^64
+        ("3*q1*p1 - 3*q2*p1 + 3*p2 - 3 - 36893488147419103233/2*q1^2 + 18446744073709551617*p1^2",
+         "-36893488147419103233/2*q1^2 + 3*q1*p1 - 3*q2*p1 + 18446744073709551617*p1^2 + 3*p2 - 3"),
+        # coefficients +-1 on head-only and tail-only monomials and the constant
+        ("-q1^2 + q2 - p1*p2 + p2^3 + 1", "p2^3 - q1^2 - p1*p2 + q2 + 1"),
+        ("q1^2 - q2 + p1*p2 - p2^3 - 1", "-p2^3 + q1^2 + p1*p2 - q2 - 1"),
+        # one high half over total degrees 3, 2 and 1: q1*p1 and q1 are
+        # adjacent keys of one high half in two runs, and q1 has no low half
+        ("q1*p2^2 + q1*p1 + q1 + 2*q1*q2 - q2", "q1*p2^2 + 2*q1*q2 + q1*p1 + q1 - q2"),
+        # one total degree over the high halves q1, q2 and none
+        ("q1*p1 + q1*p2 - q2*p1 + p1^2 - p1*p2", "q1*p1 + q1*p2 - q2*p1 + p1^2 - p1*p2"),
+    ])
+    def test_each_kind_of_run_and_coefficient(self, text, printed):
+        p = parse_expr(text, Chart(("q1", "q2", "p1", "p2")))
+        assert str(p) == legacy_polynomial_str(p) == printed
 
     @settings(max_examples=150, deadline=None)
     @given(printed_polynomials())
