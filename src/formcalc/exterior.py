@@ -44,7 +44,7 @@ from math import factorial
 from .chart import Chart
 from .errors import DegenerateStructure, DivisionByZero, GradeMismatch, InvalidArgument, NotClosed, checked
 from .poly import (_SEPARATORS, Polynomial, _negated_inverse, _nonnegative_power, _partials, _signed_text,
-                   merge_walk, sum_of_products)
+                   constant_weights, merge_pairing, merge_walk, sum_of_products)
 
 IndexTuple = tuple[int, ...]
 
@@ -338,13 +338,15 @@ class _Generator:
     one, where ``_merge_sign(key, (i,))`` is ``(merged, -1 if odd else 1)``,
     and bit ``p`` of ``_holding[i]`` is set when the ``p``-th tuple holds ``i``.
     1-forms are wedged on one at a time by :func:`~formcalc.poly.merge_walk`,
-    which reads the table through :meth:`_fill` and adds each step's products
-    into the packed tables of the merged tuples, with no polynomial built for
-    a partial wedge.
+    which reads the table through :meth:`_entries` and adds each step's
+    products into the packed tables of the merged tuples, with no polynomial
+    built for a partial wedge.  ``_weights`` holds ``target``'s coefficients
+    when every one is a constant (so for ``Lambda^k/k!`` of a constant form,
+    and ``*alpha`` under a constant volume), decided once here, else ``None``.
     A key's entries are a pure function of ``target`` and the key, stored once
     whole, so a walk racing another to fill a key can only store an equal list."""
 
-    __slots__ = ("target", "_holding", "_table")
+    __slots__ = ("target", "_holding", "_table", "_weights")
 
     def __init__(self, target: Multivector):
         self.target = target
@@ -353,6 +355,7 @@ class _Generator:
             for i in t:
                 self._holding[i] |= 1 << p
         self._table: dict[IndexTuple, list] = {}
+        self._weights = constant_weights(target.terms)
 
     def _fill(self, key: IndexTuple) -> list:
         """Store and return the entries of ``key``, read off the tuples that hold it."""
@@ -367,13 +370,15 @@ class _Generator:
         self._table[key] = entries
         return entries
 
+    def _entries(self, key: IndexTuple) -> list:
+        """The entries of ``key``, filled on the first read: the walks' accessor."""
+        return self._table.get(key) or self._fill(key)
+
     def wedge(self, forms: Sequence[Form]) -> dict[IndexTuple, Polynomial]:
         """The coefficients of ``forms[0] ^ ... ^ forms[-1]``, one or more
         1-forms, on the ``len(forms)``-element subsets of the index tuples of
         ``target``."""
-        table, fill = self._table, self._fill
-        return merge_walk([{i: c for (i,), c in form.terms.items()} for form in forms],
-                          lambda key: table.get(key) or fill(key), self.target.chart)
+        return merge_walk(_levels(forms), self._entries, self.target.chart)
 
     def products(self, forms: Sequence[Form]) -> list:
         """The products whose sum is :meth:`pair` of ``forms``, unsummed."""
@@ -381,8 +386,14 @@ class _Generator:
         return [(value, terms[key], False) for key, value in self.wedge(forms).items()]
 
     def pair(self, forms: Sequence[Form]) -> Polynomial:
-        """``pair(wedge_all(forms), target)`` for k 1-forms."""
-        return sum_of_products(self.products(forms), self.target.chart)
+        """``pair(wedge_all(forms), target)`` for k 1-forms.  With constant
+        ``_weights`` the walk's last level is folded into one table by
+        :func:`~formcalc.poly.merge_pairing`, one polynomial per pairing;
+        a target with a polynomial coefficient takes the fused sum of
+        :meth:`products`, one polynomial per key of the wedge and one for the sum."""
+        if self._weights is None:
+            return sum_of_products(self.products(forms), self.target.chart)
+        return merge_pairing(_levels(forms), self._entries, self.target.chart, self._weights)
 
     def field(self, forms: Sequence[Form]) -> Multivector:
         """The field whose component ``i`` is :meth:`pair` of ``forms +
@@ -392,9 +403,14 @@ class _Generator:
         terms = self.target.terms
         groups: dict[IndexTuple, list] = {}
         for key, value in self.wedge(forms).items():
-            for i, merged, odd in self._table.get(key) or self._fill(key):
+            for i, merged, odd in self._entries(key):
                 groups.setdefault((i,), []).append((terms[merged], value, odd))
         return Multivector._of(chart, 1, _summed(groups, chart))
+
+
+def _levels(forms: Sequence[Form]) -> list[dict[int, Polynomial]]:
+    """Each 1-form's coefficients by index: the levels of a generator's walk."""
+    return [{i: c for (i,), c in form.terms.items()} for form in forms]
 
 
 def _top_coefficient(volume: Form) -> Polynomial:

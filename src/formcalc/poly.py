@@ -49,11 +49,22 @@ Pearce build each result in one accumulator in the same way).  Every
 product of two polynomials, ``*`` included, enters there: ``a * b`` is the
 one-product sum ``[(a, b, False)]``, and the rule for a lone product with a
 one-term factor, its sign included, lives in :func:`sum_of_products` alone.
-The one other caller of the product loop is :func:`merge_walk`, the wedge of
-1-forms along a generator's merge table.  Its first level takes the first
-form's coefficients as they are, with no product by the constant 1; each
-later level adds its products into the packed tables of the merged tuples,
-and only the last level's tables are settled and become polynomials.
+Two factors whose keys share no bit of the exponent fields cannot collide:
+each field adds without a carry, so every term pair has its own key and no
+sum cancels.  The first product into an empty table, when neither factor is
+one term, is tested for that on two bitwise ORs of its keys, and if it
+passes the table is one dict comprehension (:func:`_added`).
+Finishing a table is one C-level scan of its value types when it holds no
+``Fraction``, by far the common case, and a table with no zero is kept as it
+is.  The other callers of the product loop are :func:`merge_walk`, the
+wedge of 1-forms along a generator's merge table, and :func:`merge_pairing`,
+the same wedge paired with constant target coefficients.  The walk's first
+level takes the first form's coefficients as they are, with no product by
+the constant 1; each later level adds its products into the packed tables
+of the merged tuples, and only the last level's tables are settled and
+become polynomials.  A pairing folds its last level into one table instead,
+each product's target constant folded into its sign and, when not of
+magnitude 1, into its smaller factor, so it builds one polynomial in all.
 
 The packed layout is private to this module.  Other code reads a polynomial
 through :meth:`Polynomial.items`, :meth:`~Polynomial.coefficient`,
@@ -94,9 +105,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import lcm
+from operator import or_
 from typing import Iterator
 
 from .chart import Chart
@@ -153,14 +166,23 @@ def _coefficient(value):
 
 
 def _settle(table: dict):
-    """Store the integral ``Fraction`` values of ``table`` as ints, in place."""
+    """Store the integral ``Fraction`` values of ``table`` as ints, in place;
+    one C-level scan of the value types when it holds no ``Fraction``."""
+    if Fraction not in map(type, table.values()):
+        return
     for key, value in table.items():
         if type(value) is Fraction and value.denominator == 1:
             table[key] = value.numerator
 
 
 def _finished(table: dict) -> dict:
-    """The nonzero entries of ``table``, integral ``Fraction`` values as ints."""
+    """The nonzero entries of ``table``, integral ``Fraction`` values as ints.
+    A table with no ``Fraction``, which one C-level scan of the value types
+    tells, is returned as it is when it holds no zero and else with its zeros
+    dropped, so the caller must own it."""
+    values = table.values()
+    if Fraction not in map(type, values):
+        return table if all(values) else {key: value for key, value in table.items() if value}
     return {key: value.numerator if type(value) is Fraction and value.denominator == 1 else value
             for key, value in table.items() if value}
 
@@ -173,7 +195,8 @@ def _check_degree(degree: int) -> int:
 
 def _add_product(out: dict, large: dict, small: dict, negate: bool):
     """Add ``large * small`` (negated if ``negate``) into ``out``: the inner
-    loop of :func:`sum_of_products` and of :func:`_walk_level`, its only callers.
+    loop of :func:`_added` (so of :func:`sum_of_products` and
+    :func:`_paired_level`) and of :func:`_walk_level`, its only callers.
 
     All three are term tables; ``small`` is nonempty and has no more terms
     than ``large``.  Values in ``out`` are left unsettled (zeros and integral
@@ -200,6 +223,30 @@ def _add_product(out: dict, large: dict, small: dict, negate: bool):
         for kb, cb in inner:
             key = ka + kb
             out[key] = get(key, 0) + ca * cb
+
+
+def _disjoint_product(large: dict, small: dict, negate: bool) -> dict:
+    """``large * small`` (negated if ``negate``) as a new table of one key
+    per term pair, for factors that cannot collide (see :func:`_added`).
+    Integral ``Fraction`` values are left for the caller to settle."""
+    inner = [(key, -value) for key, value in small.items()] if negate else small.items()
+    return {ka + kb: ca * cb for ka, ca in large.items() for kb, cb in inner}
+
+
+def _added(out: dict, large: dict, small: dict, negate: bool, bound: int, fields: int) -> dict:
+    """``out`` with ``large * small`` (negated if ``negate``) added by
+    :func:`_add_product`.  Into an empty ``out``, when neither factor is one
+    term and no bit of the exponent ``fields`` is set in a key of both, every
+    field of ``ka + kb`` adds without a carry, so no two term pairs meet and
+    none cancels: then the degree ``bound`` is checked and the product is
+    built by :func:`_disjoint_product`.  The test is on bits, not
+    coordinates: ``q1 + 1`` and ``q1^2 + 1`` pass it, ``q1^3 + 1`` and
+    ``q1 + 1`` do not."""
+    if out or len(small) == 1 or reduce(or_, small) & reduce(or_, large) & fields:
+        _add_product(out, large, small, negate)
+        return out
+    _check_degree(bound)  # before the table is built
+    return _disjoint_product(large, small, negate)
 
 
 def _make(chart: Chart, terms: dict, degree: int) -> "Polynomial":
@@ -590,16 +637,20 @@ def sum_of_products(products: Sequence[tuple[Polynomial, Polynomial, bool]],
     ``chart``, built in one term table: the one route of every product of two
     polynomials, ``a * b`` included as the list ``[(a, b, False)]``.
 
-    Every product is added into the same table, which is settled and cleared
-    of zeros once at the end, and the degree bound (the largest of the
-    products' bounds) is checked once.  A lone product whose smaller factor
-    is one term takes :meth:`Polynomial._shifted` instead, one pass with the
-    sign folded into that term's coefficient.  Raises :class:`ChartMismatch`
-    for a factor on another chart.
+    Every product is added into the same table by :func:`_added`, so the
+    first one, if its factors cannot collide, builds the table in one
+    comprehension.  The degree bound (the largest of the products' bounds)
+    is checked once, and the table is finished once at the end by
+    :func:`_finished`, which keeps it as it is when it holds no zero and no
+    ``Fraction``.  A lone product whose smaller factor is one term takes
+    :meth:`Polynomial._shifted` instead, one pass with the sign folded into
+    that term's coefficient.  Raises :class:`ChartMismatch` for a factor on
+    another chart.
     """
     out: dict[int, int | Fraction] = {}
     degree = 0
     top = _BITS * chart.dim
+    fields = (1 << top) - 1
     for a, b, negate in products:
         if a.chart is not chart or b.chart is not chart:
             if a.chart != chart or b.chart != chart:
@@ -616,7 +667,7 @@ def sum_of_products(products: Sequence[tuple[Polynomial, Polynomial, bool]],
             bound = a._degree + b._degree
         if bound > degree:
             degree = bound
-        _add_product(out, large._terms, small._terms, negate)
+        out = _added(out, large._terms, small._terms, negate, bound, fields)
     return _make(chart, _finished(out), _check_degree(degree))
 
 
@@ -628,20 +679,53 @@ def merge_walk(levels: Sequence[Mapping[int, Polynomial]], entries, chart: Chart
     coefficients on the indices of ``entries(())``, as they are; each later
     level is one :func:`_walk_level` on packed tables, and an empty level
     ends the walk.  Only the last level's tables are settled, each into one
-    ``Polynomial``.  ``levels`` is not empty: every bracket has an argument."""
-    first = levels[0]
-    walked = {merged: first[i] for i, merged, _ in entries(()) if i in first}
+    ``Polynomial``.  ``levels`` is not empty: every bracket has an argument.
+    A pairing with constant target coefficients takes :func:`merge_pairing`,
+    which folds the last level into one table."""
     if len(levels) == 1:
-        return walked
-    current = {key: (c._terms, c._degree) for key, c in walked.items()}
-    top = _BITS * chart.dim
-    for coefficients in levels[1:]:
-        if not current:
-            return {}
-        current = _walk_level(current, coefficients, entries, top)
+        first = levels[0]
+        return {merged: first[i] for i, merged, _ in entries(()) if i in first}
+    current = _walked(levels, entries, _BITS * chart.dim)
     for table, _ in current.values():
         _settle(table)
     return {key: _make(chart, table, degree) for key, (table, degree) in current.items()}
+
+
+def merge_pairing(levels: Sequence[Mapping[int, Polynomial]], entries, chart: Chart,
+                  weights: Mapping) -> Polynomial:
+    """``sum(weights[key] * c for key, c in merge_walk(levels, entries,
+    chart).items())`` as one polynomial: the pairing of the wedge with a
+    target whose coefficients are the constants ``weights``, from
+    :func:`constant_weights`.  The levels before the last are walked as in
+    :func:`merge_walk`, and the last is one :func:`_paired_level` into one
+    table, finished once; no polynomial is built per key.  A lone level is
+    paired from the constant 1 on the empty tuple.  Its degree bound is the
+    largest of the last level's products' bounds, cancelled ones included."""
+    top = _BITS * chart.dim
+    current = _walked(levels[:-1], entries, top) if len(levels) > 1 else {(): ({0: 1}, 0)}
+    table, degree = _paired_level(current, levels[-1], entries, weights, top)
+    return _make(chart, _finished(table), _check_degree(degree))
+
+
+def constant_weights(coefficients: Mapping) -> dict | None:
+    """``{key: value}`` when every polynomial of ``coefficients`` is a
+    nonzero constant ``value``, else ``None``: :func:`merge_pairing`'s weights."""
+    if all(len(c._terms) == 1 and 0 in c._terms for c in coefficients.values()):
+        return {key: c._terms[0] for key, c in coefficients.items()}
+    return None
+
+
+def _walked(levels: Sequence[Mapping[int, Polynomial]], entries, top: int) -> dict:
+    """The ``{key: (table, degree bound)}`` of the wedge of ``levels``, one
+    or more: the first level's coefficients as they are, then one
+    :func:`_walk_level` per later level; an empty level ends the walk."""
+    first = levels[0]
+    current = {merged: (first[i]._terms, first[i]._degree) for i, merged, _ in entries(()) if i in first}
+    for coefficients in levels[1:]:
+        if not current:
+            break
+        current = _walk_level(current, coefficients, entries, top)
+    return current
 
 
 def _walk_level(current: dict, coefficients: Mapping[int, Polynomial], entries, top: int) -> dict:
@@ -652,7 +736,9 @@ def _walk_level(current: dict, coefficients: Mapping[int, Polynomial], entries, 
     bound is the largest of its products' bounds, as in
     :func:`sum_of_products`, and is checked before the table is cleared of
     zeros (only when it holds one) or dropped (when empty), so ``entries``
-    reads the keys of nonzero partial wedges alone."""
+    reads the keys of nonzero partial wedges alone.  No product here takes
+    :func:`_added`'s collision test: on dense brackets few pass it, and a
+    test per fresh table costs more than the comprehension saves."""
     sums: dict = {}
     for key, (table, degree) in current.items():
         size = len(table)
@@ -677,6 +763,37 @@ def _walk_level(current: dict, coefficients: Mapping[int, Polynomial], entries, 
         if table:
             out[merged] = (table, degree)
     return out
+
+
+def _paired_level(current: dict, coefficients: Mapping[int, Polynomial], entries, weights: Mapping,
+                  top: int) -> tuple[dict, int]:
+    """The last level of :func:`merge_pairing`: ``(table, degree bound)`` of
+    the sum over :func:`_walk_level`'s products, each times the constant
+    ``weights[merged]``, all added into one table by :func:`_added`.  A
+    negative weight flips the product's sign, and a magnitude other than 1
+    scales its smaller factor, one pass over that factor.  The table is left
+    unfinished."""
+    out: dict = {}
+    degree = 0
+    fields = (1 << top) - 1
+    for key, (table, walked) in current.items():
+        size = len(table)
+        for i, merged, odd in entries(key):
+            c = coefficients.get(i)
+            if c is None:
+                continue
+            terms = c._terms
+            small, large, lead = (table, terms, c._degree) if size <= len(terms) else (terms, table, walked)
+            bound = lead + (next(iter(small)) >> top) if len(small) == 1 else walked + c._degree
+            if bound > degree:
+                degree = bound
+            weight = weights[merged]
+            if weight < 0:
+                weight, odd = -weight, not odd
+            if weight != 1:
+                small = {k: value * weight for k, value in small.items()}
+            out = _added(out, large, small, odd, bound, fields)
+    return out, degree
 
 
 def coordinates(chart: Chart) -> tuple[Polynomial, ...]:

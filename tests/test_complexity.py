@@ -1,8 +1,8 @@
 """Exact work counts for the polynomial kernel, in place of timings.
 
 Each test wraps private kernel functions with ``monkeypatch`` and counts
-what they are handed: the term pairs that ``poly._add_product`` and
-``Polynomial._shifted`` multiply, the polynomials ``poly._make`` builds
+what they are handed: the term pairs that ``poly._add_product``,
+``poly._disjoint_product`` and ``Polynomial._shifted`` multiply, the polynomials ``poly._make`` builds
 with the terms they hold, the products that each level of a generator
 wedge adds into its merged tuples' tables, the keys and entries of the
 generator's merge table, the calls of the two inversion sweeps,
@@ -11,9 +11,11 @@ for the rest, the fused sums and exact divisions of each of the
 latter's steps, the wedges and tensor constructors a parsed wedge chain
 calls, the tensor products a parsed tensor term calls, the fused sums of a
 tensor divided by a scalar, the ``poly._partials`` passes that a
-differential or a bracket of multivectors makes, and the half-key and
+differential or a bracket of multivectors makes, the half-key and
 coefficient texts (``poly._half_text``, ``poly._lead``) that printing a
-polynomial builds.  The counts are
+polynomial builds, the general-loop passes a product of collision-free
+factors skips, and the one polynomial a pairing with constant targets
+builds.  The counts are
 exact functions of the input, so a complexity claim is pinned with no
 timing noise (after Goldsmith, Aiken & Wilkerson, "Measuring empirical
 computational complexity", ESEC/FSE 2007, with exact counts in place of
@@ -53,10 +55,15 @@ def work(monkeypatch):
     (polynomials made) and ``terms`` (the terms those hold)."""
     counts = Counter()
     add_product, shifted, make = poly_module._add_product, Polynomial._shifted, poly_module._make
+    disjoint_product = poly_module._disjoint_product
 
     def counted_add_product(out, large, small, negate):
         counts["pairs"] += len(large) * len(small)
         return add_product(out, large, small, negate)
+
+    def counted_disjoint_product(large, small, negate):
+        counts["pairs"] += len(large) * len(small)
+        return disjoint_product(large, small, negate)
 
     def counted_shifted(self, shift, factor):
         counts["pairs"] += self.term_count()
@@ -68,6 +75,7 @@ def work(monkeypatch):
         return make(chart, terms, degree)
 
     monkeypatch.setattr(poly_module, "_add_product", counted_add_product)
+    monkeypatch.setattr(poly_module, "_disjoint_product", counted_disjoint_product)
     monkeypatch.setattr(Polynomial, "_shifted", counted_shifted)
     monkeypatch.setattr(poly_module, "_make", counted_make)
     return counts
@@ -127,6 +135,29 @@ def test_product_multiplies_each_term_pair_once(work):
         work.clear()
         p * scalar
         assert work["pairs"] == (p.term_count() if scalar else 0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_collision_free_product_is_one_comprehension(work, monkeypatch, n):
+    # factors of n terms whose exponent fields share no bit, the same
+    # coordinate among them (q1^(4^j) on even bits, q1^(2*4^j) on odd
+    # ones): one term pair per term and no pass of the general loop.  A
+    # shared bit sends the product back to it, once
+    calls = []
+    add_product = poly_module._add_product
+    monkeypatch.setattr(poly_module, "_add_product", lambda *args: calls.append(args) or add_product(*args))
+    q1, q2, q3, p1, p2, p3 = coordinates(CHART)
+    a = sum((q1 ** 4 ** j for j in range(n - 2)), q2 + q3)
+    b = sum((q1 ** (2 * 4 ** j) * p1 ** j for j in range(n - 2)), 2 * p2 + Fraction(1, 2))
+    assert a.term_count() == b.term_count() == n
+    work.clear()
+    calls.clear()
+    value = a * b
+    assert calls == [] and work == {"pairs": n * n, "built": 1, "terms": n * n}
+    assert value.term_count() == n * n
+    work.clear()
+    (a + q1 ** 2) * b
+    assert len(calls) == 1 and work["pairs"] == (n + 1) * n
 
 
 TOKEN = re.compile(r"\d+|[A-Za-z]\w*|[-+*/^()]")
@@ -428,6 +459,22 @@ def test_generator_pairing_builds_only_the_last_level(work, k):
         work.clear()
         first = generator.wedge(forms[:1])
         assert work["built"] == 0 and first and all(c is forms[0].terms[(i,)] for (i,), c in first.items()), seed
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_constant_pairing_builds_one_polynomial(work, k):
+    # the divided power of the 8-dim standard form, whose targets are all
+    # +-1, paired with 2k random functions: the last level is folded into
+    # one table, so the pairing builds its result and nothing else
+    chart = darboux_chart(4)
+    generator = _divided_power(SymplecticData(standard_form(chart)), k)
+    for seed in range(6):
+        rng = random.Random(300 * k + seed)
+        forms = [differential(rand_poly(rng, chart, degree=2, nterms=10)) for _ in range(2 * k)]
+        work.clear()
+        value = generator.pair(forms)
+        assert not value.is_zero()
+        assert work["built"] == 1 and work["terms"] == value.term_count(), seed
 
 
 @pytest.mark.parametrize("m", [12, 16, 20])

@@ -336,6 +336,90 @@ class TestMergeWalkOracle:
                 walk(exterior._Generator(target), [differential(f)] * 2)
 
 
+class TestFoldedPairingOracle:
+    """``_Generator.pair`` on a target of constant coefficients, whose last
+    walk level ``poly.merge_pairing`` folds into one table, against the
+    route it replaced there and still takes for a polynomial target, the
+    fused sum of ``_Generator.products``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4), st.sampled_from(("standard", "scaled", "dense")),
+           st.integers(1, 3), st.booleans())
+    def test_matches_the_fused_sum(self, rng, n, kind, k, cancel):
+        # divided powers Lambda^k/k! of constant 2-8-dim forms: the standard
+        # one (targets +-1), d(p_j)^d(q_j) scaled by 1/2..3 (targets like
+        # 2/3) and dense fractional ones.  With ``cancel`` the last argument
+        # is a multiple of the first, so every pairing cancels to zero
+        chart = darboux_chart(n)
+        k = min(k, n)
+        scales = (1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3))
+        if kind == "standard":
+            omega = standard_form(chart)
+        elif kind == "scaled":
+            omega = Form(chart, 2, {(j, n + j): -rng.choice(scales) for j in range(n)})
+        else:
+            entries = (-4, -3, -2, -1, 1, 2, 3, 4)
+            omega = Form(chart, 2, {(i, j): Fraction(rng.choice(entries), rng.randint(1, 3))
+                                    for i, j in combinations(range(2 * n), 2)})
+        try:
+            sym = SymplecticData(omega)
+        except DegenerateStructure:
+            return
+        generator = _divided_power(sym, k)
+        assert generator._weights == {key: c.constant_value() for key, c in generator.target.terms.items()}
+        functions = [rand_poly(rng, chart, degree=2, nterms=3) * rng.choice(scales) for _ in range(2 * k)]
+        if cancel:
+            functions[-1] = functions[0] * rng.choice(scales)
+        forms = [differential(f) for f in functions]
+        folded = generator.pair(forms)
+        oracle = poly.sum_of_products(exterior._Generator(generator.target).products(forms), chart)
+        assert folded == oracle and folded.chart is chart
+        assert folded._degree >= oracle._degree
+        assert all(folded._terms.values())
+        assert all(type(x) is int or x.denominator != 1 for x in folded._terms.values())
+        if cancel:
+            assert folded.is_zero()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 6))
+    def test_one_form_on_a_constant_field(self, rng, dim):
+        # a lone level is paired from the constant 1 on the empty tuple
+        chart = Chart([f"x{i}" for i in range(dim)])
+        values = (1, -1, 2, Fraction(-2, 3), Fraction(3, 2))
+        target = Multivector(chart, 1, {(i,): rng.choice(values) for i in range(dim) if rng.random() < 0.7})
+        generator = exterior._Generator(target)
+        f = rand_poly(rng, chart, degree=3, nterms=4) * rng.choice((1, Fraction(3, 2)))
+        value = generator.pair([differential(f)])
+        assert value == poly.sum_of_products(generator.products([differential(f)]), chart)
+        assert all(type(x) is int or x.denominator != 1 for x in value._terms.values())
+
+    def test_fractional_targets(self):
+        # d(p1)^d(q1) + 3/2 * d(p2)^d(q2): targets -1 and -2/3 at k = 1 and
+        # -2/3 at k = 2, so each sign is folded and 2/3 scales a factor
+        chart = darboux_chart(2)
+        q1, q2, p1, p2 = coordinates(chart)
+        omega = Form(chart, 2, {(0, 2): -1, (1, 3): Fraction(-3, 2)})
+        sym = SymplecticData(omega)
+        one, two = _divided_power(sym, 1), _divided_power(sym, 2)
+        assert one._weights == {(0, 2): -1, (1, 3): Fraction(-2, 3)}
+        assert two._weights == {(0, 1, 2, 3): Fraction(-2, 3)}
+        f, g = q1 * q2 + Fraction(3, 2) * p2 ** 2, p1 * p2 - 2 * q2
+        expected = -(q2 * p2) - Fraction(2, 3) * q1 * p1 - 4 * p2
+        assert one.pair([differential(f), differential(g)]) == expected
+        assert one.pair([differential(g), differential(f)]) == -expected
+        assert two.pair([differential(x) for x in (q1, q2, p1, p2)]) == Fraction(-2, 3)
+        assert two.pair([differential(x) for x in (q1, q2, p1, q1 + p2)]) == Fraction(-2, 3)
+        assert two.pair([differential(x) for x in (q1, q2, p1, q1)]).is_zero()
+
+    def test_polynomial_targets_keep_the_fused_sum(self):
+        chart = darboux_chart(2)
+        q1, q2, p1, p2 = coordinates(chart)
+        magnetic = standard_form(chart) + Form(chart, 2, {(0, 1): -q1})
+        assert _divided_power(SymplecticData(magnetic), 1)._weights is None
+        assert exterior._Generator(Multivector(chart, 1, {(0,): q2, (1,): 1}))._weights is None
+        assert exterior._Generator(Multivector.zero(chart, 2))._weights == {}
+
+
 class TestFormPower:
     def test_binomial_expansion(self):
         omega = standard_form(C4)

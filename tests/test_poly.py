@@ -1194,6 +1194,103 @@ class TestSumOfProducts:
             sum_of_products([(p, p, False), (p, p, False)], Chart(("x", "y")))
 
 
+@st.composite
+def empty_table_products(draw):
+    """``(chart, a, b, negate, kind)``: two factors of 2-6 terms on a 1-6-dim
+    chart.  The low 4 bits of each coordinate's exponent field are split
+    between the factors, and each factor's exponents use its own bits alone,
+    so a coordinate is often in both factors in disjoint bits (``q1 + 1``
+    and ``q1^2 + 1``), or in one factor only.  Kind ``"disjoint"`` stops
+    there; kind ``"shared"`` adds a term ``x0`` to both, so their masks share
+    exactly one bit.  Often both factors hold a constant term.  Coefficients
+    are ints and fractions such as 2/3 and 3/2, so many products are
+    integral ``Fraction``s."""
+    dim = draw(st.integers(1, 6))
+    chart = Chart([f"x{i}" for i in range(dim)])
+    owners = draw(st.lists(st.lists(st.booleans(), min_size=4, max_size=4), min_size=dim, max_size=dim))
+    owners[0][:2] = [True, False]  # each factor owns a bit: x0^1 is a's, x0^2 is b's
+
+    def exponents(side):
+        picks = st.lists(st.lists(st.booleans(), min_size=4, max_size=4), min_size=dim, max_size=dim)
+        return picks.map(lambda rows: tuple(sum(1 << bit for bit in range(4) if row[bit] and owners[i][bit] == side)
+                                            for i, row in enumerate(rows)))
+
+    coefficient = st.sampled_from((1, -1, 2, -3, 6, Fraction(2, 3), Fraction(-3, 2), Fraction(3, 2), Fraction(1, 6)))
+    a_terms = draw(st.dictionaries(exponents(True), coefficient, min_size=2, max_size=5))
+    b_terms = draw(st.dictionaries(exponents(False), coefficient, min_size=2, max_size=5))
+    if draw(st.booleans()):
+        zero = (0,) * dim
+        a_terms[zero], b_terms[zero] = draw(coefficient), draw(coefficient)
+    kind = draw(st.sampled_from(("disjoint", "shared")))
+    if kind == "shared":
+        x0 = (1,) + (0,) * (dim - 1)
+        a_terms[x0], b_terms[x0] = draw(coefficient), draw(coefficient)
+    return chart, Polynomial(chart, a_terms), Polynomial(chart, b_terms), draw(st.booleans()), kind
+
+
+@pytest.fixture
+def comprehensions(monkeypatch):
+    """The arguments of every ``poly._disjoint_product`` call."""
+    calls = []
+    disjoint_product = poly_module._disjoint_product
+    monkeypatch.setattr(poly_module, "_disjoint_product", lambda *args: calls.append(args) or disjoint_product(*args))
+    return calls
+
+
+class TestDisjointProduct:
+    """A product into an empty table whose factors share no exponent bit is
+    one comprehension, ``poly._disjoint_product``; the general loop
+    ``poly._add_product`` into an empty table, finished, is its oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(empty_table_products())
+    def test_matches_the_general_loop(self, drawn):
+        chart, a, b, negate, kind = drawn
+        small, large = (a, b) if a.term_count() <= b.term_count() else (b, a)
+        general = {}
+        poly_module._add_product(general, large._terms, small._terms, negate)
+        oracle = poly_module._finished(general)
+        if kind == "disjoint":  # one key per term pair, none cancelled
+            built = poly_module._disjoint_product(large._terms, small._terms, negate)
+            assert len(built) == len(general) == a.term_count() * b.term_count()
+            assert built == general
+        with pytest.MonkeyPatch.context() as patch:
+            comprehensions = []
+            disjoint_product = poly_module._disjoint_product
+            patch.setattr(poly_module, "_disjoint_product",
+                          lambda *args: comprehensions.append(args) or disjoint_product(*args))
+            values = poly_module.sum_of_products([(a, b, negate)], chart), -(a * b) if negate else a * b
+        assert len(comprehensions) == (2 if kind == "disjoint" else 0)
+        for value in values:
+            assert value._terms == oracle
+            same_sum(value, summed_by_legacy([(a, b, negate)], chart))
+
+    def test_integral_fractions_come_back_as_ints(self):
+        chart = Chart(("q1", "p2"))
+        q1, p2 = coordinates(chart)
+        a, b = Fraction(2, 3) * q1 + Fraction(1, 3), Fraction(3, 2) * p2 + 3
+        value = a * b
+        assert value == q1 * p2 + 2 * q1 + Fraction(1, 2) * p2 + 1
+        assert [type(x) for x in value._terms.values()].count(int) == 3
+        assert str(value) == "q1*p2 + 2*q1 + 1/2*p2 + 1"
+
+    def test_bits_not_coordinates(self, comprehensions):
+        q1 = Polynomial.variable(CHART, "q1")
+        assert (q1 + 1) * (q1 ** 2 + 1) == q1 ** 3 + q1 ** 2 + q1 + 1
+        assert len(comprehensions) == 1
+        assert (q1 ** 3 + 1) * (q1 + 1) == q1 ** 4 + q1 ** 3 + q1 + 1
+        assert len(comprehensions) == 1
+
+    def test_degree_bound_is_checked_before_the_table_is_built(self, comprehensions):
+        a, b = Polynomial(CHART, {(2 ** 31, 0): 1, (0, 0): 1}), Polynomial(CHART, {(0, 2 ** 31): 1, (0, 0): 2})
+        with pytest.raises(DegreeOverflow, match=r"total degree would reach 2\^32"):
+            a * b
+        assert comprehensions == []
+        half = Polynomial(CHART, {(2 ** 30, 0): 1, (0, 0): 1})
+        assert half * b == Polynomial(CHART, {(2 ** 30, 2 ** 31): 1, (2 ** 30, 0): 2, (0, 2 ** 31): 1, (0, 0): 2})
+        assert len(comprehensions) == 1
+
+
 def legacy(p):
     return LegacyPolynomial(p.chart, p.terms)
 
@@ -1290,14 +1387,19 @@ class TestOneProductRoute:
 
     def test_only_the_fused_sum_calls_the_product_loops(self):
         # inside poly.py, _add_product and ._shifted are named by sum_of_products,
-        # by one level of merge_walk and, for a scalar factor, by __mul__ alone
+        # by one level of merge_walk, by _added (the fused sum's and the
+        # pairing's first-product rule) and, for a scalar factor, by __mul__
+        # alone; _disjoint_product by _added alone
         tree = ast.parse((ROOT / "src" / "formcalc" / "poly.py").read_text())
-        callers = set()
+        callers = {"_add_product": set(), "_shifted": set(), "_disjoint_product": set()}
         for top in tree.body:
             for function in top.body if isinstance(top, ast.ClassDef) else [top]:
                 if isinstance(function, ast.FunctionDef):
                     for node in ast.walk(function):
-                        if (isinstance(node, ast.Name) and node.id == "_add_product"
-                                or isinstance(node, ast.Attribute) and node.attr == "_shifted"):
-                            callers.add(function.name)
-        assert callers == {"sum_of_products", "_walk_level", "__mul__"}
+                        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(
+                            node, ast.Attribute) else None
+                        if name in callers and (name == "_shifted") == isinstance(node, ast.Attribute):
+                            callers[name].add(function.name)
+        assert callers["_add_product"] | callers["_shifted"] == {"sum_of_products", "_walk_level", "_added",
+                                                                 "__mul__"}
+        assert callers["_disjoint_product"] == {"_added"}
