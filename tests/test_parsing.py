@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from tests.helpers import (
     rand_nonzero_poly,
     rand_poly,
 )
+from tests.parse_golden import outcome_lines
 
 CHART = Chart(("q1", "p1"))
 
@@ -208,6 +210,19 @@ def test_coordinates_named_d_and_e():
     with pytest.raises(ParseError) as err:
         parse_tensor("d^2*e(d) + e(e)*d", chart)
     assert (err.value.message, err.value.column) == ("a coefficient must come before its d(...) or e(...) factors", 16)
+
+
+def test_outcomes_match_the_golden():
+    """The seeded texts of ``tests/parse_golden.py`` and the outcome of each,
+    byte for byte as ``tests/golden/parse_outcomes.txt`` holds them: every
+    value's kind, grade, degree bound and printed text, and every error's
+    class, message, line and column."""
+    golden = (Path(__file__).parent / "golden" / "parse_outcomes.txt").read_text(encoding="utf-8")
+    lines = outcome_lines()
+    differing = [(ours, held) for ours, held in zip(lines, golden.splitlines()) if ours != held]
+    assert not differing, differing[:3]
+    assert len(lines) == len(golden.splitlines())
+    assert "".join(line + "\n" for line in lines) == golden
 
 
 @st.composite
