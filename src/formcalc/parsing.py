@@ -4,12 +4,13 @@ One regex scan and one recursive-descent grammar (ASCII) read every value::
 
     value   :=  '(' expr ')' '/' '(' expr ')'  |  expr
     expr    :=  term (('+' | '-') term)*
-    term    :=  unary ('*' unary)*
-    unary   :=  '-'* (chain | power)
+    term    :=  signed ('*' signed)*
+    signed  :=  '-'* (literal | chain | power)
+    literal :=  (INT ('/' INT)?  |  COORD) ('^' INT)?
     chain   :=  factor ('^' factor)*
     factor  :=  ('d' | 'e') '(' COORD ')'
     power   :=  atom ('^' INT)?
-    atom    :=  INT ('/' INT)?  |  IDENT  |  '(' expr ')'
+    atom    :=  IDENT  |  '(' expr ')'
 
 ``^`` binds tighter than unary minus, which binds tighter than ``*``, which
 binds tighter than ``+``/``-``; whitespace is insignificant.  Identifiers
@@ -28,15 +29,15 @@ Parentheses nest at most :data:`MAX_NESTING` deep, and exponents on all but a
 total degree would overflow the kernel's exponent field is an error at its
 last token.
 
-A term is read by monomials: while its factors are ``INT``, ``INT/INT``, a
-coordinate or ``coordinate^INT``, each after any unary minuses, they fold
-into one coefficient, one ``{coordinate index: exponent}`` record and one
-running total degree, with no polynomial per factor.  At the first other
-factor (parentheses, an environment name, ``d(``/``e(``, ``INT^`` or an
-over-long literal) the prefix becomes one polynomial and the rest of the
-term is read factor by factor.  An expression's monomial terms become one
-polynomial through ``poly._monomial_sum``, the parser's one entry to the
-packed layout; its other terms are summed once, in one table, by
+One loop, :meth:`_ExprParser.term`, reads every literal, wherever it
+stands.  While a term's factors are literals, each after any unary minuses,
+they fold into one coefficient, one ``{coordinate index: exponent}`` record
+and one running total degree, with no polynomial per factor.  From the first
+other factor (parentheses, an environment name, ``d(``/``e(``) on, the term
+is a polynomial, and each later factor is multiplied into it, a literal as
+its own monomial.  An expression's monomial terms become one polynomial
+through ``poly._monomial_sum``, the parser's one entry to the packed
+layout; its other terms are summed once, in one table, by
 ``sum_of_products``, so a sum is read in linear time.  A wedge chain is one
 index list, signed once into increasing order, and a tensor term is one key
 and its coefficient: the chain takes the polynomial read before its ``*``,
@@ -58,7 +59,7 @@ from .errors import DegreeOverflow, ParseError, checked
 from .exterior import Form, Multivector, _normalize_index_tuple, _summed
 from .poly import Polynomial, RationalExpr, _check_degree, _monomial_sum, sum_of_products
 
-# Each nesting level costs the recursive-descent parser five stack frames.
+# Each nesting level costs the recursive-descent parser four stack frames.
 MAX_NESTING = 100
 # Caps powers that cost work, of a multi-term base (C(k+n, n) terms) or a coefficient c (c**k).
 MAX_EXPONENT = 1000
@@ -179,18 +180,19 @@ class _ExprParser:
         return _monomial_sum(self.chart, monomials, value) if monomials else value
 
     def term(self):
-        """``unary ('*' unary)*``.  While its factors are ``INT``, ``INT/INT``,
-        a coordinate or ``coordinate^INT``, each after any unary minuses, the
-        term is one monomial, returned as ``(coefficient, {index: exponent})``;
-        its total degree is checked after each coordinate, as a product would
-        check it (only the coordinate's own exponent once the coefficient is
-        zero).  At the first other factor the monomial read so far becomes one
-        polynomial, and the rest of the term is read factor by factor; a
-        wedge chain takes that polynomial as its coefficient."""
+        """``signed ('*' signed)*``, the parser's one reader of literals: a
+        monomial ``(coefficient, {index: exponent})`` while every factor is a
+        literal, its total degree checked after each coordinate as a product
+        would check it (only the coordinate's own exponent once the
+        coefficient is zero).  The first other factor makes it a polynomial,
+        the monomial read so far times that factor (or the factor, negated by
+        its minuses, if nothing was read), and each later factor is multiplied
+        in, a literal as its own monomial; a wedge chain takes that polynomial
+        as its coefficient and ends the term."""
         tokens, positions = self.tokens, self.positions
         pos = self.pos
         coefficient, exponents, degree = 1, {}, 0
-        read = False
+        read, value = False, None
         while True:
             kind, text, _ = tokens[pos]
             while text == "-":
@@ -199,81 +201,93 @@ class _ExprParser:
                 kind, text, _ = tokens[pos]
             follow = tokens[pos + 1][1] if kind != "end" else ""
             if kind == "int":
-                value = None if follow == "^" else _literal(text)
-                if value is None:
-                    break
+                c = _literal(text)
+                if c is None:
+                    self.fail(tokens[pos], "integer literal too long")
                 if follow == "/":
-                    kind, literal, _ = tokens[pos + 2]
-                    denominator = _literal(literal) if kind == "int" else None
-                    if not denominator or tokens[pos + 3][1] == "^":
-                        break
-                    value = Fraction(value, denominator)
+                    token = tokens[pos + 2]
+                    if token[0] != "int":
+                        self.fail(token, "expected an integer denominator")
+                    if not (denominator := self.integer(token)):
+                        self.fail(token, "zero denominator in rational literal")
+                    c = Fraction(c, denominator)
                     pos += 2
+                    follow = tokens[pos + 1][1]
                 pos += 1
-                coefficient *= value
+                if follow == "^":
+                    c **= self.exponent(pos + 1, abs(c) not in (0, 1))
+                    pos += 2
+                coefficient *= c
+                read = True
             elif kind == "name" and text in positions and not (follow == "(" and text in ("d", "e")):
                 exponent = 1
                 if follow == "^":
                     kind, literal, _ = tokens[pos + 2]
                     exponent = _literal(literal) if kind == "int" else None
                     if exponent is None:
-                        break
+                        self.exponent(pos + 2, False)  # raises the exponent's error
                     pos += 2
                 self.pos = pos = pos + 1  # an overflow is reported at this factor's last token
                 index = positions[text]
                 exponents[index] = exponents.get(index, 0) + exponent
                 degree = _check_degree(degree + exponent if coefficient else exponent)
+                read = True
+            elif text in ("d", "e") and follow == "(":
+                self.pos = pos
+                if value is None:
+                    value = (_monomial_sum(self.chart, [(coefficient, exponents)]) if read
+                             else Polynomial.constant(self.chart, coefficient))
+                elif coefficient == -1:
+                    value = -value
+                value = self.chain(value)
+                if self.peek()[1] == "*":
+                    self.fail(self.peek(), "a coefficient must come before its d(...) or e(...) factors")
+                return value
             else:
-                break
-            read = True
+                self.pos = pos
+                factor = self.power()
+                pos = self.pos
+                if read:
+                    factor = _monomial_sum(self.chart, [(coefficient, exponents)]) * factor
+                elif coefficient == -1:
+                    factor = -factor
+                value = factor if value is None else value * factor
+                coefficient, exponents, degree, read = 1, {}, 0, False
+            if value is not None and read:
+                self.pos = pos
+                value = value * _monomial_sum(self.chart, [(coefficient, exponents)])
+                coefficient, exponents, degree, read = 1, {}, 0, False
             if tokens[pos][1] != "*":
                 self.pos = pos
-                return coefficient, exponents
+                return (coefficient, exponents) if value is None else value
             pos += 1
-        self.pos = pos
-        if read:
-            value = self.unary(_monomial_sum(self.chart, [(coefficient, exponents)]))
-        else:
-            value = self.unary(negate=coefficient == -1)
-        while self.peek()[1] == "*":
-            if not isinstance(value, Polynomial):
-                self.fail(self.peek(), "a coefficient must come before its d(...) or e(...) factors")
-            self.advance()
-            value = self.unary(value)
-        return value
-
-    def unary(self, scale: Polynomial | None = None, negate: bool = False):
-        """``'-'* (chain | power)``, negated once more if ``negate``, times
-        ``scale`` unless it is ``None``.  A wedge chain takes the signed
-        ``scale`` as its one term's coefficient, with no tensor product."""
-        while self.peek()[1] == "-":
-            self.advance()
-            negate = not negate
-        if self.at_factor():
-            return self.chain(scale, negate)
-        value = self.power()
-        if negate:
-            value = -value
-        return value if scale is None else scale * value
 
     def power(self):
+        """``atom ('^' INT)?``: a parenthesized expression or an environment
+        value, raised to at most :data:`MAX_EXPONENT` unless it is 0 or a
+        ``+-1`` monomial."""
         base = self.atom()
         if self.peek()[1] != "^":
             return base
-        self.advance()
-        token = self.peek()
+        capped = base.term_count() > 1 or any(abs(c) != 1 for _, c in base.items())
+        self.pos += 2
+        return base ** self.exponent(self.pos - 1, capped)
+
+    def exponent(self, pos: int, capped: bool) -> int:
+        """The value of the exponent token at ``pos``, at most
+        :data:`MAX_EXPONENT` if ``capped``, where the power costs work."""
+        token = self.tokens[pos]
         if token[0] != "int":
             self.fail(token, "exponent must be a nonnegative integer")
-        exponent = self.integer(self.advance())
-        if exponent > MAX_EXPONENT and (base.term_count() > 1 or any(abs(c) != 1 for _, c in base.items())):
+        exponent = self.integer(token)
+        if capped and exponent > MAX_EXPONENT:
             self.fail(token, f"exponent larger than {MAX_EXPONENT}")
-        return base ** exponent
+        return exponent
 
-    def chain(self, scale: Polynomial | None = None, negate: bool = False):
+    def chain(self, coefficient: Polynomial):
         """``factor ('^' factor)*``: the factors' coordinate indices in one
         list, signed once into increasing order, as one tensor of one term
-        whose coefficient is ``scale`` (1 if ``None``), negated by that sign
-        and by ``negate``."""
+        whose coefficient is ``coefficient``, negated by that sign."""
         atom, index = self.factor()
         indices = [index]
         while self.peek()[1] == "^":
@@ -281,7 +295,7 @@ class _ExprParser:
             token = self.peek()
             if token[0] == "int" and len(indices) == 1:
                 self.fail(token, "d(...) and e(...) factors take no powers")
-            if not self.at_factor():
+            if not (token[1] in ("d", "e") and self.tokens[self.pos + 1][1] == "("):
                 self.fail(token, "expected a d(...) or e(...) factor")
             kind, index = self.factor()
             if kind != atom:
@@ -290,16 +304,8 @@ class _ExprParser:
                 self.fail(token, "more factors than chart coordinates")
             indices.append(index)
         key, sign = _normalize_index_tuple(indices, self.chart.dim)
-        if negate:
-            sign = -sign
-        if scale is None:
-            scale, sign = Polynomial.constant(self.chart, sign), 1
-        terms = {} if key is None or scale.is_zero() else {key: scale if sign == 1 else -scale}
+        terms = {} if key is None or coefficient.is_zero() else {key: coefficient if sign == 1 else -coefficient}
         return (Form if atom == "d" else Multivector)._of(self.chart, len(indices), terms)
-
-    def at_factor(self) -> bool:
-        token = self.peek()
-        return token[1] in ("d", "e") and self.tokens[self.pos + 1][1] == "("
 
     def integer(self, token: tuple) -> int:
         value = _literal(token[1])
@@ -310,21 +316,7 @@ class _ExprParser:
     def atom(self):
         token = self.advance()
         kind, text, _ = token
-        if kind == "int":
-            numerator = self.integer(token)
-            if self.peek()[1] == "/":
-                self.advance()
-                denom_token = self.peek()
-                if denom_token[0] != "int":
-                    self.fail(denom_token, "expected an integer denominator")
-                denominator = self.integer(self.advance())
-                if denominator == 0:
-                    self.fail(denom_token, "zero denominator in rational literal")
-                return Polynomial.constant(self.chart, Fraction(numerator, denominator))
-            return Polynomial.constant(self.chart, numerator)
         if kind == "name":
-            if text in self.chart:
-                return Polynomial.variable(self.chart, text)
             value = self.env.get(text)
             if value is not None:
                 return checked(value, Polynomial, f"environment value {text!r}", chart=self.chart)

@@ -181,6 +181,32 @@ def test_parse_work_is_linear(work):
         assert work["built"] <= 0.2 * tokens
 
 
+@pytest.mark.parametrize("text", ["(q1+1)*q1^3*p1", "(q1+1)*-q1^3*p1", "-(q1+1)*q1^2*q1*p1"])
+def test_literal_after_a_parenthesized_factor_is_its_own_monomial(monkeypatch, text):
+    # a coordinate literal is read by the term's one literal reader wherever
+    # it stands: after a parenthesized factor it is one monomial multiplied
+    # in, with no Polynomial.variable and no power of one
+    chart = Chart(("q1", "p1"))
+    calls = Counter()
+    variable, power = Polynomial.variable, Polynomial.__pow__
+
+    def counted_variable(chart, name):
+        calls["variable"] += 1
+        return variable(chart, name)
+
+    def counted_power(self, exponent):
+        calls["pow"] += 1
+        return power(self, exponent)
+
+    monkeypatch.setattr(Polynomial, "variable", staticmethod(counted_variable))
+    monkeypatch.setattr(Polynomial, "__pow__", counted_power)
+    value = parse_expr(text, chart)
+    monkeypatch.undo()
+    assert calls == Counter()
+    sign = -1 if "-" in text else 1
+    assert value == Polynomial(chart, {(4, 1): sign, (3, 1): sign})
+
+
 @pytest.fixture
 def printed_texts(monkeypatch):
     """A ``Counter`` of ``halves`` (``poly._half_text`` calls, each one half
