@@ -114,10 +114,10 @@ def run_scenario(scenario: Scenario) -> Report:
     for task in scenario.tasks:
         try:
             value = COMMANDS[task.command].run(structures, *task.resolved)
+            result_text, detail = _render_value(value)
         except AlgebraError as exc:
             status, result_text, detail = "error", "-", str(exc)
         else:
-            result_text, detail = _render_value(value)
             if task.expected is None:
                 status = "done"
             else:

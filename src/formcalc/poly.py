@@ -103,6 +103,7 @@ Besides :class:`Polynomial` this module provides
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
@@ -592,9 +593,15 @@ def _half_text(fields: int, names: tuple[str, ...]) -> str:
 
 def _lead(c) -> str:
     """The separator and the factor printed before a monomial whose
-    coefficient is ``c``: ``" - 3/2*"``, or ``" + "`` for 1."""
+    coefficient is ``c``: ``" - 3/2*"``, or ``" + "`` for 1.  Every printed
+    coefficient passes here first, so one past the interpreter's digit limit
+    for printing an integer is an :class:`InvalidArgument` here."""
     magnitude = abs(c)
-    return _SEPARATORS[c < 0] if magnitude == 1 else f"{_SEPARATORS[c < 0]}{magnitude}*"
+    try:
+        return _SEPARATORS[c < 0] if magnitude == 1 else f"{_SEPARATORS[c < 0]}{magnitude}*"
+    except ValueError as exc:
+        raise InvalidArgument(f"coefficient has more than {sys.get_int_max_str_digits()} digits, the "
+                              "interpreter's limit for printing an integer (sys.set_int_max_str_digits)") from exc
 
 
 def _signed_text(pieces: list[str]) -> str:

@@ -1,5 +1,6 @@
 import io
 import string
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -134,6 +135,22 @@ class TestRun:
         assert code == 2
         assert out == ""
         assert "exponent larger than" in err and "line 5" in err
+
+    def test_coefficient_past_the_digit_limit_is_a_task_error(self, tmp_path):
+        # {10^700*q1^2, p1} = 2*10^700*q1 has 701 digits, past a limit
+        # lowered to 640 for the test: that task is an error, the next runs
+        scn = tmp_path / "digits.scn"
+        scn.write_text("[chart]\nq1 p1\n\n[define]\nomega = d(p1)^d(q1)\nf = 10^700*q1^2\n\n[tasks]\n"
+                       "big = power-bracket omega k=1 f p1\nsmall = power-bracket omega k=1 p1 q1 expect 1\n")
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            code, out, err = run_cli(["run", str(scn)])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (1, "")
+        assert "error: coefficient has more than 640 digits" in out
+        assert "summary: tasks=2 ok=1 mismatch=0 error=1" in out
 
     def test_degree_overflow_exit_two(self, tmp_path):
         # every exponent is under the cap, but the total degree 10^12 does not

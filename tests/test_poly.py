@@ -15,6 +15,7 @@ from formcalc import (
     ChartMismatch,
     DegreeOverflow,
     DivisionByZero,
+    InvalidArgument,
     JacobiDef,
     Multivector,
     NotDivisible,
@@ -1058,6 +1059,25 @@ class TestPrinterOracle:
     def test_each_kind_of_run_and_coefficient(self, text, printed):
         p = parse_expr(text, Chart(("q1", "q2", "p1", "p2")))
         assert str(p) == legacy_polynomial_str(p) == printed
+
+    @pytest.mark.parametrize("p", [10**700 * Q1 - 1, Q1 - Fraction(1, 10**700)],
+                             ids=["monomial coefficient", "constant term"])
+    def test_coefficient_past_the_digit_limit_is_invalid_argument(self, p):
+        """701 digits, past a limit lowered to 640 for the test (and restored,
+        as ``tests/test_manifest.py`` does): a typed error naming the limit,
+        and the same value prints once the limit is lifted."""
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            with pytest.raises(InvalidArgument) as err:
+                str(p)
+            sys.set_int_max_str_digits(0)
+            printed = str(p)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(err.value) == ("coefficient has more than 640 digits, the interpreter's limit for printing "
+                                  "an integer (sys.set_int_max_str_digits)")
+        assert printed.count("0") == 700
 
     @settings(max_examples=150, deadline=None)
     @given(printed_polynomials())
