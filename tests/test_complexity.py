@@ -9,7 +9,9 @@ generator's merge table, the calls of the two inversion sweeps,
 ``poly._pfaffian_sweep`` for constant matrices and ``poly._polynomial_sweep``
 for the rest, the fused sums and exact divisions of each of the
 latter's steps, the wedges and tensor constructors a parsed wedge chain
-calls, the tensor products a parsed tensor term calls, the fused sums of a
+calls, the tensor products a parsed tensor term calls, the
+``Polynomial.variable`` and ``__pow__`` calls of a literal after a
+parenthesized factor, the fused sums of a
 tensor divided by a scalar, the ``poly._partials`` passes that a
 differential or a bracket of multivectors makes, the half-key and
 coefficient texts (``poly._half_text``, ``poly._lead``) that printing a
@@ -181,11 +183,12 @@ def test_parse_work_is_linear(work):
         assert work["built"] <= 0.2 * tokens
 
 
-@pytest.mark.parametrize("text", ["(q1+1)*q1^3*p1", "(q1+1)*-q1^3*p1", "-(q1+1)*q1^2*q1*p1"])
-def test_literal_after_a_parenthesized_factor_is_its_own_monomial(monkeypatch, text):
+@pytest.mark.parametrize("text, sign", [("(q1+1)*q1^3*p1", 1), ("(q1+1)*-q1^3*p1", -1),
+                                        ("-(q1+1)*q1^2*q1*p1", -1)])
+def test_literal_after_a_parenthesized_factor_is_its_own_monomial(monkeypatch, text, sign):
     # a coordinate literal is read by the term's one literal reader wherever
     # it stands: after a parenthesized factor it is one monomial multiplied
-    # in, with no Polynomial.variable and no power of one
+    # in, with no Polynomial.variable and no Polynomial.__pow__ call
     chart = Chart(("q1", "p1"))
     calls = Counter()
     variable, power = Polynomial.variable, Polynomial.__pow__
@@ -203,7 +206,6 @@ def test_literal_after_a_parenthesized_factor_is_its_own_monomial(monkeypatch, t
     value = parse_expr(text, chart)
     monkeypatch.undo()
     assert calls == Counter()
-    sign = -1 if "-" in text else 1
     assert value == Polynomial(chart, {(4, 1): sign, (3, 1): sign})
 
 
