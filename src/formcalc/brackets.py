@@ -151,6 +151,7 @@ def nambu_top_bracket(volume: Form, gamma: Polynomial, *functions: Polynomial) -
 
     The Jacobian determinant is read off the wedge of the differentials; the
     tests compare it with a cofactor determinant of the Jacobian matrix.
+    Its fewest-new-indices order gives triangular functions one key per step.
     """
     c = _volume_constant(volume)
     chart = volume.chart

@@ -258,13 +258,35 @@ def wedge(a, b):
 
 
 def wedge_all(factors: Sequence) -> "_Graded":
-    """Left-to-right wedge of a nonempty sequence of tensors of one kind."""
+    """The wedge of a nonempty sequence of tensors of one kind, checked in order,
+    taken in :func:`_fewest_new_indices` order with its sign, ``(-1)^(grade_a*grade_b)``
+    per inverted pair, folded into the first factor.  For 1-forms the first ``j``
+    have at most ``C(|U_j|, j)`` keys, ``U_j`` the union of their supports."""
     if not checked(factors, Sequence, "wedge factors"):
         raise InvalidArgument("need at least one factor")
-    result = checked(factors[0], _Graded, "wedge factor")
+    first = checked(factors[0], _Graded, "wedge factor")
     for factor in factors[1:]:
-        result = wedge(result, factor)
+        checked(factor, type(first), "wedge factor", chart=first.chart)
+    order, odd = _fewest_new_indices(factors)
+    result = -factors[order[0]] if odd else factors[order[0]]
+    for p in order[1:]:
+        result = wedge(result, factors[p])
     return result
+
+
+def _fewest_new_indices(factors: Sequence) -> tuple[list[int], bool]:
+    """The positions of ``factors`` in the order that takes next the factor
+    whose index support adds the fewest indices not yet covered, ties to the
+    earlier position, and whether the sign of that permutation is odd."""
+    supports = [sum({1 << i for key in factor.terms for i in key}) for factor in factors]
+    left, order, covered, odd = list(range(len(factors))), [], 0, False
+    while left:
+        at = min(range(len(left)), key=lambda j: (supports[left[j]] & ~covered).bit_count())
+        p = left.pop(at)
+        odd ^= bool(factors[p].grade * sum(factors[q].grade for q in left[:at]) % 2)
+        covered |= supports[p]
+        order.append(p)
+    return order, odd
 
 
 def exterior_derivative(a: Form) -> Form:

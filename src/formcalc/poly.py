@@ -938,7 +938,13 @@ class RationalExpr:
         return exact_divide(self.numerator, self.denominator)
 
     def as_constant(self) -> Fraction:
-        """The value as a rational constant; raises if it is not one."""
+        """The ratio ``c`` of the leading coefficients if two products by ints show
+        it is the value, else :meth:`as_polynomial` as a constant; raises if not one."""
+        num, den = self.numerator._terms, self.denominator._terms
+        if num and (lead := max(num)) == max(den):
+            c = Fraction(num[lead]) / den[lead]
+            if self.numerator * c.denominator == self.denominator * c.numerator:
+                return c
         return self.as_polynomial().constant_value()
 
     def __str__(self):

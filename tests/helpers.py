@@ -55,6 +55,9 @@ reference for ``formcalc.parsing``, and ``LegacyPolynomial`` with
 ``legacy_polynomial_str`` is ``Polynomial.__str__`` as it was before it
 printed each packed key from memoized halves: a loop over every coordinate
 field of every key, and the text grown by ``+=``.
+``chained_wedge`` is ``wedge_all`` as it was before it wedged its factors
+in fewest-new-indices order: the left-to-right chain, the reference for
+the reordered wedge's value, sign and errors.
 ``permutation_sign`` is the sign of sorting an index sequence, counted by
 inversions without ``formcalc``: the reference for the package's one merge
 rule, ``formcalc.exterior._merge_sign``.  ``compose`` substitutes polynomials
@@ -65,16 +68,17 @@ Darboux chart, whose brackets are the standard ones composed with the map.
 
 import re
 from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
-from typing import Mapping, Sequence
 
 from formcalc import (
     BracketDef,
     Chart,
     ChartMismatch,
     Form,
+    InvalidArgument,
     Multivector,
     NotDivisible,
     Polynomial,
@@ -91,7 +95,8 @@ from formcalc import (
     wedge_all,
 )
 from formcalc.brackets import power_bracket_def
-from formcalc.exterior import _accumulate, _normalize_index_tuple, _summed
+from formcalc.errors import checked
+from formcalc.exterior import _accumulate, _Graded, _normalize_index_tuple, _summed
 from formcalc.parsing import _error
 from formcalc.poly import _BITS, _MASK, sum_of_products
 from formcalc.suites import _random_graded, _random_poly
@@ -395,6 +400,17 @@ def table_negated_inverse(det: Polynomial, adj: Sequence[Sequence[Polynomial]]) 
         return {}
     scale = Fraction(-1) / det.constant_value()
     return {(i, j): adj[i][j] * scale for i, j in combinations(range(len(adj)), 2) if not adj[i][j].is_zero()}
+
+
+def chained_wedge(factors: Sequence):
+    """``wedge_all`` as a left-to-right chain of ``wedge``, which checks each
+    factor as the chain reaches it."""
+    if not checked(factors, Sequence, "wedge factors"):
+        raise InvalidArgument("need at least one factor")
+    result = checked(factors[0], _Graded, "wedge factor")
+    for factor in factors[1:]:
+        result = wedge(result, factor)
+    return result
 
 
 def full_wedge_bracket(bdef, *functions) -> Polynomial:

@@ -5,7 +5,9 @@ what they are handed: the term pairs that ``poly._add_product``,
 ``poly._disjoint_product`` and ``Polynomial._shifted`` multiply, the polynomials ``poly._make`` builds
 with the terms they hold, the products that each level of a generator
 wedge adds into its merged tuples' tables, the keys and entries of the
-generator's merge table, the calls of the two inversion sweeps,
+generator's merge table, the keys of each partial wedge of a Nambu
+bracket of triangular functions, the exact divisions a constant quotient
+skips, the calls of the two inversion sweeps,
 ``poly._pfaffian_sweep`` for constant matrices and ``poly._polynomial_sweep``
 for the rest, the fused sums and exact divisions of each of the
 latter's steps, the wedges and tensor constructors a parsed wedge chain
@@ -34,9 +36,10 @@ from itertools import combinations, groupby
 
 import pytest
 
-from formcalc import (BracketDef, Chart, ConstraintSet, Form, Multivector, Polynomial, SymplecticData, bracket,
-                      coordinates, darboux_chart, differential, dirac_bracket_form, dirac_bracket_matrix,
-                      is_poisson, magnetic_form, parse_expr, parse_tensor, schouten, standard_form, wedge_all)
+from formcalc import (BracketDef, Chart, ConstraintSet, Form, Multivector, NotDivisible, Polynomial, RationalExpr,
+                      SymplecticData, bracket, coordinates, darboux_chart, differential, dirac_bracket_form,
+                      dirac_bracket_matrix, is_poisson, magnetic_form, nambu_top_bracket, parse_expr, parse_tensor,
+                      schouten, standard_form, wedge_all)
 from formcalc import exterior as exterior_module
 from formcalc import parsing as parsing_module
 from formcalc import poly as poly_module
@@ -44,7 +47,7 @@ from formcalc.brackets import _divided_power
 from formcalc.cli import run_scenario
 from formcalc.manifest import parse_scenario_text
 
-from tests.helpers import pulled_back_form, rand_multivector, rand_nonzero_poly, rand_poly
+from tests.helpers import permutation_sign, pulled_back_form, rand_multivector, rand_nonzero_poly, rand_poly
 from tests.test_exterior import dense_constant_form
 
 # the module, which the package's ``schouten`` function shadows as an attribute
@@ -518,6 +521,60 @@ def test_top_arity_bracket_fills_one_key_per_level(m):
     table = bdef._pairing._table
     assert sorted(table) == [tuple(range(j)) for j in range(m)]
     assert sum(len(entries) for entries in table.values()) == m * (m + 1) // 2
+
+
+@pytest.mark.parametrize("m", [6, 8, 10, 14])
+def test_triangular_nambu_wedge_has_one_partial_key_per_step(monkeypatch, m):
+    # functions triangular in a shuffled coordinate order, each its own
+    # coordinate plus quadratics in the coordinates after it, as in the
+    # scenario corpus's nambu tasks.  In fewest-new-indices order each of
+    # the m - 1 wedges returns one key; in the given order the partial
+    # wedges are sums over many index tuples
+    chart = Chart(tuple(f"x{i}" for i in range(m)))
+    x = coordinates(chart)
+    rng = random.Random(m)
+    order = rng.sample(range(m), m)
+    functions = []
+    for i, lead in enumerate(order):
+        later = order[i + 1:]
+        functions.append(sum((rng.choice((1, 2, -1)) * x[rng.choice(later)] * x[rng.choice(later)]
+                              for _ in range(2 if later else 0)), x[lead]))
+    keys = []
+    wedge = exterior_module.wedge
+
+    def recorded(a, b):
+        result = wedge(a, b)
+        keys.append(len(result.terms))
+        return result
+
+    monkeypatch.setattr(exterior_module, "wedge", recorded)
+    gamma = x[0] + 2
+    value = nambu_top_bracket(Form(chart, m, {tuple(range(m)): 3}), gamma, *functions)
+    monkeypatch.undo()
+    assert keys == [1] * (m - 1)
+    assert value == gamma * Fraction(permutation_sign(order)[1], 3)
+
+
+def test_constant_quotient_divides_nothing(monkeypatch):
+    # as_constant accepts the ratio of the leading coefficients by two
+    # products by ints; only a quotient that is not a constant divides
+    chart = darboux_chart(2)
+    q1, q2, p1, p2 = coordinates(chart)
+    den = Fraction(2, 3) * q1 * p2 - q2 + 5
+    calls = []
+    divide = poly_module.exact_divide
+
+    def counted(a, b):
+        calls.append((a, b))
+        return divide(a, b)
+
+    monkeypatch.setattr(poly_module, "exact_divide", counted)
+    for c in (Fraction(3, 2), 1, -1, Fraction(-7, 5), 4):
+        assert RationalExpr(den * c, den).as_constant() == c
+    assert calls == []
+    with pytest.raises(NotDivisible):
+        RationalExpr(den + 1, den).as_constant()
+    assert len(calls) == 1
 
 
 def _sizes(monkeypatch, name):

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formcalc import (
+    AlgebraError,
     Chart,
     ConstraintSet,
     DegenerateStructure,
@@ -45,7 +47,7 @@ from formcalc import exterior, poly
 
 from formcalc.brackets import _divided_power
 
-from tests.helpers import (legacy_generator_wedge, permutation_sign, pulled_back_form, qp, rand_form,
+from tests.helpers import (chained_wedge, legacy_generator_wedge, permutation_sign, pulled_back_form, qp, rand_form,
                            rand_multivector, rand_poly, scaled_adjugate_bivector)
 from tests.test_poly import (coprime_entries, integer_entries, singular_constant_skew_matrices,
                              skew_matrices, wide_sizes)
@@ -111,6 +113,68 @@ class TestWedge:
             b = rand_form(rng, C4, 1)
             c = rand_form(rng, C4, 1)
             assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+
+
+def sparse_factor(rng, cls, chart: Chart, grade: int):
+    """A ``Form`` or ``Multivector`` (``cls``) whose index tuples lie in a
+    random few coordinates, so that factors differ in support; zero one time
+    in eight."""
+    if rng.random() < 0.125:
+        return cls.zero(chart, grade)
+    support = sorted(rng.sample(range(chart.dim), rng.randint(grade, chart.dim)))
+    return cls(chart, grade, {key: rand_poly(rng, chart, degree=1, nterms=2)
+                              for key in combinations(support, grade) if rng.random() < 0.7})
+
+
+class TestWedgeOrder:
+    """``wedge_all`` against the left-to-right chain of ``wedge``: the same
+    tensor in any factor order it picks, and the same errors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from((Form, Multivector)),
+           st.lists(st.sampled_from((0, 1, 1, 1, 2, 3)), min_size=1, max_size=6))
+    def test_matches_the_chain(self, rng, cls, grades):
+        factors = [sparse_factor(rng, cls, C8, grade) for grade in grades]
+        result = exterior.wedge_all(factors)
+        expected = chained_wedge(factors)
+        assert result == expected and result.grade == expected.grade and type(result) is cls
+
+    @pytest.mark.parametrize("factors, order, odd", [
+        # d(q1) adds one index to the two of d(q1) + d(p1): one inverted pair of 1-forms
+        ([d("q1", C4) + d("p1", C4), d("q1", C4)], [1, 0], True),
+        # a 2-form moved past a 1-form: an inverted pair of even sign
+        ([d("q1", C4) + d("q2", C4) + d("p1", C4), wedge(d("q1", C4), d("q2", C4))], [1, 0], False),
+        # a triangular Jacobian in reverse: three inverted pairs
+        ([d("q1", C4) + d("q2", C4) + d("p1", C4), d("q2", C4) + d("p1", C4), d("p1", C4)], [2, 1, 0], True),
+        # a zero factor covers nothing and goes first; ties keep their order
+        ([d("q1", C4), d("q2", C4), Form.zero(C4, 1)], [2, 0, 1], False),
+        ([d("q1", C4), d("q2", C4)], [0, 1], False),
+    ])
+    def test_order_and_sign(self, factors, order, odd):
+        assert exterior._fewest_new_indices(factors) == (order, odd)
+        assert exterior.wedge_all(factors) == chained_wedge(factors)
+
+    def test_single_factor_is_itself(self):
+        a = d("q1", C4) + d("p1", C4)
+        assert exterior.wedge_all([a]) is a
+
+    @pytest.mark.parametrize("factors", [
+        [d("q1"), e("p1")],
+        [e("p1"), d("q1")],
+        [d("q1"), d("p1"), e("q1")],
+        [d("q1"), d("p1", C4)],
+        [d("q1", C4) + d("p1", C4), d("q2", C4), d("q1")],
+        [d("q1"), 5],
+        [5, d("q1")],
+        [],
+        d("q1"),
+    ], ids=["form-field", "field-form", "third-field", "chart", "chart-after-reorder", "int", "int-first",
+            "empty", "not-a-list"])
+    def test_errors_match_the_chain(self, factors):
+        with pytest.raises(AlgebraError) as expected:
+            chained_wedge(factors)
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            exterior.wedge_all(factors)
 
 
 @pytest.mark.parametrize("build, message", [

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from formcalc import (
+    AlgebraError,
     Chart,
     ChartMismatch,
     DegreeOverflow,
@@ -348,6 +349,29 @@ class TestRationalExpr:
         r = RationalExpr(3 * (Q1 + 1), (Q1 + 1) * 2)
         assert r.as_constant() == Fraction(3, 2)
         assert RationalExpr(Polynomial.zero(CHART), Q1 + 1).as_constant() == Fraction(0)
+
+    @given(polynomials.filter(lambda p: not p.is_zero()), polynomials,
+           st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4)),
+           st.sampled_from(("constant", "multiple", "shifted", "free", "zero")))
+    def test_as_constant_matches_the_division(self, den, other, c, kind):
+        # the leading-coefficient ratio against exact division: constant
+        # quotients, divisible ones with unequal leading keys, equal leading
+        # keys off by a constant, free numerators and a zero one, over
+        # Fraction coefficients; equal values, or equal errors and messages
+        den = den * Fraction(2, 3)
+        num = {"constant": den * c, "multiple": den * other, "shifted": den * c + 1, "free": other * c,
+               "zero": Polynomial.zero(CHART)}[kind]
+
+        def outcome(route):
+            try:
+                return route()
+            except AlgebraError as exc:
+                return type(exc), str(exc)
+
+        value = outcome(RationalExpr(num, den).as_constant)
+        assert value == outcome(lambda: exact_divide(num, den).constant_value())
+        if kind in ("constant", "zero"):
+            assert value == (c if kind == "constant" else 0) and type(value) is Fraction
 
     def test_arithmetic(self):
         half = RationalExpr(Polynomial.constant(CHART, 1), Polynomial.constant(CHART, 2))
