@@ -345,7 +345,8 @@ class _Builder:
 def parse_scenario_text(text: str) -> Scenario:
     builder = _Builder()
     section = None
-    for lineno, raw in enumerate(checked(text, str, "scenario text").splitlines(), start=1):
+    # lines end at \n, \r\n or \r, as a file read ends them; other Unicode breaks stay in the line
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", checked(text, str, "scenario text")), start=1):
         line = raw.split("#", 1)[0].rstrip()  # keeps the indent, which error columns count
         if not line.strip():
             continue

@@ -65,7 +65,7 @@ MAX_NESTING = 100
 MAX_EXPONENT = 1000
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
+    r"(?P<ws>\s+)|(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
     r"|(?P<end>\Z)|(?P<bad>.)"
 )
 

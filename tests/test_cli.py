@@ -1,7 +1,9 @@
+import hashlib
 import io
+import os
 import string
+import subprocess
 import sys
-import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -9,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import formcalc
 from formcalc import ParseError, parse_scenario, parse_scenario_text, parse_value
 from formcalc.cli import main, run_scenario
 from formcalc.manifest import command_lines
+from tests.cli_cases import CASES
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
-GOLDEN = ROOT / "tests" / "golden"
 
 
 def run_cli(argv):
@@ -24,6 +27,36 @@ def run_cli(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_case(argv, limit):
+    """``run_cli(argv)``, or with a ``limit`` the same formcalc in a child
+    process stopped after ``limit`` seconds."""
+    if limit is None:
+        return run_cli(argv)
+    env = {**os.environ, "PYTHONPATH": str(Path(formcalc.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-m", "formcalc.cli", *argv], capture_output=True,
+                          encoding="utf-8", timeout=limit, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case.id for case in CASES])
+def test_cli_case(case, tmp_path):
+    path = tmp_path / "case.scn"
+    path.write_text(case.text + "\n", encoding="utf-8")
+    code, out, err = run_case(["run", str(path)], case.limit)
+    both = out + err
+    assert code == case.code, both[-2000:]
+    assert "Traceback" not in both
+    if case.code == 2:
+        assert out == ""
+    for pattern in case.patterns:
+        assert pattern in both
+    if case.outcomes is not None:
+        assert tuple(line for line in both.splitlines() if line.startswith(("  result:", "  error:"))) == case.outcomes
+    if case.digest is not None:
+        machine = run_case(["run", str(path), "--machine"], case.limit)[1]
+        assert hashlib.sha256(machine.encode()).hexdigest() == case.digest
 
 
 class TestRun:
@@ -41,52 +74,6 @@ class TestRun:
         assert fields[0] == "jac"
         assert fields[1] == "check-jacobi"
         assert fields[3] == "ok"
-
-    def test_mismatch_sets_exit_code(self, tmp_path):
-        bad = tmp_path / "bad.scn"
-        bad.write_text(
-            "[chart]\nq1 p1\n\n[define]\nomega = d(p1)^d(q1)\n\n"
-            "[tasks]\nt = power-bracket omega k=1 p1 q1 expect 2\n"
-        )
-        code, out, _ = run_cli(["run", str(bad)])
-        assert code == 1
-        assert "status: mismatch" in out
-
-    def test_task_error_reported_and_others_run(self, tmp_path):
-        # first task hits a runtime failure (open form), second still runs
-        scn = tmp_path / "open.scn"
-        scn.write_text(
-            "[chart]\nq1 q2 q3 p1 p2 p3\n\n[define]\n"
-            "omegaB = d(p1)^d(q1) + d(p2)^d(q2) + d(p3)^d(q3) - q1 * d(q2)^d(q3)\n\n"
-            "[tasks]\n"
-            "t1 = power-bracket omegaB k=1 p1 q1 expect 1\n"
-            "t2 = check-poisson omegaB expect false\n"
-        )
-        code, out, _ = run_cli(["run", str(scn)])
-        assert code == 1
-        assert "error: " in out
-        assert "status: error" in out
-        assert out.count("task ") == 2
-        assert "status: ok" in out
-
-    @pytest.mark.parametrize("omega", ["q1 * d(p1)^d(q1) + d(p2)^d(q2)", "d(p1)^d(q1)"],
-                             ids=["non-constant determinant", "degenerate"])
-    def test_check_jacobi_needs_a_constant_nonzero_determinant(self, tmp_path, omega):
-        # the check-poisson error, for arguments whose brackets vanish or not
-        scn = tmp_path / "determinant.scn"
-        scn.write_text(f"[chart]\nq1 q2 p1 p2\n\n[define]\nomega = {omega}\n\n[tasks]\n"
-                       "t1 = check-jacobi omega q2 q2 q2\nt2 = check-jacobi omega p1 q1 p2\n"
-                       "t3 = check-poisson omega\n")
-        code, out, _ = run_cli(["run", str(scn)])
-        assert code == 1
-        assert out.count("error: coefficient matrix needs a constant nonzero determinant") == 3
-
-    def test_parse_error_exit_two(self, tmp_path):
-        scn = tmp_path / "broken.scn"
-        scn.write_text("[chart]\nq1 p1\n\n[tasks]\nt = twiddle\n")
-        code, _, err = run_cli(["run", str(scn)])
-        assert code == 2
-        assert "twiddle" in err
 
     def test_missing_file_exit_two(self):
         code, _, err = run_cli(["run", "nowhere.scn"])
@@ -118,24 +105,6 @@ class TestRun:
         assert code == 2
         assert "zz" in err
 
-    def test_deep_nesting_exit_two(self, tmp_path):
-        scn = tmp_path / "deep.scn"
-        scn.write_text("[chart]\nq1 p1\n\n[define]\nf = " + "(" * 3000 + "q1" + ")" * 3000 + "\n")
-        code, out, err = run_cli(["run", str(scn)])
-        assert code == 2
-        assert out == ""
-        assert "nested deeper" in err and "line 5" in err
-
-    def test_huge_exponent_exit_two(self, tmp_path):
-        scn = tmp_path / "power.scn"
-        scn.write_text("[chart]\nq1 p1\n\n[define]\nf = (q1+p1)^99999999999\n")
-        started = time.perf_counter()
-        code, out, err = run_cli(["run", str(scn)])
-        assert time.perf_counter() - started < 5
-        assert code == 2
-        assert out == ""
-        assert "exponent larger than" in err and "line 5" in err
-
     def test_coefficient_past_the_digit_limit_is_a_task_error(self, tmp_path):
         # {10^700*q1^2, p1} = 2*10^700*q1 has 701 digits, past a limit
         # lowered to 640 for the test: that task is an error, the next runs
@@ -151,48 +120,6 @@ class TestRun:
         assert (code, err) == (1, "")
         assert "error: coefficient has more than 640 digits" in out
         assert "summary: tasks=2 ok=1 mismatch=0 error=1" in out
-
-    def test_degree_overflow_exit_two(self, tmp_path):
-        # every exponent is under the cap, but the total degree 10^12 does not
-        # fit a packed exponent field
-        scn = tmp_path / "degree.scn"
-        scn.write_text("[chart]\nq1 p1\n\n[define]\nf = (((q1^1000)^1000)^1000)^1000\n")
-        started = time.perf_counter()
-        code, out, err = run_cli(["run", str(scn)])
-        assert time.perf_counter() - started < 5
-        assert code == 2
-        assert out == ""
-        assert "total degree would reach 2^32" in err and "line 5, column 29" in err
-
-    def test_chain_longer_than_the_chart_exit_two(self, tmp_path):
-        scn = tmp_path / "chain.scn"
-        scn.write_text("[chart]\nq1 p1\n\n[define]\nf = d(q1)^d(p1)^d(q1)\n")
-        code, out, err = run_cli(["run", str(scn)])
-        assert code == 2
-        assert out == ""
-        assert "more factors than chart coordinates" in err
-
-    def test_long_unary_minus_chain_runs(self, tmp_path):
-        scn = tmp_path / "minus.scn"
-        scn.write_text(
-            "[chart]\nq1 p1\n\n[define]\nomega = d(p1)^d(q1)\nf = " + "-" * 3000 + "p1\n\n"
-            "[tasks]\nt = power-bracket omega k=1 f q1 expect 1\n"
-        )
-        code, out, _ = run_cli(["run", str(scn)])
-        assert code == 0
-        assert "status: ok" in out
-
-    def test_derived_vf_after_check_jacobi_on_a_form_that_is_not_closed(self, tmp_path):
-        """``check-jacobi`` inverts a form that is not closed without a
-        symplectic structure; a later ``derived-vf`` still needs one."""
-        scn = tmp_path / "open.scn"
-        omega = (SCENARIOS / "divergence.scn").read_text(encoding="utf-8").split("[tasks]")[0]
-        scn.write_text(omega + "[tasks]\njac = check-jacobi omegaB p1 p2 p3\nvf = derived-vf omegaB k=1 p1\n")
-        code, out, _ = run_cli(["run", str(scn)])
-        assert code == 1
-        jac, vf = out.split("task vf: ")
-        assert "  result: 1\n" in jac
-        assert "  error: symplectic form must be closed\n" in vf
 
     def test_usage_error(self):
         code, _, _ = run_cli(["frobnicate"])
@@ -333,15 +260,6 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "at least 1" in err
-
-    def test_suite_task_with_size_zero_is_an_error(self, tmp_path):
-        # a parse error, as for ``verify --n 0``
-        scn = tmp_path / "suite.scn"
-        scn.write_text("[chart]\nq1 p1\n\n[tasks]\nt = verify-suite power-contraction n=0\n")
-        code, out, err = run_cli(["run", str(scn)])
-        assert code == 2
-        assert out == "" and "suite size must be at least 1, got 0 (line 5)" in err
-
 
 class TestSuites:
     def test_every_builtin_suite_passes(self):

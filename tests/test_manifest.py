@@ -36,6 +36,11 @@ class TestParsing:
         scenario = parse_scenario_text(text + "\n# trailing\n")
         assert len(scenario.tasks) == 1
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_line_ends_of_a_file_read(self, end):
+        scenario = parse_scenario_text(MINIMAL.replace("\n", end))
+        assert [(task.name, task.expect_text) for task in scenario.tasks] == [("t1", "1")]
+
     def test_definition_kinds(self):
         text = """
 [chart]
