@@ -19,8 +19,9 @@ The chart is declared exactly once, before any definition.  Definitions bind
 names to polynomials, forms, multivectors or constraint lists; polynomial
 names may be reused inside later expressions.  Task arguments are whitespace
 tokens: a defined name, an inline space-free expression, or ``k=<int>`` /
-``n=<int>`` where a command takes one.  An optional trailing ``expect
-<value>`` records the expected result.
+``n=<int>`` where a command takes one, ``<int>`` in ASCII digits.  An
+optional trailing ``expect <value>`` records the expected result, so
+``expect`` is a reserved word: no definition or coordinate takes that name.
 
 Every task command is one entry of :data:`COMMANDS`: its usage line, the
 kinds of its arguments, an arity rule and an executor.  Parsing resolves the
@@ -53,7 +54,7 @@ from .chart import _NAME_RE, Chart
 from .dirac import ConstraintSet, calibrate_normalization, dirac_bracket_form, dirac_bracket_matrix
 from .errors import AlgebraError, NotClosed, ParseError, checked
 from .exterior import Form, Multivector, SymplecticData, _half_dimension, poisson_bivector
-from .parsing import parse_expr, parse_tensor, parse_value
+from .parsing import _INTEGER, parse_expr, parse_tensor, parse_value
 from .poly import Polynomial
 from .schouten import is_poisson, jacobi_pair_check, schouten
 from .suites import SUITES, _suite_size, run_suite
@@ -190,6 +191,9 @@ class Scenario:
     tasks: list[Task] = field(default_factory=list)
 
 
+_RESERVED = "name 'expect' is reserved: it starts a task's expected value"
+
+
 def _fail(message: str, line: int, column: int | None = None):
     raise ParseError(message, line, column)
 
@@ -218,6 +222,9 @@ class _Builder:
     def add_chart(self, body: str, line: int):
         if self.chart is not None:
             _fail("chart declared more than once", line)
+        for match in re.finditer(r"\S+", body):
+            if match.group() == "expect":
+                _fail(_RESERVED, line, match.start() + 1)
         names = body.split()
         try:
             self.chart = Chart(names)
@@ -232,6 +239,8 @@ class _Builder:
     def add_definition(self, body: str, line: int):
         chart = self._need_chart(line)
         name, rest = _named(body, line, "expected 'name = expression'")
+        if name == "expect":
+            _fail(_RESERVED, line, len(body) - len(body.lstrip()) + 1)
         text = rest.strip()
         if not text:
             _fail("expected 'name = expression'", line)
@@ -298,7 +307,7 @@ class _Builder:
         column = offset + 1
         if kind in ("k", "n"):
             prefix = kind + "="
-            if not token.startswith(prefix) or not token[len(prefix):].isdecimal():
+            if not token.startswith(prefix) or not re.fullmatch(_INTEGER, token[len(prefix):]):
                 _fail(f"expected '{prefix}<integer>', got {token!r}", line, column)
             # the parser's own integer rule, which refuses a literal too long to convert
             literal = self._parse(parse_expr, token[len(prefix):], line, offset + len(prefix))

@@ -64,8 +64,10 @@ MAX_NESTING = 100
 # Caps powers that cost work, of a multi-term base (C(k+n, n) terms) or a coefficient c (c**k).
 MAX_EXPONENT = 1000
 
+# An integer literal, in ASCII digits only; a scenario's k=/n= values follow the same rule.
+_INTEGER = "[0-9]+"
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
+    rf"(?P<ws>\s+)|(?P<int>{_INTEGER})|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
     r"|(?P<end>\Z)|(?P<bad>.)"
 )
 

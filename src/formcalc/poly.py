@@ -94,11 +94,11 @@ Besides :class:`Polynomial` this module provides
   p^2/L^m``, ``adj = p*L*T/L^m`` and ``-M^-1 = -L*T/p``.  Constants take
   :func:`_pfaffian_sweep` on integers (``L`` their common denominator),
   any other entries :func:`_polynomial_sweep` (``L = 1``): two loops, as
-  the polynomial one is 8-14x slower on dense constant 6-10-dim matrices.
-  Over ``Q[x]`` a constant pivot keeps ``p`` constant, so each division is
-  a scalar multiply; picking it by the terms in its two columns keeps the
-  later pivots constant too, where picking it by their nonzero entries
-  divided by a polynomial ``p`` 960 times on one 18-dim pulled-back form.
+  a matrix of constants never pays for polynomial arithmetic.  Over
+  ``Q[x]`` a constant pivot keeps ``p`` constant, so each division is a
+  scalar multiply; picking the pivot by the terms in its two columns, not
+  by their nonzero entries, keeps the later pivots constant too, so that
+  few steps, if any, divide by a polynomial ``p``.
 """
 
 from __future__ import annotations

@@ -70,7 +70,7 @@ CASES = [
     Case("fullwidth-fraction", scenario("q1 p1", "f = ３/４"), 2,
          ("unexpected character '３'", "line 5, column 5")),
     Case("arabic-indic-k", scenario("q1 p1", OMEGA2, "t = power-bracket omega k=٣ p1 q1"), 2,
-         ("unexpected character '٣'", "line 8, column 27")),
+         ("expected 'k=<integer>', got 'k=٣'", "line 8, column 25")),
     Case("parse-error", scenario("q1 p1", tasks="t = twiddle"), 2, ("twiddle",)),
     Case("deep-nesting", scenario("q1 p1", "f = " + "(" * 3000 + "q1" + ")" * 3000), 2, ("nested deeper", "line 5")),
     Case("huge-exponent", scenario("q1 p1", "f = (q1+p1)^99999999999"), 2, ("exponent larger than", "line 5"),
@@ -91,6 +91,12 @@ CASES = [
     # a bad name inside a task argument: the column of the bad name in the line
     Case("task-argument-bad-name", scenario("q1 q2 p1 p2", OMEGA4, "t = power-bracket omega k=1 p1 q1+q9"), 2,
          ("line 8, column 35",)),
+    # a task reads its first bare 'expect' as the start of the expected value,
+    # so no definition or coordinate may take that name
+    Case("expect-as-a-definition-name", scenario("q1 p1", OMEGA2 + "\nexpect = q1",
+         "t1 = power-bracket omega k=1 expect p1"), 2, ("name 'expect' is reserved", "line 6, column 1")),
+    Case("expect-as-a-coordinate", scenario("q1 q2 expect p2", tasks="t1 = verify-suite magnetic"), 2,
+         ("name 'expect' is reserved", "line 2, column 7")),
     Case("power-bracket-on-an-odd-chart", scenario("q1 q2 p1", OMEGA2, "t = power-bracket omega k=1 p1 q1"), 2,
          ("even-dimensional",)),
     # a k= with 5,000 digits, more than int() converts by default

@@ -2,76 +2,74 @@
 for the test suite.
 
 The generators are the built-in suites' own, drawing coefficients from
--3..3 instead of the suites' -2..2.  ``laplace_determinant`` and
-``laplace_adjugate`` are plain cofactor expansion of any square matrix, one
-independent determinant per cofactor.  They are the reference for
-``formcalc.poly.matrix_determinant`` and ``matrix_adjugate`` on even skew
-matrices (the 2x2 Pfaffian sweep over the integers for constant entries,
-over the polynomials for the rest), for the Dirac constraint matrix, and for the Jacobian determinant
-behind ``nambu_top_bracket``, which is not skew and so has no route in
-``formcalc.poly``.  ``fraction_gauss_jordan`` is the ``Fraction``
-elimination that constant matrices took before the fraction-free route:
-the reference for it at sizes the Laplace expansion cannot reach.
-``inplace_bareiss`` is Bareiss's row-pivoted Gauss-Jordan pass on ``m``
-integers per row, the route constant matrices took before the 2x2 Pfaffian
-sweep ``poly._pfaffian_sweep``: the reference for the sweep's ``-M^-1`` and
-determinant.  ``legacy_bareiss`` is that pass as it was before each row kept
-``m`` integers: the whole of ``[A | I]`` less the columns already pivoted,
-the reference for ``inplace_bareiss``'s integers ``(L, sign, prev, X)``.
-``_pfaffian_table`` is the memo of a Pfaffian for every even index subset
-that non-constant matrices took before the polynomial sweep
-``poly._polynomial_sweep``; ``table_skew_inverse`` and
-``table_negated_inverse`` read ``det``, ``adj`` and ``-M^-1`` off it as
-``poly`` did then, the reference for the sweep's at 4-12 dims.
-``scaled_adjugate_bivector`` is ``poisson_bivector`` as it was before
-constant forms read ``-M^-1`` straight off elimination's integers: the
-skew matrix of ``Polynomial`` entries, ``matrix_determinant`` and
-``matrix_adjugate``, then every upper adjugate entry times ``-1/det``.
-``full_wedge_bracket``, ``full_wedge_derived_vf`` and
-``full_wedge_jacobi_bracket`` build the whole wedge of the differentials and
-pair it with the generator, the route the brackets took before they wedged
-only onto the generator's support.  ``legacy_generator_wedge`` is that
-support wedge as it was before ``poly.merge_walk`` kept its partial sums in
-packed tables: one ``Polynomial`` per merged tuple at every level.  ``ExpPoly`` and
-``exp_poly_homogenization`` are the algebra of ``exp(w*s)`` weights that
-``homogenization_check`` ran on before it lifted its arguments to 1-forms.
-``bivector_loop_hamiltonian_vf`` is the Hamiltonian field as its own loop
-over the inverse bivector's terms, before it became ``derived_vf(sym, 1,
-f)``.  ``full_wedge_dirac_numerator`` and ``full_wedge_dirac_denominator``
-read the Dirac form quotient off the top coefficients of ``df^dg ^ Theta ^
-omega^(m-1)`` and ``Theta ^ omega^m``, before both became pairings with
-``*(Theta ^ omega^(m-1))``, and ``two_condition_regularity`` is the Dirac
-regularity check with the nonzero-wedge condition it dropped as implied.
-``volume_route_def`` builds the 2k-bracket the way ``omega_power_bracket``
-and ``derived_vf`` did before they paired against the divided power
-``Lambda^k/k!``: the generator of ``k! * omega^(n-k)/(n-k)!`` against the
-volume ``omega^n/n!``.  ``volume_route_binary`` is the same route at
-``k = 1`` for any nondegenerate 2-form, closed or not, the bracket
-``check-jacobi`` took before it paired with the inverse bivector.
-``legacy_parse_tensor`` and ``legacy_parse_value`` are the same kind of
-reference for ``formcalc.parsing``, and ``LegacyPolynomial`` with
-``legacy_exact_divide`` (exponent tuples as keys, every coefficient a
-``Fraction``) for the packed-key kernel of ``formcalc.poly``.
-``legacy_polynomial_str`` is ``Polynomial.__str__`` as it was before it
-printed each packed key from memoized halves: a loop over every coordinate
-field of every key, and the text grown by ``+=``.
-``chained_wedge`` is ``wedge_all`` as it was before it wedged its factors
-in fewest-new-indices order: the left-to-right chain, the reference for
-the reordered wedge's value, sign and errors.
-``permutation_sign`` is the sign of sorting an index sequence, counted by
-inversions without ``formcalc``: the reference for the package's one merge
-rule, ``formcalc.exterior._merge_sign``.  ``compose`` substitutes polynomials
-for coordinates, and ``pulled_back_form`` is the standard form pulled back by
-a random triangular polynomial map: a symplectic form polynomial off the
+-3..3 instead of the suites' -2..2.  ``compose`` substitutes polynomials for
+coordinates, and ``pulled_back_form`` is the standard form pulled back by a
+random triangular polynomial map: a symplectic form polynomial off the
 Darboux chart, whose brackets are the standard ones composed with the map.
+
+Each route of ``formcalc`` has an oracle here that computes the same value
+by another algorithm, and the property tests compare the two:
+
+======================================  ======================================
+route                                   oracle
+======================================  ======================================
+``poly.Polynomial`` arithmetic, packed  ``LegacyPolynomial``: exponent tuples
+int keys                                as keys, every coefficient a
+                                        ``Fraction``
+``poly.exact_divide``                   ``legacy_exact_divide``: a ``min()``
+                                        scan for each leading term
+``Polynomial.__str__``                  ``legacy_polynomial_str``: a loop over
+                                        every field of every key
+``matrix_determinant`` and              ``laplace_determinant`` and
+``matrix_adjugate``, the Dirac          ``laplace_adjugate``: cofactor
+constraint matrix, the Jacobian of      expansion, one determinant per
+``nambu_top_bracket``                   cofactor, at 2-6 dims
+constant skew inverse:                  ``fraction_gauss_jordan``: row-pivoted
+``poly._pfaffian_sweep``,               Gauss-Jordan on ``[M | I]`` over
+``_skew_inverse``,                      ``Fraction``, 2-16 dims
+``_negated_inverse``,
+``matrix_determinant`` and
+``poisson_bivector``
+polynomial skew inverse:                ``table_skew_inverse`` and
+``poly._polynomial_sweep`` read by      ``table_negated_inverse``: a memo of
+``_skew_inverse`` and                   the Pfaffian of every even index
+``_negated_inverse``                    subset, 4-12 dims
+``exterior._merge_sign``                ``permutation_sign``: inversions
+                                        counted without ``formcalc``
+``wedge_all``, fewest new indices       ``chained_wedge``: the left-to-right
+first                                   chain of ``wedge``
+``_Generator.wedge`` through            ``legacy_generator_wedge``: one
+``poly.merge_walk``                     ``Polynomial`` per merged tuple and
+                                        level
+``bracket`` and the pairings of         ``full_wedge_bracket``: the whole
+``_Generator``                          wedge of the differentials, paired
+``omega_power_bracket``,                ``volume_route_def`` and
+``derived_vf`` (divided power           ``full_wedge_derived_vf``: ``k! *
+``Lambda^k/k!``)                        omega^(n-k)/(n-k)!`` against the
+                                        volume ``omega^n/n!``
+``check-jacobi``'s binary bracket       ``volume_route_binary``: that route
+                                        at ``k = 1``, closed or not
+``hamiltonian_vf``                      ``bivector_loop_hamiltonian_vf``: a
+                                        loop over the bivector's terms
+``jacobi_bracket``                      ``full_wedge_jacobi_bracket``
+``homogenization_check``                ``ExpPoly`` and
+                                        ``exp_poly_homogenization``: the
+                                        algebra of ``exp(w*s)`` weights
+``dirac_bracket_form``                  ``full_wedge_dirac_numerator`` and
+                                        ``full_wedge_dirac_denominator``: top
+                                        coefficients of the full wedges
+``regularity_check``                    ``two_condition_regularity``: with the
+                                        implied nonzero-wedge condition
+======================================  ======================================
+
+The parser, ``formcalc.parsing``, has no oracle here: its outcomes, values,
+messages and columns included, are pinned by ``tests/golden/parse_outcomes.txt``.
 """
 
-import re
-from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial
 
 from formcalc import (
     BracketDef,
@@ -82,22 +80,17 @@ from formcalc import (
     Multivector,
     NotDivisible,
     Polynomial,
-    RationalExpr,
     coordinate_form,
     coordinates,
     differential,
     form_power,
-    matrix_adjugate,
-    matrix_determinant,
     pair,
-    parse_expr,
     wedge,
     wedge_all,
 )
 from formcalc.brackets import power_bracket_def
 from formcalc.errors import checked
-from formcalc.exterior import _accumulate, _Graded, _normalize_index_tuple, _summed
-from formcalc.parsing import _error
+from formcalc.exterior import _accumulate, _Graded, _summed
 from formcalc.poly import _BITS, _MASK, sum_of_products
 from formcalc.suites import _random_graded, _random_poly
 
@@ -246,99 +239,6 @@ def fraction_gauss_jordan(values: Sequence[Sequence[Fraction]]):
             if r != col and factor:
                 rows[r] = [x - factor * y for x, y in zip(rows[r], pivot_row)]
     return det, [row[m:] for row in rows]
-
-
-def legacy_bareiss(upper: Mapping[tuple[int, int], Polynomial], m: int):
-    """``inplace_bareiss`` by updating all ``2m - col - 1`` columns of ``[A | I]``
-    that each row still holds at step ``col``, the row swaps made in place."""
-    values = {key: entry._terms.get(0, 0) for key, entry in upper.items()}
-    scale = lcm(*(x.denominator for x in values.values()))
-    rows = [[0] * m + [int(i == j) for j in range(m)] for i in range(m)]
-    for (i, j), x in values.items():
-        rows[i][j] = x.numerator * (scale // x.denominator)
-        rows[j][i] = -rows[i][j]
-    sign = prev = 1
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if rows[r][0]), None)
-        if pivot is None:
-            return None
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        lead, *pivot_row = rows[col]
-        for r in range(m):
-            if r != col:
-                factor, *row = rows[r]
-                rows[r] = [(lead * x - factor * y) // prev for x, y in zip(row, pivot_row)]
-        rows[col] = pivot_row
-        prev = lead
-    return scale, sign, prev, rows
-
-
-def inplace_bareiss(upper: Mapping[tuple[int, int], Polynomial], m: int):
-    """Bareiss's fraction-free Gauss-Jordan pass (Math. Comp. 22, 1968) on
-    ``[A | I]``, ``A = L*M`` for the ``m x m`` skew matrix ``M`` with upper
-    triangle ``upper`` of constants and the lcm ``L`` of their denominators.
-    Each step, with row pivoting, sets every other row to ``(lead*x -
-    factor*y) // prev``, exact as every entry stays a minor of ``[A | I]``.
-
-    In place, a row holds ``m`` integers: before step ``col``, ``X``'s
-    columns ``0..col-1``, then the left block's ``col..m-1``.  The right
-    block's other columns are ``prev`` times an identity column in the rows
-    at or below ``col`` and zero above, so none is stored: the step writes
-    ``X``'s column ``col`` over the pivot column, which no later step reads,
-    as ``-factor`` in every other row and ``prev`` in the pivot row.  A row
-    swap only exchanges two rows' identity columns, so the swaps are applied
-    to ``X``'s columns at the end, last one first.  ``None`` if ``M`` is
-    singular, else ``(L, sign, prev, X)`` for the final ``[prev*I | X] =
-    [sign*det(A)*I | sign*adj(A)]``."""
-    values = {key: entry._terms.get(0, 0) for key, entry in upper.items()}
-    scale = lcm(*(x.denominator for x in values.values()))
-    rows = [[0] * m for _ in range(m)]
-    for (i, j), x in values.items():
-        rows[i][j] = x.numerator * (scale // x.denominator)
-        rows[j][i] = -rows[i][j]
-    swaps = []
-    prev = 1
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if rows[r][col]), None)
-        if pivot is None:
-            return None
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            swaps.append((col, pivot))
-        pivot_row = rows[col]
-        lead = pivot_row[col]
-        for r, row in enumerate(rows):
-            if r != col:
-                factor = row[col]
-                row = rows[r] = [(lead * x - factor * y) // prev for x, y in zip(row, pivot_row)]
-                row[col] = -factor
-        pivot_row[col] = prev
-        prev = lead
-    for col, pivot in reversed(swaps):
-        for row in rows:
-            row[col], row[pivot] = row[pivot], row[col]
-    return scale, -1 if len(swaps) % 2 else 1, prev, rows
-
-
-def scaled_adjugate_bivector(omega: Form) -> Multivector | None:
-    """The inverse bivector of the 2-form ``omega`` as ``adj(M) * (-1/det(M))``
-    over the ``Polynomial`` coefficient matrix ``M``; ``None`` when ``det(M)``
-    is zero."""
-    chart = omega.chart
-    m = chart.dim
-    matrix = [[Polynomial.zero(chart)] * m for _ in range(m)]
-    for (i, j), coefficient in omega.terms.items():
-        matrix[i][j] = coefficient
-        matrix[j][i] = -coefficient
-    det = matrix_determinant(matrix, chart)
-    if det.is_zero():
-        return None
-    adj = matrix_adjugate(matrix, chart)
-    scale = Fraction(-1) / det.constant_value()
-    return Multivector(chart, 2, {(i, j): adj[i][j] * scale for i in range(m) for j in range(i + 1, m)
-                                  if not adj[i][j].is_zero()})
 
 
 def _pfaffian_table(upper: Mapping[tuple[int, int], Polynomial], chart: Chart):
@@ -632,186 +532,6 @@ def exp_poly_homogenization(jdef, f: Polynomial, g: Polynomial, s_name: str = "s
         value = u.diff(i) * v.diff(j) - u.diff(j) * v.diff(i)
         total = total + ExpPoly.from_polynomial(c, s_index) * value
     return ExpPoly.exponential(extended, s_index, -2) * total
-
-
-# The token-slicing tensor parser and the ``(num) / (den)`` text scan that
-# ``formcalc.parsing`` used before it read every value with one
-# recursive-descent parser: the reference for the parser property tests.
-# Coefficient substrings still go through ``parse_expr``.  It keeps its own
-# tokenizer, one ``_LegacyToken`` namedtuple per token, as the parser had it.
-
-_LEGACY_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
-    r"|(?P<end>\Z)|(?P<bad>.)"
-)
-_LegacyToken = namedtuple("_LegacyToken", "kind text start")
-
-
-def _legacy_tokenize(text: str) -> list:
-    tokens = [_LegacyToken(match.lastgroup, match.group(), match.start())
-              for match in _LEGACY_TOKEN_RE.finditer(text) if match.lastgroup != "ws"]
-    for token in tokens:
-        if token.kind == "bad":
-            raise _error(text, token.start, f"unexpected character {token.text!r}")
-    return tokens
-
-
-def _end(token) -> int:
-    return token.start + len(token.text)
-
-
-def _atom_at(tokens, i: int) -> bool:
-    return (
-        tokens[i].kind == "name"
-        and tokens[i].text in ("d", "e")
-        and tokens[i + 1].text == "("
-    )
-
-
-def _split_terms(tokens):
-    """Split at top-level +/- into (sign, token-slice) pieces."""
-    pieces = []
-    depth = 0
-    sign = 1
-    start = 0
-    i = 0
-    body = tokens[:-1]  # drop end sentinel
-    while i < len(body):
-        token = body[i]
-        if token.text == "(":
-            depth += 1
-        elif token.text == ")":
-            depth -= 1
-        elif depth == 0 and token.text in ("+", "-") and i == start:
-            # leading sign of the current piece
-            if token.text == "-":
-                sign = -sign
-            start = i + 1
-        elif depth == 0 and token.text in ("+", "-"):
-            pieces.append((sign, body[start:i]))
-            sign = 1 if token.text == "+" else -1
-            start = i + 1
-        i += 1
-    pieces.append((sign, body[start:]))
-    return pieces
-
-
-def legacy_parse_tensor(text: str, chart: Chart, env=None):
-    tokens = _legacy_tokenize(text)
-    if tokens[0].kind == "end":
-        raise _error(text, 0, "empty expression")
-    has_atoms = any(_atom_at(tokens, i) for i in range(len(tokens) - 1))
-    if not has_atoms:
-        return parse_expr(text, chart, env)
-
-    kind = None
-    grade = None
-    table: dict[tuple[int, ...], Polynomial] = {}
-    for sign, piece in _split_terms(tokens):
-        if not piece:
-            raise _error(text, len(text), "empty term")
-        chain_start = None
-        for i in range(len(piece)):
-            if i + 1 < len(piece) and _atom_at(piece, i):
-                chain_start = i
-                break
-        if chain_start is None:
-            raise _error(text, piece[0].start, "every term must have the same grade")
-        # parse the trailing atom chain
-        i = chain_start
-        atoms = []
-        term_kind = piece[i].text
-        while i < len(piece):
-            token = piece[i]
-            if not (token.kind == "name" and token.text in ("d", "e")):
-                raise _error(text, token.start, "expected a d(...) or e(...) factor")
-            if token.text != term_kind:
-                raise _error(text, token.start, "cannot mix d(...) and e(...) factors")
-            if i + 3 >= len(piece) + 1 or piece[i + 1].text != "(":
-                raise _error(text, _end(token), "expected '('")
-            name_token = piece[i + 2] if i + 2 < len(piece) else None
-            if name_token is None or name_token.kind != "name":
-                raise _error(text, _end(piece[i + 1]), "expected a coordinate name")
-            if name_token.text not in chart:
-                raise _error(text, name_token.start, f"unknown coordinate {name_token.text!r}")
-            if i + 3 >= len(piece) or piece[i + 3].text != ")":
-                raise _error(text, _end(name_token), "expected ')'")
-            atoms.append(chart.index(name_token.text))
-            i += 4
-            if i < len(piece):
-                if piece[i].text != "^":
-                    raise _error(text, piece[i].start, "expected '^' between factors")
-                i += 1
-                if i >= len(piece):
-                    raise _error(text, len(text), "dangling '^'")
-        # parse the coefficient prefix
-        prefix = piece[:chain_start]
-        if prefix:
-            if prefix[-1].text != "*":
-                raise _error(
-                    text, prefix[-1].start, "coefficient must be joined to the factors by '*'"
-                )
-            prefix = prefix[:-1]
-        if prefix:
-            coeff_text = text[prefix[0].start:_end(prefix[-1])]
-            coefficient = parse_expr(coeff_text, chart, env)
-        else:
-            coefficient = Polynomial.constant(chart, 1)
-        if sign < 0:
-            coefficient = -coefficient
-
-        if kind is None:
-            kind = term_kind
-        elif kind != term_kind:
-            raise _error(text, piece[chain_start].start, "cannot mix d(...) and e(...) terms")
-        if grade is None:
-            grade = len(atoms)
-        elif grade != len(atoms):
-            raise _error(text, piece[chain_start].start, "every term must have the same grade")
-
-        key, parity = _normalize_index_tuple(atoms, chart.dim)
-        if key is None or coefficient.is_zero():
-            continue
-        _accumulate(table, key, coefficient if parity == 1 else -coefficient)
-
-    cls = Form if kind == "d" else Multivector
-    result = cls(chart, grade)
-    result.terms = table
-    return result
-
-
-def _matching_paren(text: str, start: int) -> int:
-    depth = 0
-    for i in range(start, len(text)):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-    raise _error(text, start, "unbalanced '('")
-
-
-def legacy_parse_value(text: str, chart: Chart, env=None):
-    stripped = text.strip()
-    lowered = stripped.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    if lowered in ("pass", "fail"):
-        return lowered
-    if stripped.startswith("("):
-        close = _matching_paren(stripped, 0)
-        rest = stripped[close + 1:].lstrip()
-        if rest.startswith("/"):
-            denom_text = rest[1:].strip()
-            if not (denom_text.startswith("(") and _matching_paren(denom_text, 0) == len(denom_text) - 1):
-                raise _error(text, 0, "expected '(numerator) / (denominator)'")
-            numerator = parse_expr(stripped[1:close], chart, env)
-            denominator = parse_expr(denom_text[1:-1], chart, env)
-            if denominator.is_zero():
-                raise _error(text, 0, "zero denominator")
-            return RationalExpr(numerator, denominator)
-    return legacy_parse_tensor(stripped, chart, env)
 
 
 # The polynomial kernel ``formcalc.poly`` used before it packed exponent

@@ -47,8 +47,8 @@ from formcalc import exterior, poly
 
 from formcalc.brackets import _divided_power
 
-from tests.helpers import (chained_wedge, legacy_generator_wedge, permutation_sign, pulled_back_form, qp, rand_form,
-                           rand_multivector, rand_poly, scaled_adjugate_bivector)
+from tests.helpers import (chained_wedge, fraction_gauss_jordan, legacy_generator_wedge, permutation_sign,
+                           pulled_back_form, qp, rand_form, rand_multivector, rand_poly)
 from tests.test_poly import (coprime_entries, integer_entries, singular_constant_skew_matrices,
                              skew_matrices, wide_sizes)
 
@@ -73,6 +73,22 @@ def constant_form(values) -> Form:
     chart = Chart([f"x{i}" for i in range(1, m + 1)])
     return Form(chart, 2, {(i, j): values[i][j] for i in range(m) for j in range(i + 1, m)
                            if values[i][j]})
+
+
+def gauss_jordan_bivector(omega: Form) -> Multivector | None:
+    """The upper triangle of ``-M^-1`` for the constant coefficient matrix
+    ``M`` of ``omega``, by ``fraction_gauss_jordan``; ``None`` when ``M`` is
+    singular."""
+    m = omega.chart.dim
+    values = [[Fraction(0)] * m for _ in range(m)]
+    for (i, j), coefficient in omega.terms.items():
+        values[i][j] = coefficient.constant_value()
+        values[j][i] = -values[i][j]
+    inverse = fraction_gauss_jordan(values)[1]
+    if inverse is None:
+        return None
+    return Multivector(omega.chart, 2, {(i, j): -inverse[i][j] for i in range(m) for j in range(i + 1, m)
+                                        if inverse[i][j]})
 
 
 def d(name, chart=C2):
@@ -691,7 +707,7 @@ class TestPoissonBivector:
     def test_constant_form_matches_scaled_adjugate(self, values):
         # a zero entry can make a small form singular: then both reject it
         omega = constant_form(values)
-        expected = scaled_adjugate_bivector(omega)
+        expected = gauss_jordan_bivector(omega)
         if expected is None:
             with pytest.raises(DegenerateStructure, match=self.DETERMINANT_MESSAGE):
                 poisson_bivector(omega)
@@ -702,7 +718,7 @@ class TestPoissonBivector:
     @given(singular_constant_skew_matrices(wide_sizes, integer_entries | coprime_entries))
     def test_singular_constant_form(self, values):
         omega = constant_form(values)
-        assert scaled_adjugate_bivector(omega) is None
+        assert gauss_jordan_bivector(omega) is None
         with pytest.raises(DegenerateStructure) as err:
             poisson_bivector(omega)
         assert str(err.value) == self.DETERMINANT_MESSAGE
@@ -718,7 +734,7 @@ class TestPoissonBivector:
         # the entries of -M^-1 come straight from elimination's integers: no
         # polynomial product, negation or scaling by -1/det
         if expected is None:
-            expected = scaled_adjugate_bivector(omega)
+            expected = gauss_jordan_bivector(omega)
 
         def refuse(*args):
             raise AssertionError("a polynomial product or negation ran")

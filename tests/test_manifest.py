@@ -184,8 +184,9 @@ t = verify-suite nonsense
          "bad expected value: unknown identifier 'q9'", 50),
         (TASKS + "  t = power-bracket omeg k=1 p1 q1", "undeclared name 'omeg'", 21),
         (TASKS + "t = power-bracket omega k=x p1 q1", "expected 'k=<integer>', got 'k=x'", 25),
-        # a digit that int() does not read
+        # a digit outside ASCII, whether int() reads it or not
         (TASKS + "t = power-bracket omega k=\u00b2 p1 q1", "expected 'k=<integer>', got 'k=\u00b2'", 25),
+        (TASKS + "t = verify-suite power-bracket n=\u0663", "expected 'n=<integer>', got 'n=\u0663'", 32),
         (TASKS + "t =", "missing command", None),
         (TASKS + "t = powr-bracket omega", "unknown command 'powr-bracket'", 5),
         (TASKS + "t = verify-suite nonsense", "unknown suite 'nonsense'", 18),

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formcalc import (
-    AlgebraError,
     Chart,
     ChartMismatch,
     Form,
@@ -24,8 +23,6 @@ from formcalc.parsing import MAX_EXPONENT, MAX_NESTING
 from formcalc.poly import DEGREE_CAP
 
 from tests.helpers import (
-    legacy_parse_tensor,
-    legacy_parse_value,
     rand_form,
     rand_multivector,
     rand_nonzero_poly,
@@ -369,7 +366,6 @@ class TestTensors:
 
     @pytest.mark.parametrize("text", ["+d(q1)", "*d(p1)", "-*d(q1)", "d(q1) - + d(p1)"])
     def test_term_starting_with_plus_or_star_rejected(self, text):
-        legacy_parse_tensor(text, CHART)  # the former parser accepted these
         with pytest.raises(ParseError):
             parse_tensor(text, CHART)
 
@@ -456,86 +452,3 @@ class TestValues:
         for text in ("(q1) - p1", "(q1) - - p1", "(q1)^2 + 1", "(2) * -p1 - 1"):
             assert parse_value(text, CHART) == parse_expr(text, CHART)
         assert parse_value("(q1) * d(p1) - d(q1)", CHART) == parse_tensor("q1 * d(p1) - d(q1)", CHART)
-
-
-# Tokens for the differential test against the former parser.  Strings are
-# drawn as terms (a sign or a parenthesized lead term, coefficients, a wedge
-# chain, now and then a factor after the chain or parentheses around it) and
-# then get up to two tokens of noise from the whole pool.
-ORACLE_CHART = Chart(("q1", "q2", "p1"))
-ORACLE_ENV = {"f": parse_expr("q1 + 1", ORACLE_CHART)}
-COEFFICIENTS = ["q1", "p1", "f", "0", "2", "3/2", "q1 ^ 2", "( q1 - 2 )", "( p1 )"]
-LEADS = ["", "", "", "", "", "-", "- -", "+", "*", "( p1 ) -"]
-JOINS = ["+", "-"] * 4 + ["+ -", "- -", "- +", "+ *"]
-TAILS = [""] * 8 + ["* 2", "^ 2"]
-ORACLE_POOL = COEFFICIENTS + [
-    "d(q1)", "d(p1)", "e(q2)", "d(zz)", "zz", "d", "e", "+", "-", "*", "^", "/", "(", ")",
-]
-
-
-def _term_starts_with_plus_or_star(items):
-    return items[0] in ("+", "*") or any(
-        a in ("+", "-") and b in ("+", "*") for a, b in zip(items, items[1:])
-    )
-
-
-def _minus_after_star(items):
-    return any(a == "*" and b == "-" for a, b in zip(items, items[1:]))
-
-
-def _outcome(parse, text):
-    try:
-        return True, parse(text, ORACLE_CHART, ORACLE_ENV)
-    except AlgebraError as exc:  # the former parser let GradeMismatch through
-        return False, exc
-
-
-@st.composite
-def token_strings(draw):
-    kind = draw(st.sampled_from(["d", "e", None]))
-    grade = draw(st.integers(1, 2))
-    items = []
-    for i in range(draw(st.integers(1, 3))):
-        items += draw(st.sampled_from(JOINS if i else LEADS)).split()
-        for _ in range(draw(st.integers(0, 2))):
-            items += [draw(st.sampled_from(COEFFICIENTS)), "*"] + draw(st.sampled_from(["", "", "-"])).split()
-        if kind is None:
-            items += draw(st.sampled_from(COEFFICIENTS)).split()
-            continue
-        length = draw(st.sampled_from([grade] * 7 + [1, 3]))
-        names = draw(st.lists(st.sampled_from(ORACLE_CHART.names), min_size=length, max_size=length))
-        first = {"d": "e", "e": "d"}[kind] if draw(st.integers(0, 9)) == 0 else kind
-        chain = [f"{first}({names[0]})"] + [f"{kind}({name})" for name in names[1:]]
-        chain = " ^ ".join(chain).split() + draw(st.sampled_from(TAILS)).split()
-        items += ["(", *chain, ")"] if draw(st.integers(0, 9)) == 0 else chain
-    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
-        where = draw(st.integers(0, len(items) - 1))
-        items[where:where + draw(st.integers(0, 1))] = [draw(st.sampled_from(ORACLE_POOL))]
-    if kind is None and draw(st.integers(0, 2)) == 0:
-        items = ["("] + items + [")", "/", "(", draw(st.sampled_from(COEFFICIENTS)), ")"]
-    return items
-
-
-class TestFormerParserOracle:
-    """The one parser agrees with the former token-slicing tensor parser and
-    ``(num) / (den)`` scan, except on two documented classes of input: a term
-    that begins with ``+`` or ``*`` (now rejected, as the grammar has no unary
-    ``+``) and a unary minus after ``*`` (``c * -tensor``, now accepted)."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(token_strings())
-    def test_values_and_acceptance_match(self, items):
-        text = " ".join(items)
-        for new, old in ((parse_tensor, legacy_parse_tensor), (parse_value, legacy_parse_value)):
-            new_ok, new_value = _outcome(new, text)
-            old_ok, old_value = _outcome(old, text)
-            if not new_ok:
-                assert isinstance(new_value, ParseError)
-            if new_ok and old_ok:
-                assert type(new_value) is type(old_value)
-                assert getattr(new_value, "grade", None) == getattr(old_value, "grade", None)
-                assert new_value == old_value
-            elif old_ok:
-                assert _term_starts_with_plus_or_star(items), text
-            elif new_ok:
-                assert _minus_after_star(items), text

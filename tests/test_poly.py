@@ -4,6 +4,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -42,10 +43,8 @@ from tests.helpers import (
     ExpPoly,
     LegacyPolynomial,
     fraction_gauss_jordan,
-    inplace_bareiss,
     laplace_adjugate,
     laplace_determinant,
-    legacy_bareiss,
     legacy_exact_divide,
     legacy_polynomial_str,
     pulled_back_form,
@@ -612,60 +611,23 @@ class TestEliminationOracle:
         self.check(values)
 
 
-class TestInPlaceElimination:
-    """``inplace_bareiss``, which keeps ``m`` integers per row, against
-    ``legacy_bareiss``, which updated the whole of ``[A | I]``: the same
-    ``(L, sign, prev, X)`` integers, or ``None`` for a singular matrix."""
-
-    def check(self, values):
-        upper = _upper_of(values)
-        solved = inplace_bareiss(upper, len(values))
-        assert solved == legacy_bareiss(upper, len(values))
-        return solved
-
-    @settings(max_examples=60, deadline=None)
-    @given(skew_matrices(wide_sizes, integer_entries | coprime_entries))
-    def test_matches_legacy(self, values):
-        self.check(values)
-
-    @settings(max_examples=40, deadline=None)
-    @given(singular_constant_skew_matrices(wide_sizes, integer_entries | coprime_entries))
-    def test_singular_matches_legacy(self, values):
-        assert self.check(values) is None
-
-    def test_three_pivot_swaps(self):
-        # the 6-dim form of the CI case: Bareiss's pivots swap rows (0, 1),
-        # (2, 3) and (4, 5), and L = lcm(2, 3) = 6.  The sweep pivots on
-        # (0, 1), (2, 3) and (4, 5) with no swap, and its p^2 is det(A)
-        upper = {(0, 3): 1, (0, 1): Fraction(1, 2), (1, 4): 3, (2, 3): Fraction(-2, 3),
-                 (2, 5): 1, (4, 5): 5, (1, 2): -1}
-        values = [[Fraction(0)] * 6 for _ in range(6)]
-        for (i, j), x in upper.items():
-            values[i][j], values[j][i] = Fraction(x), -Fraction(x)
-        _, sign, prev, _ = self.check(values)
-        scale, p, block = TestPfaffianSweep().check(values)
-        assert scale == 6 and p * p == sign * prev
-        # -M^-1 = -L*T/p holds the brackets {x1,x2}, {x3,x6} and {x4,x5}
-        brackets = [Fraction(-scale * block[i][j], p) for i, j in ((0, 1), (2, 5), (3, 4))]
-        assert brackets == [Fraction(10, 29), Fraction(9, 29), Fraction(-3, 58)]
-
-
 class TestPfaffianSweep:
-    """``poly._pfaffian_sweep``, 2x2 skew pivots, against ``inplace_bareiss``,
-    Gauss-Jordan with row swaps: the same ``-M^-1``, ``-L*T/p`` against
-    ``-L*X/prev`` entry for entry, the same ``L``, ``p^2 = sign*prev`` and a
-    skew ``T``, or ``None`` on both sides for a singular matrix."""
+    """``poly._pfaffian_sweep``, 2x2 skew pivots, against
+    ``fraction_gauss_jordan``, row-pivoted Gauss-Jordan over ``Fraction``: the
+    same ``-M^-1``, ``-L*T/p`` against the negated inverse entry for entry, ``L``
+    the lcm of the entries' denominators, ``p^2 = L^m*det(M)`` and a skew
+    ``T``, or ``None`` on both sides for a singular matrix."""
 
     def check(self, values):
         upper, m = _upper_of(values), len(values)
-        solved, oracle = poly_module._pfaffian_sweep(upper, m), inplace_bareiss(upper, m)
-        assert (solved is None) == (oracle is None)
+        solved, (det, inverse) = poly_module._pfaffian_sweep(upper, m), fraction_gauss_jordan(values)
+        assert (solved is None) == (inverse is None)
         if solved is not None:
-            (scale, p, block), (oracle_scale, sign, prev, x) = solved, oracle
-            assert scale == oracle_scale and p * p == sign * prev
+            scale, p, block = solved
+            assert scale == lcm(*(x.denominator for row in values for x in row))
+            assert p * p == scale ** m * det
             assert all(block[i][j] == -block[j][i] for i in range(m) for j in range(m))
-            assert [[Fraction(-scale * y, p) for y in row] for row in block] == [
-                [Fraction(-scale * y, prev) for y in row] for row in x]
+            assert [[Fraction(-scale * y, p) for y in row] for row in block] == [[-x for x in row] for row in inverse]
         return solved
 
     @settings(max_examples=60, deadline=None)
@@ -677,6 +639,21 @@ class TestPfaffianSweep:
     @given(singular_constant_skew_matrices(wide_sizes, integer_entries | coprime_entries))
     def test_singular_matches_bareiss(self, values):
         assert self.check(values) is None
+
+    def test_three_pivot_swaps(self):
+        # the 6-dim form of the CI case: Gauss-Jordan's pivots swap rows
+        # (0, 1), (2, 3) and (4, 5), and L = lcm(2, 3) = 6.  The sweep pivots
+        # on (0, 1), (2, 3) and (4, 5) with no swap, and its p^2 is det(A)
+        upper = {(0, 3): 1, (0, 1): Fraction(1, 2), (1, 4): 3, (2, 3): Fraction(-2, 3),
+                 (2, 5): 1, (4, 5): 5, (1, 2): -1}
+        values = [[Fraction(0)] * 6 for _ in range(6)]
+        for (i, j), x in upper.items():
+            values[i][j], values[j][i] = Fraction(x), -Fraction(x)
+        scale, p, block = self.check(values)
+        assert scale == 6 and p * p == 6 ** 6 * fraction_gauss_jordan(values)[0]
+        # -M^-1 = -L*T/p holds the brackets {x1,x2}, {x3,x6} and {x4,x5}
+        brackets = [Fraction(-scale * block[i][j], p) for i, j in ((0, 1), (2, 5), (3, 4))]
+        assert brackets == [Fraction(10, 29), Fraction(9, 29), Fraction(-3, 58)]
 
 
 mixed_entries = sparse_polynomials | rationals.map(lambda x: Polynomial.constant(CHART, x))

@@ -5,7 +5,8 @@ Usage::
     python tools/linecount.py
 
 For each file of ``src/formcalc/`` and in all, prints the total number of
-lines and its split into code, docstring, comment and blank lines.  Every
+lines and its split into code, docstring, comment and blank lines, then the
+same totals over the test code, ``tests/*.py``, as one ``tests`` row.  Every
 line has one kind: a line inside a module, class or function docstring is a
 docstring line; any other line with a token of code is a code line (a string
 spanning lines counts on each of them); a line holding only a comment is a
@@ -19,7 +20,9 @@ import io
 import tokenize
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "formcalc"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "formcalc"
+TESTS = ROOT / "tests"
 KINDS = ("total", "code", "docstring", "comment", "blank")
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
              tokenize.ENCODING, tokenize.ENDMARKER}
@@ -49,15 +52,26 @@ def count(source: str) -> dict[str, int]:
     return counts
 
 
+def totals(paths) -> dict[str, int]:
+    """The number of lines of each kind over the files ``paths``."""
+    out = dict.fromkeys(KINDS, 0)
+    for path in paths:
+        for kind, lines in count(path.read_text(encoding="utf-8")).items():
+            out[kind] += lines
+    return out
+
+
+def _row(label: str, counts: dict[str, int]) -> str:
+    return f"{label:<16}" + "".join(f"{counts[kind]:>10}" for kind in KINDS)
+
+
 def main() -> None:
-    totals = dict.fromkeys(KINDS, 0)
     print(f"{'file':<16}" + "".join(f"{kind:>10}" for kind in KINDS))
-    for path in sorted(SOURCE.glob("*.py")):
-        counts = count(path.read_text(encoding="utf-8"))
-        for kind in KINDS:
-            totals[kind] += counts[kind]
-        print(f"{path.name:<16}" + "".join(f"{counts[kind]:>10}" for kind in KINDS))
-    print(f"{'all':<16}" + "".join(f"{totals[kind]:>10}" for kind in KINDS))
+    sources = sorted(SOURCE.glob("*.py"))
+    for path in sources:
+        print(_row(path.name, count(path.read_text(encoding="utf-8"))))
+    print(_row("all", totals(sources)))
+    print(_row("tests", totals(sorted(TESTS.glob("*.py")))))
 
 
 if __name__ == "__main__":
